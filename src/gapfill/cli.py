@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits, verify_instance
@@ -310,7 +311,11 @@ def main(argv=None) -> int:
         print("error: --cases must be >= 0", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[cfg.command](cfg)
+        with warnings.catch_warnings():
+            # impute records rank deficiency in the report notes, fit in its
+            # rank_deficient field; neither repeats it on stderr
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            return COMMANDS[cfg.command](cfg)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, RankDeficiencyWarning
 from .fitting import ArModel, RegModel, VarModel, predict_forward
-from .linalg import as_matrix, as_vector, mat_pow_table, solve_spd
+from .linalg import as_vector, mat_pow_table, solve_spd
 
 MODES = ("exact", "paper")
 
@@ -117,12 +117,21 @@ def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     return gamma
 
 
+def _check_offset(delta) -> None:
+    if not np.all(np.isfinite(delta)):
+        raise NumericalError(
+            "forecast overflow: the offset to the anchor is not finite "
+            "(explosive coefficients or huge values over a long horizon)"
+        )
+
+
 def solve_controls_scalar(weights, delta: float) -> tuple[float, np.ndarray]:
     """Spread ``delta`` over the control steps in proportion to ``weights``.
 
     Returns the multiplier c = delta / sum(w^2) and the chronological control
     sequence c*w_{m-1}, ..., c*w_0. With impulse weights this is the unique
     minimizer of the summed squared controls subject to hitting the endpoint.
+    A non-finite ``delta`` (an overflowed forecast) raises NumericalError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
@@ -130,6 +139,7 @@ def solve_controls_scalar(weights, delta: float) -> tuple[float, np.ndarray]:
     denom = float(w @ w)
     if denom == 0.0:
         raise NumericalError("unreachable terminal constraint: all control weights are zero")
+    _check_offset(delta)
     c = float(delta) / denom
     return c, c * w[::-1]
 
@@ -142,22 +152,30 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     G lambda = delta and G = sum_j powers[j] powers[j]^T; this minimizes the
     summed squared control lengths. A singular G falls back to the
     minimum-norm multiplier with a warning; an endpoint offset outside the
-    reachable subspace raises NumericalError.
+    reachable subspace, or a G or ``delta`` that has overflowed, raises
+    NumericalError.
     """
-    mats = [as_matrix(p) for p in powers]
-    if not mats:
+    if len(powers) == 0:
         raise ValueError("powers must be nonempty")
-    k = mats[0].shape[0]
-    for p in mats:
-        if p.shape != (k, k):
-            raise ValueError("powers must all be square with one dimension")
+    mats = np.array(powers, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("powers must all be square with one dimension")
+    k = mats.shape[1]
+    gram = np.zeros((k, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in mats:
+            gram += p @ p.T
+    # a non-finite power puts inf or nan on the diagonal of G
+    if not np.isfinite(gram).all():
+        raise NumericalError(
+            "matrix power overflow: the control Gram matrix is not finite "
+            "(explosive transition matrix over a long horizon)"
+        )
+    _check_offset(delta)
     d = as_vector(delta)
     if d.shape[0] != k:
         raise ValueError(f"delta has length {d.shape[0]}, expected {k}")
 
-    gram = np.zeros((k, k))
-    for p in mats:
-        gram += p @ p.T
     solution = solve_spd(gram, d)
     lam = solution.x
     if solution.fallback:

@@ -220,7 +220,8 @@ def predict_forward(model, seeds, steps: int, covariates=None) -> np.ndarray:
     """Roll the fitted recursion forward ``steps`` steps from the seed values.
 
     Autoregressions consume the trailing seed values and return the predicted
-    path; the regression model predicts pointwise from ``covariates`` (one row
+    path, which an explosive model lets overflow silently to inf; the
+    regression model predicts pointwise from ``covariates`` (one row
     per step) and ignores ``seeds``.
     """
     if steps < 0:
@@ -232,8 +233,10 @@ def predict_forward(model, seeds, steps: int, covariates=None) -> np.ndarray:
             raise DataError(f"need {model.p} seed values, got {len(hist)}")
         out = np.empty(steps)
         for t in range(steps):
-            out[t] = model.b + sum(model.a[j] * hist[-1 - j] for j in range(model.p))
-            hist.append(out[t])
+            # Python floats overflow silently to inf, numpy scalars would warn
+            x = model.b + sum(model.a[j] * hist[-1 - j] for j in range(model.p))
+            out[t] = x
+            hist.append(x)
         return out
 
     if isinstance(model, VarModel):
@@ -244,9 +247,10 @@ def predict_forward(model, seeds, steps: int, covariates=None) -> np.ndarray:
         if state.shape != (model.dim,):
             raise DataError(f"seed must have {model.dim} components, got shape {state.shape}")
         out = np.empty((steps, model.dim))
-        for t in range(steps):
-            state = model.A @ state + model.b
-            out[t] = state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(steps):
+                state = model.A @ state + model.b
+                out[t] = state
         return out
 
     if isinstance(model, RegModel):

@@ -58,7 +58,8 @@ def mat_pow_table(matrix, kmax: int) -> list[np.ndarray]:
     """Return [I, A, A^2, ..., A^kmax], each power computed as A @ previous.
 
     The table is built by repeated multiplication rather than eigen methods so
-    the entries satisfy table[k+1] == A @ table[k] exactly as computed.
+    the entries satisfy table[k+1] == A @ table[k] exactly as computed. An
+    explosive A overflows silently to inf; callers check finiteness.
     """
     a = as_matrix(matrix)
     if a.shape[0] != a.shape[1]:
@@ -66,8 +67,9 @@ def mat_pow_table(matrix, kmax: int) -> list[np.ndarray]:
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     powers = [np.eye(a.shape[0])]
-    for _ in range(kmax):
-        powers.append(a @ powers[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(kmax):
+            powers.append(a @ powers[-1])
     return powers
 
 
@@ -144,5 +146,8 @@ def least_squares(design, target, rank_tolerance: float = RANK_TOLERANCE) -> Lea
             f"dimension mismatch: design has {x.shape[0]} rows, target has {y.shape[0]}"
         )
     coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=rank_tolerance)
-    residual = float(np.linalg.norm(x @ coeffs - y))
+    r = x @ coeffs - y
+    # scaled so that squaring huge residuals cannot overflow
+    scale = float(np.max(np.abs(r)))
+    residual = scale * float(np.linalg.norm(r / scale)) if scale > 0.0 else 0.0
     return LeastSquaresFit(coeffs, int(rank), residual)

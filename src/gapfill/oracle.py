@@ -4,8 +4,10 @@ The verifier restates each gap as a generic equality-constrained minimization
 (minimize the summed squared controls subject to the controls steering the
 endpoint onto the anchor) and solves its stationarity system directly. The
 constraint matrices are built by plain simulation, unit kicks through the
-scalar recursion and repeated matrix multiplication for the vector one, so no
-code is shared with the weight recurrences being checked.
+scalar recursion (every kick advanced together, one vector update per time
+step) and repeated matrix multiplication for the vector one, so no code is
+shared with the weight recurrences being checked. Each problem is one stacked
+array, so the stationarity solve and the check are array operations.
 """
 
 from __future__ import annotations
@@ -32,34 +34,37 @@ CERTIFY_TOLERANCE = 1e-9
 class ConstrainedProblem:
     """min sum ||u_i||^2 subject to sum_i C_i u_i = target, C_i chronological.
 
-    ``steps`` holds one square matrix per control; scalars are accepted and
-    normalized to 1x1 matrices, a scalar target to a length-1 vector.
+    ``steps`` is stored as one (m, k, k) float64 array, C_i = steps[i]. A
+    sequence of scalars becomes 1x1 matrices and a scalar target a length-1
+    vector.
     """
 
-    steps: tuple[np.ndarray, ...]
+    steps: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        mats = []
-        for s in self.steps:
-            m = np.atleast_2d(np.asarray(s, dtype=float))
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"constraint step must be square, got shape {m.shape}")
-            mats.append(m)
-        if not mats:
+        try:
+            c = np.asarray(self.steps, dtype=float)
+        except ValueError:
+            raise ValueError("constraint steps must share one dimension") from None
+        if c.ndim in (1, 2):
+            c = c.reshape(c.shape + (1,) * (3 - c.ndim))
+        if c.ndim != 3:
+            raise ValueError(f"constraint steps must form an (m, k, k) stack, got shape {c.shape}")
+        if c.shape[0] < 1:
             raise ValueError("problem needs at least one control step")
-        k = mats[0].shape[0]
-        if any(m.shape != (k, k) for m in mats):
-            raise ValueError("constraint steps must share one dimension")
+        if c.shape[1] != c.shape[2]:
+            raise ValueError(f"constraint step must be square, got shape {c.shape[1:]}")
+        k = c.shape[1]
         t = np.atleast_1d(np.asarray(self.target, dtype=float))
         if t.shape != (k,):
             raise ValueError(f"target must have {k} components, got shape {t.shape}")
-        object.__setattr__(self, "steps", tuple(mats))
+        object.__setattr__(self, "steps", c)
         object.__setattr__(self, "target", t)
 
     @property
     def dim(self) -> int:
-        return self.steps[0].shape[0]
+        return self.steps.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,17 @@ class Verdict:
     objective_oracle: float
 
 
+def _running_total(terms: np.ndarray) -> np.ndarray:
+    """Sum along the first axis strictly left to right (pairwise summation
+    would change the last bits and so the reported certificate margins)."""
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def _attained(steps: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """The endpoint offset sum_i C_i u_i reached by (m, k) controls."""
+    return _running_total(np.matmul(steps, controls[:, :, None])[:, :, 0])
+
+
 def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     """Solve the stationarity system of the constrained minimization.
 
@@ -88,16 +104,12 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     Feasibility is judged by the residual of the recovered controls against
     the constraint.
     """
-    k = problem.dim
-    gram = np.zeros((k, k))
-    for c in problem.steps:
-        gram += c @ c.T
+    c = problem.steps
+    c_t = c.transpose(0, 2, 1)
+    gram = _running_total(np.matmul(c, c_t))
     lam = solve_spd(gram, problem.target).x
-    controls = np.array([c.T @ lam for c in problem.steps])
-    attained = np.zeros(k)
-    for c, u in zip(problem.steps, controls):
-        attained += c @ u
-    residual = float(np.linalg.norm(attained - problem.target))
+    controls = np.matmul(c_t, lam)
+    residual = float(np.linalg.norm(_attained(c, controls) - problem.target))
     feasible = residual <= FEASIBILITY_TOLERANCE * (1.0 + float(np.linalg.norm(problem.target)))
     return OracleResult(
         controls=controls,
@@ -108,39 +120,54 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     )
 
 
+def _kick_endpoints(a: tuple[float, ...], steps: int) -> np.ndarray:
+    """Endpoint of the scalar recursion after a unit kick at each step.
+
+    All ``steps`` kicked paths advance together: ``lags[j]`` holds the state
+    j + 1 steps back across every path, so each time step is one vector
+    update. The lag sum runs left to right from zero, the same order as a
+    scalar ``sum``, which keeps every endpoint bit-identical to simulating
+    the kicks one at a time. Explosive coefficients overflow silently to inf
+    as Python floats do.
+    """
+    p = len(a)
+    lags = [np.zeros(steps) for _ in range(p)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            x = np.zeros(steps)
+            for j in range(p):
+                x = x + a[j] * lags[j]
+            x[t] += 1.0
+            lags.insert(0, x)
+            lags.pop()
+    return lags[0]
+
+
 def build_problem(model, steps: int, target) -> ConstrainedProblem:
     """Assemble the terminal constraint for ``steps`` chronological controls.
 
-    Scalar models: simulate the recursion once per control step with a unit
-    kick at that step (zeros everywhere else) and read off the endpoint
-    effect. Vector models: build the needed matrix powers by repeated
-    right-multiplication. Regression models: identity dynamics.
+    Scalar models: simulate every unit kick through the recursion at once
+    (see ``_kick_endpoints``) and read off the endpoint effects. Vector
+    models: descending matrix powers by repeated right-multiplication.
+    Regression models: identity dynamics.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
     if isinstance(model, ArModel):
-        mats = []
-        for kick in range(steps):
-            hist = [0.0] * model.p
-            for t in range(steps):
-                x = sum(model.a[j] * hist[-1 - j] for j in range(model.p))
-                if t == kick:
-                    x += 1.0
-                hist.append(x)
-            mats.append(np.array([[hist[-1]]]))
-        return ConstrainedProblem(tuple(mats), target)
+        effects = _kick_endpoints(model.a, steps)
+        return ConstrainedProblem(effects.reshape(steps, 1, 1), target)
 
     if isinstance(model, VarModel):
-        powers = [np.eye(model.dim)]
-        for _ in range(steps - 1):
-            powers.append(powers[-1] @ model.A)
-        mats = tuple(powers[steps - 1 - i] for i in range(steps))
-        return ConstrainedProblem(mats, target)
+        powers = np.empty((steps, model.dim, model.dim))
+        powers[-1] = np.eye(model.dim)
+        for i in range(steps - 2, -1, -1):
+            np.matmul(powers[i + 1], model.A, out=powers[i])
+        return ConstrainedProblem(powers, target)
 
     if isinstance(model, RegModel):
         k = np.atleast_1d(np.asarray(target, dtype=float)).shape[0]
-        return ConstrainedProblem(tuple(np.eye(k) for _ in range(steps)), target)
+        return ConstrainedProblem(np.broadcast_to(np.eye(k), (steps, k, k)), target)
 
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -159,10 +186,7 @@ def certify(solution: ControlSolution, problem: ConstrainedProblem) -> Verdict:
             f"control count {u.shape[0]} does not match the problem's {len(problem.steps)} steps"
         )
     oracle = kkt_solve(problem)
-    attained = np.zeros(problem.dim)
-    for c, ui in zip(problem.steps, u):
-        attained += c @ ui
-    residual = float(np.linalg.norm(attained - problem.target))
+    residual = float(np.linalg.norm(_attained(problem.steps, u) - problem.target))
     objective = float(np.sum(u * u))
     gap = abs(objective - oracle.objective)
     target_norm = float(np.linalg.norm(problem.target))

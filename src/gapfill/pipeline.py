@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from .control import (
     impute_gap_regression,
     impute_gap_var,
 )
-from .errors import DataError
+from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fitting import (
     ArModel,
     RegModel,
@@ -82,6 +83,23 @@ def _covariate_row(covariates: Series, index: int) -> np.ndarray:
     return row
 
 
+def _noted_fit(notes: list, context: str, fit, *args):
+    """Run ``fit(*args)``, turning a rank-deficiency warning into a report note.
+
+    The model's ``rank_deficient`` flag records the same fact; other warnings
+    pass through unchanged.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficiencyWarning)
+        model = fit(*args)
+    for w in caught:
+        if issubclass(w.category, RankDeficiencyWarning):
+            notes.append(f"{context}: {w.message}")
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return model
+
+
 def _fit_prefix(options: ImputeOptions, series: Series, covariates, prefix_length: int):
     if options.model_kind == "ar":
         window = np.array([v[0] for v in series.values[:prefix_length]])
@@ -147,6 +165,11 @@ def _open_gap_solution(options: ImputeOptions, model, segment, working, covariat
         predicted = predict_forward(model, None, steps, covariates=rows)
         if model.n_outputs == 1:
             predicted = predicted[:, 0]
+    if not np.all(np.isfinite(predicted)):
+        raise NumericalError(
+            f"forecast overflow in the open gap at index {segment.gap_start} "
+            f"(explosive coefficients over a long horizon)"
+        )
     zeros_like = np.zeros_like(predicted)
     return ControlSolution(
         control_indices=tuple(segment.indices),
@@ -198,8 +221,9 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     """Fill every gap in ``series`` and report what was done.
 
     Gaps are processed left to right, so a gap may seed from values imputed
-    for an earlier gap; the report notes when that happens. The model is
-    fitted once on the observed prefix unless ``refit_per_gap`` is set.
+    for an earlier gap; the report notes when that happens, and when a fit is
+    rank deficient. The model is fitted once on the observed prefix unless
+    ``refit_per_gap`` is set.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
@@ -210,7 +234,8 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, imputed={}, report=report)
 
-    prefix_model = _fit_prefix(options, series, covariates, prefix_length)
+    prefix_model = _noted_fit(report.notes, "prefix fit", _fit_prefix,
+                              options, series, covariates, prefix_length)
     report.model = describe_model(prefix_model)
     if options.refit_per_gap:
         report.notes.append("refit per gap: each gap uses every fully-observed window before it")
@@ -220,7 +245,8 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     missing_set = set(series.missing_indices)
     for segment in segments:
         if options.refit_per_gap:
-            model = _refit_before(options, series, covariates, segment.gap_start)
+            model = _noted_fit(report.notes, f"refit before the gap at index {segment.gap_start}",
+                               _refit_before, options, series, covariates, segment.gap_start)
             refit_model = model
         else:
             model = prefix_model

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gapfill.cli import main
@@ -142,6 +143,81 @@ class TestImputeCommand:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _growing_csv(path, columns: int, growth: float, gap: int, scale: float = 1.0):
+    """x_n = growth * x_{n-1} + small noise for 30 rows, times ``scale``, then a long gap."""
+    rng = np.random.default_rng(5)
+    x = np.ones(columns)
+    rows = [",".join(f"c{i}" for i in range(columns))]
+    for _ in range(30):
+        x = growth * x + rng.normal(0.0, 0.1, columns)
+        rows.append(",".join(f"{scale * v:.17g}" for v in x))
+    rows += [",".join(["NA"] * columns)] * gap + [",".join(["1.0"] * columns)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+class TestErrorContract:
+    """Explosive and degenerate inputs: one stderr line or none, never a
+    Python warning or traceback (warnings are errors here, so a stray one
+    fails the test instead of reaching stderr)."""
+
+    def test_explosive_var_is_numerical_error(self, capsys, tmp_path):
+        path = _growing_csv(tmp_path / "var.csv", 2, 1.3, 3000)
+        code, out, err = run(capsys, "impute", path, "--model", "var")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: matrix power overflow")
+
+    def test_explosive_ar_has_one_stderr_line(self, capsys, tmp_path):
+        path = _growing_csv(tmp_path / "ar.csv", 1, 1.5, 3000)
+        code, _, err = run(capsys, "impute", path)
+        assert code == 4
+        assert err.count("\n") == 1
+        assert err.startswith("error: impulse weight overflow")
+
+    @pytest.mark.parametrize("model, columns", [("ar", 1), ("var", 2)])
+    def test_overflowing_forecast_is_numerical_error(self, capsys, tmp_path, model, columns):
+        # moderate growth keeps the weights and powers finite; the huge values
+        # make the forecast itself overflow
+        path = _growing_csv(tmp_path / "huge.csv", columns, 1.5, 700, scale=1e200)
+        code, out, err = run(capsys, "impute", path, "--model", model)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: forecast overflow")
+
+    def test_explosive_open_gap_is_numerical_error(self, capsys, tmp_path):
+        path = tmp_path / "open.csv"
+        _growing_csv(path, 1, 1.5, 3000)
+        path.write_text(path.read_text().rsplit("1.0\n", 1)[0])
+        code, out, err = run(capsys, "impute", str(path), "--allow-open-gap")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: forecast overflow")
+
+    def test_rank_deficiency_goes_to_report_notes(self, capsys, tmp_path):
+        path = tmp_path / "constant.csv"
+        path.write_text("v\n5\n5\n5\n5\n5\nNA\n7\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "impute", str(path), "--report", str(report_path))
+        assert code == 0
+        assert err == ""
+        report = json.loads(report_path.read_text())
+        assert report["model"]["rank_deficient"]
+        assert any(note.startswith("prefix fit: rank-deficient") for note in report["notes"])
+
+    def test_rank_deficient_fit_command_is_quiet(self, capsys, tmp_path):
+        path = tmp_path / "constant.csv"
+        path.write_text("v\n5\n5\n5\n5\n5\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["rank_deficient"]
 
 
 class TestFitCommand:

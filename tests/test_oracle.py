@@ -1,9 +1,13 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapfill.control import impute_gap_ar
+from gapfill.control import impute_gap_ar, impute_gap_var
 from gapfill.fitting import ArModel, RegModel, VarModel
 from gapfill.oracle import (
     ConstrainedProblem,
@@ -14,7 +18,10 @@ from gapfill.oracle import (
     random_instance,
     verify_instance,
 )
-from gapfill.series import detect_gaps
+from gapfill.series import Series, detect_gaps
+
+# Property tests run a fixed example sequence, so the suite stays reproducible.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 class TestConstrainedProblem:
@@ -31,6 +38,26 @@ class TestConstrainedProblem:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ConstrainedProblem(steps=(), target=1.0)
+        with pytest.raises(ValueError, match="at least one"):
+            ConstrainedProblem(steps=np.empty((0, 2, 2)), target=np.zeros(2))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            ConstrainedProblem(steps=(np.ones((2, 3)),), target=np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            ConstrainedProblem(steps=np.ones((4, 2, 3)), target=np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            ConstrainedProblem(steps=np.ones((4, 2)), target=np.zeros(2))
+
+    def test_sequence_of_matrices_stacked(self):
+        prob = ConstrainedProblem(steps=[np.eye(2), 2.0 * np.eye(2)], target=[1.0, 2.0])
+        assert prob.steps.shape == (2, 2, 2)
+        assert prob.steps.dtype == np.float64
+        assert np.array_equal(prob.steps[1], 2.0 * np.eye(2))
+
+    def test_target_dimension_checked(self):
+        with pytest.raises(ValueError, match="target"):
+            ConstrainedProblem(steps=np.ones((3, 2, 2)), target=np.zeros(3))
 
 
 class TestKktSolve:
@@ -113,6 +140,48 @@ class TestBuildProblem:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             build_problem(ArModel(a=(0.5,), b=0.0), 0, 1.0)
+
+
+def scalar_kick_endpoints(model: ArModel, steps: int) -> np.ndarray:
+    """Reference: one scalar simulation per unit kick, read off the endpoint."""
+    effects = []
+    for kick in range(steps):
+        hist = [0.0] * model.p
+        for t in range(steps):
+            x = sum(model.a[j] * hist[-1 - j] for j in range(model.p))
+            if t == kick:
+                x += 1.0
+            hist.append(x)
+        effects.append(hist[-1])
+    return np.array(effects)
+
+
+class TestBatchedKicks:
+    @PROPERTY
+    @given(
+        a=st.lists(st.floats(-1.4, 1.4, allow_nan=False), min_size=1, max_size=4),
+        steps=st.integers(1, 80),
+    )
+    def test_bit_identical_to_scalar_simulation(self, a, steps):
+        model = ArModel(a=tuple(a), b=0.0)
+        prob = build_problem(model, steps, 1.0)
+        assert prob.steps.shape == (steps, 1, 1)
+        assert prob.steps.tobytes() == scalar_kick_endpoints(model, steps).tobytes()
+
+    @pytest.mark.parametrize("a", [(0.999,), (1.0, -0.0001), (1.4, -0.3, 0.2), (-1.4,)])
+    def test_near_unit_root_and_explosive(self, a):
+        model = ArModel(a=a, b=0.0)
+        prob = build_problem(model, 80, 1.0)
+        assert prob.steps.tobytes() == scalar_kick_endpoints(model, 80).tobytes()
+
+    def test_overflow_to_inf_is_silent(self):
+        model = ArModel(a=(1e10, -1e10), b=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = build_problem(model, 60, 1.0)
+        effects = prob.steps[:, 0, 0]
+        assert not np.all(np.isfinite(effects))
+        assert np.array_equal(effects, scalar_kick_endpoints(model, 60), equal_nan=True)
 
 
 class TestCertify:
@@ -214,3 +283,84 @@ class TestVerifyInstance:
         for seed in range(5):
             checked = verify_instance(seed, inject_fault=True)
             assert not checked.verdict.passed
+
+
+def ar_conditional_mean(model: ArModel, seeds, gap_length: int, anchor: float) -> np.ndarray:
+    """Second oracle for scalar gaps: E[u | endpoint] under iid unit innovations.
+
+    The path x over the gap and the anchor solves D x = r + u, with D the
+    lower-triangular difference operator of the recursion and r the intercept
+    plus the seed terms. The endpoint is e^T D^{-1} (r + u), so
+    u ~ N(0, S) conditioned on it has mean S C^T (C S C^T)^{-1} delta with
+    C = e^T D^{-1}. S is zero on the first p - 1 steps, which carry no
+    control.
+    """
+    p, total = model.p, gap_length + 1
+    d = np.eye(total)
+    r = np.full(total, model.b)
+    for j, a in enumerate(model.a, start=1):
+        d -= a * np.eye(total, k=-j)
+        for t in range(min(j, total)):
+            r[t] += a * seeds[t - j]
+    free = scipy.linalg.solve_triangular(d, r, lower=True)
+    c = scipy.linalg.solve_triangular(d.T, np.eye(total)[-1], lower=False)[None, :]
+    sigma = np.diag([0.0] * (p - 1) + [1.0] * (total - p + 1))
+    delta = np.array([anchor - free[-1]])
+    return sigma @ c.T @ scipy.linalg.solve(c @ sigma @ c.T, delta, assume_a="pos")
+
+
+def var_conditional_mean(model: VarModel, seed, gap_length: int, anchor) -> np.ndarray:
+    """Second oracle for vector gaps: the same conditioning on the stacked
+    path, with D the block bidiagonal operator x_t - A x_{t-1}."""
+    k, total = model.dim, gap_length + 1
+    d = np.eye(total * k) - np.kron(np.eye(total, k=-1), model.A)
+    r = np.tile(model.b, total)
+    r[:k] += model.A @ seed
+    free = scipy.linalg.solve_triangular(d, r, lower=True)
+    end = np.zeros((total * k, k))
+    end[-k:] = np.eye(k)
+    c = scipy.linalg.solve_triangular(d.T, end, lower=False).T
+    delta = np.asarray(anchor) - free[-k:]
+    u = c.T @ scipy.linalg.solve(c @ c.T, delta, assume_a="pos")
+    return u.reshape(total, k)
+
+
+def assert_close_relative(actual, expected, rtol=1e-9):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(np.asarray(actual) - expected)) <= rtol * scale
+
+
+class TestConditionalMeanOracle:
+    @PROPERTY
+    @given(
+        a=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=3),
+        b=st.floats(-1.0, 1.0),
+        values=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        gap_length=st.integers(0, 12),
+    )
+    def test_ar_controls_are_conditional_mean(self, a, b, values, gap_length):
+        model = ArModel(a=tuple(a), b=b)
+        p = model.p
+        gap_length = max(gap_length, p - 1, 1)
+        seeds, anchor = values[:3], values[3]
+        series = Series.from_values(seeds + [None] * gap_length + [anchor])
+        _, gaps = detect_gaps(series, p)
+        solution = impute_gap_ar(model, gaps[0], seeds, anchor)
+        expected = ar_conditional_mean(model, seeds, gap_length, anchor)
+        assert np.all(expected[: p - 1] == 0.0)
+        assert_close_relative(solution.controls, expected[p - 1 :])
+
+    @PROPERTY
+    @given(
+        k=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        gap_length=st.integers(1, 10),
+    )
+    def test_var_controls_are_conditional_mean(self, k, seed, gap_length):
+        rng = np.random.default_rng(seed)
+        model = VarModel(A=rng.uniform(-0.9, 0.9, (k, k)), b=rng.uniform(-1, 1, k))
+        start, anchor = rng.uniform(-5, 5, k), rng.uniform(-5, 5, k)
+        series = Series.from_values([start] + [None] * gap_length + [anchor])
+        _, gaps = detect_gaps(series, 1)
+        solution = impute_gap_var(model, gaps[0], start, anchor)
+        assert_close_relative(solution.controls, var_conditional_mean(model, start, gap_length, anchor))
