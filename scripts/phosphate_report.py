@@ -76,17 +76,14 @@ def main() -> int:
     worst = max(abs(v) for devs in deviations.values() for v in devs)
 
     # --- sensitivity probes -------------------------------------------------
-    columns = [np.array([v[c] for v in series.values if v is not None][:10])
-               for c in range(2)]
-    full_columns = [
-        np.array([v[c] if v is not None else np.nan for v in series.values])
-        for c in range(2)
-    ]
+    observed = series.data[~series.missing]
+    columns = [observed[:10, c] for c in range(2)]
+    full_columns = [series.data[:, c] for c in range(2)]
 
     sensitivity = []
 
     # joint first-order vector fit on the prefix: the documented pipeline
-    var_model = fit_var1(np.vstack(series.values[:10]))
+    var_model = fit_var1(series.data[:10])
     sensitivity.append({
         "hypothesis": "joint vector fit on rows 1..10 (this tool's default)",
         "predicted_11": pipeline_values["predicted_11"],

@@ -39,7 +39,7 @@ from .oracle import (
     random_instance,
     verify_instance,
 )
-from .pipeline import ImputeOptions, ImputeResult, impute_series
+from .pipeline import ImputeOptions, ImputeResult, fit_prefix, impute_series
 from .report import ImputationReport
 from .series import GapSegment, Series, detect_gaps, parse_csv, write_csv
 
@@ -65,6 +65,7 @@ __all__ = [
     "certify",
     "detect_gaps",
     "fit_ar_scalar",
+    "fit_prefix",
     "fit_regression",
     "fit_var1",
     "gamma_weights",

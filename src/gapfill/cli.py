@@ -13,13 +13,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits, verify_instance
-from .pipeline import ImputeOptions, impute_series
+from .pipeline import ImputeOptions, fit_prefix, impute_series
 from .report import describe_model, jsonable
 from .series import DEFAULT_NA_MARKERS, parse_csv
 
@@ -101,43 +99,13 @@ def cmd_impute(cfg: RunConfig) -> int:
     return 0
 
 
-def _prefix_length(values) -> int:
-    for i, v in enumerate(values):
-        if v is None:
-            return i
-    return len(values)
-
-
 def cmd_fit(cfg: RunConfig) -> int:
     """Fit on the observed prefix and print the model as JSON."""
-    from .fitting import fit_ar_scalar, fit_regression, fit_var1
-
     text = _read_input(cfg.input_path)
     series, covariates = _parse_series(cfg, text)
-    prefix = _prefix_length(series.values)
-    if prefix == 0:
-        raise DataError("no observed prefix: the series begins with a missing value")
-    if cfg.model_kind == "ar":
-        if series.dim != 1:
-            raise DataError(
-                f"model 'ar' needs a single value column, got {series.dim} "
-                f"(use --model var for vector observations)"
-            )
-        model = fit_ar_scalar(np.array([v[0] for v in series.values[:prefix]]), cfg.order)
-    elif cfg.model_kind == "var":
-        if cfg.order != 1:
-            raise DataError("model 'var' supports order 1 only")
-        model = fit_var1(np.vstack(series.values[:prefix]))
-    else:
-        rows = []
-        for i in range(1, prefix + 1):
-            row = covariates.values[i - 1]
-            if row is None:
-                raise DataError(f"missing covariate at index {i} (covariates must be observed wherever used)")
-            rows.append(row)
-        model = fit_regression(np.vstack(series.values[:prefix]), np.vstack(rows))
+    model = fit_prefix(series, ImputeOptions(model_kind=cfg.model_kind, order=cfg.order), covariates)
     payload = describe_model(model)
-    payload["fit_rows"] = prefix
+    payload["fit_rows"] = series.prefix_length
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 

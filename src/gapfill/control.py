@@ -72,12 +72,11 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    w = np.empty(length)
-    w[0] = 1.0
+    w = [1.0]
     for j in range(1, length):
-        w[j] = sum(model.a[i - 1] * w[j - i] for i in range(1, min(j, model.p) + 1))
+        w.append(sum(model.a[i - 1] * w[j - i] for i in range(1, min(j, model.p) + 1)))
         _check_magnitude(w[j], j, "impulse weight")
-    return w
+    return np.array(w)
 
 
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:
@@ -225,13 +224,7 @@ def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact"
     weights = impulse_weights(model, m) if mode == "exact" else gamma_weights(model, m)
     c, controls = solve_controls_scalar(weights, delta)
 
-    hist = [float(v) for v in seed_values[-p:]]
-    first_control = n0 + p
-    values = np.empty(total)
-    for t, n in enumerate(range(n0 + 1, end + 1)):
-        u = controls[n - first_control] if n >= first_control else 0.0
-        values[t] = model.b + sum(model.a[j] * hist[-1 - j] for j in range(p)) + u
-        hist.append(values[t])
+    values = predict_forward(model, seed_values, total, controls=controls)
 
     diagnostics = {}
     if mode == "paper":
@@ -241,7 +234,7 @@ def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact"
         diagnostics["max_weight_difference"] = float(np.max(np.abs(weights - psi)))
 
     return ControlSolution(
-        control_indices=tuple(range(first_control, end + 1)),
+        control_indices=tuple(range(n0 + p, end + 1)),
         controls=controls,
         multiplier=c,
         imputed_indices=tuple(gap.indices),
@@ -279,13 +272,7 @@ def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> C
     powers = mat_pow_table(model.A, m - 1)
     lam, controls = solve_controls_var(powers, delta)
 
-    state = np.asarray(seed, dtype=float)
-    if state.ndim == 2:
-        state = state[-1]
-    values = np.empty((m, k))
-    for t in range(m):
-        state = model.A @ state + model.b + controls[t]
-        values[t] = state
+    values = predict_forward(model, seed, m, controls=controls)
 
     diagnostics = {}
     if mode == "paper":

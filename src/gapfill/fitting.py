@@ -216,25 +216,33 @@ def fit_regression(targets, covariates) -> RegModel:
     return RegModel(A=coeffs[:, :k], b=coeffs[:, k], rank_deficient=deficient)
 
 
-def predict_forward(model, seeds, steps: int, covariates=None) -> np.ndarray:
+def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
     """Roll the fitted recursion forward ``steps`` steps from the seed values.
 
     Autoregressions consume the trailing seed values and return the predicted
-    path, which an explosive model lets overflow silently to inf; the
-    regression model predicts pointwise from ``covariates`` (one row
-    per step) and ignores ``seeds``.
+    path, which an explosive model lets overflow silently to inf. Optional
+    chronological ``controls`` (one per step, scalar or vector) are added on
+    the last ``len(controls)`` steps, after the fitted recursion. The
+    regression model predicts pointwise from ``covariates`` (one row per step)
+    and ignores ``seeds``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if controls is not None and len(controls) > steps:
+        raise ValueError(f"{len(controls)} controls for {steps} steps")
+    first_control = steps - (0 if controls is None else len(controls))
 
     if isinstance(model, ArModel):
         hist = [float(v) for v in np.asarray(seeds, dtype=float).ravel()]
         if len(hist) < model.p:
             raise DataError(f"need {model.p} seed values, got {len(hist)}")
+        u = [] if controls is None else np.asarray(controls, dtype=float).ravel().tolist()
         out = np.empty(steps)
         for t in range(steps):
             # Python floats overflow silently to inf, numpy scalars would warn
             x = model.b + sum(model.a[j] * hist[-1 - j] for j in range(model.p))
+            if t >= first_control:
+                x = x + u[t - first_control]
             out[t] = x
             hist.append(x)
         return out
@@ -250,10 +258,14 @@ def predict_forward(model, seeds, steps: int, covariates=None) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
                 state = model.A @ state + model.b
+                if t >= first_control:
+                    state = state + controls[t - first_control]
                 out[t] = state
         return out
 
     if isinstance(model, RegModel):
+        if controls is not None:
+            raise ValueError("regression predictions take no controls")
         if covariates is None:
             raise DataError("missing covariates for regression prediction")
         x = np.asarray(covariates, dtype=float)

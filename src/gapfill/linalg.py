@@ -43,17 +43,6 @@ def as_vector(values) -> np.ndarray:
     return a
 
 
-def mat_vec(matrix, vector) -> np.ndarray:
-    a = as_matrix(matrix)
-    v = as_vector(vector)
-    if a.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.shape[0]}x{a.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return a @ v
-
-
 def mat_pow_table(matrix, kmax: int) -> list[np.ndarray]:
     """Return [I, A, A^2, ..., A^kmax], each power computed as A @ previous.
 

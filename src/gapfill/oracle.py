@@ -297,12 +297,12 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
         raise DataError(f"generated instance has {len(gaps)} gaps, expected 1")
     segment = gaps[0]
 
+    start = segment.gap_start - 1
     if limits.kind == "ar":
-        seeds = np.array([float(series.values[i - 1][0]) for i in segment.seed_indices])
+        seeds = series.data[start - order : start, 0]
         solution = impute_gap_ar(model, segment, seeds, float(segment.anchor_value[0]))
     else:
-        seed_vec = series.values[segment.gap_start - 2]
-        solution = impute_gap_var(model, segment, seed_vec, segment.anchor_value)
+        solution = impute_gap_var(model, segment, series.data[start - 1], segment.anchor_value)
 
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)

@@ -16,9 +16,6 @@ from .control import (
 )
 from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fitting import (
-    ArModel,
-    RegModel,
-    VarModel,
     fit_ar_lagged,
     fit_ar_scalar,
     fit_regression,
@@ -76,39 +73,50 @@ def _validate_options(options: ImputeOptions, series: Series, covariates) -> Non
             raise DataError("covariate rows must align with the series rows")
 
 
-def _covariate_row(covariates: Series, index: int) -> np.ndarray:
-    row = covariates.values[index - 1]
-    if row is None:
-        raise DataError(f"missing covariate at index {index} (covariates must be observed wherever used)")
-    return row
+def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
+    """The covariates at the 0-based ``rows``, every one of which must be observed."""
+    absent = covariates.missing[rows]
+    if absent.any():
+        raise DataError(
+            f"missing covariate at index {int(rows[absent.argmax()]) + 1} "
+            f"(covariates must be observed wherever used)"
+        )
+    return covariates.data[rows]
 
 
-def _noted_fit(notes: list, context: str, fit, *args):
-    """Run ``fit(*args)``, turning a rank-deficiency warning into a report note.
+def _noted(notes: list, context: str, func, *args):
+    """Run ``func(*args)``, a fit or a gap's solve, turning a rank-deficiency
+    warning into a report note.
 
-    The model's ``rank_deficient`` flag records the same fact; other warnings
-    pass through unchanged.
+    A fitted model's ``rank_deficient`` flag records the same fact; other
+    warnings pass through unchanged.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficiencyWarning)
-        model = fit(*args)
+        result = func(*args)
     for w in caught:
         if issubclass(w.category, RankDeficiencyWarning):
             notes.append(f"{context}: {w.message}")
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return model
+    return result
 
 
-def _fit_prefix(options: ImputeOptions, series: Series, covariates, prefix_length: int):
+def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
+               covariates: Series | None = None):
+    """Fit the model on the observed run before the first missing position.
+
+    Only that run is read, so a trailing gap needs no anchor here.
+    """
+    _validate_options(options, series, covariates)
+    n = series.prefix_length
+    if n == 0:
+        raise DataError("no observed prefix: the series begins with a missing value")
     if options.model_kind == "ar":
-        window = np.array([v[0] for v in series.values[:prefix_length]])
-        return fit_ar_scalar(window, options.order)
+        return fit_ar_scalar(series.data[:n, 0], options.order)
     if options.model_kind == "var":
-        return fit_var1(np.vstack(series.values[:prefix_length]))
-    targets = np.vstack(series.values[:prefix_length])
-    rows = np.vstack([_covariate_row(covariates, i) for i in range(1, prefix_length + 1)])
-    return fit_regression(targets, rows)
+        return fit_var1(series.data[:n])
+    return fit_regression(series.data[:n], _covariate_rows(covariates, np.arange(n)))
 
 
 def _refit_before(options: ImputeOptions, series: Series, covariates, gap_start: int):
@@ -117,54 +125,38 @@ def _refit_before(options: ImputeOptions, series: Series, covariates, gap_start:
     Only original observations are used; values imputed for earlier gaps never
     enter a fit.
     """
-    values = series.values
-    if options.model_kind == "ar":
-        p = options.order
-        lag_rows, targets = [], []
-        for t in range(p + 1, gap_start):
-            window = [values[i - 1] for i in range(t - p, t + 1)]
-            if any(v is None for v in window):
-                continue
-            lag_rows.append([float(values[t - 1 - j][0]) for j in range(p)])
-            targets.append(float(values[t - 1][0]))
-        if not lag_rows:
-            raise DataError(f"no observed fit window before the gap at index {gap_start}")
-        return fit_ar_lagged(np.array(lag_rows), np.array(targets))
-    if options.model_kind == "var":
-        prev_rows, cur_rows = [], []
-        for t in range(2, gap_start):
-            if values[t - 2] is None or values[t - 1] is None:
-                continue
-            prev_rows.append(values[t - 2])
-            cur_rows.append(values[t - 1])
-        if not prev_rows:
-            raise DataError(f"no observed fit window before the gap at index {gap_start}")
-        return fit_var_pairs(np.vstack(prev_rows), np.vstack(cur_rows))
-    target_rows, cov_rows = [], []
-    for t in range(1, gap_start):
-        if values[t - 1] is None:
-            continue
-        target_rows.append(values[t - 1])
-        cov_rows.append(_covariate_row(covariates, t))
-    if not target_rows:
+    lags = {"ar": options.order, "var": 1, "regression": 0}[options.model_kind]
+    n = gap_start - 1
+    # the equation whose target is row t needs rows t - lags .. t observed
+    observed = ~series.missing[:n]
+    usable = observed[lags:]
+    for j in range(1, lags + 1):
+        usable = usable & observed[lags - j : n - j]
+    rows = np.flatnonzero(usable) + lags
+    if rows.size == 0:
         raise DataError(f"no observed fit window before the gap at index {gap_start}")
-    return fit_regression(np.vstack(target_rows), np.vstack(cov_rows))
-
-
-def _open_gap_solution(options: ImputeOptions, model, segment, working, covariates) -> ControlSolution:
-    """Plain forecast for a gap with no anchor; no controls, marked unconstrained."""
-    n0 = segment.gap_start - 1
-    steps = segment.length
+    data = series.data
     if options.model_kind == "ar":
-        seeds = np.array([float(working[i - 1][0]) for i in segment.seed_indices])
-        predicted = predict_forward(model, seeds, steps)
-    elif options.model_kind == "var":
-        predicted = predict_forward(model, working[n0 - 1], steps)
-    else:
-        rows = np.vstack([_covariate_row(covariates, i) for i in segment.indices])
+        x = data[:, 0]
+        # Known defect, kept so that outputs do not change: lag column j holds
+        # row t - j, so the first column is the target itself and the refit is
+        # the persistence model a = (1, 0, ...); it should hold row t - 1 - j.
+        return fit_ar_lagged(np.column_stack([x[rows - j] for j in range(lags)]), x[rows])
+    if options.model_kind == "var":
+        return fit_var_pairs(data[rows - 1], data[rows])
+    return fit_regression(data[rows], _covariate_rows(covariates, rows))
+
+
+def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates) -> ControlSolution:
+    """Plain forecast for a gap with no anchor; no controls, marked unconstrained."""
+    steps = segment.length
+    if options.model_kind == "regression":
+        rows = _covariate_rows(covariates, np.arange(segment.gap_start - 1, segment.gap_end))
         predicted = predict_forward(model, None, steps, covariates=rows)
         if model.n_outputs == 1:
             predicted = predicted[:, 0]
+    else:
+        predicted = predict_forward(model, seed, steps)
     if not np.all(np.isfinite(predicted)):
         raise NumericalError(
             f"forecast overflow in the open gap at index {segment.gap_start} "
@@ -187,18 +179,17 @@ def _open_gap_solution(options: ImputeOptions, model, segment, working, covariat
     )
 
 
-def _solve_gap(options: ImputeOptions, model, segment, working, covariates) -> ControlSolution:
+def _solve_gap(options: ImputeOptions, model, segment, working: np.ndarray, covariates) -> ControlSolution:
+    start = segment.gap_start - 1
+    # an autoregression seeds from the last p values before the gap, a VAR from the last row
+    seed = working[start - options.order : start, 0] if options.model_kind == "ar" else working[start - 1]
     if not segment.constrained:
-        return _open_gap_solution(options, model, segment, working, covariates)
+        return _open_gap_solution(options, model, segment, seed, covariates)
     if options.model_kind == "ar":
-        seeds = np.array([float(working[i - 1][0]) for i in segment.seed_indices])
-        return impute_gap_ar(model, segment, seeds, float(segment.anchor_value[0]), options.mode)
+        return impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode)
     if options.model_kind == "var":
-        seed = working[segment.gap_start - 2]
         return impute_gap_var(model, segment, seed, segment.anchor_value, options.mode)
-    rows = np.vstack(
-        [_covariate_row(covariates, i) for i in range(segment.gap_start - 1, segment.anchor_index + 1)]
-    )
+    rows = _covariate_rows(covariates, np.arange(start - 1, segment.anchor_index))
     anchor = float(segment.anchor_value[0]) if model.n_outputs == 1 else segment.anchor_value
     return impute_gap_regression(model, segment, rows, anchor)
 
@@ -234,36 +225,33 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, imputed={}, report=report)
 
-    prefix_model = _noted_fit(report.notes, "prefix fit", _fit_prefix,
-                              options, series, covariates, prefix_length)
+    prefix_model = _noted(report.notes, "prefix fit", fit_prefix, series, options, covariates)
     report.model = describe_model(prefix_model)
     if options.refit_per_gap:
         report.notes.append("refit per gap: each gap uses every fully-observed window before it")
 
-    working = list(series.values)
+    working = series.data.copy()
     imputed: dict = {}
-    missing_set = set(series.missing_indices)
     for segment in segments:
         if options.refit_per_gap:
-            model = _noted_fit(report.notes, f"refit before the gap at index {segment.gap_start}",
-                               _refit_before, options, series, covariates, segment.gap_start)
+            model = _noted(report.notes, f"refit before the gap at index {segment.gap_start}",
+                           _refit_before, options, series, covariates, segment.gap_start)
             refit_model = model
         else:
             model = prefix_model
             refit_model = None
-        if any(i in missing_set for i in segment.seed_indices):
+        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
-        solution = _solve_gap(options, model, segment, working, covariates)
+        solution = _noted(report.notes, f"gap at index {segment.gap_start}",
+                          _solve_gap, options, model, segment, working, covariates)
         verdict = _certify_gap(options, model, segment, solution) if options.run_oracle else None
         report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
 
-        filled = np.asarray(solution.imputed, dtype=float)
-        for offset, index in enumerate(segment.indices):
-            value = np.atleast_1d(filled[offset])
-            working[index - 1] = value
-            imputed[index] = value
+        filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
+        working[segment.gap_start - 1 : segment.gap_end] = filled
+        imputed.update(zip(segment.indices, filled))
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "

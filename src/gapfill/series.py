@@ -21,14 +21,15 @@ DEFAULT_NA_MARKERS: tuple[str, ...] = ("NA", "NaN", "+")
 class Series:
     """An ordered sequence of scalar or vector observations with gaps.
 
-    Positions are 1-based row order: ``values[i]`` holds the observation at
-    position i+1 as a float array of length ``dim``, or None where any
-    selected cell was missing. The raw header and rows are kept so observed
-    cells can be echoed verbatim on output.
+    Positions are 1-based row order. ``data`` is an n x dim float64 array
+    whose row i-1 holds the observation at position i, NaN where any selected
+    cell was missing; ``missing`` is the boolean mask of those rows. Both are
+    read-only. The raw header and rows are kept so observed cells can be
+    echoed verbatim on output.
     """
 
-    dim: int
-    values: tuple
+    data: np.ndarray
+    missing: np.ndarray
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     value_columns: tuple[int, ...]
@@ -36,63 +37,70 @@ class Series:
     delimiter: str = ","
 
     def __post_init__(self):
-        if self.dim < 1:
+        data = np.array(self.data, dtype=float)
+        missing = np.array(self.missing, dtype=bool)
+        if data.ndim != 2 or data.shape[1] < 1:
             raise DataError("series needs at least one value column")
-        observed = 0
-        for pos, v in enumerate(self.values, start=1):
-            if v is None:
-                continue
-            observed += 1
-            if v.shape != (self.dim,):
-                raise DataError(f"value at position {pos} has {v.shape[0]} components, expected {self.dim}")
-        if observed == 0:
+        if missing.shape != data.shape[:1]:
+            raise DataError(f"missing mask has shape {missing.shape}, expected ({data.shape[0]},)")
+        if missing.all():
             raise DataError("no observed values")
+        data.setflags(write=False)
+        missing.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "missing", missing)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.data.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
 
     def value(self, index: int):
         """Observation at 1-based ``index`` (None when missing)."""
-        return self.values[index - 1]
+        return None if self.missing[index - 1] else self.data[index - 1]
 
     @property
     def missing_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values, start=1) if v is None)
+        return tuple((np.flatnonzero(self.missing) + 1).tolist())
 
     @property
     def observed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values, start=1) if v is not None)
+        return tuple((np.flatnonzero(~self.missing) + 1).tolist())
+
+    @property
+    def prefix_length(self) -> int:
+        """Number of observed positions before the first missing one."""
+        return int(self.missing.argmax()) if self.missing.any() else len(self)
 
     @classmethod
     def from_values(cls, values: Sequence, column_names: Sequence[str] | None = None,
                     na_marker: str = "NA", delimiter: str = ",") -> "Series":
         """Build a Series directly from numeric values; None marks a missing point."""
-        converted = []
-        dim = None
-        for v in values:
-            if v is None:
-                converted.append(None)
-                continue
-            arr = np.atleast_1d(np.asarray(v, dtype=float))
-            if dim is None:
-                dim = arr.shape[0]
-            converted.append(arr)
-        if dim is None:
+        observed = [None if v is None else np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+        first = next((v for v in observed if v is not None), None)
+        if first is None:
             raise DataError("no observed values")
+        dim = first.shape[0]
+        data = np.full((len(observed), dim), np.nan)
+        rows = []
+        for pos, v in enumerate(observed, start=1):
+            if v is None:
+                rows.append((na_marker,) * dim)
+                continue
+            if v.shape != (dim,):
+                raise DataError(f"value at position {pos} has {v.shape[0]} components, expected {dim}")
+            data[pos - 1] = v
+            rows.append(tuple(repr(float(c)) for c in v))
         if column_names is not None:
             header = tuple(column_names)
         elif dim == 1:
             header = ("value",)
         else:
             header = tuple(f"v{i + 1}" for i in range(dim))
-        rows = []
-        for v in converted:
-            if v is None:
-                rows.append((na_marker,) * dim)
-            else:
-                rows.append(tuple(repr(float(c)) for c in v))
-        return cls(dim=dim, values=tuple(converted), header=header, rows=tuple(rows),
-                   value_columns=tuple(range(dim)), na_markers=(na_marker,),
+        return cls(data=data, missing=[v is None for v in observed], header=header,
+                   rows=tuple(rows), value_columns=tuple(range(dim)), na_markers=(na_marker,),
                    delimiter=delimiter)
 
 
@@ -165,14 +173,15 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
         cols = tuple(cols)
 
     markers = tuple(na_markers)
-    values = []
+    cells = []
+    missing = []
     for i, row in enumerate(body, start=1):
-        components = []
-        missing = False
+        row_missing = False
         for c in cols:
             cell = row[c].strip()
             if cell == "" or cell in markers:
-                missing = True
+                row_missing = True
+                cells.append(math.nan)
                 continue
             try:
                 v = float(cell)
@@ -185,14 +194,13 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
                     f"non-finite value {cell!r} in row {i}, column {header[c]!r} "
                     f"(add it to the missing-value markers if it denotes a gap)"
                 )
-            components.append(v)
-        values.append(None if missing else np.array(components))
+            cells.append(v)
+        missing.append(row_missing)
 
-    if all(v is None for v in values):
-        raise DataError("no observed values")
-    return Series(dim=len(cols), values=tuple(values), header=tuple(header),
-                  rows=tuple(body), value_columns=cols, na_markers=markers,
-                  delimiter=delimiter)
+    data = np.array(cells).reshape(len(body), len(cols))
+    data[missing] = np.nan
+    return Series(data=data, missing=missing, header=tuple(header), rows=tuple(body),
+                  value_columns=cols, na_markers=markers, delimiter=delimiter)
 
 
 def detect_gaps(series: Series, order: int = 1,
@@ -207,16 +215,10 @@ def detect_gaps(series: Series, order: int = 1,
     if order < 1:
         raise ValueError("order must be >= 1")
     n = len(series)
-    missing = [i for i, v in enumerate(series.values, start=1) if v is None]
+    # +1 where a run of missing rows starts, -1 just past where it ends
+    edges = np.diff(series.missing.astype(np.int8), prepend=0, append=0)
+    runs = zip((np.flatnonzero(edges == 1) + 1).tolist(), np.flatnonzero(edges == -1).tolist())
 
-    runs = []
-    for i in missing:
-        if runs and runs[-1][1] == i - 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-
-    prefix_length = (missing[0] - 1) if missing else n
     segments = []
     for gap_start, gap_end in runs:
         if gap_start == 1:
@@ -236,7 +238,7 @@ def detect_gaps(series: Series, order: int = 1,
             anchor_value = None
         else:
             anchor_index = gap_end + 1
-            anchor_value = series.values[gap_end]
+            anchor_value = series.data[gap_end]
         segments.append(GapSegment(
             gap_start=gap_start,
             gap_end=gap_end,
@@ -244,11 +246,10 @@ def detect_gaps(series: Series, order: int = 1,
             anchor_index=anchor_index,
             anchor_value=anchor_value,
         ))
-    return prefix_length, segments
+    return series.prefix_length, segments
 
 
-def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int = 6,
-              origin: Mapping[int, str] | None = None) -> str:
+def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int = 6) -> str:
     """Render the series with gaps filled, appending an ``origin`` column.
 
     Observed rows echo their original cells; rows listed in ``imputed`` get
@@ -282,7 +283,5 @@ def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int 
             tag = "imputed"
         else:
             tag = "observed"
-        if origin is not None:
-            tag = origin.get(i, tag)
         writer.writerow(cells + [tag])
     return buf.getvalue()

@@ -114,7 +114,7 @@ def test_terminal_feasibility(verdict):
         series, model = random_instance(seed, InstanceLimits.scalar())
         _, gaps = detect_gaps(series, model.p)
         segment = gaps[0]
-        seeds = np.array([float(series.values[i - 1][0]) for i in segment.seed_indices])
+        seeds = series.data[np.array(segment.seed_indices) - 1, 0]
         anchor = float(segment.anchor_value[0])
         sol = impute_gap_ar(model, segment, seeds, anchor)
         worst_exact = max(worst_exact, sol.terminal_residual / (1.0 + abs(anchor)))
@@ -248,7 +248,7 @@ def test_affine_equivariance(verdict):
         rng = np.random.default_rng(seed + 10_000)
         alpha = float(rng.uniform(0.5, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
         beta = float(rng.uniform(-10.0, 10.0))
-        raw = [None if v is None else float(v[0]) for v in series.values]
+        raw = [None if missing else float(v[0]) for v, missing in zip(series.data, series.missing)]
         shifted = Series.from_values(
             [None if v is None else alpha * v + beta for v in raw]
         )

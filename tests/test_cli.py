@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapfill.cli import main
+from gapfill.fitting import fit_var1, predict_forward
 
 
 def run(capsys, *argv):
@@ -211,6 +212,29 @@ class TestErrorContract:
         assert report["model"]["rank_deficient"]
         assert any(note.startswith("prefix fit: rank-deficient") for note in report["notes"])
 
+    def test_control_fallback_goes_to_report_notes(self, capsys, tmp_path):
+        # x1 grows by 1.5 per step, so over 40 steps the control Gram matrix
+        # spans ~1e14 and its Cholesky pivot falls under the relative floor;
+        # the anchor is the forecast plus (1, 1)
+        rng = np.random.default_rng(3)
+        a = np.array([[1.5, 0.33], [0.0, 0.49]])
+        x, prefix = np.array([1.0, 10.0]), []
+        for _ in range(30):
+            x = a @ x + rng.normal(0.0, 0.01, 2)
+            prefix.append(x)
+        model = fit_var1(np.array(prefix))
+        anchor = predict_forward(model, prefix[-1], 41)[-1] + 1.0
+        rows = ["a,b"] + [f"{float(u)!r},{float(v)!r}" for u, v in [*prefix, anchor]]
+        rows[31:31] = ["NA,NA"] * 40
+        path = tmp_path / "fallback.csv"
+        path.write_text("\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "impute", str(path), "--model", "var", "--report", str(report_path))
+        assert code == 0
+        assert err == ""
+        notes = json.loads(report_path.read_text())["notes"]
+        assert "gap at index 31: rank-deficient control problem; using the minimum-norm multiplier" in notes
+
     def test_rank_deficient_fit_command_is_quiet(self, capsys, tmp_path):
         path = tmp_path / "constant.csv"
         path.write_text("v\n5\n5\n5\n5\n5\n")
@@ -235,6 +259,36 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", str(path), "--order", "3")
         assert code == 3
         assert "too short" in err
+
+    def test_regression_fit(self, capsys, tmp_path):
+        path = tmp_path / "reg.csv"
+        path.write_text("y,x\n3,1\n5,2\n7,3\n9,4\nNA,5\n13,6\n")
+        code, out, err = run(capsys, "fit", str(path), "--model", "regression",
+                             "--columns", "y", "--covariates", "x")
+        assert code == 0
+        assert err == ""
+        model = json.loads(out)
+        assert model["kind"] == "regression"
+        assert model["matrix"][0][0] == pytest.approx(2.0, abs=1e-9)
+        assert model["intercept"][0] == pytest.approx(1.0, abs=1e-9)
+        assert model["fit_rows"] == 4
+
+    def test_trailing_gap_needs_no_flag(self, capsys, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("v\n1\n2\n3\n4\n5\nNA\nNA\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["fit_rows"] == 5
+
+    def test_leading_gap_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "leading.csv"
+        path.write_text("v\nNA\n2\n3\n4\n5\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: no observed prefix")
 
     def test_var_fit(self, capsys, phosphate_path):
         code, out, _ = run(capsys, "fit", str(phosphate_path), "--model", "var")

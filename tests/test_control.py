@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill.control import (
     gamma_weights,
@@ -19,6 +21,41 @@ def single_gap(values, order=1):
     _, gaps = detect_gaps(Series.from_values(values), order)
     assert len(gaps) == 1
     return gaps[0]
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def numpy_scalar_impulse_weights(model: ArModel, length: int) -> np.ndarray:
+    """Reference: the weight recursion on numpy scalars, stored as it goes."""
+    w = np.empty(length)
+    w[0] = 1.0
+    for j in range(1, length):
+        w[j] = sum(model.a[i - 1] * w[j - i] for i in range(1, min(j, model.p) + 1))
+    return w
+
+
+def loop_fill_ar(model: ArModel, seeds, controls, total: int) -> np.ndarray:
+    """Reference: the scalar fill with zero controls before the first control step."""
+    p = model.p
+    hist = [float(v) for v in seeds[-p:]]
+    first = total - len(controls)
+    values = np.empty(total)
+    for t in range(total):
+        u = controls[t - first] if t >= first else 0.0
+        values[t] = model.b + sum(model.a[j] * hist[-1 - j] for j in range(p)) + u
+        hist.append(values[t])
+    return values
+
+
+def loop_fill_var(model: VarModel, seed, controls) -> np.ndarray:
+    """Reference: the vector fill with one control on every step."""
+    state = np.asarray(seed, dtype=float)
+    values = np.empty((len(controls), model.dim))
+    for t in range(len(controls)):
+        state = model.A @ state + model.b + controls[t]
+        values[t] = state
+    return values
 
 
 def simulated_endpoint_effect(coeffs, steps, kick):
@@ -66,6 +103,17 @@ class TestImpulseWeights:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             impulse_weights(ArModel(a=(0.5,), b=0.0), 0)
+
+    @PROPERTY
+    @given(
+        a=st.lists(st.floats(-1.4, 1.4, allow_nan=False), min_size=1, max_size=4),
+        length=st.integers(1, 80),
+    )
+    def test_bit_identical_to_numpy_scalar_recursion(self, a, length):
+        model = ArModel(a=tuple(a), b=0.0)
+        got = impulse_weights(model, length)
+        assert got.dtype == np.float64
+        assert got.tobytes() == numpy_scalar_impulse_weights(model, length).tobytes()
 
 
 class TestGammaWeights:
@@ -232,6 +280,24 @@ class TestImputeGapAr:
             alternative = sol.controls + perturbation
             assert float(alternative @ alternative) >= sol.objective - 1e-12
 
+    @PROPERTY
+    @given(
+        a=st.lists(st.floats(-1.4, 1.4, allow_nan=False), min_size=1, max_size=3),
+        b=st.floats(-1.0, 1.0),
+        seeds=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+        anchor=st.floats(-5.0, 5.0),
+        gap_length=st.integers(2, 40),
+        mode=st.sampled_from(["exact", "paper"]),
+    )
+    def test_fill_bit_identical_to_loop(self, a, b, seeds, anchor, gap_length, mode):
+        model = ArModel(a=tuple(a), b=b)
+        seeds = seeds[: model.p]
+        gap = single_gap(seeds + [None] * gap_length + [anchor], order=model.p)
+        sol = impute_gap_ar(model, gap, seeds, anchor, mode)
+        expected = loop_fill_ar(model, seeds, sol.controls, gap_length + 1)
+        assert sol.imputed.tobytes() == expected[:gap_length].tobytes()
+        assert sol.terminal_residual == abs(expected[-1] - anchor)
+
 
 class TestSolveControlsVar:
     def test_identity_dynamics_spread_evenly(self):
@@ -321,6 +387,18 @@ class TestImputeGapVar:
         sol = impute_gap_var(model, gap, seed, forecast[-1])
         assert np.allclose(sol.controls, 0.0, rtol=0, atol=1e-12)
         assert np.allclose(sol.imputed, forecast[:2], rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), gap_length=st.integers(1, 30))
+    def test_fill_bit_identical_to_loop(self, seed, dim, gap_length):
+        rng = np.random.default_rng(seed)
+        model = VarModel(A=rng.uniform(-0.9, 0.9, (dim, dim)), b=rng.uniform(-1, 1, dim))
+        start, anchor = rng.uniform(-5, 5, dim), rng.uniform(-5, 5, dim)
+        gap = single_gap([start] + [None] * gap_length + [anchor])
+        sol = impute_gap_var(model, gap, start, anchor)
+        expected = loop_fill_var(model, start, sol.controls)
+        assert sol.imputed.tobytes() == expected[:gap_length].tobytes()
+        assert sol.terminal_residual == float(np.linalg.norm(expected[-1] - anchor))
 
 
 class TestImputeGapRegression:

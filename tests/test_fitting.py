@@ -214,3 +214,16 @@ class TestPredictForward:
     def test_zero_steps(self):
         m = ArModel(a=(0.5,), b=0.0)
         assert predict_forward(m, [1.0], 0).size == 0
+
+    def test_controls_act_on_the_last_steps(self):
+        m = ArModel(a=(0.5,), b=0.0)
+        assert np.array_equal(predict_forward(m, [16.0], 3, controls=[1.0, -2.0]), [8.0, 5.0, 0.5])
+        v = VarModel(A=[[0.0, 1.0], [1.0, 0.0]], b=[1.0, 0.0])
+        path = predict_forward(v, [2.0, 3.0], 2, controls=[[0.0, 1.0]])
+        assert np.array_equal(path, [[4.0, 2.0], [3.0, 5.0]])
+
+    def test_controls_rejected_when_they_cannot_apply(self):
+        with pytest.raises(ValueError, match="controls"):
+            predict_forward(ArModel(a=(0.5,), b=0.0), [1.0], 1, controls=[1.0, 2.0])
+        with pytest.raises(ValueError, match="controls"):
+            predict_forward(RegModel(A=[[2.0]], b=[1.0]), None, 1, covariates=[[1.0]], controls=[1.0])

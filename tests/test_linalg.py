@@ -8,7 +8,6 @@ from gapfill.linalg import (
     as_vector,
     least_squares,
     mat_pow_table,
-    mat_vec,
     solve_spd,
 )
 
@@ -34,22 +33,6 @@ class TestValidators:
     def test_as_vector_rejects_inf(self):
         with pytest.raises(ValueError, match="finite"):
             as_vector([float("inf")])
-
-
-class TestMatVec:
-    def test_identity(self):
-        v = mat_vec(np.eye(3), [1.0, 2.0, 3.0])
-        assert np.array_equal(v, [1.0, 2.0, 3.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(mat_vec(np.zeros((2, 2)), [5.0, -3.0]), [0.0, 0.0])
-
-    def test_small_example(self):
-        assert np.array_equal(mat_vec([[1, 2], [3, 4]], [1, 1]), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mat_vec([[1, 2], [3, 4]], [1, 2, 3])
 
 
 class TestMatPowTable:
@@ -78,7 +61,7 @@ class TestMatPowTable:
             assert np.array_equal(table[k + 1], a @ table[k])
 
     def test_table_matches_repeated_mat_vec(self):
-        # multiplying a vector through the table must agree with step-by-step mat_vec
+        # multiplying a vector through the table must agree with step-by-step a @ v
         rng = np.random.default_rng(11)
         for _ in range(20):
             a = rng.uniform(-1, 1, (2, 2))
@@ -86,7 +69,7 @@ class TestMatPowTable:
             table = mat_pow_table(a, 5)
             stepped = v.copy()
             for k in range(1, 6):
-                stepped = mat_vec(a, stepped)
+                stepped = a @ stepped
                 assert np.allclose(table[k] @ v, stepped, rtol=0, atol=1e-12)
 
     def test_rejects_rectangular(self):

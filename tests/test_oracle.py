@@ -233,7 +233,8 @@ class TestRandomInstance:
         assert first_model == second_model
         assert len(first_series) == len(second_series)
         assert first_series.missing_indices == second_series.missing_indices
-        for a, b in zip(first_series.values, second_series.values):
+        for i in range(1, len(first_series) + 1):
+            a, b = first_series.value(i), second_series.value(i)
             assert (a is None) == (b is None)
             if a is not None:
                 assert np.array_equal(a, b)
@@ -241,7 +242,7 @@ class TestRandomInstance:
     def test_distinct_across_seeds(self):
         a, _ = random_instance(1)
         b, _ = random_instance(2)
-        assert a.values[0][0] != b.values[0][0]
+        assert a.value(1)[0] != b.value(1)[0]
 
     def test_generated_instances_satisfy_preconditions(self):
         # every generated instance must segment cleanly with enough prefix to fit

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gapfill import pipeline
 from gapfill.errors import DataError
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.series import Series, parse_csv
@@ -205,6 +206,69 @@ class TestRegressionPipeline:
             impute_series(
                 series, ImputeOptions(model_kind="regression", order=2), covariates
             )
+
+
+def refit_equations_by_row_loop(kind, order, values, covariates, gap_start):
+    """Reference: the refit equations collected row by row from per-row values
+    (None where missing). Returns the arguments of the fit call, None when no
+    equation is usable, or the start of the missing-covariate message."""
+    if kind == "ar":
+        lag_rows, targets = [], []
+        for t in range(order + 1, gap_start):
+            if any(values[i - 1] is None for i in range(t - order, t + 1)):
+                continue
+            lag_rows.append([float(values[t - 1 - j][0]) for j in range(order)])
+            targets.append(float(values[t - 1][0]))
+        return (np.array(lag_rows), np.array(targets)) if lag_rows else None
+    if kind == "var":
+        pairs = [(values[t - 2], values[t - 1]) for t in range(2, gap_start)
+                 if values[t - 2] is not None and values[t - 1] is not None]
+        return (np.vstack([a for a, _ in pairs]), np.vstack([b for _, b in pairs])) if pairs else None
+    target_rows, cov_rows = [], []
+    for t in range(1, gap_start):
+        if values[t - 1] is None:
+            continue
+        if covariates[t - 1] is None:
+            return f"missing covariate at index {t} "
+        target_rows.append(values[t - 1])
+        cov_rows.append(covariates[t - 1])
+    return (np.vstack(target_rows), np.vstack(cov_rows)) if target_rows else None
+
+
+class TestRefitEquations:
+    """The refit equations picked with array masks equal the row-by-row ones."""
+
+    @pytest.mark.parametrize("kind, order, dim", [
+        ("ar", 1, 1), ("ar", 2, 1), ("ar", 3, 1), ("var", 1, 2), ("regression", 1, 2),
+    ])
+    def test_rows_match_row_loop(self, monkeypatch, kind, order, dim):
+        calls = []
+        for name in ("fit_ar_lagged", "fit_var_pairs", "fit_regression"):
+            monkeypatch.setattr(pipeline, name, lambda *args: calls.append(args) or "fitted")
+        rng = np.random.default_rng(order * 10 + dim)
+        options = ImputeOptions(model_kind=kind, order=order)
+        for _ in range(20):
+            n = int(rng.integers(order + 1, 40))
+            values = [rng.uniform(-5, 5, dim) if rng.uniform() < 0.7 else None for _ in range(n)]
+            values[0] = rng.uniform(-5, 5, dim)
+            covariates = [rng.uniform(-5, 5, 2) if rng.uniform() < 0.9 else None for _ in range(n)]
+            covariates[-1] = rng.uniform(-5, 5, 2)
+            series = Series.from_values(values)
+            cov_series = Series.from_values(covariates)
+            for gap_start in range(order + 1, n + 1):
+                expected = refit_equations_by_row_loop(kind, order, values, covariates, gap_start)
+                if expected is None or isinstance(expected, str):
+                    message = expected or "no observed fit window"
+                    with pytest.raises(DataError, match=message):
+                        pipeline._refit_before(options, series, cov_series, gap_start)
+                    continue
+                calls.clear()
+                assert pipeline._refit_before(options, series, cov_series, gap_start) == "fitted"
+                (args,) = calls
+                assert len(args) == 2
+                for got, want in zip(args, expected):
+                    assert np.array_equal(got, want)
+                    assert np.asarray(got).shape == want.shape
 
 
 class TestDeterminism:

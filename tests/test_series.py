@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill.errors import DataError
 from gapfill.series import Series, detect_gaps, parse_csv, write_csv
@@ -7,6 +9,19 @@ from gapfill.series import Series, detect_gaps, parse_csv, write_csv
 
 def make_series(values):
     return Series.from_values(values)
+
+
+def runs_by_row_loop(missing):
+    """Reference: maximal runs of missing rows (1-based, inclusive), found row by row."""
+    runs = []
+    for i, gone in enumerate(missing, start=1):
+        if not gone:
+            continue
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return [tuple(r) for r in runs]
 
 
 class TestParseCsv:
@@ -171,6 +186,24 @@ class TestDetectGaps:
             assert prefix == (series.missing_indices[0] - 1 if gap_indices else n)
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(missing=st.lists(st.booleans(), min_size=1, max_size=60), order=st.integers(1, 3))
+    def test_runs_match_row_loop(self, missing, order):
+        missing[:order] = [False] * order
+        series = make_series([None if gone else float(i) for i, gone in enumerate(missing)])
+        prefix, gaps = detect_gaps(series, order, allow_open_gap=True)
+        runs = runs_by_row_loop(missing)
+        assert [(g.gap_start, g.gap_end) for g in gaps] == runs
+        assert prefix == (runs[0][0] - 1 if runs else len(missing))
+        for g in gaps:
+            assert g.seed_indices == tuple(range(g.gap_start - order, g.gap_start))
+            if g.gap_end == len(missing):
+                assert g.anchor_index is None
+            else:
+                assert g.anchor_index == g.gap_end + 1
+                assert g.anchor_value[0] == float(g.gap_end)
+
+
 class TestWriteCsv:
     def test_round_trip_gapless(self):
         text = "a,b\n1,2\n3,4\n"
@@ -230,6 +263,17 @@ class TestSeriesConstruction:
     def test_from_values_requires_observation(self):
         with pytest.raises(DataError, match="no observed values"):
             Series.from_values([None, None])
+
+    def test_data_and_mask_are_read_only(self, phosphate_text):
+        for s in (parse_csv(phosphate_text), Series.from_values([1.0, None, 3.0])):
+            assert s.data.dtype == np.float64 and s.missing.dtype == bool
+            assert np.isnan(s.data[s.missing]).all()
+            with pytest.raises(ValueError, match="read-only"):
+                s.data[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                s.missing[0] = True
+            with pytest.raises(ValueError, match="read-only"):
+                s.value(1)[0] = 0.0
 
     def test_inconsistent_dimension_rejected(self):
         with pytest.raises(DataError, match="components"):
