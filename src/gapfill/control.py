@@ -11,12 +11,11 @@ is reported rather than guaranteed once the order exceeds one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, RankDeficiencyWarning
+from .errors import NumericalError
 from .fitting import ArModel, RegModel, VarModel, predict_forward
 from .linalg import as_vector, mat_pow_table, solve_spd
 
@@ -146,24 +145,24 @@ def solve_controls_scalar(weights, delta: float) -> tuple[float, np.ndarray]:
 def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange solve of the vector control problem.
 
-    ``powers[j]`` must be the j-th power of the transition matrix. The control
+    ``powers[j]`` must be the j-th power of the transition matrix, so
+    ``powers[0]`` is the identity (a ValueError otherwise). The control
     applied j steps before the endpoint is powers[j]^T lambda where
     G lambda = delta and G = sum_j powers[j] powers[j]^T; this minimizes the
-    summed squared control lengths. A singular G falls back to the
-    minimum-norm multiplier with a warning; an endpoint offset outside the
-    reachable subspace, or a G or ``delta`` that has overflowed, raises
-    NumericalError.
+    summed squared control lengths. The j = 0 term makes G >= I, so G is
+    positive definite and every offset is reachable. A G or ``delta`` that has
+    overflowed, or a solve that misses G lambda = delta by more than
+    1e-8 (1 + ||delta||), raises NumericalError.
     """
-    if len(powers) == 0:
-        raise ValueError("powers must be nonempty")
-    mats = np.array(powers, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("powers must all be square with one dimension")
+    mats = np.asarray(powers, dtype=float)
+    if mats.ndim != 3 or mats.shape[0] < 1 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("powers must be a nonempty stack of square matrices of one dimension")
     k = mats.shape[1]
-    gram = np.zeros((k, k))
+    if not np.array_equal(mats[0], np.eye(k)):
+        raise ValueError("powers[0] must be the identity matrix")
+    # summed strictly in step order; np.sum would reorder the additions
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in mats:
-            gram += p @ p.T
+        gram = np.cumsum(np.matmul(mats, mats.transpose(0, 2, 1)), axis=0)[-1]
     # a non-finite power puts inf or nan on the diagonal of G
     if not np.isfinite(gram).all():
         raise NumericalError(
@@ -177,21 +176,14 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
 
     solution = solve_spd(gram, d)
     lam = solution.x
-    if solution.fallback:
-        residual = float(np.linalg.norm(gram @ lam - d))
-        if residual > 1e-8 * (1.0 + float(np.linalg.norm(d))):
-            raise NumericalError(
-                "unreachable terminal constraint: the anchor offset lies outside "
-                "the subspace the controls can steer"
-            )
-        warnings.warn(
-            "rank-deficient control problem; using the minimum-norm multiplier",
-            RankDeficiencyWarning,
-            stacklevel=2,
+    residual = float(np.linalg.norm(gram @ lam - d))
+    if solution.fallback or not residual <= 1e-8 * (1.0 + float(np.linalg.norm(d))):
+        raise NumericalError(
+            f"ill-conditioned control problem: the Lagrange solve misses the anchor "
+            f"offset by {residual:.3g} (explosive transition matrix over a long horizon)"
         )
-    m = len(mats)
-    controls = np.array([mats[m - 1 - i].T @ lam for i in range(m)])
-    return lam, controls
+    # chronological: the first control is applied m - 1 steps before the endpoint
+    return lam, lam @ mats[::-1]
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:
@@ -276,13 +268,11 @@ def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> C
 
     diagnostics = {}
     if mode == "paper":
-        column_sum_square = 0.0
-        for p in powers:
-            column_sum_square += float(np.sum(p.sum(axis=0) ** 2))
-        totals = [float(p.sum()) for p in powers]
+        column_sums = powers.sum(axis=1)
+        column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
         scale = float(np.linalg.norm(delta)) / column_sum_square
-        diagnostics["step_norm_formula"] = [scale * totals[m - 1 - i] for i in range(m)]
-        diagnostics["step_norm_exact"] = [float(np.linalg.norm(u)) for u in controls]
+        diagnostics["step_norm_formula"] = (scale * powers[::-1].sum(axis=(1, 2))).tolist()
+        diagnostics["step_norm_exact"] = np.linalg.norm(controls, axis=1).tolist()
 
     return ControlSolution(
         control_indices=tuple(range(n0 + 1, end + 1)),

@@ -10,7 +10,7 @@ class DataError(GapfillError):
 
 
 class NumericalError(GapfillError):
-    """A solve cannot proceed: unreachable terminal constraint or numeric overflow."""
+    """A solve cannot proceed: unreachable or ill-conditioned control problem, or numeric overflow."""
 
 
 class RankDeficiencyWarning(UserWarning):

@@ -1,13 +1,12 @@
 """Small dense linear-algebra layer used by fitting, the control solves, and the verifier.
 
 Everything operates on plain float64 numpy arrays. Inputs are validated and
-copied, outputs are freshly allocated, and the factorizations run in a fixed
-index order so repeated runs produce identical bits on one platform.
+copied, outputs are freshly allocated, and the factorizations are LAPACK's,
+so repeated runs produce identical bits on one platform.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -15,10 +14,6 @@ import numpy as np
 # Relative singular-value cutoff below which least_squares treats a direction
 # as rank deficient.
 RANK_TOLERANCE = 1e-10
-
-# A Cholesky pivot below this fraction of the largest diagonal entry makes
-# solve_spd fall back to the minimum-norm least-squares path.
-SPD_PIVOT_TOLERANCE = 1e-12
 
 SYMMETRY_TOLERANCE = 1e-10
 
@@ -43,11 +38,11 @@ def as_vector(values) -> np.ndarray:
     return a
 
 
-def mat_pow_table(matrix, kmax: int) -> list[np.ndarray]:
-    """Return [I, A, A^2, ..., A^kmax], each power computed as A @ previous.
+def mat_pow_table(matrix, kmax: int) -> np.ndarray:
+    """Return the (kmax + 1, k, k) stack I, A, A^2, ..., A^kmax.
 
     The table is built by repeated multiplication rather than eigen methods so
-    the entries satisfy table[k+1] == A @ table[k] exactly as computed. An
+    the entries satisfy table[i + 1] == A @ table[i] exactly as computed. An
     explosive A overflows silently to inf; callers check finiteness.
     """
     a = as_matrix(matrix)
@@ -55,26 +50,26 @@ def mat_pow_table(matrix, kmax: int) -> list[np.ndarray]:
         raise ValueError(f"matrix powers need a square matrix, got {a.shape[0]}x{a.shape[1]}")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    powers = [np.eye(a.shape[0])]
+    powers = np.empty((kmax + 1,) + a.shape)
+    powers[0] = np.eye(a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(kmax):
-            powers.append(a @ powers[-1])
+        for i in range(1, kmax + 1):
+            powers[i] = a @ powers[i - 1]
     return powers
 
 
 class SpdSolution(NamedTuple):
     x: np.ndarray
-    fallback: bool  # True when a tiny pivot forced the minimum-norm least-squares path
+    fallback: bool  # True when LAPACK rejected G and x is the minimum-norm least-squares solution
 
 
 def solve_spd(matrix, rhs) -> SpdSolution:
     """Solve G x = rhs for symmetric positive-definite G.
 
-    Uses an unpivoted Cholesky factorization in natural index order. If a
-    pivot falls below SPD_PIVOT_TOLERANCE times the largest diagonal entry,
-    the matrix is treated as numerically singular and the minimum-norm
-    least-squares solution is returned with ``fallback=True``; callers decide
-    whether the residual of that solution is acceptable.
+    LAPACK's Cholesky factorization decides positive definiteness and LAPACK
+    solves the system. A matrix that either rejects as singular or
+    indefinite gets the minimum-norm least-squares solution with
+    ``fallback=True``; callers decide whether its residual is acceptable.
     """
     g = as_matrix(matrix)
     n = g.shape[0]
@@ -86,30 +81,12 @@ def solve_spd(matrix, rhs) -> SpdSolution:
     scale = float(np.max(np.abs(g)))
     if float(np.max(np.abs(g - g.T))) > SYMMETRY_TOLERANCE * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-
-    pivot_floor = SPD_PIVOT_TOLERANCE * max(float(np.max(np.diagonal(g))), 0.0)
-    lower = np.zeros((n, n))
-    singular = False
-    for j in range(n):
-        d = g[j, j] - lower[j, :j] @ lower[j, :j]
-        if not math.isfinite(d) or d <= pivot_floor:
-            singular = True
-            break
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (g[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-
-    if singular:
+    try:
+        np.linalg.cholesky(g)
+        return SpdSolution(np.linalg.solve(g, b), False)
+    except np.linalg.LinAlgError:
         x, _, _, _ = np.linalg.lstsq(g, b, rcond=None)
         return SpdSolution(x, True)
-
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return SpdSolution(x, False)
 
 
 class LeastSquaresFit(NamedTuple):

@@ -85,10 +85,10 @@ def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
 
 
 def _noted(notes: list, context: str, func, *args):
-    """Run ``func(*args)``, a fit or a gap's solve, turning a rank-deficiency
-    warning into a report note.
+    """Run the fit ``func(*args)``, turning a rank-deficiency warning into a
+    report note.
 
-    A fitted model's ``rank_deficient`` flag records the same fact; other
+    The fitted model's ``rank_deficient`` flag records the same fact; other
     warnings pass through unchanged.
     """
     with warnings.catch_warnings(record=True) as caught:
@@ -244,8 +244,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
-        solution = _noted(report.notes, f"gap at index {segment.gap_start}",
-                          _solve_gap, options, model, segment, working, covariates)
+        solution = _solve_gap(options, model, segment, working, covariates)
         verdict = _certify_gap(options, model, segment, solution) if options.run_oracle else None
         report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
 

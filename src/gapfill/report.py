@@ -26,7 +26,7 @@ def jsonable(value):
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

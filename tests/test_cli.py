@@ -159,6 +159,23 @@ def _growing_csv(path, columns: int, growth: float, gap: int, scale: float = 1.0
     return str(path)
 
 
+def _explosive_var_gap_csv(path, gap: int):
+    """30 rows of a VAR(1) whose x1 grows by 1.5 per step, a gap of ``gap``
+    steps, then an anchor at the fitted forecast plus (1, 1)."""
+    rng = np.random.default_rng(3)
+    a = np.array([[1.5, 0.33], [0.0, 0.49]])
+    x, prefix = np.array([1.0, 10.0]), []
+    for _ in range(30):
+        x = a @ x + rng.normal(0.0, 0.01, 2)
+        prefix.append(x)
+    model = fit_var1(np.array(prefix))
+    anchor = predict_forward(model, prefix[-1], gap + 1)[-1] + 1.0
+    rows = ["a,b"] + [f"{float(u)!r},{float(v)!r}" for u, v in [*prefix, anchor]]
+    rows[31:31] = ["NA,NA"] * gap
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error")
 class TestErrorContract:
     """Explosive and degenerate inputs: one stderr line or none, never a
@@ -212,28 +229,27 @@ class TestErrorContract:
         assert report["model"]["rank_deficient"]
         assert any(note.startswith("prefix fit: rank-deficient") for note in report["notes"])
 
-    def test_control_fallback_goes_to_report_notes(self, capsys, tmp_path):
-        # x1 grows by 1.5 per step, so over 40 steps the control Gram matrix
-        # spans ~1e14 and its Cholesky pivot falls under the relative floor;
-        # the anchor is the forecast plus (1, 1)
-        rng = np.random.default_rng(3)
-        a = np.array([[1.5, 0.33], [0.0, 0.49]])
-        x, prefix = np.array([1.0, 10.0]), []
-        for _ in range(30):
-            x = a @ x + rng.normal(0.0, 0.01, 2)
-            prefix.append(x)
-        model = fit_var1(np.array(prefix))
-        anchor = predict_forward(model, prefix[-1], 41)[-1] + 1.0
-        rows = ["a,b"] + [f"{float(u)!r},{float(v)!r}" for u, v in [*prefix, anchor]]
-        rows[31:31] = ["NA,NA"] * 40
-        path = tmp_path / "fallback.csv"
-        path.write_text("\n".join(rows) + "\n")
+    def test_explosive_var_gap_is_certified(self, capsys, tmp_path):
+        # the control Gram matrix spans ~1e14 but is >= I, so the solve needs
+        # no fallback and the fill is certified without a note
+        path = _explosive_var_gap_csv(tmp_path / "explosive.csv", 40)
         report_path = tmp_path / "report.json"
-        code, _, err = run(capsys, "impute", str(path), "--model", "var", "--report", str(report_path))
+        code, _, err = run(capsys, "impute", path, "--model", "var", "--report", str(report_path))
         assert code == 0
         assert err == ""
-        notes = json.loads(report_path.read_text())["notes"]
-        assert "gap at index 31: rank-deficient control problem; using the minimum-norm multiplier" in notes
+        report = json.loads(report_path.read_text())
+        assert report["notes"] == []
+        assert report["gaps"][0]["oracle"]["certified"]
+
+    def test_ill_conditioned_var_gap_is_numerical_error(self, capsys, tmp_path):
+        # at 60 steps the Gram matrix is too ill-conditioned for the Lagrange
+        # solve to meet its residual bound
+        path = _explosive_var_gap_csv(tmp_path / "explosive.csv", 60)
+        code, out, err = run(capsys, "impute", path, "--model", "var")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ill-conditioned control problem")
 
     def test_rank_deficient_fit_command_is_quiet(self, capsys, tmp_path):
         path = tmp_path / "constant.csv"

@@ -14,6 +14,7 @@ from gapfill.control import (
 )
 from gapfill.errors import NumericalError
 from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
+from gapfill.linalg import mat_pow_table
 from gapfill.series import Series, detect_gaps
 
 
@@ -326,17 +327,40 @@ class TestSolveControlsVar:
             attained = sum(powers[m - 1 - i] @ controls[i] for i in range(m))
             assert np.allclose(attained, delta, rtol=0, atol=1e-8)
 
-    def test_nilpotent_reachable_offset(self):
-        # A = [[0,1],[0,0]]: one step cannot move the second component alone
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning):
-            lam, controls = solve_controls_var([a], [1.0, 0.0])
-        assert np.allclose(a @ controls[0], [1.0, 0.0], rtol=0, atol=1e-10)
+    def test_matches_step_loop(self):
+        # reference: the Gram matrix and the controls accumulated one step at a time
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 25))
+            powers = mat_pow_table(rng.uniform(-0.7, 0.7, (k, k)), m - 1)
+            delta = rng.uniform(-3, 3, k)
+            gram = np.zeros((k, k))
+            for q in powers:
+                gram += q @ q.T
+            lam_ref = np.linalg.solve(gram, delta)
+            controls_ref = np.array([powers[m - 1 - i].T @ lam_ref for i in range(m)])
+            lam, controls = solve_controls_var(powers, delta)
+            np.testing.assert_allclose(lam, lam_ref, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(controls, controls_ref, rtol=1e-9, atol=1e-12)
 
-    def test_unreachable_offset_raises(self):
+    def test_power_zero_must_be_identity(self):
+        # a table that does not start at A^0 = I is not a power table
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NumericalError, match="unreachable"):
-            solve_controls_var([a], [0.0, 1.0])
+        with pytest.raises(ValueError, match="identity"):
+            solve_controls_var([a], [1.0, 0.0])
+        with pytest.raises(ValueError, match="identity"):
+            solve_controls_var([2.0 * np.eye(2), a], [1.0, 0.0])
+
+    @pytest.mark.parametrize("steps", [40, 70])
+    def test_ill_conditioned_gram_raises(self, steps):
+        # eigenvalue 1.5 along a rotated axis: the Gram matrix spans 1.5^(2 steps),
+        # past what a float64 solve can resolve against its identity term
+        c, s = np.cos(0.3), np.sin(0.3)
+        r = np.array([[c, -s], [s, c]])
+        powers = mat_pow_table(r @ np.diag([1.5, 0.5]) @ r.T, steps - 1)
+        with pytest.raises(NumericalError, match="ill-conditioned control problem"):
+            solve_controls_var(powers, [1.0, 1.0])
 
 
 class TestImputeGapVar:
@@ -377,7 +401,12 @@ class TestImputeGapVar:
         assert np.array_equal(exact.imputed, printed.imputed)
         norms = printed.diagnostics["step_norm_exact"]
         assert norms == [float(np.linalg.norm(u)) for u in printed.controls]
-        assert len(printed.diagnostics["step_norm_formula"]) == len(norms)
+        # reference: the printed formula evaluated step by step
+        powers = [np.linalg.matrix_power(model.A, j) for j in range(3)]
+        column_sum_square = sum(float(np.sum(q.sum(axis=0) ** 2)) for q in powers)
+        scale = float(np.linalg.norm(anchor - exact.predicted[-1])) / column_sum_square
+        expected = [scale * float(powers[2 - i].sum()) for i in range(3)]
+        np.testing.assert_allclose(printed.diagnostics["step_norm_formula"], expected, rtol=1e-14, atol=0)
 
     def test_zero_offset_keeps_forecast(self):
         model = VarModel(A=[[0.3, 0.0], [0.0, 0.3]], b=[1.0, -1.0])

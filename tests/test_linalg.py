@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gapfill.linalg import (
     LeastSquaresFit,
@@ -38,7 +42,8 @@ class TestValidators:
 class TestMatPowTable:
     def test_identity_matrix(self):
         table = mat_pow_table(np.eye(2), 4)
-        assert len(table) == 5
+        assert isinstance(table, np.ndarray)
+        assert table.shape == (5, 2, 2)
         for power in table:
             assert np.array_equal(power, np.eye(2))
 
@@ -125,6 +130,33 @@ class TestSolveSpd:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve_spd(np.eye(2), [1.0, 2.0, 3.0])
+
+    def test_gram_above_identity_with_wide_diagonal(self):
+        # the 60-step control Gram matrix sum_j A^j (A^j)^T of an explosive A
+        # is >= I, so positive definite, although its diagonal spans ~1e21
+        a = np.array([[1.5, 0.33], [0.0, 0.49]])
+        powers = np.array(mat_pow_table(a, 59))
+        g = np.sum(powers @ powers.transpose(0, 2, 1), axis=0)
+        assert 1e20 < g[0, 0] / g[1, 1] < 1e22
+        b = np.array([1.0, 1.0])
+        sol = solve_spd(g, b)
+        assert not sol.fallback
+        assert np.linalg.norm(g @ sol.x - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(
+            arrays(float, (n, n), elements=st.floats(-1e3, 1e3)),
+            arrays(float, n, elements=st.floats(-1e3, 1e3)),
+        ))
+    )
+    def test_matches_scipy_positive_definite_solve(self, case):
+        m, b = case
+        g = m @ m.T + np.eye(len(b))
+        sol = solve_spd(g, b)
+        assert not sol.fallback
+        expected = scipy.linalg.solve(g, b, assume_a="pos")
+        np.testing.assert_allclose(sol.x, expected, rtol=1e-7, atol=1e-9 * (1.0 + np.abs(expected).max()))
 
 
 class TestLeastSquares:
