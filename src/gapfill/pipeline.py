@@ -138,10 +138,7 @@ def _refit_before(options: ImputeOptions, series: Series, covariates, gap_start:
     data = series.data
     if options.model_kind == "ar":
         x = data[:, 0]
-        # Known defect, kept so that outputs do not change: lag column j holds
-        # row t - j, so the first column is the target itself and the refit is
-        # the persistence model a = (1, 0, ...); it should hold row t - 1 - j.
-        return fit_ar_lagged(np.column_stack([x[rows - j] for j in range(lags)]), x[rows])
+        return fit_ar_lagged(np.column_stack([x[rows - 1 - j] for j in range(lags)]), x[rows])
     if options.model_kind == "var":
         return fit_var_pairs(data[rows - 1], data[rows])
     return fit_regression(data[rows], _covariate_rows(covariates, rows))

@@ -217,7 +217,7 @@ def refit_equations_by_row_loop(kind, order, values, covariates, gap_start):
         for t in range(order + 1, gap_start):
             if any(values[i - 1] is None for i in range(t - order, t + 1)):
                 continue
-            lag_rows.append([float(values[t - 1 - j][0]) for j in range(order)])
+            lag_rows.append([float(values[t - 2 - j][0]) for j in range(order)])
             targets.append(float(values[t - 1][0]))
         return (np.array(lag_rows), np.array(targets)) if lag_rows else None
     if kind == "var":
@@ -269,6 +269,26 @@ class TestRefitEquations:
                 for got, want in zip(args, expected):
                     assert np.array_equal(got, want)
                     assert np.asarray(got).shape == want.shape
+
+
+    def test_refit_recovers_exact_ar2(self):
+        # x_t = b + a1 x_{t-1} + a2 x_{t-2} with roots on the unit circle keeps
+        # oscillating, so every refit window determines a and b exactly
+        a, b = (2.0 * np.cos(0.4), -1.0), 0.7
+        x = [1.0, 3.0]
+        for _ in range(118):
+            x.append(b + a[0] * x[-1] + a[1] * x[-2])
+        values = list(x)
+        for start, length in [(30, 3), (50, 1), (71, 5), (95, 2)]:
+            values[start:start + length] = [None] * length
+        result = impute_series(scalar_series(values),
+                               ImputeOptions(order=2, refit_per_gap=True))
+        assert len(result.report.gaps) == 4
+        for entry in result.report.gaps:
+            refit = entry["refit_model"]
+            np.testing.assert_allclose(refit["lag_coefficients"], a, rtol=0, atol=1e-9)
+            assert refit["intercept"] == pytest.approx(b, abs=1e-9)
+            assert entry["oracle"]["certified"]
 
 
 class TestDeterminism:
