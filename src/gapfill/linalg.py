@@ -67,8 +67,8 @@ def solve_spd(matrix, rhs) -> SpdSolution:
     """Solve G x = rhs for symmetric positive-definite G.
 
     LAPACK's Cholesky factorization decides positive definiteness and LAPACK
-    solves the system. A matrix that either rejects as singular or
-    indefinite gets the minimum-norm least-squares solution with
+    solves the system. If either rejects the matrix as indefinite or
+    singular, the minimum-norm least-squares solution is returned with
     ``fallback=True``; callers decide whether its residual is acceptable.
     """
     g = as_matrix(matrix)
