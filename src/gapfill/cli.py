@@ -18,7 +18,7 @@ from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits, verify_instance
 from .pipeline import ImputeOptions, fit_prefix, impute_series
-from .report import describe_model, jsonable
+from .report import describe_model, jsonable, render_json
 from .series import DEFAULT_NA_MARKERS, parse_csv
 
 
@@ -106,7 +106,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     model = fit_prefix(series, ImputeOptions(model_kind=cfg.model_kind, order=cfg.order), covariates)
     payload = describe_model(model)
     payload["fit_rows"] = series.prefix_length
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(render_json(payload) + "\n")
     return 0
 
 

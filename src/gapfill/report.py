@@ -6,9 +6,10 @@ floats. Byte-identical inputs and options give byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import json
+from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,6 +33,75 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return value
+
+
+_NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPES = frozenset((list, tuple))
+
+
+def render_json(value) -> str:
+    """``json.dumps(value, indent=2)`` for a tree with str keys, byte for byte.
+
+    With an indent, ``json`` encodes one value at a time in Python. Here a
+    list of plain ints and floats, or of equal-length lists of them, becomes
+    one ``str.join`` of the reprs (a 2-D list fills a repeated row template),
+    so each number costs only its repr. Containers are rendered where they
+    sit, so the repr strings of one list are all that exist at a time.
+    """
+    return _render(value, "\n")
+
+
+def _render(value, newline: str) -> str:
+    # ``newline`` is a line break plus the indent of the line that closes ``value``
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _spell_nonfinite(float.__repr__(value))
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _numbers(value, inner)
+        if body is None:
+            body = ("," + inner).join([_render(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + _render(item, inner)
+                                   for key, item in value.items()])
+        return "{" + inner + body + newline + "}"
+    return json.dumps(value)
+
+
+def _numbers(items, inner: str) -> str | None:
+    """The lines inside a list of numbers or of equal-length lists of numbers, else None."""
+    kinds = set(map(type, items))
+    if kinds <= _NUMBER_TYPES:
+        return _spell_nonfinite(("," + inner).join(map(repr, items)))
+    if not kinds <= _LIST_TYPES or len(set(map(len, items))) != 1 or not items[0]:
+        return None
+    flat = list(chain.from_iterable(items))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%s"] * len(items[0])) + inner + "]"
+    return _spell_nonfinite(("," + inner).join([row] * len(items)) % tuple(map(repr, flat)))
+
+
+def _spell_nonfinite(numbers: str) -> str:
+    # only the reprs of nan and +-inf contain an "n"; json spells them NaN and +-Infinity
+    if "n" not in numbers:
+        return numbers
+    return numbers.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def describe_model(model) -> dict:
@@ -87,7 +157,7 @@ class ImputationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return render_json(self.to_dict()) + "\n"
 
 
 def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -59,6 +60,8 @@ class Series:
 
     def value(self, index: int):
         """Observation at 1-based ``index`` (None when missing)."""
+        if not 1 <= index <= len(self):
+            raise IndexError(f"position {index} is outside 1..{len(self)}")
         return None if self.missing[index - 1] else self.data[index - 1]
 
     @property
@@ -259,29 +262,40 @@ def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int 
     """
     if not 1 <= precision <= 17:
         raise ValueError("precision must be between 1 and 17")
-    missing = set(series.missing_indices)
+    order = series.missing_indices
+    missing = set(order)
     given = set(imputed)
     if missing - given:
         raise DataError(f"imputed value missing for gap index {min(missing - given)}")
     if given - missing:
         raise DataError(f"imputed value supplied for observed index {min(given - missing)}")
 
+    dim = series.dim
+    vectors = []
+    for i in order:
+        vec = np.atleast_1d(np.asarray(imputed[i], dtype=float))
+        if vec.shape[0] != dim:
+            raise DataError(
+                f"imputed value at index {i} has {vec.shape[0]} components, expected {dim}"
+            )
+        vectors.append(vec)
+    # every imputed cell in one formatting pass ("%g" never prints a comma)
+    numbers = np.array(vectors).ravel().tolist()
+    cells = ((f"%.{precision}g," * len(numbers)) % tuple(numbers)).split(",")[:-1]
+    # the imputed rows, column by column: raw cells, then the value columns replaced
+    raw = [series.rows[i - 1] for i in order]
+    columns = [[row[c] for row in raw] for c in range(len(series.header))]
+    for pos, c in enumerate(series.value_columns):
+        columns[c] = cells[pos::dim]
+    rows = list(series.rows)
+    tags = [("observed",)] * len(rows)
+    for i, row in zip(order, zip(*columns)):
+        rows[i - 1] = row
+        tags[i - 1] = ("imputed",)
+
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
     writer.writerow(list(series.header) + ["origin"])
-    for i, row in enumerate(series.rows, start=1):
-        cells = list(row)
-        if i in missing:
-            vec = np.atleast_1d(np.asarray(imputed[i], dtype=float))
-            if vec.shape[0] != series.dim:
-                raise DataError(
-                    f"imputed value at index {i} has {vec.shape[0]} components, "
-                    f"expected {series.dim}"
-                )
-            for pos, c in enumerate(series.value_columns):
-                cells[c] = format(vec[pos], f".{precision}g")
-            tag = "imputed"
-        else:
-            tag = "observed"
-        writer.writerow(cells + [tag])
+    # rows are joined to their tags as they are written, so none of them outlives its line
+    writer.writerows(map(operator.add, rows, tags))
     return buf.getvalue()

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,55 @@ def runs_by_row_loop(missing):
         else:
             runs.append([i, i])
     return [tuple(r) for r in runs]
+
+
+def write_csv_by_row_loop(series, imputed, precision):
+    """Reference: the filled CSV rendered row by row, one formatted cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
+    writer.writerow(list(series.header) + ["origin"])
+    missing = set(series.missing_indices)
+    for i, row in enumerate(series.rows, start=1):
+        cells = list(row)
+        if i in missing:
+            vec = np.atleast_1d(np.asarray(imputed[i], dtype=float))
+            for pos, c in enumerate(series.value_columns):
+                cells[c] = format(vec[pos], f".{precision}g")
+            tag = "imputed"
+        else:
+            tag = "observed"
+        writer.writerow(cells + [tag])
+    return buf.getvalue()
+
+
+@st.composite
+def csv_cases(draw):
+    """A delimited file with value columns out of header order beside other columns,
+    the parsed series, and imputed vectors for its missing rows."""
+    dim = draw(st.integers(1, 3))
+    extra = draw(st.integers(0, 2))
+    header = [f"c{j}" for j in range(dim + extra)]
+    value_columns = draw(st.permutations(header))[:dim]
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    free_text = st.lists(st.sampled_from(["a", " ", ",", "\t", '"', "'", "NA", "\n", "é"]),
+                         max_size=4).map("".join)
+    value_cell = st.one_of(
+        st.floats(-1e6, 1e6).map(repr),
+        st.integers(-999, 999).map(str),
+        st.sampled_from(["NA", "", " NA ", "+", "NaN", "1.50", "-0", "1e-7"]),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows.append([draw(value_cell) if name in value_columns else draw(free_text) for name in header])
+    rows.append(["1.0" if name in value_columns else draw(free_text) for name in header])
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows([header] + rows)
+    series = parse_csv(buf.getvalue(), value_columns=value_columns, delimiter=delimiter)
+    components = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 2.0 / 3.0]))
+    imputed = {i: np.array(draw(st.lists(components, min_size=dim, max_size=dim)))
+               for i in series.missing_indices}
+    return series, imputed
 
 
 class TestParseCsv:
@@ -252,6 +304,17 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="precision"):
             write_csv(s, {}, precision=0)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=csv_cases(), precision=st.integers(1, 17))
+    def test_matches_row_loop(self, case, precision):
+        series, imputed = case
+        assert write_csv(series, imputed, precision) == write_csv_by_row_loop(series, imputed, precision)
+
+    def test_first_wrong_dimension_in_row_order(self):
+        s = parse_csv("a,b\n1,2\n+,+\n5,6\n+,+\n7,8\n")
+        with pytest.raises(DataError, match="index 2 has 1 components, expected 2"):
+            write_csv(s, {4: np.array([1.0, 2.0, 3.0]), 2: np.array([1.0])})
+
 
 class TestSeriesConstruction:
     def test_from_values_vector(self):
@@ -274,6 +337,13 @@ class TestSeriesConstruction:
                 s.missing[0] = True
             with pytest.raises(ValueError, match="read-only"):
                 s.value(1)[0] = 0.0
+
+    def test_value_outside_positions_raises(self):
+        s = Series.from_values([1.0, None, 3.0])
+        for index in (0, -1, 4):
+            with pytest.raises(IndexError, match=r"position -?\d is outside 1\.\.3"):
+                s.value(index)
+        assert s.value(1)[0] == 1.0 and s.value(2) is None and s.value(3)[0] == 3.0
 
     def test_inconsistent_dimension_rejected(self):
         with pytest.raises(DataError, match="components"):
