@@ -106,7 +106,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     model = fit_prefix(series, ImputeOptions(model_kind=cfg.model_kind, order=cfg.order), covariates)
     payload = describe_model(model)
     payload["fit_rows"] = series.prefix_length
-    sys.stdout.write(render_json(payload) + "\n")
+    sys.stdout.write(render_json(payload))
     return 0
 
 

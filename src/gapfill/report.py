@@ -40,46 +40,59 @@ _LIST_TYPES = frozenset((list, tuple))
 
 
 def render_json(value) -> str:
-    """``json.dumps(value, indent=2)`` for a tree with str keys, byte for byte.
+    """``json.dumps(value, indent=2)`` plus a final newline, for a tree with str keys.
 
     With an indent, ``json`` encodes one value at a time in Python. Here a
     list of plain ints and floats, or of equal-length lists of them, becomes
     one ``str.join`` of the reprs (a 2-D list fills a repeated row template),
-    so each number costs only its repr. Containers are rendered where they
-    sit, so the repr strings of one list are all that exist at a time.
+    so each number costs only its repr. Each list is rendered when the walk
+    reaches it, so only one list's reprs exist at a time, and the document
+    is joined once from the rendered pieces.
     """
-    return _render(value, "\n")
+    out = []
+    _render(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _render(value, newline: str) -> str:
+def _render(value, newline: str, out: list) -> None:
     # ``newline`` is a line break plus the indent of the line that closes ``value``
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _spell_nonfinite(float.__repr__(value))
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_spell_nonfinite(float.__repr__(value)))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
         body = _numbers(value, inner)
-        if body is None:
-            body = ("," + inner).join([_render(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ("," + inner).join([encode_basestring_ascii(key) + ": " + _render(item, inner)
-                                   for key, item in value.items()])
-        return "{" + inner + body + newline + "}"
-    return json.dumps(value)
+        if body is not None:
+            out += ("[", inner, body, newline, "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                out.append(separator)
+                _render(item, inner, out)
+                separator = "," + inner
+            out += (newline, "]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out += (separator, encode_basestring_ascii(key), ": ")
+            _render(item, inner, out)
+            separator = "," + inner
+        out += (newline, "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def _numbers(items, inner: str) -> str | None:
@@ -157,7 +170,7 @@ class ImputationReport:
         }
 
     def to_json(self) -> str:
-        return render_json(self.to_dict()) + "\n"
+        return render_json(self.to_dict())
 
 
 def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:

@@ -73,7 +73,7 @@ trees = st.recursive(
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(tree=trees)
 def test_render_matches_json_dumps(tree):
-    assert render_json(tree) == json.dumps(tree, indent=2)
+    assert render_json(tree) == json.dumps(tree, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [
@@ -89,7 +89,7 @@ def test_render_matches_json_dumps(tree):
 ], ids=["non-finite", "mixed-table", "empty-row", "ragged", "empty-rows", "numpy-scalars",
         "float64-nested", "string-escapes", "int-enum"])
 def test_render_matches_json_dumps_on_edge_cases(value):
-    assert render_json(value) == json.dumps(value, indent=2)
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_render_rejects_what_json_rejects():
