@@ -57,12 +57,18 @@ def _read_input(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+# Large outputs are written in slices of this many characters, so encoding
+# never holds a second full copy of the text.
+WRITE_SLICE = 1 << 20
+
+
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        for start in range(0, len(text), WRITE_SLICE):
+            handle.write(text[start : start + WRITE_SLICE])
 
 
 def _parse_series(cfg: RunConfig, text: str):

@@ -2,12 +2,13 @@
 
 The verifier restates each gap as a generic equality-constrained minimization
 (minimize the summed squared controls subject to the controls steering the
-endpoint onto the anchor) and solves its stationarity system directly. The
-constraint matrices are built by plain simulation, unit kicks through the
-scalar recursion (every kick advanced together, one vector update per time
-step) and repeated matrix multiplication for the vector one, so no code is
-shared with the weight recurrences being checked. Each problem is one stacked
-array, so the stationarity solve and the check are array operations.
+endpoint onto the anchor) and solves its stationarity system directly. Every
+model is cast as a first-order state-space recursion (an AR(p) in companion
+form, with the control entering on the first state coordinate; a regression
+with identity dynamics), and the constraint matrices are descending powers of
+its transition matrix, one p x p product per step. No code is shared with the
+weight recurrences being checked. Each problem is one stacked array, so the
+stationarity solve and the check are array operations.
 """
 
 from __future__ import annotations
@@ -120,56 +121,41 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     )
 
 
-def _kick_endpoints(a: tuple[float, ...], steps: int) -> np.ndarray:
-    """Endpoint of the scalar recursion after a unit kick at each step.
-
-    All ``steps`` kicked paths advance together: ``lags[j]`` holds the state
-    j + 1 steps back across every path, so each time step is one vector
-    update. The lag sum runs left to right from zero, the same order as a
-    scalar ``sum``, which keeps every endpoint bit-identical to simulating
-    the kicks one at a time. Explosive coefficients overflow silently to inf
-    as Python floats do.
-    """
-    p = len(a)
-    lags = [np.zeros(steps) for _ in range(p)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            x = np.zeros(steps)
-            for j in range(p):
-                x = x + a[j] * lags[j]
-            x[t] += 1.0
-            lags.insert(0, x)
-            lags.pop()
-    return lags[0]
+def _transition_matrix(model) -> np.ndarray:
+    """The model's one-step state transition F, with the control entering on
+    the first coordinates: the companion matrix of an AR(p) (first row ``a``,
+    ones on the subdiagonal), ``A`` of a VAR(1), and the identity for a
+    regression, whose outputs carry no dynamics."""
+    if isinstance(model, ArModel):
+        f = np.eye(model.p, k=-1)
+        f[0] = model.a
+        return f
+    if isinstance(model, VarModel):
+        return model.A
+    if isinstance(model, RegModel):
+        return np.eye(model.n_outputs)
+    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def build_problem(model, steps: int, target) -> ConstrainedProblem:
     """Assemble the terminal constraint for ``steps`` chronological controls.
 
-    Scalar models: simulate every unit kick through the recursion at once
-    (see ``_kick_endpoints``) and read off the endpoint effects. Vector
-    models: descending matrix powers by repeated right-multiplication.
-    Regression models: identity dynamics.
+    A control i steps before the anchor moves the endpoint by E^T F^i E, with
+    F the model's transition matrix (see ``_transition_matrix``) and E the
+    first k state coordinates: k = 1 for an AR model, the full state
+    otherwise. The powers descend by repeated right-multiplication, one
+    product per step. Explosive models overflow silently to inf.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-
-    if isinstance(model, ArModel):
-        effects = _kick_endpoints(model.a, steps)
-        return ConstrainedProblem(effects.reshape(steps, 1, 1), target)
-
-    if isinstance(model, VarModel):
-        powers = np.empty((steps, model.dim, model.dim))
-        powers[-1] = np.eye(model.dim)
+    f = _transition_matrix(model)
+    k = 1 if isinstance(model, ArModel) else f.shape[0]
+    powers = np.empty((steps,) + f.shape)
+    powers[-1] = np.eye(f.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps - 2, -1, -1):
-            np.matmul(powers[i + 1], model.A, out=powers[i])
-        return ConstrainedProblem(powers, target)
-
-    if isinstance(model, RegModel):
-        k = np.atleast_1d(np.asarray(target, dtype=float)).shape[0]
-        return ConstrainedProblem(np.broadcast_to(np.eye(k), (steps, k, k)), target)
-
-    raise TypeError(f"unknown model type {type(model).__name__}")
+            np.matmul(powers[i + 1], f, out=powers[i])
+    return ConstrainedProblem(powers[:, :k, :k], target)
 
 
 def certify(solution: ControlSolution, problem: ConstrainedProblem) -> Verdict:
@@ -280,6 +266,13 @@ class VerifiedInstance:
     verdict: Verdict
 
 
+def _single_gap(series: Series, order: int):
+    _, gaps = detect_gaps(series, order)
+    if len(gaps) != 1:
+        raise DataError(f"generated instance has {len(gaps)} gaps, expected 1")
+    return gaps[0]
+
+
 def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
                     inject_fault: bool = False) -> VerifiedInstance:
     """Generate one instance, run the exact-mode solver, certify the result.
@@ -289,20 +282,14 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     """
     series, model = random_instance(seed, limits)
     if limits.kind == "ar":
-        order = model.p
-    else:
-        order = 1
-    _, gaps = detect_gaps(series, order)
-    if len(gaps) != 1:
-        raise DataError(f"generated instance has {len(gaps)} gaps, expected 1")
-    segment = gaps[0]
-
-    start = segment.gap_start - 1
-    if limits.kind == "ar":
-        seeds = series.data[start - order : start, 0]
+        segment = _single_gap(series, model.p)
+        start = segment.gap_start - 1
+        seeds = series.data[start - model.p : start, 0]
         solution = impute_gap_ar(model, segment, seeds, float(segment.anchor_value[0]))
     else:
-        solution = impute_gap_var(model, segment, series.data[start - 1], segment.anchor_value)
+        segment = _single_gap(series, 1)
+        seed_row = series.data[segment.gap_start - 2]
+        solution = impute_gap_var(model, segment, seed_row, segment.anchor_value)
 
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)

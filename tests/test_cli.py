@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gapfill.cli import main
+from gapfill.cli import WRITE_SLICE, _write_output, main
 from gapfill.fitting import fit_var1, predict_forward
 
 
@@ -144,6 +144,15 @@ class TestImputeCommand:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_large_output_reaches_file_byte_for_byte(self, tmp_path):
+        # every slice boundary falls between two multi-byte characters
+        block = "漢" + "a," * (WRITE_SLICE // 2 - 1) + "é"
+        text = block * 3 + "\U0001d11e\n"
+        assert len(block) == WRITE_SLICE and len(text) > (1 << 20)
+        path = tmp_path / "big.csv"
+        _write_output(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def _growing_csv(path, columns: int, growth: float, gap: int, scale: float = 1.0):

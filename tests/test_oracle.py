@@ -157,22 +157,25 @@ def scalar_kick_endpoints(model: ArModel, steps: int) -> np.ndarray:
 
 
 class TestBatchedKicks:
+    # companion-form powers sum in a different order from the scalar
+    # simulation, so the two agree to rounding rather than bit for bit
+
     @PROPERTY
     @given(
         a=st.lists(st.floats(-1.4, 1.4, allow_nan=False), min_size=1, max_size=4),
         steps=st.integers(1, 80),
     )
-    def test_bit_identical_to_scalar_simulation(self, a, steps):
+    def test_matches_scalar_simulation(self, a, steps):
         model = ArModel(a=tuple(a), b=0.0)
         prob = build_problem(model, steps, 1.0)
         assert prob.steps.shape == (steps, 1, 1)
-        assert prob.steps.tobytes() == scalar_kick_endpoints(model, steps).tobytes()
+        assert_close_relative(prob.steps[:, 0, 0], scalar_kick_endpoints(model, steps), rtol=1e-12)
 
     @pytest.mark.parametrize("a", [(0.999,), (1.0, -0.0001), (1.4, -0.3, 0.2), (-1.4,)])
     def test_near_unit_root_and_explosive(self, a):
         model = ArModel(a=a, b=0.0)
         prob = build_problem(model, 80, 1.0)
-        assert prob.steps.tobytes() == scalar_kick_endpoints(model, 80).tobytes()
+        assert_close_relative(prob.steps[:, 0, 0], scalar_kick_endpoints(model, 80), rtol=1e-12)
 
     def test_overflow_to_inf_is_silent(self):
         model = ArModel(a=(1e10, -1e10), b=0.0)
@@ -280,9 +283,11 @@ class TestVerifyInstance:
             checked = verify_instance(seed, limits)
             assert checked.verdict.passed, f"seed {seed} failed"
 
-    def test_injected_fault_is_caught(self):
+    @pytest.mark.parametrize("limits", [InstanceLimits.scalar(), InstanceLimits.vector()],
+                             ids=["scalar", "vector"])
+    def test_injected_fault_is_caught(self, limits):
         for seed in range(5):
-            checked = verify_instance(seed, inject_fault=True)
+            checked = verify_instance(seed, limits, inject_fault=True)
             assert not checked.verdict.passed
 
 

@@ -80,6 +80,25 @@ class TestScalarPipeline:
         for entry in result.report.gaps:
             assert entry["oracle"]["certified"]
 
+    @pytest.mark.parametrize(
+        "a",
+        [(0.5, -0.3, 0.2), (1.5, -0.505)],
+        ids=["stationary_ar3", "near_unit_root_ar2"],
+    )
+    def test_long_gaps_all_certified(self, a):
+        # two ~1500-step gaps; the AR(2) has a root at 0.99
+        rng = np.random.default_rng(17)
+        x = [0.0] * len(a)
+        for _ in range(3400):
+            x.append(sum(c * x[-1 - j] for j, c in enumerate(a)) + 1.0 + rng.normal())
+        values = x[len(a):]
+        values[300:1800] = [None] * 1500
+        values[1900:3380] = [None] * 1480
+        result = impute_series(scalar_series(values), ImputeOptions(order=len(a)))
+        assert [e["end"] - e["start"] + 1 for e in result.report.gaps] == [1500, 1480]
+        for entry in result.report.gaps:
+            assert entry["oracle"]["certified"]
+
     def test_paper_mode_order_two_skips_certificate(self):
         values = [1.0, 2.0, 1.5, 2.5, 2.0, 3.0, 2.5, None, None, 4.0]
         result = impute_series(
