@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fitting import ArModel
@@ -20,31 +19,6 @@ from .oracle import InstanceLimits, verify_instance
 from .pipeline import ImputeOptions, fit_prefix, impute_series
 from .report import describe_model, jsonable, render_json
 from .series import DEFAULT_NA_MARKERS, parse_csv
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; assembled from argparse, usable directly in tests."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str = "-"
-    report_path: str | None = None
-    model_kind: str = "ar"
-    order: int = 1
-    mode: str = "exact"
-    na_markers: tuple[str, ...] = DEFAULT_NA_MARKERS
-    columns: tuple[str, ...] | None = None
-    covariates: tuple[str, ...] | None = None
-    delimiter: str = ","
-    refit_per_gap: bool = False
-    allow_open_gap: bool = False
-    precision: int = 6
-    seed: int = 0
-    cases: int = 100
-    inject_fault: bool = False
-    coefficients: tuple[float, ...] | None = None
-    length: int = 8
 
 
 def _read_input(path: str) -> str:
@@ -71,75 +45,76 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text[start : start + WRITE_SLICE])
 
 
-def _parse_series(cfg: RunConfig, text: str):
-    series = parse_csv(text, na_markers=cfg.na_markers, value_columns=cfg.columns,
-                       delimiter=cfg.delimiter)
+def _parse_series(args: argparse.Namespace, text: str):
+    series = parse_csv(text, na_markers=args.na_markers, value_columns=args.columns,
+                       delimiter=args.delimiter)
     covariates = None
-    if cfg.model_kind == "regression":
-        if not cfg.covariates:
+    if args.model_kind == "regression":
+        if not args.covariates:
             raise DataError("model 'regression' needs covariate columns (--covariates)")
-        if cfg.columns is None:
+        if args.columns is None:
             raise DataError("model 'regression' needs explicit value columns (--columns)")
-        overlap = set(cfg.columns) & set(cfg.covariates)
+        overlap = set(args.columns) & set(args.covariates)
         if overlap:
             raise DataError(f"column {sorted(overlap)[0]!r} listed as both value and covariate")
-        covariates = parse_csv(text, na_markers=cfg.na_markers, value_columns=cfg.covariates,
-                               delimiter=cfg.delimiter)
+        covariates = parse_csv(text, na_markers=args.na_markers, value_columns=args.covariates,
+                               delimiter=args.delimiter)
     return series, covariates
 
 
-def cmd_impute(cfg: RunConfig) -> int:
-    text = _read_input(cfg.input_path)
-    series, covariates = _parse_series(cfg, text)
+def cmd_impute(args: argparse.Namespace) -> int:
+    text = _read_input(args.input)
+    series, covariates = _parse_series(args, text)
     options = ImputeOptions(
-        model_kind=cfg.model_kind,
-        order=cfg.order,
-        mode=cfg.mode,
-        refit_per_gap=cfg.refit_per_gap,
-        allow_open_gap=cfg.allow_open_gap,
+        model_kind=args.model_kind,
+        order=args.order,
+        mode=args.mode,
+        refit_per_gap=args.refit_per_gap,
+        allow_open_gap=args.allow_open_gap,
     )
     result = impute_series(series, options, covariates)
-    _write_output(cfg.output_path, result.rendered_csv(precision=cfg.precision))
-    if cfg.report_path:
-        _write_output(cfg.report_path, result.report.to_json())
+    _write_output(args.output_path, result.rendered_csv(precision=args.precision))
+    if args.report_path:
+        _write_output(args.report_path, result.report.to_json())
     return 0
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
     """Fit on the observed prefix and print the model as JSON."""
-    text = _read_input(cfg.input_path)
-    series, covariates = _parse_series(cfg, text)
-    model = fit_prefix(series, ImputeOptions(model_kind=cfg.model_kind, order=cfg.order), covariates)
+    text = _read_input(args.input)
+    series, covariates = _parse_series(args, text)
+    model = fit_prefix(series, ImputeOptions(model_kind=args.model_kind, order=args.order),
+                       covariates)
     payload = describe_model(model)
     payload["fit_rows"] = series.prefix_length
     sys.stdout.write(render_json(payload))
     return 0
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
+def cmd_coeffs(args: argparse.Namespace) -> int:
     """Print the exact and printed-recurrence weight sequences side by side."""
-    model = ArModel(a=cfg.coefficients, b=0.0)
-    exact = impulse_weights(model, cfg.length)
-    printed = gamma_weights(model, cfg.length)
+    model = ArModel(a=args.coefficients, b=0.0)
+    exact = impulse_weights(model, args.length)
+    printed = gamma_weights(model, args.length)
     sys.stdout.write("step  impulse  printed  difference\n")
-    for j in range(cfg.length):
+    for j in range(args.length):
         diff = float(printed[j] - exact[j])
         sys.stdout.write(f"{j}  {float(exact[j])!r}  {float(printed[j])!r}  {diff!r}\n")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run seeded random instances through the solver and the independent checker."""
-    if cfg.cases == 0:
+    if args.cases == 0:
         print("warning: 0 cases requested; verification is vacuous", file=sys.stderr)
         sys.stdout.write("verified 0/0\n")
         return 0
-    limits = InstanceLimits.scalar() if cfg.model_kind == "ar" else InstanceLimits.vector()
+    limits = InstanceLimits.scalar() if args.model_kind == "ar" else InstanceLimits.vector()
     failures = 0
     worst_gap = 0.0
     worst_residual = 0.0
-    for seed in range(cfg.seed, cfg.seed + cfg.cases):
-        checked = verify_instance(seed, limits, inject_fault=cfg.inject_fault)
+    for seed in range(args.seed, args.seed + args.cases):
+        checked = verify_instance(seed, limits, inject_fault=args.inject_fault)
         verdict = checked.verdict
         line = {
             "seed": seed,
@@ -153,11 +128,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         worst_gap = max(worst_gap, verdict.objective_gap)
         worst_residual = max(worst_residual, verdict.constraint_residual)
     sys.stdout.write(
-        f"verified {cfg.cases - failures}/{cfg.cases}; worst objective gap {worst_gap!r}; "
+        f"verified {args.cases - failures}/{args.cases}; worst objective gap {worst_gap!r}; "
         f"worst constraint residual {worst_residual!r}\n"
     )
     if failures:
-        print(f"error: {failures} of {cfg.cases} instances failed verification", file=sys.stderr)
+        print(f"error: {failures} of {args.cases} instances failed verification", file=sys.stderr)
         return 5
     return 0
 
@@ -200,7 +175,8 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
                         dest="model_kind", help="recursion fitted to the data (default ar)")
     parser.add_argument("--order", type=int, default=1,
                         help="autoregression order (model ar only; default 1)")
-    parser.add_argument("--na", type=_columns_arg, default=None, metavar="MARKERS",
+    parser.add_argument("--na", type=_columns_arg, default=DEFAULT_NA_MARKERS,
+                        dest="na_markers", metavar="MARKERS",
                         help="comma-separated missing-value markers "
                              "(default: NA, NaN, +; empty cells always count)")
     parser.add_argument("--columns", type=_columns_arg, default=None, metavar="NAMES",
@@ -263,25 +239,13 @@ COMMANDS = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "na", None) is not None:
-        cfg.na_markers = args.na
-    cfg.input_path = getattr(args, "input", None)
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.command == "coeffs" and cfg.length < 1:
+    if args.command == "coeffs" and args.length < 1:
         print("error: --length must be >= 1", file=sys.stderr)
         return 2
-    if cfg.command == "verify" and cfg.cases < 0:
+    if args.command == "verify" and args.cases < 0:
         print("error: --cases must be >= 0", file=sys.stderr)
         return 2
     try:
@@ -289,7 +253,7 @@ def main(argv=None) -> int:
             # impute records rank deficiency in the report notes, fit in its
             # rank_deficient field; neither repeats it on stderr
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            return COMMANDS[cfg.command](cfg)
+            return COMMANDS[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -67,15 +67,17 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """Impulse response of the fitted recursion, most recent step first.
 
     ``w[j]`` is the effect on the endpoint of a unit control applied j steps
-    before it: w_0 = 1 and w_j = sum_i a_i w_{j-i} over the available lags.
+    before it: w_0 = 1 and w_j = sum_i a_i w_{j-i} over the available lags,
+    which is the intercept-free recursion rolled from the seeds 0, ..., 0, 1.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    w = [1.0]
-    for j in range(1, length):
-        w.append(sum(model.a[i - 1] * w[j - i] for i in range(1, min(j, model.p) + 1)))
-        _check_magnitude(w[j], j, "impulse weight")
-    return np.array(w)
+    seeds = [0.0] * (model.p - 1) + [1.0]
+    w = np.concatenate(([1.0], predict_forward(ArModel(a=model.a, b=0.0), seeds, length - 1)))
+    beyond = np.flatnonzero(np.abs(w) > WEIGHT_OVERFLOW_LIMIT)
+    if beyond.size:
+        _check_magnitude(w[beyond[0]], int(beyond[0]), "impulse weight")
+    return w
 
 
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, RankDeficiencyWarning
+from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .linalg import least_squares
 
 
@@ -90,23 +90,39 @@ class RegModel:
         return self.A.shape[1]
 
 
-def _fit_rows(design: np.ndarray, targets: np.ndarray, what: str):
-    """Shared core: one least-squares solve per target column, one rank warning."""
-    coeff_rows = []
-    rank = design.shape[1]
-    for c in range(targets.shape[1]):
-        fit = least_squares(design, targets[:, c])
-        coeff_rows.append(fit.coeffs)
-        rank = fit.rank
-    deficient = rank < design.shape[1]
+def _fit_linear(inputs: np.ndarray, targets: np.ndarray, what: str, extra: int, counted: str):
+    """Least squares of ``targets`` on ``[inputs, 1]``: one solve, one rank warning.
+
+    ``inputs`` needs at least ``extra`` more rows than columns; ``counted``
+    describes that count in the error message. Returns the coefficients, one
+    row per input column with the intercept last, and whether the design is
+    rank deficient.
+    """
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        raise DataError("fit window contains non-finite values")
+    n, k = inputs.shape
+    if n < k + extra:
+        raise DataError(
+            f"fit window too short: {counted.format(n=n, k=k)} (need at least {k + extra})"
+        )
+    # column-major, so the per-column scaling in least_squares reads contiguous memory
+    design = np.empty((n, k + 1), order="F")
+    design[:, :k] = inputs
+    design[:, k] = 1.0
+    fit = least_squares(design, targets)
+    if not np.all(np.isfinite(fit.coeffs)):
+        raise NumericalError(
+            f"{what} coefficients overflow: input columns differ too much in magnitude"
+        )
+    deficient = fit.rank < k + 1
     if deficient:
         warnings.warn(
-            f"rank-deficient {what} design (rank {rank} of {design.shape[1]}); "
+            f"rank-deficient {what} design (rank {fit.rank} of {k + 1}); "
             f"minimum-norm coefficients returned",
             RankDeficiencyWarning,
             stacklevel=3,
         )
-    return np.vstack(coeff_rows), deficient
+    return fit.coeffs, deficient
 
 
 def fit_ar_lagged(lag_rows, targets) -> ArModel:
@@ -117,20 +133,12 @@ def fit_ar_lagged(lag_rows, targets) -> ArModel:
     the training equations come from several disjoint observed runs.
     """
     lags = np.asarray(lag_rows, dtype=float)
-    y = np.asarray(targets, dtype=float).ravel()
     if lags.ndim != 2:
         raise DataError("lag rows must form a 2-D array")
-    if not (np.all(np.isfinite(lags)) and np.all(np.isfinite(y))):
-        raise DataError("fit window contains non-finite values")
     p = lags.shape[1]
-    if lags.shape[0] < p + 1:
-        raise DataError(
-            f"fit window too short: {lags.shape[0]} equations for order {p} "
-            f"(need at least {p + 1})"
-        )
-    design = np.column_stack([lags, np.ones(lags.shape[0])])
-    coeffs, deficient = _fit_rows(design, y[:, None], "autoregression")
-    return ArModel(a=tuple(coeffs[0, :p]), b=float(coeffs[0, p]), rank_deficient=deficient)
+    coeffs, deficient = _fit_linear(lags, np.asarray(targets, dtype=float).ravel(),
+                                    "autoregression", 1, "{n} equations for order {k}")
+    return ArModel(a=tuple(coeffs[:p]), b=float(coeffs[p]), rank_deficient=deficient)
 
 
 def fit_ar_scalar(window, order: int) -> ArModel:
@@ -162,17 +170,10 @@ def fit_var_pairs(previous, current) -> VarModel:
         xcur = xcur[:, None]
     if xprev.shape != xcur.shape:
         raise DataError("pair rows must align: previous and current shapes differ")
-    if not (np.all(np.isfinite(xprev)) and np.all(np.isfinite(xcur))):
-        raise DataError("fit window contains non-finite values")
-    n, k = xprev.shape
-    if n < k + 1:
-        raise DataError(
-            f"fit window too short: {n} consecutive pairs of dimension {k} "
-            f"(need at least {k + 1})"
-        )
-    design = np.column_stack([xprev, np.ones(n)])
-    coeffs, deficient = _fit_rows(design, xcur, "vector autoregression")
-    return VarModel(A=coeffs[:, :k], b=coeffs[:, k], rank_deficient=deficient)
+    k = xprev.shape[1]
+    coeffs, deficient = _fit_linear(xprev, xcur, "vector autoregression", 1,
+                                    "{n} consecutive pairs of dimension {k}")
+    return VarModel(A=coeffs[:k].T, b=coeffs[k], rank_deficient=deficient)
 
 
 def fit_var1(window) -> VarModel:
@@ -204,16 +205,9 @@ def fit_regression(targets, covariates) -> RegModel:
         raise DataError(
             f"targets and covariates must align: {y.shape[0]} responses, {x.shape[0]} rows"
         )
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-        raise DataError("fit window contains non-finite values")
-    n, k = x.shape
-    if n < k + 2:
-        raise DataError(
-            f"fit window too short: {n} rows with {k} covariates (need at least {k + 2})"
-        )
-    design = np.column_stack([x, np.ones(n)])
-    coeffs, deficient = _fit_rows(design, y, "regression")
-    return RegModel(A=coeffs[:, :k], b=coeffs[:, k], rank_deficient=deficient)
+    k = x.shape[1]
+    coeffs, deficient = _fit_linear(x, y, "regression", 2, "{n} rows with {k} covariates")
+    return RegModel(A=coeffs[:k].T, b=coeffs[k], rank_deficient=deficient)
 
 
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:

@@ -90,30 +90,42 @@ def solve_spd(matrix, rhs) -> SpdSolution:
 
 
 class LeastSquaresFit(NamedTuple):
-    coeffs: np.ndarray
+    coeffs: np.ndarray  # shaped like ``targets`` with one row per design column
     rank: int
-    residual_norm: float
 
 
-def least_squares(design, target, rank_tolerance: float = RANK_TOLERANCE) -> LeastSquaresFit:
-    """Minimum-norm least squares via SVD with a relative rank cutoff.
+def least_squares(design, targets) -> LeastSquaresFit:
+    """Minimum-norm least squares with the rank judged on scaled columns.
 
-    Requires at least as many rows as columns. Singular values below
-    ``rank_tolerance`` times the largest are treated as zero; when that makes
-    the design rank deficient the returned coefficients are the minimum-norm
-    minimizer and ``rank`` is less than the number of columns.
+    ``targets`` is one right-hand side or a 2-D array of them, one per
+    column, all solved in one LAPACK call. Each design column is first
+    divided by its largest magnitude (a zero column is left as it is), so
+    the rank decision does not depend on the data's units: singular values
+    of the scaled design below ``RANK_TOLERANCE`` times the largest are
+    treated as zero. A rank-deficient design gets the solution of minimum
+    norm in scaled units, and ``rank`` is less than the number of columns.
+    Requires at least as many rows as columns and finite entries.
     """
-    x = as_matrix(design)
-    y = as_vector(target)
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1 or y.ndim not in (1, 2):
+        raise ValueError(
+            f"expected a 2-D design and 1-D or 2-D targets, got shapes {x.shape} and {y.shape}"
+        )
     if x.shape[0] < x.shape[1]:
         raise ValueError(f"least squares needs rows >= columns, got {x.shape[0]}x{x.shape[1]}")
     if x.shape[0] != y.shape[0]:
         raise ValueError(
             f"dimension mismatch: design has {x.shape[0]} rows, target has {y.shape[0]}"
         )
-    coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=rank_tolerance)
-    r = x @ coeffs - y
-    # scaled so that squaring huge residuals cannot overflow
-    scale = float(np.max(np.abs(r)))
-    residual = scale * float(np.linalg.norm(r / scale)) if scale > 0.0 else 0.0
-    return LeastSquaresFit(coeffs, int(rank), residual)
+    # max-abs rather than the 2-norm, which overflows for entries near 1e308;
+    # a non-finite entry makes its column's scale non-finite
+    scale = np.abs(x).max(axis=0)
+    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(y))):
+        raise ValueError("least squares inputs must be finite")
+    scale[scale == 0.0] = 1.0
+    coeffs, _, rank, _ = np.linalg.lstsq(x / scale, y, rcond=RANK_TOLERANCE)
+    if y.ndim == 2:
+        scale = scale[:, None]
+    with np.errstate(over="ignore"):
+        return LeastSquaresFit(coeffs / scale, int(rank))

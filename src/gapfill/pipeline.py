@@ -37,7 +37,6 @@ class ImputeOptions:
     mode: str = "exact"
     refit_per_gap: bool = False
     allow_open_gap: bool = False
-    run_oracle: bool = True
 
 
 @dataclass
@@ -242,7 +241,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
         solution = _solve_gap(options, model, segment, working, covariates)
-        verdict = _certify_gap(options, model, segment, solution) if options.run_oracle else None
+        verdict = _certify_gap(options, model, segment, solution)
         report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
 
         filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)

@@ -252,7 +252,7 @@ def test_affine_equivariance(verdict):
         shifted = Series.from_values(
             [None if v is None else alpha * v + beta for v in raw]
         )
-        options = ImputeOptions(model_kind="ar", order=model.p, run_oracle=False)
+        options = ImputeOptions(model_kind="ar", order=model.p)
         base = impute_series(series, options)
         moved = impute_series(shifted, options)
         for index, value in base.imputed.items():

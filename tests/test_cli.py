@@ -238,6 +238,52 @@ class TestErrorContract:
         assert report["model"]["rank_deficient"]
         assert any(note.startswith("prefix fit: rank-deficient") for note in report["notes"])
 
+    def test_large_level_is_not_rank_deficient(self, capsys, tmp_path):
+        # a stationary AR(1) at level 1e6 with unit noise has a full-rank
+        # design once the lag column is scaled to unit magnitude
+        rng = np.random.default_rng(29)
+        y = [0.0]
+        for _ in range(199):
+            y.append(0.6 * y[-1] + rng.standard_normal())
+        cells = [f"{1e6 + v!r}" for v in y]
+        cells[150:153] = ["NA"] * 3
+        path = tmp_path / "level.csv"
+        path.write_text("v\n" + "\n".join(cells) + "\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "impute", str(path), "--report", str(report_path))
+        assert code == 0
+        assert err == ""
+        report = json.loads(report_path.read_text())
+        assert report["notes"] == []
+        assert report["model"]["rank_deficient"] is False
+        assert report["model"]["lag_coefficients"][0] == pytest.approx(0.6, abs=0.15)
+        assert report["gaps"][0]["oracle"]["certified"]
+
+    def test_huge_alternating_values_fit_at_full_rank(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n1e308\n-1e308\n1e308\n-1e308\n1e308\nNA\n1e308\n")
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "impute", str(path), "--report", str(report_path))
+        assert code == 0
+        assert err == ""
+        report = json.loads(report_path.read_text())
+        assert report["notes"] == []
+        assert report["model"]["rank_deficient"] is False
+        assert report["gaps"][0]["oracle"]["certified"]
+
+    def test_unrepresentable_fit_is_numerical_error(self, capsys, tmp_path):
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((40, 2)) * np.array([1.0, 1e-311])
+        rows = ["a,b"] + [f"{float(u)!r},{float(v)!r}" for u, v in w]
+        rows[30] = "NA,NA"
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "var")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: vector autoregression coefficients overflow")
+
     def test_explosive_var_gap_is_certified(self, capsys, tmp_path):
         # the control Gram matrix spans ~1e14 but is >= I, so the solve needs
         # no fallback and the fill is certified without a note

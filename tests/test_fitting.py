@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gapfill.errors import DataError, RankDeficiencyWarning
+from gapfill.errors import DataError, NumericalError, RankDeficiencyWarning
 from gapfill.fitting import (
     ArModel,
     RegModel,
@@ -103,6 +105,57 @@ class TestFitArScalar:
         m = fit_ar_lagged([[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0])
         assert m.a[0] == pytest.approx(2.0, abs=1e-10)
         assert m.b == pytest.approx(0.0, abs=1e-9)
+
+
+def ar1_at_level(level: float, n: int = 200) -> np.ndarray:
+    """A stationary AR(1) with phi = 0.6 and unit noise, shifted to ``level``."""
+    rng = np.random.default_rng(23)
+    y = np.empty(n)
+    y[0] = rng.standard_normal()
+    for t in range(1, n):
+        y[t] = 0.6 * y[t - 1] + rng.standard_normal()
+    return level + y
+
+
+class TestRankOnScaledColumns:
+    """The rank decision does not depend on the units of the data."""
+
+    def test_alternating_window_full_rank_at_every_scale(self):
+        for k in range(-300, 301, 100):
+            s = 10.0**k
+            window = [s * (-1.0) ** i for i in range(8)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RankDeficiencyWarning)
+                m = fit_ar_scalar(window, 1)
+            assert not m.rank_deficient, k
+            assert m.a[0] == pytest.approx(-1.0, abs=1e-12), k
+            assert abs(m.b) <= 1e-12 * s, k
+
+    def test_level_does_not_change_the_fit(self):
+        base = fit_ar_scalar(ar1_at_level(0.0), 1)
+        for level in (1e3, 1e6, 1e9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RankDeficiencyWarning)
+                shifted = fit_ar_scalar(ar1_at_level(level), 1)
+            assert not shifted.rank_deficient, level
+            assert shifted.a[0] == pytest.approx(base.a[0], abs=1e-6), level
+
+    def test_multi_target_fit_matches_one_target_at_a_time(self):
+        rng = np.random.default_rng(43)
+        w = rng.standard_normal((30, 3)) * np.array([1e-3, 1.0, 1e4])
+        joint = fit_var_pairs(w[:-1], w[1:])
+        for i in range(3):
+            single = fit_regression(w[1:, i], w[:-1])
+            assert np.allclose(joint.A[i], single.A[0], rtol=1e-12, atol=0)
+            assert joint.b[i] == pytest.approx(single.b[0], rel=1e-12)
+
+    def test_unrepresentable_coefficients_are_numerical_error(self):
+        # a subnormal column must be multiplied by ~1e310 to explain the
+        # other column, which float64 cannot hold
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((40, 2)) * np.array([1.0, 1e-311])
+        with pytest.raises(NumericalError, match="coefficients overflow"):
+            fit_var1(w)
 
 
 class TestFitVar1:
