@@ -8,7 +8,7 @@ value after the gap. Every constrained solution can be certified against an
 independent solve of the same minimization.
 """
 
-from .errors import DataError, GapfillError, NumericalError, RankDeficiencyWarning
+from .errors import DataError, GapfillError, NumericalError
 from .fitting import (
     ArModel,
     RegModel,
@@ -56,7 +56,6 @@ __all__ = [
     "InstanceLimits",
     "NumericalError",
     "OracleResult",
-    "RankDeficiencyWarning",
     "RegModel",
     "Series",
     "VarModel",

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
-from .errors import DataError, NumericalError, RankDeficiencyWarning
+from .errors import DataError, NumericalError
 from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits, verify_instance
 from .pipeline import ImputeOptions, fit_prefix, impute_series
-from .report import describe_model, jsonable, render_json
+from .report import describe_model, render_json
 from .series import DEFAULT_NA_MARKERS, parse_csv
 
 
@@ -123,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "objective_gap": verdict.objective_gap,
             "constraint_residual": verdict.constraint_residual,
         }
-        sys.stdout.write(json.dumps(jsonable(line)) + "\n")
+        sys.stdout.write(json.dumps(line) + "\n")
         failures += 0 if verdict.passed else 1
         worst_gap = max(worst_gap, verdict.objective_gap)
         worst_residual = max(worst_residual, verdict.constraint_residual)
@@ -249,11 +248,7 @@ def main(argv=None) -> int:
         print("error: --cases must be >= 0", file=sys.stderr)
         return 2
     try:
-        with warnings.catch_warnings():
-            # impute records rank deficiency in the report notes, fit in its
-            # rank_deficient field; neither repeats it on stderr
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

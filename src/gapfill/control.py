@@ -11,6 +11,7 @@ is reported rather than guaranteed once the order exceeds one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,8 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     applied j steps before the endpoint is powers[j]^T lambda where
     G lambda = delta and G = sum_j powers[j] powers[j]^T; this minimizes the
     summed squared control lengths. The j = 0 term makes G >= I, so G is
-    positive definite and every offset is reachable. A G or ``delta`` that has
-    overflowed, or a solve that misses G lambda = delta by more than
+    positive definite and every offset is reachable. A G, ``delta`` or norm
+    that has overflowed, or a solve that misses G lambda = delta by more than
     1e-8 (1 + ||delta||), raises NumericalError.
     """
     mats = np.asarray(powers, dtype=float)
@@ -169,7 +170,8 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(gram).all():
         raise NumericalError(
             "matrix power overflow: the control Gram matrix is not finite "
-            "(explosive transition matrix over a long horizon)"
+            "(explosive transition matrix over a long horizon, or value columns "
+            "whose scales differ by many orders of magnitude)"
         )
     _check_offset(delta)
     d = as_vector(delta)
@@ -178,14 +180,58 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
 
     solution = solve_spd(gram, d)
     lam = solution.x
-    residual = float(np.linalg.norm(gram @ lam - d))
-    if solution.fallback or not residual <= 1e-8 * (1.0 + float(np.linalg.norm(d))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(gram @ lam - d))
+        offset = float(np.linalg.norm(d))
+    if not (math.isfinite(residual) and math.isfinite(offset)):
+        raise NumericalError(
+            "norm overflow: the anchor offset or the Lagrange solve's residual has no "
+            "finite length (values beyond ~1e154 cannot be squared in float64)"
+        )
+    if solution.fallback or not residual <= 1e-8 * (1.0 + offset):
         raise NumericalError(
             f"ill-conditioned control problem: the Lagrange solve misses the anchor "
             f"offset by {residual:.3g} (explosive transition matrix over a long horizon)"
         )
     # chronological: the first control is applied m - 1 steps before the endpoint
     return lam, lam @ mats[::-1]
+
+
+def _solution(gap, first_control: int, controls, multiplier, path, predicted, target,
+              mode: str, diagnostics: dict) -> ControlSolution:
+    """Assemble the ControlSolution of one constrained fill.
+
+    ``path`` is the corrected path and ``predicted`` the uncorrected forecast,
+    both from the gap start through the anchor; ``controls`` act from index
+    ``first_control`` through the anchor. The terminal residual is
+    |path_end - target| for a scalar ``target`` and the Euclidean norm of the
+    miss otherwise. A path, objective or residual that has overflowed raises
+    NumericalError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        miss = path[-1] - target
+        residual = float(abs(miss) if np.ndim(target) == 0 else np.linalg.norm(miss))
+        objective = float(np.vdot(controls, controls))
+    if not (math.isfinite(objective) and math.isfinite(residual) and np.isfinite(path).all()):
+        raise NumericalError(
+            f"fill overflow in the gap at index {gap.gap_start}: the filled values, the "
+            f"summed squared controls or the terminal residual are not finite "
+            f"(magnitudes beyond ~1e154 overflow when squared)"
+        )
+    end = gap.anchor_index
+    return ControlSolution(
+        control_indices=tuple(range(first_control, end + 1)),
+        controls=controls,
+        multiplier=multiplier,
+        imputed_indices=tuple(gap.indices),
+        imputed=path[: gap.length],
+        predicted_indices=tuple(range(gap.gap_start, end + 1)),
+        predicted=predicted,
+        terminal_residual=residual,
+        objective=objective,
+        mode=mode,
+        diagnostics=diagnostics,
+    )
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:
@@ -227,19 +273,7 @@ def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact"
         diagnostics["weights_impulse"] = [float(v) for v in psi]
         diagnostics["max_weight_difference"] = float(np.max(np.abs(weights - psi)))
 
-    return ControlSolution(
-        control_indices=tuple(range(n0 + p, end + 1)),
-        controls=controls,
-        multiplier=c,
-        imputed_indices=tuple(gap.indices),
-        imputed=values[: gap.length],
-        predicted_indices=tuple(range(n0 + 1, end + 1)),
-        predicted=predicted,
-        terminal_residual=float(abs(values[-1] - target)),
-        objective=float(controls @ controls),
-        mode=mode,
-        diagnostics=diagnostics,
-    )
+    return _solution(gap, n0 + p, controls, c, values, predicted, target, mode, diagnostics)
 
 
 def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> ControlSolution:
@@ -276,19 +310,7 @@ def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> C
         diagnostics["step_norm_formula"] = (scale * powers[::-1].sum(axis=(1, 2))).tolist()
         diagnostics["step_norm_exact"] = np.linalg.norm(controls, axis=1).tolist()
 
-    return ControlSolution(
-        control_indices=tuple(range(n0 + 1, end + 1)),
-        controls=controls,
-        multiplier=lam,
-        imputed_indices=tuple(gap.indices),
-        imputed=values[: gap.length],
-        predicted_indices=tuple(range(n0 + 1, end + 1)),
-        predicted=predicted,
-        terminal_residual=float(np.linalg.norm(values[-1] - target)),
-        objective=float(np.sum(controls * controls)),
-        mode=mode,
-        diagnostics=diagnostics,
-    )
+    return _solution(gap, n0 + 1, controls, lam, values, predicted, target, mode, diagnostics)
 
 
 def impute_gap_regression(model: RegModel, gap, covariates, anchor) -> ControlSolution:
@@ -308,46 +330,22 @@ def impute_gap_regression(model: RegModel, gap, covariates, anchor) -> ControlSo
     m = end - n0
 
     x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.shape[0] != m + 1:
         raise ValueError(f"need {m + 1} covariate rows (pre-gap through anchor), got {x.shape[0]}")
-    fitted = x @ model.A.T + model.b
+    fitted = predict_forward(model, None, m + 1, covariates=x)
 
-    scalar_output = np.ndim(anchor) == 0
     target = np.atleast_1d(np.asarray(anchor, dtype=float))
     if target.shape[0] != model.n_outputs:
         raise ValueError(f"anchor has {target.shape[0]} components, expected {model.n_outputs}")
     correction = (target - fitted[-1]) / m
-
-    current = fitted[0].copy()
-    values = np.empty((m, model.n_outputs))
-    for t in range(m):
-        increment = (x[t + 1] - x[t]) @ model.A.T
-        current = current + increment + correction
-        values[t] = current
-
-    residual = float(np.linalg.norm(values[-1] - target))
     controls = np.tile(correction, (m, 1))
-    imputed = values[: gap.length]
+    values = fitted[1:] + np.cumsum(controls, axis=0)
     predicted = fitted[1:]
     multiplier: float | np.ndarray = correction
-    if scalar_output:
+    if np.ndim(anchor) == 0:
         controls = controls[:, 0]
-        imputed = imputed[:, 0]
+        values = values[:, 0]
         predicted = predicted[:, 0]
         multiplier = float(correction[0])
-
-    return ControlSolution(
-        control_indices=tuple(range(n0 + 1, end + 1)),
-        controls=controls,
-        multiplier=multiplier,
-        imputed_indices=tuple(gap.indices),
-        imputed=imputed,
-        predicted_indices=tuple(range(n0 + 1, end + 1)),
-        predicted=predicted,
-        terminal_residual=residual,
-        objective=float(m * (correction @ correction)),
-        mode="exact",
-        diagnostics={"correction_rule": "uniform"},
-    )
+    return _solution(gap, n0 + 1, controls, multiplier, values, predicted, target, "exact",
+                     {"correction_rule": "uniform"})

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class GapfillError(Exception):
@@ -11,7 +11,3 @@ class DataError(GapfillError):
 
 class NumericalError(GapfillError):
     """A solve cannot proceed: unreachable or ill-conditioned control problem, or numeric overflow."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """A least-squares design was rank deficient; minimum-norm coefficients were returned."""

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, RankDeficiencyWarning
+from .errors import DataError, NumericalError
 from .linalg import least_squares
 
 
@@ -22,13 +21,28 @@ def _frozen_array(obj, name: str, value, shape=None) -> None:
     object.__setattr__(obj, name, arr)
 
 
+class _Fitted:
+    """Rank bookkeeping of a fitted model.
+
+    ``rank`` is the rank of the least-squares design the model was fitted
+    on, None for a model given directly. Each model names its design in
+    ``design`` and counts its columns, intercept included, in
+    ``design_columns``.
+    """
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.rank is not None and self.rank < self.design_columns
+
+
 @dataclass(frozen=True)
-class ArModel:
+class ArModel(_Fitted):
     """Scalar autoregression x_n = a_1 x_{n-1} + ... + a_p x_{n-p} + b."""
 
     a: tuple[float, ...]
     b: float
-    rank_deficient: bool = False
+    rank: int | None = None
+    design = "autoregression"
 
     def __post_init__(self):
         coeffs = tuple(float(v) for v in self.a)
@@ -45,14 +59,19 @@ class ArModel:
     def p(self) -> int:
         return len(self.a)
 
+    @property
+    def design_columns(self) -> int:
+        return self.p + 1
+
 
 @dataclass(frozen=True)
-class VarModel:
+class VarModel(_Fitted):
     """First-order vector autoregression x_n = A x_{n-1} + b."""
 
     A: np.ndarray
     b: np.ndarray
-    rank_deficient: bool = False
+    rank: int | None = None
+    design = "vector autoregression"
 
     def __post_init__(self):
         a = np.array(self.A, dtype=float)
@@ -65,14 +84,19 @@ class VarModel:
     def dim(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def design_columns(self) -> int:
+        return self.dim + 1
+
 
 @dataclass(frozen=True)
-class RegModel:
+class RegModel(_Fitted):
     """Pointwise regression y_n = A x_n + b on covariate rows x_n."""
 
     A: np.ndarray
     b: np.ndarray
-    rank_deficient: bool = False
+    rank: int | None = None
+    design = "regression"
 
     def __post_init__(self):
         a = np.array(self.A, dtype=float)
@@ -89,14 +113,17 @@ class RegModel:
     def n_covariates(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def design_columns(self) -> int:
+        return self.n_covariates + 1
+
 
 def _fit_linear(inputs: np.ndarray, targets: np.ndarray, what: str, extra: int, counted: str):
-    """Least squares of ``targets`` on ``[inputs, 1]``: one solve, one rank warning.
+    """Least squares of ``targets`` on ``[inputs, 1]`` in one solve.
 
     ``inputs`` needs at least ``extra`` more rows than columns; ``counted``
     describes that count in the error message. Returns the coefficients, one
-    row per input column with the intercept last, and whether the design is
-    rank deficient.
+    row per input column with the intercept last, and the design's rank.
     """
     if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
         raise DataError("fit window contains non-finite values")
@@ -114,15 +141,7 @@ def _fit_linear(inputs: np.ndarray, targets: np.ndarray, what: str, extra: int, 
         raise NumericalError(
             f"{what} coefficients overflow: input columns differ too much in magnitude"
         )
-    deficient = fit.rank < k + 1
-    if deficient:
-        warnings.warn(
-            f"rank-deficient {what} design (rank {fit.rank} of {k + 1}); "
-            f"minimum-norm coefficients returned",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
-    return fit.coeffs, deficient
+    return fit
 
 
 def fit_ar_lagged(lag_rows, targets) -> ArModel:
@@ -136,9 +155,9 @@ def fit_ar_lagged(lag_rows, targets) -> ArModel:
     if lags.ndim != 2:
         raise DataError("lag rows must form a 2-D array")
     p = lags.shape[1]
-    coeffs, deficient = _fit_linear(lags, np.asarray(targets, dtype=float).ravel(),
-                                    "autoregression", 1, "{n} equations for order {k}")
-    return ArModel(a=tuple(coeffs[:p]), b=float(coeffs[p]), rank_deficient=deficient)
+    coeffs, rank = _fit_linear(lags, np.asarray(targets, dtype=float).ravel(),
+                               ArModel.design, 1, "{n} equations for order {k}")
+    return ArModel(a=tuple(coeffs[:p]), b=float(coeffs[p]), rank=rank)
 
 
 def fit_ar_scalar(window, order: int) -> ArModel:
@@ -171,9 +190,9 @@ def fit_var_pairs(previous, current) -> VarModel:
     if xprev.shape != xcur.shape:
         raise DataError("pair rows must align: previous and current shapes differ")
     k = xprev.shape[1]
-    coeffs, deficient = _fit_linear(xprev, xcur, "vector autoregression", 1,
-                                    "{n} consecutive pairs of dimension {k}")
-    return VarModel(A=coeffs[:k].T, b=coeffs[k], rank_deficient=deficient)
+    coeffs, rank = _fit_linear(xprev, xcur, VarModel.design, 1,
+                               "{n} consecutive pairs of dimension {k}")
+    return VarModel(A=coeffs[:k].T, b=coeffs[k], rank=rank)
 
 
 def fit_var1(window) -> VarModel:
@@ -206,19 +225,19 @@ def fit_regression(targets, covariates) -> RegModel:
             f"targets and covariates must align: {y.shape[0]} responses, {x.shape[0]} rows"
         )
     k = x.shape[1]
-    coeffs, deficient = _fit_linear(x, y, "regression", 2, "{n} rows with {k} covariates")
-    return RegModel(A=coeffs[:k].T, b=coeffs[k], rank_deficient=deficient)
+    coeffs, rank = _fit_linear(x, y, RegModel.design, 2, "{n} rows with {k} covariates")
+    return RegModel(A=coeffs[:k].T, b=coeffs[k], rank=rank)
 
 
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
     """Roll the fitted recursion forward ``steps`` steps from the seed values.
 
     Autoregressions consume the trailing seed values and return the predicted
-    path, which an explosive model lets overflow silently to inf. Optional
-    chronological ``controls`` (one per step, scalar or vector) are added on
-    the last ``len(controls)`` steps, after the fitted recursion. The
-    regression model predicts pointwise from ``covariates`` (one row per step)
-    and ignores ``seeds``.
+    path. Optional chronological ``controls`` (one per step, scalar or vector)
+    are added on the last ``len(controls)`` steps, after the fitted recursion.
+    The regression model predicts pointwise from ``covariates`` (one row per
+    step) and ignores ``seeds``. An explosive model, or a regression on huge
+    covariates, lets the path overflow silently to inf.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -273,6 +292,7 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
             raise DataError(
                 f"covariate rows have {x.shape[1]} columns, model expects {model.n_covariates}"
             )
-        return x[:steps] @ model.A.T + model.b
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x[:steps] @ model.A.T + model.b
 
     raise TypeError(f"unknown model type {type(model).__name__}")

@@ -192,16 +192,20 @@ def certify(solution: ControlSolution, problem: ConstrainedProblem) -> Verdict:
 
 @dataclass(frozen=True)
 class InstanceLimits:
-    """Bounds for the seeded instance generator; all draws are uniform."""
+    """Bounds for the seeded instance generator; all draws are uniform.
+
+    ``kind``, ``max_order`` and ``max_gap`` are settable; the other bounds
+    are constants of the generator, not fields.
+    """
 
     kind: str = "ar"
     max_order: int = 3
-    dims: tuple[int, ...] = (2, 3)
     max_gap: int = 12
-    max_prefix: int = 40
-    coeff_bound: float = 1.2
-    matrix_bound: float = 0.9
-    value_scale: float = 5.0
+    dims = (2, 3)
+    max_prefix = 40
+    coeff_bound = 1.2
+    matrix_bound = 0.9
+    value_scale = 5.0
 
     @classmethod
     def scalar(cls) -> "InstanceLimits":

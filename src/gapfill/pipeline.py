@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ from .control import (
     impute_gap_regression,
     impute_gap_var,
 )
-from .errors import DataError, NumericalError, RankDeficiencyWarning
+from .errors import DataError, NumericalError
 from .fitting import (
     fit_ar_lagged,
     fit_ar_scalar,
@@ -83,22 +82,14 @@ def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
     return covariates.data[rows]
 
 
-def _noted(notes: list, context: str, func, *args):
-    """Run the fit ``func(*args)``, turning a rank-deficiency warning into a
-    report note.
-
-    The fitted model's ``rank_deficient`` flag records the same fact; other
-    warnings pass through unchanged.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RankDeficiencyWarning)
-        result = func(*args)
-    for w in caught:
-        if issubclass(w.category, RankDeficiencyWarning):
-            notes.append(f"{context}: {w.message}")
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result
+def _note_rank(notes: list, context: str, model):
+    """Return ``model``, first noting in ``notes`` when its fit was rank deficient."""
+    if model.rank_deficient:
+        notes.append(
+            f"{context}: rank-deficient {model.design} design (rank {model.rank} of "
+            f"{model.design_columns}); minimum-norm coefficients returned"
+        )
+    return model
 
 
 def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
@@ -221,7 +212,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, imputed={}, report=report)
 
-    prefix_model = _noted(report.notes, "prefix fit", fit_prefix, series, options, covariates)
+    prefix_model = _note_rank(report.notes, "prefix fit", fit_prefix(series, options, covariates))
     report.model = describe_model(prefix_model)
     if options.refit_per_gap:
         report.notes.append("refit per gap: each gap uses every fully-observed window before it")
@@ -230,8 +221,8 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     imputed: dict = {}
     for segment in segments:
         if options.refit_per_gap:
-            model = _noted(report.notes, f"refit before the gap at index {segment.gap_start}",
-                           _refit_before, options, series, covariates, segment.gap_start)
+            model = _note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
+                               _refit_before(options, series, covariates, segment.gap_start))
             refit_model = model
         else:
             model = prefix_model

@@ -18,29 +18,14 @@ from .fitting import ArModel, RegModel, VarModel
 SCHEMA_VERSION = 1
 
 
-def jsonable(value):
-    """Convert numpy scalars/arrays (and containers of them) to JSON-ready types."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 _NUMBER_TYPES = frozenset((int, float))
 _LIST_TYPES = frozenset((list, tuple))
 
 
 def render_json(value) -> str:
     """``json.dumps(value, indent=2)`` plus a final newline, for a tree with str keys.
+
+    A numpy array in the tree is rendered as its ``tolist()``.
 
     With an indent, ``json`` encodes one value at a time in Python. Here a
     list of plain ints and floats, or of equal-length lists of them, becomes
@@ -91,6 +76,8 @@ def _render(value, newline: str, out: list) -> None:
             _render(item, inner, out)
             separator = "," + inner
         out += (newline, "}")
+    elif isinstance(value, np.ndarray):
+        _render(value.tolist(), newline, out)
     else:
         out.append(json.dumps(value))
 
@@ -132,8 +119,8 @@ def describe_model(model) -> dict:
             "kind": "var",
             "order": 1,
             "dimension": model.dim,
-            "matrix": jsonable(model.A),
-            "intercept": jsonable(model.b),
+            "matrix": model.A,
+            "intercept": model.b,
             "rank_deficient": model.rank_deficient,
         }
     if isinstance(model, RegModel):
@@ -141,8 +128,8 @@ def describe_model(model) -> dict:
             "kind": "regression",
             "outputs": model.n_outputs,
             "covariates": model.n_covariates,
-            "matrix": jsonable(model.A),
-            "intercept": jsonable(model.b),
+            "matrix": model.A,
+            "intercept": model.b,
             "rank_deficient": model.rank_deficient,
         }
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -179,21 +166,21 @@ def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
         "start": segment.gap_start,
         "end": segment.gap_end,
         "anchor_index": segment.anchor_index,
-        "anchor_value": jsonable(segment.anchor_value),
+        "anchor_value": segment.anchor_value,
         "seed_indices": list(segment.seed_indices),
         "constrained": solution.constrained,
         "mode": solution.mode,
-        "multiplier": jsonable(solution.multiplier),
+        "multiplier": solution.multiplier,
         "control_indices": list(solution.control_indices),
-        "controls": jsonable(solution.controls),
+        "controls": solution.controls,
         "predicted_indices": list(solution.predicted_indices),
-        "predicted": jsonable(solution.predicted),
+        "predicted": solution.predicted,
         "imputed_indices": list(solution.imputed_indices),
-        "imputed": jsonable(solution.imputed),
-        "terminal_residual": jsonable(solution.terminal_residual),
+        "imputed": solution.imputed,
+        "terminal_residual": solution.terminal_residual,
         "objective": solution.objective,
         "oracle": None,
-        "diagnostics": jsonable(solution.diagnostics),
+        "diagnostics": solution.diagnostics,
     }
     if verdict is not None:
         entry["oracle"] = {

@@ -271,16 +271,19 @@ def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int 
         raise DataError(f"imputed value supplied for observed index {min(given - missing)}")
 
     dim = series.dim
-    vectors = []
-    for i in order:
-        vec = np.atleast_1d(np.asarray(imputed[i], dtype=float))
-        if vec.shape[0] != dim:
-            raise DataError(
-                f"imputed value at index {i} has {vec.shape[0]} components, expected {dim}"
-            )
-        vectors.append(vec)
+    try:
+        values = np.array([imputed[i] for i in order], dtype=float).reshape(len(order), dim)
+    except ValueError:
+        # vectors of differing lengths: name the first bad index in row order
+        vectors = [np.atleast_1d(np.asarray(imputed[i], dtype=float)) for i in order]
+        for i, vec in zip(order, vectors):
+            if vec.shape[0] != dim:
+                raise DataError(
+                    f"imputed value at index {i} has {vec.shape[0]} components, expected {dim}"
+                ) from None
+        values = np.array(vectors)
     # every imputed cell in one formatting pass ("%g" never prints a comma)
-    numbers = np.array(vectors).ravel().tolist()
+    numbers = values.ravel().tolist()
     cells = ((f"%.{precision}g," * len(numbers)) % tuple(numbers)).split(",")[:-1]
     # the imputed rows, column by column: raw cells, then the value columns replaced
     raw = [series.rows[i - 1] for i in order]

@@ -185,6 +185,18 @@ def _explosive_var_gap_csv(path, gap: int):
     return str(path)
 
 
+def _normal_csv(path, scales, gaps):
+    """40 rows of standard normals, column j times ``scales[j]``, with the
+    (start, length) ``gaps`` blanked (0-based data rows)."""
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((40, len(scales))) * np.array(scales)
+    rows = [",".join(f"{float(v)!r}" for v in row) for row in w]
+    for start, length in gaps:
+        rows[start : start + length] = [",".join(["NA"] * len(scales))] * length
+    path.write_text(",".join(f"c{j}" for j in range(len(scales))) + "\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error")
 class TestErrorContract:
     """Explosive and degenerate inputs: one stderr line or none, never a
@@ -216,6 +228,45 @@ class TestErrorContract:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: forecast overflow")
+
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    @pytest.mark.parametrize("model, columns", [("ar", 1), ("var", 2)])
+    def test_values_too_large_to_square_are_numerical_error(self, capsys, tmp_path, model,
+                                                            columns, mode):
+        # the fit and forecast stay finite, but the squared controls overflow
+        path = _normal_csv(tmp_path / "huge.csv", [1e300] * columns, [(30, 2)])
+        code, out, err = run(capsys, "impute", path, "--model", model, "--mode", mode)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+
+    def test_regression_on_huge_covariates_is_numerical_error(self, capsys, tmp_path):
+        # the prefix fits y ~ 1e300 x; covariates of 1e10 in the gap overflow the forecast
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.5, 1.0, 30)
+        y = 1e300 * x + 1e297 * rng.standard_normal(30)
+        rows = [f"{a!r},{b!r}" for a, b in zip(y.tolist(), x.tolist())]
+        rows += ["NA,1e10", "NA,1e10", "7e299,0.7"]
+        path = tmp_path / "reg.csv"
+        path.write_text("y,x\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "regression",
+                             "--columns", "y", "--covariates", "x")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: fill overflow")
+
+    def test_mixed_column_scales_are_named_in_the_message(self, capsys, tmp_path):
+        # A is a diagonal similarity of a stable matrix, but its ~1e200
+        # cross-coefficient overflows the Gram matrix of a 2-step gap
+        path = _normal_csv(tmp_path / "mixed.csv", [1.0, 1e-200], [(19, 1), (30, 2)])
+        code, out, err = run(capsys, "impute", path, "--model", "var")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: matrix power overflow")
+        assert "value columns whose scales differ by many orders of magnitude" in err
 
     def test_explosive_open_gap_is_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "open.csv"
