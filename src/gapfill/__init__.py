@@ -25,10 +25,12 @@ from .control import (
     impute_gap_ar,
     impute_gap_regression,
     impute_gap_var,
+    impute_gaps_var,
     solve_controls_scalar,
     solve_controls_var,
 )
 from .oracle import (
+    BatchVerdict,
     ConstrainedProblem,
     InstanceLimits,
     OracleResult,
@@ -45,6 +47,7 @@ from .series import GapSegment, Series, detect_gaps, parse_csv, write_csv
 
 __all__ = [
     "ArModel",
+    "BatchVerdict",
     "ConstrainedProblem",
     "ControlSolution",
     "DataError",
@@ -72,6 +75,7 @@ __all__ = [
     "impute_gap_ar",
     "impute_gap_regression",
     "impute_gap_var",
+    "impute_gaps_var",
     "impute_series",
     "kkt_solve",
     "parse_csv",

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .fitting import ArModel, RegModel, VarModel, predict_forward
-from .linalg import as_vector, mat_pow_table, solve_spd
+from .linalg import mat_pow_table, row_norms, solve_spd
 
 MODES = ("exact", "paper")
 
@@ -64,21 +64,48 @@ def _check_magnitude(value: float, step: int, what: str) -> None:
         )
 
 
+def _impulse_response(model: ArModel, length: int) -> np.ndarray:
+    """``impulse_weights`` without the overflow check: an explosive recursion
+    overflows silently to inf."""
+    seeds = [0.0] * (model.p - 1) + [1.0]
+    return np.concatenate(([1.0], predict_forward(ArModel(a=model.a, b=0.0), seeds, length - 1)))
+
+
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    beyond = np.flatnonzero(np.abs(w) > WEIGHT_OVERFLOW_LIMIT)
+    if beyond.size:
+        _check_magnitude(w[beyond[0]], int(beyond[0]), "impulse weight")
+    return w
+
+
 def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """Impulse response of the fitted recursion, most recent step first.
 
     ``w[j]`` is the effect on the endpoint of a unit control applied j steps
     before it: w_0 = 1 and w_j = sum_i a_i w_{j-i} over the available lags,
     which is the intercept-free recursion rolled from the seeds 0, ..., 0, 1.
+    The response is prefix-stable: its first m entries are the bits of the
+    length-m response. A weight past 1e150 raises NumericalError.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    seeds = [0.0] * (model.p - 1) + [1.0]
-    w = np.concatenate(([1.0], predict_forward(ArModel(a=model.a, b=0.0), seeds, length - 1)))
-    beyond = np.flatnonzero(np.abs(w) > WEIGHT_OVERFLOW_LIMIT)
-    if beyond.size:
-        _check_magnitude(w[beyond[0]], int(beyond[0]), "impulse weight")
-    return w
+    return _checked_weights(_impulse_response(model, length))
+
+
+def _control_steps(model: ArModel, gap) -> int:
+    """How many steps of an AR gap carry a control: gap_start + p - 1
+    through the anchor index."""
+    return gap.anchor_index - (gap.gap_start + model.p - 1) + 1
+
+
+def shared_impulse(model: ArModel, gaps) -> np.ndarray | None:
+    """One impulse response for every constrained gap in ``gaps``, rolled
+    for the gap with the most control steps, to pass to ``impute_gap_ar`` as
+    ``impulse``; None when no gap has a control step. It is not checked for
+    overflow: each gap checks its own prefix, so the error of the first
+    failing gap is raised first."""
+    steps = max((_control_steps(model, gap) for gap in gaps if gap.constrained), default=0)
+    return _impulse_response(model, steps) if steps >= 1 else None
 
 
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:
@@ -119,7 +146,7 @@ def gamma_weights(model: ArModel, length: int) -> np.ndarray:
 
 
 def _check_offset(delta) -> None:
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise NumericalError(
             "forecast overflow: the offset to the anchor is not finite "
             "(explosive coefficients or huge values over a long horizon)"
@@ -145,6 +172,16 @@ def solve_controls_scalar(weights, delta: float) -> tuple[float, np.ndarray]:
     return c, c * w[::-1]
 
 
+def _gram_sums(powers: np.ndarray) -> np.ndarray:
+    """Running sums G_m = sum_{j<m} powers[j] powers[j]^T, one per m.
+
+    Summed strictly in step order (np.sum would reorder the additions), so
+    ``_gram_sums(p)[m - 1]`` has the bits of ``_gram_sums(p[:m])[-1]``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(np.matmul(powers, powers.transpose(0, 2, 1)), axis=0)
+
+
 def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange solve of the vector control problem.
 
@@ -153,19 +190,23 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
     applied j steps before the endpoint is powers[j]^T lambda where
     G lambda = delta and G = sum_j powers[j] powers[j]^T; this minimizes the
     summed squared control lengths. The j = 0 term makes G >= I, so G is
-    positive definite and every offset is reachable. A G, ``delta`` or norm
-    that has overflowed, or a solve that misses G lambda = delta by more than
-    1e-8 (1 + ||delta||), raises NumericalError.
+    positive definite and every offset is reachable. ``delta`` is one offset
+    (giving lambda (k,) and controls (m, k)) or a (g, k) stack of them
+    (giving (g, k) and (g, m, k)), each row solved as if alone. A G,
+    ``delta`` or norm that has overflowed, or a solve that misses
+    G lambda = delta by more than 1e-8 (1 + ||delta||), raises
+    NumericalError.
     """
     mats = np.asarray(powers, dtype=float)
     if mats.ndim != 3 or mats.shape[0] < 1 or mats.shape[1] != mats.shape[2]:
         raise ValueError("powers must be a nonempty stack of square matrices of one dimension")
-    k = mats.shape[1]
-    if not np.array_equal(mats[0], np.eye(k)):
+    if not np.array_equal(mats[0], np.eye(mats.shape[1])):
         raise ValueError("powers[0] must be the identity matrix")
-    # summed strictly in step order; np.sum would reorder the additions
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.cumsum(np.matmul(mats, mats.transpose(0, 2, 1)), axis=0)[-1]
+    return _lagrange(mats, _gram_sums(mats)[-1], delta)
+
+
+def _lagrange(mats: np.ndarray, gram: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_controls_var`` given its validated powers and their Gram matrix."""
     # a non-finite power puts inf or nan on the diagonal of G
     if not np.isfinite(gram).all():
         raise NumericalError(
@@ -174,27 +215,32 @@ def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
             "whose scales differ by many orders of magnitude)"
         )
     _check_offset(delta)
-    d = as_vector(delta)
-    if d.shape[0] != k:
-        raise ValueError(f"delta has length {d.shape[0]}, expected {k}")
+    k = mats.shape[1]
+    d = np.asarray(delta, dtype=float)
+    if d.shape[-1:] != (k,) or d.ndim > 2:
+        raise ValueError(f"delta has shape {d.shape}, expected ({k},) or (g, {k})")
 
     solution = solve_spd(gram, d)
     lam = solution.x
+    rows, offsets = lam.reshape(-1, k), d.reshape(-1, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(gram @ lam - d))
-        offset = float(np.linalg.norm(d))
-    if not (math.isfinite(residual) and math.isfinite(offset)):
+        residual = row_norms(np.matmul(gram, rows[:, :, None])[:, :, 0] - offsets)
+        offset = row_norms(offsets)
+    if not (np.isfinite(residual).all() and np.isfinite(offset).all()):
         raise NumericalError(
             "norm overflow: the anchor offset or the Lagrange solve's residual has no "
             "finite length (values beyond ~1e154 cannot be squared in float64)"
         )
-    if solution.fallback or not residual <= 1e-8 * (1.0 + offset):
+    missed = ~(residual <= 1e-8 * (1.0 + offset))
+    if solution.fallback or missed.any():
         raise NumericalError(
             f"ill-conditioned control problem: the Lagrange solve misses the anchor "
-            f"offset by {residual:.3g} (explosive transition matrix over a long horizon)"
+            f"offset by {residual[missed.argmax()]:.3g} (explosive transition matrix over a "
+            f"long horizon)"
         )
     # chronological: the first control is applied m - 1 steps before the endpoint
-    return lam, lam @ mats[::-1]
+    controls = np.matmul(rows[:, None, None, :], mats[::-1])[:, :, 0, :]
+    return lam, (controls if d.ndim == 2 else controls[0])
 
 
 def _solution(gap, first_control: int, controls, multiplier, path, predicted, target,
@@ -234,13 +280,16 @@ def _solution(gap, first_control: int, controls, multiplier, path, predicted, ta
     )
 
 
-def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:
+def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact",
+                  impulse=None) -> ControlSolution:
     """Fill one gap of a scalar autoregression so the rolled path ends at ``anchor``.
 
     Controls act on steps gap_start + p - 1 through the anchor index, so for
     order p >= 2 the first p - 1 gap values follow the uncorrected recursion.
     ``seeds`` supplies at least p values chronologically up to the position
-    just before the gap.
+    just before the gap. ``impulse`` may be ``shared_impulse`` of gaps that
+    share ``model``, so that they roll the impulse response once; this gap
+    uses its prefix, which has the bits it would compute alone.
     """
     _check_mode(mode)
     if not gap.constrained:
@@ -255,20 +304,24 @@ def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact"
     target = float(np.atleast_1d(np.asarray(anchor, dtype=float))[0])
     delta = target - predicted[-1]
 
-    m = end - (n0 + p) + 1
+    m = _control_steps(model, gap)
     if m < 1:
         raise NumericalError(
             f"unreachable terminal constraint: order {p} leaves no control step "
             f"in a gap of length {gap.length}"
         )
-    weights = impulse_weights(model, m) if mode == "exact" else gamma_weights(model, m)
+    if impulse is None:
+        impulse = _impulse_response(model, m)
+    elif len(impulse) < m:
+        raise ValueError(f"impulse response has {len(impulse)} steps, the gap needs {m}")
+    weights = _checked_weights(impulse[:m]) if mode == "exact" else gamma_weights(model, m)
     c, controls = solve_controls_scalar(weights, delta)
 
     values = predict_forward(model, seed_values, total, controls=controls)
 
     diagnostics = {}
     if mode == "paper":
-        psi = impulse_weights(model, m)
+        psi = _checked_weights(impulse[:m])
         diagnostics["weights_printed"] = [float(v) for v in weights]
         diagnostics["weights_impulse"] = [float(v) for v in psi]
         diagnostics["max_weight_difference"] = float(np.max(np.abs(weights - psi)))
@@ -281,36 +334,79 @@ def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> C
 
     ``seed`` is the observation just before the gap. In ``paper`` mode the
     values still come from the exact Lagrange solve; the printed per-step norm
-    formula is evaluated alongside the exact norms as a diagnostic.
+    formula is evaluated alongside the exact norms as a diagnostic. This is
+    ``impute_gaps_var`` for one gap.
+    """
+    return impute_gaps_var(model, [gap], [seed], [anchor], mode)[0]
+
+
+def impute_gaps_var(model: VarModel, gaps, seeds, anchors, mode: str = "exact") -> list:
+    """Fill gaps that share one VAR(1) model; one ControlSolution per gap, in order.
+
+    ``seeds[i]`` is the observation just before ``gaps[i]`` and ``anchors[i]``
+    its anchor. The power table and the running Gram sums are built once for
+    the longest gap and sliced per length (both are prefix-stable). The gaps
+    of one length advance as one stacked path and share one multiplier
+    solve, and each gap gets the bits it would get alone. If any gap fails,
+    the gaps are solved again one at a time in order, so the error raised is
+    that of the first failing gap, as in a left-to-right loop.
     """
     _check_mode(mode)
-    if not gap.constrained:
+    if not all(gap.constrained for gap in gaps):
         raise ValueError("gap has no anchor; use the open-gap prediction path")
+    if not gaps:
+        return []
     k = model.dim
-    n0 = gap.gap_start - 1
-    end = gap.anchor_index
-    m = end - n0
+    # checked once for the stack, but worded for one gap, as impute_gap_var reports
+    starts = np.asarray(seeds, dtype=float).reshape(len(gaps), -1)
+    if starts.shape[1] != k:
+        raise DataError(f"seed must have {k} components, got shape {starts.shape[1:]}")
+    targets = np.asarray(anchors, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] < 1:
+        raise ValueError(f"expected a 1-D vector, got shape {targets.shape[1:]}")
+    if not np.isfinite(targets).all():
+        raise ValueError("vector entries must be finite")
+    if targets.shape[1] != k:
+        raise ValueError(f"anchor has {targets.shape[1]} components, expected {k}")
+    steps = np.array([gap.anchor_index - gap.gap_start + 1 for gap in gaps])
+    powers = mat_pow_table(model.A, int(steps.max()) - 1)
+    grams = _gram_sums(powers)
 
-    predicted = predict_forward(model, seed, m)
-    target = as_vector(anchor)
-    if target.shape[0] != k:
-        raise ValueError(f"anchor has {target.shape[0]} components, expected {k}")
-    delta = target - predicted[-1]
+    solutions = [None] * len(gaps)
+    try:
+        # not np.unique, whose first call imports numpy.ma (half a megabyte)
+        for m in sorted(set(steps.tolist())):
+            batch = np.flatnonzero(steps == m)
+            start = starts[batch]
+            predicted = predict_forward(model, start, m)
+            delta = targets[batch] - predicted[:, -1]
+            lam, controls = _lagrange(powers[:m], grams[m - 1], delta)
+            values = predict_forward(model, start, m, controls=controls)
+            for j, i in enumerate(batch.tolist()):
+                diagnostics = {}
+                if mode == "paper":
+                    diagnostics = _step_norms(powers[:m], delta[j], controls[j])
+                solutions[i] = _solution(gaps[i], gaps[i].gap_start, controls[j], lam[j], values[j],
+                                         predicted[j], targets[i], mode, diagnostics)
+    except NumericalError:
+        if len(gaps) == 1:
+            raise
+        for i in range(len(gaps)):
+            impute_gaps_var(model, gaps[i : i + 1], starts[i : i + 1], targets[i : i + 1], mode)
+        raise
+    return solutions
 
-    powers = mat_pow_table(model.A, m - 1)
-    lam, controls = solve_controls_var(powers, delta)
 
-    values = predict_forward(model, seed, m, controls=controls)
-
-    diagnostics = {}
-    if mode == "paper":
-        column_sums = powers.sum(axis=1)
-        column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
-        scale = float(np.linalg.norm(delta)) / column_sum_square
-        diagnostics["step_norm_formula"] = (scale * powers[::-1].sum(axis=(1, 2))).tolist()
-        diagnostics["step_norm_exact"] = np.linalg.norm(controls, axis=1).tolist()
-
-    return _solution(gap, n0 + 1, controls, lam, values, predicted, target, mode, diagnostics)
+def _step_norms(powers: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> dict:
+    """Paper-mode diagnostics of one VAR gap: the printed per-step norm
+    formula beside the exact norms of the controls."""
+    column_sums = powers.sum(axis=1)
+    column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
+    scale = float(np.linalg.norm(delta)) / column_sum_square
+    return {
+        "step_norm_formula": (scale * powers[::-1].sum(axis=(1, 2))).tolist(),
+        "step_norm_exact": np.linalg.norm(controls, axis=1).tolist(),
+    }
 
 
 def impute_gap_regression(model: RegModel, gap, covariates, anchor) -> ControlSolution:

@@ -229,27 +229,35 @@ def fit_regression(targets, covariates) -> RegModel:
     return RegModel(A=coeffs[:k].T, b=coeffs[k], rank=rank)
 
 
+def _first_control(steps: int, controls: int) -> int:
+    """The step at which the last ``controls`` of ``steps`` steps begin."""
+    if controls > steps:
+        raise ValueError(f"{controls} controls for {steps} steps")
+    return steps - controls
+
+
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
     """Roll the fitted recursion forward ``steps`` steps from the seed values.
 
     Autoregressions consume the trailing seed values and return the predicted
     path. Optional chronological ``controls`` (one per step, scalar or vector)
     are added on the last ``len(controls)`` steps, after the fitted recursion.
-    The regression model predicts pointwise from ``covariates`` (one row per
-    step) and ignores ``seeds``. An explosive model, or a regression on huge
-    covariates, lets the path overflow silently to inf.
+    A VAR also advances a stack of g paths at once: seeds of shape (g, k) and
+    controls of shape (g, steps', k) give a (g, steps, k) result, each path
+    bit for bit the one it would get alone. The regression model predicts
+    pointwise from ``covariates`` (one row per step) and ignores ``seeds``.
+    An explosive model, or a regression on huge covariates, lets the path
+    overflow silently to inf.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if controls is not None and len(controls) > steps:
-        raise ValueError(f"{len(controls)} controls for {steps} steps")
-    first_control = steps - (0 if controls is None else len(controls))
 
     if isinstance(model, ArModel):
         hist = [float(v) for v in np.asarray(seeds, dtype=float).ravel()]
         if len(hist) < model.p:
             raise DataError(f"need {model.p} seed values, got {len(hist)}")
         u = [] if controls is None else np.asarray(controls, dtype=float).ravel().tolist()
+        first_control = _first_control(steps, len(u))
         out = np.empty(steps)
         for t in range(steps):
             # Python floats overflow silently to inf, numpy scalars would warn
@@ -261,20 +269,24 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         return out
 
     if isinstance(model, VarModel):
-        state = np.asarray(seeds, dtype=float)
-        if state.ndim == 2:
-            state = state[-1]
-        state = np.atleast_1d(state)
-        if state.shape != (model.dim,):
-            raise DataError(f"seed must have {model.dim} components, got shape {state.shape}")
-        out = np.empty((steps, model.dim))
+        seed = np.asarray(seeds, dtype=float)
+        stacked = seed.ndim == 2
+        state = seed if stacked else np.atleast_1d(seed)[None]
+        if state.shape[1:] != (model.dim,):
+            raise DataError(f"seed must have {model.dim} components, got shape {seed.shape}")
+        u = None if controls is None else np.asarray(controls, dtype=float)
+        if u is not None and not stacked:
+            u = u[None]
+        first_control = _first_control(steps, 0 if u is None else u.shape[1])
+        out = np.empty((state.shape[0], steps, model.dim))
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
-                state = model.A @ state + model.b
+                # row by row the bits of A @ state; state @ A.T would round differently
+                state = np.matmul(model.A, state[:, :, None])[:, :, 0] + model.b
                 if t >= first_control:
-                    state = state + controls[t - first_control]
-                out[t] = state
-        return out
+                    state = state + u[:, t - first_control]
+                out[:, t] = state
+        return out if stacked else out[0]
 
     if isinstance(model, RegModel):
         if controls is not None:

@@ -23,7 +23,7 @@ def as_matrix(values) -> np.ndarray:
     a = np.array(values, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -33,9 +33,20 @@ def as_vector(values) -> np.ndarray:
     a = np.array(values, dtype=float)
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
+
+
+def row_norms(rows) -> np.ndarray:
+    """Euclidean length of each row of a 2-D array.
+
+    Each length has the bits of ``np.linalg.norm`` of that row alone, which
+    ``np.linalg.norm(rows, axis=1)`` does not promise. A length too large
+    for float64 overflows to inf.
+    """
+    r = np.asarray(rows, dtype=float)
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
 def mat_pow_table(matrix, kmax: int) -> np.ndarray:
@@ -60,31 +71,46 @@ def mat_pow_table(matrix, kmax: int) -> np.ndarray:
 
 class SpdSolution(NamedTuple):
     x: np.ndarray
-    fallback: bool  # True when LAPACK rejected G and x is the minimum-norm least-squares solution
+    # True when LAPACK rejected G and x, or a row of it, is the minimum-norm
+    # least-squares solution
+    fallback: bool
 
 
 def solve_spd(matrix, rhs) -> SpdSolution:
     """Solve G x = rhs for symmetric positive-definite G.
 
-    LAPACK's Cholesky factorization decides positive definiteness and LAPACK
-    solves the system. If either rejects the matrix as indefinite or
-    singular, the minimum-norm least-squares solution is returned with
-    ``fallback=True``; callers decide whether its residual is acceptable.
+    ``rhs`` is one right-hand side or a 2-D array of them, one per row, and
+    ``x`` has its shape. Each row gets its own LAPACK solve, so it carries the
+    bits it would get alone. LAPACK's Cholesky factorization decides positive
+    definiteness and LAPACK solves the system. If either rejects the matrix
+    as indefinite or singular, the minimum-norm least-squares solution is
+    returned with ``fallback=True``; stacked rows are then solved again one at
+    a time, and ``fallback`` is True if any of them fell back. Callers decide
+    whether the residual is acceptable.
     """
     g = as_matrix(matrix)
     n = g.shape[0]
     if g.shape[1] != n:
         raise ValueError(f"expected a square matrix, got {g.shape[0]}x{g.shape[1]}")
-    b = as_vector(rhs)
-    if b.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {b.shape[0]}")
-    scale = float(np.max(np.abs(g)))
-    if float(np.max(np.abs(g - g.T))) > SYMMETRY_TOLERANCE * max(scale, 1.0):
+    stacked = np.ndim(rhs) == 2
+    b = as_matrix(rhs) if stacked else as_vector(rhs)
+    if b.shape[-1] != n:
+        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {b.shape[-1]}")
+    # array methods: np.max and np.all add a Python dispatch layer on each call
+    scale = float(np.abs(g).max())
+    if float(np.abs(g - g.T).max()) > SYMMETRY_TOLERANCE * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     try:
         np.linalg.cholesky(g)
+        # numpy treats b as a vector only when it is 1-D, so stacked rows keep
+        # an explicit column axis
+        if stacked:
+            return SpdSolution(np.linalg.solve(g[None], b[:, :, None])[:, :, 0], False)
         return SpdSolution(np.linalg.solve(g, b), False)
     except np.linalg.LinAlgError:
+        if stacked:
+            rows = [solve_spd(g, row) for row in b]
+            return SpdSolution(np.array([row.x for row in rows]), any(row.fallback for row in rows))
         x, _, _, _ = np.linalg.lstsq(g, b, rcond=None)
         return SpdSolution(x, True)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .control import ControlSolution, impute_gap_ar, impute_gap_var
 from .errors import DataError
 from .fitting import ArModel, RegModel, VarModel
-from .linalg import solve_spd
+from .linalg import row_norms, solve_spd
 from .series import Series, detect_gaps
 
 # A stationarity solution whose constraint residual exceeds this (relative)
@@ -37,7 +37,8 @@ class ConstrainedProblem:
 
     ``steps`` is stored as one (m, k, k) float64 array, C_i = steps[i]. A
     sequence of scalars becomes 1x1 matrices and a scalar target a length-1
-    vector.
+    vector. A (g, k) target stacks g problems that share the steps, one per
+    row; they are solved and certified together.
     """
 
     steps: np.ndarray
@@ -58,7 +59,7 @@ class ConstrainedProblem:
             raise ValueError(f"constraint step must be square, got shape {c.shape[1:]}")
         k = c.shape[1]
         t = np.atleast_1d(np.asarray(self.target, dtype=float))
-        if t.shape != (k,):
+        if t.shape[-1:] != (k,) or t.ndim > 2:
             raise ValueError(f"target must have {k} components, got shape {t.shape}")
         object.__setattr__(self, "steps", c)
         object.__setattr__(self, "target", t)
@@ -70,10 +71,13 @@ class ConstrainedProblem:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The stationary point of a problem; for stacked targets every field
+    has a leading axis with one entry per problem."""
+
     controls: np.ndarray
-    objective: float
-    constraint_residual: float
-    feasible: bool
+    objective: float | np.ndarray
+    constraint_residual: float | np.ndarray
+    feasible: bool | np.ndarray
     multiplier: np.ndarray
 
 
@@ -86,15 +90,39 @@ class Verdict:
     objective_oracle: float
 
 
-def _running_total(terms: np.ndarray) -> np.ndarray:
-    """Sum along the first axis strictly left to right (pairwise summation
-    would change the last bits and so the reported certificate margins)."""
-    return np.cumsum(terms, axis=0)[-1]
+@dataclass(frozen=True)
+class BatchVerdict:
+    """The verdicts of gaps certified together, in order."""
+
+    verdicts: tuple[Verdict, ...]
+
+    @property
+    def passed(self) -> bool:
+        """True only when every gap passed."""
+        return all(verdict.passed for verdict in self.verdicts)
 
 
-def _attained(steps: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """The endpoint offset sum_i C_i u_i reached by (m, k) controls."""
-    return _running_total(np.matmul(steps, controls[:, :, None])[:, :, 0])
+def _misses(steps: np.ndarray, controls: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """How far the (g, m, k) stacked controls land from their (g, k) targets:
+    the length of sum_i C_i u_i - target, one per row. The sum runs strictly
+    in step order (pairwise summation would change the last bits and so the
+    reported certificate margins)."""
+    attained = np.cumsum(np.matmul(steps, controls[..., None])[..., 0], axis=1)[:, -1]
+    return row_norms(attained - targets)
+
+
+def _sum_squares(controls: np.ndarray) -> np.ndarray:
+    """The summed squared controls of each of the (g, m, k) stacked problems."""
+    return (controls * controls).reshape(len(controls), -1).sum(axis=1)
+
+
+def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary controls (g, m, k) and multipliers (g, k) for (g, k)
+    stacked targets: one Gram matrix, one solve."""
+    c_t = steps.transpose(0, 2, 1)
+    gram = np.cumsum(np.matmul(steps, c_t), axis=0)[-1]
+    lam = solve_spd(gram, targets).x
+    return np.matmul(c_t, lam[:, None, :, None])[..., 0], lam
 
 
 def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
@@ -103,21 +131,26 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     Stationarity gives u_i = C_i^T lambda with (sum_i C_i C_i^T) lambda =
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
-    the constraint.
+    the constraint. Stacked targets share one Gram matrix and one solve.
     """
-    c = problem.steps
-    c_t = c.transpose(0, 2, 1)
-    gram = _running_total(np.matmul(c, c_t))
-    lam = solve_spd(gram, problem.target).x
-    controls = np.matmul(c_t, lam)
-    residual = float(np.linalg.norm(_attained(c, controls) - problem.target))
-    feasible = residual <= FEASIBILITY_TOLERANCE * (1.0 + float(np.linalg.norm(problem.target)))
-    return OracleResult(
+    targets = problem.target.reshape(-1, problem.dim)
+    controls, lam = _stationary(problem.steps, targets)
+    residual = _misses(problem.steps, controls, targets)
+    result = OracleResult(
         controls=controls,
-        objective=float(np.sum(controls * controls)),
+        objective=_sum_squares(controls),
         constraint_residual=residual,
-        feasible=feasible,
+        feasible=residual <= FEASIBILITY_TOLERANCE * (1.0 + row_norms(targets)),
         multiplier=lam,
+    )
+    if problem.target.ndim == 2:
+        return result
+    return OracleResult(
+        controls=controls[0],
+        objective=float(result.objective[0]),
+        constraint_residual=float(residual[0]),
+        feasible=bool(result.feasible[0]),
+        multiplier=lam[0],
     )
 
 
@@ -144,7 +177,8 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     F the model's transition matrix (see ``_transition_matrix``) and E the
     first k state coordinates: k = 1 for an AR model, the full state
     otherwise. The powers descend by repeated right-multiplication, one
-    product per step. Explosive models overflow silently to inf.
+    product per step. Explosive models overflow silently to inf. ``target``
+    is one offset, or a (g, k) stack of them for g gaps of this length.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -158,36 +192,47 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     return ConstrainedProblem(powers[:, :k, :k], target)
 
 
-def certify(solution: ControlSolution, problem: ConstrainedProblem) -> Verdict:
-    """Check a control solution against the independent stationarity solve.
+def certify(solution, problem: ConstrainedProblem):
+    """Check control solutions against the independent stationarity solve.
 
-    Passes when the solution is feasible and its objective matches the oracle
-    optimum, both to CERTIFY_TOLERANCE relative.
+    A solution passes when it is feasible and its objective matches the
+    oracle optimum, both to CERTIFY_TOLERANCE relative. ``solution`` is one
+    ControlSolution, which gets a Verdict, or, for a problem with stacked
+    targets, a sequence of them in target order, which gets a BatchVerdict.
     """
-    u = np.asarray(solution.controls, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape[0] != len(problem.steps):
-        raise ValueError(
-            f"control count {u.shape[0]} does not match the problem's {len(problem.steps)} steps"
+    stacked = problem.target.ndim == 2
+    solutions = list(solution) if stacked else [solution]
+    targets = problem.target.reshape(-1, problem.dim)
+    if len(solutions) != len(targets):
+        raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
+    steps = len(problem.steps)
+    for s in solutions:
+        if len(s.controls) != steps:
+            raise ValueError(
+                f"control count {len(s.controls)} does not match the problem's {steps} steps"
+            )
+    u = np.array([s.controls for s in solutions], dtype=float)
+    if u.ndim == 2:
+        u = u[:, :, None]
+    oracle = kkt_solve(problem if stacked else replace(problem, target=targets))
+    verdicts = tuple(
+        Verdict(
+            passed=(feasible
+                    and abs(value - best) <= CERTIFY_TOLERANCE * (1.0 + abs(best))
+                    and miss <= CERTIFY_TOLERANCE * (1.0 + size)),
+            objective_gap=abs(value - best),
+            constraint_residual=miss,
+            objective_solution=value,
+            objective_oracle=best,
         )
-    oracle = kkt_solve(problem)
-    residual = float(np.linalg.norm(_attained(problem.steps, u) - problem.target))
-    objective = float(np.sum(u * u))
-    gap = abs(objective - oracle.objective)
-    target_norm = float(np.linalg.norm(problem.target))
-    passed = (
-        oracle.feasible
-        and gap <= CERTIFY_TOLERANCE * (1.0 + abs(oracle.objective))
-        and residual <= CERTIFY_TOLERANCE * (1.0 + target_norm)
+        for feasible, best, miss, value, size in zip(
+            oracle.feasible.tolist(), oracle.objective.tolist(),
+            _misses(problem.steps, u, targets).tolist(), _sum_squares(u).tolist(),
+            row_norms(targets).tolist())
     )
-    return Verdict(
-        passed=passed,
-        objective_gap=gap,
-        constraint_residual=residual,
-        objective_solution=objective,
-        objective_oracle=oracle.objective,
-    )
+    if not stacked:
+        return verdicts[0]
+    return BatchVerdict(verdicts)
 
 
 @dataclass(frozen=True)

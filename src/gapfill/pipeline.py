@@ -11,7 +11,9 @@ from .control import (
     ControlSolution,
     impute_gap_ar,
     impute_gap_regression,
-    impute_gap_var,
+    impute_gap_var,  # not called here; bench/tracing.py still wraps this name
+    impute_gaps_var,
+    shared_impulse,
 )
 from .errors import DataError, NumericalError
 from .fitting import (
@@ -166,42 +168,89 @@ def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates)
     )
 
 
-def _solve_gap(options: ImputeOptions, model, segment, working: np.ndarray, covariates) -> ControlSolution:
+def _solve_gap(options: ImputeOptions, model, segment, working: np.ndarray, covariates,
+               impulse) -> ControlSolution:
+    """Solve one gap that ``impute_gaps_var`` does not: an open gap, or an
+    autoregressive gap (given the batch's ``shared_impulse``) or a
+    regression gap."""
     start = segment.gap_start - 1
     # an autoregression seeds from the last p values before the gap, a VAR from the last row
     seed = working[start - options.order : start, 0] if options.model_kind == "ar" else working[start - 1]
     if not segment.constrained:
         return _open_gap_solution(options, model, segment, seed, covariates)
     if options.model_kind == "ar":
-        return impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode)
-    if options.model_kind == "var":
-        return impute_gap_var(model, segment, seed, segment.anchor_value, options.mode)
+        return impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode,
+                             impulse)
     rows = _covariate_rows(covariates, np.arange(start - 1, segment.anchor_index))
     anchor = float(segment.anchor_value[0]) if model.n_outputs == 1 else segment.anchor_value
     return impute_gap_regression(model, segment, rows, anchor)
 
 
-def _certify_gap(options: ImputeOptions, model, segment, solution):
-    """Run the independent verifier; scalar paper-mode values are not optimal
-    by construction, so they carry diagnostics instead of a certificate."""
-    if not solution.constrained:
-        return None
+def _solve_batch(options: ImputeOptions, model, batch, working: np.ndarray, covariates) -> list:
+    """Solve gaps that share ``model``, writing each fill into ``working``; in gap order.
+
+    The constrained gaps of a VAR are solved together by ``impute_gaps_var``:
+    each seeds from the observed row before it, so none depends on another's
+    fill. The other gaps run one at a time from left to right, since an
+    autoregressive gap fewer than p rows after another seeds from its fill;
+    autoregressive gaps share one impulse response.
+    """
+    solved, impulse = {}, None
+    if options.model_kind == "var":
+        closed = [i for i, segment in enumerate(batch) if segment.constrained]
+        gaps = [batch[i] for i in closed]
+        seeds = working[[gap.gap_start - 2 for gap in gaps]]
+        anchors = [gap.anchor_value for gap in gaps]
+        solved = dict(zip(closed, impute_gaps_var(model, gaps, seeds, anchors, options.mode)))
+    elif options.model_kind == "ar":
+        impulse = shared_impulse(model, batch)
+    solutions = []
+    for i, segment in enumerate(batch):
+        solution = solved[i] if i in solved else _solve_gap(
+            options, model, segment, working, covariates, impulse)
+        filled = solution.imputed.reshape(segment.length, -1)
+        working[segment.gap_start - 1 : segment.gap_end] = filled
+        solutions.append(solution)
+    return solutions
+
+
+def _certify_batch(options: ImputeOptions, model, batch, solutions) -> list:
+    """Run the independent verifier on gaps that share ``model``; one verdict
+    or None per gap, in gap order.
+
+    Gaps with the same number of controls share one stacked problem and one
+    ``certify`` call. Open gaps have no constraint to check, and scalar
+    paper-mode values are not optimal by construction, so they carry
+    diagnostics instead of a certificate.
+    """
+    verdicts = [None] * len(batch)
     if options.model_kind == "ar" and options.mode == "paper":
-        return None
-    anchor = np.atleast_1d(np.asarray(segment.anchor_value, dtype=float))
-    delta = anchor - np.atleast_1d(solution.predicted[-1])
-    problem = build_problem(model, len(solution.control_indices), delta)
-    return certify(solution, problem)
+        return verdicts
+    by_steps = {}
+    for i, solution in enumerate(solutions):
+        if solution.constrained:
+            by_steps.setdefault(len(solution.control_indices), []).append(i)
+    for steps, members in by_steps.items():
+        # each anchor's offset from its forecast, one row per gap
+        offsets = [batch[i].anchor_value - solutions[i].predicted[-1] for i in members]
+        problem = build_problem(model, steps, offsets)
+        result = certify([solutions[i] for i in members], problem)
+        for i, verdict in zip(members, result.verdicts):
+            verdicts[i] = verdict
+    return verdicts
 
 
 def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
                   covariates: Series | None = None) -> ImputeResult:
     """Fill every gap in ``series`` and report what was done.
 
-    Gaps are processed left to right, so a gap may seed from values imputed
-    for an earlier gap; the report notes when that happens, and when a fit is
+    Gaps are filled left to right, so a gap may seed from values imputed for
+    an earlier gap; the report notes when that happens, and when a fit is
     rank deficient. The model is fitted once on the observed prefix unless
-    ``refit_per_gap`` is set.
+    ``refit_per_gap`` is set. Gaps that share the prefix model are solved and
+    certified as one batch (see ``_solve_batch`` and ``_certify_batch``); with
+    ``refit_per_gap`` each gap is a batch of its own. The report is the same
+    either way: per gap, in gap order, with the first failing gap's error.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
@@ -219,28 +268,26 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
 
     working = series.data.copy()
     imputed: dict = {}
-    for segment in segments:
+    for batch in ([segment] for segment in segments) if options.refit_per_gap else [segments]:
         if options.refit_per_gap:
-            model = _note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
-                               _refit_before(options, series, covariates, segment.gap_start))
+            model = _note_rank(report.notes, f"refit before the gap at index {batch[0].gap_start}",
+                               _refit_before(options, series, covariates, batch[0].gap_start))
             refit_model = model
         else:
             model = prefix_model
             refit_model = None
-        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
-            report.notes.append(
-                f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
-            )
-        solution = _solve_gap(options, model, segment, working, covariates)
-        verdict = _certify_gap(options, model, segment, solution)
-        report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
-
-        filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
-        working[segment.gap_start - 1 : segment.gap_end] = filled
-        imputed.update(zip(segment.indices, filled))
-        if not solution.constrained:
-            report.notes.append(
-                f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
-                f"(no anchor); values are the uncorrected forecast"
-            )
+        solutions = _solve_batch(options, model, batch, working, covariates)
+        verdicts = _certify_batch(options, model, batch, solutions)
+        for segment, solution, verdict in zip(batch, solutions, verdicts):
+            if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
+                report.notes.append(
+                    f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
+                )
+            report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
+            imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
+            if not solution.constrained:
+                report.notes.append(
+                    f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
+                    f"(no anchor); values are the uncorrected forecast"
+                )
     return ImputeResult(series=series, imputed=imputed, report=report)

@@ -144,7 +144,8 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     A cell is missing when it is empty or (after stripping) equals one of
     ``na_markers``; a row whose selected cells are partly missing counts as a
     missing observation, though its non-missing cells are still validated.
-    ``value_columns`` selects columns by header name; default is all columns.
+    ``value_columns`` selects columns by header name, each at most once;
+    default is all columns.
     """
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     all_rows = [tuple(r) for r in reader]
@@ -168,7 +169,9 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
         if not names:
             raise DataError("no value columns selected")
         cols = []
-        for name in names:
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"column {name!r} is selected twice")
             matches = [i for i, h in enumerate(header) if h.strip() == name]
             if not matches:
                 raise DataError(f"unknown column {name!r}; header has {', '.join(header)}")

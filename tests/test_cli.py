@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -256,6 +257,32 @@ class TestErrorContract:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: fill overflow")
+
+    def test_repeated_value_column_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n2,3\n3,5\n4,4\n5,6\nNA,NA\n7,8\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "var", "--columns", "a,a")
+        assert code == 3
+        assert out == ""
+        assert err == "error: column 'a' is selected twice\n"
+
+    @pytest.mark.parametrize("long_gap", [True, False])
+    def test_first_failing_gap_gives_the_error(self, capsys, tmp_path, long_gap):
+        # under an explosive fit a 1400-step gap overflows the control Gram
+        # matrix; a later 1-step gap with a 1e200 anchor overflows the norm of
+        # its offset. With both gaps the earlier (longer) one is reported.
+        path = tmp_path / "two.csv"
+        lines = pathlib.Path(_growing_csv(path, 2, 1.3, 1400)).read_text().splitlines()
+        if not long_gap:
+            lines = [line.replace("NA", "1.0") for line in lines]
+        lines += ["1.0,1.0"] * 3 + ["NA,NA", "1e200,1e200", "1.0,1.0"]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "var")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        expected = "matrix power overflow" if long_gap else "norm overflow"
+        assert err.startswith(f"error: {expected}")
 
     def test_mixed_column_scales_are_named_in_the_message(self, capsys, tmp_path):
         # A is a diagonal similarity of a stable matrix, but its ~1e200

@@ -9,10 +9,11 @@ from gapfill.control import (
     impute_gap_ar,
     impute_gap_regression,
     impute_gap_var,
+    shared_impulse,
     solve_controls_scalar,
     solve_controls_var,
 )
-from gapfill.errors import NumericalError
+from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
 from gapfill.linalg import mat_pow_table
 from gapfill.series import Series, detect_gaps
@@ -216,6 +217,42 @@ class TestImputeGapAr:
         assert sol.objective == pytest.approx(64.0 / 21.0, abs=1e-14)
         assert sol.control_indices == (2, 3, 4)
 
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_shared_impulse_gives_the_fill_of_each_gap_alone(self, mode):
+        model = ArModel(a=(0.6, -0.3), b=0.4)
+        series = Series.from_values([1.0, 2.0, 0.5] + [None] * 5 + [1.5, 0.2] + [None] * 2 + [0.7])
+        _, gaps = detect_gaps(series, 2)
+        impulse = shared_impulse(model, gaps)
+        assert len(impulse) == max(gap.length + 2 - model.p for gap in gaps)
+        for gap in gaps:
+            seeds = series.data[gap.gap_start - 3 : gap.gap_start - 1, 0]
+            anchor = float(gap.anchor_value[0])
+            shared = impute_gap_ar(model, gap, seeds, anchor, mode, impulse)
+            alone = impute_gap_ar(model, gap, seeds, anchor, mode)
+            assert shared.imputed.tobytes() == alone.imputed.tobytes()
+            assert shared.controls.tobytes() == alone.controls.tobytes()
+            assert shared.diagnostics == alone.diagnostics
+        with pytest.raises(ValueError, match="impulse response has 2 steps, the gap needs 5"):
+            impute_gap_ar(model, gaps[0], [1.0, 2.0], 1.5, mode, impulse[:2])
+
+    def test_shared_impulse_leaves_the_overflow_check_to_each_gap(self):
+        model = ArModel(a=(3.0,), b=0.0)
+        long_gap = single_gap([1.0] + [None] * 400 + [2.0])
+        short_gap = single_gap([1.0] + [None] * 4 + [2.0])
+        impulse = shared_impulse(model, [long_gap, short_gap])
+        alone = impute_gap_ar(model, short_gap, [1.0], 2.0)
+        assert impute_gap_ar(model, short_gap, [1.0], 2.0, impulse=impulse).imputed.tobytes() == (
+            alone.imputed.tobytes())
+        with pytest.raises(NumericalError, match="impulse weight overflow"):
+            impute_gap_ar(model, long_gap, [1.0], 2.0, impulse=impulse)
+
+    def test_shared_impulse_of_gaps_without_controls_is_none(self):
+        # an AR(3) leaves no control step in a 1-step gap, and an open gap has none
+        model = ArModel(a=(0.2, 0.1, 0.1), b=0.0)
+        closed = single_gap([1.0, 2.0, 3.0, 4.0, None, 5.0], order=3)
+        _, open_gaps = detect_gaps(Series.from_values([1.0, 2.0, 3.0, None]), 3, True)
+        assert shared_impulse(model, [closed] + open_gaps) is None
+
     def test_anchor_on_forecast_needs_no_controls(self):
         m = ArModel(a=(0.5,), b=1.0)
         forecast = predict_forward(m, [4.0], 3)
@@ -416,6 +453,19 @@ class TestImputeGapVar:
         sol = impute_gap_var(model, gap, seed, forecast[-1])
         assert np.allclose(sol.controls, 0.0, rtol=0, atol=1e-12)
         assert np.allclose(sol.imputed, forecast[:2], rtol=0, atol=1e-12)
+
+    def test_bad_seed_and_anchor_reported_for_the_one_gap(self):
+        model = VarModel(A=[[0.5, 0.1], [-0.3, 0.4]], b=[0.2, -0.1])
+        seed = np.array([1.0, 2.0])
+        gap = single_gap([seed, None, None, [3.0, -1.0]])
+        with pytest.raises(DataError, match=r"seed must have 2 components, got shape \(3,\)"):
+            impute_gap_var(model, gap, [1.0, 2.0, 3.0], [3.0, -1.0])
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            impute_gap_var(model, gap, seed, [3.0, np.nan])
+        with pytest.raises(ValueError, match=r"expected a 1-D vector, got shape \(1, 2\)"):
+            impute_gap_var(model, gap, seed, [[3.0, -1.0]])
+        with pytest.raises(ValueError, match="anchor has 3 components, expected 2"):
+            impute_gap_var(model, gap, seed, [3.0, -1.0, 0.0])
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), gap_length=st.integers(1, 30))

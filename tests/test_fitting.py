@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
@@ -276,6 +278,22 @@ class TestPredictForward:
         v = VarModel(A=[[0.0, 1.0], [1.0, 0.0]], b=[1.0, 0.0])
         path = predict_forward(v, [2.0, 3.0], 2, controls=[[0.0, 1.0]])
         assert np.array_equal(path, [[4.0, 2.0], [3.0, 5.0]])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), paths=st.integers(1, 30),
+           steps=st.integers(0, 25), controlled=st.integers(0, 25))
+    def test_stacked_var_paths_are_rolled_as_if_alone(self, seed, dim, paths, steps, controlled):
+        rng = np.random.default_rng(seed)
+        model = VarModel(A=rng.uniform(-1.2, 1.2, (dim, dim)), b=rng.uniform(-1, 1, dim))
+        seeds = rng.uniform(-5, 5, (paths, dim))
+        controls = rng.standard_normal((paths, min(controlled, steps), dim))
+        plain = predict_forward(model, seeds, steps)
+        steered = predict_forward(model, seeds, steps, controls=controls)
+        assert plain.shape == steered.shape == (paths, steps, dim)
+        for i in range(paths):
+            assert plain[i].tobytes() == predict_forward(model, seeds[i], steps).tobytes()
+            alone = predict_forward(model, seeds[i], steps, controls=controls[i])
+            assert steered[i].tobytes() == alone.tobytes()
 
     def test_controls_rejected_when_they_cannot_apply(self):
         with pytest.raises(ValueError, match="controls"):

@@ -12,6 +12,7 @@ from gapfill.linalg import (
     as_vector,
     least_squares,
     mat_pow_table,
+    row_norms,
     solve_spd,
 )
 
@@ -157,6 +158,47 @@ class TestSolveSpd:
         assert not sol.fallback
         expected = scipy.linalg.solve(g, b, assume_a="pos")
         np.testing.assert_allclose(sol.x, expected, rtol=1e-7, atol=1e-9 * (1.0 + np.abs(expected).max()))
+
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rows=st.integers(1, 40),
+           scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_stacked_rows_are_solved_as_if_alone(self, seed, n, rows, scale):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) * scale
+        g = m @ m.T + np.eye(n)
+        b = rng.standard_normal((rows, n)) * scale
+        stacked = solve_spd(g, b)
+        assert stacked.x.shape == b.shape
+        assert not stacked.fallback
+        for row, x in zip(b, stacked.x):
+            assert x.tobytes() == solve_spd(g, row).x.tobytes()
+
+    def test_stacked_fallback_solves_each_row_alone(self):
+        g = np.array([[1.0, 1.0], [1.0, 1.0]])
+        b = np.array([[1.0, 1.0], [2.0, -1.0]])
+        stacked = solve_spd(g, b)
+        assert stacked.fallback
+        for row, x in zip(b, stacked.x):
+            assert x.tobytes() == solve_spd(g, row).x.tobytes()
+
+    def test_stacked_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_spd(np.eye(2), np.ones((3, 3)))
+
+
+class TestRowNorms:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), rows=st.integers(1, 30))
+    def test_bits_of_norm_of_each_row(self, seed, n, rows):
+        r = np.random.default_rng(seed).standard_normal((rows, n))
+        got = row_norms(r)
+        for row, norm in zip(r, got.tolist()):
+            assert norm == float(np.linalg.norm(row))
+
+    def test_overflow_is_inf(self):
+        with np.errstate(over="ignore"):
+            assert row_norms([[1e200, 0.0], [3.0, 4.0]]).tolist() == [np.inf, 5.0]
 
 
 class TestLeastSquares:

@@ -107,6 +107,24 @@ class TestKktSolve:
             assert np.allclose(attained, target, rtol=0, atol=1e-8)
 
 
+    def test_stacked_targets_are_solved_as_if_alone(self):
+        rng = np.random.default_rng(103)
+        for _ in range(15):
+            k = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 6))
+            steps = rng.uniform(-1, 1, (m, k, k))
+            targets = rng.uniform(-2, 2, (int(rng.integers(1, 5)), k))
+            stacked = kkt_solve(ConstrainedProblem(steps=steps, target=targets))
+            assert stacked.controls.shape == (len(targets), m, k)
+            for i, target in enumerate(targets):
+                alone = kkt_solve(ConstrainedProblem(steps=steps, target=target))
+                assert stacked.controls[i].tobytes() == alone.controls.tobytes()
+                assert stacked.multiplier[i].tobytes() == alone.multiplier.tobytes()
+                assert stacked.objective[i] == alone.objective
+                assert stacked.constraint_residual[i] == alone.constraint_residual
+                assert stacked.feasible[i] == alone.feasible
+
+
 class TestBuildProblem:
     def test_scalar_kicks_match_impulse_response(self):
         # the unit-kick endpoint effects are the impulse weights in reverse
@@ -227,6 +245,33 @@ class TestCertify:
         short = dataclasses.replace(solution, controls=np.array(solution.controls[:-1]))
         with pytest.raises(ValueError, match="control count"):
             certify(short, problem)
+
+    def test_stacked_verdicts_match_one_at_a_time(self):
+        rng = np.random.default_rng(107)
+        model = VarModel(A=rng.uniform(-0.9, 0.9, (2, 2)), b=rng.uniform(-1, 1, 2))
+        values = [rng.uniform(-5, 5, 2) for _ in range(3)]
+        for _ in range(3):
+            values += [None, None, rng.uniform(-5, 5, 2)]
+        series = Series.from_values(values)
+        _, gaps = detect_gaps(series, 1)
+        solutions = [impute_gap_var(model, gap, series.data[gap.gap_start - 2], gap.anchor_value)
+                     for gap in gaps]
+        bad = np.array(solutions[1].controls)
+        bad[0] += 0.01
+        solutions[1] = dataclasses.replace(solutions[1], controls=bad)
+        offsets = [gap.anchor_value - s.predicted[-1] for gap, s in zip(gaps, solutions)]
+        batch = certify(solutions, build_problem(model, 3, offsets))
+        alone = tuple(certify(s, build_problem(model, 3, offset))
+                      for s, offset in zip(solutions, offsets))
+        assert batch.verdicts == alone
+        assert [v.passed for v in batch.verdicts] == [True, False, True]
+        assert not batch.passed
+
+    def test_stacked_solution_count_checked(self):
+        solution, problem = self.make_solved_instance()
+        stacked = build_problem(ArModel(a=(0.5,), b=0.0), 3, np.vstack([problem.target] * 2))
+        with pytest.raises(ValueError, match="1 solutions for 2 targets"):
+            certify([solution], stacked)
 
 
 class TestRandomInstance:

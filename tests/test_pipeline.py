@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfill import pipeline
-from gapfill.errors import DataError
+from gapfill.control import impute_gap_ar, impute_gap_var
+from gapfill.errors import DataError, NumericalError
+from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
-from gapfill.series import Series, parse_csv
+from gapfill.report import ImputationReport, describe_model, gap_entry
+from gapfill.series import Series, detect_gaps, parse_csv
 
 
 def scalar_series(values):
@@ -317,3 +322,118 @@ class TestDeterminism:
         second = impute_series(series, ImputeOptions(model_kind="var"))
         assert first.rendered_csv() == second.rendered_csv()
         assert first.report.to_json() == second.report.to_json()
+
+
+def per_gap_loop(series, options):
+    """Reference: the left-to-right loop that filled one gap at a time, each
+    solved by ``impute_gap_*`` and certified by its own ``build_problem`` and
+    ``certify``; prefix model only."""
+    ar = options.model_kind == "ar"
+    prefix_length, segments = detect_gaps(series, options.order if ar else 1, options.allow_open_gap)
+    report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
+    model = pipeline._note_rank(report.notes, "prefix fit", pipeline.fit_prefix(series, options))
+    report.model = describe_model(model)
+    working = series.data.copy()
+    imputed = {}
+    for segment in segments:
+        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
+            report.notes.append(
+                f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
+            )
+        start = segment.gap_start - 1
+        seed = working[start - options.order : start, 0] if ar else working[start - 1]
+        verdict = None
+        if not segment.constrained:
+            solution = pipeline._open_gap_solution(options, model, segment, seed, None)
+        elif ar:
+            solution = impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode)
+        else:
+            solution = impute_gap_var(model, segment, seed, segment.anchor_value, options.mode)
+        if solution.constrained and not (ar and options.mode == "paper"):
+            delta = np.atleast_1d(segment.anchor_value) - np.atleast_1d(solution.predicted[-1])
+            verdict = certify(solution, build_problem(model, len(solution.control_indices), delta))
+        report.gaps.append(gap_entry(segment, solution, verdict))
+        filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
+        working[start : segment.gap_end] = filled
+        imputed.update(zip(segment.indices, filled))
+        if not solution.constrained:
+            report.notes.append(
+                f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
+                f"(no anchor); values are the uncorrected forecast"
+            )
+    return pipeline.ImputeResult(series=series, imputed=imputed, report=report)
+
+
+def assert_close_trees(got, want, path="report"):
+    """Same structure and non-float leaves; floats within 1e-12 (1 + |want|)."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close_trees(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_trees(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), path
+    else:
+        assert got == want, path
+
+
+@st.composite
+def shared_model_runs(draw):
+    """A series with several gaps under one prefix model, and its options."""
+    kind = draw(st.sampled_from(["ar", "var"]))
+    order = draw(st.integers(1, 3)) if kind == "ar" else 1
+    dim = 1 if kind == "ar" else draw(st.integers(1, 3))
+    # few distinct lengths, so lengths repeat; AR gaps may sit fewer than p rows
+    # apart, and now and then one is too short for its order to reach the anchor
+    shortest = draw(st.sampled_from([1, max(1, order - 1), max(1, order - 1)]))
+    lengths = draw(st.lists(st.integers(shortest, shortest + 3), min_size=2, max_size=6))
+    spacing = draw(st.lists(st.integers(1, 3), min_size=len(lengths), max_size=len(lengths)))
+    open_gap = draw(st.booleans())
+    mode = draw(st.sampled_from(["exact", "paper"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefix = 2 * order + 2 + dim + int(rng.integers(0, 10))
+    rows = prefix + sum(lengths) + sum(spacing)
+    a = rng.uniform(-1.0, 1.0, (dim, dim))
+    a *= rng.uniform(0.2, 0.95) / max(1e-9, max(abs(np.linalg.eigvals(a))))
+    x = np.zeros((rows, dim))
+    x[0] = rng.standard_normal(dim)
+    for t in range(1, rows):
+        x[t] = a @ x[t - 1] + rng.uniform(-1, 1) + rng.standard_normal(dim)
+    values = [row for row in x]
+    t = prefix
+    for length, gap in zip(lengths, spacing):
+        values[t : t + length] = [None] * length
+        t += length + gap
+    if open_gap:
+        trailing = int(rng.integers(1, 4))
+        values[-trailing:] = [None] * trailing
+    options = ImputeOptions(model_kind=kind, order=order, mode=mode, allow_open_gap=open_gap)
+    return Series.from_values(values), options
+
+
+class TestBatchedAgainstPerGapLoop:
+    """Gaps that share a model are solved and certified by length; the run
+    is the one the per-gap loop gives."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(run=shared_model_runs())
+    def test_same_run_as_per_gap_loop(self, run):
+        series, options = run
+        try:
+            want = per_gap_loop(series, options)
+        except (DataError, NumericalError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                impute_series(series, options)
+            assert str(raised.value) == str(exc)
+            return
+        got = impute_series(series, options)
+        assert got.rendered_csv(precision=17) == want.rendered_csv(precision=17)
+        assert got.report.notes == want.report.notes
+        assert [g["oracle"] and g["oracle"]["certified"] for g in got.report.gaps] == [
+            g["oracle"] and g["oracle"]["certified"] for g in want.report.gaps
+        ]
+        assert_close_trees(json.loads(got.report.to_json()), json.loads(want.report.to_json()))
