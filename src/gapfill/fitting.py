@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import least_squares
+from .linalg import least_squares, least_squares_sweep
 
 
 def _frozen_array(obj, name: str, value, shape=None) -> None:
@@ -118,30 +118,91 @@ class RegModel(_Fitted):
         return self.n_covariates + 1
 
 
-def _fit_linear(inputs: np.ndarray, targets: np.ndarray, what: str, extra: int, counted: str):
-    """Least squares of ``targets`` on ``[inputs, 1]`` in one solve.
+# Per design: how many equations its fit needs beyond its input columns, and
+# how the too-short message counts them.
+_WINDOW = {
+    ArModel: (1, "{n} equations for order {k}"),
+    VarModel: (1, "{n} consecutive pairs of dimension {k}"),
+    RegModel: (2, "{n} rows with {k} covariates"),
+}
 
-    ``inputs`` needs at least ``extra`` more rows than columns; ``counted``
-    describes that count in the error message. Returns the coefficients, one
-    row per input column with the intercept last, and the design's rank.
-    """
-    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-        raise DataError("fit window contains non-finite values")
+
+def _too_short(design: type, n: int, k: int) -> DataError | None:
+    """The error of fitting ``design`` on ``n`` equations of ``k`` inputs, or None."""
+    extra, counted = _WINDOW[design]
+    if n >= k + extra:
+        return None
+    return DataError(f"fit window too short: {counted.format(n=n, k=k)} (need at least {k + extra})")
+
+
+def _with_intercept(inputs: np.ndarray) -> np.ndarray:
+    """The design ``[inputs, 1]``."""
     n, k = inputs.shape
-    if n < k + extra:
-        raise DataError(
-            f"fit window too short: {counted.format(n=n, k=k)} (need at least {k + extra})"
-        )
     # column-major, so the per-column scaling in least_squares reads contiguous memory
     design = np.empty((n, k + 1), order="F")
     design[:, :k] = inputs
     design[:, k] = 1.0
-    fit = least_squares(design, targets)
-    if not np.all(np.isfinite(fit.coeffs)):
-        raise NumericalError(
-            f"{what} coefficients overflow: input columns differ too much in magnitude"
-        )
-    return fit
+    return design
+
+
+def _overflow(design: type) -> NumericalError:
+    return NumericalError(
+        f"{design.design} coefficients overflow: input columns differ too much in magnitude"
+    )
+
+
+def _model(design: type, coeffs: np.ndarray, rank: int):
+    """The ``design`` model with ``coeffs``: one row per input column, the
+    intercept last."""
+    if design is ArModel:
+        return ArModel(a=coeffs[:-1].tolist(), b=float(coeffs[-1]), rank=rank)
+    return design(A=coeffs[:-1].T, b=coeffs[-1], rank=rank)
+
+
+def _fit_linear(design: type, inputs: np.ndarray, targets: np.ndarray):
+    """Fit ``design`` (ArModel, VarModel or RegModel) by least squares of
+    ``targets`` on ``[inputs, 1]`` in one solve."""
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        raise DataError("fit window contains non-finite values")
+    short = _too_short(design, *inputs.shape)
+    if short is not None:
+        raise short
+    coeffs, rank = least_squares(_with_intercept(inputs), targets)
+    if not np.all(np.isfinite(coeffs)):
+        raise _overflow(design)
+    return _model(design, coeffs, rank)
+
+
+def fit_sweep(design: type, inputs, targets, counts) -> list:
+    """Fit ``design`` on every leading run of equations, in one pass.
+
+    Entry i is what the one-off fit (``fit_ar_lagged``, ``fit_var_pairs`` or
+    ``fit_regression`` for ``design`` ArModel, VarModel or RegModel) of the
+    first ``counts[i]`` rows of ``inputs`` and ``targets`` returns, or the
+    DataError or NumericalError that it raises, returned so the caller can
+    raise it in its turn. ``counts`` must not decrease. The coefficients come
+    from one ``least_squares_sweep``: the rank is decided by the one-off
+    fit's rule and the coefficients agree with it to rounding.
+    """
+    x = np.asarray(inputs, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    n, k = x.shape
+    finite = np.isfinite(np.column_stack([x, y])).all(axis=1)
+    # a count past the first non-finite row reaches it
+    clean = n if finite.all() else int(finite.argmin())
+    results = [
+        DataError("fit window contains non-finite values") if c > clean else _too_short(design, c, k)
+        for c in counts
+    ]
+    fitted = [i for i, error in enumerate(results) if error is None]
+    if fitted:
+        last = counts[fitted[-1]]
+        coeffs, ranks = least_squares_sweep(_with_intercept(x[:last]), y[:last],
+                                            [counts[i] for i in fitted])
+        overflowed = ~np.isfinite(coeffs.reshape(len(coeffs), -1)).all(axis=1)
+        for i, c, rank, bad in zip(fitted, coeffs, ranks.tolist(), overflowed.tolist()):
+            results[i] = _overflow(design) if bad else _model(design, c, rank)
+    return results
 
 
 def fit_ar_lagged(lag_rows, targets) -> ArModel:
@@ -154,10 +215,7 @@ def fit_ar_lagged(lag_rows, targets) -> ArModel:
     lags = np.asarray(lag_rows, dtype=float)
     if lags.ndim != 2:
         raise DataError("lag rows must form a 2-D array")
-    p = lags.shape[1]
-    coeffs, rank = _fit_linear(lags, np.asarray(targets, dtype=float).ravel(),
-                               ArModel.design, 1, "{n} equations for order {k}")
-    return ArModel(a=tuple(coeffs[:p]), b=float(coeffs[p]), rank=rank)
+    return _fit_linear(ArModel, lags, np.asarray(targets, dtype=float).ravel())
 
 
 def fit_ar_scalar(window, order: int) -> ArModel:
@@ -189,10 +247,7 @@ def fit_var_pairs(previous, current) -> VarModel:
         xcur = xcur[:, None]
     if xprev.shape != xcur.shape:
         raise DataError("pair rows must align: previous and current shapes differ")
-    k = xprev.shape[1]
-    coeffs, rank = _fit_linear(xprev, xcur, VarModel.design, 1,
-                               "{n} consecutive pairs of dimension {k}")
-    return VarModel(A=coeffs[:k].T, b=coeffs[k], rank=rank)
+    return _fit_linear(VarModel, xprev, xcur)
 
 
 def fit_var1(window) -> VarModel:
@@ -224,9 +279,7 @@ def fit_regression(targets, covariates) -> RegModel:
         raise DataError(
             f"targets and covariates must align: {y.shape[0]} responses, {x.shape[0]} rows"
         )
-    k = x.shape[1]
-    coeffs, rank = _fit_linear(x, y, RegModel.design, 2, "{n} rows with {k} covariates")
-    return RegModel(A=coeffs[:k].T, b=coeffs[k], rank=rank)
+    return _fit_linear(RegModel, x, y)
 
 
 def _first_control(steps: int, controls: int) -> int:

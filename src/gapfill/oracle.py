@@ -37,8 +37,9 @@ class ConstrainedProblem:
 
     ``steps`` is stored as one (m, k, k) float64 array, C_i = steps[i]. A
     sequence of scalars becomes 1x1 matrices and a scalar target a length-1
-    vector. A (g, k) target stacks g problems that share the steps, one per
-    row; they are solved and certified together.
+    vector. A (g, k) target stacks g problems, one per row, that are solved
+    and certified together; they share the steps, or, given as a
+    (g, m, k, k) array, problem j has its own steps[j].
     """
 
     steps: np.ndarray
@@ -51,22 +52,25 @@ class ConstrainedProblem:
             raise ValueError("constraint steps must share one dimension") from None
         if c.ndim in (1, 2):
             c = c.reshape(c.shape + (1,) * (3 - c.ndim))
-        if c.ndim != 3:
+        if c.ndim not in (3, 4):
             raise ValueError(f"constraint steps must form an (m, k, k) stack, got shape {c.shape}")
-        if c.shape[0] < 1:
+        if c.shape[-3] < 1:
             raise ValueError("problem needs at least one control step")
-        if c.shape[1] != c.shape[2]:
-            raise ValueError(f"constraint step must be square, got shape {c.shape[1:]}")
-        k = c.shape[1]
+        if c.shape[-2] != c.shape[-1]:
+            raise ValueError(f"constraint step must be square, got shape {c.shape[-2:]}")
+        k = c.shape[-1]
         t = np.atleast_1d(np.asarray(self.target, dtype=float))
         if t.shape[-1:] != (k,) or t.ndim > 2:
             raise ValueError(f"target must have {k} components, got shape {t.shape}")
+        if c.ndim == 4 and t.shape != (len(c), k):
+            raise ValueError(f"{len(c)} stacks of steps need a ({len(c)}, {k}) target, "
+                             f"got shape {t.shape}")
         object.__setattr__(self, "steps", c)
         object.__setattr__(self, "target", t)
 
     @property
     def dim(self) -> int:
-        return self.steps.shape[1]
+        return self.steps.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ class BatchVerdict:
 
 
 def _misses(steps: np.ndarray, controls: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """How far the (g, m, k) stacked controls land from their (g, k) targets:
+    """How far the (g, m, k) stacked controls land from their (g, k) targets,
+    under shared (m, k, k) or per-target (g, m, k, k) ``steps``:
     the length of sum_i C_i u_i - target, one per row. The sum runs strictly
     in step order (pairwise summation would change the last bits and so the
     reported certificate margins)."""
@@ -118,9 +123,10 @@ def _sum_squares(controls: np.ndarray) -> np.ndarray:
 
 def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stationary controls (g, m, k) and multipliers (g, k) for (g, k)
-    stacked targets: one Gram matrix, one solve."""
-    c_t = steps.transpose(0, 2, 1)
-    gram = np.cumsum(np.matmul(steps, c_t), axis=0)[-1]
+    stacked targets: one Gram matrix for shared (m, k, k) ``steps``, one per
+    target for (g, m, k, k) ``steps``, and one solve."""
+    c_t = np.swapaxes(steps, -2, -1)
+    gram = np.cumsum(np.matmul(steps, c_t), axis=-3)[..., -1, :, :]
     lam = solve_spd(gram, targets).x
     return np.matmul(c_t, lam[:, None, :, None])[..., 0], lam
 
@@ -131,7 +137,8 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     Stationarity gives u_i = C_i^T lambda with (sum_i C_i C_i^T) lambda =
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
-    the constraint. Stacked targets share one Gram matrix and one solve.
+    the constraint. Stacked targets are solved in one call, each with the
+    bits it would get alone.
     """
     targets = problem.target.reshape(-1, problem.dim)
     controls, lam = _stationary(problem.steps, targets)
@@ -179,17 +186,22 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     otherwise. The powers descend by repeated right-multiplication, one
     product per step. Explosive models overflow silently to inf. ``target``
     is one offset, or a (g, k) stack of them for g gaps of this length.
+    ``model`` is the model of every gap, or a list with one model per row of
+    ``target``, all of one kind and size; the steps are then (g, m, k, k),
+    each gap's the bits of its problem alone.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    f = _transition_matrix(model)
-    k = 1 if isinstance(model, ArModel) else f.shape[0]
+    per_target = isinstance(model, list)
+    f = np.stack([_transition_matrix(m) for m in model]) if per_target else _transition_matrix(model)
+    k = 1 if isinstance(model[0] if per_target else model, ArModel) else f.shape[-1]
+    # step first, so the loop indexes one axis; per-target steps move it back after
     powers = np.empty((steps,) + f.shape)
-    powers[-1] = np.eye(f.shape[0])
+    powers[-1] = np.eye(f.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps - 2, -1, -1):
             np.matmul(powers[i + 1], f, out=powers[i])
-    return ConstrainedProblem(powers[:, :k, :k], target)
+    return ConstrainedProblem(np.moveaxis(powers, 0, -3)[..., :k, :k], target)
 
 
 def certify(solution, problem: ConstrainedProblem):
@@ -205,7 +217,7 @@ def certify(solution, problem: ConstrainedProblem):
     targets = problem.target.reshape(-1, problem.dim)
     if len(solutions) != len(targets):
         raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
-    steps = len(problem.steps)
+    steps = problem.steps.shape[-3]
     for s in solutions:
         if len(s.controls) != steps:
             raise ValueError(

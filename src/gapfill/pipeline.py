@@ -17,11 +17,15 @@ from .control import (
 )
 from .errors import DataError, NumericalError
 from .fitting import (
-    fit_ar_lagged,
+    ArModel,
+    RegModel,
+    VarModel,
+    fit_ar_lagged,  # not called here; bench/tracing.py still wraps this name
     fit_ar_scalar,
     fit_regression,
+    fit_sweep,
     fit_var1,
-    fit_var_pairs,
+    fit_var_pairs,  # not called here; bench/tracing.py still wraps this name
     predict_forward,
 )
 from .oracle import build_problem, certify
@@ -73,14 +77,15 @@ def _validate_options(options: ImputeOptions, series: Series, covariates) -> Non
             raise DataError("covariate rows must align with the series rows")
 
 
+def _missing_covariate(index: int) -> DataError:
+    return DataError(f"missing covariate at index {index} (covariates must be observed wherever used)")
+
+
 def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
     """The covariates at the 0-based ``rows``, every one of which must be observed."""
     absent = covariates.missing[rows]
     if absent.any():
-        raise DataError(
-            f"missing covariate at index {int(rows[absent.argmax()]) + 1} "
-            f"(covariates must be observed wherever used)"
-        )
+        raise _missing_covariate(int(rows[absent.argmax()]) + 1)
     return covariates.data[rows]
 
 
@@ -111,29 +116,46 @@ def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
     return fit_regression(series.data[:n], _covariate_rows(covariates, np.arange(n)))
 
 
-def _refit_before(options: ImputeOptions, series: Series, covariates, gap_start: int):
-    """Refit on every fully-observed equation window strictly before the gap.
+def _refit_models(options: ImputeOptions, series: Series, covariates, segments) -> list:
+    """Per gap, in order, the model refitted on every fully-observed equation
+    window strictly before it, or the DataError or NumericalError that this
+    refit raises, for the caller to raise in that gap's turn.
 
-    Only original observations are used; values imputed for earlier gaps never
-    enter a fit.
+    Only original observations are used; values imputed for earlier gaps
+    never enter a fit. The equations before a gap are a leading run of the
+    series' usable equations, so one ``fit_sweep`` over them gives every
+    refit.
     """
     lags = {"ar": options.order, "var": 1, "regression": 0}[options.model_kind]
-    n = gap_start - 1
     # the equation whose target is row t needs rows t - lags .. t observed
-    observed = ~series.missing[:n]
-    usable = observed[lags:]
+    observed = ~series.missing
+    usable = observed[lags:].copy()
     for j in range(1, lags + 1):
-        usable = usable & observed[lags - j : n - j]
+        usable &= observed[lags - j : len(observed) - j]
     rows = np.flatnonzero(usable) + lags
-    if rows.size == 0:
-        raise DataError(f"no observed fit window before the gap at index {gap_start}")
+    starts = [segment.gap_start for segment in segments]
+    counts = np.searchsorted(rows, np.array(starts) - 1).tolist()
     data = series.data
+    limit = len(rows)
     if options.model_kind == "ar":
         x = data[:, 0]
-        return fit_ar_lagged(np.column_stack([x[rows - 1 - j] for j in range(lags)]), x[rows])
-    if options.model_kind == "var":
-        return fit_var_pairs(data[rows - 1], data[rows])
-    return fit_regression(data[rows], _covariate_rows(covariates, rows))
+        design, targets = ArModel, x[rows]
+        inputs = np.column_stack([x[rows - 1 - j] for j in range(lags)])
+    elif options.model_kind == "var":
+        design, inputs, targets = VarModel, data[rows - 1], data[rows]
+    else:
+        absent = covariates.missing[rows]
+        if absent.any():
+            # a window that reaches the first unobserved covariate fails
+            limit = int(absent.argmax())
+        design, inputs, targets = RegModel, covariates.data[rows[:limit]], data[rows[:limit]]
+    fits = iter(fit_sweep(design, inputs, targets, [c for c in counts if 0 < c <= limit]))
+    return [
+        DataError(f"no observed fit window before the gap at index {start}") if c == 0
+        else _missing_covariate(int(rows[limit]) + 1) if c > limit
+        else next(fits)
+        for start, c in zip(starts, counts)
+    ]
 
 
 def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates) -> ControlSolution:
@@ -215,13 +237,15 @@ def _solve_batch(options: ImputeOptions, model, batch, working: np.ndarray, cova
 
 
 def _certify_batch(options: ImputeOptions, model, batch, solutions) -> list:
-    """Run the independent verifier on gaps that share ``model``; one verdict
-    or None per gap, in gap order.
+    """Run the independent verifier on ``batch``; one verdict or None per
+    gap, in gap order.
 
+    ``model`` is the model of every gap, or a list with one model per gap.
     Gaps with the same number of controls share one stacked problem and one
-    ``certify`` call. Open gaps have no constraint to check, and scalar
-    paper-mode values are not optimal by construction, so they carry
-    diagnostics instead of a certificate.
+    ``certify`` call, each with its own constraint steps when the models
+    differ. Open gaps have no constraint to check, and scalar paper-mode
+    values are not optimal by construction, so they carry diagnostics
+    instead of a certificate.
     """
     verdicts = [None] * len(batch)
     if options.model_kind == "ar" and options.mode == "paper":
@@ -233,8 +257,8 @@ def _certify_batch(options: ImputeOptions, model, batch, solutions) -> list:
     for steps, members in by_steps.items():
         # each anchor's offset from its forecast, one row per gap
         offsets = [batch[i].anchor_value - solutions[i].predicted[-1] for i in members]
-        problem = build_problem(model, steps, offsets)
-        result = certify([solutions[i] for i in members], problem)
+        models = [model[i] for i in members] if isinstance(model, list) else model
+        result = certify([solutions[i] for i in members], build_problem(models, steps, offsets))
         for i, verdict in zip(members, result.verdicts):
             verdicts[i] = verdict
     return verdicts
@@ -247,10 +271,12 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     Gaps are filled left to right, so a gap may seed from values imputed for
     an earlier gap; the report notes when that happens, and when a fit is
     rank deficient. The model is fitted once on the observed prefix unless
-    ``refit_per_gap`` is set. Gaps that share the prefix model are solved and
-    certified as one batch (see ``_solve_batch`` and ``_certify_batch``); with
-    ``refit_per_gap`` each gap is a batch of its own. The report is the same
-    either way: per gap, in gap order, with the first failing gap's error.
+    ``refit_per_gap`` is set, in which case one sweep (``_refit_models``)
+    gives each gap its own model and the gaps are solved one at a time. Gaps
+    that share the prefix model are solved as one batch (see
+    ``_solve_batch``); either way, gaps are certified together by control
+    count (see ``_certify_batch``). The report is per gap, in gap order, and
+    a failing run raises the first failing gap's error.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
@@ -263,31 +289,35 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
 
     prefix_model = _note_rank(report.notes, "prefix fit", fit_prefix(series, options, covariates))
     report.model = describe_model(prefix_model)
-    if options.refit_per_gap:
-        report.notes.append("refit per gap: each gap uses every fully-observed window before it")
 
     working = series.data.copy()
+    if options.refit_per_gap:
+        report.notes.append("refit per gap: each gap uses every fully-observed window before it")
+        models = _refit_models(options, series, covariates, segments)
+        solutions = []
+        for segment, model in zip(segments, models):
+            if isinstance(model, Exception):
+                raise model
+            solutions += _solve_batch(options, model, [segment], working, covariates)
+    else:
+        models = prefix_model
+        solutions = _solve_batch(options, prefix_model, segments, working, covariates)
+    verdicts = _certify_batch(options, models, segments, solutions)
+
     imputed: dict = {}
-    for batch in ([segment] for segment in segments) if options.refit_per_gap else [segments]:
-        if options.refit_per_gap:
-            model = _note_rank(report.notes, f"refit before the gap at index {batch[0].gap_start}",
-                               _refit_before(options, series, covariates, batch[0].gap_start))
-            refit_model = model
-        else:
-            model = prefix_model
-            refit_model = None
-        solutions = _solve_batch(options, model, batch, working, covariates)
-        verdicts = _certify_batch(options, model, batch, solutions)
-        for segment, solution, verdict in zip(batch, solutions, verdicts):
-            if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
-                report.notes.append(
-                    f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
-                )
-            report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
-            imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
-            if not solution.constrained:
-                report.notes.append(
-                    f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
-                    f"(no anchor); values are the uncorrected forecast"
-                )
+    refits = models if options.refit_per_gap else [None] * len(segments)
+    for segment, solution, verdict, refit_model in zip(segments, solutions, verdicts, refits):
+        if refit_model is not None:
+            _note_rank(report.notes, f"refit before the gap at index {segment.gap_start}", refit_model)
+        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
+            report.notes.append(
+                f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
+            )
+        report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
+        imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
+        if not solution.constrained:
+            report.notes.append(
+                f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
+                f"(no anchor); values are the uncorrected forecast"
+            )
     return ImputeResult(series=series, imputed=imputed, report=report)

@@ -241,28 +241,42 @@ def test_reference_fragment_study(verdict, phosphate_text, tmp_path):
     )
 
 
+def multi_gap_series(rng):
+    """A scalar series of uniform values with two to four interior gaps, each
+    long enough to leave a control step, and an order p for it."""
+    p = int(rng.integers(1, 4))
+    values = list(rng.uniform(-5.0, 5.0, int(rng.integers(2 * p + 4, 30))))
+    for _ in range(int(rng.integers(2, 5))):
+        values += [None] * int(rng.integers(max(1, p - 1), 6))
+        values += list(rng.uniform(-5.0, 5.0, int(rng.integers(1, 2 * p + 3))))
+    return values, p
+
+
 def test_affine_equivariance(verdict):
+    # |alpha| is log-uniform in 1e-150..1e150 and beta a multiple of |alpha|;
+    # past ~1e154 the summed squared controls overflow and the run exits 4
     worst = 0.0
     for seed in range(100):
-        series, model = random_instance(seed, InstanceLimits.scalar())
         rng = np.random.default_rng(seed + 10_000)
-        alpha = float(rng.uniform(0.5, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        beta = float(rng.uniform(-10.0, 10.0))
-        raw = [None if missing else float(v[0]) for v, missing in zip(series.data, series.missing)]
-        shifted = Series.from_values(
-            [None if v is None else alpha * v + beta for v in raw]
-        )
-        options = ImputeOptions(model_kind="ar", order=model.p)
-        base = impute_series(series, options)
-        moved = impute_series(shifted, options)
-        for index, value in base.imputed.items():
-            expected = alpha * float(value[0]) + beta
-            got = float(moved.imputed[index][0])
-            worst = max(worst, abs(got - expected) / (1.0 + abs(expected)))
+        raw, order = multi_gap_series(rng)
+        scale = 10.0 ** float(rng.uniform(-150.0, 150.0))
+        alpha = scale * (1.0 if rng.uniform() < 0.5 else -1.0)
+        beta = scale * float(rng.uniform(-10.0, 10.0))
+        series = Series.from_values(raw)
+        shifted = Series.from_values([None if v is None else alpha * v + beta for v in raw])
+        for refit in (False, True):
+            options = ImputeOptions(model_kind="ar", order=order, refit_per_gap=refit)
+            base = impute_series(series, options)
+            moved = impute_series(shifted, options)
+            for index, value in base.imputed.items():
+                x = float(value[0])
+                got = float(moved.imputed[index][0])
+                worst = max(worst, abs(got - (alpha * x + beta)) / (scale * (1.0 + abs(x))))
     verdict(
         "refit fills transport exactly under scale and shift",
         worst <= EQUIVARIANCE_BOUND,
-        f"worst relative deviation {worst:.2e} over 100 instances",
+        f"worst relative deviation {worst:.2e} over 100 multi-gap instances, "
+        f"each with and without refits",
     )
 
 

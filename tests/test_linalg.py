@@ -11,6 +11,7 @@ from gapfill.linalg import (
     as_matrix,
     as_vector,
     least_squares,
+    least_squares_sweep,
     mat_pow_table,
     row_norms,
     solve_spd,
@@ -182,6 +183,35 @@ class TestSolveSpd:
         for row, x in zip(b, stacked.x):
             assert x.tobytes() == solve_spd(g, row).x.tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), count=st.integers(1, 8),
+           scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_stacked_matrices_are_solved_as_if_alone(self, seed, n, count, scale):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((count, n, n)) * scale
+        g = m @ m.transpose(0, 2, 1) + np.eye(n)
+        b = rng.standard_normal((count, n)) * scale
+        stacked = solve_spd(g, b)
+        assert stacked.x.shape == b.shape
+        assert not stacked.fallback
+        for gi, row, x in zip(g, b, stacked.x):
+            assert x.tobytes() == solve_spd(gi, row).x.tobytes()
+
+    def test_stacked_matrix_fallback_solves_each_alone(self):
+        g = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+        b = np.array([[1.0, 1.0], [3.0, 3.0]])
+        stacked = solve_spd(g, b)
+        assert stacked.fallback
+        for gi, row, x in zip(g, b, stacked.x):
+            assert x.tobytes() == solve_spd(gi, row).x.tobytes()
+        assert not solve_spd(g[1], b[1]).fallback
+
+    def test_stacked_matrices_need_one_rhs_row_each(self):
+        with pytest.raises(ValueError, match="one rhs row each"):
+            solve_spd(np.stack([np.eye(2)] * 3), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="one rhs row each"):
+            solve_spd(np.stack([np.eye(2)] * 3), np.ones(2))
+
     def test_stacked_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve_spd(np.eye(2), np.ones((3, 3)))
@@ -240,3 +270,39 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError, match="rows >= columns"):
             least_squares(np.ones((2, 3)), [1.0, 2.0])
+
+
+class TestLeastSquaresSweep:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 4), targets=st.integers(0, 2),
+           deficient=st.booleans())
+    def test_each_count_matches_least_squares(self, seed, columns, targets, deficient):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(columns, 40))
+        design = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-200, 200, columns)
+        if deficient:
+            design[:, -1] = 3.0 * design[:, 0]
+        y = rng.standard_normal((rows, targets) if targets else rows)
+        counts = sorted(rng.integers(columns, rows + 1, int(rng.integers(1, 6))).tolist())
+        sweep = least_squares_sweep(design, y, counts)
+        assert sweep.rank.shape == (len(counts),)
+        for count, coeffs, rank in zip(counts, sweep.coeffs, sweep.rank):
+            want = least_squares(design[:count], y[:count])
+            assert rank == want.rank
+            assert coeffs.shape == want.coeffs.shape
+            # compared in the units of the scaled columns
+            scale = np.abs(design[:count]).max(axis=0)
+            got, expected = (c * (scale if c.ndim == 1 else scale[:, None])
+                             for c in (coeffs, want.coeffs))
+            assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+    @pytest.mark.parametrize("counts", [[], [1], [3, 2], [4]])
+    def test_counts_checked(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            least_squares_sweep(np.ones((3, 2)), np.ones(3), counts)
+
+    def test_non_finite_rejected(self):
+        design = np.ones((4, 1))
+        design[2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            least_squares_sweep(design, np.ones(4), [2, 4])

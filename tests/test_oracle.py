@@ -267,6 +267,59 @@ class TestCertify:
         assert [v.passed for v in batch.verdicts] == [True, False, True]
         assert not batch.passed
 
+    @PROPERTY
+    @given(kind=st.sampled_from(["ar", "var"]), size=st.integers(1, 3), length=st.integers(2, 6),
+           gaps=st.integers(1, 5), faulty=st.integers(0, 5), shared=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_per_model_stack_matches_one_at_a_time(self, kind, size, length, gaps, faulty,
+                                                   shared, seed):
+        # gaps of one length, each with its own model (or one model for all);
+        # member ``faulty`` (none when it is past the last) gets a perturbed control
+        rng = np.random.default_rng(seed)
+        models, solutions, offsets = [], [], []
+        for i in range(gaps):
+            if kind == "ar":
+                model = ArModel(a=tuple(rng.uniform(-1.2, 1.2, size)), b=float(rng.uniform(-1, 1)))
+                seeds = list(rng.uniform(-5, 5, size))
+                anchor = float(rng.uniform(-5, 5))
+            else:
+                model = VarModel(A=rng.uniform(-0.9, 0.9, (size, size)), b=rng.uniform(-1, 1, size))
+                seeds = [rng.uniform(-5, 5, size)]
+                anchor = rng.uniform(-5, 5, size)
+            model = models[0] if shared and models else model
+            _, (gap,) = detect_gaps(Series.from_values(seeds + [None] * length + [anchor]),
+                                    size if kind == "ar" else 1)
+            if kind == "ar":
+                solution = impute_gap_ar(model, gap, seeds, anchor)
+            else:
+                solution = impute_gap_var(model, gap, seeds[0], anchor)
+            if i == faulty:
+                bad = np.array(solution.controls)
+                bad[0] = bad[0] + 0.5
+                solution = dataclasses.replace(solution, controls=bad)
+            models.append(model)
+            solutions.append(solution)
+            offsets.append(np.atleast_1d(anchor - solution.predicted[-1]))
+        steps = len(solutions[0].control_indices)
+        problem = build_problem(models, steps, offsets)
+        assert problem.steps.shape[:2] == (gaps, steps)
+        batch = certify(solutions, problem)
+        alone = [certify(s, build_problem(model, steps, offset))
+                 for model, s, offset in zip(models, solutions, offsets)]
+        for got, want in zip(batch.verdicts, alone):
+            assert (np.array(dataclasses.astuple(got)).tobytes()
+                    == np.array(dataclasses.astuple(want)).tobytes())
+        assert [v.passed for v in batch.verdicts] == [i != faulty for i in range(gaps)]
+        if shared:
+            # the shared form keeps its one (m, k, k) stack and the same certificates
+            common = build_problem(models[0], steps, offsets)
+            assert common.steps.ndim == 3
+            assert certify(solutions, common).verdicts == batch.verdicts
+
+    def test_per_model_steps_need_one_target_each(self):
+        with pytest.raises(ValueError, match=r"need a \(2, 1\) target"):
+            ConstrainedProblem(steps=np.ones((2, 3, 1, 1)), target=[1.0])
+
     def test_stacked_solution_count_checked(self):
         solution, problem = self.make_solved_instance()
         stacked = build_problem(ArModel(a=(0.5,), b=0.0), 3, np.vstack([problem.target] * 2))

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gapfill import pipeline
 from gapfill.control import impute_gap_ar, impute_gap_var
 from gapfill.errors import DataError, NumericalError
+from gapfill.fitting import ArModel, fit_ar_lagged, fit_regression, fit_var_pairs
 from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.report import ImputationReport, describe_model, gap_entry
@@ -259,16 +261,53 @@ def refit_equations_by_row_loop(kind, order, values, covariates, gap_start):
     return (np.vstack(target_rows), np.vstack(cov_rows)) if target_rows else None
 
 
+def window_equations(options, series, covariates, gap_start):
+    """Reference: the equations of every fully-observed window strictly
+    before the gap, as (inputs, targets); raises the refit's DataError when
+    there is none or a covariate is missing."""
+    lags = {"ar": options.order, "var": 1, "regression": 0}[options.model_kind]
+    n = gap_start - 1
+    observed = ~series.missing[:n]
+    usable = observed[lags:]
+    for j in range(1, lags + 1):
+        usable = usable & observed[lags - j : n - j]
+    rows = np.flatnonzero(usable) + lags
+    if rows.size == 0:
+        raise DataError(f"no observed fit window before the gap at index {gap_start}")
+    data = series.data
+    if options.model_kind == "ar":
+        x = data[:, 0]
+        return np.column_stack([x[rows - 1 - j] for j in range(lags)]), x[rows]
+    if options.model_kind == "var":
+        return data[rows - 1], data[rows]
+    return pipeline._covariate_rows(covariates, rows), data[rows]
+
+
+def refit_before(options, series, covariates, gap_start):
+    """Reference: refit from scratch before the gap, one least-squares fit
+    per gap (the full refit that one sweep replaces)."""
+    inputs, targets = window_equations(options, series, covariates, gap_start)
+    if options.model_kind == "ar":
+        return fit_ar_lagged(inputs, targets)
+    if options.model_kind == "var":
+        return fit_var_pairs(inputs, targets)
+    return fit_regression(targets, inputs)
+
+
 class TestRefitEquations:
-    """The refit equations picked with array masks equal the row-by-row ones."""
+    """The equations the sweep absorbs before each gap equal the row-by-row ones."""
 
     @pytest.mark.parametrize("kind, order, dim", [
         ("ar", 1, 1), ("ar", 2, 1), ("ar", 3, 1), ("var", 1, 2), ("regression", 1, 2),
     ])
     def test_rows_match_row_loop(self, monkeypatch, kind, order, dim):
         calls = []
-        for name in ("fit_ar_lagged", "fit_var_pairs", "fit_regression"):
-            monkeypatch.setattr(pipeline, name, lambda *args: calls.append(args) or "fitted")
+
+        def sweep(design, inputs, targets, counts):
+            calls.append((inputs, targets, counts))
+            return [("fitted", count) for count in counts]
+
+        monkeypatch.setattr(pipeline, "fit_sweep", sweep)
         rng = np.random.default_rng(order * 10 + dim)
         options = ImputeOptions(model_kind=kind, order=order)
         for _ in range(20):
@@ -279,21 +318,25 @@ class TestRefitEquations:
             covariates[-1] = rng.uniform(-5, 5, 2)
             series = Series.from_values(values)
             cov_series = Series.from_values(covariates)
-            for gap_start in range(order + 1, n + 1):
+            starts = list(range(order + 1, n + 1))
+            calls.clear()
+            models = pipeline._refit_models(options, series, cov_series,
+                                            [SimpleNamespace(gap_start=g) for g in starts])
+            (inputs, targets, _), = calls
+            for gap_start, model in zip(starts, models):
                 expected = refit_equations_by_row_loop(kind, order, values, covariates, gap_start)
                 if expected is None or isinstance(expected, str):
                     message = expected or "no observed fit window"
-                    with pytest.raises(DataError, match=message):
-                        pipeline._refit_before(options, series, cov_series, gap_start)
+                    assert isinstance(model, DataError) and str(model).startswith(message)
                     continue
-                calls.clear()
-                assert pipeline._refit_before(options, series, cov_series, gap_start) == "fitted"
-                (args,) = calls
-                assert len(args) == 2
-                for got, want in zip(args, expected):
+                fitted, count = model
+                assert fitted == "fitted"
+                absorbed = (inputs[:count], targets[:count])
+                if kind == "regression":
+                    absorbed = absorbed[::-1]  # the row loop lists targets first
+                for got, want in zip(absorbed, expected):
                     assert np.array_equal(got, want)
                     assert np.asarray(got).shape == want.shape
-
 
     def test_refit_recovers_exact_ar2(self):
         # x_t = b + a1 x_{t-1} + a2 x_{t-2} with roots on the unit circle keeps
@@ -313,6 +356,242 @@ class TestRefitEquations:
             np.testing.assert_allclose(refit["lag_coefficients"], a, rtol=0, atol=1e-9)
             assert refit["intercept"] == pytest.approx(b, abs=1e-9)
             assert entry["oracle"]["certified"]
+
+
+def coefficient_rows(model) -> np.ndarray:
+    """A fitted model's coefficients, one row per design column (intercept
+    last), one column per target."""
+    if isinstance(model, ArModel):
+        return np.array([*model.a, model.b])[:, None]
+    return np.vstack([model.A.T, model.b])
+
+
+def column_peaks(values: np.ndarray) -> np.ndarray:
+    """Each column's largest magnitude, 1 for a zero column (the scaling of
+    ``least_squares``)."""
+    peaks = np.abs(values.reshape(len(values), -1)).max(axis=0)
+    return np.where(peaks == 0.0, 1.0, peaks)
+
+
+@st.composite
+def refit_windows(draw):
+    """A series with missing rows (and covariates), refit options and gap
+    starts. Windows may be random, hold a constant run, have collinear
+    columns, alternate between +s and -s at s from 1e-300 to 1e308, or have
+    an input column that is zero and then subnormal, so the coefficients
+    overflow."""
+    kind = draw(st.sampled_from(["ar", "var", "regression"]))
+    order = draw(st.integers(1, 3)) if kind == "ar" else 1
+    dim = 1 if kind == "ar" else draw(st.integers(2, 3) if kind == "var" else st.integers(1, 2))
+    shapes = ["random", "constant_run", "collinear", "alternating"] + ["tiny"] * (kind != "ar")
+    shape = draw(st.sampled_from(shapes))
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e300, 1e308])) if shape == "alternating" else 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(6, 50))
+    x = np.zeros((n, dim))
+    x[0] = rng.standard_normal(dim)
+    for t in range(1, n):
+        x[t] = 0.6 * x[t - 1] + 0.5 + rng.standard_normal(dim)
+    covariates = rng.standard_normal((n, 2))
+    if kind == "regression":
+        x = covariates @ rng.uniform(-2, 2, (2, dim)) + 0.1 * rng.standard_normal((n, dim))
+    if shape == "constant_run":
+        first, length = int(rng.integers(0, n // 2)), int(rng.integers(4, n))
+        x[first : first + length] = x[first]
+        covariates[first : first + length] = covariates[first]
+    elif shape == "collinear":
+        x[:, -1] = 2.0 * x[:, 0]
+        covariates[:, 1] = 2.0 * covariates[:, 0]
+    elif shape == "tiny":
+        first = int(rng.integers(0, n))
+        for column in (x[:, -1], covariates[:, 0]):
+            column[:first] = 0.0
+            column[first:] = 1e-315 * rng.standard_normal(n - first)
+    elif shape == "alternating":
+        signs = (-1.0) ** np.arange(n)[:, None]
+        x = scale * signs * rng.choice([-1.0, 1.0], dim)
+        covariates = scale * signs * rng.choice([-1.0, 1.0], 2)
+    values = [row if rng.uniform() > 0.2 else None for row in x]
+    values[0] = x[0]
+    cov_values = [row if rng.uniform() > 0.05 else None for row in covariates]
+    starts = sorted(set(rng.integers(1, n + 2, int(rng.integers(1, 9))).tolist()))
+    options = ImputeOptions(model_kind=kind, order=order)
+    return options, Series.from_values(values), Series.from_values(cov_values), starts
+
+
+class TestSweepAgainstFullRefit:
+    """One sweep gives every gap the model, rank and error that a full refit
+    before that gap gives."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=refit_windows())
+    def test_same_models_as_full_refit(self, case):
+        options, series, covariates, starts = case
+        models = pipeline._refit_models(options, series, covariates,
+                                        [SimpleNamespace(gap_start=g) for g in starts])
+        assert len(models) == len(starts)
+        for gap_start, got in zip(starts, models):
+            try:
+                want = refit_before(options, series, covariates, gap_start)
+            except (DataError, NumericalError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert type(got) is type(want)
+            assert got.rank == want.rank
+            inputs, targets = window_equations(options, series, covariates, gap_start)
+            # relative in the scaled units in which least squares solves; a
+            # subnormal coefficient is good to its last few bits only
+            units = column_peaks(targets)[None, :] / np.append(column_peaks(inputs), 1.0)[:, None]
+            size = 1.0 + np.abs(coefficient_rows(want) / units).max()
+            miss = np.abs(coefficient_rows(got) - coefficient_rows(want))
+            assert (miss <= 1e-12 * size * units + 1e-321).all()
+
+
+def refit_per_gap_loop(series, options, covariates=None):
+    """Reference: the refit run as a left-to-right loop in which each gap
+    gets a full refit (``refit_before``), its rank note, its solve and its
+    own certificate before the next gap is looked at."""
+    ar = options.model_kind == "ar"
+    prefix_length, segments = detect_gaps(series, options.order if ar else 1, options.allow_open_gap)
+    report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
+    if not segments:
+        report.notes.append("0 gaps: output mirrors the input")
+        return pipeline.ImputeResult(series=series, imputed={}, report=report)
+    prefix_model = pipeline.fit_prefix(series, options, covariates)
+    report.model = describe_model(pipeline._note_rank(report.notes, "prefix fit", prefix_model))
+    report.notes.append("refit per gap: each gap uses every fully-observed window before it")
+    working = series.data.copy()
+    imputed = {}
+    for segment in segments:
+        model = pipeline._note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
+                                    refit_before(options, series, covariates, segment.gap_start))
+        (solution,) = pipeline._solve_batch(options, model, [segment], working, covariates)
+        (verdict,) = pipeline._certify_batch(options, model, [segment], [solution])
+        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
+            report.notes.append(
+                f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
+            )
+        report.gaps.append(gap_entry(segment, solution, verdict, model))
+        imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
+        if not solution.constrained:
+            report.notes.append(
+                f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
+                f"(no anchor); values are the uncorrected forecast"
+            )
+    return pipeline.ImputeResult(series=series, imputed=imputed, report=report)
+
+
+@st.composite
+def refit_runs(draw):
+    """A series with several gaps, its covariates and refit options. Runs
+    may hold a constant prefix (rank notes), a gap too short for its order
+    (an AR solve failure), missing covariates inside a gap (a regression
+    solve failure) or on an observed row (a refit failure), or a VAR column
+    that is zero and then subnormal (a refit whose coefficients overflow)."""
+    kind = draw(st.sampled_from(["ar", "var", "regression"]))
+    order = draw(st.integers(1, 3)) if kind == "ar" else 1
+    dim = 1 if kind == "ar" else draw(st.integers(1, 3) if kind == "var" else st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    spacing = draw(st.lists(st.integers(1, 4), min_size=len(lengths), max_size=len(lengths)))
+    constant_prefix, open_gap = draw(st.booleans()), draw(st.booleans())
+    mode = draw(st.sampled_from(["exact", "paper"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefix = 2 * order + 3 + dim + int(rng.integers(0, 8))
+    rows = prefix + sum(lengths) + sum(spacing)
+    x = np.zeros((rows, dim))
+    x[0] = rng.standard_normal(dim)
+    for t in range(1, rows):
+        x[t] = 0.6 * x[t - 1] + 0.5 + rng.standard_normal(dim)
+    covariates = rng.standard_normal((rows, 2))
+    if kind == "regression":
+        x = covariates @ rng.uniform(-2, 2, (2, dim)) + 0.1 * rng.standard_normal((rows, dim))
+    if constant_prefix:
+        x[:prefix] = x[0]
+    if kind == "var" and dim > 1 and draw(st.booleans()):
+        x[:prefix, -1] = 0.0
+        x[prefix:, -1] = 1e-315 * rng.standard_normal(rows - prefix)
+    values = [row for row in x]
+    cov_values = [row for row in covariates]
+    t = prefix
+    for length, gap in zip(lengths, spacing):
+        values[t : t + length] = [None] * length
+        t += length + gap
+    if open_gap:
+        values[-1] = None
+    if kind == "regression":
+        for row in rng.integers(prefix, rows, int(rng.integers(0, 3))):
+            cov_values[row] = None
+    options = ImputeOptions(model_kind=kind, order=order, mode=mode, refit_per_gap=True,
+                            allow_open_gap=open_gap)
+    covariate_series = Series.from_values(cov_values) if kind == "regression" else None
+    return Series.from_values(values), options, covariate_series
+
+
+class TestRefitRunAgainstPerGapLoop:
+    """A refit run solved gap by gap from one sweep, and certified by
+    control count, is the run of the per-gap loop: the same error, raised by
+    the same gap, or the same notes, certificates and report layout."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(run=refit_runs())
+    def test_same_run_as_per_gap_loop(self, run):
+        series, options, covariates = run
+        try:
+            want = refit_per_gap_loop(series, options, covariates)
+        except (DataError, NumericalError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                impute_series(series, options, covariates)
+            assert str(raised.value) == str(exc)
+            return
+        got = impute_series(series, options, covariates)
+        assert got.report.notes == want.report.notes
+        assert [g["oracle"] and g["oracle"]["certified"] for g in got.report.gaps] == [
+            g["oracle"] and g["oracle"]["certified"] for g in want.report.gaps
+        ]
+        # the numbers differ in the rounding of the refit coefficients, which
+        # an explosive refit amplifies; TestSweepAgainstFullRefit bounds that
+        assert_close_trees(json.loads(got.report.to_json()), json.loads(want.report.to_json()),
+                           rel=None)
+
+    def regression_run(self, missing_covariates):
+        """Three regression gaps, at indices 16-17, 21-22 and 26-27, with the
+        covariates of ``missing_covariates`` unobserved."""
+        rng = np.random.default_rng(5)
+        covariates = rng.standard_normal((30, 2))
+        values = list(covariates @ [1.5, -0.5] + 0.1 * rng.standard_normal(30))
+        for start in (16, 21, 26):
+            values[start - 1 : start + 1] = [None, None]
+        cov_values = [None if i + 1 in missing_covariates else row for i, row in enumerate(covariates)]
+        return (Series.from_values(values), ImputeOptions(model_kind="regression", refit_per_gap=True),
+                Series.from_values(cov_values))
+
+    @pytest.mark.parametrize("missing, first_failure", [
+        # the first gap's solve reads index 17; the third gap's refit reads index 24
+        ({17, 24}, 17),
+        # the second gap's refit reads index 19; the third gap's solve reads index 27
+        ({19, 27}, 19),
+        # only the third gap's refit fails; the gaps before it are solved first
+        ({24}, 24),
+    ])
+    def test_first_failing_gap_is_reported(self, missing, first_failure):
+        series, options, covariates = self.regression_run(missing)
+        message = f"missing covariate at index {first_failure} "
+        with pytest.raises(DataError, match=message):
+            refit_per_gap_loop(series, options, covariates)
+        with pytest.raises(DataError, match=message):
+            impute_series(series, options, covariates)
+
+    def test_rank_notes_keep_their_place(self):
+        # the refits before the first two gaps see only the constant prefix
+        values = [3.0] * 12 + [None, 3.0, 3.0, None, 3.0, 4.0, 2.5, 3.5, None, 3.0, 2.0]
+        series = Series.from_values(values)
+        options = ImputeOptions(order=1, refit_per_gap=True)
+        got = impute_series(series, options)
+        assert got.report.notes == refit_per_gap_loop(series, options).report.notes
+        assert [note.split(":")[0] for note in got.report.notes] == [
+            "prefix fit", "refit per gap", "refit before the gap at index 13",
+            "refit before the gap at index 16",
+        ]
 
 
 class TestDeterminism:
@@ -364,19 +643,20 @@ def per_gap_loop(series, options):
     return pipeline.ImputeResult(series=series, imputed=imputed, report=report)
 
 
-def assert_close_trees(got, want, path="report"):
-    """Same structure and non-float leaves; floats within 1e-12 (1 + |want|)."""
+def assert_close_trees(got, want, path="report", rel=1e-12):
+    """Same structure and non-float leaves; floats within rel (1 + |want|),
+    or of any value when ``rel`` is None."""
     assert type(got) is type(want), path
     if isinstance(want, dict):
         assert list(got) == list(want), path
         for key in want:
-            assert_close_trees(got[key], want[key], f"{path}.{key}")
+            assert_close_trees(got[key], want[key], f"{path}.{key}", rel)
     elif isinstance(want, list):
         assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_close_trees(g, w, f"{path}[{i}]")
+            assert_close_trees(g, w, f"{path}[{i}]", rel)
     elif isinstance(want, float):
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), path
+        assert rel is None or abs(got - want) <= rel * (1.0 + abs(want)), path
     else:
         assert got == want, path
 
