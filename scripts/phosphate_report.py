@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from gapfill.fitting import fit_ar_lagged, fit_ar_scalar, fit_var1, predict_forward
-from gapfill.pipeline import ImputeOptions, impute_series
+from gapfill.pipeline import ImputeOptions, fit_prefix, impute_series
 from gapfill.series import detect_gaps, parse_csv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -58,16 +58,21 @@ def main() -> int:
     text = (ROOT / "data" / "phosphate.csv").read_text()
     series = parse_csv(text)
     prefix, gaps = detect_gaps(series)
-    result = impute_series(series, ImputeOptions(model_kind="var"))
+    options = ImputeOptions(model_kind="var")
+    result = impute_series(series, options)
 
-    entry1, entry2 = result.report.gaps
+    # the uncorrected forecast into each gap, rolled from the row before it
+    # with the prefix model, as the pipeline rolls it
+    model = fit_prefix(series, options)
+    forecast_11 = predict_forward(model, series.data[gaps[0].gap_start - 2], 2)
+    forecast_15 = predict_forward(model, series.data[gaps[1].gap_start - 2], 1)
     pipeline_values = {
-        "predicted_11": rounded(entry1["predicted"][0]),
-        "predicted_12": rounded(entry1["predicted"][1]),
-        "filled_11": rounded(result.imputed[11]),
-        "filled_12": rounded(result.imputed[12]),
-        "predicted_15": rounded(entry2["predicted"][0]),
-        "filled_15": rounded(result.imputed[15]),
+        "predicted_11": rounded(forecast_11[0]),
+        "predicted_12": rounded(forecast_11[1]),
+        "filled_11": rounded(result.filled[10]),
+        "filled_12": rounded(result.filled[11]),
+        "predicted_15": rounded(forecast_15[0]),
+        "filled_15": rounded(result.filled[14]),
     }
     deviations = {
         key: rounded(np.array(pipeline_values[key]) - np.array(REFERENCE[key]))

@@ -11,7 +11,6 @@ is reported rather than guaranteed once the order exceeds one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,17 +31,16 @@ class ControlSolution:
     """Optimal controls, multiplier, and filled values for one gap.
 
     ``controls`` is chronological with one entry (scalar or vector) per
-    control index. ``predicted`` holds the uncorrected forecast over every
-    step from the gap start through the anchor index, so the last entry is
-    what the recursion would have reached with no correction.
+    control index. ``imputed`` holds the filled values of the gap's
+    positions, and ``predicted`` the uncorrected forecast over every step
+    from the gap start through the anchor index, so its last entry is what
+    the recursion would have reached with no correction.
     """
 
-    control_indices: tuple[int, ...]
+    control_indices: range
     controls: np.ndarray
     multiplier: float | np.ndarray
-    imputed_indices: tuple[int, ...]
     imputed: np.ndarray
-    predicted_indices: tuple[int, ...]
     predicted: np.ndarray
     terminal_residual: float | None
     objective: float
@@ -66,9 +64,16 @@ def _check_magnitude(value: float, step: int, what: str) -> None:
 
 def _impulse_response(model: ArModel, length: int) -> np.ndarray:
     """``impulse_weights`` without the overflow check: an explosive recursion
-    overflows silently to inf."""
-    seeds = [0.0] * (model.p - 1) + [1.0]
-    return np.concatenate(([1.0], predict_forward(ArModel(a=model.a, b=0.0), seeds, length - 1)))
+    overflows silently to inf.
+
+    The intercept-free recursion is rolled on Python floats, as
+    ``predict_forward`` rolls it, so the weights carry its bits.
+    """
+    a, p = model.a, model.p
+    hist = [0.0] * (p - 1) + [1.0]
+    for _ in range(length - 1):
+        hist.append(sum(a[j] * hist[-1 - j] for j in range(p)))
+    return np.array(hist[p - 1 :])
 
 
 def _checked_weights(w: np.ndarray) -> np.ndarray:
@@ -243,41 +248,56 @@ def _lagrange(mats: np.ndarray, gram: np.ndarray, delta) -> tuple[np.ndarray, np
     return lam, (controls if d.ndim == 2 else controls[0])
 
 
-def _solution(gap, first_control: int, controls, multiplier, path, predicted, target,
-              mode: str, diagnostics: dict) -> ControlSolution:
-    """Assemble the ControlSolution of one constrained fill.
+def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, targets,
+               mode: str, diagnostics) -> list:
+    """Assemble the ControlSolutions of a stack of constrained fills, one per gap.
 
-    ``path`` is the corrected path and ``predicted`` the uncorrected forecast,
-    both from the gap start through the anchor; ``controls`` act from index
-    ``first_control`` through the anchor. The terminal residual is
-    |path_end - target| for a scalar ``target`` and the Euclidean norm of the
-    miss otherwise. A path, objective or residual that has overflowed raises
-    NumericalError.
+    Row i of each stacked argument belongs to ``gaps[i]``: its controls act
+    from index ``first_controls[i]`` through the anchor, and ``paths[i]``
+    (corrected) and ``predicted[i]`` (uncorrected) run from the gap start
+    through the anchor. ``targets`` is (g,) for scalar anchors, whose miss is
+    measured by its magnitude, or (g, k) for vector anchors, measured by its
+    Euclidean norm. The objective is the sum of squared controls. Both carry
+    the bits of ``np.vdot`` and ``np.linalg.norm`` of that fill alone. A
+    path, objective or residual that has overflowed raises NumericalError
+    for the first such gap; the stack is checked at once.
     """
+    g = len(gaps)
+    flat = np.ascontiguousarray(controls).reshape(g, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        miss = path[-1] - target
-        residual = float(abs(miss) if np.ndim(target) == 0 else np.linalg.norm(miss))
-        objective = float(np.vdot(controls, controls))
-    if not (math.isfinite(objective) and math.isfinite(residual) and np.isfinite(path).all()):
+        objectives = np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]
+        miss = paths[:, -1].reshape(targets.shape) - targets
+        residuals = np.abs(miss) if miss.ndim == 1 else row_norms(miss)
+    finite = np.isfinite(objectives) & np.isfinite(residuals) & np.isfinite(paths.reshape(g, -1)).all(axis=1)
+    if not finite.all():
         raise NumericalError(
-            f"fill overflow in the gap at index {gap.gap_start}: the filled values, the "
-            f"summed squared controls or the terminal residual are not finite "
+            f"fill overflow in the gap at index {gaps[int(finite.argmin())].gap_start}: the filled "
+            f"values, the summed squared controls or the terminal residual are not finite "
             f"(magnitudes beyond ~1e154 overflow when squared)"
         )
-    end = gap.anchor_index
-    return ControlSolution(
-        control_indices=tuple(range(first_control, end + 1)),
-        controls=controls,
-        multiplier=multiplier,
-        imputed_indices=tuple(gap.indices),
-        imputed=path[: gap.length],
-        predicted_indices=tuple(range(gap.gap_start, end + 1)),
-        predicted=predicted,
-        terminal_residual=residual,
-        objective=objective,
-        mode=mode,
-        diagnostics=diagnostics,
-    )
+    return [
+        ControlSolution(
+            control_indices=range(first, gap.anchor_index + 1),
+            controls=u,
+            multiplier=multiplier,
+            imputed=path[: gap.length],
+            predicted=forecast,
+            terminal_residual=residual,
+            objective=objective,
+            mode=mode,
+            diagnostics=notes,
+        )
+        for gap, first, u, multiplier, path, forecast, residual, objective, notes in zip(
+            gaps, first_controls, controls, multipliers, paths, predicted, residuals.tolist(),
+            objectives.tolist(), diagnostics)
+    ]
+
+
+def _solution(gap, first_control: int, controls, multiplier, path, predicted, target,
+              mode: str, diagnostics: dict) -> ControlSolution:
+    """``_solutions`` for one gap."""
+    return _solutions([gap], [first_control], [controls], [multiplier], path[None], [predicted],
+                      np.asarray(target, dtype=float)[None], mode, [diagnostics])[0]
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact",
@@ -382,12 +402,13 @@ def impute_gaps_var(model: VarModel, gaps, seeds, anchors, mode: str = "exact") 
             delta = targets[batch] - predicted[:, -1]
             lam, controls = _lagrange(powers[:m], grams[m - 1], delta)
             values = predict_forward(model, start, m, controls=controls)
-            for j, i in enumerate(batch.tolist()):
-                diagnostics = {}
-                if mode == "paper":
-                    diagnostics = _step_norms(powers[:m], delta[j], controls[j])
-                solutions[i] = _solution(gaps[i], gaps[i].gap_start, controls[j], lam[j], values[j],
-                                         predicted[j], targets[i], mode, diagnostics)
+            members = [gaps[i] for i in batch.tolist()]
+            diagnostics = [_step_norms(powers[:m], d, u) if mode == "paper" else {}
+                           for d, u in zip(delta, controls)]
+            solved = _solutions(members, [gap.gap_start for gap in members], controls, lam, values,
+                                predicted, targets[batch], mode, diagnostics)
+            for i, solution in zip(batch.tolist(), solved):
+                solutions[i] = solution
     except NumericalError:
         if len(gaps) == 1:
             raise

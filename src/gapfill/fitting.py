@@ -74,7 +74,9 @@ class VarModel(_Fitted):
     design = "vector autoregression"
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=float)
+        # column-major, as every fit returns it, so that a model rebuilt from
+        # its description computes with the bits of the fitted one
+        a = np.array(self.A, dtype=float, order="F")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {a.shape}")
         _frozen_array(self, "A", a)
@@ -99,7 +101,7 @@ class RegModel(_Fitted):
     design = "regression"
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=float)
+        a = np.array(self.A, dtype=float, order="F")  # column-major, as for VarModel
         if a.ndim != 2:
             raise ValueError(f"coefficient matrix must be 2-D, got shape {a.shape}")
         _frozen_array(self, "A", a)

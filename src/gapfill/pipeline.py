@@ -46,12 +46,20 @@ class ImputeOptions:
 
 @dataclass
 class ImputeResult:
+    """The series, the filled n x dim array (the observed rows as given, the
+    missing rows imputed; read-only) and the run report."""
+
     series: Series
-    imputed: dict
+    filled: np.ndarray
     report: ImputationReport
 
+    @property
+    def imputed(self) -> dict:
+        """Deprecated: use ``filled``. The imputed rows keyed by 1-based index."""
+        return dict(zip(self.series.missing_indices, self.filled[self.series.missing]))
+
     def rendered_csv(self, precision: int = 6) -> str:
-        return write_csv(self.series, self.imputed, precision=precision)
+        return write_csv(self.series, self.filled, precision=precision)
 
 
 def _validate_options(options: ImputeOptions, series: Series, covariates) -> None:
@@ -173,14 +181,11 @@ def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates)
             f"forecast overflow in the open gap at index {segment.gap_start} "
             f"(explosive coefficients over a long horizon)"
         )
-    zeros_like = np.zeros_like(predicted)
     return ControlSolution(
-        control_indices=tuple(segment.indices),
-        controls=zeros_like,
+        control_indices=segment.indices,
+        controls=np.zeros_like(predicted),
         multiplier=None,
-        imputed_indices=tuple(segment.indices),
         imputed=predicted,
-        predicted_indices=tuple(segment.indices),
         predicted=predicted,
         terminal_residual=None,
         objective=0.0,
@@ -285,7 +290,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
     if not segments:
         report.notes.append("0 gaps: output mirrors the input")
-        return ImputeResult(series=series, imputed={}, report=report)
+        return ImputeResult(series=series, filled=series.data, report=report)
 
     prefix_model = _note_rank(report.notes, "prefix fit", fit_prefix(series, options, covariates))
     report.model = describe_model(prefix_model)
@@ -304,7 +309,6 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         solutions = _solve_batch(options, prefix_model, segments, working, covariates)
     verdicts = _certify_batch(options, models, segments, solutions)
 
-    imputed: dict = {}
     refits = models if options.refit_per_gap else [None] * len(segments)
     for segment, solution, verdict, refit_model in zip(segments, solutions, verdicts, refits):
         if refit_model is not None:
@@ -314,10 +318,10 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
         report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
-        imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
                 f"(no anchor); values are the uncorrected forecast"
             )
-    return ImputeResult(series=series, imputed=imputed, report=report)
+    working.setflags(write=False)
+    return ImputeResult(series=series, filled=working, report=report)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fitting import ArModel, RegModel, VarModel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 _NUMBER_TYPES = frozenset((int, float))
@@ -161,22 +161,24 @@ class ImputationReport:
 
 
 def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
-    """Assemble the report entry for one gap from its pieces."""
+    """Assemble the report entry for one gap from its pieces.
+
+    Index runs are written as ``[first, last]``. The forecast and the fill
+    are not repeated: ``start``, ``end``, the seeds and the model determine
+    them (see the README's "Report schema").
+    """
+    seeds, controlled = segment.seed_indices, solution.control_indices
     entry = {
         "start": segment.gap_start,
         "end": segment.gap_end,
         "anchor_index": segment.anchor_index,
         "anchor_value": segment.anchor_value,
-        "seed_indices": list(segment.seed_indices),
+        "seed_indices": [seeds[0], seeds[-1]],
         "constrained": solution.constrained,
         "mode": solution.mode,
         "multiplier": solution.multiplier,
-        "control_indices": list(solution.control_indices),
+        "control_indices": [controlled[0], controlled[-1]],
         "controls": solution.controls,
-        "predicted_indices": list(solution.predicted_indices),
-        "predicted": solution.predicted,
-        "imputed_indices": list(solution.imputed_indices),
-        "imputed": solution.imputed,
         "terminal_residual": solution.terminal_residual,
         "objective": solution.objective,
         "oracle": None,

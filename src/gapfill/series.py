@@ -7,7 +7,8 @@ import io
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -179,6 +180,38 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
         cols = tuple(cols)
 
     markers = tuple(na_markers)
+    try:
+        data, missing = _convert_columns(body, cols, frozenset(("",) + markers))
+    except ValueError:
+        data, missing = _convert_cells(body, cols, header, markers)
+    data[missing] = np.nan
+    return Series(data=data, missing=missing, header=tuple(header), rows=tuple(body),
+                  value_columns=cols, na_markers=markers, delimiter=delimiter)
+
+
+def _convert_columns(body, cols, absent) -> tuple[np.ndarray, np.ndarray]:
+    """The selected cells as floats (NaN where a stripped cell is in
+    ``absent``) and the mask of rows with any such cell; one numpy
+    conversion per column. A cell that is not a finite number raises
+    ValueError, for ``_convert_cells`` to name."""
+    data = np.empty((len(body), len(cols)))
+    missing = np.zeros(len(body), dtype=bool)
+    for j, c in enumerate(cols):
+        cells = [row[c].strip() for row in body]
+        gone = [cell in absent for cell in cells]
+        # numpy parses each cell as float() does, bit for bit
+        values = np.array(["nan" if g else cell for cell, g in zip(cells, gone)], dtype=float)
+        gone = np.array(gone, dtype=bool)
+        if not (np.isfinite(values) | gone).all():
+            raise ValueError("non-finite cell")
+        data[:, j] = values
+        missing |= gone
+    return data, missing
+
+
+def _convert_cells(body, cols, header, markers) -> tuple[np.ndarray, np.ndarray]:
+    """``_convert_columns`` cell by cell in row order, raising DataError
+    for the first cell that is not a finite number."""
     cells = []
     missing = []
     for i, row in enumerate(body, start=1):
@@ -202,11 +235,7 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
                 )
             cells.append(v)
         missing.append(row_missing)
-
-    data = np.array(cells).reshape(len(body), len(cols))
-    data[missing] = np.nan
-    return Series(data=data, missing=missing, header=tuple(header), rows=tuple(body),
-                  value_columns=cols, na_markers=markers, delimiter=delimiter)
+    return np.array(cells).reshape(len(body), len(cols)), np.array(missing, dtype=bool)
 
 
 def detect_gaps(series: Series, order: int = 1,
@@ -255,38 +284,25 @@ def detect_gaps(series: Series, order: int = 1,
     return series.prefix_length, segments
 
 
-def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int = 6) -> str:
+def write_csv(series: Series, filled, precision: int = 6) -> str:
     """Render the series with gaps filled, appending an ``origin`` column.
 
-    Observed rows echo their original cells; rows listed in ``imputed`` get
-    their value cells replaced by the imputed components printed with
-    ``precision`` significant digits. ``imputed`` must cover exactly the
-    missing positions.
+    ``filled`` is an n x dim array shaped like ``series.data``. Observed rows
+    echo their original cells; missing rows get their value cells replaced
+    by the row of ``filled``, printed with ``precision`` significant digits.
     """
     if not 1 <= precision <= 17:
         raise ValueError("precision must be between 1 and 17")
+    values = np.asarray(filled, dtype=float)
+    if values.shape != series.data.shape:
+        raise DataError(
+            f"filled values have shape {values.shape}, expected {len(series)} rows "
+            f"of {series.dim} components"
+        )
     order = series.missing_indices
-    missing = set(order)
-    given = set(imputed)
-    if missing - given:
-        raise DataError(f"imputed value missing for gap index {min(missing - given)}")
-    if given - missing:
-        raise DataError(f"imputed value supplied for observed index {min(given - missing)}")
-
     dim = series.dim
-    try:
-        values = np.array([imputed[i] for i in order], dtype=float).reshape(len(order), dim)
-    except ValueError:
-        # vectors of differing lengths: name the first bad index in row order
-        vectors = [np.atleast_1d(np.asarray(imputed[i], dtype=float)) for i in order]
-        for i, vec in zip(order, vectors):
-            if vec.shape[0] != dim:
-                raise DataError(
-                    f"imputed value at index {i} has {vec.shape[0]} components, expected {dim}"
-                ) from None
-        values = np.array(vectors)
     # every imputed cell in one formatting pass ("%g" never prints a comma)
-    numbers = values.ravel().tolist()
+    numbers = values[series.missing].ravel().tolist()
     cells = ((f"%.{precision}g," * len(numbers)) % tuple(numbers)).split(",")[:-1]
     # the imputed rows, column by column: raw cells, then the value columns replaced
     raw = [series.rows[i - 1] for i in order]
@@ -299,9 +315,16 @@ def write_csv(series: Series, imputed: Mapping[int, np.ndarray], precision: int 
         rows[i - 1] = row
         tags[i - 1] = ("imputed",)
 
+    header = tuple(series.header) + ("origin",)
+    # rows are joined to their tags as they are written, so none of them outlives its line
+    lines = map(operator.add, rows, tags)
+    # csv.writer quotes a cell that holds the delimiter, a quote or a line
+    # break; when no cell does, a line is just its cells joined
+    every_cell = "".join(chain(header, chain.from_iterable(series.rows), cells, ("observed", "imputed")))
+    if not any(mark in every_cell for mark in (series.delimiter, '"', "\n", "\r")):
+        return "\n".join(map(series.delimiter.join, chain((header,), lines))) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
-    writer.writerow(list(series.header) + ["origin"])
-    # rows are joined to their tags as they are written, so none of them outlives its line
-    writer.writerows(map(operator.add, rows, tags))
+    writer.writerow(header)
+    writer.writerows(lines)
     return buf.getvalue()

@@ -36,7 +36,7 @@ class TestImputeCommand:
         assert lines[7] == "7,imputed"
         assert lines[8] == "8,observed"
         report = json.loads(report_path.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["gaps"][0]["oracle"]["certified"]
 
     def test_output_file(self, capsys, tmp_path, linear_csv):

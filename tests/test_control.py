@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.control import (
+    _solutions,
     gamma_weights,
     impulse_weights,
     impute_gap_ar,
@@ -215,7 +218,7 @@ class TestImputeGapAr:
             sol.controls, [-8.0 / 21.0, -16.0 / 21.0, -32.0 / 21.0], rtol=0, atol=1e-14
         )
         assert sol.objective == pytest.approx(64.0 / 21.0, abs=1e-14)
-        assert sol.control_indices == (2, 3, 4)
+        assert sol.control_indices == range(2, 5)
 
     @pytest.mark.parametrize("mode", ["exact", "paper"])
     def test_shared_impulse_gives_the_fill_of_each_gap_alone(self, mode):
@@ -266,7 +269,7 @@ class TestImputeGapAr:
         gap = single_gap([1.0, 2.0, None, None, None, 9.0], order=2)
         sol = impute_gap_ar(m, gap, [1.0, 2.0], 9.0)
         # controls start at the second gap position
-        assert sol.control_indices == (4, 5, 6)
+        assert sol.control_indices == range(4, 7)
         assert sol.imputed[0] == pytest.approx(sol.predicted[0], abs=0.0)
         assert sol.terminal_residual <= 1e-9 * (1 + 9.0)
 
@@ -478,6 +481,51 @@ class TestImputeGapVar:
         expected = loop_fill_var(model, start, sol.controls)
         assert sol.imputed.tobytes() == expected[:gap_length].tobytes()
         assert sol.terminal_residual == float(np.linalg.norm(expected[-1] - anchor))
+
+
+class TestStackedSolutions:
+    """A stack of fills is checked and assembled at once, and each gets the
+    objective and residual it would get alone."""
+
+    @staticmethod
+    def solve(gaps, controls, paths, targets):
+        g = len(gaps)
+        return _solutions(gaps, [gap.gap_start for gap in gaps], controls, [None] * g, paths,
+                          paths, targets, "exact", [{}] * g)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), count=st.integers(1, 6),
+           steps=st.integers(1, 40))
+    def test_stack_matches_each_fill_alone(self, seed, dim, count, steps):
+        # dim 0 stands for scalar fills, whose miss is measured by magnitude
+        rng = np.random.default_rng(seed)
+        shape = (count, steps) + ((dim,) if dim else ())
+        scales = 10.0 ** rng.integers(-100, 100, (count,) + (1,) * (len(shape) - 1))
+        controls = rng.standard_normal(shape) * scales
+        paths = rng.standard_normal(shape) * scales
+        targets = rng.standard_normal(shape[:1] + shape[2:]) * scales[:, 0]
+        gaps = [SimpleNamespace(gap_start=50 * i + 1, anchor_index=50 * i + steps, length=steps - 1)
+                for i in range(count)]
+        for i, solution in enumerate(self.solve(gaps, controls, paths, targets)):
+            miss = paths[i, -1] - targets[i]
+            assert solution.objective == float(np.vdot(controls[i], controls[i]))
+            assert solution.terminal_residual == float(abs(miss) if dim == 0 else np.linalg.norm(miss))
+            assert solution.control_indices == range(50 * i + 1, 50 * i + steps + 1)
+            assert solution.imputed.tobytes() == paths[i, :-1].tobytes()
+
+    def test_first_failing_fill_is_named(self):
+        controls = np.ones((4, 3, 2))
+        paths = np.ones((4, 3, 2))
+        controls[1, 0, 0] = 1e200      # the objective overflows
+        paths[2, 1, 1] = np.inf        # the path overflows
+        paths[3, -1, 0] = 1e308        # the residual's square overflows
+        gaps = [SimpleNamespace(gap_start=s, anchor_index=s + 2, length=2) for s in (5, 12, 20, 31)]
+        targets = -np.ones((4, 2))
+        with pytest.raises(NumericalError, match="fill overflow in the gap at index 12:"):
+            self.solve(gaps, controls, paths, targets)
+        for tail, start in ((slice(2, 4), 20), (slice(3, 4), 31)):
+            with pytest.raises(NumericalError, match=f"fill overflow in the gap at index {start}:"):
+                self.solve(gaps[tail], controls[tail], paths[tail], targets[tail])
 
 
 class TestImputeGapRegression:

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import strategies as st
 from gapfill import pipeline
 from gapfill.control import impute_gap_ar, impute_gap_var
 from gapfill.errors import DataError, NumericalError
-from gapfill.fitting import ArModel, fit_ar_lagged, fit_regression, fit_var_pairs
+from gapfill.fitting import (
+    ArModel,
+    RegModel,
+    VarModel,
+    fit_ar_lagged,
+    fit_regression,
+    fit_var_pairs,
+    predict_forward,
+)
 from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.report import ImputationReport, describe_model, gap_entry
@@ -37,20 +47,19 @@ class TestScalarPipeline:
         series = parse_csv("v\n1\n2\n3\n4\n5\nNA\nNA\n8\n")
         result = impute_series(series)
         (entry,) = result.report.gaps
-        expected_keys = {
+        assert list(entry) == [
             "start", "end", "anchor_index", "anchor_value", "seed_indices",
             "constrained", "mode", "multiplier", "control_indices", "controls",
-            "predicted_indices", "predicted", "imputed_indices", "imputed",
             "terminal_residual", "objective", "oracle", "diagnostics",
-        }
-        assert expected_keys <= set(entry)
+        ]
         assert entry["start"] == 6
         assert entry["end"] == 7
         assert entry["anchor_index"] == 8
-        assert entry["control_indices"] == [6, 7, 8]
-        assert len(entry["predicted"]) == 3
+        assert entry["seed_indices"] == [5, 5]
+        assert entry["control_indices"] == [6, 8]
+        assert len(entry["controls"]) == 3
         report_dict = result.report.to_dict()
-        assert report_dict["schema_version"] == 1
+        assert report_dict["schema_version"] == 2
         assert report_dict["gap_count"] == 1
         assert report_dict["model"]["kind"] == "ar"
 
@@ -58,7 +67,8 @@ class TestScalarPipeline:
         series = parse_csv("v\n1\n2\n3\n4\n5\nNA\nNA\n8\n")
         result = impute_series(series)
         parsed = json.loads(result.report.to_json())
-        assert parsed["gaps"][0]["imputed_indices"] == [6, 7]
+        assert parsed["gaps"][0]["control_indices"] == [6, 8]
+        assert parsed["gaps"][0]["controls"] == result.report.gaps[0]["controls"].tolist()
 
     def test_gapless_series_reports_zero_gaps(self):
         series = parse_csv("v\n1\n2\n3\n")
@@ -456,12 +466,11 @@ def refit_per_gap_loop(series, options, covariates=None):
     report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
     if not segments:
         report.notes.append("0 gaps: output mirrors the input")
-        return pipeline.ImputeResult(series=series, imputed={}, report=report)
+        return pipeline.ImputeResult(series=series, filled=series.data, report=report)
     prefix_model = pipeline.fit_prefix(series, options, covariates)
     report.model = describe_model(pipeline._note_rank(report.notes, "prefix fit", prefix_model))
     report.notes.append("refit per gap: each gap uses every fully-observed window before it")
     working = series.data.copy()
-    imputed = {}
     for segment in segments:
         model = pipeline._note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
                                     refit_before(options, series, covariates, segment.gap_start))
@@ -472,22 +481,22 @@ def refit_per_gap_loop(series, options, covariates=None):
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
         report.gaps.append(gap_entry(segment, solution, verdict, model))
-        imputed.update(zip(segment.indices, working[segment.gap_start - 1 : segment.gap_end]))
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
                 f"(no anchor); values are the uncorrected forecast"
             )
-    return pipeline.ImputeResult(series=series, imputed=imputed, report=report)
+    return pipeline.ImputeResult(series=series, filled=working, report=report)
 
 
 @st.composite
-def refit_runs(draw):
+def refit_runs(draw, missing_covariates=True):
     """A series with several gaps, its covariates and refit options. Runs
     may hold a constant prefix (rank notes), a gap too short for its order
     (an AR solve failure), missing covariates inside a gap (a regression
-    solve failure) or on an observed row (a refit failure), or a VAR column
-    that is zero and then subnormal (a refit whose coefficients overflow)."""
+    solve failure) or on an observed row (a refit failure) unless
+    ``missing_covariates`` is False, or a VAR column that is zero and then
+    subnormal (a refit whose coefficients overflow)."""
     kind = draw(st.sampled_from(["ar", "var", "regression"]))
     order = draw(st.integers(1, 3)) if kind == "ar" else 1
     dim = 1 if kind == "ar" else draw(st.integers(1, 3) if kind == "var" else st.integers(1, 2))
@@ -518,7 +527,7 @@ def refit_runs(draw):
         t += length + gap
     if open_gap:
         values[-1] = None
-    if kind == "regression":
+    if kind == "regression" and missing_covariates:
         for row in rng.integers(prefix, rows, int(rng.integers(0, 3))):
             cov_values[row] = None
     options = ImputeOptions(model_kind=kind, order=order, mode=mode, refit_per_gap=True,
@@ -594,6 +603,72 @@ class TestRefitRunAgainstPerGapLoop:
         ]
 
 
+def model_from_report(description):
+    """The fitted model that a report's ``model`` or ``refit_model`` describes."""
+    if description["kind"] == "ar":
+        return ArModel(a=description["lag_coefficients"], b=description["intercept"])
+    kind = VarModel if description["kind"] == "var" else RegModel
+    return kind(A=description["matrix"], b=description["intercept"])
+
+
+class TestSchemaTwoGivesSchemaOne:
+    """Schema 2 drops each gap's forecast, fill and index lists; the report,
+    the filled array and ``predict_forward`` give them back bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
+    def test_dropped_fields_are_recovered(self, run, refit):
+        series, options, covariates = run
+        options = replace(options, refit_per_gap=refit)
+        solved = []
+
+        def recording(segment, solution, *rest):
+            solved.append((segment, solution))
+            return gap_entry(segment, solution, *rest)
+
+        with mock.patch.object(pipeline, "gap_entry", recording):
+            try:
+                result = impute_series(series, options, covariates)
+            except (DataError, NumericalError):
+                return
+        report = json.loads(result.report.to_json())
+        assert report["schema_version"] == 2
+        assert len(report["gaps"]) == len(solved)
+        imputed = {}
+        for entry, (segment, solution) in zip(report["gaps"], solved):
+            start, end, anchor = entry["start"], entry["end"], entry["anchor_index"]
+            last = end if anchor is None else anchor
+            # schema 1's imputed_indices and imputed: the gap's rows of the filled array
+            fill = solution.imputed.reshape(end - start + 1, -1)
+            assert list(segment.indices) == list(range(start, end + 1))
+            assert result.filled[start - 1 : end].tobytes() == fill.tobytes()
+            imputed.update(zip(segment.indices, fill))
+            # its seed_indices and control_indices, from [first, last]
+            first_seed, last_seed = entry["seed_indices"]
+            assert list(segment.seed_indices) == list(range(first_seed, last_seed + 1))
+            first_control, last_control = entry["control_indices"]
+            assert list(solution.control_indices) == list(range(first_control, last_control + 1))
+            delay = options.order - 1 if options.model_kind == "ar" and anchor is not None else 0
+            assert (first_control, last_control) == (start + delay, last)
+            # its predicted_indices (start .. last) and predicted: the forecast
+            # from the seeds under the gap's model
+            model = model_from_report(entry.get("refit_model", report["model"]))
+            steps = last - start + 1
+            if options.model_kind == "ar":
+                forecast = predict_forward(model, result.filled[first_seed - 1 : last_seed, 0], steps)
+            elif options.model_kind == "var":
+                forecast = predict_forward(model, result.filled[last_seed - 1], steps)
+            else:
+                forecast = predict_forward(model, None, steps, covariates=covariates.data[start - 1 : last])
+                if model.n_outputs == 1:
+                    forecast = forecast[:, 0]
+            assert forecast.tobytes() == solution.predicted.tobytes()
+        # the deprecated dict, as schema 1's runs returned it
+        assert list(result.imputed) == list(imputed) == list(series.missing_indices)
+        assert all(result.imputed[i].tobytes() == row.tobytes() for i, row in imputed.items())
+        assert result.filled[series.missing].tobytes() == np.array(list(imputed.values())).tobytes()
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, phosphate_text):
         series = parse_csv(phosphate_text)
@@ -613,7 +688,6 @@ def per_gap_loop(series, options):
     model = pipeline._note_rank(report.notes, "prefix fit", pipeline.fit_prefix(series, options))
     report.model = describe_model(model)
     working = series.data.copy()
-    imputed = {}
     for segment in segments:
         if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
@@ -634,13 +708,12 @@ def per_gap_loop(series, options):
         report.gaps.append(gap_entry(segment, solution, verdict))
         filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
         working[start : segment.gap_end] = filled
-        imputed.update(zip(segment.indices, filled))
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
                 f"(no anchor); values are the uncorrected forecast"
             )
-    return pipeline.ImputeResult(series=series, imputed=imputed, report=report)
+    return pipeline.ImputeResult(series=series, filled=working, report=report)
 
 
 def assert_close_trees(got, want, path="report", rel=1e-12):

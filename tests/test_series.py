@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.errors import DataError
-from gapfill.series import Series, detect_gaps, parse_csv, write_csv
+from gapfill.series import DEFAULT_NA_MARKERS, Series, detect_gaps, parse_csv, write_csv
 
 
 def make_series(values):
@@ -27,7 +29,7 @@ def runs_by_row_loop(missing):
     return [tuple(r) for r in runs]
 
 
-def write_csv_by_row_loop(series, imputed, precision):
+def write_csv_by_row_loop(series, filled, precision):
     """Reference: the filled CSV rendered row by row, one formatted cell at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
@@ -36,9 +38,8 @@ def write_csv_by_row_loop(series, imputed, precision):
     for i, row in enumerate(series.rows, start=1):
         cells = list(row)
         if i in missing:
-            vec = np.atleast_1d(np.asarray(imputed[i], dtype=float))
             for pos, c in enumerate(series.value_columns):
-                cells[c] = format(vec[pos], f".{precision}g")
+                cells[c] = format(filled[i - 1][pos], f".{precision}g")
             tag = "imputed"
         else:
             tag = "observed"
@@ -49,12 +50,13 @@ def write_csv_by_row_loop(series, imputed, precision):
 @st.composite
 def csv_cases(draw):
     """A delimited file with value columns out of header order beside other columns,
-    the parsed series, and imputed vectors for its missing rows."""
+    the parsed series, and a filled array for it; its observed rows hold
+    arbitrary numbers, which must not be rendered."""
     dim = draw(st.integers(1, 3))
     extra = draw(st.integers(0, 2))
     header = [f"c{j}" for j in range(dim + extra)]
     value_columns = draw(st.permutations(header))[:dim]
-    delimiter = draw(st.sampled_from([",", "\t"]))
+    delimiter = draw(st.sampled_from([",", "\t", ".", "e", "s"]))
     free_text = st.lists(st.sampled_from(["a", " ", ",", "\t", '"', "'", "NA", "\n", "é"]),
                          max_size=4).map("".join)
     value_cell = st.one_of(
@@ -71,12 +73,66 @@ def csv_cases(draw):
     series = parse_csv(buf.getvalue(), value_columns=value_columns, delimiter=delimiter)
     components = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 2.0 / 3.0]))
-    imputed = {i: np.array(draw(st.lists(components, min_size=dim, max_size=dim)))
-               for i in series.missing_indices}
-    return series, imputed
+    filled = np.array(draw(st.lists(st.lists(components, min_size=dim, max_size=dim),
+                                    min_size=len(series), max_size=len(series))))
+    return series, filled
+
+
+def filled_rows(series, imputed):
+    """``series.data`` with the rows of ``imputed`` (1-based index to vector) filled in."""
+    filled = series.data.copy()
+    for index, vector in imputed.items():
+        filled[index - 1] = vector
+    return filled
+
+
+def parse_cells_by_row_loop(rows, columns, markers):
+    """Reference: the selected cells read one at a time with ``float()`` in
+    row order; (data, missing rows) or the (row, column, kind) of the first
+    cell that is not a finite number."""
+    data = np.full((len(rows), len(columns)), np.nan)
+    missing = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(columns):
+            cell = row[c].strip()
+            if cell == "" or cell in markers:
+                missing[i] = True
+                continue
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                return i + 1, c, "non-numeric"
+            if not math.isfinite(data[i, j]):
+                return i + 1, c, "non-finite"
+    data[missing] = np.nan
+    return data, missing
 
 
 class TestParseCsv:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(cells=st.lists(st.lists(st.sampled_from([
+        "1", "-2.5", " 3e-7 ", "1_0", "0x10", "1e", "infinity", "-inf", "nan", "NaN", "NA", "",
+        " NA ", "+", ".5", "5.", "\u0661\u0662", "1e400", "4.9e-324", "0.1", "x", "1,5",
+    ]), min_size=2, max_size=2), min_size=1, max_size=8), selected=st.sampled_from([[0], [1], [1, 0]]))
+    def test_columns_match_cell_loop(self, cells, selected):
+        text = "a,b\n" + "".join(f'"{a}","{b}"\n' for a, b in cells)
+        names = [["a", "b"][c] for c in selected]
+        want = parse_cells_by_row_loop(cells, selected, DEFAULT_NA_MARKERS)
+        if isinstance(want[0], int):
+            row, column, kind = want
+            cell = cells[row - 1][column].strip()
+            with pytest.raises(DataError, match=re.escape(f"{kind} value {cell!r} in row {row}, "
+                                                          f"column {['a', 'b'][column]!r}")):
+                parse_csv(text, value_columns=names)
+            return
+        if want[1].all():
+            with pytest.raises(DataError, match="no observed values"):
+                parse_csv(text, value_columns=names)
+            return
+        got = parse_csv(text, value_columns=names)
+        assert got.data.tobytes() == want[0].tobytes()
+        assert got.missing.tolist() == want[1].tolist()
+
     def test_scalar_column_with_empty_cell(self):
         s = parse_csv("value\n1.5\n\n2.5\n")
         assert s.dim == 1
@@ -260,60 +316,60 @@ class TestWriteCsv:
     def test_round_trip_gapless(self):
         text = "a,b\n1,2\n3,4\n"
         s = parse_csv(text)
-        out = write_csv(s, {})
+        out = write_csv(s, s.data)
         assert out == "a,b,origin\n1,2,observed\n3,4,observed\n"
 
     def test_imputed_cells_formatted(self):
         s = parse_csv("v\n1\nNA\n3\n")
-        out = write_csv(s, {2: np.array([2.0 / 3.0])}, precision=6)
+        out = write_csv(s, filled_rows(s, {2: [2.0 / 3.0]}), precision=6)
         assert out.splitlines()[2] == "0.666667,imputed"
 
     def test_precision_controls_digits(self):
         s = parse_csv("v\n1\nNA\n3\n")
-        out = write_csv(s, {2: np.array([2.0 / 3.0])}, precision=12)
+        out = write_csv(s, filled_rows(s, {2: [2.0 / 3.0]}), precision=12)
         assert "0.666666666667,imputed" in out
 
     def test_observed_cells_echoed_verbatim(self):
         s = parse_csv("v\n1.50\nNA\n0003\n")
-        lines = write_csv(s, {2: np.array([2.0])}).splitlines()
+        lines = write_csv(s, filled_rows(s, {2: [2.0]})).splitlines()
         assert lines[1] == "1.50,observed"
         assert lines[3] == "0003,observed"
-
-    def test_missing_imputed_value_rejected(self):
-        s = parse_csv("v\n1\nNA\n3\n")
-        with pytest.raises(DataError, match="imputed value missing"):
-            write_csv(s, {})
-
-    def test_extraneous_imputed_value_rejected(self):
-        s = parse_csv("v\n1\nNA\n3\n")
-        with pytest.raises(DataError, match="observed index"):
-            write_csv(s, {2: np.array([2.0]), 3: np.array([9.0])})
 
     def test_wrong_dimension_rejected(self):
         s = parse_csv("a,b\n1,2\n+,+\n5,6\n")
         with pytest.raises(DataError, match="components"):
-            write_csv(s, {2: np.array([1.0])})
+            write_csv(s, np.ones((3, 1)))
+
+    def test_wrong_row_count_rejected(self):
+        s = parse_csv("a,b\n1,2\n+,+\n5,6\n+,+\n7,8\n")
+        with pytest.raises(DataError, match=r"shape \(4, 2\), expected 5 rows of 2 components"):
+            write_csv(s, np.ones((4, 2)))
 
     def test_deterministic_bytes(self):
         s = parse_csv("a,b\n1,2\n+,+\n5,6\n")
-        imputed = {2: np.array([3.3333333, 4.4444444])}
-        assert write_csv(s, imputed) == write_csv(s, imputed)
+        filled = filled_rows(s, {2: [3.3333333, 4.4444444]})
+        assert write_csv(s, filled) == write_csv(s, filled)
 
     def test_precision_out_of_range(self):
         s = parse_csv("v\n1\n")
         with pytest.raises(ValueError, match="precision"):
-            write_csv(s, {}, precision=0)
+            write_csv(s, s.data, precision=0)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", ";", ".", "e", "+", "n", "s", "p", "o"])
+    def test_quotes_as_csv_writer_does(self, delimiter):
+        # "." "e" "+" "n" occur in the imputed numbers, "s" "o" in the tags, "p" in both
+        buf = io.StringIO()
+        csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(
+            [["v", "note"], ["1.5", "a"], ["NA", "b"], ["NA", "c"], ["2", "d"]])
+        series = parse_csv(buf.getvalue(), value_columns=["v"], delimiter=delimiter)
+        filled = filled_rows(series, {2: [1e300], 3: [np.nan]})
+        assert write_csv(series, filled) == write_csv_by_row_loop(series, filled, 6)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=csv_cases(), precision=st.integers(1, 17))
     def test_matches_row_loop(self, case, precision):
-        series, imputed = case
-        assert write_csv(series, imputed, precision) == write_csv_by_row_loop(series, imputed, precision)
-
-    def test_first_wrong_dimension_in_row_order(self):
-        s = parse_csv("a,b\n1,2\n+,+\n5,6\n+,+\n7,8\n")
-        with pytest.raises(DataError, match="index 2 has 1 components, expected 2"):
-            write_csv(s, {4: np.array([1.0, 2.0, 3.0]), 2: np.array([1.0])})
+        series, filled = case
+        assert write_csv(series, filled, precision) == write_csv_by_row_loop(series, filled, precision)
 
 
 class TestSeriesConstruction:
