@@ -25,9 +25,8 @@ from .control import (
     impute_gap_ar,
     impute_gap_regression,
     impute_gap_var,
-    impute_gaps_var,
-    solve_controls_scalar,
-    solve_controls_var,
+    impute_gaps,
+    solve_controls,
 )
 from .oracle import (
     BatchVerdict,
@@ -75,14 +74,13 @@ __all__ = [
     "impute_gap_ar",
     "impute_gap_regression",
     "impute_gap_var",
-    "impute_gaps_var",
+    "impute_gaps",
     "impute_series",
     "kkt_solve",
     "parse_csv",
     "predict_forward",
     "random_instance",
-    "solve_controls_scalar",
-    "solve_controls_var",
+    "solve_controls",
     "verify_instance",
     "write_csv",
 ]

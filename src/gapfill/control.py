@@ -1,12 +1,17 @@
 """Minimum-energy corrections that steer a fitted recursion to a known endpoint.
 
-Each gap is filled by rolling the fitted recursion forward and adding per-step
-controls chosen to minimize the summed squared control magnitudes subject to
-landing on the first observed value after the gap. Two weight formulations
-exist for the scalar path: ``exact`` uses the impulse response of the
-recursion, which provably meets the terminal constraint; ``paper`` evaluates
-an alternative printed recurrence kept for comparison, whose terminal residual
-is reported rather than guaranteed once the order exceeds one.
+Each gap is filled by rolling the fitted model forward and adding per-step
+controls of least summed squared magnitude that land the path on the first
+observed value after the gap. With F the model's transition matrix, the
+control applied j steps before the anchor is u_j = (C F^j B)^T lambda, where
+G lambda = delta (the anchor's offset from the forecast) and
+G = sum_j (C F^j B)(C F^j B)^T (Kailath, Linear Systems, 1980). ``_blocks``
+gives C F^j B: the impulse weights of an AR (its companion matrix with
+B = C^T = e_1), the powers of a VAR's A (B = C = I), and identities for a
+regression (F = I, so lambda = delta / m is a uniform correction).
+``impute_gaps`` solves every model with that one kernel. In ``paper`` mode
+an AR's controls follow a printed recurrence kept for comparison, whose miss
+is reported, and a VAR reports the printed per-step norm formula.
 """
 
 from __future__ import annotations
@@ -97,22 +102,6 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     return _checked_weights(_impulse_response(model, length))
 
 
-def _control_steps(model: ArModel, gap) -> int:
-    """How many steps of an AR gap carry a control: gap_start + p - 1
-    through the anchor index."""
-    return gap.anchor_index - (gap.gap_start + model.p - 1) + 1
-
-
-def shared_impulse(model: ArModel, gaps) -> np.ndarray | None:
-    """One impulse response for every constrained gap in ``gaps``, rolled
-    for the gap with the most control steps, to pass to ``impute_gap_ar`` as
-    ``impulse``; None when no gap has a control step. It is not checked for
-    overflow: each gap checks its own prefix, so the error of the first
-    failing gap is raised first."""
-    steps = max((_control_steps(model, gap) for gap in gaps if gap.constrained), default=0)
-    return _impulse_response(model, steps) if steps >= 1 else None
-
-
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     """Printed-recurrence weights used by ``paper`` mode, most recent step first.
 
@@ -150,92 +139,98 @@ def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     return gamma
 
 
-def _check_offset(delta) -> None:
-    if not np.isfinite(delta).all():
-        raise NumericalError(
-            "forecast overflow: the offset to the anchor is not finite "
-            "(explosive coefficients or huge values over a long horizon)"
-        )
+def _fill_overflow(gap) -> NumericalError:
+    return NumericalError(
+        f"fill overflow in the gap at index {gap.gap_start}: the filled values, the summed "
+        f"squared controls or the terminal residual are not finite (magnitudes beyond ~1e154 "
+        f"overflow when squared)"
+    )
 
 
-def solve_controls_scalar(weights, delta: float) -> tuple[float, np.ndarray]:
-    """Spread ``delta`` over the control steps in proportion to ``weights``.
-
-    Returns the multiplier c = delta / sum(w^2) and the chronological control
-    sequence c*w_{m-1}, ..., c*w_0. With impulse weights this is the unique
-    minimizer of the summed squared controls subject to hitting the endpoint.
-    A non-finite ``delta`` (an overflowed forecast) raises NumericalError.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a nonempty 1-D sequence")
-    denom = float(w @ w)
-    if denom == 0.0:
-        raise NumericalError("unreachable terminal constraint: all control weights are zero")
-    _check_offset(delta)
-    c = float(delta) / denom
-    return c, c * w[::-1]
+def _norm_overflow() -> NumericalError:
+    return NumericalError(
+        "norm overflow: the anchor offset or the Lagrange solve's residual has no "
+        "finite length (values beyond ~1e154 cannot be squared in float64)"
+    )
 
 
-def _gram_sums(powers: np.ndarray) -> np.ndarray:
-    """Running sums G_m = sum_{j<m} powers[j] powers[j]^T, one per m.
+def _blocks(model, m: int) -> np.ndarray:
+    """The (m, k, k) blocks C F^j B, j = 0 .. m - 1, of ``model``, unchecked
+    for overflow and prefix-stable: an AR's impulse response, a VAR's powers
+    of A, or a regression's identities (F = I)."""
+    if isinstance(model, ArModel):
+        return _impulse_response(model, m).reshape(m, 1, 1)
+    if isinstance(model, VarModel):
+        return mat_pow_table(model.A, m - 1)
+    k = model.n_outputs
+    return np.broadcast_to(np.eye(k), (m, k, k))
 
-    Summed strictly in step order (np.sum would reorder the additions), so
-    ``_gram_sums(p)[m - 1]`` has the bits of ``_gram_sums(p[:m])[-1]``.
-    """
+
+def _gram_sums(blocks: np.ndarray) -> np.ndarray:
+    """Running sums G_m = sum_{j<m} blocks[j] blocks[j]^T along the step axis
+    (third from last), strictly in step order (np.sum would reorder the
+    additions), so the sum of the first m blocks has the bits of theirs alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(np.matmul(powers, powers.transpose(0, 2, 1)), axis=0)
+        return np.cumsum(np.matmul(blocks, np.swapaxes(blocks, -2, -1)), axis=-3)
 
 
-def solve_controls_var(powers, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange solve of the vector control problem.
-
-    ``powers[j]`` must be the j-th power of the transition matrix, so
-    ``powers[0]`` is the identity (a ValueError otherwise). The control
-    applied j steps before the endpoint is powers[j]^T lambda where
-    G lambda = delta and G = sum_j powers[j] powers[j]^T; this minimizes the
-    summed squared control lengths. The j = 0 term makes G >= I, so G is
-    positive definite and every offset is reachable. ``delta`` is one offset
-    (giving lambda (k,) and controls (m, k)) or a (g, k) stack of them
-    (giving (g, k) and (g, m, k)), each row solved as if alone. A G,
-    ``delta`` or norm that has overflowed, or a solve that misses
-    G lambda = delta by more than 1e-8 (1 + ||delta||), raises
-    NumericalError.
+def solve_controls(blocks, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda and the chronological controls of least summed squared length
+    that move the endpoint by ``delta``: one offset (k,), or a (g, k) stack
+    of them solved row by row. ``blocks`` is the (m, k, k) stack of C F^j B,
+    most recent first (1-D for k = 1), and ``blocks[0]`` must be the identity
+    (a ValueError otherwise), so G >= I. A non-finite G or ``delta``, or (for
+    blocks not all diagonal) a solve missing by over 1e-8 (1 + ||delta||),
+    raises NumericalError.
     """
-    mats = np.asarray(powers, dtype=float)
+    mats = np.asarray(blocks, dtype=float)
+    if mats.ndim == 1:
+        mats = mats[:, None, None]
     if mats.ndim != 3 or mats.shape[0] < 1 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("powers must be a nonempty stack of square matrices of one dimension")
-    if not np.array_equal(mats[0], np.eye(mats.shape[1])):
-        raise ValueError("powers[0] must be the identity matrix")
-    return _lagrange(mats, _gram_sums(mats)[-1], delta)
+        raise ValueError("blocks must be a nonempty stack of square matrices of one dimension")
+    k = mats.shape[1]
+    if not np.array_equal(mats[0], np.eye(k)):
+        raise ValueError("blocks[0] must be the identity matrix")
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    if d.shape[-1:] != (k,) or d.ndim > 2:
+        raise ValueError(f"delta has shape {d.shape}, expected ({k},) or (g, {k})")
+    lam, controls = _lagrange(mats, _gram_sums(mats)[-1], d.reshape(-1, k))
+    return (lam, controls) if d.ndim == 2 else (lam[0], controls[0])
 
 
-def _lagrange(mats: np.ndarray, gram: np.ndarray, delta) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_controls_var`` given its validated powers and their Gram matrix."""
-    # a non-finite power puts inf or nan on the diagonal of G
+def _lagrange(blocks: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers (g, k) and chronological controls (g, m, k) for the
+    (g, k) offsets ``delta``, under shared (m, k, k) ``blocks`` with Gram
+    matrix ``gram`` (k, k), or one (m, k, k) stack and Gram matrix per row."""
+    # a non-finite block puts inf or nan on the diagonal of G
     if not np.isfinite(gram).all():
         raise NumericalError(
             "matrix power overflow: the control Gram matrix is not finite "
             "(explosive transition matrix over a long horizon, or value columns "
             "whose scales differ by many orders of magnitude)"
         )
-    _check_offset(delta)
-    k = mats.shape[1]
-    d = np.asarray(delta, dtype=float)
-    if d.shape[-1:] != (k,) or d.ndim > 2:
-        raise ValueError(f"delta has shape {d.shape}, expected ({k},) or (g, {k})")
-
-    solution = solve_spd(gram, d)
-    lam = solution.x
-    rows, offsets = lam.reshape(-1, k), d.reshape(-1, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = row_norms(np.matmul(gram, rows[:, :, None])[:, :, 0] - offsets)
-        offset = row_norms(offsets)
-    if not (np.isfinite(residual).all() and np.isfinite(offset).all()):
+    if not np.isfinite(delta).all():
         raise NumericalError(
-            "norm overflow: the anchor offset or the Lagrange solve's residual has no "
-            "finite length (values beyond ~1e154 cannot be squared in float64)"
+            "forecast overflow: the offset to the anchor is not finite "
+            "(explosive coefficients or huge values over a long horizon)"
         )
+    # chronological: the first control is applied m - 1 steps before the endpoint
+    steps = np.flip(blocks, axis=-3)
+    if not np.count_nonzero(steps[..., ~np.eye(delta.shape[1], dtype=bool)]):
+        # diagonal blocks (one output, or a regression's identities) make one
+        # problem per output, each a plain division: a Cholesky solve would give
+        # delta / sqrt(G) / sqrt(G), and a product keeps the sign of a zero
+        # control, which matmul does not
+        lam = delta / np.diagonal(gram, axis1=-2, axis2=-1)
+        return lam, lam[:, None, :] * np.diagonal(steps, axis1=-2, axis2=-1)
+
+    solution = solve_spd(gram, delta)
+    lam = solution.x
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = row_norms(np.matmul(gram, lam[:, :, None])[:, :, 0] - delta)
+        offset = row_norms(delta)
+    if not (np.isfinite(residual).all() and np.isfinite(offset).all()):
+        raise _norm_overflow()
     missed = ~(residual <= 1e-8 * (1.0 + offset))
     if solution.fallback or missed.any():
         raise NumericalError(
@@ -243,24 +238,20 @@ def _lagrange(mats: np.ndarray, gram: np.ndarray, delta) -> tuple[np.ndarray, np
             f"offset by {residual[missed.argmax()]:.3g} (explosive transition matrix over a "
             f"long horizon)"
         )
-    # chronological: the first control is applied m - 1 steps before the endpoint
-    controls = np.matmul(rows[:, None, None, :], mats[::-1])[:, :, 0, :]
-    return lam, (controls if d.ndim == 2 else controls[0])
+    return lam, np.matmul(lam[:, None, None, :], steps)[:, :, 0, :]
 
 
 def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, targets,
                mode: str, diagnostics) -> list:
-    """Assemble the ControlSolutions of a stack of constrained fills, one per gap.
+    """The ControlSolutions of a stack of constrained fills, one per gap.
 
-    Row i of each stacked argument belongs to ``gaps[i]``: its controls act
-    from index ``first_controls[i]`` through the anchor, and ``paths[i]``
-    (corrected) and ``predicted[i]`` (uncorrected) run from the gap start
-    through the anchor. ``targets`` is (g,) for scalar anchors, whose miss is
-    measured by its magnitude, or (g, k) for vector anchors, measured by its
-    Euclidean norm. The objective is the sum of squared controls. Both carry
-    the bits of ``np.vdot`` and ``np.linalg.norm`` of that fill alone. A
-    path, objective or residual that has overflowed raises NumericalError
-    for the first such gap; the stack is checked at once.
+    Row i of each argument belongs to ``gaps[i]``: its controls act from
+    ``first_controls[i]`` through the anchor, and ``paths[i]`` (corrected)
+    and ``predicted[i]`` run from the gap start through the anchor. The miss
+    of a (g,) ``targets`` row is its magnitude, of a (g, k) row its norm;
+    the objective is the sum of squared controls, each with the bits of that
+    fill alone. The stack is checked at once for overflow, which raises
+    NumericalError for the first such gap.
     """
     g = len(gaps)
     flat = np.ascontiguousarray(controls).reshape(g, -1)
@@ -270,11 +261,7 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
         residuals = np.abs(miss) if miss.ndim == 1 else row_norms(miss)
     finite = np.isfinite(objectives) & np.isfinite(residuals) & np.isfinite(paths.reshape(g, -1)).all(axis=1)
     if not finite.all():
-        raise NumericalError(
-            f"fill overflow in the gap at index {gaps[int(finite.argmin())].gap_start}: the filled "
-            f"values, the summed squared controls or the terminal residual are not finite "
-            f"(magnitudes beyond ~1e154 overflow when squared)"
-        )
+        raise _fill_overflow(gaps[int(finite.argmin())])
     return [
         ControlSolution(
             control_indices=range(first, gap.anchor_index + 1),
@@ -293,128 +280,150 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
     ]
 
 
-def _solution(gap, first_control: int, controls, multiplier, path, predicted, target,
-              mode: str, diagnostics: dict) -> ControlSolution:
-    """``_solutions`` for one gap."""
-    return _solutions([gap], [first_control], [controls], [multiplier], path[None], [predicted],
-                      np.asarray(target, dtype=float)[None], mode, [diagnostics])[0]
+def _roll(model, starts, steps: int, controls=None) -> np.ndarray:
+    """``predict_forward`` of ``steps`` steps from each of ``starts``, with
+    the rows of ``controls`` on the last steps; one row per start. ``model``
+    is one model or a list, one per start. One VAR advances every path at once."""
+    if isinstance(model, VarModel):
+        return predict_forward(model, starts, steps, controls=controls)
+    models = model if isinstance(model, list) else [model] * len(starts)
+    controls = [None] * len(starts) if controls is None else controls
+    # a regression reads its start as covariate rows, an autoregression as seeds
+    return np.array([predict_forward(m, s, steps, covariates=s, controls=u)
+                     for m, s, u in zip(models, starts, controls)])
 
 
-def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact",
-                  impulse=None) -> ControlSolution:
-    """Fill one gap of a scalar autoregression so the rolled path ends at ``anchor``.
-
-    Controls act on steps gap_start + p - 1 through the anchor index, so for
-    order p >= 2 the first p - 1 gap values follow the uncorrected recursion.
-    ``seeds`` supplies at least p values chronologically up to the position
-    just before the gap. ``impulse`` may be ``shared_impulse`` of gaps that
-    share ``model``, so that they roll the impulse response once; this gap
-    uses its prefix, which has the bits it would compute alone.
-    """
-    _check_mode(mode)
-    if not gap.constrained:
-        raise ValueError("gap has no anchor; use the open-gap prediction path")
-    p = model.p
-    n0 = gap.gap_start - 1
-    end = gap.anchor_index
-    total = end - n0
-
-    seed_values = np.asarray(seeds, dtype=float).ravel()
-    predicted = predict_forward(model, seed_values, total)
-    target = float(np.atleast_1d(np.asarray(anchor, dtype=float))[0])
-    delta = target - predicted[-1]
-
-    m = _control_steps(model, gap)
-    if m < 1:
-        raise NumericalError(
-            f"unreachable terminal constraint: order {p} leaves no control step "
-            f"in a gap of length {gap.length}"
-        )
-    if impulse is None:
-        impulse = _impulse_response(model, m)
-    elif len(impulse) < m:
-        raise ValueError(f"impulse response has {len(impulse)} steps, the gap needs {m}")
-    weights = _checked_weights(impulse[:m]) if mode == "exact" else gamma_weights(model, m)
-    c, controls = solve_controls_scalar(weights, delta)
-
-    values = predict_forward(model, seed_values, total, controls=controls)
-
-    diagnostics = {}
-    if mode == "paper":
-        psi = _checked_weights(impulse[:m])
-        diagnostics["weights_printed"] = [float(v) for v in weights]
-        diagnostics["weights_impulse"] = [float(v) for v in psi]
-        diagnostics["max_weight_difference"] = float(np.max(np.abs(weights - psi)))
-
-    return _solution(gap, n0 + p, controls, c, values, predicted, target, mode, diagnostics)
+def _inputs(model, gaps, starts, anchors):
+    """``starts`` and ``anchors`` as the solver reads them, checked; the
+    anchors are (g,) for an AR and (g, k) otherwise."""
+    if isinstance(model, ArModel):
+        return ([np.asarray(s, dtype=float).ravel() for s in starts],
+                np.array([np.atleast_1d(np.asarray(a, dtype=float))[0] for a in anchors]))
+    if isinstance(model, RegModel):
+        k, seeds = model.n_outputs, [np.asarray(x, dtype=float) for x in starts]
+        for gap, x in zip(gaps, seeds):
+            if len(x) != gap.length + 1:
+                raise ValueError(f"need {gap.length + 1} covariate rows (gap start through anchor), "
+                                 f"got {len(x)}")
+        targets = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a in anchors])
+    else:
+        k = model.dim
+        # checked once for the stack, but worded for one gap, as impute_gap_var reports
+        seeds = np.asarray(starts, dtype=float).reshape(len(gaps), -1)
+        if seeds.shape[1] != k:
+            raise DataError(f"seed must have {k} components, got shape {seeds.shape[1:]}")
+        targets = np.asarray(anchors, dtype=float)
+        if targets.ndim != 2 or targets.shape[1] < 1:
+            raise ValueError(f"expected a 1-D vector, got shape {targets.shape[1:]}")
+        if not np.isfinite(targets).all():
+            raise ValueError("vector entries must be finite")
+    if targets.shape[1] != k:
+        raise ValueError(f"anchor has {targets.shape[1]} components, expected {k}")
+    return seeds, targets
 
 
-def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> ControlSolution:
-    """Vector analogue of ``impute_gap_ar``; controls act on every step.
+def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
+    """Fill constrained gaps so each path ends at its anchor; one
+    ControlSolution per gap, in order.
 
-    ``seed`` is the observation just before the gap. In ``paper`` mode the
-    values still come from the exact Lagrange solve; the printed per-step norm
-    formula is evaluated alongside the exact norms as a diagnostic. This is
-    ``impute_gaps_var`` for one gap.
-    """
-    return impute_gaps_var(model, [gap], [seed], [anchor], mode)[0]
-
-
-def impute_gaps_var(model: VarModel, gaps, seeds, anchors, mode: str = "exact") -> list:
-    """Fill gaps that share one VAR(1) model; one ControlSolution per gap, in order.
-
-    ``seeds[i]`` is the observation just before ``gaps[i]`` and ``anchors[i]``
-    its anchor. The power table and the running Gram sums are built once for
-    the longest gap and sliced per length (both are prefix-stable). The gaps
-    of one length advance as one stacked path and share one multiplier
-    solve, and each gap gets the bits it would get alone. If any gap fails,
-    the gaps are solved again one at a time in order, so the error raised is
-    that of the first failing gap, as in a left-to-right loop.
+    ``model`` is one model, or a list with one per gap, of one kind.
+    ``gaps[i]`` is rolled from ``starts[i]``: at least p values before it for
+    an AR(p), the row before it for a VAR, or a regression's covariate rows
+    from the gap start through the anchor. ``anchors[i]`` is a scalar for an
+    AR, a vector for a VAR, and per output (or a scalar) for a regression.
+    Controls act on the last m steps: all but the first p - 1 of an AR(p).
+    Gaps with the same m share one ``_lagrange`` solve, and a shared model's
+    blocks and Gram sums are built once and sliced (both prefix-stable), so
+    each gap gets the bits it would get alone. A regression is exact in
+    either mode. The first failing gap's error is raised.
     """
     _check_mode(mode)
     if not all(gap.constrained for gap in gaps):
         raise ValueError("gap has no anchor; use the open-gap prediction path")
     if not gaps:
         return []
-    k = model.dim
-    # checked once for the stack, but worded for one gap, as impute_gap_var reports
-    starts = np.asarray(seeds, dtype=float).reshape(len(gaps), -1)
-    if starts.shape[1] != k:
-        raise DataError(f"seed must have {k} components, got shape {starts.shape[1:]}")
-    targets = np.asarray(anchors, dtype=float)
-    if targets.ndim != 2 or targets.shape[1] < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {targets.shape[1:]}")
-    if not np.isfinite(targets).all():
-        raise ValueError("vector entries must be finite")
-    if targets.shape[1] != k:
-        raise ValueError(f"anchor has {targets.shape[1]} components, expected {k}")
-    steps = np.array([gap.anchor_index - gap.gap_start + 1 for gap in gaps])
-    powers = mat_pow_table(model.A, int(steps.max()) - 1)
-    grams = _gram_sums(powers)
-
-    solutions = [None] * len(gaps)
     try:
-        # not np.unique, whose first call imports numpy.ma (half a megabyte)
-        for m in sorted(set(steps.tolist())):
-            batch = np.flatnonzero(steps == m)
-            start = starts[batch]
-            predicted = predict_forward(model, start, m)
-            delta = targets[batch] - predicted[:, -1]
-            lam, controls = _lagrange(powers[:m], grams[m - 1], delta)
-            values = predict_forward(model, start, m, controls=controls)
-            members = [gaps[i] for i in batch.tolist()]
-            diagnostics = [_step_norms(powers[:m], d, u) if mode == "paper" else {}
-                           for d, u in zip(delta, controls)]
-            solved = _solutions(members, [gap.gap_start for gap in members], controls, lam, values,
-                                predicted, targets[batch], mode, diagnostics)
-            for i, solution in zip(batch.tolist(), solved):
-                solutions[i] = solution
+        return _impute(model, gaps, starts, anchors, mode)
     except NumericalError:
         if len(gaps) == 1:
             raise
         for i in range(len(gaps)):
-            impute_gaps_var(model, gaps[i : i + 1], starts[i : i + 1], targets[i : i + 1], mode)
+            impute_gaps(model[i] if isinstance(model, list) else model, gaps[i : i + 1],
+                        starts[i : i + 1], anchors[i : i + 1], mode)
         raise
+
+
+def _impute(model, gaps, starts, anchors, mode: str) -> list:
+    """``impute_gaps``, one control count at a time."""
+    shared = not isinstance(model, list)
+    first = model if shared else model[0]
+    ar, regression = isinstance(first, ArModel), isinstance(first, RegModel)
+    # an AR(p)'s first p - 1 gap values follow the uncorrected recursion
+    lag = first.p - 1 if ar else 0
+    scalar = ar or (regression and np.ndim(anchors[0]) == 0)
+    starts, targets = _inputs(first, gaps, starts, anchors)
+    counts = np.array([gap.anchor_index - gap.gap_start + 1 - lag for gap in gaps])
+    if counts.min() < 1:
+        raise NumericalError(
+            f"unreachable terminal constraint: order {lag + 1} leaves no control step "
+            f"in a gap of length {gaps[int(np.argmax(counts < 1))].length}"
+        )
+    if shared:
+        table = _blocks(model, int(counts.max()))
+        grams = _gram_sums(table)
+
+    solutions = [None] * len(gaps)
+    # not np.unique, whose first call imports numpy.ma (half a megabyte)
+    for m in sorted(set(counts.tolist())):
+        batch = np.flatnonzero(counts == m).tolist()
+        g, members = len(batch), [gaps[i] for i in batch]
+        mine = model if shared else [model[i] for i in batch]
+        seeds = starts[batch] if isinstance(starts, np.ndarray) else [starts[i] for i in batch]
+        if shared:
+            blocks, gram = table[:m], grams[m - 1]
+        else:
+            blocks = np.stack([_blocks(each, m) for each in mine])
+            gram = _gram_sums(blocks)[:, -1]
+        if ar:
+            # one impulse response for a shared model, one per gap otherwise
+            impulse = blocks[..., 0, 0].reshape(-1, m)
+            if mode == "paper":
+                printed = np.array([gamma_weights(each, m) for each in ([model] if shared else mine)])
+                blocks = printed.reshape(blocks.shape)
+                gram = _gram_sums(blocks)[..., -1, :, :]
+            elif (np.abs(impulse) > WEIGHT_OVERFLOW_LIMIT).any():
+                for row in impulse:
+                    _checked_weights(row)
+
+        predicted = _roll(mine, seeds, m + lag)
+        delta = (targets[batch] - predicted[:, -1]).reshape(g, -1)
+        if regression and not np.isfinite(delta).all():
+            # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
+            raise _fill_overflow(members[int(np.isfinite(delta).all(axis=1).argmin())])
+        lam, controls = _lagrange(blocks, gram, delta)
+        if regression:
+            values = predicted + np.cumsum(controls, axis=1)
+        else:
+            values = _roll(mine, seeds, m + lag, controls[..., 0] if ar else controls)
+
+        notes = [{"correction_rule": "uniform"} if regression else {} for _ in batch]
+        if mode == "paper" and ar:
+            psi = np.broadcast_to([_checked_weights(row) for row in impulse], (g, m))
+            for note, w, p in zip(notes, np.broadcast_to(printed, (g, m)), psi):
+                note.update(weights_printed=w.tolist(), weights_impulse=p.tolist(),
+                            max_weight_difference=float(np.max(np.abs(w - p))))
+        elif mode == "paper" and not regression:
+            stacks = np.broadcast_to(blocks, (g,) + blocks.shape[-3:])
+            notes = [_step_norms(b, d, u) for b, d, u in zip(stacks, delta, controls)]
+        multipliers = lam
+        if scalar:
+            controls, multipliers = controls[..., 0], lam[:, 0].tolist()
+            if regression:
+                values, predicted = values[..., 0], predicted[..., 0]
+        solved = _solutions(members, [gap.gap_start + lag for gap in members], controls, multipliers,
+                            values, predicted, targets[batch], "exact" if regression else mode, notes)
+        for i, solution in zip(batch, solved):
+            solutions[i] = solution
     return solutions
 
 
@@ -423,46 +432,29 @@ def _step_norms(powers: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> 
     formula beside the exact norms of the controls."""
     column_sums = powers.sum(axis=1)
     column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
-    scale = float(np.linalg.norm(delta)) / column_sum_square
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(delta)) / column_sum_square
+        exact = np.linalg.norm(controls, axis=1)
+    if not (np.isfinite(scale) and np.isfinite(exact).all()):
+        raise _norm_overflow()
     return {
         "step_norm_formula": (scale * powers[::-1].sum(axis=(1, 2))).tolist(),
-        "step_norm_exact": np.linalg.norm(controls, axis=1).tolist(),
+        "step_norm_exact": exact.tolist(),
     }
 
 
+def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:
+    """``impute_gaps`` of one autoregressive gap, from at least p ``seeds``
+    up to the position before it."""
+    return impute_gaps(model, [gap], [seeds], [anchor], mode)[0]
+
+
+def impute_gap_var(model: VarModel, gap, seed, anchor, mode: str = "exact") -> ControlSolution:
+    """``impute_gaps`` of one VAR(1) gap, from the row ``seed`` before it."""
+    return impute_gaps(model, [gap], [seed], [anchor], mode)[0]
+
+
 def impute_gap_regression(model: RegModel, gap, covariates, anchor) -> ControlSolution:
-    """Fill a regression gap with the uniform per-step correction.
-
-    ``covariates`` holds one row per index from the last position before the
-    gap through the anchor (gap length + 2 rows). The corrected path starts
-    from the fitted value at the pre-gap position, adds the fitted
-    between-step increments, and spreads the endpoint mismatch evenly over the
-    steps, which minimizes the summed squared corrections for these
-    unit-coefficient dynamics.
-    """
-    if not gap.constrained:
-        raise ValueError("gap has no anchor; use the open-gap prediction path")
-    n0 = gap.gap_start - 1
-    end = gap.anchor_index
-    m = end - n0
-
-    x = np.asarray(covariates, dtype=float)
-    if x.shape[0] != m + 1:
-        raise ValueError(f"need {m + 1} covariate rows (pre-gap through anchor), got {x.shape[0]}")
-    fitted = predict_forward(model, None, m + 1, covariates=x)
-
-    target = np.atleast_1d(np.asarray(anchor, dtype=float))
-    if target.shape[0] != model.n_outputs:
-        raise ValueError(f"anchor has {target.shape[0]} components, expected {model.n_outputs}")
-    correction = (target - fitted[-1]) / m
-    controls = np.tile(correction, (m, 1))
-    values = fitted[1:] + np.cumsum(controls, axis=0)
-    predicted = fitted[1:]
-    multiplier: float | np.ndarray = correction
-    if np.ndim(anchor) == 0:
-        controls = controls[:, 0]
-        values = values[:, 0]
-        predicted = predicted[:, 0]
-        multiplier = float(correction[0])
-    return _solution(gap, n0 + 1, controls, multiplier, values, predicted, target, "exact",
-                     {"correction_rule": "uniform"})
+    """``impute_gaps`` of one regression gap, from its ``covariates`` rows
+    (gap start through anchor): the fitted values plus a uniform correction."""
+    return impute_gaps(model, [gap], [covariates], [anchor])[0]

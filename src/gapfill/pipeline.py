@@ -9,11 +9,10 @@ import numpy as np
 from .control import (
     MODES,
     ControlSolution,
-    impute_gap_ar,
-    impute_gap_regression,
+    impute_gap_ar,  # not called here; bench/tracing.py still wraps this name
+    impute_gap_regression,  # not called here; bench/tracing.py still wraps this name
     impute_gap_var,  # not called here; bench/tracing.py still wraps this name
-    impute_gaps_var,
-    shared_impulse,
+    impute_gaps,
 )
 from .errors import DataError, NumericalError
 from .fitting import (
@@ -166,16 +165,26 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, segments) 
     ]
 
 
-def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates) -> ControlSolution:
-    """Plain forecast for a gap with no anchor; no controls, marked unconstrained."""
-    steps = segment.length
-    if options.model_kind == "regression":
-        rows = _covariate_rows(covariates, np.arange(segment.gap_start - 1, segment.gap_end))
-        predicted = predict_forward(model, None, steps, covariates=rows)
-        if model.n_outputs == 1:
-            predicted = predicted[:, 0]
-    else:
-        predicted = predict_forward(model, seed, steps)
+def _start(options: ImputeOptions, segment, working: np.ndarray, covariates):
+    """What ``segment`` is rolled from: an autoregression's last p values
+    before it, a VAR's last row, or a regression's covariate rows from the
+    gap start through the anchor (or the gap end), all of them observed."""
+    start = segment.gap_start - 1
+    if options.model_kind == "ar":
+        return working[start - options.order : start, 0]
+    if options.model_kind == "var":
+        return working[start - 1]
+    last = segment.anchor_index if segment.constrained else segment.gap_end
+    return _covariate_rows(covariates, np.arange(start, last))
+
+
+def _open_gap_solution(options: ImputeOptions, model, segment, start) -> ControlSolution:
+    """Plain forecast for a gap with no anchor, from its ``_start``; no
+    controls, marked unconstrained."""
+    # a regression reads its start as covariate rows, an autoregression as seeds
+    predicted = predict_forward(model, start, segment.length, covariates=start)
+    if options.model_kind == "regression" and model.n_outputs == 1:
+        predicted = predicted[:, 0]
     if not np.all(np.isfinite(predicted)):
         raise NumericalError(
             f"forecast overflow in the open gap at index {segment.gap_start} "
@@ -195,49 +204,49 @@ def _open_gap_solution(options: ImputeOptions, model, segment, seed, covariates)
     )
 
 
-def _solve_gap(options: ImputeOptions, model, segment, working: np.ndarray, covariates,
-               impulse) -> ControlSolution:
-    """Solve one gap that ``impute_gaps_var`` does not: an open gap, or an
-    autoregressive gap (given the batch's ``shared_impulse``) or a
-    regression gap."""
-    start = segment.gap_start - 1
-    # an autoregression seeds from the last p values before the gap, a VAR from the last row
-    seed = working[start - options.order : start, 0] if options.model_kind == "ar" else working[start - 1]
-    if not segment.constrained:
-        return _open_gap_solution(options, model, segment, seed, covariates)
-    if options.model_kind == "ar":
-        return impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode,
-                             impulse)
-    rows = _covariate_rows(covariates, np.arange(start - 1, segment.anchor_index))
-    anchor = float(segment.anchor_value[0]) if model.n_outputs == 1 else segment.anchor_value
-    return impute_gap_regression(model, segment, rows, anchor)
+def _solve_gaps(options: ImputeOptions, model, segments, reads_fill, working: np.ndarray,
+                covariates) -> list:
+    """Solve ``segments`` in order, writing each fill into ``working``.
+    ``model`` is one model, or per gap a model or its failed refit's error.
 
-
-def _solve_batch(options: ImputeOptions, model, batch, working: np.ndarray, covariates) -> list:
-    """Solve gaps that share ``model``, writing each fill into ``working``; in gap order.
-
-    The constrained gaps of a VAR are solved together by ``impute_gaps_var``:
-    each seeds from the observed row before it, so none depends on another's
-    fill. The other gaps run one at a time from left to right, since an
-    autoregressive gap fewer than p rows after another seeds from its fill;
-    autoregressive gaps share one impulse response.
+    Constrained gaps go to ``impute_gaps`` in runs; a gap whose seed rows
+    read a fill (``reads_fill``) starts a new run. A failing gap model or
+    start is raised once the run before it is solved. Open gaps are forecast.
     """
-    solved, impulse = {}, None
-    if options.model_kind == "var":
-        closed = [i for i, segment in enumerate(batch) if segment.constrained]
-        gaps = [batch[i] for i in closed]
-        seeds = working[[gap.gap_start - 2 for gap in gaps]]
-        anchors = [gap.anchor_value for gap in gaps]
-        solved = dict(zip(closed, impute_gaps_var(model, gaps, seeds, anchors, options.mode)))
-    elif options.model_kind == "ar":
-        impulse = shared_impulse(model, batch)
-    solutions = []
-    for i, segment in enumerate(batch):
-        solution = solved[i] if i in solved else _solve_gap(
-            options, model, segment, working, covariates, impulse)
-        filled = solution.imputed.reshape(segment.length, -1)
-        working[segment.gap_start - 1 : segment.gap_end] = filled
+    per_gap = isinstance(model, list)
+    # an autoregression, and a regression of one output, have scalar anchors
+    scalar = options.model_kind != "var" and working.shape[1] == 1
+    solutions, run = [], []
+
+    def fill(segment, solution):
+        working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
         solutions.append(solution)
+
+    def solve_run():
+        if run:
+            gaps, models, starts = map(list, zip(*run))
+            anchors = [float(gap.anchor_value[0]) if scalar else gap.anchor_value for gap in gaps]
+            solved = impute_gaps(models if per_gap else model, gaps, starts, anchors, options.mode)
+            run.clear()
+            for gap, solution in zip(gaps, solved):
+                fill(gap, solution)
+
+    models = model if per_gap else [model] * len(segments)
+    for segment, gap_model, seeded in zip(segments, models, reads_fill):
+        if seeded or not segment.constrained:
+            solve_run()
+        try:
+            if isinstance(gap_model, Exception):
+                raise gap_model
+            start = _start(options, segment, working, covariates)
+        except (DataError, NumericalError):
+            solve_run()
+            raise
+        if segment.constrained:
+            run.append((segment, gap_model, start))
+        else:
+            fill(segment, _open_gap_solution(options, gap_model, segment, start))
+    solve_run()
     return solutions
 
 
@@ -277,11 +286,10 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     an earlier gap; the report notes when that happens, and when a fit is
     rank deficient. The model is fitted once on the observed prefix unless
     ``refit_per_gap`` is set, in which case one sweep (``_refit_models``)
-    gives each gap its own model and the gaps are solved one at a time. Gaps
-    that share the prefix model are solved as one batch (see
-    ``_solve_batch``); either way, gaps are certified together by control
-    count (see ``_certify_batch``). The report is per gap, in gap order, and
-    a failing run raises the first failing gap's error.
+    gives each gap its own model. Either way the gaps are solved by
+    ``_solve_gaps`` and certified together by control count (see
+    ``_certify_batch``). The report is per gap, in gap order, and a failing
+    run raises the first failing gap's error.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
@@ -295,25 +303,24 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     prefix_model = _note_rank(report.notes, "prefix fit", fit_prefix(series, options, covariates))
     report.model = describe_model(prefix_model)
 
-    working = series.data.copy()
+    models = prefix_model
     if options.refit_per_gap:
         report.notes.append("refit per gap: each gap uses every fully-observed window before it")
         models = _refit_models(options, series, covariates, segments)
-        solutions = []
-        for segment, model in zip(segments, models):
-            if isinstance(model, Exception):
-                raise model
-            solutions += _solve_batch(options, model, [segment], working, covariates)
-    else:
-        models = prefix_model
-        solutions = _solve_batch(options, prefix_model, segments, working, covariates)
+    # whether each gap's seed rows hold a missing row, and so read an earlier fill
+    missing_before = np.concatenate(([0], np.cumsum(series.missing)))
+    reads_fill = (missing_before[[segment.gap_start - 1 for segment in segments]] >
+                  missing_before[[segment.seed_indices[0] - 1 for segment in segments]]).tolist()
+    working = series.data.copy()
+    solutions = _solve_gaps(options, models, segments, reads_fill, working, covariates)
     verdicts = _certify_batch(options, models, segments, solutions)
 
     refits = models if options.refit_per_gap else [None] * len(segments)
-    for segment, solution, verdict, refit_model in zip(segments, solutions, verdicts, refits):
+    for segment, solution, verdict, refit_model, seeded in zip(segments, solutions, verdicts, refits,
+                                                                reads_fill):
         if refit_model is not None:
             _note_rank(report.notes, f"refit before the gap at index {segment.gap_start}", refit_model)
-        if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
+        if seeded:
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )

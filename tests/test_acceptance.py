@@ -155,7 +155,7 @@ def test_uniform_correction_and_unit_reduction(verdict):
         segment = gaps[0]
         covariates = rng.uniform(-5, 5, (gap_len + 2, k))
         anchor = values[-1]
-        sol = impute_gap_regression(model, segment, covariates, anchor)
+        sol = impute_gap_regression(model, segment, covariates[1:], anchor)
         m = len(sol.controls)
         # rebuild the uncorrected path from the fitted start and verify the
         # fill is that path plus an equal share of the miss at every step
@@ -181,7 +181,7 @@ def test_uniform_correction_and_unit_reduction(verdict):
         unit_values = [start] + [None] * gap_len + [target]
         _, unit_gaps = detect_gaps(Series.from_values(unit_values))
         unit_cov = np.full((gap_len + 2, 1), start)
-        reg = impute_gap_regression(RegModel(A=[[1.0]], b=[0.0]), unit_gaps[0], unit_cov, target)
+        reg = impute_gap_regression(RegModel(A=[[1.0]], b=[0.0]), unit_gaps[0], unit_cov[1:], target)
         ar = impute_gap_ar(ArModel(a=(1.0,), b=0.0), unit_gaps[0], [start], target)
         worst_reduction = max(
             worst_reduction,

@@ -12,14 +12,13 @@ from gapfill.control import (
     impute_gap_ar,
     impute_gap_regression,
     impute_gap_var,
-    shared_impulse,
-    solve_controls_scalar,
-    solve_controls_var,
+    impute_gaps,
+    solve_controls,
 )
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
 from gapfill.linalg import mat_pow_table
-from gapfill.series import Series, detect_gaps
+from gapfill.series import GapSegment, Series, detect_gaps
 
 
 def single_gap(values, order=1):
@@ -170,36 +169,37 @@ class TestGammaWeights:
 
 class TestSolveControlsScalar:
     def test_zero_offset_gives_zero_controls(self):
-        c, controls = solve_controls_scalar([1.0, 0.5], 0.0)
+        (c,), controls = solve_controls([1.0, 0.5], 0.0)
         assert c == 0.0
-        assert np.array_equal(controls, [0.0, 0.0])
+        assert np.array_equal(controls[:, 0], [0.0, 0.0])
 
     def test_unit_weights_spread_evenly(self):
-        c, controls = solve_controls_scalar([1.0, 1.0, 1.0, 1.0], 2.0)
+        (c,), controls = solve_controls([1.0, 1.0, 1.0, 1.0], 2.0)
         assert c == pytest.approx(0.5)
-        assert np.allclose(controls, [0.5, 0.5, 0.5, 0.5], rtol=0, atol=0)
+        assert np.allclose(controls[:, 0], [0.5, 0.5, 0.5, 0.5], rtol=0, atol=0)
 
     def test_geometric_case(self):
         # weights (1, 1/2, 1/4), delta -2: c = -2 / (21/16) = -32/21
-        c, controls = solve_controls_scalar([1.0, 0.5, 0.25], -2.0)
+        (c,), controls = solve_controls([1.0, 0.5, 0.25], -2.0)
         assert c == pytest.approx(-32.0 / 21.0, abs=1e-15)
         assert np.allclose(
-            controls, [-8.0 / 21.0, -16.0 / 21.0, -32.0 / 21.0], rtol=0, atol=1e-15
+            controls[:, 0], [-8.0 / 21.0, -16.0 / 21.0, -32.0 / 21.0], rtol=0, atol=1e-15
         )
 
     def test_constraint_met(self):
         rng = np.random.default_rng(59)
         for _ in range(30):
-            w = rng.uniform(-2, 2, int(rng.integers(1, 8)))
-            if not np.any(w):
-                continue
+            w = np.append(1.0, rng.uniform(-2, 2, int(rng.integers(0, 7))))
             delta = float(rng.uniform(-5, 5))
-            _, controls = solve_controls_scalar(w, delta)
-            assert float(w[::-1] @ controls) == pytest.approx(delta, abs=1e-9)
+            _, controls = solve_controls(w, delta)
+            assert float(w[::-1] @ controls[:, 0]) == pytest.approx(delta, abs=1e-9)
 
-    def test_all_zero_weights_unreachable(self):
-        with pytest.raises(NumericalError, match="unreachable"):
-            solve_controls_scalar([0.0, 0.0], 1.0)
+    def test_first_block_must_be_identity(self):
+        # the response to a control on the anchor step itself is 1; weights
+        # that do not start there describe no model, and could all be zero
+        for weights in ([0.0, 0.0], [2.0, 1.0], [0.5]):
+            with pytest.raises(ValueError, match="identity"):
+                solve_controls(weights, 1.0)
 
 
 class TestImputeGapAr:
@@ -219,42 +219,6 @@ class TestImputeGapAr:
         )
         assert sol.objective == pytest.approx(64.0 / 21.0, abs=1e-14)
         assert sol.control_indices == range(2, 5)
-
-    @pytest.mark.parametrize("mode", ["exact", "paper"])
-    def test_shared_impulse_gives_the_fill_of_each_gap_alone(self, mode):
-        model = ArModel(a=(0.6, -0.3), b=0.4)
-        series = Series.from_values([1.0, 2.0, 0.5] + [None] * 5 + [1.5, 0.2] + [None] * 2 + [0.7])
-        _, gaps = detect_gaps(series, 2)
-        impulse = shared_impulse(model, gaps)
-        assert len(impulse) == max(gap.length + 2 - model.p for gap in gaps)
-        for gap in gaps:
-            seeds = series.data[gap.gap_start - 3 : gap.gap_start - 1, 0]
-            anchor = float(gap.anchor_value[0])
-            shared = impute_gap_ar(model, gap, seeds, anchor, mode, impulse)
-            alone = impute_gap_ar(model, gap, seeds, anchor, mode)
-            assert shared.imputed.tobytes() == alone.imputed.tobytes()
-            assert shared.controls.tobytes() == alone.controls.tobytes()
-            assert shared.diagnostics == alone.diagnostics
-        with pytest.raises(ValueError, match="impulse response has 2 steps, the gap needs 5"):
-            impute_gap_ar(model, gaps[0], [1.0, 2.0], 1.5, mode, impulse[:2])
-
-    def test_shared_impulse_leaves_the_overflow_check_to_each_gap(self):
-        model = ArModel(a=(3.0,), b=0.0)
-        long_gap = single_gap([1.0] + [None] * 400 + [2.0])
-        short_gap = single_gap([1.0] + [None] * 4 + [2.0])
-        impulse = shared_impulse(model, [long_gap, short_gap])
-        alone = impute_gap_ar(model, short_gap, [1.0], 2.0)
-        assert impute_gap_ar(model, short_gap, [1.0], 2.0, impulse=impulse).imputed.tobytes() == (
-            alone.imputed.tobytes())
-        with pytest.raises(NumericalError, match="impulse weight overflow"):
-            impute_gap_ar(model, long_gap, [1.0], 2.0, impulse=impulse)
-
-    def test_shared_impulse_of_gaps_without_controls_is_none(self):
-        # an AR(3) leaves no control step in a 1-step gap, and an open gap has none
-        model = ArModel(a=(0.2, 0.1, 0.1), b=0.0)
-        closed = single_gap([1.0, 2.0, 3.0, 4.0, None, 5.0], order=3)
-        _, open_gaps = detect_gaps(Series.from_values([1.0, 2.0, 3.0, None]), 3, True)
-        assert shared_impulse(model, [closed] + open_gaps) is None
 
     def test_anchor_on_forecast_needs_no_controls(self):
         m = ArModel(a=(0.5,), b=1.0)
@@ -343,14 +307,14 @@ class TestImputeGapAr:
 class TestSolveControlsVar:
     def test_identity_dynamics_spread_evenly(self):
         powers = [np.eye(2), np.eye(2), np.eye(2)]
-        lam, controls = solve_controls_var(powers, [3.0, -3.0])
+        lam, controls = solve_controls(powers, [3.0, -3.0])
         assert np.allclose(lam, [1.0, -1.0], rtol=0, atol=1e-14)
         for u in controls:
             assert np.allclose(u, [1.0, -1.0], rtol=0, atol=1e-14)
 
     def test_diagonal_two_step_case(self):
         a = np.array([[0.5, 0.0], [0.0, 2.0]])
-        lam, controls = solve_controls_var([np.eye(2), a], [1.0, 1.0])
+        lam, controls = solve_controls([np.eye(2), a], [1.0, 1.0])
         assert np.allclose(lam, [0.8, 0.2], rtol=0, atol=1e-14)
         assert np.allclose(controls[0], [0.4, 0.4], rtol=0, atol=1e-14)
         assert np.allclose(controls[1], [0.8, 0.2], rtol=0, atol=1e-14)
@@ -363,7 +327,7 @@ class TestSolveControlsVar:
             m = int(rng.integers(1, 7))
             powers = [np.linalg.matrix_power(a, j) for j in range(m)]
             delta = rng.uniform(-3, 3, k)
-            _, controls = solve_controls_var(powers, delta)
+            _, controls = solve_controls(powers, delta)
             attained = sum(powers[m - 1 - i] @ controls[i] for i in range(m))
             assert np.allclose(attained, delta, rtol=0, atol=1e-8)
 
@@ -380,7 +344,7 @@ class TestSolveControlsVar:
                 gram += q @ q.T
             lam_ref = np.linalg.solve(gram, delta)
             controls_ref = np.array([powers[m - 1 - i].T @ lam_ref for i in range(m)])
-            lam, controls = solve_controls_var(powers, delta)
+            lam, controls = solve_controls(powers, delta)
             np.testing.assert_allclose(lam, lam_ref, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(controls, controls_ref, rtol=1e-9, atol=1e-12)
 
@@ -388,9 +352,9 @@ class TestSolveControlsVar:
         # a table that does not start at A^0 = I is not a power table
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="identity"):
-            solve_controls_var([a], [1.0, 0.0])
+            solve_controls([a], [1.0, 0.0])
         with pytest.raises(ValueError, match="identity"):
-            solve_controls_var([2.0 * np.eye(2), a], [1.0, 0.0])
+            solve_controls([2.0 * np.eye(2), a], [1.0, 0.0])
 
     @pytest.mark.parametrize("steps", [40, 70])
     def test_ill_conditioned_gram_raises(self, steps):
@@ -400,7 +364,7 @@ class TestSolveControlsVar:
         r = np.array([[c, -s], [s, c]])
         powers = mat_pow_table(r @ np.diag([1.5, 0.5]) @ r.T, steps - 1)
         with pytest.raises(NumericalError, match="ill-conditioned control problem"):
-            solve_controls_var(powers, [1.0, 1.0])
+            solve_controls(powers, [1.0, 1.0])
 
 
 class TestImputeGapVar:
@@ -528,12 +492,98 @@ class TestStackedSolutions:
                 self.solve(gaps[tail], controls[tail], paths[tail], targets[tail])
 
 
+def closed_gap(start: int, length: int, order: int = 1) -> GapSegment:
+    """A constrained gap of ``length`` rows from index ``start``; the solver
+    reads only its indices, the anchor is passed to it separately."""
+    end = start + length - 1
+    return GapSegment(start, end, tuple(range(start - order, start)), end + 1, None)
+
+
+@st.composite
+def gap_stacks(draw):
+    """Gaps under one model, or one model per gap, with their starts and
+    anchors: AR(1-3), VAR of dimension 1-3 or a regression of 1-2 outputs
+    on 2 covariates, in exact or paper mode."""
+    kind = draw(st.sampled_from(["ar", "var", "regression"]))
+    mode = draw(st.sampled_from(["exact", "paper"]))
+    order = draw(st.integers(1, 3)) if kind == "ar" else 1
+    dim = {"ar": 1, "var": draw(st.integers(1, 3)), "regression": draw(st.integers(1, 2))}[kind]
+    lengths = draw(st.lists(st.integers(max(1, order - 1), order + 4), min_size=1, max_size=6))
+    per_gap = draw(st.booleans())
+    # a one-output regression takes a scalar anchor, or a vector of one entry
+    scalar = kind == "ar" or (kind == "regression" and dim == 1 and draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def model():
+        if kind == "ar":
+            return ArModel(a=rng.uniform(-1.0, 1.0, order), b=float(rng.uniform(-1, 1)))
+        if kind == "var":
+            return VarModel(A=rng.uniform(-0.9, 0.9, (dim, dim)), b=rng.uniform(-1, 1, dim))
+        return RegModel(A=rng.uniform(-2, 2, (dim, 2)), b=rng.uniform(-1, 1, dim))
+
+    models = [model() for _ in lengths] if per_gap else model()
+    gaps = [closed_gap(10 + 20 * i, length, order) for i, length in enumerate(lengths)]
+    starts = [rng.uniform(-5, 5, order) if kind == "ar" else rng.uniform(-5, 5, dim) if kind == "var"
+              else rng.uniform(-5, 5, (length + 1, 2)) for length in lengths]
+    anchors = [float(rng.uniform(-5, 5)) if scalar else rng.uniform(-5, 5, dim) for _ in lengths]
+    return models, gaps, starts, anchors, mode
+
+
+class TestImputeGaps:
+    """Gaps solved together, by control count, get the bits each gets alone."""
+
+    @staticmethod
+    def bits(solution):
+        return [np.asarray(value, dtype=float).tobytes() for value in (
+            solution.controls, solution.imputed, solution.predicted, solution.multiplier,
+            solution.objective, solution.terminal_residual)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stack=gap_stacks())
+    def test_each_gap_as_if_alone(self, stack):
+        models, gaps, starts, anchors, mode = stack
+        solved = impute_gaps(models, gaps, starts, anchors, mode)
+        for i, solution in enumerate(solved):
+            model = models[i] if isinstance(models, list) else models
+            (alone,) = impute_gaps(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1], mode)
+            assert self.bits(solution) == self.bits(alone)
+            assert solution.control_indices == alone.control_indices
+            assert solution.diagnostics == alone.diagnostics
+            assert solution.mode == alone.mode
+
+    @pytest.mark.parametrize("per_gap", [False, True])
+    def test_overflow_is_checked_on_each_gap_s_own_steps(self, per_gap):
+        # 3^j passes 1e150 at step 315: only the 400-step gap overflows, and
+        # the 100-step gap's weights, though huge, do not change the short gap
+        model = ArModel(a=(3.0,), b=0.0)
+        short, middle, long = (closed_gap(start, length) for start, length in
+                               ((10, 4), (30, 100), (140, 400)))
+        (alone,) = impute_gaps(model, [short], [[1.0]], [2.0])
+        models = [model, model] if per_gap else model
+        beside, _ = impute_gaps(models, [short, middle], [[1.0], [1.0]], [2.0, 2.0])
+        assert self.bits(beside) == self.bits(alone)
+        for gaps in ([short, long], [long, short]):
+            with pytest.raises(NumericalError, match="impulse weight overflow at step 315:"):
+                impute_gaps([model, model] if per_gap else model, gaps, [[1.0], [1.0]], [2.0, 2.0])
+
+    @pytest.mark.parametrize("per_gap", [False, True])
+    def test_first_failing_gap_gives_the_error(self, per_gap):
+        # an AR(3) leaves no control step in a 1-row gap; 1.5^j overflows by step 852
+        model = ArModel(a=(1.5, 0.0, 0.0), b=0.0)
+        unreachable, explosive = closed_gap(10, 1, 3), closed_gap(30, 900, 3)
+        seeds = [[1.0, 1.0, 1.0]] * 2
+        for gaps, message in (([unreachable, explosive], "unreachable terminal constraint"),
+                              ([explosive, unreachable], "impulse weight overflow")):
+            with pytest.raises(NumericalError, match=message):
+                impute_gaps([model, model] if per_gap else model, gaps, seeds, [0.0, 0.0])
+
+
 class TestImputeGapRegression:
     def test_uniform_spread(self):
         # fitted endpoint misses the anchor by 3 over 3 steps: 1 apiece
         model = RegModel(A=[[0.0]], b=[2.0])
         gap = single_gap([2.0, None, None, 5.0])
-        covariates = np.zeros((4, 1))
+        covariates = np.zeros((3, 1))
         sol = impute_gap_regression(model, gap, covariates, 5.0)
         assert np.allclose(sol.controls, [1.0, 1.0, 1.0], rtol=0, atol=1e-14)
         assert np.allclose(sol.imputed, [3.0, 4.0], rtol=0, atol=1e-14)
@@ -544,7 +594,7 @@ class TestImputeGapRegression:
         # exactly like the unit-coefficient scalar recursion
         model = RegModel(A=[[1.0]], b=[0.0])
         gap = single_gap([7.0, None, None, None, 3.0])
-        covariates = np.full((5, 1), 7.0)
+        covariates = np.full((4, 1), 7.0)
         sol = impute_gap_regression(model, gap, covariates, 3.0)
         ar = impute_gap_ar(ArModel(a=(1.0,), b=0.0), gap, [7.0], 3.0)
         assert np.allclose(sol.imputed, ar.imputed, rtol=0, atol=1e-12)
@@ -557,7 +607,8 @@ class TestImputeGapRegression:
             gap_len = int(rng.integers(1, 8))
             values = [0.0] + [None] * gap_len + [float(rng.uniform(-5, 5))]
             gap = single_gap(values)
-            covariates = rng.uniform(-5, 5, (gap_len + 2, k))
+            # the gap's rows through the anchor, after the unused pre-gap row
+            covariates = rng.uniform(-5, 5, (gap_len + 2, k))[1:]
             anchor = values[-1]
             sol = impute_gap_regression(model, gap, covariates, anchor)
             assert sol.terminal_residual <= 1e-9 * (1 + abs(anchor))
@@ -567,7 +618,7 @@ class TestImputeGapRegression:
     def test_vector_outputs(self):
         model = RegModel(A=[[1.0], [0.5]], b=[0.0, 0.0])
         gap = single_gap([np.array([1.0, 1.0]), None, np.array([4.0, 2.0])])
-        covariates = np.array([[1.0], [2.0], [3.0]])
+        covariates = np.array([[2.0], [3.0]])
         sol = impute_gap_regression(model, gap, covariates, np.array([4.0, 2.0]))
         assert sol.imputed.shape == (1, 2)
         assert sol.terminal_residual <= 1e-12
@@ -576,7 +627,7 @@ class TestImputeGapRegression:
         model = RegModel(A=[[1.0]], b=[0.0])
         gap = single_gap([1.0, None, 3.0])
         with pytest.raises(ValueError, match="covariate rows"):
-            impute_gap_regression(model, gap, np.ones((2, 1)), 3.0)
+            impute_gap_regression(model, gap, np.ones((3, 1)), 3.0)
 
 
 class TestEquivariance:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill import pipeline
-from gapfill.control import impute_gap_ar, impute_gap_var
+from gapfill.control import impute_gap_ar, impute_gap_regression, impute_gap_var
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
@@ -457,6 +457,28 @@ class TestSweepAgainstFullRefit:
             assert (miss <= 1e-12 * size * units + 1e-321).all()
 
 
+def solve_alone(options, model, segment, working, covariates=None):
+    """Reference: one gap solved by itself, by its ``impute_gap_*`` call, or
+    its open-gap forecast, from the rows of ``working`` before it (or the
+    covariates of the gap through the anchor)."""
+    start = segment.gap_start - 1
+    if options.model_kind == "ar":
+        seed = working[start - options.order : start, 0]
+    elif options.model_kind == "var":
+        seed = working[start - 1]
+    else:
+        last = segment.anchor_index if segment.constrained else segment.gap_end
+        seed = pipeline._covariate_rows(covariates, np.arange(start, last))
+    if not segment.constrained:
+        return pipeline._open_gap_solution(options, model, segment, seed)
+    if options.model_kind == "ar":
+        return impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode)
+    if options.model_kind == "var":
+        return impute_gap_var(model, segment, seed, segment.anchor_value, options.mode)
+    anchor = float(segment.anchor_value[0]) if model.n_outputs == 1 else segment.anchor_value
+    return impute_gap_regression(model, segment, seed, anchor)
+
+
 def refit_per_gap_loop(series, options, covariates=None):
     """Reference: the refit run as a left-to-right loop in which each gap
     gets a full refit (``refit_before``), its rank note, its solve and its
@@ -474,7 +496,8 @@ def refit_per_gap_loop(series, options, covariates=None):
     for segment in segments:
         model = pipeline._note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
                                     refit_before(options, series, covariates, segment.gap_start))
-        (solution,) = pipeline._solve_batch(options, model, [segment], working, covariates)
+        solution = solve_alone(options, model, segment, working, covariates)
+        working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
         (verdict,) = pipeline._certify_batch(options, model, [segment], [solution])
         if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
@@ -694,14 +717,8 @@ def per_gap_loop(series, options):
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
         start = segment.gap_start - 1
-        seed = working[start - options.order : start, 0] if ar else working[start - 1]
         verdict = None
-        if not segment.constrained:
-            solution = pipeline._open_gap_solution(options, model, segment, seed, None)
-        elif ar:
-            solution = impute_gap_ar(model, segment, seed, float(segment.anchor_value[0]), options.mode)
-        else:
-            solution = impute_gap_var(model, segment, seed, segment.anchor_value, options.mode)
+        solution = solve_alone(options, model, segment, working)
         if solution.constrained and not (ar and options.mode == "paper"):
             delta = np.atleast_1d(segment.anchor_value) - np.atleast_1d(solution.predicted[-1])
             verdict = certify(solution, build_problem(model, len(solution.control_indices), delta))
