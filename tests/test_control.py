@@ -220,6 +220,22 @@ class TestImputeGapAr:
         assert sol.objective == pytest.approx(64.0 / 21.0, abs=1e-14)
         assert sol.control_indices == range(2, 5)
 
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_shared_impulse_gives_the_fill_of_each_gap_alone(self, mode):
+        # gaps of 5 and 2 rows under one AR(2) share its impulse response
+        model = ArModel(a=(0.6, -0.3), b=0.4)
+        series = Series.from_values([1.0, 2.0, 0.5] + [None] * 5 + [1.5, 0.2] + [None] * 2 + [0.7])
+        _, gaps = detect_gaps(series, 2)
+        seeds = [series.data[gap.gap_start - 3 : gap.gap_start - 1, 0] for gap in gaps]
+        anchors = [float(gap.anchor_value[0]) for gap in gaps]
+        together = impute_gaps(model, gaps, seeds, anchors, mode)
+        assert len(together) == len(gaps) == 2
+        for gap, seed, anchor, shared in zip(gaps, seeds, anchors, together):
+            alone = impute_gap_ar(model, gap, seed, anchor, mode)
+            assert shared.imputed.tobytes() == alone.imputed.tobytes()
+            assert shared.controls.tobytes() == alone.controls.tobytes()
+            assert shared.diagnostics == alone.diagnostics
+
     def test_anchor_on_forecast_needs_no_controls(self):
         m = ArModel(a=(0.5,), b=1.0)
         forecast = predict_forward(m, [4.0], 3)
