@@ -412,9 +412,6 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
             for note, w, p in zip(notes, np.broadcast_to(printed, (g, m)), psi):
                 note.update(weights_printed=w.tolist(), weights_impulse=p.tolist(),
                             max_weight_difference=float(np.max(np.abs(w - p))))
-        elif mode == "paper" and not regression:
-            stacks = np.broadcast_to(blocks, (g,) + blocks.shape[-3:])
-            notes = [_step_norms(b, d, u) for b, d, u in zip(stacks, delta, controls)]
         multipliers = lam
         if scalar:
             controls, multipliers = controls[..., 0], lam[:, 0].tolist()
@@ -422,6 +419,12 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
                 values, predicted = values[..., 0], predicted[..., 0]
         solved = _solutions(members, [gap.gap_start + lag for gap in members], controls, multipliers,
                             values, predicted, targets[batch], "exact" if regression else mode, notes)
+        if mode == "paper" and not (ar or regression):
+            # after the fills' overflow check, so that an overflowing fill
+            # fails with the same message in both modes
+            stacks = np.broadcast_to(blocks, (g,) + blocks.shape[-3:])
+            for note, b, d, u in zip(notes, stacks, delta, controls):
+                note.update(_step_norms(b, d, u))
         for i, solution in zip(batch, solved):
             solutions[i] = solution
     return solutions

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import least_squares, least_squares_sweep
+from .linalg import least_squares
 
 
 def _frozen_array(obj, name: str, value, shape=None) -> None:
@@ -137,16 +137,6 @@ def _too_short(design: type, n: int, k: int) -> DataError | None:
     return DataError(f"fit window too short: {counted.format(n=n, k=k)} (need at least {k + extra})")
 
 
-def _with_intercept(inputs: np.ndarray) -> np.ndarray:
-    """The design ``[inputs, 1]``."""
-    n, k = inputs.shape
-    # column-major, so the per-column scaling in least_squares reads contiguous memory
-    design = np.empty((n, k + 1), order="F")
-    design[:, :k] = inputs
-    design[:, k] = 1.0
-    return design
-
-
 def _overflow(design: type) -> NumericalError:
     return NumericalError(
         f"{design.design} coefficients overflow: input columns differ too much in magnitude"
@@ -161,30 +151,19 @@ def _model(design: type, coeffs: np.ndarray, rank: int):
     return design(A=coeffs[:-1].T, b=coeffs[-1], rank=rank)
 
 
-def _fit_linear(design: type, inputs: np.ndarray, targets: np.ndarray):
-    """Fit ``design`` (ArModel, VarModel or RegModel) by least squares of
-    ``targets`` on ``[inputs, 1]`` in one solve."""
-    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-        raise DataError("fit window contains non-finite values")
-    short = _too_short(design, *inputs.shape)
-    if short is not None:
-        raise short
-    coeffs, rank = least_squares(_with_intercept(inputs), targets)
-    if not np.all(np.isfinite(coeffs)):
-        raise _overflow(design)
-    return _model(design, coeffs, rank)
-
-
 def fit_sweep(design: type, inputs, targets, counts) -> list:
-    """Fit ``design`` on every leading run of equations, in one pass.
+    """Fit ``design`` (ArModel, VarModel or RegModel) by least squares of
+    ``targets`` on ``[inputs, 1]``, on every leading run of equations in one
+    pass; this is the one fit path.
 
-    Entry i is what the one-off fit (``fit_ar_lagged``, ``fit_var_pairs`` or
-    ``fit_regression`` for ``design`` ArModel, VarModel or RegModel) of the
-    first ``counts[i]`` rows of ``inputs`` and ``targets`` returns, or the
-    DataError or NumericalError that it raises, returned so the caller can
-    raise it in its turn. ``counts`` must not decrease. The coefficients come
-    from one ``least_squares_sweep``: the rank is decided by the one-off
-    fit's rule and the coefficients agree with it to rounding.
+    Entry i is the model fitted on the first ``counts[i]`` rows of
+    ``inputs`` and ``targets``, or the DataError or NumericalError that this
+    fit raises, returned so the caller can raise it in its turn. ``counts``
+    must not decrease. The coefficients come from one ``least_squares``
+    sweep, whose first entry has the bits of a fit of that count alone: a
+    one-off fit (``fit_ar_lagged``, ``fit_var_pairs``, ``fit_regression``
+    call this with one count) equals the first entry of a longer sweep on
+    the same rows.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -199,8 +178,8 @@ def fit_sweep(design: type, inputs, targets, counts) -> list:
     fitted = [i for i, error in enumerate(results) if error is None]
     if fitted:
         last = counts[fitted[-1]]
-        coeffs, ranks = least_squares_sweep(_with_intercept(x[:last]), y[:last],
-                                            [counts[i] for i in fitted])
+        coeffs, ranks = least_squares(np.column_stack([x[:last], np.ones(last)]), y[:last],
+                                      [counts[i] for i in fitted])
         overflowed = ~np.isfinite(coeffs.reshape(len(coeffs), -1)).all(axis=1)
         for i, c, rank, bad in zip(fitted, coeffs, ranks.tolist(), overflowed.tolist()):
             results[i] = _overflow(design) if bad else _model(design, c, rank)
@@ -217,7 +196,10 @@ def fit_ar_lagged(lag_rows, targets) -> ArModel:
     lags = np.asarray(lag_rows, dtype=float)
     if lags.ndim != 2:
         raise DataError("lag rows must form a 2-D array")
-    return _fit_linear(ArModel, lags, np.asarray(targets, dtype=float).ravel())
+    (model,) = fit_sweep(ArModel, lags, np.asarray(targets, dtype=float).ravel(), [len(lags)])
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def fit_ar_scalar(window, order: int) -> ArModel:
@@ -249,7 +231,10 @@ def fit_var_pairs(previous, current) -> VarModel:
         xcur = xcur[:, None]
     if xprev.shape != xcur.shape:
         raise DataError("pair rows must align: previous and current shapes differ")
-    return _fit_linear(VarModel, xprev, xcur)
+    (model,) = fit_sweep(VarModel, xprev, xcur, [len(xprev)])
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def fit_var1(window) -> VarModel:
@@ -281,7 +266,10 @@ def fit_regression(targets, covariates) -> RegModel:
         raise DataError(
             f"targets and covariates must align: {y.shape[0]} responses, {x.shape[0]} rows"
         )
-    return _fit_linear(RegModel, x, y)
+    (model,) = fit_sweep(RegModel, x, y, [len(x)])
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def _first_control(steps: int, controls: int) -> int:

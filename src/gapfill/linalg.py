@@ -126,14 +126,40 @@ def solve_spd(matrix, rhs) -> SpdSolution:
 
 
 class LeastSquaresFit(NamedTuple):
-    # shaped like ``targets`` with one row per design column; from
-    # least_squares_sweep, both fields have a leading axis, one entry per count
+    # one entry per count: coeffs shaped like ``targets`` with one row per
+    # design column, behind a leading axis
     coeffs: np.ndarray
-    rank: int | np.ndarray
+    rank: np.ndarray
 
 
-def _shaped(design, targets) -> tuple[np.ndarray, np.ndarray]:
-    """A least-squares problem as float arrays, its shapes checked."""
+def least_squares(design, targets, counts) -> LeastSquaresFit:
+    """Minimum-norm least squares of each leading block of rows, from one pass.
+
+    Entry i of ``coeffs`` and ``rank`` is the fit of ``design[:c]`` to
+    ``targets[:c]`` for c = ``counts[i]``; counts must not decrease, and each
+    needs at least as many rows as columns. ``targets`` is one right-hand
+    side or a 2-D array of them, one per column. The rank is judged on
+    scaled columns: each design column of a block is divided by its largest
+    magnitude in that block (a zero column is left as it is), so the
+    decision does not depend on the data's units, and singular values below
+    ``RANK_TOLERANCE`` times the largest are treated as zero. A
+    rank-deficient block gets the solution of minimum norm in scaled units,
+    and its ``rank`` is less than the number of columns. Entries must be
+    finite.
+
+    The pass keeps the triangular factor R of [design | targets] with every
+    column divided by its largest magnitude so far. At each new count, R is
+    stacked over the rows added since the previous count and factored again
+    (``np.linalg.qr``), so each row enters once and the normal equations,
+    whose entries overflow beyond ~1e154, are never formed (Golub & Van
+    Loan, Matrix Computations, 4th ed., sec. 6.5). A column whose
+    largest magnitude grows has its column of R rescaled first, which is
+    exact because QR commutes with column scaling. The leading square block
+    of R has the singular values of the scaled design, so one batched SVD of
+    the blocks gives every rank and solution. An entry does not depend on
+    the counts after it, so the first entry has the bits of a fit of that
+    count alone.
+    """
     x = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1 or y.ndim not in (1, 2):
@@ -146,58 +172,6 @@ def _shaped(design, targets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"dimension mismatch: design has {x.shape[0]} rows, target has {y.shape[0]}"
         )
-    return x, y
-
-
-def least_squares(design, targets) -> LeastSquaresFit:
-    """Minimum-norm least squares with the rank judged on scaled columns.
-
-    ``targets`` is one right-hand side or a 2-D array of them, one per
-    column, all solved in one LAPACK call. Each design column is first
-    divided by its largest magnitude (a zero column is left as it is), so
-    the rank decision does not depend on the data's units: singular values
-    of the scaled design below ``RANK_TOLERANCE`` times the largest are
-    treated as zero. A rank-deficient design gets the solution of minimum
-    norm in scaled units, and ``rank`` is less than the number of columns.
-    Requires at least as many rows as columns and finite entries.
-    """
-    x, y = _shaped(design, targets)
-    # max-abs rather than the 2-norm, which overflows for entries near 1e308;
-    # a non-finite entry makes its column's scale non-finite
-    scale = np.abs(x).max(axis=0)
-    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(y))):
-        raise ValueError("least squares inputs must be finite")
-    scale[scale == 0.0] = 1.0
-    coeffs, _, rank, _ = np.linalg.lstsq(x / scale, y, rcond=RANK_TOLERANCE)
-    if y.ndim == 2:
-        scale = scale[:, None]
-    with np.errstate(over="ignore"):
-        return LeastSquaresFit(coeffs / scale, int(rank))
-
-
-def least_squares_sweep(design, targets, counts) -> LeastSquaresFit:
-    """``least_squares`` of each leading block of rows, from one pass over the rows.
-
-    Entry i of ``coeffs`` and ``rank`` is the fit of ``design[:c]`` to
-    ``targets[:c]`` for c = ``counts[i]``; counts must not decrease, and each
-    needs at least as many rows as columns. The rank is judged on the design
-    columns scaled as ``least_squares`` scales them, with the same
-    ``RANK_TOLERANCE`` cutoff, and a rank-deficient block gets the
-    minimum-norm answer in those scaled units. The coefficients agree with
-    ``least_squares`` to rounding, not bit for bit.
-
-    The pass keeps the triangular factor R of [design | targets] with every
-    column divided by its largest magnitude so far. At each new count, R is
-    stacked over the rows added since the previous count and factored again
-    (``np.linalg.qr``), so each row enters once and the normal equations,
-    whose entries overflow beyond ~1e154, are never formed (Golub & Van
-    Loan, Matrix Computations, 4th ed., sec. 6.5). A column whose
-    largest magnitude grows has its column of R rescaled first, which is
-    exact because QR commutes with column scaling. The leading square block
-    of R has the singular values of the scaled design, so one batched SVD of
-    the blocks gives every rank and solution.
-    """
-    x, y = _shaped(design, targets)
     columns = x.shape[1]
     cuts = [int(c) for c in counts]
     if not cuts or cuts[0] < columns or cuts[-1] > len(x) or any(
@@ -206,8 +180,8 @@ def least_squares_sweep(design, targets, counts) -> LeastSquaresFit:
             f"counts must be nonempty, must not decrease and must lie in {columns}..{len(x)}"
         )
     augmented = np.column_stack([x[: cuts[-1]], y[: cuts[-1]]])
-    # max-abs rather than the 2-norm, as in least_squares; a non-finite entry
-    # makes every later scale of its column non-finite
+    # max-abs rather than the 2-norm, which overflows for entries near 1e308;
+    # a non-finite entry makes every later scale of its column non-finite
     peaks = np.maximum.accumulate(np.abs(augmented), axis=0)[np.array(cuts) - 1]
     if not np.isfinite(peaks[-1]).all():
         raise ValueError("least squares inputs must be finite")

@@ -52,11 +52,6 @@ class ImputeResult:
     filled: np.ndarray
     report: ImputationReport
 
-    @property
-    def imputed(self) -> dict:
-        """Deprecated: use ``filled``. The imputed rows keyed by 1-based index."""
-        return dict(zip(self.series.missing_indices, self.filled[self.series.missing]))
-
     def rendered_csv(self, precision: int = 6) -> str:
         return write_csv(self.series, self.filled, precision=precision)
 

@@ -268,9 +268,8 @@ def test_affine_equivariance(verdict):
             options = ImputeOptions(model_kind="ar", order=order, refit_per_gap=refit)
             base = impute_series(series, options)
             moved = impute_series(shifted, options)
-            for index, value in base.imputed.items():
-                x = float(value[0])
-                got = float(moved.imputed[index][0])
+            for x, got in zip(base.filled[series.missing, 0].tolist(),
+                              moved.filled[shifted.missing, 0].tolist()):
                 worst = max(worst, abs(got - (alpha * x + beta)) / (scale * (1.0 + abs(x))))
     verdict(
         "refit fills transport exactly under scale and shift",

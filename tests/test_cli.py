@@ -258,6 +258,25 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert err.startswith("error: ")
 
+    def test_overflowing_fill_has_one_message_in_both_modes(self, capsys, tmp_path):
+        # one VAR column of ~1e160 values: the 1x1 solve is a plain division,
+        # and the squared controls toward a 1e300 anchor overflow
+        rng = np.random.default_rng(11)
+        x, rows = 0.0, []
+        for _ in range(40):
+            x = 0.5 * x + 1e160 * rng.standard_normal()
+            rows.append(repr(x))
+        rows[30:34] = ["NA"] * 3 + ["1e300"]
+        path = tmp_path / "huge.csv"
+        path.write_text("v\n" + "\n".join(rows) + "\n")
+        errors = []
+        for mode in ("exact", "paper"):
+            code, out, err = run(capsys, "impute", str(path), "--model", "var", "--mode", mode)
+            assert (code, out, err.count("\n")) == (4, "", 1)
+            errors.append(err)
+        assert errors[0].startswith("error: fill overflow in the gap at index 31")
+        assert errors[1] == errors[0]
+
     def test_regression_on_huge_covariates_is_numerical_error(self, capsys, tmp_path):
         # the prefix fits y ~ 1e300 x; covariates of 1e10 in the gap overflow the forecast
         rng = np.random.default_rng(3)

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gapfill.linalg import (
+    RANK_TOLERANCE,
     LeastSquaresFit,
     SpdSolution,
     as_matrix,
     as_vector,
     least_squares,
-    least_squares_sweep,
     mat_pow_table,
     row_norms,
     solve_spd,
@@ -231,28 +231,44 @@ class TestRowNorms:
             assert row_norms([[1e200, 0.0], [3.0, 4.0]]).tolist() == [np.inf, 5.0]
 
 
+def one_fit(design, targets) -> LeastSquaresFit:
+    """``least_squares`` of every row, as one fit rather than a stack of one."""
+    design = np.asarray(design, dtype=float)
+    coeffs, rank = least_squares(design, targets, [len(design)])
+    return LeastSquaresFit(coeffs[0], int(rank[0]))
+
+
+def reference_fit(design, targets):
+    """numpy's ``lstsq`` on max-abs-scaled columns, at the kernel's rank
+    cutoff: the coefficients in scaled units, the rank and the column scales."""
+    scale = np.abs(design).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    coeffs, _, rank, _ = np.linalg.lstsq(design / scale, targets, rcond=RANK_TOLERANCE)
+    return coeffs, int(rank), scale
+
+
 class TestLeastSquares:
     def test_exact_line(self):
         design = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
-        fit = least_squares(design, [3.0, 5.0, 7.0])
+        fit = one_fit(design, [3.0, 5.0, 7.0])
         assert isinstance(fit, LeastSquaresFit)
         assert np.allclose(fit.coeffs, [2.0, 1.0], rtol=0, atol=1e-12)
         assert fit.rank == 2
 
     def test_overdetermined_residual(self):
         design = np.array([[1.0], [1.0], [1.0], [1.0]])
-        fit = least_squares(design, [1.0, 2.0, 3.0, 4.0])
+        fit = one_fit(design, [1.0, 2.0, 3.0, 4.0])
         assert np.allclose(fit.coeffs, [2.5], rtol=0, atol=1e-12)
 
     def test_collinear_columns_reported(self):
         design = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        fit = least_squares(design, [1.0, 2.0, 3.0])
+        fit = one_fit(design, [1.0, 2.0, 3.0])
         assert fit.rank == 1
 
     def test_rank_deficient_min_norm(self):
         # both columns identical: the min-norm fit splits the weight evenly
         design = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        fit = least_squares(design, [2.0, 4.0, 6.0])
+        fit = one_fit(design, [2.0, 4.0, 6.0])
         assert np.allclose(fit.coeffs, [1.0, 1.0], rtol=0, atol=1e-12)
 
     def test_normal_equations_hold(self):
@@ -263,13 +279,13 @@ class TestLeastSquares:
             cols = int(rng.integers(1, min(rows, 5) + 1))
             design = rng.uniform(-3, 3, (rows, cols))
             y = rng.uniform(-3, 3, rows)
-            fit = least_squares(design, y)
+            fit = one_fit(design, y)
             gradient = design.T @ (design @ fit.coeffs - y)
             assert np.linalg.norm(gradient) <= 1e-8 * (1 + np.linalg.norm(y))
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError, match="rows >= columns"):
-            least_squares(np.ones((2, 3)), [1.0, 2.0])
+            one_fit(np.ones((2, 3)), [1.0, 2.0])
 
 
 class TestLeastSquaresSweep:
@@ -284,25 +300,25 @@ class TestLeastSquaresSweep:
             design[:, -1] = 3.0 * design[:, 0]
         y = rng.standard_normal((rows, targets) if targets else rows)
         counts = sorted(rng.integers(columns, rows + 1, int(rng.integers(1, 6))).tolist())
-        sweep = least_squares_sweep(design, y, counts)
+        sweep = least_squares(design, y, counts)
         assert sweep.rank.shape == (len(counts),)
+        # later counts leave the first entry's bits as they are
+        assert least_squares(design, y, counts[:1]).coeffs[0].tobytes() == sweep.coeffs[0].tobytes()
         for count, coeffs, rank in zip(counts, sweep.coeffs, sweep.rank):
-            want = least_squares(design[:count], y[:count])
-            assert rank == want.rank
-            assert coeffs.shape == want.coeffs.shape
+            expected, want_rank, scale = reference_fit(design[:count], y[:count])
+            assert rank == want_rank
+            assert coeffs.shape == expected.shape
             # compared in the units of the scaled columns
-            scale = np.abs(design[:count]).max(axis=0)
-            got, expected = (c * (scale if c.ndim == 1 else scale[:, None])
-                             for c in (coeffs, want.coeffs))
+            got = coeffs * (scale if coeffs.ndim == 1 else scale[:, None])
             assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
     @pytest.mark.parametrize("counts", [[], [1], [3, 2], [4]])
     def test_counts_checked(self, counts):
         with pytest.raises(ValueError, match="counts"):
-            least_squares_sweep(np.ones((3, 2)), np.ones(3), counts)
+            least_squares(np.ones((3, 2)), np.ones(3), counts)
 
     def test_non_finite_rejected(self):
         design = np.ones((4, 1))
         design[2, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            least_squares_sweep(design, np.ones(4), [2, 4])
+            least_squares(design, np.ones(4), [2, 4])

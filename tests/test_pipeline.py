@@ -30,15 +30,20 @@ def scalar_series(values):
     return Series.from_values(values)
 
 
+def imputed_rows(result):
+    """The imputed rows of ``result.filled``, keyed by 1-based index."""
+    return dict(zip(result.series.missing_indices, result.filled[result.series.missing]))
+
+
 class TestScalarPipeline:
     def test_single_gap_end_to_end(self):
         series = parse_csv("v\n1\n2\n3\n4\n5\nNA\nNA\n8\n")
         result = impute_series(series, ImputeOptions(model_kind="ar", order=1))
-        assert set(result.imputed) == {6, 7}
+        assert set(imputed_rows(result)) == {6, 7}
         # the prefix fits x_n = x_{n-1} + 1 exactly, and the anchor sits on
         # that line, so the fill is the line itself
-        assert result.imputed[6][0] == pytest.approx(6.0, abs=1e-9)
-        assert result.imputed[7][0] == pytest.approx(7.0, abs=1e-9)
+        assert imputed_rows(result)[6][0] == pytest.approx(6.0, abs=1e-9)
+        assert imputed_rows(result)[7][0] == pytest.approx(7.0, abs=1e-9)
         (entry,) = result.report.gaps
         assert entry["oracle"]["certified"]
         assert entry["terminal_residual"] <= 1e-9 * 9
@@ -73,7 +78,7 @@ class TestScalarPipeline:
     def test_gapless_series_reports_zero_gaps(self):
         series = parse_csv("v\n1\n2\n3\n")
         result = impute_series(series)
-        assert result.imputed == {}
+        assert imputed_rows(result) == {}
         assert result.report.model is None
         assert result.report.gaps == []
         assert any("0 gaps" in note for note in result.report.notes)
@@ -84,7 +89,7 @@ class TestScalarPipeline:
         values = [1.0, 2.0, 1.5, 3.0, 2.5, None, 3.5, None, 4.5, 4.0]
         series = scalar_series(values)
         result = impute_series(series, ImputeOptions(model_kind="ar", order=2))
-        assert set(result.imputed) == {6, 8}
+        assert set(imputed_rows(result)) == {6, 8}
         assert any("imputed for an earlier gap" in note for note in result.report.notes)
 
     def test_multiple_gaps_all_certified(self):
@@ -131,8 +136,8 @@ class TestScalarPipeline:
         result = impute_series(
             scalar_series(values), ImputeOptions(allow_open_gap=True)
         )
-        assert result.imputed[6][0] == pytest.approx(6.0, abs=1e-9)
-        assert result.imputed[7][0] == pytest.approx(7.0, abs=1e-9)
+        assert imputed_rows(result)[6][0] == pytest.approx(6.0, abs=1e-9)
+        assert imputed_rows(result)[7][0] == pytest.approx(7.0, abs=1e-9)
         (entry,) = result.report.gaps
         assert not entry["constrained"]
         assert entry["oracle"] is None
@@ -174,7 +179,7 @@ class TestVectorPipeline:
     def test_var_end_to_end(self, phosphate_text):
         series = parse_csv(phosphate_text)
         result = impute_series(series, ImputeOptions(model_kind="var"))
-        assert set(result.imputed) == {11, 12, 15}
+        assert set(imputed_rows(result)) == {11, 12, 15}
         for entry in result.report.gaps:
             assert entry["oracle"]["certified"]
             assert entry["terminal_residual"] <= 1e-9 * (
@@ -193,7 +198,7 @@ class TestVectorPipeline:
         exact = impute_series(series, ImputeOptions(model_kind="var", mode="exact"))
         printed = impute_series(series, ImputeOptions(model_kind="var", mode="paper"))
         for i in (11, 12, 15):
-            assert np.array_equal(exact.imputed[i], printed.imputed[i])
+            assert np.array_equal(imputed_rows(exact)[i], imputed_rows(printed)[i])
         assert "step_norm_formula" in printed.report.gaps[0]["diagnostics"]
         assert printed.report.gaps[0]["oracle"]["certified"]
 
@@ -214,11 +219,11 @@ class TestRegressionPipeline:
         result = impute_series(
             series, ImputeOptions(model_kind="regression"), covariates
         )
-        assert set(result.imputed) == {11, 12}
+        assert set(imputed_rows(result)) == {11, 12}
         # fitted line y = 2x + 1 predicts 27 at the anchor; mismatch 3 spreads
         # one unit per step
-        assert result.imputed[11][0] == pytest.approx(24.0, abs=1e-8)
-        assert result.imputed[12][0] == pytest.approx(27.0, abs=1e-8)
+        assert imputed_rows(result)[11][0] == pytest.approx(24.0, abs=1e-8)
+        assert imputed_rows(result)[12][0] == pytest.approx(27.0, abs=1e-8)
         (entry,) = result.report.gaps
         assert entry["oracle"]["certified"]
         assert entry["multiplier"] == pytest.approx(1.0, abs=1e-8)
@@ -366,6 +371,35 @@ class TestRefitEquations:
             np.testing.assert_allclose(refit["lag_coefficients"], a, rtol=0, atol=1e-9)
             assert refit["intercept"] == pytest.approx(b, abs=1e-9)
             assert entry["oracle"]["certified"]
+
+
+class TestPrefixFitIsFirstRefit:
+    """The prefix fit and the first gap's refit read the same equations
+    through the same least-squares sweep, so they are one model, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind, order, outputs", [
+        ("ar", 1, 1), ("ar", 2, 1), ("ar", 3, 1), ("var", 1, 2), ("var", 1, 3),
+        ("regression", 1, 1), ("regression", 1, 2),
+    ])
+    def test_report_model_is_first_refit_model(self, seed, kind, order, outputs):
+        rng = np.random.default_rng(seed)
+        n = 80
+        covariates = rng.standard_normal((n, 2))
+        x = np.zeros((n, outputs))
+        for t in range(1, n):
+            x[t] = 0.5 * x[t - 1] + 1.0 + rng.standard_normal(outputs)
+        if kind == "regression":
+            x = covariates @ rng.uniform(-2, 2, (2, outputs)) + 0.1 * rng.standard_normal((n, outputs))
+        values = [None if 30 <= t < 33 or 50 <= t < 52 else row for t, row in enumerate(x * 1e3)]
+        options = ImputeOptions(model_kind=kind, order=order, refit_per_gap=True)
+        result = impute_series(Series.from_values(values), options,
+                               Series.from_values(covariates) if kind == "regression" else None)
+        report = json.loads(result.report.to_json())
+        assert len(report["gaps"]) == 2
+        # the report writes each float in full precision, so equal JSON is equal bits
+        assert report["gaps"][0]["refit_model"] == report["model"]
+        assert report["gaps"][1]["refit_model"] != report["model"]
 
 
 def coefficient_rows(model) -> np.ndarray:
@@ -686,9 +720,7 @@ class TestSchemaTwoGivesSchemaOne:
                 if model.n_outputs == 1:
                     forecast = forecast[:, 0]
             assert forecast.tobytes() == solution.predicted.tobytes()
-        # the deprecated dict, as schema 1's runs returned it
-        assert list(result.imputed) == list(imputed) == list(series.missing_indices)
-        assert all(result.imputed[i].tobytes() == row.tobytes() for i, row in imputed.items())
+        assert list(imputed) == list(series.missing_indices)
         assert result.filled[series.missing].tobytes() == np.array(list(imputed.values())).tobytes()
 
 

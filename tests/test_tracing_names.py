@@ -1,0 +1,63 @@
+"""The benchmark tracer's boundaries still name functions of gapfill.
+
+``bench/tracing.py`` patches, for each entry of its ``BOUNDARIES``, the
+function that a gapfill module looks up by that name, and the benchmark
+steps in CI run with tracing on. A renamed or removed function would only
+fail there; these tests install the tracer against the package under test
+instead. They read ``bench/`` and change nothing in it.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from gapfill.pipeline import ImputeOptions, impute_series
+from gapfill.series import Series
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("gapfill_bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def patched(boundary):
+    """The object a boundary patches and the attribute name it sets."""
+    module_name, attribute = boundary[:2]
+    owner = importlib.import_module(module_name)
+    *path, leaf = attribute.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
+
+
+def test_every_boundary_is_wrapped_and_restored(tracing):
+    targets = [patched(boundary) for boundary in tracing.BOUNDARIES]
+    originals = [getattr(owner, leaf) for owner, leaf in targets]
+    with tracing.Tracer().installed():
+        for (owner, leaf), original in zip(targets, originals):
+            assert getattr(owner, leaf) is not original, f"{owner.__name__}.{leaf} is not wrapped"
+    for (owner, leaf), original in zip(targets, originals):
+        assert getattr(owner, leaf) is original, f"{owner.__name__}.{leaf} is not restored"
+
+
+def test_refit_sweep_is_timed_as_least_squares(tracing):
+    # the prefix fit and the refit sweep each make one least-squares call
+    rng = np.random.default_rng(2)
+    x = [0.0]
+    for _ in range(59):
+        x.append(0.6 * x[-1] + 1.0 + rng.standard_normal())
+    values = [None if t in (20, 21, 40) else v for t, v in enumerate(x)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.call(impute_series, Series.from_values(values),
+                    ImputeOptions(order=2, refit_per_gap=True))
+    (spans,) = tracer.runs
+    assert tracing.layer_metrics(spans)["linalg.lstsq_calls"] == 2
