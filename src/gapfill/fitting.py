@@ -186,6 +186,14 @@ def fit_sweep(design: type, inputs, targets, counts) -> list:
     return results
 
 
+def _fit_one(design: type, inputs: np.ndarray, targets: np.ndarray):
+    """The ``design`` model fitted on all rows, or the error its fit raises."""
+    (model,) = fit_sweep(design, inputs, targets, [len(inputs)])
+    if isinstance(model, Exception):
+        raise model
+    return model
+
+
 def fit_ar_lagged(lag_rows, targets) -> ArModel:
     """Fit a scalar autoregression from pre-assembled equations.
 
@@ -196,10 +204,10 @@ def fit_ar_lagged(lag_rows, targets) -> ArModel:
     lags = np.asarray(lag_rows, dtype=float)
     if lags.ndim != 2:
         raise DataError("lag rows must form a 2-D array")
-    (model,) = fit_sweep(ArModel, lags, np.asarray(targets, dtype=float).ravel(), [len(lags)])
-    if isinstance(model, Exception):
-        raise model
-    return model
+    y = np.asarray(targets, dtype=float).ravel()
+    if len(lags) != len(y):
+        raise DataError(f"lag rows and targets must align: {len(lags)} lag rows, {len(y)} targets")
+    return _fit_one(ArModel, lags, y)
 
 
 def fit_ar_scalar(window, order: int) -> ArModel:
@@ -231,10 +239,7 @@ def fit_var_pairs(previous, current) -> VarModel:
         xcur = xcur[:, None]
     if xprev.shape != xcur.shape:
         raise DataError("pair rows must align: previous and current shapes differ")
-    (model,) = fit_sweep(VarModel, xprev, xcur, [len(xprev)])
-    if isinstance(model, Exception):
-        raise model
-    return model
+    return _fit_one(VarModel, xprev, xcur)
 
 
 def fit_var1(window) -> VarModel:
@@ -266,10 +271,7 @@ def fit_regression(targets, covariates) -> RegModel:
         raise DataError(
             f"targets and covariates must align: {y.shape[0]} responses, {x.shape[0]} rows"
         )
-    (model,) = fit_sweep(RegModel, x, y, [len(x)])
-    if isinstance(model, Exception):
-        raise model
-    return model
+    return _fit_one(RegModel, x, y)
 
 
 def _first_control(steps: int, controls: int) -> int:

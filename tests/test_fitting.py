@@ -114,6 +114,10 @@ class TestFitArScalar:
         assert m.a[0] == pytest.approx(2.0, abs=1e-10)
         assert m.b == pytest.approx(0.0, abs=1e-9)
 
+    def test_lagged_equations_must_align(self):
+        with pytest.raises(DataError, match="lag rows and targets must align: 3 lag rows, 2 targets"):
+            fit_ar_lagged([[1.0], [2.0], [3.0]], [2.0, 4.0])
+
 
 def ar1_at_level(level: float, n: int = 200) -> np.ndarray:
     """A stationary AR(1) with phi = 0.6 and unit noise, shifted to ``level``."""

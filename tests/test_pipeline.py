@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfill import pipeline
+from gapfill import fitting, pipeline
 from gapfill.control import impute_gap_ar, impute_gap_regression, impute_gap_var
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
     RegModel,
     VarModel,
-    fit_ar_lagged,
-    fit_regression,
-    fit_var_pairs,
     predict_forward,
 )
+from gapfill.linalg import RANK_TOLERANCE
 from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.report import ImputationReport, describe_model, gap_entry
@@ -300,13 +298,25 @@ def window_equations(options, series, covariates, gap_start):
 
 def refit_before(options, series, covariates, gap_start):
     """Reference: refit from scratch before the gap, one least-squares fit
-    per gap (the full refit that one sweep replaces)."""
+    per gap (the full refit that one sweep replaces), independent of the QR
+    sweep: numpy's ``lstsq`` (LAPACK gelsd) on max-abs-scaled ``[inputs, 1]``
+    at the kernel's ``RANK_TOLERANCE`` cutoff, with the fitters' window and
+    overflow errors."""
+    design = {"ar": ArModel, "var": VarModel, "regression": RegModel}[options.model_kind]
     inputs, targets = window_equations(options, series, covariates, gap_start)
-    if options.model_kind == "ar":
-        return fit_ar_lagged(inputs, targets)
-    if options.model_kind == "var":
-        return fit_var_pairs(inputs, targets)
-    return fit_regression(targets, inputs)
+    assert inputs.ndim == 2 and len(inputs) == len(targets)
+    short = fitting._too_short(design, *inputs.shape)
+    if short is not None:
+        raise short
+    x = np.column_stack([inputs, np.ones(len(inputs))])
+    scale = np.abs(x).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    coeffs, _, rank, _ = np.linalg.lstsq(x / scale, targets, rcond=RANK_TOLERANCE)
+    with np.errstate(over="ignore"):
+        coeffs = coeffs / (scale if targets.ndim == 1 else scale[:, None])
+    if not np.isfinite(coeffs).all():
+        raise fitting._overflow(design)
+    return fitting._model(design, coeffs, int(rank))
 
 
 class TestRefitEquations:
