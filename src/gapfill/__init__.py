@@ -38,9 +38,8 @@ from .oracle import (
     certify,
     kkt_solve,
     random_instance,
-    verify_instance,
 )
-from .pipeline import ImputeOptions, ImputeResult, fit_prefix, impute_series
+from .pipeline import ImputeOptions, ImputeResult, fit_prefix, impute_series, verify_instance
 from .report import ImputationReport
 from .series import GapSegment, Series, detect_gaps, parse_csv, write_csv
 

@@ -14,8 +14,8 @@ import sys
 from .errors import DataError, NumericalError
 from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
-from .oracle import InstanceLimits, verify_instance
-from .pipeline import ImputeOptions, fit_prefix, impute_series
+from .oracle import InstanceLimits
+from .pipeline import ImputeOptions, fit_prefix, impute_series, verify_instance
 from .report import describe_model, render_json
 from .series import DEFAULT_NA_MARKERS, parse_csv
 

@@ -435,8 +435,13 @@ def _step_norms(powers: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> 
     formula beside the exact norms of the controls."""
     column_sums = powers.sum(axis=1)
     column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(delta)) / column_sum_square
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = float(np.linalg.norm(delta))
+        if not np.isfinite(length):
+            # the squares of an offset beyond ~1e154 overflow before its length does
+            peak = float(np.abs(delta).max())
+            length = peak * float(np.linalg.norm(delta / peak))
+        scale = length / column_sum_square
         exact = np.linalg.norm(controls, axis=1)
     if not (np.isfinite(scale) and np.isfinite(exact).all()):
         raise _norm_overflow()

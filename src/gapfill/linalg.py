@@ -28,16 +28,6 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
-def as_vector(values) -> np.ndarray:
-    """Validate and convert to a 1-D float64 array (finite entries, nonempty)."""
-    a = np.array(values, dtype=float)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("vector entries must be finite")
-    return a
-
-
 def row_norms(rows) -> np.ndarray:
     """Euclidean length of each row of a 2-D array.
 
@@ -77,29 +67,27 @@ class SpdSolution(NamedTuple):
 
 
 def solve_spd(matrix, rhs) -> SpdSolution:
-    """Solve G x = rhs for symmetric positive-definite G.
+    """Solve G x = rhs for symmetric positive-definite G, one row of the
+    (g, k) ``rhs`` at a time; ``x`` has its shape.
 
-    ``rhs`` is one right-hand side or a 2-D array of them, one per row, and
-    ``x`` has its shape. ``matrix`` is one G shared by every row, or a
-    (g, k, k) stack with one G per row of a (g, k) ``rhs``. Each row gets its
-    own LAPACK solve, so it carries the bits it would get alone. LAPACK's
-    Cholesky factorization decides positive definiteness and LAPACK solves
-    the system. If either rejects a matrix as indefinite or singular, the
-    minimum-norm least-squares solution is returned with ``fallback=True``;
-    stacked rows are then solved again one at a time, and ``fallback`` is
-    True if any of them fell back. Callers decide whether the residual is
-    acceptable.
+    ``matrix`` is one G shared by every row, or a (g, k, k) stack with one G
+    per row. Each row gets its own LAPACK solve, so it carries the bits it
+    would get alone. LAPACK's Cholesky factorization decides positive
+    definiteness and LAPACK solves the system. If either rejects a matrix as
+    indefinite or singular, each row is solved again as a stack of one, and
+    a row whose G is still rejected gets the minimum-norm least-squares
+    solution; ``fallback`` is then True. Callers decide whether the residual
+    is acceptable.
     """
     per_row = np.ndim(matrix) == 3
     g = np.array(matrix, dtype=float) if per_row else as_matrix(matrix)
     n = g.shape[-1]
     if g.shape[-2] != n:
         raise ValueError(f"expected a square matrix, got {g.shape[-2]}x{n}")
-    stacked = np.ndim(rhs) == 2
-    b = as_matrix(rhs) if stacked else as_vector(rhs)
+    b = as_matrix(rhs)
     if b.shape[-1] != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {b.shape[-1]}")
-    if per_row and not (stacked and len(b) == len(g) and np.isfinite(g).all()):
+    if per_row and not (len(b) == len(g) and np.isfinite(g).all()):
         raise ValueError(
             f"a stack of matrices needs finite entries and one rhs row each, got shapes "
             f"{g.shape} and {b.shape}"
@@ -111,18 +99,15 @@ def solve_spd(matrix, rhs) -> SpdSolution:
         raise ValueError("matrix is not symmetric")
     try:
         np.linalg.cholesky(g)
-        # numpy treats b as a vector only when it is 1-D, so stacked rows keep
-        # an explicit column axis
-        if stacked:
-            return SpdSolution(np.linalg.solve(g if per_row else g[None], b[:, :, None])[:, :, 0],
-                               False)
-        return SpdSolution(np.linalg.solve(g, b), False)
+        # numpy treats b as a vector only when it is 1-D, so the rows keep an
+        # explicit column axis
+        return SpdSolution(np.linalg.solve(g if per_row else g[None], b[:, :, None])[:, :, 0], False)
     except np.linalg.LinAlgError:
-        if stacked:
-            rows = [solve_spd(gi, row) for gi, row in zip(g if per_row else [g] * len(b), b)]
-            return SpdSolution(np.array([row.x for row in rows]), any(row.fallback for row in rows))
-        x, _, _, _ = np.linalg.lstsq(g, b, rcond=None)
-        return SpdSolution(x, True)
+        if len(b) == 1:
+            x, _, _, _ = np.linalg.lstsq(g[0] if per_row else g, b[0], rcond=None)
+            return SpdSolution(x[None], True)
+        rows = [solve_spd(gi, row[None]) for gi, row in zip(g if per_row else [g] * len(b), b)]
+        return SpdSolution(np.concatenate([row.x for row in rows]), any(row.fallback for row in rows))
 
 
 class LeastSquaresFit(NamedTuple):

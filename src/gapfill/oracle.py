@@ -6,22 +6,21 @@ endpoint onto the anchor) and solves its stationarity system directly. Every
 model is cast as a first-order state-space recursion (an AR(p) in companion
 form, with the control entering on the first state coordinate; a regression
 with identity dynamics), and the constraint matrices are descending powers of
-its transition matrix, one p x p product per step. No code is shared with the
-weight recurrences being checked. Each problem is one stacked array, so the
+its transition matrix, one p x p product per step. The verifier imports
+nothing from the solver, so no code is shared with the weight recurrences
+being checked. Problems come in stacks, one target per row, so the
 stationarity solve and the check are array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSolution, impute_gap_ar, impute_gap_var
-from .errors import DataError
 from .fitting import ArModel, RegModel, VarModel
 from .linalg import row_norms, solve_spd
-from .series import Series, detect_gaps
+from .series import Series
 
 # A stationarity solution whose constraint residual exceeds this (relative)
 # bound marks the problem itself as infeasible.
@@ -35,11 +34,11 @@ CERTIFY_TOLERANCE = 1e-9
 class ConstrainedProblem:
     """min sum ||u_i||^2 subject to sum_i C_i u_i = target, C_i chronological.
 
-    ``steps`` is stored as one (m, k, k) float64 array, C_i = steps[i]. A
-    sequence of scalars becomes 1x1 matrices and a scalar target a length-1
-    vector. A (g, k) target stacks g problems, one per row, that are solved
-    and certified together; they share the steps, or, given as a
-    (g, m, k, k) array, problem j has its own steps[j].
+    ``steps`` is stored as one (m, k, k) float64 array, C_i = steps[i], and
+    ``target`` as a (g, k) stack of g problems, one per row, that are solved
+    and certified together: one offset is a stack of one. A sequence of
+    scalars becomes 1x1 matrices. The problems share the steps, or, given as
+    a (g, m, k, k) array, problem j has its own steps[j].
     """
 
     steps: np.ndarray
@@ -59,7 +58,7 @@ class ConstrainedProblem:
         if c.shape[-2] != c.shape[-1]:
             raise ValueError(f"constraint step must be square, got shape {c.shape[-2:]}")
         k = c.shape[-1]
-        t = np.atleast_1d(np.asarray(self.target, dtype=float))
+        t = np.atleast_2d(np.asarray(self.target, dtype=float))
         if t.shape[-1:] != (k,) or t.ndim > 2:
             raise ValueError(f"target must have {k} components, got shape {t.shape}")
         if c.ndim == 4 and t.shape != (len(c), k):
@@ -75,13 +74,13 @@ class ConstrainedProblem:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The stationary point of a problem; for stacked targets every field
-    has a leading axis with one entry per problem."""
+    """The stationary points of a problem's stacked targets: every field has
+    a leading axis with one entry per target."""
 
     controls: np.ndarray
-    objective: float | np.ndarray
-    constraint_residual: float | np.ndarray
-    feasible: bool | np.ndarray
+    objective: np.ndarray
+    constraint_residual: np.ndarray
+    feasible: np.ndarray
     multiplier: np.ndarray
 
 
@@ -137,27 +136,18 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     Stationarity gives u_i = C_i^T lambda with (sum_i C_i C_i^T) lambda =
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
-    the constraint. Stacked targets are solved in one call, each with the
-    bits it would get alone.
+    the constraint. The stacked targets are solved in one call, each with
+    the bits it would get alone.
     """
-    targets = problem.target.reshape(-1, problem.dim)
+    targets = problem.target
     controls, lam = _stationary(problem.steps, targets)
     residual = _misses(problem.steps, controls, targets)
-    result = OracleResult(
+    return OracleResult(
         controls=controls,
         objective=_sum_squares(controls),
         constraint_residual=residual,
         feasible=residual <= FEASIBILITY_TOLERANCE * (1.0 + row_norms(targets)),
         multiplier=lam,
-    )
-    if problem.target.ndim == 2:
-        return result
-    return OracleResult(
-        controls=controls[0],
-        objective=float(result.objective[0]),
-        constraint_residual=float(residual[0]),
-        feasible=bool(result.feasible[0]),
-        multiplier=lam[0],
     )
 
 
@@ -185,7 +175,7 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     first k state coordinates: k = 1 for an AR model, the full state
     otherwise. The powers descend by repeated right-multiplication, one
     product per step. Explosive models overflow silently to inf. ``target``
-    is one offset, or a (g, k) stack of them for g gaps of this length.
+    is a (g, k) stack of offsets for g gaps of this length, or one offset.
     ``model`` is the model of every gap, or a list with one model per row of
     ``target``, all of one kind and size; the steps are then (g, m, k, k),
     each gap's the bits of its problem alone.
@@ -204,17 +194,16 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     return ConstrainedProblem(np.moveaxis(powers, 0, -3)[..., :k, :k], target)
 
 
-def certify(solution, problem: ConstrainedProblem):
+def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
     """Check control solutions against the independent stationarity solve.
 
     A solution passes when it is feasible and its objective matches the
-    oracle optimum, both to CERTIFY_TOLERANCE relative. ``solution`` is one
-    ControlSolution, which gets a Verdict, or, for a problem with stacked
-    targets, a sequence of them in target order, which gets a BatchVerdict.
+    oracle optimum, both to CERTIFY_TOLERANCE relative. ``solutions`` holds
+    one solution (anything with chronological ``controls``) per target of
+    ``problem``, in target order, and each gets a Verdict.
     """
-    stacked = problem.target.ndim == 2
-    solutions = list(solution) if stacked else [solution]
-    targets = problem.target.reshape(-1, problem.dim)
+    solutions = list(solutions)
+    targets = problem.target
     if len(solutions) != len(targets):
         raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
     steps = problem.steps.shape[-3]
@@ -226,8 +215,8 @@ def certify(solution, problem: ConstrainedProblem):
     u = np.array([s.controls for s in solutions], dtype=float)
     if u.ndim == 2:
         u = u[:, :, None]
-    oracle = kkt_solve(problem if stacked else replace(problem, target=targets))
-    verdicts = tuple(
+    oracle = kkt_solve(problem)
+    return BatchVerdict(tuple(
         Verdict(
             passed=(feasible
                     and abs(value - best) <= CERTIFY_TOLERANCE * (1.0 + abs(best))
@@ -241,10 +230,7 @@ def certify(solution, problem: ConstrainedProblem):
             oracle.feasible.tolist(), oracle.objective.tolist(),
             _misses(problem.steps, u, targets).tolist(), _sum_squares(u).tolist(),
             row_norms(targets).tolist())
-    )
-    if not stacked:
-        return verdicts[0]
-    return BatchVerdict(verdicts)
+    ))
 
 
 @dataclass(frozen=True)
@@ -315,58 +301,3 @@ def random_instance(seed: int, limits: InstanceLimits = InstanceLimits()):
         return Series.from_values(values), VarModel(A=a, b=b)
 
     raise ValueError(f"unknown instance kind {limits.kind!r}")
-
-
-@dataclass(frozen=True)
-class VerifiedInstance:
-    seed: int
-    kind: str
-    model: object
-    segment: object
-    solution: ControlSolution
-    verdict: Verdict
-
-
-def _single_gap(series: Series, order: int):
-    _, gaps = detect_gaps(series, order)
-    if len(gaps) != 1:
-        raise DataError(f"generated instance has {len(gaps)} gaps, expected 1")
-    return gaps[0]
-
-
-def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
-                    inject_fault: bool = False) -> VerifiedInstance:
-    """Generate one instance, run the exact-mode solver, certify the result.
-
-    ``inject_fault`` perturbs the first control before certification; the
-    verdict must then fail, which exercises the harness itself.
-    """
-    series, model = random_instance(seed, limits)
-    if limits.kind == "ar":
-        segment = _single_gap(series, model.p)
-        start = segment.gap_start - 1
-        seeds = series.data[start - model.p : start, 0]
-        solution = impute_gap_ar(model, segment, seeds, float(segment.anchor_value[0]))
-    else:
-        segment = _single_gap(series, 1)
-        seed_row = series.data[segment.gap_start - 2]
-        solution = impute_gap_var(model, segment, seed_row, segment.anchor_value)
-
-    if inject_fault:
-        bad = np.array(solution.controls, dtype=float)
-        bad[0] = bad[0] + 0.5
-        solution = replace(solution, controls=bad)
-
-    delta = np.atleast_1d(np.asarray(segment.anchor_value, dtype=float)) - np.atleast_1d(
-        solution.predicted[-1]
-    )
-    problem = build_problem(model, len(solution.control_indices), delta)
-    verdict = certify(solution, problem)
-    return VerifiedInstance(
-        seed=seed,
-        kind=limits.kind,
-        model=model,
-        segment=segment,
-        solution=solution,
-        verdict=verdict,
-    )

@@ -1,8 +1,12 @@
-"""End-to-end imputation: segment the series, fit, solve each gap, assemble the report."""
+"""End-to-end imputation: segment the series, fit, solve each gap, assemble the report.
+
+``verify_instance`` runs a seeded random instance through the same solve and
+certification calls.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .fitting import (
     fit_var_pairs,  # not called here; bench/tracing.py still wraps this name
     predict_forward,
 )
-from .oracle import build_problem, certify
+from .oracle import InstanceLimits, Verdict, build_problem, certify, random_instance
 from .report import ImputationReport, describe_model, gap_entry
 from .series import Series, detect_gaps, write_csv
 
@@ -327,3 +331,34 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
             )
     working.setflags(write=False)
     return ImputeResult(series=series, filled=working, report=report)
+
+
+@dataclass(frozen=True)
+class VerifiedInstance:
+    seed: int
+    kind: str
+    model: object
+    segment: object
+    solution: ControlSolution
+    verdict: Verdict
+
+
+def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
+                    inject_fault: bool = False) -> VerifiedInstance:
+    """Generate one instance, fill its gap in exact mode and certify the fill,
+    with the ``_solve_gaps`` and ``_certify_batch`` calls of ``impute_series``.
+
+    ``inject_fault`` perturbs the first control between the two calls; the
+    verdict must then fail, which exercises the harness itself.
+    """
+    series, model = random_instance(seed, limits)
+    options = ImputeOptions(model_kind=limits.kind, order=model.p if limits.kind == "ar" else 1)
+    _, (segment,) = detect_gaps(series, options.order)
+    (solution,) = _solve_gaps(options, model, [segment], [False], series.data.copy(), None)
+    if inject_fault:
+        bad = np.array(solution.controls, dtype=float)
+        bad[0] = bad[0] + 0.5
+        solution = replace(solution, controls=bad)
+    (verdict,) = _certify_batch(options, model, [segment], [solution])
+    return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=segment,
+                            solution=solution, verdict=verdict)

@@ -19,8 +19,8 @@ import pytest
 
 from gapfill.control import impute_gap_ar, impute_gap_regression
 from gapfill.fitting import ArModel, RegModel
-from gapfill.oracle import InstanceLimits, random_instance, verify_instance
-from gapfill.pipeline import ImputeOptions, impute_series
+from gapfill.oracle import InstanceLimits, random_instance
+from gapfill.pipeline import ImputeOptions, impute_series, verify_instance
 from gapfill.series import Series, detect_gaps, parse_csv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

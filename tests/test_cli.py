@@ -293,6 +293,21 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert err.startswith("error: fill overflow")
 
+    def test_regression_anchor_forecast_overflow_is_numerical_error(self, capsys, tmp_path):
+        # the prefix fits y = 2x on x near 1e307; the forecast 2 * 1.5e308 at
+        # the anchor overflows, so the offset to the anchor is not finite
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1e307, 8e307, 30).tolist()
+        rows = [f"{2.0 * v!r},{v!r}" for v in x] + ["NA,1e307", "NA,1e307", "1.0,1.5e308"]
+        path = tmp_path / "reg.csv"
+        path.write_text("y,x\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "regression",
+                             "--columns", "y", "--covariates", "x")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: fill overflow in the gap at index 31: ")
+
     def test_repeated_value_column_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n2,3\n3,5\n4,4\n5,6\nNA,NA\n7,8\n")
@@ -567,6 +582,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "vacuous" in err
         assert out == "verified 0/0\n"
+
+    def test_negative_cases_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--cases", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --cases must be >= 0\n"
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--cases", "4", "--seed", "17")

@@ -428,6 +428,23 @@ class TestImputeGapVar:
         expected = [scale * float(powers[2 - i].sum()) for i in range(3)]
         np.testing.assert_allclose(printed.diagnostics["step_norm_formula"], expected, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("a, seed, anchor", [
+        ([[2.0]], [1.0], [1e160]),
+        ([[2.0, 0.0], [0.0, 0.5]], [1.0, 2.0], [1e160, 3.0]),
+    ], ids=["one_column", "diagonal"])
+    def test_paper_mode_fills_an_offset_too_large_to_square(self, a, seed, anchor):
+        # diagonal blocks make the solve a division, so an offset of 1e160
+        # fills in exact mode; its printed-formula norm must not overflow either
+        model = VarModel(A=a, b=[0.0] * len(seed))
+        gap = GapSegment(2, 25, (1,), 26, None)
+        exact = impute_gap_var(model, gap, seed, anchor, mode="exact")
+        printed = impute_gap_var(model, gap, seed, anchor, mode="paper")
+        assert np.isfinite(exact.objective)
+        assert exact.imputed.tobytes() == printed.imputed.tobytes()
+        assert exact.controls.tobytes() == printed.controls.tobytes()
+        for key in ("step_norm_formula", "step_norm_exact"):
+            assert np.isfinite(printed.diagnostics[key]).all()
+
     def test_zero_offset_keeps_forecast(self):
         model = VarModel(A=[[0.3, 0.0], [0.0, 0.3]], b=[1.0, -1.0])
         seed = np.array([1.0, 1.0])

@@ -10,7 +10,6 @@ from gapfill.linalg import (
     LeastSquaresFit,
     SpdSolution,
     as_matrix,
-    as_vector,
     least_squares,
     mat_pow_table,
     row_norms,
@@ -31,14 +30,6 @@ class TestValidators:
     def test_as_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             as_matrix([[1.0, float("nan")]])
-
-    def test_as_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_vector([])
-
-    def test_as_vector_rejects_inf(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_vector([float("inf")])
 
 
 class TestMatPowTable:
@@ -90,26 +81,26 @@ class TestMatPowTable:
 
 class TestSolveSpd:
     def test_identity(self):
-        sol = solve_spd(np.eye(3), [1.0, 2.0, 3.0])
+        sol = solve_spd(np.eye(3), [[1.0, 2.0, 3.0]])
         assert isinstance(sol, SpdSolution)
         assert not sol.fallback
-        assert np.array_equal(sol.x, [1.0, 2.0, 3.0])
+        assert np.array_equal(sol.x, [[1.0, 2.0, 3.0]])
 
     def test_small_spd(self):
         # [[2,1],[1,2]] x = (3,3) -> x = (1,1)
-        sol = solve_spd([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
-        assert np.allclose(sol.x, [1.0, 1.0], rtol=0, atol=1e-14)
+        sol = solve_spd([[2.0, 1.0], [1.0, 2.0]], [[3.0, 3.0]])
+        assert np.allclose(sol.x, [[1.0, 1.0]], rtol=0, atol=1e-14)
         assert not sol.fallback
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            solve_spd([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+            solve_spd([[1.0, 2.0], [0.0, 1.0]], [[1.0, 1.0]])
 
     def test_singular_falls_back_to_min_norm(self):
-        sol = solve_spd([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0])
+        sol = solve_spd([[1.0, 1.0], [1.0, 1.0]], [[2.0, 2.0]])
         assert sol.fallback
         # minimum-norm solution of the consistent singular system
-        assert np.allclose(sol.x, [1.0, 1.0], rtol=0, atol=1e-10)
+        assert np.allclose(sol.x, [[1.0, 1.0]], rtol=0, atol=1e-10)
 
     def test_random_spd_reconstruction(self):
         rng = np.random.default_rng(3)
@@ -118,20 +109,20 @@ class TestSolveSpd:
             m = rng.uniform(-1, 1, (n, n))
             g = m.T @ m + 0.1 * np.eye(n)
             x_true = rng.uniform(-2, 2, n)
-            sol = solve_spd(g, g @ x_true)
+            sol = solve_spd(g, [g @ x_true])
             assert not sol.fallback
-            assert np.allclose(sol.x, x_true, rtol=0, atol=1e-9)
+            assert np.allclose(sol.x[0], x_true, rtol=0, atol=1e-9)
 
     def test_deterministic_bits(self):
         g = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        b = np.array([1.0, 2.0, 3.0])
+        b = np.array([[1.0, 2.0, 3.0]])
         first = solve_spd(g, b).x
         second = solve_spd(g, b).x
         assert first.tobytes() == second.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            solve_spd(np.eye(2), [1.0, 2.0, 3.0])
+            solve_spd(np.eye(2), [[1.0, 2.0, 3.0]])
 
     def test_gram_above_identity_with_wide_diagonal(self):
         # the 60-step control Gram matrix sum_j A^j (A^j)^T of an explosive A
@@ -141,9 +132,9 @@ class TestSolveSpd:
         g = np.sum(powers @ powers.transpose(0, 2, 1), axis=0)
         assert 1e20 < g[0, 0] / g[1, 1] < 1e22
         b = np.array([1.0, 1.0])
-        sol = solve_spd(g, b)
+        sol = solve_spd(g, [b])
         assert not sol.fallback
-        assert np.linalg.norm(g @ sol.x - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
+        assert np.linalg.norm(g @ sol.x[0] - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
@@ -155,10 +146,10 @@ class TestSolveSpd:
     def test_matches_scipy_positive_definite_solve(self, case):
         m, b = case
         g = m @ m.T + np.eye(len(b))
-        sol = solve_spd(g, b)
+        sol = solve_spd(g, [b])
         assert not sol.fallback
         expected = scipy.linalg.solve(g, b, assume_a="pos")
-        np.testing.assert_allclose(sol.x, expected, rtol=1e-7, atol=1e-9 * (1.0 + np.abs(expected).max()))
+        np.testing.assert_allclose(sol.x[0], expected, rtol=1e-7, atol=1e-9 * (1.0 + np.abs(expected).max()))
 
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -173,7 +164,7 @@ class TestSolveSpd:
         assert stacked.x.shape == b.shape
         assert not stacked.fallback
         for row, x in zip(b, stacked.x):
-            assert x.tobytes() == solve_spd(g, row).x.tobytes()
+            assert x.tobytes() == solve_spd(g, row[None]).x[0].tobytes()
 
     def test_stacked_fallback_solves_each_row_alone(self):
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -181,7 +172,7 @@ class TestSolveSpd:
         stacked = solve_spd(g, b)
         assert stacked.fallback
         for row, x in zip(b, stacked.x):
-            assert x.tobytes() == solve_spd(g, row).x.tobytes()
+            assert x.tobytes() == solve_spd(g, row[None]).x[0].tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), count=st.integers(1, 8),
@@ -195,7 +186,7 @@ class TestSolveSpd:
         assert stacked.x.shape == b.shape
         assert not stacked.fallback
         for gi, row, x in zip(g, b, stacked.x):
-            assert x.tobytes() == solve_spd(gi, row).x.tobytes()
+            assert x.tobytes() == solve_spd(gi, row[None]).x[0].tobytes()
 
     def test_stacked_matrix_fallback_solves_each_alone(self):
         g = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
@@ -203,13 +194,17 @@ class TestSolveSpd:
         stacked = solve_spd(g, b)
         assert stacked.fallback
         for gi, row, x in zip(g, b, stacked.x):
-            assert x.tobytes() == solve_spd(gi, row).x.tobytes()
-        assert not solve_spd(g[1], b[1]).fallback
+            assert x.tobytes() == solve_spd(gi, row[None]).x[0].tobytes()
+        assert not solve_spd(g[1], b[1:]).fallback
 
     def test_stacked_matrices_need_one_rhs_row_each(self):
         with pytest.raises(ValueError, match="one rhs row each"):
             solve_spd(np.stack([np.eye(2)] * 3), np.ones((2, 2)))
-        with pytest.raises(ValueError, match="one rhs row each"):
+
+    def test_rejects_one_dimensional_rhs(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            solve_spd(np.eye(2), np.ones(2))
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
             solve_spd(np.stack([np.eye(2)] * 3), np.ones(2))
 
     def test_stacked_dimension_mismatch(self):

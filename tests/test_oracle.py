@@ -16,8 +16,8 @@ from gapfill.oracle import (
     certify,
     kkt_solve,
     random_instance,
-    verify_instance,
 )
+from gapfill.pipeline import verify_instance
 from gapfill.series import Series, detect_gaps
 
 # Property tests run a fixed example sequence, so the suite stays reproducible.
@@ -29,7 +29,7 @@ class TestConstrainedProblem:
         prob = ConstrainedProblem(steps=(1.0, 0.5), target=2.0)
         assert prob.dim == 1
         assert prob.steps[0].shape == (1, 1)
-        assert prob.target.shape == (1,)
+        assert prob.target.shape == (1, 1)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -63,17 +63,17 @@ class TestConstrainedProblem:
 class TestKktSolve:
     def test_single_step(self):
         result = kkt_solve(ConstrainedProblem(steps=(2.0,), target=4.0))
-        assert result.feasible
-        assert result.controls[0][0] == pytest.approx(2.0, abs=1e-14)
-        assert result.objective == pytest.approx(4.0, abs=1e-14)
+        assert result.feasible[0]
+        assert result.controls[0][0][0] == pytest.approx(2.0, abs=1e-14)
+        assert result.objective[0] == pytest.approx(4.0, abs=1e-14)
 
     def test_geometric_weights_match_closed_form(self):
         # weights (1, 1/2, 1/4) with target -2: optimum objective 64/21
         prob = ConstrainedProblem(steps=(0.25, 0.5, 1.0), target=-2.0)
         result = kkt_solve(prob)
-        assert result.feasible
-        assert result.objective == pytest.approx(64.0 / 21.0, abs=1e-12)
-        assert result.multiplier[0] == pytest.approx(-32.0 / 21.0, abs=1e-12)
+        assert result.feasible[0]
+        assert result.objective[0] == pytest.approx(64.0 / 21.0, abs=1e-12)
+        assert result.multiplier[0][0] == pytest.approx(-32.0 / 21.0, abs=1e-12)
 
     def test_stationarity_controls_proportional_to_steps(self):
         rng = np.random.default_rng(97)
@@ -84,14 +84,14 @@ class TestKktSolve:
                 continue
             target = float(rng.uniform(-3, 3))
             result = kkt_solve(ConstrainedProblem(steps=steps, target=target))
-            assert result.feasible
-            lam = result.multiplier[0]
-            for s, u in zip(steps, result.controls):
+            assert result.feasible[0]
+            lam = result.multiplier[0][0]
+            for s, u in zip(steps, result.controls[0]):
                 assert u[0] == pytest.approx(s * lam, abs=1e-10)
 
     def test_infeasible_problem_flagged(self):
         result = kkt_solve(ConstrainedProblem(steps=(0.0, 0.0), target=1.0))
-        assert not result.feasible
+        assert not result.feasible[0]
 
     def test_vector_constraint_met(self):
         rng = np.random.default_rng(101)
@@ -101,9 +101,9 @@ class TestKktSolve:
             steps = tuple(rng.uniform(-1, 1, (k, k)) for _ in range(m))
             target = rng.uniform(-2, 2, k)
             result = kkt_solve(ConstrainedProblem(steps=steps, target=target))
-            if not result.feasible:
+            if not result.feasible[0]:
                 continue
-            attained = sum(c @ u for c, u in zip(steps, result.controls))
+            attained = sum(c @ u for c, u in zip(steps, result.controls[0]))
             assert np.allclose(attained, target, rtol=0, atol=1e-8)
 
 
@@ -118,11 +118,11 @@ class TestKktSolve:
             assert stacked.controls.shape == (len(targets), m, k)
             for i, target in enumerate(targets):
                 alone = kkt_solve(ConstrainedProblem(steps=steps, target=target))
-                assert stacked.controls[i].tobytes() == alone.controls.tobytes()
-                assert stacked.multiplier[i].tobytes() == alone.multiplier.tobytes()
-                assert stacked.objective[i] == alone.objective
-                assert stacked.constraint_residual[i] == alone.constraint_residual
-                assert stacked.feasible[i] == alone.feasible
+                assert stacked.controls[i].tobytes() == alone.controls[0].tobytes()
+                assert stacked.multiplier[i].tobytes() == alone.multiplier[0].tobytes()
+                assert stacked.objective[i] == alone.objective[0]
+                assert stacked.constraint_residual[i] == alone.constraint_residual[0]
+                assert stacked.feasible[i] == alone.feasible[0]
 
 
 class TestBuildProblem:
@@ -219,7 +219,7 @@ class TestCertify:
 
     def test_passes_on_true_solution(self):
         solution, problem = self.make_solved_instance()
-        verdict = certify(solution, problem)
+        verdict = certify([solution], problem).verdicts[0]
         assert verdict.passed
         assert verdict.objective_gap <= 1e-9 * (1 + abs(verdict.objective_oracle))
         assert verdict.constraint_residual <= 1e-9 * (1 + np.linalg.norm(problem.target))
@@ -229,14 +229,14 @@ class TestCertify:
         bad = np.array(solution.controls)
         bad[0] += 0.01
         perturbed = dataclasses.replace(solution, controls=bad)
-        verdict = certify(perturbed, problem)
+        verdict = certify([perturbed], problem).verdicts[0]
         assert not verdict.passed
 
     def test_fails_on_cheaper_infeasible_controls(self):
         # all-zero controls undercut the optimum but break the constraint
         solution, problem = self.make_solved_instance()
         cheat = dataclasses.replace(solution, controls=np.zeros_like(solution.controls))
-        verdict = certify(cheat, problem)
+        verdict = certify([cheat], problem).verdicts[0]
         assert not verdict.passed
         assert verdict.constraint_residual > 1.0
 
@@ -244,7 +244,7 @@ class TestCertify:
         solution, problem = self.make_solved_instance()
         short = dataclasses.replace(solution, controls=np.array(solution.controls[:-1]))
         with pytest.raises(ValueError, match="control count"):
-            certify(short, problem)
+            certify([short], problem)
 
     def test_stacked_verdicts_match_one_at_a_time(self):
         rng = np.random.default_rng(107)
@@ -261,7 +261,7 @@ class TestCertify:
         solutions[1] = dataclasses.replace(solutions[1], controls=bad)
         offsets = [gap.anchor_value - s.predicted[-1] for gap, s in zip(gaps, solutions)]
         batch = certify(solutions, build_problem(model, 3, offsets))
-        alone = tuple(certify(s, build_problem(model, 3, offset))
+        alone = tuple(certify([s], build_problem(model, 3, offset)).verdicts[0]
                       for s, offset in zip(solutions, offsets))
         assert batch.verdicts == alone
         assert [v.passed for v in batch.verdicts] == [True, False, True]
@@ -304,7 +304,7 @@ class TestCertify:
         problem = build_problem(models, steps, offsets)
         assert problem.steps.shape[:2] == (gaps, steps)
         batch = certify(solutions, problem)
-        alone = [certify(s, build_problem(model, steps, offset))
+        alone = [certify([s], build_problem(model, steps, offset)).verdicts[0]
                  for model, s, offset in zip(models, solutions, offsets)]
         for got, want in zip(batch.verdicts, alone):
             assert (np.array(dataclasses.astuple(got)).tobytes()

@@ -173,6 +173,22 @@ class TestScalarPipeline:
         )
 
 
+@pytest.mark.parametrize("options, covariate_rows, message", [
+    (ImputeOptions(model_kind="arma"), None, "unknown model 'arma'; expected one of ar, var, regression"),
+    (ImputeOptions(mode="printed"), None, "unknown mode 'printed'; expected one of exact, paper"),
+    (ImputeOptions(order=0), None, "order must be >= 1"),
+    (ImputeOptions(model_kind="regression"), 5, "covariate rows must align with the series rows"),
+], ids=["model", "mode", "order", "covariate_rows"])
+def test_library_options_are_validated(options, covariate_rows, message):
+    # the CLI's argparse stops all four before they reach the library
+    series = scalar_series([1.0, 2.0, 3.0, None, 5.0, 6.0])
+    covariates = None if covariate_rows is None else scalar_series([1.0] * covariate_rows)
+    for call in (impute_series, pipeline.fit_prefix):
+        with pytest.raises(DataError) as excinfo:
+            call(series, options, covariates)
+        assert str(excinfo.value) == message
+
+
 class TestVectorPipeline:
     def test_var_end_to_end(self, phosphate_text):
         series = parse_csv(phosphate_text)
@@ -763,7 +779,8 @@ def per_gap_loop(series, options):
         solution = solve_alone(options, model, segment, working)
         if solution.constrained and not (ar and options.mode == "paper"):
             delta = np.atleast_1d(segment.anchor_value) - np.atleast_1d(solution.predicted[-1])
-            verdict = certify(solution, build_problem(model, len(solution.control_indices), delta))
+            verdict = certify([solution], build_problem(model, len(solution.control_indices),
+                                                        delta)).verdicts[0]
         report.gaps.append(gap_entry(segment, solution, verdict))
         filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
         working[start : segment.gap_end] = filled
