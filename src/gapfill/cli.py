@@ -21,11 +21,13 @@ from .series import DEFAULT_NA_MARKERS, parse_csv
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -39,9 +41,12 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(text), WRITE_SLICE):
-            handle.write(text[start : start + WRITE_SLICE])
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            for start in range(0, len(text), WRITE_SLICE):
+                handle.write(text[start : start + WRITE_SLICE])
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_series(args: argparse.Namespace, text: str):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fitting import ArModel, RegModel, VarModel, predict_forward
+from .fitting import ArModel, RegModel, VarModel, predict_forward, roll_ar
 from .linalg import mat_pow_table, row_norms, solve_spd
 
 MODES = ("exact", "paper")
@@ -67,18 +67,14 @@ def _check_magnitude(value: float, step: int, what: str) -> None:
         )
 
 
-def _impulse_response(model: ArModel, length: int) -> np.ndarray:
-    """``impulse_weights`` without the overflow check: an explosive recursion
-    overflows silently to inf.
-
-    The intercept-free recursion is rolled on Python floats, as
-    ``predict_forward`` rolls it, so the weights carry its bits.
-    """
-    a, p = model.a, model.p
-    hist = [0.0] * (p - 1) + [1.0]
-    for _ in range(length - 1):
-        hist.append(sum(a[j] * hist[-1 - j] for j in range(p)))
-    return np.array(hist[p - 1 :])
+def _impulse_response(models: list, length: int) -> np.ndarray:
+    """The unchecked (g, length) ``impulse_weights`` of each of ``models``:
+    an explosive recursion overflows silently to inf. The weights are
+    ``roll_ar`` paths with a zero intercept from the seeds 0, ..., 0, 1, so
+    they carry the bits of ``predict_forward``'s recursion."""
+    seeds = [[0.0] * (m.p - 1) + [1.0] for m in models]
+    rolled = roll_ar([m.a for m in models], [0.0] * len(models), seeds, length - 1)
+    return np.column_stack([np.ones(len(models)), rolled])
 
 
 def _checked_weights(w: np.ndarray) -> np.ndarray:
@@ -99,7 +95,7 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return _checked_weights(_impulse_response(model, length))
+    return _checked_weights(_impulse_response([model], length)[0])
 
 
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:
@@ -157,9 +153,14 @@ def _norm_overflow() -> NumericalError:
 def _blocks(model, m: int) -> np.ndarray:
     """The (m, k, k) blocks C F^j B, j = 0 .. m - 1, of ``model``, unchecked
     for overflow and prefix-stable: an AR's impulse response, a VAR's powers
-    of A, or a regression's identities (F = I)."""
+    of A, or a regression's identities (F = I). A list of models gives one
+    stack per model, (g, m, k, k); autoregressions roll theirs together."""
+    if isinstance(model, list):
+        if isinstance(model[0], ArModel):
+            return _impulse_response(model, m).reshape(len(model), m, 1, 1)
+        return np.stack([_blocks(each, m) for each in model])
     if isinstance(model, ArModel):
-        return _impulse_response(model, m).reshape(m, 1, 1)
+        return _impulse_response([model], m).reshape(m, 1, 1)
     if isinstance(model, VarModel):
         return mat_pow_table(model.A, m - 1)
     k = model.n_outputs
@@ -283,12 +284,13 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
 def _roll(model, starts, steps: int, controls=None) -> np.ndarray:
     """``predict_forward`` of ``steps`` steps from each of ``starts``, with
     the rows of ``controls`` on the last steps; one row per start. ``model``
-    is one model or a list, one per start. One VAR advances every path at once."""
-    if isinstance(model, VarModel):
-        return predict_forward(model, starts, steps, controls=controls)
+    is one model or a list, one per start. Autoregressions, and a shared
+    VAR, advance every path in one call."""
     models = model if isinstance(model, list) else [model] * len(starts)
+    if isinstance(models[0], ArModel) or isinstance(model, VarModel):
+        return predict_forward(model, starts, steps, controls=controls)
     controls = [None] * len(starts) if controls is None else controls
-    # a regression reads its start as covariate rows, an autoregression as seeds
+    # a regression reads its start as covariate rows
     return np.array([predict_forward(m, s, steps, covariates=s, controls=u)
                      for m, s, u in zip(models, starts, controls)])
 
@@ -297,7 +299,10 @@ def _inputs(model, gaps, starts, anchors):
     """``starts`` and ``anchors`` as the solver reads them, checked; the
     anchors are (g,) for an AR and (g, k) otherwise."""
     if isinstance(model, ArModel):
-        return ([np.asarray(s, dtype=float).ravel() for s in starts],
+        # at least p values each; the trailing ones of a common width stack
+        seeds = [np.asarray(s, dtype=float).ravel() for s in starts]
+        width = min(map(len, seeds))
+        return (np.array([s[len(s) - width :] for s in seeds]),
                 np.array([np.atleast_1d(np.asarray(a, dtype=float))[0] for a in anchors]))
     if isinstance(model, RegModel):
         k, seeds = model.n_outputs, [np.asarray(x, dtype=float) for x in starts]
@@ -382,7 +387,7 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
         if shared:
             blocks, gram = table[:m], grams[m - 1]
         else:
-            blocks = np.stack([_blocks(each, m) for each in mine])
+            blocks = _blocks(mine, m)
             gram = _gram_sums(blocks)[:, -1]
         if ar:
             # one impulse response for a shared model, one per gap otherwise

@@ -281,37 +281,68 @@ def _first_control(steps: int, controls: int) -> int:
     return steps - controls
 
 
+def roll_ar(lags, intercepts, seeds, steps: int, controls=None) -> np.ndarray:
+    """The autoregressive recursion of a stack of paths, ``steps`` steps on;
+    one row per path. This is the one AR recursion kernel.
+
+    Path i starts from the chronological Python floats ``seeds[i]`` (as many
+    as ``lags[i]`` has coefficients) and rolls
+    x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2 x_{n-2}) + ..., summed
+    left to right on Python floats, which every Python version rounds alike
+    (``sum`` of floats is compensated from 3.12). Row i of ``controls``, if
+    given, is added on the path's last steps. Python floats overflow silently
+    to inf where numpy scalars would warn.
+    """
+    rows = []
+    for a, b, hist, u in zip(lags, intercepts, seeds, controls or [()] * len(seeds)):
+        first = steps - len(u)
+        path = list(hist)
+        for t in range(steps):
+            s = 0.0
+            for aj, xj in zip(a, reversed(path)):
+                s += aj * xj
+            x = b + s
+            if t >= first:
+                x += u[t - first]
+            path.append(x)
+        rows.append(path[len(hist) :])
+    return np.array(rows, dtype=float).reshape(len(rows), steps)
+
+
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
     """Roll the fitted recursion forward ``steps`` steps from the seed values.
 
     Autoregressions consume the trailing seed values and return the predicted
     path. Optional chronological ``controls`` (one per step, scalar or vector)
     are added on the last ``len(controls)`` steps, after the fitted recursion.
-    A VAR also advances a stack of g paths at once: seeds of shape (g, k) and
-    controls of shape (g, steps', k) give a (g, steps, k) result, each path
-    bit for bit the one it would get alone. The regression model predicts
-    pointwise from ``covariates`` (one row per step) and ignores ``seeds``.
-    An explosive model, or a regression on huge covariates, lets the path
-    overflow silently to inf.
+    An AR or a VAR also advances a stack of g paths at once, each path bit
+    for bit the one it would get alone: seeds of shape (g, n) with controls
+    (g, steps') give a (g, steps) AR result, and seeds (g, k) with controls
+    (g, steps', k) a (g, steps, k) VAR result. A stack of AR paths may share
+    one model or take a list with one per path; the AR recursion is
+    ``roll_ar``. The regression model predicts pointwise from ``covariates``
+    (one row per step) and ignores ``seeds``. An explosive model, or a
+    regression on huge covariates, lets the path overflow silently to inf.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
 
-    if isinstance(model, ArModel):
-        hist = [float(v) for v in np.asarray(seeds, dtype=float).ravel()]
-        if len(hist) < model.p:
-            raise DataError(f"need {model.p} seed values, got {len(hist)}")
-        u = [] if controls is None else np.asarray(controls, dtype=float).ravel().tolist()
-        first_control = _first_control(steps, len(u))
-        out = np.empty(steps)
-        for t in range(steps):
-            # Python floats overflow silently to inf, numpy scalars would warn
-            x = model.b + sum(model.a[j] * hist[-1 - j] for j in range(model.p))
-            if t >= first_control:
-                x = x + u[t - first_control]
-            out[t] = x
-            hist.append(x)
-        return out
+    if isinstance(model, (ArModel, list)):
+        seed = np.asarray(seeds, dtype=float)
+        rows = seed if seed.ndim == 2 else seed.reshape(1, -1)
+        models = model if isinstance(model, list) else [model] * len(rows)
+        if len(models) != len(rows) or not all(isinstance(m, ArModel) for m in models):
+            raise ValueError(f"{len(rows)} paths need one autoregression, or a list of one per path")
+        order = max([m.p for m in models], default=0)
+        if rows.shape[1] < order:
+            raise DataError(f"need {order} seed values, got {rows.shape[1]}")
+        u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(rows), -1)
+        _first_control(steps, 0 if u is None else u.shape[1])
+        # each path reads its model's trailing p seeds
+        heads = [row[len(row) - m.p :] for row, m in zip(rows.tolist(), models)]
+        out = roll_ar([m.a for m in models], [m.b for m in models], heads, steps,
+                      None if u is None else u.tolist())
+        return out if seed.ndim == 2 else out[0]
 
     if isinstance(model, VarModel):
         seed = np.asarray(seeds, dtype=float)

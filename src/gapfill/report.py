@@ -21,80 +21,136 @@ SCHEMA_VERSION = 2
 _NUMBER_TYPES = frozenset((int, float))
 _LIST_TYPES = frozenset((list, tuple))
 
+# Items of a list are filled this many at a time, so that only one chunk's
+# number reprs exist at once.
+CHUNK = 64
+
 
 def render_json(value) -> str:
     """``json.dumps(value, indent=2)`` plus a final newline, for a tree with str keys.
 
     A numpy array in the tree is rendered as its ``tolist()``.
 
-    With an indent, ``json`` encodes one value at a time in Python. Here a
-    list of plain ints and floats, or of equal-length lists of them, becomes
-    one ``str.join`` of the reprs (a 2-D list fills a repeated row template),
-    so each number costs only its repr. Each list is rendered when the walk
-    reaches it, so only one list's reprs exist at a time, and the document
-    is joined once from the rendered pieces.
+    With an indent, ``json`` encodes one value at a time in Python. Here
+    each item of a list (a gap's record, say) is cut into its plain ints and
+    floats and a ``%`` template of everything else, one template per shape
+    (``_shape``). The items are filled CHUNK at a time with one
+    ``map(repr)``, so each number costs only its repr, and the document is
+    joined once from the filled pieces.
     """
     out = []
-    _render(value, "\n", out)
+    _render(value, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _render(value, newline: str, out: list) -> None:
-    # ``newline`` is a line break plus the indent of the line that closes ``value``
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_spell_nonfinite(float.__repr__(value)))
-    elif isinstance(value, (list, tuple, dict)) and not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (list, tuple)):
+def _render(value, newline: str, out: list, templates: dict) -> None:
+    # ``newline`` is a line break plus the indent of the line that closes
+    # ``value``; ``templates`` holds the run's compiled templates by shape
+    if isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        body = _numbers(value, inner)
-        if body is not None:
-            out += ("[", inner, body, newline, "]")
-        else:
-            separator = "[" + inner
-            for item in value:
-                out.append(separator)
-                _render(item, inner, out)
-                separator = "," + inner
-            out += (newline, "]")
-    elif isinstance(value, dict):
+        separator = "," + inner
+        for start in range(0, len(value), CHUNK):
+            numbers = []
+            template = separator.join([_shape(item, inner, numbers, templates)
+                                       for item in value[start : start + CHUNK]])
+            out += (separator if start else "[" + inner, _fill(template, numbers))
+        out += (newline, "]")
+    elif isinstance(value, dict) and value:
+        # walked, not templated: such a dict may hold a long list (the gaps)
         inner = newline + "  "
         separator = "{" + inner
         for key, item in value.items():
             out += (separator, encode_basestring_ascii(key), ": ")
-            _render(item, inner, out)
+            _render(item, inner, out, templates)
             separator = "," + inner
         out += (newline, "}")
-    elif isinstance(value, np.ndarray):
-        _render(value.tolist(), newline, out)
     else:
-        out.append(json.dumps(value))
+        numbers = []
+        out.append(_fill(_shape(value, newline, numbers, templates), numbers))
 
 
-def _numbers(items, inner: str) -> str | None:
-    """The lines inside a list of numbers or of equal-length lists of numbers, else None."""
-    kinds = set(map(type, items))
-    if kinds <= _NUMBER_TYPES:
-        return _spell_nonfinite(("," + inner).join(map(repr, items)))
-    if not kinds <= _LIST_TYPES or len(set(map(len, items))) != 1 or not items[0]:
-        return None
-    flat = list(chain.from_iterable(items))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return None
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["%s"] * len(items[0])) + inner + "]"
-    return _spell_nonfinite(("," + inner).join([row] * len(items)) % tuple(map(repr, flat)))
+def _shape(value, newline: str, numbers: list, templates: dict) -> str:
+    """The ``%`` template of ``value`` rendered at ``newline``, with a ``%s``
+    for each plain int and float, which are appended to ``numbers`` in order.
+
+    The template is compiled once per shape: for a dict its keys and the
+    shapes of its values; for a list of numbers, of equal-length lists of
+    them or a float array, its dimensions. Anything else is its rendered
+    text, as ``json`` renders it (an int or float subclass by its base's repr).
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        numbers.append(value)
+        return "%s"
+    if kind is str:
+        return encode_basestring_ascii(value).replace("%", "%%")
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if kind is dict and value:
+        inner = newline + "  "
+        members = []
+        for item in value.values():
+            kind = type(item)
+            if kind is float or kind is int:
+                numbers.append(item)
+                members.append("%s")
+            else:
+                members.append(_shape(item, inner, numbers, templates))
+        key = (newline, *value, *members)
+        if key not in templates:
+            pieces = [encode_basestring_ascii(name).replace("%", "%%") + ": " + member
+                      for name, member in zip(value, members)]
+            templates[key] = "{" + inner + ("," + inner).join(pieces) + newline + "}"
+        return templates[key]
+    if kind is np.ndarray:
+        if value.dtype == np.float64 and value.ndim and value.size:
+            numbers += value.ravel().tolist()
+            return _numbers_template(newline, value.shape, templates)
+        value = value.tolist()
+        kind = type(value)
+    if (kind is list or kind is tuple) and value:
+        kinds = set(map(type, value))
+        if kinds <= _NUMBER_TYPES:
+            numbers += value
+            return _numbers_template(newline, (len(value),), templates)
+        if kinds <= _LIST_TYPES and len(set(map(len, value))) == 1 and value[0]:
+            flat = list(chain.from_iterable(value))
+            if set(map(type, flat)) <= _NUMBER_TYPES:
+                numbers += flat
+                return _numbers_template(newline, (len(value), len(value[0])), templates)
+    if isinstance(value, (list, tuple, dict)) and value:
+        text = []
+        _render(value, newline, text, templates)
+        literal = "".join(text)
+    elif isinstance(value, (list, tuple, dict)):
+        literal = "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, int):
+        literal = int.__repr__(value)
+    elif isinstance(value, float):
+        literal = _spell_nonfinite(float.__repr__(value))
+    else:
+        literal = json.dumps(value)
+    return literal.replace("%", "%%")
+
+
+def _numbers_template(newline: str, shape: tuple, templates: dict) -> str:
+    """The template of a list of ``shape[0]`` numbers, or of lists of the
+    remaining shape, compiled once per run."""
+    key = (newline, shape)
+    if key not in templates:
+        inner = newline + "  "
+        item = _numbers_template(inner, shape[1:], templates) if len(shape) > 1 else "%s"
+        templates[key] = "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
+    return templates[key]
+
+
+def _fill(template: str, numbers: list) -> str:
+    """``template`` filled with the reprs of ``numbers``, non-finite ones spelled as json does."""
+    if not numbers:
+        return template % ()
+    # a repr holds no comma
+    return template % tuple(_spell_nonfinite(",".join(map(repr, numbers))).split(","))
 
 
 def _spell_nonfinite(numbers: str) -> str:

@@ -1,5 +1,7 @@
+import io
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -462,6 +464,31 @@ class TestErrorContract:
         assert code == 0
         assert err == ""
         assert json.loads(out)["rank_deficient"]
+
+    @pytest.mark.parametrize("command", ["impute", "fit"])
+    def test_non_utf8_input_is_data_error(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot read {path}: not UTF-8 text (invalid start byte)\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8"))
+        code, out, err = run(capsys, command, "-")
+        assert (code, out) == (3, "")
+        assert err == "error: cannot read -: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("flag", ["--output", "--report"])
+    def test_unwritable_output_is_data_error(self, capsys, tmp_path, linear_csv, flag):
+        target = tmp_path / "missing" / "out"
+        args = ["impute", linear_csv, flag, str(target)]
+        if flag == "--report":
+            args += ["--output", str(tmp_path / "filled.csv")]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        code, _, err = run(capsys, "impute", linear_csv, flag, str(tmp_path))
+        assert code == 3
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 class TestFitCommand:

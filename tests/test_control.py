@@ -31,11 +31,15 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def numpy_scalar_impulse_weights(model: ArModel, length: int) -> np.ndarray:
-    """Reference: the weight recursion on numpy scalars, stored as it goes."""
+    """Reference: the weight recursion on numpy scalars, stored as it goes,
+    each lag sum taken left to right from 0.0."""
     w = np.empty(length)
     w[0] = 1.0
     for j in range(1, length):
-        w[j] = sum(model.a[i - 1] * w[j - i] for i in range(1, min(j, model.p) + 1))
+        total = 0.0
+        for i in range(1, min(j, model.p) + 1):
+            total += model.a[i - 1] * w[j - i]
+        w[j] = total
     return w
 
 
@@ -47,7 +51,10 @@ def loop_fill_ar(model: ArModel, seeds, controls, total: int) -> np.ndarray:
     values = np.empty(total)
     for t in range(total):
         u = controls[t - first] if t >= first else 0.0
-        values[t] = model.b + sum(model.a[j] * hist[-1 - j] for j in range(p)) + u
+        lags = 0.0
+        for j in range(p):
+            lags += model.a[j] * hist[-1 - j]
+        values[t] = model.b + lags + u
         hist.append(values[t])
     return values
 
@@ -67,7 +74,9 @@ def simulated_endpoint_effect(coeffs, steps, kick):
     p = len(coeffs)
     hist = [0.0] * p
     for t in range(steps):
-        x = sum(coeffs[j] * hist[-1 - j] for j in range(p))
+        x = 0.0
+        for j in range(p):
+            x += coeffs[j] * hist[-1 - j]
         if t == kick:
             x += 1.0
         hist.append(x)

@@ -299,6 +299,39 @@ class TestPredictForward:
             alone = predict_forward(model, seeds[i], steps, controls=controls[i])
             assert steered[i].tobytes() == alone.tobytes()
 
+    def test_lag_sum_runs_left_to_right_on_every_python(self):
+        # 2.15 + 0.13 - 0.3 rounds to 1.9799999999999998 left to right, while
+        # Python 3.12's compensated sum() of floats gives 1.98
+        path = predict_forward(ArModel(a=(-0.5, 0.1, -0.3), b=0.0), [1.0, 1.3, -4.3], 1)
+        assert path.tolist() == [1.9799999999999998]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 4), paths=st.integers(1, 12),
+           steps=st.integers(0, 25), controlled=st.integers(0, 25), shared=st.booleans())
+    def test_stacked_ar_paths_are_rolled_as_if_alone(self, seed, order, paths, steps, controlled,
+                                                     shared):
+        rng = np.random.default_rng(seed)
+        models = [ArModel(a=rng.uniform(-1.2, 1.2, order), b=rng.uniform(-1, 1)) for _ in range(paths)]
+        if shared:
+            models = models[:1] * paths
+        model = models[0] if shared else models
+        seeds = rng.uniform(-5, 5, (paths, order + 2))
+        controls = rng.standard_normal((paths, min(controlled, steps)))
+        plain = predict_forward(model, seeds, steps)
+        steered = predict_forward(model, seeds, steps, controls=controls)
+        assert plain.shape == steered.shape == (paths, steps)
+        for i in range(paths):
+            assert plain[i].tobytes() == predict_forward(models[i], seeds[i], steps).tobytes()
+            alone = predict_forward(models[i], seeds[i], steps, controls=controls[i])
+            assert steered[i].tobytes() == alone.tobytes()
+
+    def test_stacked_ar_models_must_match_the_paths(self):
+        model = ArModel(a=(0.5,), b=0.0)
+        with pytest.raises(ValueError, match="3 paths need one autoregression"):
+            predict_forward([model, model], np.ones((3, 1)), 2)
+        with pytest.raises(ValueError, match="1 paths need one autoregression"):
+            predict_forward([VarModel(A=[[0.5]], b=[0.0])], np.ones((1, 1)), 2)
+
     def test_controls_rejected_when_they_cannot_apply(self):
         with pytest.raises(ValueError, match="controls"):
             predict_forward(ArModel(a=(0.5,), b=0.0), [1.0], 1, controls=[1.0, 2.0])

@@ -166,7 +166,9 @@ def scalar_kick_endpoints(model: ArModel, steps: int) -> np.ndarray:
     for kick in range(steps):
         hist = [0.0] * model.p
         for t in range(steps):
-            x = sum(model.a[j] * hist[-1 - j] for j in range(model.p))
+            x = 0.0
+            for j in range(model.p):
+                x += model.a[j] * hist[-1 - j]
             if t == kick:
                 x += 1.0
             hist.append(x)

@@ -92,6 +92,39 @@ def test_render_matches_json_dumps_on_edge_cases(value):
     assert render_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+def test_records_across_chunks_match_json_dumps():
+    # 152 items cross two chunk boundaries (items are filled 64 at a time);
+    # records of one shape share a template, so values that differ between
+    # records of one shape must land in the right slots
+    rng = np.random.default_rng(29)
+    items = []
+    for i in range(150):
+        m = 1 + i % 7
+        record = {
+            "start": i,
+            "value": float(rng.standard_normal()),
+            "big": 2**70 + i,
+            "controls": rng.standard_normal((m, 1 + i % 3)) if i % 2 else rng.standard_normal(m),
+            "indices": [i, i + m],
+            "flag": i % 3 == 0,
+            "mode": "100%" if i % 5 else "%s done %%",
+            "%s key %": [math.nan, math.inf, -math.inf, 0.5][i % 4],
+            "scalar": np.float64(i / 3),
+            "empty": {},
+            "none": None,
+            "nested": {"deep": {"x": i * 0.5, "ok": i % 2 == 0}, "ints": np.arange(i % 4),
+                       "zero": np.zeros((0,)), "zero_rows": np.zeros((2, 0)), "level": Level.HIGH},
+        }
+        if i % 11 == 0:
+            record["extra"] = ["a", 1, [2.0, "%"], (3, 4)]
+        items.append(record)
+    items.insert(70, "%s loose item")
+    items.insert(100, [1.5, math.nan])
+    tree = {"gaps": items, "numbers": [*rng.standard_normal(150).tolist(), math.nan, 7], "n": len(items)}
+    assert len(items) == 152
+    assert render_json(tree) == json.dumps(jsonable_by_element(tree), indent=2) + "\n"
+
+
 def test_render_rejects_what_json_rejects():
     for value in ({"a": np.float32(1.0)}, [np.bool_(True)], {"a": object()}):
         with pytest.raises(TypeError):

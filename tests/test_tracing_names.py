@@ -61,3 +61,22 @@ def test_refit_sweep_is_timed_as_least_squares(tracing):
                     ImputeOptions(order=2, refit_per_gap=True))
     (spans,) = tracer.runs
     assert tracing.layer_metrics(spans)["linalg.lstsq_calls"] == 2
+
+
+def test_refit_ar_rolls_once_per_length_batch(tracing):
+    # six AR(2) refit gaps of three lengths make three batches by control
+    # count; each batch rolls its forecast and its corrected fill in one call
+    rng = np.random.default_rng(5)
+    x = [0.0, 0.0]
+    for _ in range(118):
+        x.append(0.5 * x[-1] - 0.2 * x[-2] + 1.0 + rng.standard_normal())
+    gaps = {20: 1, 35: 2, 50: 3, 65: 1, 80: 2, 95: 3}
+    values = [None if any(start <= t < start + n for start, n in gaps.items()) else v
+              for t, v in enumerate(x)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.call(impute_series, Series.from_values(values),
+                    ImputeOptions(order=2, refit_per_gap=True))
+    (spans,) = tracer.runs
+    assert [span[0] for span in spans].count("fitting.predict") == 2 * 3
+    assert tracing.layer_metrics(spans)["fitting.predict_s"] > 0
