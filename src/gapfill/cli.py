@@ -16,14 +16,16 @@ from .fitting import ArModel
 from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits
 from .pipeline import ImputeOptions, fit_prefix, impute_series, verify_instance
-from .report import describe_model, render_json
-from .series import DEFAULT_NA_MARKERS, parse_csv
+from .report import describe_model, json_pieces, render_json
+from .series import DEFAULT_NA_MARKERS, csv_blocks, parse_csv
 
 
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # decoded strictly whatever the locale, with the newlines a file gets
+            text = sys.stdin.buffer.read().decode("utf-8")
+            return text.replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
@@ -32,19 +34,16 @@ def _read_input(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-# Large outputs are written in slices of this many characters, so encoding
-# never holds a second full copy of the text.
-WRITE_SLICE = 1 << 20
-
-
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, pieces) -> None:
+    """Write the text pieces one by one, so no copy of the whole text exists."""
     if path == "-":
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            for start in range(0, len(text), WRITE_SLICE):
-                handle.write(text[start : start + WRITE_SLICE])
+            for piece in pieces:
+                handle.write(piece)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -67,8 +66,8 @@ def _parse_series(args: argparse.Namespace, text: str):
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
-    text = _read_input(args.input)
-    series, covariates = _parse_series(args, text)
+    # the text is dropped once parsed; the series keeps its rows' lines
+    series, covariates = _parse_series(args, _read_input(args.input))
     options = ImputeOptions(
         model_kind=args.model_kind,
         order=args.order,
@@ -77,9 +76,10 @@ def cmd_impute(args: argparse.Namespace) -> int:
         allow_open_gap=args.allow_open_gap,
     )
     result = impute_series(series, options, covariates)
-    _write_output(args.output_path, result.rendered_csv(precision=args.precision))
+    # every check that can fail the run has been made; the texts are streamed
+    _write_output(args.output_path, csv_blocks(series, result.filled, precision=args.precision))
     if args.report_path:
-        _write_output(args.report_path, result.report.to_json())
+        _write_output(args.report_path, json_pieces(result.report.to_dict()))
     return 0
 
 

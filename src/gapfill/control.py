@@ -284,10 +284,10 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
 def _roll(model, starts, steps: int, controls=None) -> np.ndarray:
     """``predict_forward`` of ``steps`` steps from each of ``starts``, with
     the rows of ``controls`` on the last steps; one row per start. ``model``
-    is one model or a list, one per start. Autoregressions, and a shared
-    VAR, advance every path in one call."""
+    is one model or a list, one per start. Autoregressions and VARs
+    advance every path in one call."""
     models = model if isinstance(model, list) else [model] * len(starts)
-    if isinstance(models[0], ArModel) or isinstance(model, VarModel):
+    if not isinstance(models[0], RegModel):
         return predict_forward(model, starts, steps, controls=controls)
     controls = [None] * len(starts) if controls is None else controls
     # a regression reads its start as covariate rows

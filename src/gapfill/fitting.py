@@ -318,16 +318,17 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
     An AR or a VAR also advances a stack of g paths at once, each path bit
     for bit the one it would get alone: seeds of shape (g, n) with controls
     (g, steps') give a (g, steps) AR result, and seeds (g, k) with controls
-    (g, steps', k) a (g, steps, k) VAR result. A stack of AR paths may share
+    (g, steps', k) a (g, steps, k) VAR result. A stack of paths may share
     one model or take a list with one per path; the AR recursion is
-    ``roll_ar``. The regression model predicts pointwise from ``covariates``
+    ``roll_ar``, and a list of VARs steps with one stacked matmul. The regression model predicts pointwise from ``covariates``
     (one row per step) and ignores ``seeds``. An explosive model, or a
     regression on huge covariates, lets the path overflow silently to inf.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
 
-    if isinstance(model, (ArModel, list)):
+    var_list = isinstance(model, list) and bool(model) and isinstance(model[0], VarModel)
+    if isinstance(model, (ArModel, list)) and not var_list:
         seed = np.asarray(seeds, dtype=float)
         rows = seed if seed.ndim == 2 else seed.reshape(1, -1)
         models = model if isinstance(model, list) else [model] * len(rows)
@@ -344,10 +345,21 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
                       None if u is None else u.tolist())
         return out if seed.ndim == 2 else out[0]
 
-    if isinstance(model, VarModel):
+    if isinstance(model, VarModel) or var_list:
         seed = np.asarray(seeds, dtype=float)
         stacked = seed.ndim == 2
         state = seed if stacked else np.atleast_1d(seed)[None]
+        if var_list:
+            if (not stacked or len(model) != len(state)
+                    or any(not isinstance(m, VarModel) or m.dim != model[0].dim for m in model)):
+                raise ValueError(f"{len(state)} paths need one VAR, or a list of one per path")
+            # each path's matrix column-major as in its model, so that each
+            # path gets the bits it would get alone
+            a = np.array([m.A.T for m in model]).transpose(0, 2, 1)
+            b = np.array([m.b for m in model])
+            model = model[0]
+        else:
+            a, b = model.A, model.b
         if state.shape[1:] != (model.dim,):
             raise DataError(f"seed must have {model.dim} components, got shape {seed.shape}")
         u = None if controls is None else np.asarray(controls, dtype=float)
@@ -358,7 +370,7 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
                 # row by row the bits of A @ state; state @ A.T would round differently
-                state = np.matmul(model.A, state[:, :, None])[:, :, 0] + model.b
+                state = np.matmul(a, state[:, :, None])[:, :, 0] + b
                 if t >= first_control:
                     state = state + u[:, t - first_control]
                 out[:, t] = state

@@ -21,13 +21,19 @@ SCHEMA_VERSION = 2
 _NUMBER_TYPES = frozenset((int, float))
 _LIST_TYPES = frozenset((list, tuple))
 
-# Items of a list are filled this many at a time, so that only one chunk's
-# number reprs exist at once.
+# Items of a list are filled, and yielded, this many at a time, so that only
+# one chunk's number reprs and text exist at once.
 CHUNK = 64
 
 
 def render_json(value) -> str:
-    """``json.dumps(value, indent=2)`` plus a final newline, for a tree with str keys.
+    """``json.dumps(value, indent=2)`` plus a final newline, for a tree with
+    str keys; the join of ``json_pieces``."""
+    return "".join(json_pieces(value))
+
+
+def json_pieces(value):
+    """``render_json``'s text in pieces, the items of a list CHUNK at a time.
 
     A numpy array in the tree is rendered as its ``tolist()``.
 
@@ -35,16 +41,13 @@ def render_json(value) -> str:
     each item of a list (a gap's record, say) is cut into its plain ints and
     floats and a ``%`` template of everything else, one template per shape
     (``_shape``). The items are filled CHUNK at a time with one
-    ``map(repr)``, so each number costs only its repr, and the document is
-    joined once from the filled pieces.
+    ``map(repr)``, so each number costs only its repr.
     """
-    out = []
-    _render(value, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
+    yield from _render(value, "\n", {})
+    yield "\n"
 
 
-def _render(value, newline: str, out: list, templates: dict) -> None:
+def _render(value, newline: str, templates: dict):
     # ``newline`` is a line break plus the indent of the line that closes
     # ``value``; ``templates`` holds the run's compiled templates by shape
     if isinstance(value, (list, tuple)) and value:
@@ -54,20 +57,20 @@ def _render(value, newline: str, out: list, templates: dict) -> None:
             numbers = []
             template = separator.join([_shape(item, inner, numbers, templates)
                                        for item in value[start : start + CHUNK]])
-            out += (separator if start else "[" + inner, _fill(template, numbers))
-        out += (newline, "]")
+            yield (separator if start else "[" + inner) + _fill(template, numbers)
+        yield newline + "]"
     elif isinstance(value, dict) and value:
         # walked, not templated: such a dict may hold a long list (the gaps)
         inner = newline + "  "
         separator = "{" + inner
         for key, item in value.items():
-            out += (separator, encode_basestring_ascii(key), ": ")
-            _render(item, inner, out, templates)
+            yield separator + encode_basestring_ascii(key) + ": "
+            yield from _render(item, inner, templates)
             separator = "," + inner
-        out += (newline, "}")
+        yield newline + "}"
     else:
         numbers = []
-        out.append(_fill(_shape(value, newline, numbers, templates), numbers))
+        yield _fill(_shape(value, newline, numbers, templates), numbers)
 
 
 def _shape(value, newline: str, numbers: list, templates: dict) -> str:
@@ -120,9 +123,7 @@ def _shape(value, newline: str, numbers: list, templates: dict) -> str:
                 numbers += flat
                 return _numbers_template(newline, (len(value), len(value[0])), templates)
     if isinstance(value, (list, tuple, dict)) and value:
-        text = []
-        _render(value, newline, text, templates)
-        literal = "".join(text)
+        literal = "".join(_render(value, newline, templates))
     elif isinstance(value, (list, tuple, dict)):
         literal = "{}" if isinstance(value, dict) else "[]"
     elif isinstance(value, int):

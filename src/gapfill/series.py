@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +17,23 @@ from .errors import DataError
 # Empty cells always count as missing, independent of the marker set.
 DEFAULT_NA_MARKERS: tuple[str, ...] = ("NA", "NaN", "+")
 
+# Rows are converted on input, and written on output, this many at a time.
+BLOCK = 2048
+
+
+class _Echo:
+    """A file for ``csv.writer`` whose ``write`` returns the line, so that
+    ``writerow`` returns it."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def _line_writer(delimiter: str):
+    """``writerow`` of a ``csv.writer`` that returns each row as its line,
+    line break included."""
+    return csv.writer(_Echo(), delimiter=delimiter, lineterminator="\n").writerow
+
 
 @dataclass(frozen=True)
 class Series:
@@ -26,14 +42,16 @@ class Series:
     Positions are 1-based row order. ``data`` is an n x dim float64 array
     whose row i-1 holds the observation at position i, NaN where any selected
     cell was missing; ``missing`` is the boolean mask of those rows. Both are
-    read-only. The raw header and rows are kept so observed cells can be
-    echoed verbatim on output.
+    read-only. The header cells and, per position, its row as one line are
+    kept so that observed rows can be echoed verbatim on output. A line is
+    the row as ``csv.writer`` writes it with ``delimiter``, without the line
+    break; a blank row is the empty line.
     """
 
     data: np.ndarray
     missing: np.ndarray
     header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    lines: tuple[str, ...]
     value_columns: tuple[int, ...]
     na_markers: tuple[str, ...] = DEFAULT_NA_MARKERS
     delimiter: str = ","
@@ -88,15 +106,16 @@ class Series:
             raise DataError("no observed values")
         dim = first.shape[0]
         data = np.full((len(observed), dim), np.nan)
-        rows = []
+        render = _line_writer(delimiter)
+        lines = []
         for pos, v in enumerate(observed, start=1):
             if v is None:
-                rows.append((na_marker,) * dim)
+                lines.append(render((na_marker,) * dim)[:-1])
                 continue
             if v.shape != (dim,):
                 raise DataError(f"value at position {pos} has {v.shape[0]} components, expected {dim}")
             data[pos - 1] = v
-            rows.append(tuple(repr(float(c)) for c in v))
+            lines.append(render([repr(float(c)) for c in v])[:-1])
         if column_names is not None:
             header = tuple(column_names)
         elif dim == 1:
@@ -104,7 +123,7 @@ class Series:
         else:
             header = tuple(f"v{i + 1}" for i in range(dim))
         return cls(data=data, missing=[v is None for v in observed], header=header,
-                   rows=tuple(rows), value_columns=tuple(range(dim)), na_markers=(na_marker,),
+                   lines=tuple(lines), value_columns=tuple(range(dim)), na_markers=(na_marker,),
                    delimiter=delimiter)
 
 
@@ -147,46 +166,93 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     missing observation, though its non-missing cells are still validated.
     ``value_columns`` selects columns by header name, each at most once;
     default is all columns.
+
+    ``csv.reader`` reads the rows BLOCK at a time, and each block's value
+    columns are converted before the next is read, so the cells of all rows
+    never exist at once. Errors keep the order of a whole-text parse: no
+    header, no data rows, the first ragged row, the column selection, then
+    the first bad cell.
     """
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    all_rows = [tuple(r) for r in reader]
-    if not all_rows:
-        raise DataError("empty input: no header row")
-    header = all_rows[0]
-    body = all_rows[1:]
-    if not body:
-        raise DataError("no data rows")
-    ncol = len(header)
-    # a blank line comes back as a zero-cell row; read it as one fully-empty row
-    body = [row if row else ("",) * ncol for row in body]
-    for i, row in enumerate(body, start=1):
-        if len(row) != ncol:
-            raise DataError(f"ragged row {i}: expected {ncol} cells, got {len(row)}")
-
-    if value_columns is None:
-        cols = tuple(range(ncol))
+    plain = '"' not in text and "\r" not in text
+    if plain:
+        # no cell can be quoted: each line is one row, as csv.writer writes it
+        lines = text.split("\n") if text else []
+        if text.endswith("\n"):
+            lines.pop()
+        reader = csv.reader(lines, delimiter=delimiter)
     else:
-        names = list(value_columns)
-        if not names:
-            raise DataError("no value columns selected")
-        cols = []
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise DataError(f"column {name!r} is selected twice")
-            matches = [i for i, h in enumerate(header) if h.strip() == name]
-            if not matches:
-                raise DataError(f"unknown column {name!r}; header has {', '.join(header)}")
-            cols.append(matches[0])
-        cols = tuple(cols)
-
+        reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+        lines, render = [], _line_writer(delimiter)
+    first = _read_rows(reader, 1)
+    if not first:
+        raise DataError("empty input: no header row")
+    header = tuple(first[0])
+    ncol = len(header)
     markers = tuple(na_markers)
+    absent = frozenset(("",) + markers)
     try:
-        data, missing = _convert_columns(body, cols, frozenset(("",) + markers))
-    except ValueError:
-        data, missing = _convert_cells(body, cols, header, markers)
+        cols, pending = _select_columns(header, value_columns), None
+    except DataError as exc:
+        cols, pending = None, exc
+    parts, count = [], 0
+    while block := _read_rows(reader, BLOCK):
+        if not plain:
+            lines += [line[:-1] for line in map(render, block)]
+        lengths = set(map(len, block))
+        if not lengths <= {ncol, 0}:
+            i = next(i for i, row in enumerate(block) if len(row) not in (ncol, 0))
+            raise DataError(f"ragged row {count + i + 1}: expected {ncol} cells, got {len(block[i])}")
+        if 0 in lengths:
+            # a blank line comes back as a zero-cell row; read it as one fully-empty row
+            block = [row or ("",) * ncol for row in block]
+        if pending is None:
+            try:
+                parts.append(_convert_columns(block, cols, absent))
+            except ValueError:
+                try:
+                    parts.append(_convert_cells(block, cols, header, markers, count + 1))
+                except DataError as exc:
+                    # a ragged row further on still comes first
+                    pending = exc
+        count += len(block)
+    if count == 0:
+        raise DataError("no data rows")
+    if pending is not None:
+        raise pending
+    if plain:
+        del lines[0]
+    data = np.concatenate([d for d, _ in parts])
+    missing = np.concatenate([m for _, m in parts])
     data[missing] = np.nan
-    return Series(data=data, missing=missing, header=tuple(header), rows=tuple(body),
+    return Series(data=data, missing=missing, header=header, lines=tuple(lines),
                   value_columns=cols, na_markers=markers, delimiter=delimiter)
+
+
+def _read_rows(reader, count: int) -> list:
+    """Up to ``count`` more rows of ``reader``; a row it cannot read (a cell
+    over the csv field limit, say) is bad data on its line."""
+    try:
+        return list(islice(reader, count))
+    except csv.Error as exc:
+        raise DataError(f"cannot parse line {reader.line_num}: {exc}") from None
+
+
+def _select_columns(header: tuple, value_columns) -> tuple[int, ...]:
+    """Indices of the ``value_columns`` named in ``header`` (default all)."""
+    if value_columns is None:
+        return tuple(range(len(header)))
+    names = list(value_columns)
+    if not names:
+        raise DataError("no value columns selected")
+    cols = []
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"column {name!r} is selected twice")
+        matches = [i for i, h in enumerate(header) if h.strip() == name]
+        if not matches:
+            raise DataError(f"unknown column {name!r}; header has {', '.join(header)}")
+        cols.append(matches[0])
+    return tuple(cols)
 
 
 def _convert_columns(body, cols, absent) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +275,13 @@ def _convert_columns(body, cols, absent) -> tuple[np.ndarray, np.ndarray]:
     return data, missing
 
 
-def _convert_cells(body, cols, header, markers) -> tuple[np.ndarray, np.ndarray]:
+def _convert_cells(body, cols, header, markers, first: int) -> tuple[np.ndarray, np.ndarray]:
     """``_convert_columns`` cell by cell in row order, raising DataError
-    for the first cell that is not a finite number."""
+    for the first cell that is not a finite number; ``body[0]`` is row
+    ``first``."""
     cells = []
     missing = []
-    for i, row in enumerate(body, start=1):
+    for i, row in enumerate(body, start=first):
         row_missing = False
         for c in cols:
             cell = row[c].strip()
@@ -290,7 +357,14 @@ def write_csv(series: Series, filled, precision: int = 6) -> str:
     ``filled`` is an n x dim array shaped like ``series.data``. Observed rows
     echo their original cells; missing rows get their value cells replaced
     by the row of ``filled``, printed with ``precision`` significant digits.
+    The text is the join of ``csv_blocks``.
     """
+    return "".join(csv_blocks(series, filled, precision))
+
+
+def csv_blocks(series: Series, filled, precision: int = 6):
+    """``write_csv``'s text in pieces: the header line, then the lines of
+    BLOCK rows at a time. The arguments are checked before this returns."""
     if not 1 <= precision <= 17:
         raise ValueError("precision must be between 1 and 17")
     values = np.asarray(filled, dtype=float)
@@ -299,32 +373,58 @@ def write_csv(series: Series, filled, precision: int = 6) -> str:
             f"filled values have shape {values.shape}, expected {len(series)} rows "
             f"of {series.dim} components"
         )
-    order = series.missing_indices
-    dim = series.dim
-    # every imputed cell in one formatting pass ("%g" never prints a comma)
-    numbers = values[series.missing].ravel().tolist()
-    cells = ((f"%.{precision}g," * len(numbers)) % tuple(numbers)).split(",")[:-1]
-    # the imputed rows, column by column: raw cells, then the value columns replaced
-    raw = [series.rows[i - 1] for i in order]
-    columns = [[row[c] for row in raw] for c in range(len(series.header))]
-    for pos, c in enumerate(series.value_columns):
-        columns[c] = cells[pos::dim]
-    rows = list(series.rows)
-    tags = [("observed",)] * len(rows)
-    for i, row in zip(order, zip(*columns)):
-        rows[i - 1] = row
-        tags[i - 1] = ("imputed",)
+    return _csv_blocks(series, values, precision)
 
-    header = tuple(series.header) + ("origin",)
-    # rows are joined to their tags as they are written, so none of them outlives its line
-    lines = map(operator.add, rows, tags)
-    # csv.writer quotes a cell that holds the delimiter, a quote or a line
-    # break; when no cell does, a line is just its cells joined
-    every_cell = "".join(chain(header, chain.from_iterable(series.rows), cells, ("observed", "imputed")))
-    if not any(mark in every_cell for mark in (series.delimiter, '"', "\n", "\r")):
-        return "\n".join(map(series.delimiter.join, chain((header,), lines))) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(lines)
-    return buf.getvalue()
+
+def _csv_blocks(series: Series, values: np.ndarray, precision: int):
+    delimiter, dim, lines = series.delimiter, series.dim, series.lines
+    render = _line_writer(delimiter)
+    header = series.header + ("origin",)
+    yield render(header)
+    # a row is its cells' line and the tag, which csv.writer quotes on its own
+    observed, imputed = (delimiter + render((tag,))[:-1] for tag in ("observed", "imputed"))
+    template = f"%.{precision}g,"
+    others = [c for c in range(len(series.header)) if c not in series.value_columns]
+    for start in range(0, len(series), BLOCK):
+        stop = start + BLOCK
+        out = [line + observed for line in lines[start:stop]]
+        gone = np.flatnonzero(series.missing[start:stop]).tolist()
+        if gone:
+            # the block's imputed cells in one formatting pass ("%g" never prints a comma)
+            numbers = values[start:stop][series.missing[start:stop]].ravel().tolist()
+            text = (template * len(numbers)) % tuple(numbers)
+            cells = text.split(",")
+            columns = [None] * len(series.header)
+            for pos, c in enumerate(series.value_columns):
+                columns[c] = cells[pos:-1:dim]
+            raw = [lines[start + i] for i in gone]
+            if others:
+                read = _read_back(raw, delimiter, len(series.header))
+                for c in others:
+                    columns[c] = [row[c] for row in read]
+            quote_numbers = delimiter != "," and delimiter in text
+            # csv.writer quotes a cell that holds the delimiter, a quote or a line
+            # break, and a line holds a quote exactly when one of its cells was
+            # quoted; a row none of whose cells needs quoting is its cells joined
+            for i, line, row in zip(gone, raw, zip(*columns)):
+                if quote_numbers or '"' in line:
+                    out[i] = render(row + ("imputed",))[:-1]
+                else:
+                    out[i] = delimiter.join(row) + imputed
+        yield "\n".join(out) + "\n"
+
+
+def _read_back(lines: list, delimiter: str, width: int) -> list:
+    """The cells of ``lines`` as ``Series.lines`` holds them, ``width`` per
+    line. csv.writer may leave a carriage return in a cell unquoted, where
+    csv.reader would end the row, so a character that the line does not
+    hold stands in for it while the line is read."""
+    lines, stand_ins = list(lines), {}
+    for i, line in enumerate(lines):
+        if "\r" in line:
+            stand_ins[i] = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in line)
+            lines[i] = line.replace("\r", stand_ins[i])
+    rows = [row or [""] * width for row in csv.reader(lines, delimiter=delimiter)]
+    for i, stand_in in stand_ins.items():
+        rows[i] = [cell.replace(stand_in, "\r") for cell in rows[i]]
+    return rows

@@ -1,13 +1,18 @@
+import csv
 import io
 import json
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gapfill.cli import WRITE_SLICE, _write_output, main
+from gapfill import cli
+from gapfill.cli import _write_output, main
 from gapfill.fitting import fit_var1, predict_forward
+from gapfill.pipeline import ImputeOptions, impute_series
+from gapfill.series import BLOCK, parse_csv
 
 
 def run(capsys, *argv):
@@ -165,13 +170,148 @@ class TestImputeCommand:
         assert out1 == out2
 
     def test_large_output_reaches_file_byte_for_byte(self, tmp_path):
-        # every slice boundary falls between two multi-byte characters
-        block = "漢" + "a," * (WRITE_SLICE // 2 - 1) + "é"
-        text = block * 3 + "\U0001d11e\n"
-        assert len(block) == WRITE_SLICE and len(text) > (1 << 20)
+        # every piece boundary falls between two multi-byte characters
+        pieces = ["漢" + "a," * (1 << 18) + "é"] * 3 + ["\U0001d11e\n"]
         path = tmp_path / "big.csv"
-        _write_output(str(path), text)
-        assert path.read_bytes() == text.encode("utf-8")
+        _write_output(str(path), iter(pieces))
+        assert path.read_bytes() == "".join(pieces).encode("utf-8")
+
+
+def _ar_text(rows: int, gaps, delimiter: str, lineterminator: str, notes: bool) -> str:
+    """An AR(1) series of ``rows`` rows, missing at the 1-based ``gaps``, as
+    csv.writer writes it; with ``notes``, beside a time column and a note
+    column whose cells need quoting, else alone with each gap a blank line."""
+    rng = np.random.default_rng(4)
+    x, out = 0.0, [["t", "v", "note"] if notes else ["v"]]
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "", "e.s"]
+    for t in range(1, rows + 1):
+        x = 0.7 * x + 1.0 + rng.standard_normal()
+        value = "NA" if t in gaps else f"{x:.6f}"
+        if notes:
+            out.append([str(t), value, texts[t % len(texts)]])
+        else:
+            out.append([] if t in gaps else [value])
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, lineterminator=lineterminator).writerows(out)
+    return buf.getvalue()
+
+
+def _var_text(rows: int = 20_000, gaps: int = 1000) -> str:
+    """A 3-column VAR(1) series with ``gaps`` gaps of 1-10 rows."""
+    rng = np.random.default_rng(11)
+    a = np.array([[0.5, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, 0.3, 0.3]])
+    missing = np.zeros(rows, dtype=bool)
+    for k in range(gaps):
+        start = 500 + 19 * k
+        missing[start : start + 1 + k % 10] = True
+    x, lines = np.zeros(3), ["x,y,z"]
+    for gone in missing:
+        x = a @ x + 1.0 + rng.standard_normal(3)
+        lines.append("NA,NA,NA" if gone else ",".join(f"{v:.6f}" for v in x))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def var_20k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("var") / "var20k.csv"
+    path.write_text(_var_text())
+    return str(path)
+
+
+class _Recorder:
+    """A text stream, or an open file, that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+class TestStreamedOutput:
+    """The CSV and the report are written block by block, and the bytes are
+    those of ``rendered_csv()`` and ``to_json()``."""
+
+    @pytest.mark.parametrize("rows, delimiter, lineterminator, notes", [
+        (2 * BLOCK + BLOCK // 2, ",", "\n", True),
+        (300, ",", "\r\n", True),
+        (300, ",", "\n", False),
+        (300, "e", "\n", True),
+        (300, ".", "\n", True),
+        (300, "s", "\n", True),
+    ], ids=["blocks", "crlf", "blank-lines", "delimiter-e", "delimiter-dot", "delimiter-s"])
+    def test_outputs_equal_rendered_texts(self, capsys, tmp_path, rows, delimiter,
+                                          lineterminator, notes):
+        # gaps across the first two block edges, and one in the last block
+        gaps = {BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, rows - 2}
+        path = tmp_path / "in.csv"
+        path.write_bytes(_ar_text(rows, gaps, delimiter, lineterminator, notes).encode())
+        series = parse_csv(path.read_text(), value_columns=["v"], delimiter=delimiter)
+        result = impute_series(series, ImputeOptions(order=1))
+        rendered, report = result.rendered_csv(), result.report.to_json()
+        assert series.missing_indices == tuple(sorted(g for g in gaps if g <= rows))
+        argv = ["impute", str(path), "--columns", "v", "--delimiter", delimiter]
+        out, rep = tmp_path / "out.csv", tmp_path / "report.json"
+        assert main(argv + ["--output", str(out), "--report", str(rep)]) == 0
+        assert out.read_bytes() == rendered.encode()
+        assert rep.read_bytes() == report.encode()
+        code, stdout, err = run(capsys, *argv, "--output", "-")
+        assert (code, stdout, err) == (0, rendered, "")
+        code, stdout, err = run(capsys, *argv, "--output", str(out), "--report", "-")
+        assert (code, stdout, err) == (0, report, "")
+
+    def test_stdin_gives_the_file_output(self, capsys, tmp_path, monkeypatch):
+        # CRLF and a lone CR on stdin read as a file's newlines do
+        data = _ar_text(300, {100, 101, 200}, ",", "\r\n", True).encode().replace(b"\r\n", b"\r", 5)
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        argv = ["impute", "--columns", "v", "--output", "-"]
+        code, want, _ = run(capsys, argv[0], str(path), *argv[1:])
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                           errors="surrogateescape"))
+        assert run(capsys, argv[0], "-", *argv[1:]) == (code, want, "")
+        assert code == 0 and want.count("imputed") == 3
+
+    def test_no_write_exceeds_256_kB(self, tmp_path, monkeypatch, var_20k):
+        recorders = []
+
+        def recording_open(path, mode="r", **kwargs):
+            if "w" not in mode:
+                return open(path, mode, **kwargs)
+            recorders.append(_Recorder())
+            return recorders[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        argv = ["impute", var_20k, "--model", "var"]
+        assert main(argv + ["--output", str(tmp_path / "o"), "--report", str(tmp_path / "r")]) == 0
+        csv_writes, report_writes = recorders
+        monkeypatch.setattr(sys, "stdout", _Recorder())
+        assert main(argv) == 0
+        assert sys.stdout.writes == csv_writes.writes
+        for recorder in (csv_writes, report_writes):
+            assert max(map(len, recorder.writes)) <= 256 * 1024
+        assert sum(map(len, csv_writes.writes)) > 600_000
+        assert sum(map(len, report_writes.writes)) > 1_000_000
+
+    def test_impute_peak_memory_is_bounded(self, tmp_path, var_20k):
+        # 20 000 rows, 3 columns, 1000 gaps: 0.7 MB of CSV and 1.5 MB of report
+        argv = ["impute", var_20k, "--model", "var", "--output", str(tmp_path / "o"),
+                "--report", str(tmp_path / "r")]
+        assert main(argv) == 0  # imports and caches are not the run's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 def _growing_csv(path, columns: int, growth: float, gap: int, scale: float = 1.0):
@@ -472,10 +612,24 @@ class TestErrorContract:
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (3, "")
         assert err == f"error: cannot read {path}: not UTF-8 text (invalid start byte)\n"
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8"))
-        code, out, err = run(capsys, command, "-")
+        # stdin is read as bytes, so a stdin that decodes with surrogateescape
+        # (as in the C locale) rejects them too
+        for data in (b"\xff\xfe\n", b"v\n1\n2\xff\n3\n"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                               errors="surrogateescape"))
+            code, out, err = run(capsys, command, "-")
+            assert (code, out) == (3, "")
+            assert err == "error: cannot read -: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_overlong_cell_is_data_error(self, capsys, tmp_path, quoted):
+        # over csv.reader's field limit of 131072 characters, in a non-value column
+        cell = "a" * 200_000
+        path = tmp_path / "long.csv"
+        path.write_text("v,note\n1,x\n2," + (f'"{cell}"' if quoted else cell) + "\n3,y\n")
+        code, out, err = run(capsys, "impute", str(path), "--columns", "v")
         assert (code, out) == (3, "")
-        assert err == "error: cannot read -: not UTF-8 text (invalid start byte)\n"
+        assert err == "error: cannot parse line 3: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize("flag", ["--output", "--report"])
     def test_unwritable_output_is_data_error(self, capsys, tmp_path, linear_csv, flag):

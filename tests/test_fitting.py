@@ -299,6 +299,25 @@ class TestPredictForward:
             alone = predict_forward(model, seeds[i], steps, controls=controls[i])
             assert steered[i].tobytes() == alone.tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), paths=st.integers(1, 12),
+           steps=st.integers(0, 25), controlled=st.integers(0, 25))
+    def test_var_list_paths_are_rolled_as_if_alone(self, seed, dim, paths, steps, controlled):
+        # one model per path, fitted (column-major) or given (row-major)
+        rng = np.random.default_rng(seed)
+        models = [fit_var1(rng.standard_normal((30, dim)).cumsum(axis=0)) if i % 2 else
+                  VarModel(A=rng.uniform(-1.2, 1.2, (dim, dim)), b=rng.uniform(-1, 1, dim))
+                  for i in range(paths)]
+        seeds = rng.uniform(-5, 5, (paths, dim))
+        controls = rng.standard_normal((paths, min(controlled, steps), dim))
+        plain = predict_forward(models, seeds, steps)
+        steered = predict_forward(models, seeds, steps, controls=controls)
+        assert plain.shape == steered.shape == (paths, steps, dim)
+        for i in range(paths):
+            assert plain[i].tobytes() == predict_forward(models[i], seeds[i], steps).tobytes()
+            alone = predict_forward(models[i], seeds[i], steps, controls=controls[i])
+            assert steered[i].tobytes() == alone.tobytes()
+
     def test_lag_sum_runs_left_to_right_on_every_python(self):
         # 2.15 + 0.13 - 0.3 rounds to 1.9799999999999998 left to right, while
         # Python 3.12's compensated sum() of floats gives 1.98
@@ -329,8 +348,13 @@ class TestPredictForward:
         model = ArModel(a=(0.5,), b=0.0)
         with pytest.raises(ValueError, match="3 paths need one autoregression"):
             predict_forward([model, model], np.ones((3, 1)), 2)
-        with pytest.raises(ValueError, match="1 paths need one autoregression"):
-            predict_forward([VarModel(A=[[0.5]], b=[0.0])], np.ones((1, 1)), 2)
+        var = VarModel(A=[[0.5]], b=[0.0])
+        with pytest.raises(ValueError, match="2 paths need one autoregression"):
+            predict_forward([model, var], np.ones((2, 1)), 2)
+        with pytest.raises(ValueError, match="2 paths need one VAR"):
+            predict_forward([var, model], np.ones((2, 1)), 2)
+        with pytest.raises(ValueError, match="3 paths need one VAR"):
+            predict_forward([var, var], np.ones((3, 1)), 2)
 
     def test_controls_rejected_when_they_cannot_apply(self):
         with pytest.raises(ValueError, match="controls"):

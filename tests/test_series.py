@@ -8,8 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapfill import series as series_module
 from gapfill.errors import DataError
-from gapfill.series import DEFAULT_NA_MARKERS, Series, detect_gaps, parse_csv, write_csv
+from gapfill.series import (
+    BLOCK,
+    DEFAULT_NA_MARKERS,
+    Series,
+    csv_blocks,
+    detect_gaps,
+    parse_csv,
+    write_csv,
+)
 
 
 def make_series(values):
@@ -29,17 +38,19 @@ def runs_by_row_loop(missing):
     return [tuple(r) for r in runs]
 
 
-def write_csv_by_row_loop(series, filled, precision):
-    """Reference: the filled CSV rendered row by row, one formatted cell at a time."""
+def write_csv_by_row_loop(header, rows, value_columns, delimiter, filled, precision,
+                          markers=DEFAULT_NA_MARKERS):
+    """Reference: the filled CSV rendered row by row from the cells the input
+    was written from, one formatted cell at a time."""
+    cols = [header.index(name) for name in value_columns]
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=series.delimiter, lineterminator="\n")
-    writer.writerow(list(series.header) + ["origin"])
-    missing = set(series.missing_indices)
-    for i, row in enumerate(series.rows, start=1):
-        cells = list(row)
-        if i in missing:
-            for pos, c in enumerate(series.value_columns):
-                cells[c] = format(filled[i - 1][pos], f".{precision}g")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(list(header) + ["origin"])
+    for row, values in zip(rows, filled):
+        cells = list(row) or [""] * len(header)
+        if any(cells[c].strip() in ("",) + tuple(markers) for c in cols):
+            for c, v in zip(cols, values):
+                cells[c] = format(v, f".{precision}g")
             tag = "imputed"
         else:
             tag = "observed"
@@ -47,11 +58,18 @@ def write_csv_by_row_loop(series, filled, precision):
     return buf.getvalue()
 
 
+def written(rows, delimiter=",", lineterminator="\n") -> str:
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, lineterminator=lineterminator).writerows(rows)
+    return buf.getvalue()
+
+
 @st.composite
 def csv_cases(draw):
     """A delimited file with value columns out of header order beside other columns,
-    the parsed series, and a filled array for it; its observed rows hold
-    arbitrary numbers, which must not be rendered."""
+    the parsed series, a filled array for it, and the cells the file was
+    written from; its observed rows hold arbitrary numbers, which must not
+    be rendered."""
     dim = draw(st.integers(1, 3))
     extra = draw(st.integers(0, 2))
     header = [f"c{j}" for j in range(dim + extra)]
@@ -68,14 +86,13 @@ def csv_cases(draw):
     for _ in range(draw(st.integers(1, 12))):
         rows.append([draw(value_cell) if name in value_columns else draw(free_text) for name in header])
     rows.append(["1.0" if name in value_columns else draw(free_text) for name in header])
-    buf = io.StringIO()
-    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows([header] + rows)
-    series = parse_csv(buf.getvalue(), value_columns=value_columns, delimiter=delimiter)
+    text = written([header] + rows, delimiter, draw(st.sampled_from(["\n", "\r\n"])))
+    series = parse_csv(text, value_columns=value_columns, delimiter=delimiter)
     components = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 2.0 / 3.0]))
     filled = np.array(draw(st.lists(st.lists(components, min_size=dim, max_size=dim),
                                     min_size=len(series), max_size=len(series))))
-    return series, filled
+    return series, filled, (header, rows, value_columns, delimiter)
 
 
 def filled_rows(series, imputed):
@@ -201,6 +218,45 @@ class TestParseCsv:
     def test_tab_delimiter(self):
         s = parse_csv("a\tb\n1\t2\n", delimiter="\t")
         assert s.dim == 2
+
+    def test_lines_are_rows_as_csv_writer_writes_them(self):
+        plain = "v,note\n1, a \n\nNA,b;c\n4,d"
+        assert parse_csv(plain, value_columns=["v"]).lines == ("1, a ", "", "NA,b;c", "4,d")
+        quoted = 'v,note\r\n1,"a,b"\r\n\r\n"NA","say ""hi"""\r\n4,"two\r\nlines"\r\n'
+        assert parse_csv(quoted, value_columns=["v"]).lines == (
+            '1,"a,b"', "", 'NA,"say ""hi"""', '4,"two\r\nlines"')
+        assert Series.from_values([1.5, None], delimiter=".").lines == ('"1.5"', "NA")
+
+    def test_errors_keep_their_order_across_blocks(self):
+        rows = ["1,2"] * (2 * BLOCK + 10)
+
+        def text(**cells):
+            body = list(rows)
+            for row, line in cells.items():
+                body[int(row[1:]) - 1] = line
+            return "a,b\n" + "\n".join(body) + "\n"
+
+        # a ragged row anywhere comes before a bad cell or an unknown column
+        far = 2 * BLOCK + 3
+        for kwargs in ({"value_columns": ["c"]}, {}):
+            with pytest.raises(DataError, match=rf"^ragged row {far}: expected 2 cells, got 1$"):
+                parse_csv(text(r5="x,2", **{f"r{far}": "1"}), **kwargs)
+        # a bad cell keeps its row number past the first block; the first one is named
+        with pytest.raises(DataError, match=rf"^non-numeric value 'x' in row {BLOCK + 7}, column 'b'$"):
+            parse_csv(text(**{f"r{BLOCK + 7}": "1,x", f"r{BLOCK + 9}": "y,2"}))
+        with pytest.raises(DataError, match="^unknown column 'c'"):
+            parse_csv(text(r5="x,2"), value_columns=["c"])
+        # no data rows comes before an unknown column
+        with pytest.raises(DataError, match="^no data rows$"):
+            parse_csv("a,b\n", value_columns=["c"])
+        s = parse_csv(text(**{f"r{BLOCK}": "NA,2", f"r{BLOCK + 1}": "NA,NA"}))
+        assert s.missing_indices == (BLOCK, BLOCK + 1) and len(s.lines) == len(rows)
+
+    @pytest.mark.parametrize("cell", ["a" * 200_000, '"' + "a" * 200_000 + '"'])
+    def test_overlong_cell_is_data_error(self, cell):
+        # csv.reader's field limit is 131072 characters
+        with pytest.raises(DataError, match=r"^cannot parse line 3: field larger than field limit \(131072\)$"):
+            parse_csv(f"v,note\n1,x\n2,{cell}\n3,y\n", value_columns=["v"])
 
     def test_phosphate_fixture(self, phosphate_text):
         s = parse_csv(phosphate_text)
@@ -358,18 +414,41 @@ class TestWriteCsv:
     @pytest.mark.parametrize("delimiter", [",", "\t", ";", ".", "e", "+", "n", "s", "p", "o"])
     def test_quotes_as_csv_writer_does(self, delimiter):
         # "." "e" "+" "n" occur in the imputed numbers, "s" "o" in the tags, "p" in both
-        buf = io.StringIO()
-        csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(
-            [["v", "note"], ["1.5", "a"], ["NA", "b"], ["NA", "c"], ["2", "d"]])
-        series = parse_csv(buf.getvalue(), value_columns=["v"], delimiter=delimiter)
+        header, rows = ["v", "note"], [["1.5", "a"], ["NA", "b"], ["NA", "c"], ["2", "d"]]
+        series = parse_csv(written([header] + rows, delimiter), value_columns=["v"], delimiter=delimiter)
         filled = filled_rows(series, {2: [1e300], 3: [np.nan]})
-        assert write_csv(series, filled) == write_csv_by_row_loop(series, filled, 6)
+        assert write_csv(series, filled) == write_csv_by_row_loop(header, rows, ["v"], delimiter, filled, 6)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=csv_cases(), precision=st.integers(1, 17))
     def test_matches_row_loop(self, case, precision):
-        series, filled = case
-        assert write_csv(series, filled, precision) == write_csv_by_row_loop(series, filled, precision)
+        series, filled, drawn = case
+        assert write_csv(series, filled, precision) == write_csv_by_row_loop(*drawn, filled, precision)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("delimiter", [",", "e", ".", "s"])
+    def test_blocks_match_row_loop(self, monkeypatch, block, delimiter):
+        # gaps across every block edge; quoted cells hold the delimiter, a
+        # quote, a line break and a carriage return; one row is blank
+        header = ["note", "v", "w"]
+        rows = [["a", "1", "2"], [f"x{delimiter}y", "NA", "NA"], ['say "hi"', "NA", "3"],
+                ["multi\nline", "4", "5"], ["cr\rhere", "", "6"], ["", "", ""], [], ["z", "7", "8"],
+                ["", "NA", "9"], ["end", "10", "11"]]
+        text = written([header] + rows, delimiter, "\r\n")
+        monkeypatch.setattr(series_module, "BLOCK", block)
+        series = parse_csv(text, value_columns=["w", "v"], delimiter=delimiter)
+        filled = np.where(series.missing[:, None], [[2.0 / 3.0, -1e-300]], series.data)
+        want = write_csv_by_row_loop(header, rows, ["w", "v"], delimiter, filled, 6)
+        pieces = list(csv_blocks(series, filled))
+        assert len(pieces) == 1 + -(-len(rows) // block)
+        assert "".join(pieces) == write_csv(series, filled) == want
+
+    def test_checks_come_before_the_first_block(self):
+        s = parse_csv("a,b\n1,2\n+,+\n5,6\n")
+        with pytest.raises(DataError, match="components"):
+            csv_blocks(s, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="precision"):
+            csv_blocks(s, s.data, precision=18)
 
 
 class TestSeriesConstruction:

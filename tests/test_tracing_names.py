@@ -80,3 +80,23 @@ def test_refit_ar_rolls_once_per_length_batch(tracing):
     (spans,) = tracer.runs
     assert [span[0] for span in spans].count("fitting.predict") == 2 * 3
     assert tracing.layer_metrics(spans)["fitting.predict_s"] > 0
+
+
+def test_refit_var_rolls_once_per_length_batch(tracing):
+    # six VAR(1) refit gaps of three lengths make three batches; each batch
+    # rolls its forecast and its corrected fill in one stacked call
+    rng = np.random.default_rng(6)
+    a = np.array([[0.5, 0.2], [-0.1, 0.4]])
+    x = [np.zeros(2)]
+    for _ in range(119):
+        x.append(a @ x[-1] + 1.0 + rng.standard_normal(2))
+    gaps = {20: 1, 35: 2, 50: 3, 65: 1, 80: 2, 95: 3}
+    values = [None if any(start <= t < start + n for start, n in gaps.items()) else v
+              for t, v in enumerate(x)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = tracer.call(impute_series, Series.from_values(values),
+                             ImputeOptions(model_kind="var", refit_per_gap=True))
+    (spans,) = tracer.runs
+    assert [span[0] for span in spans].count("fitting.predict") == 2 * 3
+    assert all(gap["oracle"]["certified"] for gap in result.report.gaps)
