@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DataError, NumericalError
@@ -155,6 +156,8 @@ def _coefficients_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("coefficient list is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"coefficients must be finite, got {text!r}")
     return values
 
 
@@ -251,6 +254,9 @@ def main(argv=None) -> int:
         return 2
     if args.command == "verify" and args.cases < 0:
         print("error: --cases must be >= 0", file=sys.stderr)
+        return 2
+    if args.command == "verify" and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return 2
     try:
         return COMMANDS[args.command](args)

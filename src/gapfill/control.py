@@ -150,21 +150,17 @@ def _norm_overflow() -> NumericalError:
     )
 
 
-def _blocks(model, m: int) -> np.ndarray:
-    """The (m, k, k) blocks C F^j B, j = 0 .. m - 1, of ``model``, unchecked
-    for overflow and prefix-stable: an AR's impulse response, a VAR's powers
-    of A, or a regression's identities (F = I). A list of models gives one
-    stack per model, (g, m, k, k); autoregressions roll theirs together."""
-    if isinstance(model, list):
-        if isinstance(model[0], ArModel):
-            return _impulse_response(model, m).reshape(len(model), m, 1, 1)
-        return np.stack([_blocks(each, m) for each in model])
-    if isinstance(model, ArModel):
-        return _impulse_response([model], m).reshape(m, 1, 1)
-    if isinstance(model, VarModel):
-        return mat_pow_table(model.A, m - 1)
-    k = model.n_outputs
-    return np.broadcast_to(np.eye(k), (m, k, k))
+def _blocks(models: list, m: int) -> np.ndarray:
+    """The (g, m, k, k) blocks C F^j B, j = 0 .. m - 1, of each of ``models``,
+    built in one call, unchecked for overflow and prefix-stable: an AR's
+    impulse response, a VAR's powers of A, or a regression's identities
+    (F = I)."""
+    if isinstance(models[0], ArModel):
+        return _impulse_response(models, m).reshape(len(models), m, 1, 1)
+    if isinstance(models[0], VarModel):
+        return mat_pow_table(np.array([each.A for each in models]), m - 1)
+    k = models[0].n_outputs
+    return np.broadcast_to(np.eye(k), (len(models), m, k, k))
 
 
 def _gram_sums(blocks: np.ndarray) -> np.ndarray:
@@ -281,20 +277,6 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
     ]
 
 
-def _roll(model, starts, steps: int, controls=None) -> np.ndarray:
-    """``predict_forward`` of ``steps`` steps from each of ``starts``, with
-    the rows of ``controls`` on the last steps; one row per start. ``model``
-    is one model or a list, one per start. Autoregressions and VARs
-    advance every path in one call."""
-    models = model if isinstance(model, list) else [model] * len(starts)
-    if not isinstance(models[0], RegModel):
-        return predict_forward(model, starts, steps, controls=controls)
-    controls = [None] * len(starts) if controls is None else controls
-    # a regression reads its start as covariate rows
-    return np.array([predict_forward(m, s, steps, covariates=s, controls=u)
-                     for m, s, u in zip(models, starts, controls)])
-
-
 def _inputs(model, gaps, starts, anchors):
     """``starts`` and ``anchors`` as the solver reads them, checked; the
     anchors are (g,) for an AR and (g, k) otherwise."""
@@ -305,7 +287,7 @@ def _inputs(model, gaps, starts, anchors):
         return (np.array([s[len(s) - width :] for s in seeds]),
                 np.array([np.atleast_1d(np.asarray(a, dtype=float))[0] for a in anchors]))
     if isinstance(model, RegModel):
-        k, seeds = model.n_outputs, [np.asarray(x, dtype=float) for x in starts]
+        k, seeds = model.n_outputs, [np.column_stack([x]) for x in starts]  # 1-D: one column
         for gap, x in zip(gaps, seeds):
             if len(x) != gap.length + 1:
                 raise ValueError(f"need {gap.length + 1} covariate rows (gap start through anchor), "
@@ -374,7 +356,7 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
             f"in a gap of length {gaps[int(np.argmax(counts < 1))].length}"
         )
     if shared:
-        table = _blocks(model, int(counts.max()))
+        table = _blocks([model], int(counts.max()))[0]
         grams = _gram_sums(table)
 
     solutions = [None] * len(gaps)
@@ -383,7 +365,7 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
         batch = np.flatnonzero(counts == m).tolist()
         g, members = len(batch), [gaps[i] for i in batch]
         mine = model if shared else [model[i] for i in batch]
-        seeds = starts[batch] if isinstance(starts, np.ndarray) else [starts[i] for i in batch]
+        seeds = np.array([starts[i] for i in batch])
         if shared:
             blocks, gram = table[:m], grams[m - 1]
         else:
@@ -400,7 +382,8 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
                 for row in impulse:
                     _checked_weights(row)
 
-        predicted = _roll(mine, seeds, m + lag)
+        # a regression reads its start as covariate rows
+        predicted = predict_forward(mine, seeds, m + lag, covariates=seeds)
         delta = (targets[batch] - predicted[:, -1]).reshape(g, -1)
         if regression and not np.isfinite(delta).all():
             # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
@@ -409,7 +392,7 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
         if regression:
             values = predicted + np.cumsum(controls, axis=1)
         else:
-            values = _roll(mine, seeds, m + lag, controls[..., 0] if ar else controls)
+            values = predict_forward(mine, seeds, m + lag, controls=controls[..., 0] if ar else controls)
 
         notes = [{"correction_rule": "uniform"} if regression else {} for _ in batch]
         if mode == "paper" and ar:

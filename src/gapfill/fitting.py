@@ -315,58 +315,64 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
     Autoregressions consume the trailing seed values and return the predicted
     path. Optional chronological ``controls`` (one per step, scalar or vector)
     are added on the last ``len(controls)`` steps, after the fitted recursion.
-    An AR or a VAR also advances a stack of g paths at once, each path bit
-    for bit the one it would get alone: seeds of shape (g, n) with controls
-    (g, steps') give a (g, steps) AR result, and seeds (g, k) with controls
-    (g, steps', k) a (g, steps, k) VAR result. A stack of paths may share
-    one model or take a list with one per path; the AR recursion is
-    ``roll_ar``, and a list of VARs steps with one stacked matmul. The regression model predicts pointwise from ``covariates``
-    (one row per step) and ignores ``seeds``. An explosive model, or a
+    The regression model predicts pointwise from ``covariates`` (one row per
+    step) and ignores ``seeds``. Every kind advances a stack of g paths in one
+    call, each path bit for bit the one it would get alone: seeds (g, n) and
+    controls (g, steps') give a (g, steps) AR result, seeds (g, k) and controls
+    (g, steps', k) a (g, steps, k) VAR result, and covariates (g, rows, c) a
+    (g, steps, k) regression result. The paths share one model or take a list
+    of one per path; a single path is a stack of one. An explosive model, or a
     regression on huge covariates, lets the path overflow silently to inf.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    listed = isinstance(model, list)
+    first = model[0] if listed and model else model
+    kind = ArModel if listed and not model else type(first)
+    kinds = {ArModel: "autoregression", VarModel: "VAR", RegModel: "regression"}
+    if kind not in kinds:
+        raise TypeError(f"unknown model type {type(first).__name__}")
+    if kind is RegModel:
+        if controls is not None:
+            raise ValueError("regression predictions take no controls")
+        if covariates is None:
+            raise DataError("missing covariates for regression prediction")
+        given = np.asarray(covariates, dtype=float)
+        stacked = given.ndim == 3
+        paths = given if stacked else (given[:, None] if given.ndim == 1 else given)[None]
+    else:
+        given = np.asarray(seeds, dtype=float)
+        stacked = given.ndim == 2
+        paths = given if stacked else given.reshape(1, -1)
+    models = model if listed else [model] * len(paths)
+    if len(models) != len(paths) or not all(
+            isinstance(m, kind) and (kind is ArModel or m.A.shape == first.A.shape) for m in models):
+        raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a list of one per path")
 
-    var_list = isinstance(model, list) and bool(model) and isinstance(model[0], VarModel)
-    if isinstance(model, (ArModel, list)) and not var_list:
-        seed = np.asarray(seeds, dtype=float)
-        rows = seed if seed.ndim == 2 else seed.reshape(1, -1)
-        models = model if isinstance(model, list) else [model] * len(rows)
-        if len(models) != len(rows) or not all(isinstance(m, ArModel) for m in models):
-            raise ValueError(f"{len(rows)} paths need one autoregression, or a list of one per path")
+    if kind is ArModel:
         order = max([m.p for m in models], default=0)
-        if rows.shape[1] < order:
-            raise DataError(f"need {order} seed values, got {rows.shape[1]}")
-        u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(rows), -1)
+        if paths.shape[1] < order:
+            raise DataError(f"need {order} seed values, got {paths.shape[1]}")
+        u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1)
         _first_control(steps, 0 if u is None else u.shape[1])
         # each path reads its model's trailing p seeds
-        heads = [row[len(row) - m.p :] for row, m in zip(rows.tolist(), models)]
+        heads = [row[len(row) - m.p :] for row, m in zip(paths.tolist(), models)]
         out = roll_ar([m.a for m in models], [m.b for m in models], heads, steps,
                       None if u is None else u.tolist())
-        return out if seed.ndim == 2 else out[0]
+        return out if stacked else out[0]
 
-    if isinstance(model, VarModel) or var_list:
-        seed = np.asarray(seeds, dtype=float)
-        stacked = seed.ndim == 2
-        state = seed if stacked else np.atleast_1d(seed)[None]
-        if var_list:
-            if (not stacked or len(model) != len(state)
-                    or any(not isinstance(m, VarModel) or m.dim != model[0].dim for m in model)):
-                raise ValueError(f"{len(state)} paths need one VAR, or a list of one per path")
-            # each path's matrix column-major as in its model, so that each
-            # path gets the bits it would get alone
-            a = np.array([m.A.T for m in model]).transpose(0, 2, 1)
-            b = np.array([m.b for m in model])
-            model = model[0]
-        else:
-            a, b = model.A, model.b
-        if state.shape[1:] != (model.dim,):
-            raise DataError(f"seed must have {model.dim} components, got shape {seed.shape}")
-        u = None if controls is None else np.asarray(controls, dtype=float)
-        if u is not None and not stacked:
-            u = u[None]
+    # one stacked matmul per step of a VAR, one for a regression; each path's
+    # A.T row-major as in its (column-major) model, for the bits of it alone
+    coeffs = np.array([m.A.T for m in model]) if listed else first.A.T[None]
+    b = np.array([m.b for m in model]) if listed else first.b[None]
+    if kind is VarModel:
+        k = first.dim
+        if paths.shape[1:] != (k,):
+            raise DataError(f"seed must have {k} components, got shape {given.shape}")
+        u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1, k)
         first_control = _first_control(steps, 0 if u is None else u.shape[1])
-        out = np.empty((state.shape[0], steps, model.dim))
+        a, state = coeffs.transpose(0, 2, 1), paths
+        out = np.empty((len(paths), steps, k))
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
                 # row by row the bits of A @ state; state @ A.T would round differently
@@ -376,23 +382,14 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
                 out[:, t] = state
         return out if stacked else out[0]
 
-    if isinstance(model, RegModel):
-        if controls is not None:
-            raise ValueError("regression predictions take no controls")
-        if covariates is None:
-            raise DataError("missing covariates for regression prediction")
-        x = np.asarray(covariates, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape[0] < steps:
-            raise DataError(
-                f"missing covariate row: got {x.shape[0]} rows for {steps} prediction steps"
-            )
-        if x.shape[1] != model.n_covariates:
-            raise DataError(
-                f"covariate rows have {x.shape[1]} columns, model expects {model.n_covariates}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            return x[:steps] @ model.A.T + model.b
-
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    if paths.shape[1] < steps:
+        raise DataError(
+            f"missing covariate row: got {paths.shape[1]} rows for {steps} prediction steps"
+        )
+    if paths.shape[2] != first.n_covariates:
+        raise DataError(
+            f"covariate rows have {paths.shape[2]} columns, model expects {first.n_covariates}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(paths[:, :steps], coeffs) + b[:, None]
+    return out if stacked else out[0]

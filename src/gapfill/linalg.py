@@ -40,23 +40,27 @@ def row_norms(rows) -> np.ndarray:
 
 
 def mat_pow_table(matrix, kmax: int) -> np.ndarray:
-    """Return the (kmax + 1, k, k) stack I, A, A^2, ..., A^kmax.
+    """Return the (kmax + 1, k, k) stack I, A, A^2, ..., A^kmax; a (g, k, k) stack
+    of matrices gives (g, kmax + 1, k, k), each table with the bits it has alone.
 
     The table is built by repeated multiplication rather than eigen methods so
     the entries satisfy table[i + 1] == A @ table[i] exactly as computed. An
     explosive A overflows silently to inf; callers check finiteness.
     """
-    a = as_matrix(matrix)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix powers need a square matrix, got {a.shape[0]}x{a.shape[1]}")
+    stacked = np.ndim(matrix) == 3
+    a = np.array(matrix, dtype=float, order="C") if stacked else as_matrix(matrix)[None]
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"matrix powers need a square matrix, got {a.shape[1]}x{a.shape[2]}")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    powers = np.empty((kmax + 1,) + a.shape)
-    powers[0] = np.eye(a.shape[0])
+    powers = np.empty((len(a), kmax + 1) + a.shape[1:])
+    powers[:, 0] = np.eye(a.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, kmax + 1):
-            powers[i] = a @ powers[i - 1]
-    return powers
+            powers[:, i] = np.matmul(a, powers[:, i - 1])
+    return powers if stacked else powers[0]
 
 
 class SpdSolution(NamedTuple):

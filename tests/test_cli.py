@@ -631,6 +631,17 @@ class TestErrorContract:
         assert (code, out) == (3, "")
         assert err == "error: cannot parse line 3: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("given, message", [
+        (["--columns", "y"], "model 'regression' needs covariate columns (--covariates)"),
+        (["--covariates", "x"], "model 'regression' needs explicit value columns (--columns)"),
+    ])
+    def test_regression_without_its_columns_is_data_error(self, capsys, tmp_path, given, message):
+        path = tmp_path / "reg.csv"
+        path.write_text("y,x\n1,1\n2,2\n3,3\n4,4\nNA,5\n6,6\n")
+        code, out, err = run(capsys, "impute", str(path), "--model", "regression", *given)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--output", "--report"])
     def test_unwritable_output_is_data_error(self, capsys, tmp_path, linear_csv, flag):
         target = tmp_path / "missing" / "out"
@@ -734,6 +745,17 @@ class TestCoeffsCommand:
             main(["coeffs", "--coefficients", "abc"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e999", "0.5,-inf"])
+    def test_non_finite_coefficients_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coeffs", "--coefficients", text])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --coefficients: coefficients must be finite, got {text!r}\n")
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -769,6 +791,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: --cases must be >= 0\n"
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be >= 0\n"
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--cases", "4", "--seed", "17")

@@ -318,6 +318,41 @@ class TestPredictForward:
             alone = predict_forward(models[i], seeds[i], steps, controls=controls[i])
             assert steered[i].tobytes() == alone.tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), outputs=st.integers(1, 3), inputs=st.integers(1, 3),
+           paths=st.integers(1, 12), steps=st.integers(0, 25), extra=st.integers(0, 3),
+           shared=st.booleans())
+    def test_stacked_regression_paths_are_predicted_as_if_alone(self, seed, outputs, inputs, paths,
+                                                                steps, extra, shared):
+        # one model per path, fitted (column-major) or given (row-major), or one shared
+        rng = np.random.default_rng(seed)
+        models = [fit_regression(rng.standard_normal((30, outputs)), rng.standard_normal((30, inputs)))
+                  if i % 2 else RegModel(A=rng.uniform(-2, 2, (outputs, inputs)),
+                                         b=rng.uniform(-1, 1, outputs))
+                  for i in range(paths)]
+        if shared:
+            models = models[:1] * paths
+        covariates = rng.uniform(-5, 5, (paths, steps + extra, inputs))
+        stacked = predict_forward(models[0] if shared else models, None, steps, covariates=covariates)
+        assert stacked.shape == (paths, steps, outputs)
+        for i in range(paths):
+            alone = predict_forward(models[i], None, steps, covariates=covariates[i])
+            assert stacked[i].tobytes() == alone.tobytes()
+
+    def test_stacked_regression_models_must_match_the_paths(self):
+        model = RegModel(A=[[2.0]], b=[1.0])
+        with pytest.raises(ValueError, match="3 paths need one regression"):
+            predict_forward([model, model], None, 2, covariates=np.ones((3, 2, 1)))
+        with pytest.raises(ValueError, match="2 paths need one regression"):
+            predict_forward([model, RegModel(A=[[1.0, 2.0]], b=[0.0])], None, 2,
+                            covariates=np.ones((2, 2, 1)))
+        with pytest.raises(DataError, match="missing covariate row: got 1 rows for 2"):
+            predict_forward(model, None, 2, covariates=np.ones((4, 1, 1)))
+
+    def test_unknown_model_is_type_error(self):
+        with pytest.raises(TypeError, match="unknown model type str"):
+            predict_forward("ar", [1.0], 2)
+
     def test_lag_sum_runs_left_to_right_on_every_python(self):
         # 2.15 + 0.13 - 0.3 rounds to 1.9799999999999998 left to right, while
         # Python 3.12's compensated sum() of floats gives 1.98

@@ -70,9 +70,28 @@ class TestMatPowTable:
                 stepped = a @ stepped
                 assert np.allclose(table[k] @ v, stepped, rtol=0, atol=1e-12)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), count=st.integers(1, 12),
+           kmax=st.integers(0, 30))
+    def test_stacked_tables_are_built_as_if_alone(self, seed, dim, count, kmax):
+        # column-major matrices, as fitted models hold them, beside row-major ones
+        rng = np.random.default_rng(seed)
+        matrices = [rng.uniform(-1.5, 1.5, (dim, dim)) for _ in range(count)]
+        matrices = [np.asfortranarray(a) if i % 2 else a for i, a in enumerate(matrices)]
+        tables = mat_pow_table(np.array(matrices), kmax)
+        assert tables.shape == (count, kmax + 1, dim, dim)
+        for table, a in zip(tables, matrices):
+            assert table.tobytes() == mat_pow_table(a, kmax).tobytes()
+
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             mat_pow_table([[1, 2, 3], [4, 5, 6]], 2)
+        with pytest.raises(ValueError, match="square"):
+            mat_pow_table(np.ones((2, 2, 3)), 2)
+
+    def test_rejects_non_finite_stack(self):
+        with pytest.raises(ValueError, match="finite"):
+            mat_pow_table([[[1.0, float("nan")], [0.0, 1.0]]], 2)
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError):

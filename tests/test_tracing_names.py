@@ -82,9 +82,8 @@ def test_refit_ar_rolls_once_per_length_batch(tracing):
     assert tracing.layer_metrics(spans)["fitting.predict_s"] > 0
 
 
-def test_refit_var_rolls_once_per_length_batch(tracing):
-    # six VAR(1) refit gaps of three lengths make three batches; each batch
-    # rolls its forecast and its corrected fill in one stacked call
+def _refit_var_spans(tracing):
+    """The spans of six VAR(1) refit gaps of three lengths, and the run's result."""
     rng = np.random.default_rng(6)
     a = np.array([[0.5, 0.2], [-0.1, 0.4]])
     x = [np.zeros(2)]
@@ -98,5 +97,37 @@ def test_refit_var_rolls_once_per_length_batch(tracing):
         result = tracer.call(impute_series, Series.from_values(values),
                              ImputeOptions(model_kind="var", refit_per_gap=True))
     (spans,) = tracer.runs
-    assert [span[0] for span in spans].count("fitting.predict") == 2 * 3
+    return [span[0] for span in spans], result
+
+
+def test_refit_var_rolls_once_per_length_batch(tracing):
+    # the six gaps make three batches; each batch rolls its forecast and its
+    # corrected fill in one stacked call
+    names, result = _refit_var_spans(tracing)
+    assert names.count("fitting.predict") == 2 * 3
     assert all(gap["oracle"]["certified"] for gap in result.report.gaps)
+
+
+def test_refit_var_builds_powers_once_per_length_batch(tracing):
+    # each batch builds the power tables of its gaps' models in one call
+    names, _ = _refit_var_spans(tracing)
+    assert names.count("linalg.pow") == 3
+
+
+def test_refit_regression_predicts_once_per_length_batch(tracing):
+    # six regression refit gaps of three lengths make three batches; each
+    # batch predicts its gaps from one stack of covariate rows
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((120, 2)).cumsum(axis=0)
+    y = x @ np.array([1.5, -0.5]) + 2.0 + 0.1 * rng.standard_normal(120)
+    gaps = {20: 1, 35: 2, 50: 3, 65: 1, 80: 2, 95: 3}
+    values = [None if any(start <= t < start + n for start, n in gaps.items()) else v
+              for t, v in enumerate(y)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = tracer.call(impute_series, Series.from_values(values),
+                             ImputeOptions(model_kind="regression", refit_per_gap=True),
+                             Series.from_values(list(x)))
+    (spans,) = tracer.runs
+    assert [span[0] for span in spans].count("fitting.predict") == 3
+    assert len(result.report.gaps) == 6
