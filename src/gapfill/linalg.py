@@ -36,7 +36,8 @@ def row_norms(rows) -> np.ndarray:
     for float64 overflows to inf.
     """
     r = np.asarray(rows, dtype=float)
-    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
 def mat_pow_table(matrix, kmax: int) -> np.ndarray:

@@ -14,6 +14,7 @@ stationarity solve and the check are array operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,17 +137,19 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     Stationarity gives u_i = C_i^T lambda with (sum_i C_i C_i^T) lambda =
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
-    the constraint. The stacked targets are solved in one call, each with
-    the bits it would get alone.
+    the constraint, relative to the target's norm; a target whose norm
+    overflows is not feasible. The stacked targets are solved in one call,
+    each with the bits it would get alone.
     """
     targets = problem.target
     controls, lam = _stationary(problem.steps, targets)
     residual = _misses(problem.steps, controls, targets)
+    size = row_norms(targets)
     return OracleResult(
         controls=controls,
         objective=_sum_squares(controls),
         constraint_residual=residual,
-        feasible=residual <= FEASIBILITY_TOLERANCE * (1.0 + row_norms(targets)),
+        feasible=np.isfinite(size) & (residual <= FEASIBILITY_TOLERANCE * (1.0 + size)),
         multiplier=lam,
     )
 
@@ -198,9 +201,10 @@ def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
     """Check control solutions against the independent stationarity solve.
 
     A solution passes when it is feasible and its objective matches the
-    oracle optimum, both to CERTIFY_TOLERANCE relative. ``solutions`` holds
-    one solution (anything with chronological ``controls``) per target of
-    ``problem``, in target order, and each gets a Verdict.
+    oracle optimum, both to CERTIFY_TOLERANCE relative; an optimum that
+    overflows certifies nothing. ``solutions`` holds one solution (anything
+    with chronological ``controls``) per target of ``problem``, in target
+    order, and each gets a Verdict.
     """
     solutions = list(solutions)
     targets = problem.target
@@ -218,7 +222,7 @@ def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
     oracle = kkt_solve(problem)
     return BatchVerdict(tuple(
         Verdict(
-            passed=(feasible
+            passed=(feasible and math.isfinite(best)
                     and abs(value - best) <= CERTIFY_TOLERANCE * (1.0 + abs(best))
                     and miss <= CERTIFY_TOLERANCE * (1.0 + size)),
             objective_gap=abs(value - best),

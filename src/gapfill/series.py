@@ -22,17 +22,19 @@ BLOCK = 2048
 
 
 class _Echo:
-    """A file for ``csv.writer`` whose ``write`` returns the line, so that
-    ``writerow`` returns it."""
+    """A file for ``csv.writer`` whose ``write`` returns the line without its
+    two-character terminator, so that ``writerow`` returns it."""
 
     def write(self, line: str) -> str:
-        return line
+        return line[:-2]
 
 
 def _line_writer(delimiter: str):
     """``writerow`` of a ``csv.writer`` that returns each row as its line,
-    line break included."""
-    return csv.writer(_Echo(), delimiter=delimiter, lineterminator="\n").writerow
+    without the line break. The row is written with a carriage return and a
+    line feed as its terminator, so every cell that holds either is quoted
+    and ``csv.reader`` reads the line back as exactly this row."""
+    return csv.writer(_Echo(), delimiter=delimiter, lineterminator="\r\n").writerow
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,9 @@ class Series:
     cell was missing; ``missing`` is the boolean mask of those rows. Both are
     read-only. The header cells and, per position, its row as one line are
     kept so that observed rows can be echoed verbatim on output. A line is
-    the row as ``csv.writer`` writes it with ``delimiter``, without the line
-    break; a blank row is the empty line.
+    the row as ``csv.writer`` writes it with ``delimiter`` (see
+    ``_line_writer``), without the line break, and ``csv.reader`` reads it
+    back as exactly that row; a blank row is the empty line.
     """
 
     data: np.ndarray
@@ -110,12 +113,12 @@ class Series:
         lines = []
         for pos, v in enumerate(observed, start=1):
             if v is None:
-                lines.append(render((na_marker,) * dim)[:-1])
+                lines.append(render((na_marker,) * dim))
                 continue
             if v.shape != (dim,):
                 raise DataError(f"value at position {pos} has {v.shape[0]} components, expected {dim}")
             data[pos - 1] = v
-            lines.append(render([repr(float(c)) for c in v])[:-1])
+            lines.append(render([repr(float(c)) for c in v]))
         if column_names is not None:
             header = tuple(column_names)
         elif dim == 1:
@@ -197,7 +200,7 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     parts, count = [], 0
     while block := _read_rows(reader, BLOCK):
         if not plain:
-            lines += [line[:-1] for line in map(render, block)]
+            lines += map(render, block)
         lengths = set(map(len, block))
         if not lengths <= {ncol, 0}:
             i = next(i for i, row in enumerate(block) if len(row) not in (ncol, 0))
@@ -380,9 +383,9 @@ def _csv_blocks(series: Series, values: np.ndarray, precision: int):
     delimiter, dim, lines = series.delimiter, series.dim, series.lines
     render = _line_writer(delimiter)
     header = series.header + ("origin",)
-    yield render(header)
+    yield render(header) + "\n"
     # a row is its cells' line and the tag, which csv.writer quotes on its own
-    observed, imputed = (delimiter + render((tag,))[:-1] for tag in ("observed", "imputed"))
+    observed, imputed = (delimiter + render((tag,)) for tag in ("observed", "imputed"))
     template = f"%.{precision}g,"
     others = [c for c in range(len(series.header)) if c not in series.value_columns]
     for start in range(0, len(series), BLOCK):
@@ -399,32 +402,17 @@ def _csv_blocks(series: Series, values: np.ndarray, precision: int):
                 columns[c] = cells[pos:-1:dim]
             raw = [lines[start + i] for i in gone]
             if others:
-                read = _read_back(raw, delimiter, len(series.header))
+                read = [row or [""] * len(series.header)
+                        for row in csv.reader(raw, delimiter=delimiter)]
                 for c in others:
                     columns[c] = [row[c] for row in read]
             quote_numbers = delimiter != "," and delimiter in text
-            # csv.writer quotes a cell that holds the delimiter, a quote or a line
-            # break, and a line holds a quote exactly when one of its cells was
+            # csv.writer quotes a cell that holds the delimiter, a quote, "\r" or
+            # "\n", and a line holds a quote exactly when one of its cells was
             # quoted; a row none of whose cells needs quoting is its cells joined
             for i, line, row in zip(gone, raw, zip(*columns)):
                 if quote_numbers or '"' in line:
-                    out[i] = render(row + ("imputed",))[:-1]
+                    out[i] = render(row + ("imputed",))
                 else:
                     out[i] = delimiter.join(row) + imputed
         yield "\n".join(out) + "\n"
-
-
-def _read_back(lines: list, delimiter: str, width: int) -> list:
-    """The cells of ``lines`` as ``Series.lines`` holds them, ``width`` per
-    line. csv.writer may leave a carriage return in a cell unquoted, where
-    csv.reader would end the row, so a character that the line does not
-    hold stands in for it while the line is read."""
-    lines, stand_ins = list(lines), {}
-    for i, line in enumerate(lines):
-        if "\r" in line:
-            stand_ins[i] = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in line)
-            lines[i] = line.replace("\r", stand_ins[i])
-    rows = [row or [""] * width for row in csv.reader(lines, delimiter=delimiter)]
-    for i, stand_in in stand_ins.items():
-        rows[i] = [cell.replace(stand_in, "\r") for cell in rows[i]]
-    return rows

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -13,6 +15,8 @@ from gapfill.cli import _write_output, main
 from gapfill.fitting import fit_var1, predict_forward
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.series import BLOCK, parse_csv
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -356,6 +360,14 @@ def _normal_csv(path, scales, gaps):
     return str(path)
 
 
+def _huge_anchor_csv(path):
+    """Column ``a`` of 1.3^t for t < 2000 with rows 1001-1500 missing: the
+    anchor's offset from its forecast is ~1e155, whose squared norm overflows."""
+    rows = ["NA" if 1001 <= t + 1 <= 1500 else repr(1.3 ** t) for t in range(2000)]
+    path.write_text("a\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error")
 class TestErrorContract:
     """Explosive and degenerate inputs: one stderr line or none, never a
@@ -597,6 +609,29 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert err.startswith("error: ill-conditioned control problem")
 
+    def test_overflowing_anchor_offset_is_not_certified(self, capsys, tmp_path):
+        # the target norm overflows to inf, which no longer admits any residual
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "impute", _huge_anchor_csv(tmp_path / "growing.csv"),
+                           "--columns", "a", "--output", str(tmp_path / "filled.csv"),
+                           "--report", str(report_path))
+        assert (code, err) == (0, "")
+        (gap,) = json.loads(report_path.read_text())["gaps"]
+        assert (gap["start"], gap["end"]) == (1001, 1500)
+        assert gap["oracle"]["certified"] is False
+
+    def test_overflowing_anchor_offset_is_quiet_in_a_fresh_process(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gapfill.cli", "impute",
+             _huge_anchor_csv(tmp_path / "growing.csv"), "--columns", "a",
+             "--output", str(tmp_path / "filled.csv"), "--report", str(report_path)],
+            capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert json.loads(report_path.read_text())["gaps"][0]["oracle"]["certified"] is False
+
     def test_rank_deficient_fit_command_is_quiet(self, capsys, tmp_path):
         path = tmp_path / "constant.csv"
         path.write_text("v\n5\n5\n5\n5\n5\n")
@@ -805,6 +840,30 @@ class TestVerifyCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("name", ["tab", "\\t"])
+    def test_tab_delimiter_by_name(self, capsys, tmp_path, name):
+        comma, tab = tmp_path / "comma.csv", tmp_path / "tab.csv"
+        comma.write_text("t,value\n1,1\n2,2\n3,3\n4,NA\n5,5\n")
+        tab.write_text(comma.read_text().replace(",", "\t"))
+        code, want, _ = run(capsys, "impute", str(comma), "--columns", "value")
+        assert code == 0
+        assert run(capsys, "impute", str(tab), "--columns", "value", "--delimiter", name) == (
+            0, want.replace(",", "\t"), "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["impute", "x.csv", "--delimiter", ";;"],
+         "argument --delimiter: delimiter must be a single character (or 'tab')"),
+        (["impute", "x.csv", "--columns", ","], "argument --columns: column list is empty"),
+        (["coeffs", "--coefficients", ","], "argument --coefficients: coefficient list is empty"),
+    ])
+    def test_empty_or_long_argument_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

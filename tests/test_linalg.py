@@ -241,8 +241,8 @@ class TestRowNorms:
             assert norm == float(np.linalg.norm(row))
 
     def test_overflow_is_inf(self):
-        with np.errstate(over="ignore"):
-            assert row_norms([[1e200, 0.0], [3.0, 4.0]]).tolist() == [np.inf, 5.0]
+        # quietly: a RuntimeWarning fails the test
+        assert row_norms([[1e200, 0.0], [3.0, 4.0]]).tolist() == [np.inf, 5.0]
 
 
 def one_fit(design, targets) -> LeastSquaresFit:

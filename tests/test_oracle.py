@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapfill import oracle as oracle_module
 from gapfill.control import impute_gap_ar, impute_gap_var
 from gapfill.fitting import ArModel, RegModel, VarModel
 from gapfill.oracle import (
@@ -91,6 +94,14 @@ class TestKktSolve:
 
     def test_infeasible_problem_flagged(self):
         result = kkt_solve(ConstrainedProblem(steps=(0.0, 0.0), target=1.0))
+        assert not result.feasible[0]
+
+    def test_target_whose_norm_overflows_is_infeasible(self):
+        # 100 unit steps toward 1e155: the controls and their squares stay
+        # finite and land on the target, but its norm overflows to inf
+        result = kkt_solve(ConstrainedProblem(steps=np.ones(100), target=1e155))
+        assert math.isfinite(result.objective[0])
+        assert result.constraint_residual[0] <= 1e-12 * 1e155
         assert not result.feasible[0]
 
     def test_vector_constraint_met(self):
@@ -241,6 +252,22 @@ class TestCertify:
         verdict = certify([cheat], problem).verdicts[0]
         assert not verdict.passed
         assert verdict.constraint_residual > 1.0
+
+    def test_overflowing_target_norm_certifies_nothing(self):
+        problem = ConstrainedProblem(steps=np.ones(100), target=1e155)
+        optimum = SimpleNamespace(controls=kkt_solve(problem).controls[0])
+        verdict = certify([optimum], problem).verdicts[0]
+        assert verdict.objective_gap == 0.0
+        assert not verdict.passed
+
+    def test_overflowing_optimum_certifies_nothing(self, monkeypatch):
+        solution, problem = self.make_solved_instance()
+        solved = kkt_solve(problem)
+        monkeypatch.setattr(oracle_module, "kkt_solve",
+                            lambda _: dataclasses.replace(solved, objective=np.array([np.inf])))
+        verdict = certify([solution], problem).verdicts[0]
+        assert verdict.objective_oracle == np.inf
+        assert not verdict.passed
 
     def test_control_count_mismatch(self):
         solution, problem = self.make_solved_instance()

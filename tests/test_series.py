@@ -41,11 +41,11 @@ def runs_by_row_loop(missing):
 def write_csv_by_row_loop(header, rows, value_columns, delimiter, filled, precision,
                           markers=DEFAULT_NA_MARKERS):
     """Reference: the filled CSV rendered row by row from the cells the input
-    was written from, one formatted cell at a time."""
+    was written from, one formatted cell at a time. Each row is written with
+    a carriage return and a line feed as its terminator, which quotes every
+    cell holding either, and ends in a line feed alone instead."""
     cols = [header.index(name) for name in value_columns]
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(list(header) + ["origin"])
+    out = [written([list(header) + ["origin"]], delimiter, "\r\n")[:-2]]
     for row, values in zip(rows, filled):
         cells = list(row) or [""] * len(header)
         if any(cells[c].strip() in ("",) + tuple(markers) for c in cols):
@@ -54,8 +54,8 @@ def write_csv_by_row_loop(header, rows, value_columns, delimiter, filled, precis
             tag = "imputed"
         else:
             tag = "observed"
-        writer.writerow(cells + [tag])
-    return buf.getvalue()
+        out.append(written([cells + [tag]], delimiter, "\r\n")[:-2])
+    return "\n".join(out) + "\n"
 
 
 def written(rows, delimiter=",", lineterminator="\n") -> str:
@@ -442,6 +442,22 @@ class TestWriteCsv:
         pieces = list(csv_blocks(series, filled))
         assert len(pieces) == 1 + -(-len(rows) // block)
         assert "".join(pieces) == write_csv(series, filled) == want
+
+    @pytest.mark.parametrize("delimiter", [",", ";"])
+    def test_every_row_reads_back_as_one_row(self, delimiter):
+        # observed and imputed rows whose text cells hold "\r", "\n", "\r\n",
+        # a quote and the delimiter
+        header = ["v", "note"]
+        notes = ["cr\rhere", "lf\nhere", "crlf\r\nhere", 'say "hi"', f"x{delimiter}y", "plain"]
+        rows = [[v, note] for note in notes for v in ("1.5", "NA")] + [["2", "end"]]
+        series = parse_csv(written([header] + rows, delimiter, "\r\n"), value_columns=["v"],
+                           delimiter=delimiter)
+        for line, row in zip(series.lines, rows):
+            assert list(csv.reader([line], delimiter=delimiter)) == [row]
+        filled = np.where(series.missing[:, None], 2.0 / 3.0, series.data)
+        out = io.StringIO(write_csv(series, filled), newline="")
+        assert list(csv.reader(out, delimiter=delimiter)) == [header + ["origin"]] + [
+            ["0.666667", note, "imputed"] if v == "NA" else [v, note, "observed"] for v, note in rows]
 
     def test_checks_come_before_the_first_block(self):
         s = parse_csv("a,b\n1,2\n+,+\n5,6\n")
