@@ -285,26 +285,35 @@ def roll_ar(lags, intercepts, seeds, steps: int, controls=None) -> np.ndarray:
     """The autoregressive recursion of a stack of paths, ``steps`` steps on;
     one row per path. This is the one AR recursion kernel.
 
-    Path i starts from the chronological Python floats ``seeds[i]`` (as many
-    as ``lags[i]`` has coefficients) and rolls
+    Path i starts from the chronological Python floats ``seeds[i]`` (at least
+    as many as ``lags[i]`` has coefficients; fewer is a ValueError) and rolls
     x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2 x_{n-2}) + ..., summed
     left to right on Python floats, which every Python version rounds alike
     (``sum`` of floats is compensated from 3.12). Row i of ``controls``, if
-    given, is added on the path's last steps. Python floats overflow silently
-    to inf where numpy scalars would warn.
+    given, is added on the path's last steps. Each path pairs its
+    coefficients once with their lags' offsets from the path's end and rolls
+    its uncontrolled steps, then its controlled ones, with no per-step
+    branch. Python floats overflow silently to inf where numpy scalars would
+    warn.
     """
     rows = []
-    for a, b, hist, u in zip(lags, intercepts, seeds, controls or [()] * len(seeds)):
-        first = steps - len(u)
+    for i, (a, b, hist, u) in enumerate(
+            zip(lags, intercepts, seeds, controls or [()] * len(seeds))):
+        if len(hist) < len(a):
+            raise ValueError(f"path {i} has {len(hist)} seeds for its order {len(a)}")
         path = list(hist)
-        for t in range(steps):
+        push = path.append
+        terms = tuple(zip(a, range(-1, -len(a) - 1, -1)))  # (a_j, offset of x_{n-j})
+        for _ in range(_first_control(steps, len(u))):
             s = 0.0
-            for aj, xj in zip(a, reversed(path)):
-                s += aj * xj
-            x = b + s
-            if t >= first:
-                x += u[t - first]
-            path.append(x)
+            for aj, j in terms:
+                s += aj * path[j]
+            push(b + s)
+        for ut in u:
+            s = 0.0
+            for aj, j in terms:
+                s += aj * path[j]
+            push(b + s + ut)
         rows.append(path[len(hist) :])
     return np.array(rows, dtype=float).reshape(len(rows), steps)
 

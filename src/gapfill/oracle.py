@@ -111,14 +111,18 @@ def _misses(steps: np.ndarray, controls: np.ndarray, targets: np.ndarray) -> np.
     under shared (m, k, k) or per-target (g, m, k, k) ``steps``:
     the length of sum_i C_i u_i - target, one per row. The sum runs strictly
     in step order (pairwise summation would change the last bits and so the
-    reported certificate margins)."""
-    attained = np.cumsum(np.matmul(steps, controls[..., None])[..., 0], axis=1)[:, -1]
-    return row_norms(attained - targets)
+    reported certificate margins). Huge controls overflow quietly to inf or
+    nan, which no tolerance passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        attained = np.cumsum(np.matmul(steps, controls[..., None])[..., 0], axis=1)[:, -1]
+        return row_norms(attained - targets)
 
 
 def _sum_squares(controls: np.ndarray) -> np.ndarray:
-    """The summed squared controls of each of the (g, m, k) stacked problems."""
-    return (controls * controls).reshape(len(controls), -1).sum(axis=1)
+    """The summed squared controls of each of the (g, m, k) stacked problems;
+    huge controls overflow quietly to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (controls * controls).reshape(len(controls), -1).sum(axis=1)
 
 
 def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

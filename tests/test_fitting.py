@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapfill.control import impulse_weights
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
@@ -16,7 +17,28 @@ from gapfill.fitting import (
     fit_var1,
     fit_var_pairs,
     predict_forward,
+    roll_ar,
 )
+
+
+def roll_ar_by_reversed_zip(lags, intercepts, seeds, steps, controls=None):
+    """Reference AR kernel: one loop over the steps, each zipping the
+    coefficients with the reversed path and testing whether the step is
+    controlled. ``roll_ar`` must give its bits."""
+    rows = []
+    for a, b, hist, u in zip(lags, intercepts, seeds, controls or [()] * len(seeds)):
+        first = steps - len(u)
+        path = list(hist)
+        for t in range(steps):
+            s = 0.0
+            for aj, xj in zip(a, reversed(path)):
+                s += aj * xj
+            x = b + s
+            if t >= first:
+                x += u[t - first]
+            path.append(x)
+        rows.append(path[len(hist) :])
+    return np.array(rows, dtype=float).reshape(len(rows), steps)
 
 
 def normal_equation_coeffs(design, target):
@@ -396,3 +418,71 @@ class TestPredictForward:
             predict_forward(ArModel(a=(0.5,), b=0.0), [1.0], 1, controls=[1.0, 2.0])
         with pytest.raises(ValueError, match="controls"):
             predict_forward(RegModel(A=[[2.0]], b=[1.0]), None, 1, covariates=[[1.0]], controls=[1.0])
+
+
+# moderate values, with -0.0 and subnormals among them, and a few that overflow
+ROLL_VALUES = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+class TestRollAr:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_matches_the_reversed_zip_loop(self, data):
+        paths = data.draw(st.integers(1, 6))
+        steps = data.draw(st.integers(0, 40))
+        controlled = data.draw(st.integers(0, steps))
+        orders = data.draw(st.lists(st.integers(1, 8), min_size=paths, max_size=paths))
+        lags = [tuple(data.draw(st.lists(ROLL_VALUES, min_size=p, max_size=p))) for p in orders]
+        intercepts = data.draw(st.lists(ROLL_VALUES, min_size=paths, max_size=paths))
+        seeds = [data.draw(st.lists(ROLL_VALUES, min_size=p, max_size=p + 3)) for p in orders]
+        controls = data.draw(st.lists(st.lists(ROLL_VALUES, min_size=controlled, max_size=controlled),
+                                      min_size=paths, max_size=paths))
+        for u in (None, controls):
+            got = roll_ar(lags, intercepts, seeds, steps, u)
+            assert got.shape == (paths, steps)
+            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, steps, u).tobytes()
+
+    def test_long_ar3_stack_matches_the_reversed_zip_loop(self):
+        rng = np.random.default_rng(19)
+        lags = [(0.6, -0.25, 0.3), (1.1, -0.5, 0.2)]
+        intercepts = [0.4, -1.3]
+        seeds = rng.uniform(-3, 3, (2, 3)).tolist()
+        controls = rng.standard_normal((2, 598)).tolist()
+        for u in (None, controls):
+            got = roll_ar(lags, intercepts, seeds, 600, u)
+            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 600, u).tobytes()
+
+    def test_impulse_weights_match_the_reversed_zip_loop(self):
+        a = (0.6, -0.25, 0.3)
+        rolled = roll_ar_by_reversed_zip([a], [0.0], [[0.0, 0.0, 1.0]], 599)[0]
+        expected = np.concatenate([[1.0], rolled])
+        assert impulse_weights(ArModel(a=a, b=0.5), 600).tobytes() == expected.tobytes()
+
+    def test_explosive_paths_overflow_to_inf_then_nan_alike(self):
+        lags = [(1e10, -1e10), (3.0,)]
+        seeds = [[1.0, 2.0], [1e300]]
+        got = roll_ar(lags, [0.0, 1.0], seeds, 40, [[1.0] * 5, [-1e308] * 5])
+        assert np.isinf(got).any() and np.isnan(got).any()
+        expected = roll_ar_by_reversed_zip(lags, [0.0, 1.0], seeds, 40, [[1.0] * 5, [-1e308] * 5])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_signed_zeros_and_subnormals_keep_their_bits(self):
+        lags = [(-0.0, 5e-324), (5e-324, -0.0, 2.0**-1070)]
+        intercepts = [-0.0, -5e-324]
+        seeds = [[-0.0, -5e-324], [2.0**-1060, -0.0, -0.0]]
+        for u in (None, [[-0.0] * 3, [-5e-324, -0.0, 5e-324]]):
+            got = roll_ar(lags, intercepts, seeds, 6, u)
+            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
+
+    def test_too_few_seeds_names_the_path(self):
+        with pytest.raises(ValueError, match="path 1 has 1 seeds for its order 2"):
+            roll_ar([(0.5,), (0.5, 0.2)], [0.0, 0.0], [[1.0], [1.0]], 3)
+        with pytest.raises(ValueError, match="path 0 has 0 seeds for its order 1"):
+            roll_ar([(0.5,)], [0.0], [[]], 0)
+
+    def test_more_controls_than_steps_is_value_error(self):
+        with pytest.raises(ValueError, match="3 controls for 2 steps"):
+            roll_ar([(0.5,)], [0.0], [[1.0]], 2, [[1.0, 2.0, 3.0]])

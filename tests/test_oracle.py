@@ -104,6 +104,13 @@ class TestKktSolve:
         assert result.constraint_residual[0] <= 1e-12 * 1e155
         assert not result.feasible[0]
 
+    def test_overflowing_controls_are_quiet(self):
+        # the stationary controls are the targets themselves; their squares
+        # overflow, which the suite's error::RuntimeWarning filter would raise
+        result = kkt_solve(ConstrainedProblem(np.eye(2)[None], [[1e200, 1e200]]))
+        assert result.objective[0] == np.inf
+        assert not result.feasible[0]
+
     def test_vector_constraint_met(self):
         rng = np.random.default_rng(101)
         for _ in range(15):
@@ -258,6 +265,14 @@ class TestCertify:
         optimum = SimpleNamespace(controls=kkt_solve(problem).controls[0])
         verdict = certify([optimum], problem).verdicts[0]
         assert verdict.objective_gap == 0.0
+        assert not verdict.passed
+
+    def test_overflowing_solution_is_quiet_and_fails(self):
+        # 10 * 1e308 overflows in the attained sum, and 1e308 squared in the objective
+        solution = SimpleNamespace(controls=np.array([1e308]))
+        verdict = certify([solution], ConstrainedProblem([[[10.0]]], [[1.0]])).verdicts[0]
+        assert verdict.constraint_residual == np.inf
+        assert verdict.objective_solution == np.inf
         assert not verdict.passed
 
     def test_overflowing_optimum_certifies_nothing(self, monkeypatch):
