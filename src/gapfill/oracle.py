@@ -6,10 +6,12 @@ endpoint onto the anchor) and solves its stationarity system directly. Every
 model is cast as a first-order state-space recursion (an AR(p) in companion
 form, with the control entering on the first state coordinate; a regression
 with identity dynamics), and the constraint matrices are descending powers of
-its transition matrix, one p x p product per step. The verifier imports
-nothing from the solver, so no code is shared with the weight recurrences
-being checked. Problems come in stacks, one target per row, so the
-stationarity solve and the check are array operations.
+its transition matrix. The powers are built by doubling (``_descending_powers``),
+so m steps take O(log m) stacked products; each power has the same bits
+whatever the number of steps, so a longer table's last m steps are a shorter
+one. The verifier imports nothing from the solver, so no code is shared with
+the weight recurrences being checked. Problems come in stacks, one target per
+row, so the stationarity solve and the check are array operations.
 """
 
 from __future__ import annotations
@@ -125,14 +127,20 @@ def _sum_squares(controls: np.ndarray) -> np.ndarray:
         return (controls * controls).reshape(len(controls), -1).sum(axis=1)
 
 
-def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stationary controls (g, m, k) and multipliers (g, k) for (g, k)
-    stacked targets: one Gram matrix for shared (m, k, k) ``steps``, one per
-    target for (g, m, k, k) ``steps``, and one solve."""
+    stacked targets, and per target whether its Gram matrix is finite: one
+    Gram matrix for shared (m, k, k) ``steps``, one per target for
+    (g, m, k, k) ``steps``, and one solve of the finite ones. A Gram matrix
+    that overflows quietly leaves its targets' controls and multipliers nan."""
     c_t = np.swapaxes(steps, -2, -1)
-    gram = np.cumsum(np.matmul(steps, c_t), axis=-3)[..., -1, :, :]
-    lam = solve_spd(gram, targets).x
-    return np.matmul(c_t, lam[:, None, :, None])[..., 0], lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.cumsum(np.matmul(steps, c_t), axis=-3)[..., -1, :, :]
+        finite = np.broadcast_to(np.isfinite(gram).all(axis=(-2, -1)), len(targets))
+        lam = np.full(targets.shape, np.nan)
+        if finite.any():
+            lam[finite] = solve_spd(gram[finite] if gram.ndim == 3 else gram, targets[finite]).x
+        return np.matmul(c_t, lam[:, None, :, None])[..., 0], lam, finite
 
 
 def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
@@ -142,16 +150,17 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
     the constraint, relative to the target's norm; a target whose norm
-    overflows is not feasible. The stacked targets are solved in one call,
+    overflows is not feasible, nor is one whose Gram matrix overflows, which
+    gets an objective of inf. The stacked targets are solved in one call,
     each with the bits it would get alone.
     """
     targets = problem.target
-    controls, lam = _stationary(problem.steps, targets)
+    controls, lam, solvable = _stationary(problem.steps, targets)
     residual = _misses(problem.steps, controls, targets)
     size = row_norms(targets)
     return OracleResult(
         controls=controls,
-        objective=_sum_squares(controls),
+        objective=np.where(solvable, _sum_squares(controls), np.inf),
         constraint_residual=residual,
         feasible=np.isfinite(size) & (residual <= FEASIBILITY_TOLERANCE * (1.0 + size)),
         multiplier=lam,
@@ -174,31 +183,50 @@ def _transition_matrix(model) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
+def _descending_powers(f: np.ndarray, steps: int) -> np.ndarray:
+    """F^(steps-1), ..., F, I for a (p, p) ``f``, or for each matrix of a
+    (g, p, p) stack, with the step axis first.
+
+    The ascending table T = I, F, F^2, ... is built by doubling: with T[:n]
+    known, F^n = T[n-1] F and T[n:2n] = T[:n] F^n in one stacked product,
+    the last block cut at ``steps``. Each entry's bits depend only on its
+    power, so every table is the leading part of a longer one, and each
+    matrix of a stack has the bits of its table alone. Explosive models
+    overflow silently to inf.
+    """
+    table = np.empty((steps,) + f.shape)
+    table[0] = np.eye(f.shape[-1])
+    n = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < steps:
+            block = table[n : 2 * n]
+            np.matmul(table[: len(block)], np.matmul(table[n - 1], f), out=block)
+            n *= 2
+    return table[::-1]
+
+
 def build_problem(model, steps: int, target) -> ConstrainedProblem:
     """Assemble the terminal constraint for ``steps`` chronological controls.
 
     A control i steps before the anchor moves the endpoint by E^T F^i E, with
     F the model's transition matrix (see ``_transition_matrix``) and E the
     first k state coordinates: k = 1 for an AR model, the full state
-    otherwise. The powers descend by repeated right-multiplication, one
-    product per step. Explosive models overflow silently to inf. ``target``
-    is a (g, k) stack of offsets for g gaps of this length, or one offset.
-    ``model`` is the model of every gap, or a list with one model per row of
-    ``target``, all of one kind and size; the steps are then (g, m, k, k),
-    each gap's the bits of its problem alone.
+    otherwise. The powers come from ``_descending_powers``, so the steps of
+    a shorter problem are the last ones of a longer problem's, bit for bit.
+    Explosive models overflow silently to inf. ``target`` is a (g, k) stack
+    of offsets for g gaps of this length, or one offset. ``model`` is the
+    model of every gap, or a list with one model per row of ``target``, all
+    of one kind and size; the steps are then (g, m, k, k), each gap's the
+    bits of its problem alone.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     per_target = isinstance(model, list)
     f = np.stack([_transition_matrix(m) for m in model]) if per_target else _transition_matrix(model)
     k = 1 if isinstance(model[0] if per_target else model, ArModel) else f.shape[-1]
-    # step first, so the loop indexes one axis; per-target steps move it back after
-    powers = np.empty((steps,) + f.shape)
-    powers[-1] = np.eye(f.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps - 2, -1, -1):
-            np.matmul(powers[i + 1], f, out=powers[i])
-    return ConstrainedProblem(np.moveaxis(powers, 0, -3)[..., :k, :k], target)
+    # per-target powers come step first; the gap axis moves to the front
+    powers = np.moveaxis(_descending_powers(f, steps), 0, -3)
+    return ConstrainedProblem(powers[..., :k, :k], target)
 
 
 def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:

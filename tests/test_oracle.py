@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapfill import oracle as oracle_module
@@ -142,6 +142,34 @@ class TestKktSolve:
                 assert stacked.constraint_residual[i] == alone.constraint_residual[0]
                 assert stacked.feasible[i] == alone.feasible[0]
 
+    def test_overflowing_gram_is_quiet_and_infeasible(self):
+        # the kicks reach ~1e300 within 30 steps, so their Gram sum overflows
+        problem = build_problem(ArModel(a=(1e10, -1e10), b=0.0), 60, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kkt_solve(problem)
+            verdict = certify([SimpleNamespace(controls=np.zeros(60))], problem).verdicts[0]
+        assert not result.feasible[0]
+        assert result.objective[0] == np.inf
+        assert not verdict.passed
+        assert verdict.objective_oracle == np.inf
+
+    def test_overflowing_gram_rows_leave_the_others_as_if_alone(self):
+        explosive = ArModel(a=(1e10, -1e10), b=0.0)
+        models = [explosive, ArModel(a=(0.5, 0.1), b=0.0), explosive, ArModel(a=(-0.3, 0.6), b=1.0)]
+        targets = [[1.0], [2.0], [-1.0], [0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = kkt_solve(build_problem(models, 60, targets))
+        assert stacked.feasible.tolist() == [False, True, False, True]
+        assert stacked.objective[[0, 2]].tolist() == [np.inf, np.inf]
+        for i in (1, 3):
+            alone = kkt_solve(build_problem(models[i], 60, targets[i]))
+            assert stacked.controls[i].tobytes() == alone.controls[0].tobytes()
+            assert stacked.multiplier[i].tobytes() == alone.multiplier[0].tobytes()
+            assert stacked.objective[i] == alone.objective[0]
+            assert stacked.constraint_residual[i] == alone.constraint_residual[0]
+
 
 class TestBuildProblem:
     def test_scalar_kicks_match_impulse_response(self):
@@ -221,8 +249,102 @@ class TestBatchedKicks:
             warnings.simplefilter("error")
             prob = build_problem(model, 60, 1.0)
         effects = prob.steps[:, 0, 0]
-        assert not np.all(np.isfinite(effects))
-        assert np.array_equal(effects, scalar_kick_endpoints(model, 60), equal_nan=True)
+        expected = scalar_kick_endpoints(model, 60)
+        finite = np.isfinite(effects)
+        assert not np.all(finite)
+        assert np.array_equal(finite, np.isfinite(expected))
+        assert np.array_equal(np.isnan(effects), np.isnan(expected))
+        # entry by entry: the finite effects run from 1 to ~1e300
+        np.testing.assert_allclose(effects[finite], expected[finite], rtol=1e-12, atol=0)
+
+
+def descending_powers_by_product(f: np.ndarray, steps: int) -> np.ndarray:
+    """Reference: F^(steps-1), ..., F, I for a (p, p) F or a (g, p, p) stack,
+    step axis first, one right-multiplication per step."""
+    powers = np.empty((steps,) + f.shape)
+    powers[-1] = np.eye(f.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps - 2, -1, -1):
+            np.matmul(powers[i + 1], f, out=powers[i])
+    return powers
+
+
+def assert_powers_close(actual, expected, rtol):
+    """Each power (the last two axes) is within ``rtol`` of its own largest
+    entry, or of 1 for powers that have decayed below 1."""
+    scale = np.maximum(1.0, np.abs(expected).max(axis=(-2, -1), keepdims=True))
+    assert (np.abs(np.asarray(actual) - expected) <= rtol * scale).all()
+
+
+def ar_model_strategy():
+    return st.lists(st.floats(-1.4, 1.4), min_size=1, max_size=4).map(
+        lambda a: ArModel(a=tuple(a), b=0.0))
+
+
+def var_model_strategy(bound=1.4):
+    return st.tuples(st.integers(2, 3), st.integers(0, 2**32 - 1)).map(
+        lambda ks: VarModel(A=np.random.default_rng(ks[1]).uniform(-bound, bound, (ks[0], ks[0])),
+                            b=np.zeros(ks[0])))
+
+
+class TestPowerTable:
+    # doubling multiplies the powers in another order than one product per
+    # step, so the two tables agree to rounding, each power to its own largest
+    # entry (the worst of 3000 random draws here was 4.7e-13). Near the float64 limit the
+    # two orders overflow different entries (an inf in one is a finite 1e308
+    # or a nan in the other), so overflow is compared power by power: a power
+    # clear of the limit is finite in both, and every power above one that
+    # overflowed has a non-finite entry in both
+
+    @PROPERTY
+    # entries up to 2.5 make most VAR draws explosive, so their long tables overflow
+    @given(model=st.one_of(ar_model_strategy(), var_model_strategy(), var_model_strategy(2.5)),
+           steps=st.integers(1, 1300))
+    @example(model=ArModel(a=(1.4, 1.4, 1.4, 1.4), b=0.0), steps=1300)
+    @example(model=ArModel(a=(-1.4, 1.4, -1.4, 1.4), b=0.0), steps=1300)
+    # F^641 overflows in other entries under each order
+    @example(model=VarModel(A=np.random.default_rng(663).uniform(-2.5, 2.5, (3, 3)), b=np.zeros(3)),
+             steps=642)
+    def test_matches_one_product_per_step(self, model, steps):
+        f = oracle_module._transition_matrix(model)
+        got = oracle_module._descending_powers(f, steps)
+        want = descending_powers_by_product(f, steps)
+        clear = np.abs(want).max(axis=(-2, -1)) < 1e300
+        assert np.isfinite(got[clear]).all()
+        assert_powers_close(got[clear], want[clear], rtol=1e-12)
+        # descending: the powers above the lowest overflowed one come first
+        overflowed = np.flatnonzero(~np.isfinite(want).all(axis=(-2, -1)))
+        if len(overflowed):
+            above = slice(0, overflowed[-1])
+            assert not np.isfinite(got[above]).all(axis=(-2, -1)).any()
+            assert not np.isfinite(want[above]).all(axis=(-2, -1)).any()
+
+    @PROPERTY
+    @given(model=st.one_of(ar_model_strategy(), var_model_strategy()), longest=st.integers(1, 700),
+           data=st.data())
+    def test_shorter_steps_are_the_last_of_longer(self, model, longest, data):
+        steps = data.draw(st.integers(1, longest))
+        target = np.ones(1 if isinstance(model, ArModel) else model.dim)
+        short = build_problem(model, steps, target).steps
+        long = build_problem(model, longest, target).steps
+        assert short.tobytes() == long[-steps:].tobytes()
+
+    @PROPERTY
+    @given(kind=st.sampled_from(["ar", "var"]), size=st.integers(1, 4), count=st.integers(1, 5),
+           steps=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_models_build_as_if_alone(self, kind, size, count, steps, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "ar":
+            models = [ArModel(a=tuple(rng.uniform(-1.4, 1.4, size)), b=0.0) for _ in range(count)]
+            k = 1
+        else:
+            k = min(size + 1, 3)
+            models = [VarModel(A=rng.uniform(-1.4, 1.4, (k, k)), b=np.zeros(k)) for _ in range(count)]
+        targets = np.ones((len(models), k))
+        stacked = build_problem(models, steps, targets).steps
+        assert stacked.shape == (len(models), steps, k, k)
+        for model, got in zip(models, stacked):
+            assert got.tobytes() == build_problem(model, steps, targets[0]).steps.tobytes()
 
 
 class TestCertify:
