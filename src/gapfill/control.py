@@ -396,10 +396,11 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
 
         notes = [{"correction_rule": "uniform"} if regression else {} for _ in batch]
         if mode == "paper" and ar:
-            psi = np.broadcast_to([_checked_weights(row) for row in impulse], (g, m))
-            for note, w, p in zip(notes, np.broadcast_to(printed, (g, m)), psi):
-                note.update(weights_printed=w.tolist(), weights_impulse=p.tolist(),
-                            max_weight_difference=float(np.max(np.abs(w - p))))
+            for row in impulse:
+                _checked_weights(row)
+            differences = np.broadcast_to(np.abs(printed - impulse).max(axis=1), g)
+            for note, difference in zip(notes, differences.tolist()):
+                note["max_weight_difference"] = difference
         multipliers = lam
         if scalar:
             controls, multipliers = controls[..., 0], lam[:, 0].tolist()

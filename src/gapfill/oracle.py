@@ -129,14 +129,15 @@ def _sum_squares(controls: np.ndarray) -> np.ndarray:
 
 def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stationary controls (g, m, k) and multipliers (g, k) for (g, k)
-    stacked targets, and per target whether its Gram matrix is finite: one
-    Gram matrix for shared (m, k, k) ``steps``, one per target for
-    (g, m, k, k) ``steps``, and one solve of the finite ones. A Gram matrix
-    that overflows quietly leaves its targets' controls and multipliers nan."""
+    stacked targets, and per target whether it and its Gram matrix are
+    finite: one Gram matrix for shared (m, k, k) ``steps``, one per target
+    for (g, m, k, k) ``steps``, and one solve of the finite ones. A target
+    that is not finite, or a Gram matrix that overflows, quietly leaves the
+    target's controls and multipliers nan."""
     c_t = np.swapaxes(steps, -2, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.cumsum(np.matmul(steps, c_t), axis=-3)[..., -1, :, :]
-        finite = np.broadcast_to(np.isfinite(gram).all(axis=(-2, -1)), len(targets))
+        finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(targets).all(axis=1)
         lam = np.full(targets.shape, np.nan)
         if finite.any():
             lam[finite] = solve_spd(gram[finite] if gram.ndim == 3 else gram, targets[finite]).x
@@ -150,9 +151,9 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     target; convexity makes any feasible stationary point the global minimum.
     Feasibility is judged by the residual of the recovered controls against
     the constraint, relative to the target's norm; a target whose norm
-    overflows is not feasible, nor is one whose Gram matrix overflows, which
-    gets an objective of inf. The stacked targets are solved in one call,
-    each with the bits it would get alone.
+    overflows is not feasible, nor is one that is not finite or whose Gram
+    matrix overflows, which gets an objective of inf. The stacked targets
+    are solved in one call, each with the bits it would get alone.
     """
     targets = problem.target
     controls, lam, solvable = _stationary(problem.steps, targets)

@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .fitting import ArModel, RegModel, VarModel
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 _NUMBER_TYPES = frozenset((int, float))
-_LIST_TYPES = frozenset((list, tuple))
 
 # Items of a list are filled, and yielded, this many at a time, so that only
 # one chunk's number reprs and text exist at once.
@@ -78,9 +76,9 @@ def _shape(value, newline: str, numbers: list, templates: dict) -> str:
     for each plain int and float, which are appended to ``numbers`` in order.
 
     The template is compiled once per shape: for a dict its keys and the
-    shapes of its values; for a list of numbers, of equal-length lists of
-    them or a float array, its dimensions. Anything else is its rendered
-    text, as ``json`` renders it (an int or float subclass by its base's repr).
+    shapes of its values; for a list of numbers or a float array, its
+    dimensions. Anything else is its rendered text, as ``json`` renders it
+    (an int or float subclass by its base's repr).
     """
     kind = type(value)
     if kind is float or kind is int:
@@ -112,16 +110,9 @@ def _shape(value, newline: str, numbers: list, templates: dict) -> str:
             return _numbers_template(newline, value.shape, templates)
         value = value.tolist()
         kind = type(value)
-    if (kind is list or kind is tuple) and value:
-        kinds = set(map(type, value))
-        if kinds <= _NUMBER_TYPES:
-            numbers += value
-            return _numbers_template(newline, (len(value),), templates)
-        if kinds <= _LIST_TYPES and len(set(map(len, value))) == 1 and value[0]:
-            flat = list(chain.from_iterable(value))
-            if set(map(type, flat)) <= _NUMBER_TYPES:
-                numbers += flat
-                return _numbers_template(newline, (len(value), len(value[0])), templates)
+    if (kind is list or kind is tuple) and value and set(map(type, value)) <= _NUMBER_TYPES:
+        numbers += value
+        return _numbers_template(newline, (len(value),), templates)
     if isinstance(value, (list, tuple, dict)) and value:
         literal = "".join(_render(value, newline, templates))
     elif isinstance(value, (list, tuple, dict)):
@@ -194,7 +185,8 @@ def describe_model(model) -> dict:
 
 @dataclass
 class ImputationReport:
-    """Everything a run decided: the fit, and per gap the controls and checks."""
+    """Everything a run decided: the fit, and per gap its multiplier and
+    checks (``gap_entry``), from which its controls follow."""
 
     mode: str
     prefix_length: int
@@ -220,9 +212,10 @@ class ImputationReport:
 def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
     """Assemble the report entry for one gap from its pieces.
 
-    Index runs are written as ``[first, last]``. The forecast and the fill
-    are not repeated: ``start``, ``end``, the seeds and the model determine
-    them (see the README's "Report schema").
+    Index runs are written as ``[first, last]``. The forecast, the fill and
+    the controls are not repeated: ``start``, ``end``, the seeds and the
+    model determine the first two, and the multiplier, the mode and the
+    model the controls (see the README's "Report schema").
     """
     seeds, controlled = segment.seed_indices, solution.control_indices
     entry = {
@@ -235,7 +228,6 @@ def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
         "mode": solution.mode,
         "multiplier": solution.multiplier,
         "control_indices": [controlled[0], controlled[-1]],
-        "controls": solution.controls,
         "terminal_residual": solution.terminal_residual,
         "objective": solution.objective,
         "oracle": None,

@@ -47,7 +47,7 @@ class TestImputeCommand:
         assert lines[7] == "7,imputed"
         assert lines[8] == "8,observed"
         report = json.loads(report_path.read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["gaps"][0]["oracle"]["certified"]
 
     def test_output_file(self, capsys, tmp_path, linear_csv):
@@ -293,7 +293,8 @@ class TestStreamedOutput:
             return recorders[-1]
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        argv = ["impute", var_20k, "--model", "var"]
+        # paper mode writes each VAR gap's step norms: a report over 1 MB
+        argv = ["impute", var_20k, "--model", "var", "--mode", "paper"]
         assert main(argv + ["--output", str(tmp_path / "o"), "--report", str(tmp_path / "r")]) == 0
         csv_writes, report_writes = recorders
         monkeypatch.setattr(sys, "stdout", _Recorder())
@@ -305,7 +306,7 @@ class TestStreamedOutput:
         assert sum(map(len, report_writes.writes)) > 1_000_000
 
     def test_impute_peak_memory_is_bounded(self, tmp_path, var_20k):
-        # 20 000 rows, 3 columns, 1000 gaps: 0.7 MB of CSV and 1.5 MB of report
+        # 20 000 rows, 3 columns, 1000 gaps: 0.7 MB of CSV and 0.7 MB of report
         argv = ["impute", var_20k, "--model", "var", "--output", str(tmp_path / "o"),
                 "--report", str(tmp_path / "r")]
         assert main(argv) == 0  # imports and caches are not the run's

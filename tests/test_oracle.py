@@ -154,6 +154,20 @@ class TestKktSolve:
         assert not verdict.passed
         assert verdict.objective_oracle == np.inf
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_target_that_is_not_finite_is_quiet_and_infeasible(self, bad):
+        # like an overflowing Gram matrix: no solve, and the other rows as if alone
+        steps = np.ones(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = kkt_solve(ConstrainedProblem(steps, [[bad], [2.0]]))
+        assert stacked.feasible.tolist() == [False, True]
+        assert stacked.objective[0] == np.inf
+        assert np.isnan(stacked.multiplier[0]).all() and np.isnan(stacked.controls[0]).all()
+        alone = kkt_solve(ConstrainedProblem(steps, 2.0))
+        assert stacked.controls[1].tobytes() == alone.controls[0].tobytes()
+        assert stacked.objective[1] == alone.objective[0]
+
     def test_overflowing_gram_rows_leave_the_others_as_if_alone(self):
         explosive = ArModel(a=(1e10, -1e10), b=0.0)
         models = [explosive, ArModel(a=(0.5, 0.1), b=0.0), explosive, ArModel(a=(-0.3, 0.6), b=1.0)]
@@ -387,6 +401,15 @@ class TestCertify:
         optimum = SimpleNamespace(controls=kkt_solve(problem).controls[0])
         verdict = certify([optimum], problem).verdicts[0]
         assert verdict.objective_gap == 0.0
+        assert not verdict.passed
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_target_that_is_not_finite_certifies_nothing(self, bad):
+        problem = ConstrainedProblem(np.ones(3), bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = certify([SimpleNamespace(controls=np.zeros(3))], problem).verdicts[0]
+        assert verdict.objective_oracle == np.inf
         assert not verdict.passed
 
     def test_overflowing_solution_is_quiet_and_fails(self):

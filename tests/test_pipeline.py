@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill import fitting, pipeline
-from gapfill.control import impute_gap_ar, impute_gap_regression, impute_gap_var
+from gapfill.control import (
+    gamma_weights,
+    impulse_weights,
+    impute_gap_ar,
+    impute_gap_regression,
+    impute_gap_var,
+)
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
@@ -17,7 +23,7 @@ from gapfill.fitting import (
     VarModel,
     predict_forward,
 )
-from gapfill.linalg import RANK_TOLERANCE
+from gapfill.linalg import RANK_TOLERANCE, mat_pow_table
 from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.report import ImputationReport, describe_model, gap_entry
@@ -52,7 +58,7 @@ class TestScalarPipeline:
         (entry,) = result.report.gaps
         assert list(entry) == [
             "start", "end", "anchor_index", "anchor_value", "seed_indices",
-            "constrained", "mode", "multiplier", "control_indices", "controls",
+            "constrained", "mode", "multiplier", "control_indices",
             "terminal_residual", "objective", "oracle", "diagnostics",
         ]
         assert entry["start"] == 6
@@ -60,18 +66,27 @@ class TestScalarPipeline:
         assert entry["anchor_index"] == 8
         assert entry["seed_indices"] == [5, 5]
         assert entry["control_indices"] == [6, 8]
-        assert len(entry["controls"]) == 3
         report_dict = result.report.to_dict()
-        assert report_dict["schema_version"] == 2
+        assert report_dict["schema_version"] == 3
         assert report_dict["gap_count"] == 1
         assert report_dict["model"]["kind"] == "ar"
 
     def test_report_json_round_trips(self):
         series = parse_csv("v\n1\n2\n3\n4\n5\nNA\nNA\n8\n")
-        result = impute_series(series)
+        solved = []
+
+        def recording(segment, solution, *rest):
+            solved.append(solution)
+            return gap_entry(segment, solution, *rest)
+
+        with mock.patch.object(pipeline, "gap_entry", recording):
+            result = impute_series(series)
         parsed = json.loads(result.report.to_json())
-        assert parsed["gaps"][0]["control_indices"] == [6, 8]
-        assert parsed["gaps"][0]["controls"] == result.report.gaps[0]["controls"].tolist()
+        (entry,) = parsed["gaps"]
+        assert entry["control_indices"] == [6, 8]
+        assert entry["multiplier"] == result.report.gaps[0]["multiplier"]
+        controls = controls_from_report(entry, model_from_report(parsed["model"]))
+        assert controls.tobytes() == solved[0].controls.tobytes()
 
     def test_gapless_series_reports_zero_gaps(self):
         series = parse_csv("v\n1\n2\n3\n")
@@ -694,11 +709,32 @@ def model_from_report(description):
     return kind(A=description["matrix"], b=description["intercept"])
 
 
-class TestSchemaTwoGivesSchemaOne:
-    """Schema 2 drops each gap's forecast, fill and index lists; the report,
-    the filled array and ``predict_forward`` give them back bit for bit."""
+def controls_from_report(entry, model):
+    """A constrained gap's chronological controls, rebuilt from its
+    ``multiplier``, ``mode`` and ``control_indices`` and the model it was
+    solved under: the multiplier times C F^j B, j steps before the anchor."""
+    first, last = entry["control_indices"]
+    m = last - first + 1
+    lam = np.array(entry["multiplier"])
+    if isinstance(model, ArModel):
+        weights = gamma_weights if entry["mode"] == "paper" else impulse_weights
+        return lam * weights(model, m)[::-1]
+    if isinstance(model, VarModel):
+        powers = mat_pow_table(model.A, m - 1)[::-1]
+        if np.count_nonzero(powers[:, ~np.eye(model.dim, dtype=bool)]):
+            return np.matmul(lam, powers)
+        # diagonal powers: products, which keep the sign of a zero control
+        return lam * np.diagonal(powers, axis1=1, axis2=2)
+    return np.broadcast_to(lam, (m,) + lam.shape)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+class TestSchemaThreeGivesSchemaOne:
+    """Schema 2 drops each gap's forecast, fill and index lists, and schema 3
+    its controls and paper-mode weights; the report, the filled array,
+    ``predict_forward`` and the weight builders give them back bit for bit."""
+
+    # 200 examples, not 60, so that paper-mode AR(2-3) gaps are drawn
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
     def test_dropped_fields_are_recovered(self, run, refit):
         series, options, covariates = run
@@ -715,7 +751,7 @@ class TestSchemaTwoGivesSchemaOne:
             except (DataError, NumericalError):
                 return
         report = json.loads(result.report.to_json())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert len(report["gaps"]) == len(solved)
         imputed = {}
         for entry, (segment, solution) in zip(report["gaps"], solved):
@@ -746,6 +782,17 @@ class TestSchemaTwoGivesSchemaOne:
                 if model.n_outputs == 1:
                     forecast = forecast[:, 0]
             assert forecast.tobytes() == solution.predicted.tobytes()
+            if not entry["constrained"]:
+                continue
+            # schema 2's controls: the multiplier under the gap's model and mode
+            controls = controls_from_report(entry, model)
+            assert controls.tobytes() == solution.controls.tobytes()
+            if entry["mode"] == "paper" and options.model_kind == "ar":
+                # and the printed and impulse weights that schema 2 wrote in full
+                count = last_control - first_control + 1
+                printed, impulse = gamma_weights(model, count), impulse_weights(model, count)
+                difference = float(np.max(np.abs(printed - impulse)))
+                assert entry["diagnostics"] == {"max_weight_difference": difference}
         assert list(imputed) == list(series.missing_indices)
         assert result.filled[series.missing].tobytes() == np.array(list(imputed.values())).tobytes()
 
