@@ -8,8 +8,10 @@ to stderr. All output is deterministic for fixed inputs and options.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 from .errors import DataError, NumericalError
@@ -246,20 +248,58 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: no action keeps state between parses."""
+    return build_parser()
+
+
+def _same_destination(output_path: str, report_path: str) -> bool:
+    if "-" in (output_path, report_path):
+        return output_path == report_path
+    return os.path.realpath(output_path) == os.path.realpath(report_path)
+
+
+def _usage_problem(args: argparse.Namespace) -> str | None:
     if args.command == "coeffs" and args.length < 1:
-        print("error: --length must be >= 1", file=sys.stderr)
-        return 2
+        return "--length must be >= 1"
     if args.command == "verify" and args.cases < 0:
-        print("error: --cases must be >= 0", file=sys.stderr)
-        return 2
+        return "--cases must be >= 0"
     if args.command == "verify" and args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
+        return "--seed must be >= 0"
+    if (args.command == "impute" and args.report_path is not None
+            and _same_destination(args.output_path, args.report_path)):
+        return "--output and --report name the same destination"
+    return None
+
+
+def _stdout_to_devnull() -> None:
+    """Point a closed stdout's descriptor at devnull, so the exit flush cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    problem = _usage_problem(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        # a stdout closed early shows here, not in the interpreter's exit flush;
+        # an in-process caller's stand-in for stdout may have no flush
+        getattr(sys.stdout, "flush", lambda: None)()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        print("error: cannot write -: Broken pipe", file=sys.stderr)
+        return 3
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,6 +19,12 @@ from gapfill.pipeline import ImputeOptions, impute_series
 from gapfill.series import BLOCK, parse_csv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _cli_env(**extra) -> dict:
+    """The environment of a fresh ``python -m gapfill.cli`` that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run(capsys, *argv):
@@ -623,13 +631,11 @@ class TestErrorContract:
 
     def test_overflowing_anchor_offset_is_quiet_in_a_fresh_process(self, tmp_path):
         report_path = tmp_path / "report.json"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "gapfill.cli", "impute",
              _huge_anchor_csv(tmp_path / "growing.csv"), "--columns", "a",
              "--output", str(tmp_path / "filled.csv"), "--report", str(report_path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_cli_env())
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         assert json.loads(report_path.read_text())["gaps"][0]["oracle"]["certified"] is False
 
@@ -874,3 +880,148 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["interpolate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("output, report", [
+        ("same.csv", "same.csv"),
+        ("same.csv", "./sub/../same.csv"),
+        ("same.csv", "link.csv"),
+        ("-", "-"),
+        (None, "-"),
+    ], ids=["equal", "dotted", "symlink", "both-stdout", "default-output"])
+    def test_output_and_report_may_not_share_a_destination(self, capsys, tmp_path, monkeypatch,
+                                                            output, report):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+        # the input does not exist: the check comes before any input is read
+        argv = ["impute", "missing.csv", "--report", report]
+        if output is not None:
+            argv += ["--output", output]
+        assert run(capsys, *argv) == (
+            2, "", "error: --output and --report name the same destination\n")
+        assert not (tmp_path / "same.csv").exists()
+
+
+def _fresh(argv):
+    """``main(argv)`` on a parser built for this call."""
+    cli._parser.cache_clear()
+    return _cached(argv)
+
+
+def _cached(argv):
+    """``main(argv)`` on the parser it holds; a usage exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parser_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_actions(sub)
+
+
+class TestSharedParser:
+    """``main`` builds its parser on the first call and parses every later
+    call with it, with the outputs a fresh parser gives."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_across_commands(self, monkeypatch, linear_csv):
+        calls, build_parser = [], cli.build_parser
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in (["impute", linear_csv], ["fit", linear_csv],
+                     ["coeffs", "--coefficients", "0.5", "--length", "3"],
+                     ["verify", "--cases", "2"], ["impute", linear_csv, "--mode", "paper"]):
+            assert _cached(argv)[0] == 0
+        assert len(calls) == 1
+
+    def test_usage_error_leaves_no_trace(self, linear_csv):
+        valid = ["impute", linear_csv, "--order", "2", "--precision", "9"]
+        want = _fresh(valid)
+        assert want[0] == 0
+        for bad in (["impute", linear_csv, "--precision", "x"], ["impute", linear_csv, "--order"],
+                    ["interpolate"], ["coeffs", "--coefficients", "nan"], []):
+            cli._parser.cache_clear()
+            assert _cached(bad)[0] == 2
+            assert _cached(valid) == want
+
+    def test_omitted_option_takes_its_default_again(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("v,w\n1,5\n2,4.5\n3,3\n4,3.2\n5,2.5\nNA,NA\n7,1\n8,0.2\n")
+        argv = ["impute", str(path), "--model", "var"]
+        both = _fresh(argv)
+        only_v = _cached(argv + ["--columns", "v", "--na", "NA,?"])
+        again = _cached(argv)
+        assert both[0] == only_v[0] == 0
+        assert "6,NA,imputed" in only_v[1].splitlines()
+        assert "6.04998,1.76929,imputed" in both[1].splitlines()
+        assert again == both
+
+    def test_none_reads_the_current_argv(self, monkeypatch, capsys):
+        for length in (2, 3, 5):
+            monkeypatch.setattr(sys, "argv", ["gapfill", "coeffs", "--coefficients", "0.5",
+                                              "--length", str(length)])
+            assert main(None) == 0
+            assert len(capsys.readouterr().out.splitlines()) == length + 1
+
+    def test_no_action_carries_state_between_parses(self):
+        # every parse's namespace starts from the action's default object itself,
+        # so a mutable default changed in place would reach the next parse
+        actions = list(_parser_actions(cli.build_parser()))
+        assert any(action.dest == "output_path" for action in actions)
+        for action in actions:
+            assert not isinstance(action.default, (list, dict, set)), action.dest
+            assert not isinstance(action, (argparse._AppendAction,
+                                           argparse._AppendConstAction)), action.dest
+
+    @pytest.mark.parametrize("argv", [
+        ["impute", "x.csv", "--precision", "x"],
+        ["interpolate"],
+        ["impute", "--help"],
+    ], ids=["bad-precision", "unknown-command", "impute-help"])
+    def test_usage_text_is_that_of_a_fresh_process(self, monkeypatch, argv):
+        # help is wrapped to the terminal's width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "80")
+        done = subprocess.run([sys.executable, "-m", "gapfill.cli", *argv], capture_output=True,
+                              text=True, env=_cli_env(COLUMNS="80"))
+        want = (done.returncode, done.stdout, done.stderr)
+        assert want[0] in (0, 2) and (want[1] or want[2])
+        assert _fresh(argv) == want
+        assert _cached(argv) == want
+        assert _cached(argv) == want
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the run with one line and exit 3."""
+
+    @pytest.mark.parametrize("command", ["impute", "coeffs", "verify"])
+    def test_one_line_and_exit_3(self, tmp_path, command):
+        # each writes well over a pipe buffer, so a write meets the closed pipe
+        path = tmp_path / "long.csv"
+        path.write_text("v\n" + "".join("NA\n" if t % 50 == 25 else f"{t % 17}.5\n"
+                                        for t in range(100_000)))
+        argv = {"impute": ["impute", str(path)],
+                "coeffs": ["coeffs", "--coefficients", "0.5", "--length", "20000"],
+                "verify": ["verify", "--cases", "3000"]}[command]
+        with subprocess.Popen([sys.executable, "-m", "gapfill.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=_cli_env()) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (3, b"error: cannot write -: Broken pipe\n")
