@@ -168,6 +168,9 @@ def _delimiter_arg(text: str) -> str:
         return "\t"
     if len(text) != 1:
         raise argparse.ArgumentTypeError("delimiter must be a single character (or 'tab')")
+    if text in ('"', "\n", "\r"):
+        # the CSV would not read back: '"' quotes cells, and a line break ends rows
+        raise argparse.ArgumentTypeError(f"delimiter may not be {text!r}: the output would not read back")
     return text
 
 

@@ -6,7 +6,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice, repeat
+from operator import not_
 from typing import Sequence
 
 import numpy as np
@@ -170,27 +171,33 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     ``value_columns`` selects columns by header name, each at most once;
     default is all columns.
 
-    ``csv.reader`` reads the rows BLOCK at a time, and each block's value
-    columns are converted before the next is read, so the cells of all rows
-    never exist at once. Errors keep the order of a whole-text parse: no
-    header, no data rows, the first ragged row, the column selection, then
-    the first bad cell.
+    Rows are read BLOCK at a time, and each block's value columns are
+    converted before the next is read, so the cells of all rows never exist
+    at once. Plain text (no quote, carriage return or NUL, and no line over
+    the csv field limit) is one row per line, and a block is split in one
+    pass; other text is read with ``csv.reader``. Errors keep the order of a
+    whole-text parse: no header, no data rows, the first ragged row, the
+    column selection, then the first bad cell.
     """
-    plain = '"' not in text and "\r" not in text
+    render = _line_writer(delimiter)  # a delimiter csv cannot take fails here
+    plain = '"' not in text and "\r" not in text and "\0" not in text
     if plain:
         # no cell can be quoted: each line is one row, as csv.writer writes it
         lines = text.split("\n") if text else []
         if text.endswith("\n"):
             lines.pop()
-        reader = csv.reader(lines, delimiter=delimiter)
+        plain = max(map(len, lines), default=0) <= csv.field_size_limit()
+    if plain:
+        rows = [lines[0].split(delimiter) if lines[0] else []] if lines else []
     else:
         reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-        lines, render = [], _line_writer(delimiter)
-    first = _read_rows(reader, 1)
-    if not first:
+        rows, lines = _read_rows(reader, 1), []
+    if not rows:
         raise DataError("empty input: no header row")
-    header = tuple(first[0])
-    ncol = len(header)
+    header, ncol = tuple(rows[0]), len(rows[0])
+    if not header:
+        raise DataError("blank header row: the first line has no column names")
+    blocks = _split_blocks(lines, delimiter, ncol) if plain else _reader_blocks(reader, lines, render, ncol)
     markers = tuple(na_markers)
     absent = frozenset(("",) + markers)
     try:
@@ -198,9 +205,44 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     except DataError as exc:
         cols, pending = None, exc
     parts, count = [], 0
+    for cells in blocks:
+        if pending is None:
+            try:
+                parts.append(_convert_columns(cells, ncol, cols, absent))
+            except ValueError:
+                # a ragged row further on still comes first
+                pending = _bad_cell(cells, ncol, cols, header, absent, count + 1)
+        count += len(cells) // ncol
+    if count == 0:
+        raise DataError("no data rows")
+    if pending is not None:
+        raise pending
+    data = np.concatenate([d for d, _ in parts])
+    missing = np.concatenate([m for _, m in parts])
+    data[missing] = np.nan
+    return Series(data=data, missing=missing, header=header, lines=tuple(lines[1:] if plain else lines),
+                  value_columns=cols, na_markers=markers, delimiter=delimiter)
+
+
+def _split_blocks(lines: list, delimiter: str, ncol: int):
+    """The cells of ``lines[1:]``, BLOCK rows at a time and row after row,
+    each block split in one pass; a blank line is one fully-empty row."""
+    for start in range(1, len(lines), BLOCK):
+        block = lines[start:start + BLOCK]
+        if set(map(str.count, block, repeat(delimiter))) != {ncol - 1}:
+            for i, line in enumerate(block, start=start):
+                if line and line.count(delimiter) != ncol - 1:
+                    raise DataError(f"ragged row {i}: expected {ncol} cells, got {line.count(delimiter) + 1}")
+            block = [line or delimiter * (ncol - 1) for line in block]
+        yield delimiter.join(block).split(delimiter)
+
+
+def _reader_blocks(reader, lines: list, render, ncol: int):
+    """``_split_blocks`` for text that needs ``csv.reader``; appends each
+    row's line, as ``render`` writes it, to ``lines``."""
+    count = 0
     while block := _read_rows(reader, BLOCK):
-        if not plain:
-            lines += map(render, block)
+        lines += map(render, block)
         lengths = set(map(len, block))
         if not lengths <= {ncol, 0}:
             i = next(i for i, row in enumerate(block) if len(row) not in (ncol, 0))
@@ -208,27 +250,8 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
         if 0 in lengths:
             # a blank line comes back as a zero-cell row; read it as one fully-empty row
             block = [row or ("",) * ncol for row in block]
-        if pending is None:
-            try:
-                parts.append(_convert_columns(block, cols, absent))
-            except ValueError:
-                try:
-                    parts.append(_convert_cells(block, cols, header, markers, count + 1))
-                except DataError as exc:
-                    # a ragged row further on still comes first
-                    pending = exc
         count += len(block)
-    if count == 0:
-        raise DataError("no data rows")
-    if pending is not None:
-        raise pending
-    if plain:
-        del lines[0]
-    data = np.concatenate([d for d, _ in parts])
-    missing = np.concatenate([m for _, m in parts])
-    data[missing] = np.nan
-    return Series(data=data, missing=missing, header=header, lines=tuple(lines),
-                  value_columns=cols, na_markers=markers, delimiter=delimiter)
+        yield list(chain.from_iterable(block))
 
 
 def _read_rows(reader, count: int) -> list:
@@ -258,54 +281,45 @@ def _select_columns(header: tuple, value_columns) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _convert_columns(body, cols, absent) -> tuple[np.ndarray, np.ndarray]:
-    """The selected cells as floats (NaN where a stripped cell is in
-    ``absent``) and the mask of rows with any such cell; one numpy
+def _convert_columns(cells: list, ncol: int, cols, absent) -> tuple[np.ndarray, np.ndarray]:
+    """The selected columns of ``cells`` (rows of ``ncol`` cells one after
+    another) as floats, and the mask of rows where a stripped selected cell
+    is in ``absent``, whose entries are left unset; one slice and one numpy
     conversion per column. A cell that is not a finite number raises
-    ValueError, for ``_convert_cells`` to name."""
-    data = np.empty((len(body), len(cols)))
-    missing = np.zeros(len(body), dtype=bool)
+    ValueError, for ``_bad_cell`` to name."""
+    data = np.empty((len(cells) // ncol, len(cols)))
+    missing = np.zeros(len(data), dtype=bool)
     for j, c in enumerate(cols):
-        cells = [row[c].strip() for row in body]
-        gone = [cell in absent for cell in cells]
+        column = list(map(str.strip, cells[c::ncol]))
+        gone = list(map(absent.__contains__, column))
         # numpy parses each cell as float() does, bit for bit
-        values = np.array(["nan" if g else cell for cell, g in zip(cells, gone)], dtype=float)
-        gone = np.array(gone, dtype=bool)
-        if not (np.isfinite(values) | gone).all():
+        values = np.array(list(compress(column, map(not_, gone))), dtype=float)
+        if not np.isfinite(values).all():
             raise ValueError("non-finite cell")
-        data[:, j] = values
+        gone = np.array(gone, dtype=bool)
+        data[~gone, j] = values
         missing |= gone
     return data, missing
 
 
-def _convert_cells(body, cols, header, markers, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_convert_columns`` cell by cell in row order, raising DataError
-    for the first cell that is not a finite number; ``body[0]`` is row
-    ``first``."""
-    cells = []
-    missing = []
-    for i, row in enumerate(body, start=first):
-        row_missing = False
+def _bad_cell(cells: list, ncol: int, cols, header, absent, first: int) -> DataError:
+    """The error for the first selected cell of ``_convert_columns`` that is
+    not a finite number, found cell by cell in row order; the first row of
+    ``cells`` is row ``first``."""
+    for i, row in enumerate(zip(*[iter(cells)] * ncol), start=first):
         for c in cols:
             cell = row[c].strip()
-            if cell == "" or cell in markers:
-                row_missing = True
-                cells.append(math.nan)
+            if cell in absent:
                 continue
             try:
                 v = float(cell)
             except ValueError:
-                raise DataError(
-                    f"non-numeric value {cell!r} in row {i}, column {header[c]!r}"
-                ) from None
+                return DataError(f"non-numeric value {cell!r} in row {i}, column {header[c]!r}")
             if not math.isfinite(v):
-                raise DataError(
+                return DataError(
                     f"non-finite value {cell!r} in row {i}, column {header[c]!r} "
                     f"(add it to the missing-value markers if it denotes a gap)"
                 )
-            cells.append(v)
-        missing.append(row_missing)
-    return np.array(cells).reshape(len(body), len(cols)), np.array(missing, dtype=bool)
 
 
 def detect_gaps(series: Series, order: int = 1,
@@ -380,39 +394,39 @@ def csv_blocks(series: Series, filled, precision: int = 6):
 
 
 def _csv_blocks(series: Series, values: np.ndarray, precision: int):
-    delimiter, dim, lines = series.delimiter, series.dim, series.lines
+    delimiter, header, lines = series.delimiter, series.header, series.lines
     render = _line_writer(delimiter)
-    header = series.header + ("origin",)
-    yield render(header) + "\n"
-    # a row is its cells' line and the tag, which csv.writer quotes on its own
-    observed, imputed = (delimiter + render((tag,)) for tag in ("observed", "imputed"))
-    template = f"%.{precision}g,"
-    others = [c for c in range(len(series.header)) if c not in series.value_columns]
-    for start in range(0, len(series), BLOCK):
-        stop = start + BLOCK
-        out = [line + observed for line in lines[start:stop]]
-        gone = np.flatnonzero(series.missing[start:stop]).tolist()
-        if gone:
-            # the block's imputed cells in one formatting pass ("%g" never prints a comma)
-            numbers = values[start:stop][series.missing[start:stop]].ravel().tolist()
-            text = (template * len(numbers)) % tuple(numbers)
-            cells = text.split(",")
-            columns = [None] * len(series.header)
-            for pos, c in enumerate(series.value_columns):
-                columns[c] = cells[pos:-1:dim]
-            raw = [lines[start + i] for i in gone]
-            if others:
-                read = [row or [""] * len(series.header)
-                        for row in csv.reader(raw, delimiter=delimiter)]
-                for c in others:
-                    columns[c] = [row[c] for row in read]
-            quote_numbers = delimiter != "," and delimiter in text
-            # csv.writer quotes a cell that holds the delimiter, a quote, "\r" or
-            # "\n", and a line holds a quote exactly when one of its cells was
-            # quoted; a row none of whose cells needs quoting is its cells joined
-            for i, line, row in zip(gone, raw, zip(*columns)):
-                if quote_numbers or '"' in line:
-                    out[i] = render(row + ("imputed",))
-                else:
-                    out[i] = delimiter.join(row) + imputed
-        yield "\n".join(out) + "\n"
+    yield render(header + ("origin",)) + "\n"
+    # each tag as csv.writer writes it after a row's cells, with the line break
+    observed, imputed = (delimiter + render((tag,)) + "\n" for tag in ("observed", "imputed"))
+    # the value cells in header order; when they are the whole row, an
+    # imputed row is one template, escaped for "%", unless a formatted
+    # number holds the delimiter and csv.writer would quote it
+    columns = sorted(series.value_columns)
+    values = values[:, np.argsort(series.value_columns)]
+    template = (delimiter.replace("%", "%%").join([f"%.{precision}g"] * series.dim)
+                + imputed.replace("%", "%%"))
+    per_row = (delimiter * (series.dim - 1) + imputed).count(delimiter)
+    whole = len(columns) == len(header)
+    # the maximal runs of the mask, cut at every BLOCK rows; one piece per block
+    n = len(lines)
+    cuts = sorted({*(np.flatnonzero(np.diff(series.missing)) + 1).tolist(), *range(0, n, BLOCK), n})
+    piece = []
+    for a, b in zip(cuts, cuts[1:]):
+        if series.missing[a]:
+            numbers = tuple(values[a:b].ravel().tolist())
+            text = (template * (b - a)) % numbers if whole else ""
+            if not whole or text.count(delimiter) != (b - a) * per_row:
+                # csv.writer's render of each row, its other cells read back from its line
+                cells = iter(((f"%.{precision}g\n" * len(numbers)) % numbers).split("\n"))
+                text = "".join(
+                    render([next(cells) if c in columns else cell
+                            for c, cell in enumerate(row or [""] * len(header))]
+                           + ["imputed"]) + "\n"
+                    for row in csv.reader(lines[a:b], delimiter=delimiter))
+            piece.append(text)
+        else:
+            piece.append(observed.join(lines[a:b]) + observed)
+        if b % BLOCK == 0 or b == n:
+            yield "".join(piece)
+            piece = []

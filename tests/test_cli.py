@@ -673,6 +673,14 @@ class TestErrorContract:
         assert (code, out) == (3, "")
         assert err == "error: cannot parse line 3: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("text", ["\n1\n2\nNA\n3\n", "\n\n\n", "\n", '\n"1"\n2\n'],
+                             ids=["values", "all-blank", "one-line", "quoted"])
+    def test_blank_header_is_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        assert run(capsys, "impute", str(path)) == (
+            3, "", "error: blank header row: the first line has no column names\n")
+
     @pytest.mark.parametrize("given, message", [
         (["--columns", "y"], "model 'regression' needs covariate columns (--covariates)"),
         (["--covariates", "x"], "model 'regression' needs explicit value columns (--columns)"),
@@ -862,6 +870,12 @@ class TestUsage:
          "argument --delimiter: delimiter must be a single character (or 'tab')"),
         (["impute", "x.csv", "--columns", ","], "argument --columns: column list is empty"),
         (["coeffs", "--coefficients", ","], "argument --coefficients: coefficient list is empty"),
+        (["impute", "x.csv", "--delimiter", '"'],
+         "argument --delimiter: delimiter may not be '\"': the output would not read back"),
+        (["fit", "x.csv", "--delimiter", "\n"],
+         "argument --delimiter: delimiter may not be '\\n': the output would not read back"),
+        (["impute", "x.csv", "--delimiter", "\r"],
+         "argument --delimiter: delimiter may not be '\\r': the output would not read back"),
     ])
     def test_empty_or_long_argument_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:

@@ -125,30 +125,98 @@ def parse_cells_by_row_loop(rows, columns, markers):
     return data, missing
 
 
+ODD_CELLS = st.lists(st.lists(st.sampled_from([
+    "1", "-2.5", " 3e-7 ", "1_0", "0x10", "1e", "infinity", "-inf", "nan", "NaN", "NA", "",
+    " NA ", "+", ".5", "5.", "\u0661\u0662", "1e400", "4.9e-324", "0.1", "x", "1,5",
+]), min_size=2, max_size=2), min_size=1, max_size=8)
+
+
+def assert_columns_match_cell_loop(text, cells, selected, delimiter=","):
+    """``parse_csv(text)`` gives what ``parse_cells_by_row_loop`` gives for
+    the cells ``text`` was written from."""
+    names = [["a", "b"][c] for c in selected]
+    want = parse_cells_by_row_loop(cells, selected, DEFAULT_NA_MARKERS)
+    if isinstance(want[0], int):
+        row, column, kind = want
+        cell = cells[row - 1][column].strip()
+        with pytest.raises(DataError, match=re.escape(f"{kind} value {cell!r} in row {row}, "
+                                                      f"column {['a', 'b'][column]!r}")):
+            parse_csv(text, value_columns=names, delimiter=delimiter)
+        return
+    if want[1].all():
+        with pytest.raises(DataError, match="no observed values"):
+            parse_csv(text, value_columns=names, delimiter=delimiter)
+        return
+    got = parse_csv(text, value_columns=names, delimiter=delimiter)
+    assert got.data.tobytes() == want[0].tobytes()
+    assert got.missing.tolist() == want[1].tolist()
+
+
+@st.composite
+def plain_texts(draw):
+    """Unquoted text, one row per line, whose parse must not depend on how it is
+    read: blank lines, padded markers, columns that are not values and ragged
+    rows, and in some texts one cell that holds NUL or is at or over a field
+    limit of 64; with its delimiter and a row-block size."""
+    ncol = draw(st.integers(1, 3))
+    header = [f"c{j}" for j in range(ncol)]
+    value_columns = draw(st.permutations(header))[:draw(st.integers(1, ncol))]
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    value_cell = st.sampled_from(["1", "-2.5", " 3 ", "0.5", "7", "1e-7", "4", "-0", "NA", " NA ", "",
+                                  "+", "NaN", "nan", "x", "1e400"])
+    free_cell = st.sampled_from(["a", " ", "", "NA", "é"])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "ragged"]))
+        cells = [draw(value_cell if name in value_columns else free_cell) for name in header]
+        if kind == "ragged":
+            cells = cells[:-1] if ncol > 1 and draw(st.booleans()) else cells + ["1"]
+        rows.append([] if kind == "blank" else cells)
+    special = draw(st.sampled_from([None] * 5 + ["a\0b", "b" * 64, "b" * 65]))
+    if special and any(rows):
+        row = draw(st.sampled_from([row for row in rows if row]))
+        row[draw(st.integers(0, len(row) - 1))] = special
+    lines = [delimiter.join(header)] + [delimiter.join(row) for row in rows]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, value_columns, delimiter, draw(st.integers(1, 4))
+
+
+def parsed_or_error(text, **kwargs):
+    try:
+        s = parse_csv(text, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    return s.data.tobytes(), s.missing.tolist(), s.lines, s.header, s.value_columns
+
+
 class TestParseCsv:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(cells=st.lists(st.lists(st.sampled_from([
-        "1", "-2.5", " 3e-7 ", "1_0", "0x10", "1e", "infinity", "-inf", "nan", "NaN", "NA", "",
-        " NA ", "+", ".5", "5.", "\u0661\u0662", "1e400", "4.9e-324", "0.1", "x", "1,5",
-    ]), min_size=2, max_size=2), min_size=1, max_size=8), selected=st.sampled_from([[0], [1], [1, 0]]))
+    @given(cells=ODD_CELLS, selected=st.sampled_from([[0], [1], [1, 0]]))
     def test_columns_match_cell_loop(self, cells, selected):
         text = "a,b\n" + "".join(f'"{a}","{b}"\n' for a, b in cells)
-        names = [["a", "b"][c] for c in selected]
-        want = parse_cells_by_row_loop(cells, selected, DEFAULT_NA_MARKERS)
-        if isinstance(want[0], int):
-            row, column, kind = want
-            cell = cells[row - 1][column].strip()
-            with pytest.raises(DataError, match=re.escape(f"{kind} value {cell!r} in row {row}, "
-                                                          f"column {['a', 'b'][column]!r}")):
-                parse_csv(text, value_columns=names)
-            return
-        if want[1].all():
-            with pytest.raises(DataError, match="no observed values"):
-                parse_csv(text, value_columns=names)
-            return
-        got = parse_csv(text, value_columns=names)
-        assert got.data.tobytes() == want[0].tobytes()
-        assert got.missing.tolist() == want[1].tolist()
+        assert_columns_match_cell_loop(text, cells, selected)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(cells=ODD_CELLS, selected=st.sampled_from([[0], [1], [1, 0]]))
+    def test_unquoted_columns_match_cell_loop(self, cells, selected):
+        # the twin of the quoted test: no cell holds ";", so each line is split as it is
+        text = "a;b\n" + "".join(f"{a};{b}\n" for a, b in cells)
+        assert_columns_match_cell_loop(text, cells, selected, delimiter=";")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=plain_texts())
+    def test_split_lines_read_as_csv_reader_reads_them(self, case):
+        # quoting one header cell sends the same rows through csv.reader
+        text, value_columns, delimiter, block = case
+        quoted = '"c0"' + text[2:]
+        limit = csv.field_size_limit(64)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(series_module, "BLOCK", block)
+                kwargs = {"value_columns": value_columns, "delimiter": delimiter}
+                assert parsed_or_error(text, **kwargs) == parsed_or_error(quoted, **kwargs)
+        finally:
+            csv.field_size_limit(limit)
 
     def test_scalar_column_with_empty_cell(self):
         s = parse_csv("value\n1.5\n\n2.5\n")
@@ -428,20 +496,26 @@ class TestWriteCsv:
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
     @pytest.mark.parametrize("delimiter", [",", "e", ".", "s"])
     def test_blocks_match_row_loop(self, monkeypatch, block, delimiter):
-        # gaps across every block edge; quoted cells hold the delimiter, a
-        # quote, a line break and a carriage return; one row is blank
+        # gaps across every block edge, and observed and imputed runs longer
+        # than a block; quoted cells hold the delimiter, a quote, a line break
+        # and a carriage return; one row is blank. Without the note column an
+        # imputed row is one template unless a number holds the delimiter
         header = ["note", "v", "w"]
         rows = [["a", "1", "2"], [f"x{delimiter}y", "NA", "NA"], ['say "hi"', "NA", "3"],
                 ["multi\nline", "4", "5"], ["cr\rhere", "", "6"], ["", "", ""], [], ["z", "7", "8"],
-                ["", "NA", "9"], ["end", "10", "11"]]
-        text = written([header] + rows, delimiter, "\r\n")
+                ["", "NA", "9"]]
+        rows += [["o", str(k), "1"] for k in range(7)] + [["i", "NA", ""] for _ in range(6)]
+        rows += [["end", "10", "11"]]
         monkeypatch.setattr(series_module, "BLOCK", block)
-        series = parse_csv(text, value_columns=["w", "v"], delimiter=delimiter)
-        filled = np.where(series.missing[:, None], [[2.0 / 3.0, -1e-300]], series.data)
-        want = write_csv_by_row_loop(header, rows, ["w", "v"], delimiter, filled, 6)
-        pieces = list(csv_blocks(series, filled))
-        assert len(pieces) == 1 + -(-len(rows) // block)
-        assert "".join(pieces) == write_csv(series, filled) == want
+        for cut in (0, 1):
+            text = written([header[cut:]] + [row[cut:] for row in rows], delimiter, "\r\n")
+            series = parse_csv(text, value_columns=["w", "v"], delimiter=delimiter)
+            filled = np.where(series.missing[:, None], [[2.0 / 3.0, -1e-300]], series.data)
+            want = write_csv_by_row_loop(header[cut:], [row[cut:] for row in rows], ["w", "v"],
+                                         delimiter, filled, 6)
+            pieces = list(csv_blocks(series, filled))
+            assert len(pieces) == 1 + -(-len(rows) // block)
+            assert "".join(pieces) == write_csv(series, filled) == want
 
     @pytest.mark.parametrize("delimiter", [",", ";"])
     def test_every_row_reads_back_as_one_row(self, delimiter):
