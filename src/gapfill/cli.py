@@ -20,7 +20,7 @@ from .control import gamma_weights, impulse_weights
 from .oracle import InstanceLimits
 from .pipeline import ImputeOptions, fit_prefix, impute_series, verify_instance
 from .report import describe_model, json_pieces, render_json
-from .series import DEFAULT_NA_MARKERS, csv_blocks, parse_csv
+from .series import DEFAULT_NA_MARKERS, check_delimiter, csv_blocks, parse_csv
 
 
 def _read_input(path: str) -> str:
@@ -168,10 +168,10 @@ def _delimiter_arg(text: str) -> str:
         return "\t"
     if len(text) != 1:
         raise argparse.ArgumentTypeError("delimiter must be a single character (or 'tab')")
-    if text in ('"', "\n", "\r"):
-        # the CSV would not read back: '"' quotes cells, and a line break ends rows
-        raise argparse.ArgumentTypeError(f"delimiter may not be {text!r}: the output would not read back")
-    return text
+    try:
+        return check_delimiter(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _columns_arg(text: str) -> tuple[str, ...]:

@@ -11,7 +11,7 @@ B = C^T = e_1), the powers of a VAR's A (B = C = I), and identities for a
 regression (F = I, so lambda = delta / m is a uniform correction).
 ``impute_gaps`` solves every model with that one kernel. In ``paper`` mode
 an AR's controls follow a printed recurrence kept for comparison, whose miss
-is reported, and a VAR reports the printed per-step norm formula.
+is reported, and a VAR reports how far a printed per-step norm formula strays.
 """
 
 from __future__ import annotations
@@ -411,33 +411,29 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
         if mode == "paper" and not (ar or regression):
             # after the fills' overflow check, so that an overflowing fill
             # fails with the same message in both modes
-            stacks = np.broadcast_to(blocks, (g,) + blocks.shape[-3:])
-            for note, b, d, u in zip(notes, stacks, delta, controls):
-                note.update(_step_norms(b, d, u))
+            for note, difference in zip(notes, _step_norm_differences(blocks, delta, controls)):
+                note["max_step_norm_difference"] = difference
         for i, solution in zip(batch, solved):
             solutions[i] = solution
     return solutions
 
 
-def _step_norms(powers: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> dict:
-    """Paper-mode diagnostics of one VAR gap: the printed per-step norm
-    formula beside the exact norms of the controls."""
-    column_sums = powers.sum(axis=1)
-    column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
+def _step_norm_differences(blocks: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> list:
+    """Paper-mode diagnostics of a batch of VAR gaps, under the (m, k, k) or
+    (g, m, k, k) powers of A in ``blocks``: per gap, the largest difference
+    between the printed norm formula for step j, ||delta|| / sum_i
+    ||1^T A^i||^2 * (the sum of the entries of A^(m-1-j)), and ||u_j||."""
+    column_sum_square = np.cumsum(np.sum(blocks.sum(axis=-2) ** 2, axis=-1), axis=-1)[..., -1]
     with np.errstate(over="ignore", invalid="ignore"):
-        length = float(np.linalg.norm(delta))
-        if not np.isfinite(length):
-            # the squares of an offset beyond ~1e154 overflow before its length does
-            peak = float(np.abs(delta).max())
-            length = peak * float(np.linalg.norm(delta / peak))
+        length, peak = row_norms(delta), np.abs(delta).max(axis=1)
+        # the squares of an offset beyond ~1e154 overflow before its length does
+        length = np.where(np.isfinite(length), length, peak * row_norms(delta / peak[:, None]))
         scale = length / column_sum_square
-        exact = np.linalg.norm(controls, axis=1)
-    if not (np.isfinite(scale) and np.isfinite(exact).all()):
+        exact = np.linalg.norm(controls, axis=-1)
+    if not (np.isfinite(scale).all() and np.isfinite(exact).all()):
         raise _norm_overflow()
-    return {
-        "step_norm_formula": (scale * powers[::-1].sum(axis=(1, 2))).tolist(),
-        "step_norm_exact": exact.tolist(),
-    }
+    formula = scale[:, None] * blocks.sum(axis=(-2, -1))[..., ::-1]
+    return np.abs(formula - exact).max(axis=1).tolist()
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fitting import ArModel, RegModel, VarModel
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 _NUMBER_TYPES = frozenset((int, float))

@@ -30,12 +30,19 @@ class _Echo:
         return line[:-2]
 
 
+def check_delimiter(delimiter: str) -> str:
+    """``delimiter``; ValueError for '"', which quotes cells, or a line break, which ends rows."""
+    if delimiter in ('"', "\n", "\r"):
+        raise ValueError(f"delimiter may not be {delimiter!r}: the output would not read back")
+    return delimiter
+
+
 def _line_writer(delimiter: str):
     """``writerow`` of a ``csv.writer`` that returns each row as its line,
     without the line break. The row is written with a carriage return and a
     line feed as its terminator, so every cell that holds either is quoted
     and ``csv.reader`` reads the line back as exactly this row."""
-    return csv.writer(_Echo(), delimiter=delimiter, lineterminator="\r\n").writerow
+    return csv.writer(_Echo(), delimiter=check_delimiter(delimiter), lineterminator="\r\n").writerow
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class Series:
     header: tuple[str, ...]
     lines: tuple[str, ...]
     value_columns: tuple[int, ...]
-    na_markers: tuple[str, ...] = DEFAULT_NA_MARKERS
     delimiter: str = ","
 
     def __post_init__(self):
@@ -127,8 +133,7 @@ class Series:
         else:
             header = tuple(f"v{i + 1}" for i in range(dim))
         return cls(data=data, missing=[v is None for v in observed], header=header,
-                   lines=tuple(lines), value_columns=tuple(range(dim)), na_markers=(na_marker,),
-                   delimiter=delimiter)
+                   lines=tuple(lines), value_columns=tuple(range(dim)), delimiter=delimiter)
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,7 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     if not header:
         raise DataError("blank header row: the first line has no column names")
     blocks = _split_blocks(lines, delimiter, ncol) if plain else _reader_blocks(reader, lines, render, ncol)
-    markers = tuple(na_markers)
-    absent = frozenset(("",) + markers)
+    absent = frozenset(("", *na_markers))
     try:
         cols, pending = _select_columns(header, value_columns), None
     except DataError as exc:
@@ -221,7 +225,7 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     missing = np.concatenate([m for _, m in parts])
     data[missing] = np.nan
     return Series(data=data, missing=missing, header=header, lines=tuple(lines[1:] if plain else lines),
-                  value_columns=cols, na_markers=markers, delimiter=delimiter)
+                  value_columns=cols, delimiter=delimiter)
 
 
 def _split_blocks(lines: list, delimiter: str, ncol: int):

@@ -55,7 +55,7 @@ class TestImputeCommand:
         assert lines[7] == "7,imputed"
         assert lines[8] == "8,observed"
         report = json.loads(report_path.read_text())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["gaps"][0]["oracle"]["certified"]
 
     def test_output_file(self, capsys, tmp_path, linear_csv):
@@ -301,8 +301,8 @@ class TestStreamedOutput:
             return recorders[-1]
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        # paper mode writes each VAR gap's step norms: a report over 1 MB
-        argv = ["impute", var_20k, "--model", "var", "--mode", "paper"]
+        # a refit per gap writes each gap's model: a report over 1 MB
+        argv = ["impute", var_20k, "--model", "var", "--refit-per-gap"]
         assert main(argv + ["--output", str(tmp_path / "o"), "--report", str(tmp_path / "r")]) == 0
         csv_writes, report_writes = recorders
         monkeypatch.setattr(sys, "stdout", _Recorder())

@@ -69,6 +69,35 @@ def loop_fill_var(model: VarModel, seed, controls) -> np.ndarray:
     return values
 
 
+def step_norms_per_gap(powers: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> dict:
+    """Reference: paper-mode diagnostics of one VAR gap as they were once
+    written, the printed per-step norm formula beside the exact norms of the
+    controls. ``max_step_norm_difference`` must be the largest difference of
+    the two lists, bit for bit."""
+    column_sums = powers.sum(axis=1)
+    column_sum_square = float(np.cumsum(np.sum(column_sums**2, axis=1))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = float(np.linalg.norm(delta))
+        if not np.isfinite(length):
+            peak = float(np.abs(delta).max())
+            length = peak * float(np.linalg.norm(delta / peak))
+        scale = length / column_sum_square
+        exact = np.linalg.norm(controls, axis=1)
+    assert np.isfinite(scale) and np.isfinite(exact).all()
+    return {
+        "step_norm_formula": (scale * powers[::-1].sum(axis=(1, 2))).tolist(),
+        "step_norm_exact": exact.tolist(),
+    }
+
+
+def largest_step_norm_difference(model: VarModel, solution, anchor) -> float:
+    """``step_norms_per_gap``'s largest difference for one solved gap."""
+    powers = mat_pow_table(model.A, len(solution.control_indices) - 1)
+    delta = np.asarray(anchor, dtype=float) - solution.predicted[-1]
+    norms = step_norms_per_gap(powers, delta, solution.controls)
+    return max(abs(f - e) for f, e in zip(norms["step_norm_formula"], norms["step_norm_exact"]))
+
+
 def simulated_endpoint_effect(coeffs, steps, kick):
     """Independent unit-kick simulation of the recursion for cross-checking weights."""
     p = len(coeffs)
@@ -428,14 +457,18 @@ class TestImputeGapVar:
         exact = impute_gap_var(model, gap, seed, anchor, mode="exact")
         printed = impute_gap_var(model, gap, seed, anchor, mode="paper")
         assert np.array_equal(exact.imputed, printed.imputed)
-        norms = printed.diagnostics["step_norm_exact"]
-        assert norms == [float(np.linalg.norm(u)) for u in printed.controls]
-        # reference: the printed formula evaluated step by step
+        norms = step_norms_per_gap(mat_pow_table(model.A, 2), anchor - printed.predicted[-1],
+                                   printed.controls)
+        assert norms["step_norm_exact"] == [float(np.linalg.norm(u)) for u in printed.controls]
+        # the printed formula evaluated step by step
         powers = [np.linalg.matrix_power(model.A, j) for j in range(3)]
         column_sum_square = sum(float(np.sum(q.sum(axis=0) ** 2)) for q in powers)
         scale = float(np.linalg.norm(anchor - exact.predicted[-1])) / column_sum_square
         expected = [scale * float(powers[2 - i].sum()) for i in range(3)]
-        np.testing.assert_allclose(printed.diagnostics["step_norm_formula"], expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(norms["step_norm_formula"], expected, rtol=1e-14, atol=0)
+        difference = max(abs(f - e) for f, e in zip(norms["step_norm_formula"], norms["step_norm_exact"]))
+        assert printed.diagnostics == {"max_step_norm_difference": difference}
+        assert difference > 0.01
 
     @pytest.mark.parametrize("a, seed, anchor", [
         ([[2.0]], [1.0], [1e160]),
@@ -451,8 +484,9 @@ class TestImputeGapVar:
         assert np.isfinite(exact.objective)
         assert exact.imputed.tobytes() == printed.imputed.tobytes()
         assert exact.controls.tobytes() == printed.controls.tobytes()
-        for key in ("step_norm_formula", "step_norm_exact"):
-            assert np.isfinite(printed.diagnostics[key]).all()
+        difference = printed.diagnostics["max_step_norm_difference"]
+        assert np.isfinite(difference)
+        assert difference == largest_step_norm_difference(model, printed, anchor)
 
     def test_zero_offset_keeps_forecast(self):
         model = VarModel(A=[[0.3, 0.0], [0.0, 0.3]], b=[1.0, -1.0])
@@ -618,6 +652,58 @@ class TestImputeGaps:
                               ([explosive, unreachable], "impulse weight overflow")):
             with pytest.raises(NumericalError, match=message):
                 impute_gaps([model, model] if per_gap else model, gaps, seeds, [0.0, 0.0])
+
+
+class TestStepNormDifference:
+    """A paper-mode VAR gap's ``max_step_norm_difference``, taken for a
+    batch at once, is the largest difference of ``step_norms_per_gap``'s
+    two lists for that gap alone."""
+
+    @staticmethod
+    def check(models, gaps, starts, anchors):
+        solved = impute_gaps(models, gaps, starts, anchors, "paper")
+        for i, solution in enumerate(solved):
+            model = models[i] if isinstance(models, list) else models
+            difference = largest_step_norm_difference(model, solution, anchors[i])
+            assert solution.diagnostics == {"max_step_norm_difference": difference}
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), count=st.integers(1, 6),
+           per_gap=st.booleans(), diagonal=st.booleans(), huge=st.booleans())
+    def test_batch_matches_reference(self, seed, dim, count, per_gap, diagonal, huge):
+        # a huge run offsets some anchors by 1e160 under diagonal powers that
+        # grow past 1e8, so that the controls' squares and their sum stay finite
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(30, 41, count) if huge else rng.integers(1, 9, count)
+
+        def model():
+            if huge:
+                a = np.diag(rng.choice([-1.0, 1.0], dim) * rng.uniform(2.0, 3.0, dim))
+            else:
+                a = rng.uniform(-0.9, 0.9, (dim, dim))
+                a = np.diag(np.diag(a)) if diagonal else a
+            return VarModel(A=a, b=rng.uniform(-1, 1, dim))
+
+        models = [model() for _ in lengths] if per_gap else model()
+        gaps = [closed_gap(10 + 40 * i, int(length)) for i, length in enumerate(lengths)]
+        starts = [rng.uniform(-5, 5, dim) for _ in lengths]
+        anchors = [rng.uniform(-5, 5, dim) for _ in lengths]
+        if huge:
+            for anchor in anchors:
+                anchor[0] = rng.choice([-1e160, 1e160, 3.0])
+        self.check(models, gaps, starts, anchors)
+
+    @pytest.mark.parametrize("per_gap", [False, True])
+    @pytest.mark.parametrize("a, seed, anchor", [
+        ([[2.0]], [1.0], [1e160]),
+        ([[2.0, 0.0], [0.0, 0.5]], [1.0, 2.0], [1e160, 3.0]),
+    ], ids=["one_column", "diagonal"])
+    def test_offset_too_large_to_square(self, a, seed, anchor, per_gap):
+        # in one batch with a gap whose offset can be squared, under one model or two
+        model = VarModel(A=a, b=[0.0] * len(seed))
+        gaps = [closed_gap(2, 24), closed_gap(40, 24)]
+        anchors = [np.array(anchor), np.ones(len(seed))]
+        self.check([model, model] if per_gap else model, gaps, [seed, seed], anchors)
 
 
 class TestImputeGapRegression:

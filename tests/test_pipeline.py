@@ -67,7 +67,7 @@ class TestScalarPipeline:
         assert entry["seed_indices"] == [5, 5]
         assert entry["control_indices"] == [6, 8]
         report_dict = result.report.to_dict()
-        assert report_dict["schema_version"] == 3
+        assert report_dict["schema_version"] == 4
         assert report_dict["gap_count"] == 1
         assert report_dict["model"]["kind"] == "ar"
 
@@ -228,8 +228,12 @@ class TestVectorPipeline:
         printed = impute_series(series, ImputeOptions(model_kind="var", mode="paper"))
         for i in (11, 12, 15):
             assert np.array_equal(imputed_rows(exact)[i], imputed_rows(printed)[i])
-        assert "step_norm_formula" in printed.report.gaps[0]["diagnostics"]
-        assert printed.report.gaps[0]["oracle"]["certified"]
+        model = model_from_report(printed.report.model)
+        for entry in printed.report.gaps:
+            formula, exact = step_norms_from_report(entry, model, printed.filled)
+            difference = float(np.max(np.abs(formula - exact)))
+            assert entry["diagnostics"] == {"max_step_norm_difference": difference}
+            assert entry["oracle"]["certified"]
 
 
 class TestRegressionPipeline:
@@ -728,12 +732,28 @@ def controls_from_report(entry, model):
     return np.broadcast_to(lam, (m,) + lam.shape)
 
 
-class TestSchemaThreeGivesSchemaOne:
-    """Schema 2 drops each gap's forecast, fill and index lists, and schema 3
-    its controls and paper-mode weights; the report, the filled array,
-    ``predict_forward`` and the weight builders give them back bit for bit."""
+def step_norms_from_report(entry, model, filled):
+    """A paper-mode VAR gap's ``step_norm_formula`` and ``step_norm_exact``,
+    rebuilt from its entry, its model and the filled array as README
+    "Report schema" gives them: the offset delta of the anchor from the
+    forecast, and the norms of the controls rebuilt from the multiplier."""
+    first, last = entry["control_indices"]
+    m = last - first + 1
+    forecast = predict_forward(model, filled[entry["seed_indices"][1] - 1], m)
+    delta = np.array(entry["anchor_value"]) - forecast[-1]
+    powers = mat_pow_table(model.A, m - 1)
+    scale = np.linalg.norm(delta) / np.cumsum(np.sum(powers.sum(axis=1) ** 2, axis=1))[-1]
+    formula = scale * powers[::-1].sum(axis=(1, 2))
+    return formula, np.linalg.norm(controls_from_report(entry, model), axis=1)
 
-    # 200 examples, not 60, so that paper-mode AR(2-3) gaps are drawn
+
+class TestSchemaFourGivesSchemaOne:
+    """Schema 2 drops each gap's forecast, fill and index lists, schema 3
+    its controls and paper-mode AR weights, and schema 4 its paper-mode VAR
+    step norms; the report, the filled array, ``predict_forward`` and the
+    weight builders give them back bit for bit."""
+
+    # 200 examples, not 60, so that paper-mode AR(2-3) and VAR gaps are drawn
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
     def test_dropped_fields_are_recovered(self, run, refit):
@@ -751,7 +771,7 @@ class TestSchemaThreeGivesSchemaOne:
             except (DataError, NumericalError):
                 return
         report = json.loads(result.report.to_json())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert len(report["gaps"]) == len(solved)
         imputed = {}
         for entry, (segment, solution) in zip(report["gaps"], solved):
@@ -793,6 +813,12 @@ class TestSchemaThreeGivesSchemaOne:
                 printed, impulse = gamma_weights(model, count), impulse_weights(model, count)
                 difference = float(np.max(np.abs(printed - impulse)))
                 assert entry["diagnostics"] == {"max_weight_difference": difference}
+            if entry["mode"] == "paper" and options.model_kind == "var":
+                # and the step norms that schema 3 wrote in full
+                formula, exact = step_norms_from_report(entry, model, result.filled)
+                assert exact.tolist() == np.linalg.norm(solution.controls, axis=1).tolist()
+                difference = float(np.max(np.abs(formula - exact)))
+                assert entry["diagnostics"] == {"max_step_norm_difference": difference}
         assert list(imputed) == list(series.missing_indices)
         assert result.filled[series.missing].tobytes() == np.array(list(imputed.values())).tobytes()
 

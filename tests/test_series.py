@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -539,6 +540,25 @@ class TestWriteCsv:
             csv_blocks(s, np.ones((3, 1)))
         with pytest.raises(ValueError, match="precision"):
             csv_blocks(s, s.data, precision=18)
+
+
+class TestUnreadableDelimiters:
+    """'"' quotes cells and a line break ends rows, so no entry point takes
+    them as the delimiter; each raises with the wording of the CLI."""
+
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"], ids=["quote", "lf", "cr"])
+    def test_every_entry_point_rejects(self, delimiter):
+        message = re.escape(f"delimiter may not be {delimiter!r}: the output would not read back")
+        with pytest.raises(ValueError, match=message):
+            parse_csv("a\n1\nNA\n3\n", delimiter=delimiter)
+        with pytest.raises(ValueError, match=message):
+            Series.from_values([1.0, None, 3.0], delimiter=delimiter)
+        # a Series built field by field writes with its own delimiter
+        series = replace(parse_csv("a\n1\nNA\n3\n"), delimiter=delimiter)
+        with pytest.raises(ValueError, match=message):
+            write_csv(series, [[1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match=message):
+            list(csv_blocks(series, [[1.0], [2.0], [3.0]]))
 
 
 class TestSeriesConstruction:
