@@ -24,12 +24,13 @@ from .series import DEFAULT_NA_MARKERS, check_delimiter, csv_blocks, parse_csv
 
 
 def _read_input(path: str) -> str:
+    # "utf-8-sig" drops the byte-order mark that spreadsheets put before the header
     try:
         if path == "-":
             # decoded strictly whatever the locale, with the newlines a file gets
-            text = sys.stdin.buffer.read().decode("utf-8")
+            text = sys.stdin.buffer.read().decode("utf-8-sig")
             return text.replace("\r\n", "\n").replace("\r", "\n")
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None

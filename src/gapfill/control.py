@@ -16,7 +16,7 @@ is reported, and a VAR reports how far a printed per-step norm formula strays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +31,15 @@ MODES = ("exact", "paper")
 WEIGHT_OVERFLOW_LIMIT = 1e150
 
 
-@dataclass(frozen=True)
-class ControlSolution:
+class ControlSolution(NamedTuple):
     """Optimal controls, multiplier, and filled values for one gap.
 
     ``controls`` is chronological with one entry (scalar or vector) per
     control index. ``imputed`` holds the filled values of the gap's
     positions, and ``predicted`` the uncorrected forecast over every step
     from the gap start through the anchor index, so its last entry is what
-    the recursion would have reached with no correction.
+    the recursion would have reached with no correction. ``diagnostics`` holds
+    the mode's checks of the fill (empty for an exact autoregression or VAR).
     """
 
     control_indices: range
@@ -50,8 +50,8 @@ class ControlSolution:
     terminal_residual: float | None
     objective: float
     mode: str
-    constrained: bool = True
-    diagnostics: dict = field(default_factory=dict)
+    constrained: bool
+    diagnostics: dict
 
 
 def _check_mode(mode: str) -> None:
@@ -260,17 +260,8 @@ def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, ta
     if not finite.all():
         raise _fill_overflow(gaps[int(finite.argmin())])
     return [
-        ControlSolution(
-            control_indices=range(first, gap.anchor_index + 1),
-            controls=u,
-            multiplier=multiplier,
-            imputed=path[: gap.length],
-            predicted=forecast,
-            terminal_residual=residual,
-            objective=objective,
-            mode=mode,
-            diagnostics=notes,
-        )
+        ControlSolution(range(first, gap.anchor_index + 1), u, multiplier, path[: gap.length],
+                        forecast, residual, objective, mode, True, notes)
         for gap, first, u, multiplier, path, forecast, residual, objective, notes in zip(
             gaps, first_controls, controls, multipliers, paths, predicted, residuals.tolist(),
             objectives.tolist(), diagnostics)

@@ -354,8 +354,9 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         stacked = given.ndim == 2
         paths = given if stacked else given.reshape(1, -1)
     models = model if listed else [model] * len(paths)
-    if len(models) != len(paths) or not all(
-            isinstance(m, kind) and (kind is ArModel or m.A.shape == first.A.shape) for m in models):
+    # a shared model fits every path; only a list is checked path by path
+    if listed and (len(models) != len(paths) or not all(
+            isinstance(m, kind) and (kind is ArModel or m.A.shape == first.A.shape) for m in models)):
         raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a list of one per path")
 
     if kind is ArModel:

@@ -16,8 +16,8 @@ row, so the stationarity solve and the check are array operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class OracleResult:
     multiplier: np.ndarray
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     objective_gap: float
     constraint_residual: float
@@ -253,21 +252,14 @@ def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
     if u.ndim == 2:
         u = u[:, :, None]
     oracle = kkt_solve(problem)
-    return BatchVerdict(tuple(
-        Verdict(
-            passed=(feasible and math.isfinite(best)
-                    and abs(value - best) <= CERTIFY_TOLERANCE * (1.0 + abs(best))
-                    and miss <= CERTIFY_TOLERANCE * (1.0 + size)),
-            objective_gap=abs(value - best),
-            constraint_residual=miss,
-            objective_solution=value,
-            objective_oracle=best,
-        )
-        for feasible, best, miss, value, size in zip(
-            oracle.feasible.tolist(), oracle.objective.tolist(),
-            _misses(problem.steps, u, targets).tolist(), _sum_squares(u).tolist(),
-            row_norms(targets).tolist())
-    ))
+    best, values, misses = oracle.objective, _sum_squares(u), _misses(problem.steps, u, targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(values - best)
+        passed = (oracle.feasible & np.isfinite(best)
+                  & (gaps <= CERTIFY_TOLERANCE * (1.0 + np.abs(best)))
+                  & (misses <= CERTIFY_TOLERANCE * (1.0 + row_norms(targets))))
+    return BatchVerdict(tuple(map(Verdict._make, zip(
+        passed.tolist(), gaps.tolist(), misses.tolist(), values.tolist(), best.tolist()))))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ certification calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,7 +269,9 @@ def _certify_batch(options: ImputeOptions, model, batch, solutions) -> list:
             by_steps.setdefault(len(solution.control_indices), []).append(i)
     for steps, members in by_steps.items():
         # each anchor's offset from its forecast, one row per gap
-        offsets = [batch[i].anchor_value - solutions[i].predicted[-1] for i in members]
+        anchors = np.array([batch[i].anchor_value for i in members])
+        forecasts = np.array([solutions[i].predicted[-1] for i in members])
+        offsets = anchors - forecasts.reshape(anchors.shape)
         models = [model[i] for i in members] if isinstance(model, list) else model
         result = certify([solutions[i] for i in members], build_problem(models, steps, offsets))
         for i, verdict in zip(members, result.verdicts):
@@ -358,7 +360,7 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
-        solution = replace(solution, controls=bad)
+        solution = solution._replace(controls=bad)
     (verdict,) = _certify_batch(options, model, [segment], [solution])
     return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=segment,
                             solution=solution, verdict=verdict)

@@ -7,8 +7,11 @@ floats. Byte-identical inputs and options give byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -18,6 +21,8 @@ SCHEMA_VERSION = 4
 
 
 _NUMBER_TYPES = frozenset((int, float))
+# types whose equal values render alike, so a column of one value is a constant
+_LITERAL_TYPES = frozenset((bool, str, type(None)))
 
 # Items of a list are filled, and yielded, this many at a time, so that only
 # one chunk's number reprs and text exist at once.
@@ -36,10 +41,12 @@ def json_pieces(value):
     A numpy array in the tree is rendered as its ``tolist()``.
 
     With an indent, ``json`` encodes one value at a time in Python. Here
-    each item of a list (a gap's record, say) is cut into its plain ints and
-    floats and a ``%`` template of everything else, one template per shape
-    (``_shape``). The items are filled CHUNK at a time with one
-    ``map(repr)``, so each number costs only its repr.
+    the items of a list are rendered CHUNK at a time as one column
+    (``_column``): one ``%`` template that every item has, filled with the
+    texts of each item's slots. Dicts with one key order (the gaps' records)
+    are cut into one column per key, so the numbers of a column cost one
+    ``map(repr)``, and only the values that do not share their column's
+    shape are rendered alone (``_shape``).
     """
     yield from _render(value, "\n", {})
     yield "\n"
@@ -52,10 +59,10 @@ def _render(value, newline: str, templates: dict):
         inner = newline + "  "
         separator = "," + inner
         for start in range(0, len(value), CHUNK):
-            numbers = []
-            template = separator.join([_shape(item, inner, numbers, templates)
-                                       for item in value[start : start + CHUNK]])
-            yield (separator if start else "[" + inner) + _fill(template, numbers)
+            chunk = value[start : start + CHUNK]
+            template, texts = _column(chunk, inner, templates)
+            text = separator.join([template] * len(chunk)) % tuple(chain.from_iterable(texts or ()))
+            yield (separator if start else "[" + inner) + text
         yield newline + "]"
     elif isinstance(value, dict) and value:
         # walked, not templated: such a dict may hold a long list (the gaps)
@@ -67,8 +74,13 @@ def _render(value, newline: str, templates: dict):
             separator = "," + inner
         yield newline + "}"
     else:
-        numbers = []
-        yield _fill(_shape(value, newline, numbers, templates), numbers)
+        yield _alone(value, newline, templates)
+
+
+def _alone(value, newline: str, templates: dict) -> str:
+    """The text of ``value`` rendered at ``newline`` (``_shape`` filled)."""
+    numbers = []
+    return _fill(_shape(value, newline, numbers, templates), numbers)
 
 
 def _shape(value, newline: str, numbers: list, templates: dict) -> str:
@@ -98,12 +110,7 @@ def _shape(value, newline: str, numbers: list, templates: dict) -> str:
                 members.append("%s")
             else:
                 members.append(_shape(item, inner, numbers, templates))
-        key = (newline, *value, *members)
-        if key not in templates:
-            pieces = [encode_basestring_ascii(name).replace("%", "%%") + ": " + member
-                      for name, member in zip(value, members)]
-            templates[key] = "{" + inner + ("," + inner).join(pieces) + newline + "}"
-        return templates[key]
+        return _dict_template(newline, value, members, templates)
     if kind is np.ndarray:
         if value.dtype == np.float64 and value.ndim and value.size:
             numbers += value.ravel().tolist()
@@ -126,6 +133,72 @@ def _shape(value, newline: str, numbers: list, templates: dict) -> str:
     return literal.replace("%", "%%")
 
 
+def _dict_template(newline: str, keys, members: list, templates: dict) -> str:
+    """The template of a dict with ``keys`` whose values have the templates
+    ``members``, compiled once per run."""
+    key = (newline, *keys, *members)
+    if key not in templates:
+        inner = newline + "  "
+        pieces = [encode_basestring_ascii(name).replace("%", "%%") + ": " + member
+                  for name, member in zip(keys, members)]
+        templates[key] = "{" + inner + ("," + inner).join(pieces) + newline + "}"
+    return templates[key]
+
+
+def _columns(records, newline: str, templates: dict):
+    """The template that every one of the same-keyed dicts ``records`` has at
+    ``newline``, and per record the texts of its ``%s`` slots, in order (None
+    when it has none).
+
+    Each key's values are one column (``_column``).
+    """
+    inner = newline + "  "
+    members, columns = [], []
+    for column in zip(*map(dict.values, records)):
+        member, texts = _column(column, inner, templates)
+        members.append(member)
+        if texts is not None:
+            columns.append(texts)
+    texts = map(chain.from_iterable, zip(*columns)) if columns else None
+    return _dict_template(newline, records[0], members, templates), texts
+
+
+def _column(column, newline: str, templates: dict):
+    """The template that every value of ``column`` has at ``newline``, and
+    per value the texts of its slots, or None when the template holds them.
+
+    A column of one literal or of empty containers is written into the
+    template. Plain numbers, float arrays of one shape (one ``np.array``),
+    lists of numbers of one length and same-keyed dicts fill the slots of
+    one template. Any other column is one slot per value, the value rendered
+    alone.
+    """
+    kinds = {*map(type, column)}
+    if kinds <= _NUMBER_TYPES:
+        return "%s", zip(_reprs(column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if (kind in _LITERAL_TYPES and len({*column}) == 1
+            or kind in (dict, list, tuple) and not any(column)):
+        return _shape(column[0], newline, [], templates), None
+    if kind is dict and len({*map(tuple, column)}) == 1:
+        return _columns(column, newline, templates)
+    if kind is np.ndarray and len(specs := {*map(attrgetter("dtype", "shape"), column)}) == 1:
+        ((dtype, shape),) = specs
+        if dtype == np.float64 and shape and 0 not in shape:
+            flat = np.array(column).ravel().tolist()
+            return _numbers_template(newline, shape, templates), _rows(flat, shape)
+    if kind in (list, tuple) and len({*map(len, column)}) == 1:
+        flat, shape = list(chain.from_iterable(column)), (len(column[0]),)
+        if {*map(type, flat)} <= _NUMBER_TYPES:
+            return _numbers_template(newline, shape, templates), _rows(flat, shape)
+    return "%s", [(_alone(value, newline, templates),) for value in column]
+
+
+def _rows(numbers: list, shape: tuple):
+    """The texts of ``numbers``, grouped into one tuple per value of ``shape``."""
+    return zip(*[iter(_reprs(numbers))] * math.prod(shape))
+
+
 def _numbers_template(newline: str, shape: tuple, templates: dict) -> str:
     """The template of a list of ``shape[0]`` numbers, or of lists of the
     remaining shape, compiled once per run."""
@@ -138,11 +211,15 @@ def _numbers_template(newline: str, shape: tuple, templates: dict) -> str:
 
 
 def _fill(template: str, numbers: list) -> str:
-    """``template`` filled with the reprs of ``numbers``, non-finite ones spelled as json does."""
-    if not numbers:
-        return template % ()
+    """``template`` filled with the texts of ``numbers``."""
+    return template % tuple(_reprs(numbers)) if numbers else template % ()
+
+
+def _reprs(numbers) -> list:
+    """The json texts of the plain ints and floats ``numbers`` (at least
+    one), their reprs with the non-finite ones spelled as json does."""
     # a repr holds no comma
-    return template % tuple(_spell_nonfinite(",".join(map(repr, numbers))).split(","))
+    return _spell_nonfinite(",".join(map(repr, numbers))).split(",")
 
 
 def _spell_nonfinite(numbers: str) -> str:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import not_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,8 +136,7 @@ class Series:
                    lines=tuple(lines), value_columns=tuple(range(dim)), delimiter=delimiter)
 
 
-@dataclass(frozen=True)
-class GapSegment:
+class GapSegment(NamedTuple):
     """One maximal run of missing positions with its seed window and anchor.
 
     ``seed_indices`` are the positions feeding the recursion into the gap; they
@@ -362,13 +361,8 @@ def detect_gaps(series: Series, order: int = 1,
         else:
             anchor_index = gap_end + 1
             anchor_value = series.data[gap_end]
-        segments.append(GapSegment(
-            gap_start=gap_start,
-            gap_end=gap_end,
-            seed_indices=tuple(range(gap_start - order, gap_start)),
-            anchor_index=anchor_index,
-            anchor_value=anchor_value,
-        ))
+        segments.append(GapSegment(gap_start, gap_end, tuple(range(gap_start - order, gap_start)),
+                                   anchor_index, anchor_value))
     return series.prefix_length, segments
 
 

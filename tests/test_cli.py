@@ -663,6 +663,22 @@ class TestErrorContract:
             assert (code, out) == (3, "")
             assert err == "error: cannot read -: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, capsys, tmp_path, monkeypatch, source):
+        # spreadsheets that save "CSV UTF-8" put a byte-order mark before the header
+        data = "\ufeffx\n1\n2\n3\n4\n5\nNA\n3\n".encode("utf-8")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        outputs = []
+        for columns in (["--columns", "x"], []):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                               errors="surrogateescape"))
+            code, out, err = run(capsys, "impute", str(path) if source == "file" else "-", *columns)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("x,origin\n") and outputs[0].count("imputed") == 1
+
     @pytest.mark.parametrize("quoted", [False, True])
     def test_overlong_cell_is_data_error(self, capsys, tmp_path, quoted):
         # over csv.reader's field limit of 131072 characters, in a non-value column

@@ -384,14 +384,14 @@ class TestCertify:
         solution, problem = self.make_solved_instance()
         bad = np.array(solution.controls)
         bad[0] += 0.01
-        perturbed = dataclasses.replace(solution, controls=bad)
+        perturbed = solution._replace(controls=bad)
         verdict = certify([perturbed], problem).verdicts[0]
         assert not verdict.passed
 
     def test_fails_on_cheaper_infeasible_controls(self):
         # all-zero controls undercut the optimum but break the constraint
         solution, problem = self.make_solved_instance()
-        cheat = dataclasses.replace(solution, controls=np.zeros_like(solution.controls))
+        cheat = solution._replace(controls=np.zeros_like(solution.controls))
         verdict = certify([cheat], problem).verdicts[0]
         assert not verdict.passed
         assert verdict.constraint_residual > 1.0
@@ -431,7 +431,7 @@ class TestCertify:
 
     def test_control_count_mismatch(self):
         solution, problem = self.make_solved_instance()
-        short = dataclasses.replace(solution, controls=np.array(solution.controls[:-1]))
+        short = solution._replace(controls=np.array(solution.controls[:-1]))
         with pytest.raises(ValueError, match="control count"):
             certify([short], problem)
 
@@ -447,7 +447,7 @@ class TestCertify:
                      for gap in gaps]
         bad = np.array(solutions[1].controls)
         bad[0] += 0.01
-        solutions[1] = dataclasses.replace(solutions[1], controls=bad)
+        solutions[1] = solutions[1]._replace(controls=bad)
         offsets = [gap.anchor_value - s.predicted[-1] for gap, s in zip(gaps, solutions)]
         batch = certify(solutions, build_problem(model, 3, offsets))
         alone = tuple(certify([s], build_problem(model, 3, offset)).verdicts[0]
@@ -455,6 +455,23 @@ class TestCertify:
         assert batch.verdicts == alone
         assert [v.passed for v in batch.verdicts] == [True, False, True]
         assert not batch.passed
+
+    def test_per_gap_records_are_immutable(self):
+        # a gap's segment, solution and verdict are named tuples: no field can
+        # be assigned, and _replace returns a changed copy
+        series = Series.from_values([16.0, None, None, 0.0])
+        _, (segment,) = detect_gaps(series, 1)
+        solution, problem = self.make_solved_instance()
+        verdict = certify([solution], problem).verdicts[0]
+        for record, field, value in ((segment, "gap_start", 3), (solution, "objective", -1.0),
+                                     (verdict, "passed", not verdict.passed)):
+            before = tuple(record)
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+            changed = record._replace(**{field: value})
+            assert getattr(changed, field) == value
+            assert getattr(record, field) != value
+            assert all(a is b for a, b in zip(record, before, strict=True))
 
     @PROPERTY
     @given(kind=st.sampled_from(["ar", "var"]), size=st.integers(1, 3), length=st.integers(2, 6),
@@ -485,7 +502,7 @@ class TestCertify:
             if i == faulty:
                 bad = np.array(solution.controls)
                 bad[0] = bad[0] + 0.5
-                solution = dataclasses.replace(solution, controls=bad)
+                solution = solution._replace(controls=bad)
             models.append(model)
             solutions.append(solution)
             offsets.append(np.atleast_1d(anchor - solution.predicted[-1]))
@@ -496,8 +513,7 @@ class TestCertify:
         alone = [certify([s], build_problem(model, steps, offset)).verdicts[0]
                  for model, s, offset in zip(models, solutions, offsets)]
         for got, want in zip(batch.verdicts, alone):
-            assert (np.array(dataclasses.astuple(got)).tobytes()
-                    == np.array(dataclasses.astuple(want)).tobytes())
+            assert np.array(tuple(got)).tobytes() == np.array(tuple(want)).tobytes()
         assert [v.passed for v in batch.verdicts] == [i != faulty for i in range(gaps)]
         if shared:
             # the shared form keeps its one (m, k, k) stack and the same certificates

@@ -1,6 +1,8 @@
 import enum
 import json
 import math
+import random
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.pipeline import ImputeOptions, impute_series
-from gapfill.report import render_json
+from gapfill.report import CHUNK, _fill, _shape, render_json
 from gapfill.series import Series, parse_csv
 
 
@@ -27,6 +29,35 @@ def jsonable_by_element(value):
     if isinstance(value, (list, tuple)):
         return [jsonable_by_element(v) for v in value]
     return value
+
+
+def render_by_record_walk(value) -> str:
+    """Reference: the renderer that shaped each item of a list on its own
+    (``_shape``) and filled a chunk's numbers at once, before lists were
+    rendered a column at a time."""
+    def walk(value, newline, templates):
+        if isinstance(value, (list, tuple)) and value:
+            inner = newline + "  "
+            separator = "," + inner
+            for start in range(0, len(value), CHUNK):
+                numbers = []
+                template = separator.join([_shape(item, inner, numbers, templates)
+                                           for item in value[start : start + CHUNK]])
+                yield (separator if start else "[" + inner) + _fill(template, numbers)
+            yield newline + "]"
+        elif isinstance(value, dict) and value:
+            inner = newline + "  "
+            separator = "{" + inner
+            for key, item in value.items():
+                yield separator + encode_basestring_ascii(key) + ": "
+                yield from walk(item, inner, templates)
+                separator = "," + inner
+            yield newline + "}"
+        else:
+            numbers = []
+            yield _fill(_shape(value, newline, numbers, templates), numbers)
+
+    return "".join(walk(value, "\n", {})) + "\n"
 
 
 rng = np.random.default_rng(17)
@@ -74,6 +105,53 @@ trees = st.recursive(
 @given(tree=trees)
 def test_render_matches_json_dumps(tree):
     assert render_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def float_arrays(shape):
+    size = math.prod(shape)
+    return st.lists(st.floats() | st.sampled_from(NON_FINITE_AND_EDGE), min_size=size,
+                    max_size=size).map(lambda values: np.array(values).reshape(shape))
+
+
+shapes = st.sampled_from([(1,), (3,), (2, 2), (2, 1), (0,), (2, 0)])
+oracles = st.fixed_dictionaries({"certified": st.booleans(), "objective_gap": numbers,
+                                 "%s margin": st.floats()})
+# each column draws a pool of one to three values, and each record takes one
+# of them: a pool of one value is a constant column, a pool of mixed types or
+# shapes an irregular one
+pools = st.one_of(
+    st.lists(numbers, min_size=1, max_size=3),  # ints and floats, NaN and +-inf
+    st.lists(st.booleans(), min_size=1, max_size=2),  # true against false
+    st.lists(texts, min_size=1, max_size=3),  # % in strings
+    shapes.flatmap(lambda shape: st.lists(float_arrays(shape), min_size=1, max_size=3)),
+    st.lists(shapes.flatmap(float_arrays), min_size=2, max_size=3),  # shapes that differ
+    st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(number_lists, min_size=1, max_size=3),  # lengths that differ, bools among numbers
+    st.lists(oracles | st.none(), min_size=1, max_size=3),  # an open gap's null oracle
+    st.lists(st.floats().map(np.float64) | st.sampled_from(list(Level)), min_size=1, max_size=3),
+    st.lists(st.sampled_from([{}, [], (), {"note": "100%"}]), min_size=1, max_size=3),
+    st.lists(leaves | number_tables, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def same_keyed_records(draw):
+    """A list of dicts with one key order, longer than a chunk, whose
+    columns are sometimes constant, sometimes regular, sometimes irregular."""
+    keys = draw(st.lists(texts, min_size=1, max_size=6, unique=True))
+    columns = [draw(pools) for _ in keys]
+    picks = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [{key: picks.choice(pool) for key, pool in zip(keys, columns)}
+            for _ in range(draw(st.integers(CHUNK + 1, 3 * CHUNK)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(records=same_keyed_records())
+def test_record_columns_match_json_dumps(records):
+    tree = {"gaps": records, "gap_count": len(records)}
+    want = json.dumps(jsonable_by_element(tree), indent=2) + "\n"
+    assert render_json(tree) == want
+    assert render_by_record_walk(tree) == want
 
 
 @pytest.mark.parametrize("value", [
