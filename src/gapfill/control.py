@@ -9,9 +9,14 @@ G = sum_j (C F^j B)(C F^j B)^T (Kailath, Linear Systems, 1980). ``_blocks``
 gives C F^j B: the impulse weights of an AR (its companion matrix with
 B = C^T = e_1), the powers of a VAR's A (B = C = I), and identities for a
 regression (F = I, so lambda = delta / m is a uniform correction).
-``impute_gaps`` solves every model with that one kernel. In ``paper`` mode
-an AR's controls follow a printed recurrence kept for comparison, whose miss
-is reported, and a VAR reports how far a printed per-step norm formula strays.
+``impute_stacks`` solves a run of gaps of every model as one stack sorted
+by control count m: one table of blocks and Gram sums, read at each m; one
+``_lagrange`` solve (one SPD solve); one forecast and one corrected roll.
+Only the products with the blocks, the objectives and a regression's
+forecast run per run of equal m, because their bits depend on the length.
+In ``paper`` mode an AR's controls follow a printed recurrence kept for
+comparison, whose miss is reported, and a VAR reports how far a printed
+per-step norm formula strays.
 """
 
 from __future__ import annotations
@@ -21,14 +26,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fitting import ArModel, RegModel, VarModel, predict_forward, roll_ar
-from .linalg import mat_pow_table, row_norms, solve_spd
+from .fitting import ArModel, RegModel, VarModel, predict_forward
+from .linalg import equal_runs, mat_pow_table, row_norms, solve_spd, split_runs
+from .weights import (
+    WEIGHT_OVERFLOW_LIMIT,
+    checked_weights,
+    gamma_weights,
+    impulse_response,
+    impulse_weights,  # not called here; one of this module's public names
+    norm_overflow,
+    step_norm_differences,
+)
 
 MODES = ("exact", "paper")
 
-# Weight recurrences abort once any entry passes this magnitude; squared sums
-# would otherwise overflow float64.
-WEIGHT_OVERFLOW_LIMIT = 1e150
+# A stack of gaps is padded to its longest, so it takes shorter gaps only
+# while that at most doubles its steps, plus this many (see ``_stacks``).
+PAD_SLACK = 4096
 
 
 class ControlSolution(NamedTuple):
@@ -59,82 +73,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
 
 
-def _check_magnitude(value: float, step: int, what: str) -> None:
-    if abs(value) > WEIGHT_OVERFLOW_LIMIT:
-        raise NumericalError(
-            f"{what} overflow at step {step}: magnitude exceeds 1e150 "
-            f"(explosive coefficients over a long horizon)"
-        )
-
-
-def _impulse_response(models: list, length: int) -> np.ndarray:
-    """The unchecked (g, length) ``impulse_weights`` of each of ``models``:
-    an explosive recursion overflows silently to inf. The weights are
-    ``roll_ar`` paths with a zero intercept from the seeds 0, ..., 0, 1, so
-    they carry the bits of ``predict_forward``'s recursion."""
-    seeds = [[0.0] * (m.p - 1) + [1.0] for m in models]
-    rolled = roll_ar([m.a for m in models], [0.0] * len(models), seeds, length - 1)
-    return np.column_stack([np.ones(len(models)), rolled])
-
-
-def _checked_weights(w: np.ndarray) -> np.ndarray:
-    beyond = np.flatnonzero(np.abs(w) > WEIGHT_OVERFLOW_LIMIT)
-    if beyond.size:
-        _check_magnitude(w[beyond[0]], int(beyond[0]), "impulse weight")
-    return w
-
-
-def impulse_weights(model: ArModel, length: int) -> np.ndarray:
-    """Impulse response of the fitted recursion, most recent step first.
-
-    ``w[j]`` is the effect on the endpoint of a unit control applied j steps
-    before it: w_0 = 1 and w_j = sum_i a_i w_{j-i} over the available lags,
-    which is the intercept-free recursion rolled from the seeds 0, ..., 0, 1.
-    The response is prefix-stable: its first m entries are the bits of the
-    length-m response. A weight past 1e150 raises NumericalError.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return _checked_weights(_impulse_response([model], length)[0])
-
-
-def gamma_weights(model: ArModel, length: int) -> np.ndarray:
-    """Printed-recurrence weights used by ``paper`` mode, most recent step first.
-
-    For order 1 these are plain powers of the lag coefficient and coincide
-    with ``impulse_weights``. For order >= 2 each weight sums p running
-    components: component k starts with a unit entry at step k-1, then follows
-    a_k times the whole weight k steps back, and the highest-lag component
-    additionally receives a constant unit feed. The result equals the running
-    sums of the impulse weights, so beyond order 1 a path corrected with these
-    weights generally misses the endpoint; callers report the residual.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    p = model.p
-    if p == 1:
-        g = np.empty(length)
-        g[0] = 1.0
-        for j in range(1, length):
-            g[j] = model.a[0] * g[j - 1]
-            _check_magnitude(g[j], j, "weight")
-        return g
-
-    alpha = np.zeros((length, p))
-    gamma = np.empty(length)
-    for k in range(1, p + 1):
-        if k - 1 < length:
-            alpha[k - 1, k - 1] = 1.0
-    gamma[0] = alpha[0].sum()
-    for n in range(1, length):
-        for k in range(1, p + 1):
-            if n >= k:
-                alpha[n, k - 1] = model.a[k - 1] * gamma[n - k] + (1.0 if k == p else 0.0)
-        gamma[n] = alpha[n].sum()
-        _check_magnitude(gamma[n], n, "weight")
-    return gamma
-
-
 def _fill_overflow(gap) -> NumericalError:
     return NumericalError(
         f"fill overflow in the gap at index {gap.gap_start}: the filled values, the summed "
@@ -143,24 +81,17 @@ def _fill_overflow(gap) -> NumericalError:
     )
 
 
-def _norm_overflow() -> NumericalError:
-    return NumericalError(
-        "norm overflow: the anchor offset or the Lagrange solve's residual has no "
-        "finite length (values beyond ~1e154 cannot be squared in float64)"
-    )
-
-
-def _blocks(models: list, m: int) -> np.ndarray:
-    """The (g, m, k, k) blocks C F^j B, j = 0 .. m - 1, of each of ``models``,
-    built in one call, unchecked for overflow and prefix-stable: an AR's
-    impulse response, a VAR's powers of A, or a regression's identities
-    (F = I)."""
+def _blocks(models: list, counts: list) -> np.ndarray:
+    """The (g, M, k, k) blocks C F^j B, j < M = max(counts), of each of
+    ``models``, built in one call, unchecked for overflow and prefix-stable:
+    an AR's impulse response (to its own count, zero past it), a VAR's
+    powers of A, or a regression's identities (F = I)."""
     if isinstance(models[0], ArModel):
-        return _impulse_response(models, m).reshape(len(models), m, 1, 1)
+        return impulse_response(models, counts)[:, :, None, None]
     if isinstance(models[0], VarModel):
-        return mat_pow_table(np.array([each.A for each in models]), m - 1)
+        return mat_pow_table(np.array([each.A for each in models]), max(counts) - 1)
     k = models[0].n_outputs
-    return np.broadcast_to(np.eye(k), (len(models), m, k, k))
+    return np.broadcast_to(np.eye(k), (len(models), max(counts), k, k))
 
 
 def _gram_sums(blocks: np.ndarray) -> np.ndarray:
@@ -169,6 +100,16 @@ def _gram_sums(blocks: np.ndarray) -> np.ndarray:
     additions), so the sum of the first m blocks has the bits of theirs alone."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.cumsum(np.matmul(blocks, np.swapaxes(blocks, -2, -1)), axis=-3)
+
+
+def _full(blocks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per gap of ``counts``, whether any of its own first blocks of the
+    (1, M, k, k) shared or (g, M, k, k) ``blocks`` is not diagonal."""
+    if blocks.shape[-1] == 1:
+        return np.zeros(len(counts), dtype=bool)
+    off = (blocks[..., ~np.eye(blocks.shape[-1], dtype=bool)] != 0).any(axis=-1)
+    return np.logical_or.accumulate(off, axis=1)[0 if len(blocks) == 1 else np.arange(len(counts)),
+                                                  counts - 1]
 
 
 def solve_controls(blocks, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +132,19 @@ def solve_controls(blocks, delta) -> tuple[np.ndarray, np.ndarray]:
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if d.shape[-1:] != (k,) or d.ndim > 2:
         raise ValueError(f"delta has shape {d.shape}, expected ({k},) or (g, {k})")
-    lam, controls = _lagrange(mats, _gram_sums(mats)[-1], d.reshape(-1, k))
-    return (lam, controls) if d.ndim == 2 else (lam[0], controls[0])
+    d = d.reshape(-1, k)
+    full = _full(mats[None], np.full(len(d), len(mats)))
+    lam = _lagrange(np.broadcast_to(_gram_sums(mats)[-1], (len(d), k, k)), d, full)
+    controls = _controls(lam, np.flip(mats, axis=0)[None], full)
+    return (lam, controls) if np.ndim(delta) == 2 else (lam[0], controls[0])
 
 
-def _lagrange(blocks: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The multipliers (g, k) and chronological controls (g, m, k) for the
-    (g, k) offsets ``delta``, under shared (m, k, k) ``blocks`` with Gram
-    matrix ``gram`` (k, k), or one (m, k, k) stack and Gram matrix per row."""
+def _lagrange(gram: np.ndarray, delta: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """The (g, k) multipliers of the (g, k) offsets ``delta`` under their
+    (g, k, k) Gram matrices: a plain division per output where a gap's
+    blocks are all diagonal (a Cholesky solve would give delta / sqrt(G) /
+    sqrt(G)), and one SPD solve of the gaps marked ``full``, each of which
+    must meet its offset to 1e-8 (1 + ||delta||)."""
     # a non-finite block puts inf or nan on the diagonal of G
     if not np.isfinite(gram).all():
         raise NumericalError(
@@ -211,61 +157,73 @@ def _lagrange(blocks: np.ndarray, gram: np.ndarray, delta: np.ndarray) -> tuple[
             "forecast overflow: the offset to the anchor is not finite "
             "(explosive coefficients or huge values over a long horizon)"
         )
-    # chronological: the first control is applied m - 1 steps before the endpoint
-    steps = np.flip(blocks, axis=-3)
-    if not np.count_nonzero(steps[..., ~np.eye(delta.shape[1], dtype=bool)]):
-        # diagonal blocks (one output, or a regression's identities) make one
-        # problem per output, each a plain division: a Cholesky solve would give
-        # delta / sqrt(G) / sqrt(G), and a product keeps the sign of a zero
-        # control, which matmul does not
-        lam = delta / np.diagonal(gram, axis1=-2, axis2=-1)
-        return lam, lam[:, None, :] * np.diagonal(steps, axis1=-2, axis2=-1)
-
-    solution = solve_spd(gram, delta)
-    lam = solution.x
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = row_norms(np.matmul(gram, lam[:, :, None])[:, :, 0] - delta)
-        offset = row_norms(delta)
-    if not (np.isfinite(residual).all() and np.isfinite(offset).all()):
-        raise _norm_overflow()
-    missed = ~(residual <= 1e-8 * (1.0 + offset))
-    if solution.fallback or missed.any():
-        raise NumericalError(
-            f"ill-conditioned control problem: the Lagrange solve misses the anchor "
-            f"offset by {residual[missed.argmax()]:.3g} (explosive transition matrix over a "
-            f"long horizon)"
-        )
-    return lam, np.matmul(lam[:, None, None, :], steps)[:, :, 0, :]
+    lam = delta / np.diagonal(gram, axis1=-2, axis2=-1)
+    if full.any():
+        gram, delta = gram[full], delta[full]
+        solution = solve_spd(gram, delta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = row_norms(np.matmul(gram, solution.x[:, :, None])[:, :, 0] - delta)
+            offset = row_norms(delta)
+        if not (np.isfinite(residual).all() and np.isfinite(offset).all()):
+            raise norm_overflow()
+        missed = ~(residual <= 1e-8 * (1.0 + offset))
+        if solution.fallback or missed.any():
+            raise NumericalError(
+                f"ill-conditioned control problem: the Lagrange solve misses the anchor "
+                f"offset by {residual[missed.argmax()]:.3g} (explosive transition matrix over a "
+                f"long horizon)"
+            )
+        lam[full] = solution.x
+    return lam
 
 
-def _solutions(gaps, first_controls, controls, multipliers, paths, predicted, targets,
+def _controls(lam: np.ndarray, steps: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """The (n, m, k) chronological controls u_j = steps_j^T lambda of (n, k)
+    multipliers, under (1, m, k, k) shared or (n, m, k, k) ``steps``: a
+    matmul for the gaps marked ``full``, and otherwise a product, which
+    keeps the sign of a zero control where matmul does not."""
+    if full.all():
+        return np.matmul(lam[:, None, None, :], steps)[:, :, 0, :]
+    product = lam[:, None, :] * np.diagonal(steps, axis1=-2, axis2=-1)
+    return (np.where(full[:, None, None], np.matmul(lam[:, None, None, :], steps)[:, :, 0, :], product)
+            if full.any() else product)
+
+
+def _solutions(gaps, counts, lag, controls, multipliers, imputed, ends, forecasts, targets,
                mode: str, diagnostics) -> list:
-    """The ControlSolutions of a stack of constrained fills, one per gap.
+    """The ControlSolutions of a stack of fills sorted by control count.
 
-    Row i of each argument belongs to ``gaps[i]``: its controls act from
-    ``first_controls[i]`` through the anchor, and ``paths[i]`` (corrected)
-    and ``predicted[i]`` run from the gap start through the anchor. The miss
-    of a (g,) ``targets`` row is its magnitude, of a (g, k) row its norm;
-    the objective is the sum of squared controls, each with the bits of that
-    fill alone. The stack is checked at once for overflow, which raises
-    NumericalError for the first such gap.
+    Gap i has ``counts[i]`` ``controls``, which act from ``lag`` steps after
+    its start, ``imputed`` values (its corrected path before the anchor),
+    and ``forecasts`` (its uncorrected path through the anchor), each one
+    row per step, one gap after another; a solution holds views of them.
+    ``ends`` holds each corrected path's value at the anchor. The miss of a
+    (g,) ``targets`` row is its magnitude, of a (g, k) row its norm; the
+    objective is the sum of squared controls, taken per run of equal counts
+    so that each has the bits of that fill alone. The stack is checked at
+    once for overflow, which raises NumericalError for the first such gap.
     """
-    g = len(gaps)
-    flat = np.ascontiguousarray(controls).reshape(g, -1)
+    # each path runs from the gap start through the anchor
+    g, runs, lengths = len(gaps), equal_runs(counts), counts + lag
+    us, paths = split_runs(controls, counts, runs), split_runs(imputed, lengths - 1, runs)
+    objectives = np.empty(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        objectives = np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]
-        miss = paths[:, -1].reshape(targets.shape) - targets
+        for (lo, hi, _), u in zip(runs, us):
+            u = u.reshape(hi - lo, -1)
+            objectives[lo:hi] = np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+        miss = ends.reshape(targets.shape) - targets
         residuals = np.abs(miss) if miss.ndim == 1 else row_norms(miss)
-    finite = np.isfinite(objectives) & np.isfinite(residuals) & np.isfinite(paths.reshape(g, -1)).all(axis=1)
+    finite = np.isfinite(objectives) & np.isfinite(residuals) & np.isfinite(ends.reshape(g, -1)).all(axis=1)
+    finite &= np.concatenate([np.isfinite(path.reshape(len(path), -1)).all(axis=1) for path in paths])
     if not finite.all():
         raise _fill_overflow(gaps[int(finite.argmin())])
-    return [
-        ControlSolution(range(first, gap.anchor_index + 1), u, multiplier, path[: gap.length],
-                        forecast, residual, objective, mode, True, notes)
-        for gap, first, u, multiplier, path, forecast, residual, objective, notes in zip(
-            gaps, first_controls, controls, multipliers, paths, predicted, residuals.tolist(),
-            objectives.tolist(), diagnostics)
-    ]
+    residuals, objectives, solutions = residuals.tolist(), objectives.tolist(), []
+    for (lo, hi, _), u, path, forecast in zip(runs, us, paths, split_runs(forecasts, lengths, runs)):
+        n = hi - lo
+        indices = [range(gap.gap_start + lag, gap.anchor_index + 1) for gap in gaps[lo:hi]]
+        solutions += map(ControlSolution, indices, u, multipliers[lo:hi], path, forecast, residuals[lo:hi],
+                         objectives[lo:hi], [mode] * n, [True] * n, diagnostics[lo:hi])
+    return solutions
 
 
 def _inputs(model, gaps, starts, anchors):
@@ -300,6 +258,36 @@ def _inputs(model, gaps, starts, anchors):
     return seeds, targets
 
 
+class GapStack(NamedTuple):
+    """Gaps solved as one stack, sorted by control count: gap ``index[i]``
+    of the call, with ``counts[i]`` chronological controls and its anchor's
+    (g, k) ``offsets`` from the forecast. ``controls`` and ``imputed`` (the
+    filled values at the 1-based ``indices``) hold one row per step, one
+    gap after another."""
+
+    index: list
+    counts: np.ndarray
+    controls: np.ndarray
+    offsets: np.ndarray
+    imputed: np.ndarray
+    indices: np.ndarray
+
+
+def _stacks(counts: np.ndarray) -> list:
+    """Cut the ascending ``counts`` into stacks, (lo, hi) each: from the
+    longest down, a stack takes shorter gaps while padding them to its
+    longest at most doubles its steps, plus PAD_SLACK."""
+    sums, cuts, hi = np.concatenate(([0], np.cumsum(counts))), [], len(counts)
+    if hi * counts[-1] <= 2 * sums[-1] + PAD_SLACK:
+        return [(0, hi)]
+    while hi:
+        lo = np.arange(hi)
+        over = np.flatnonzero((hi - lo) * counts[hi - 1] > 2 * (sums[hi] - sums[lo]) + PAD_SLACK)
+        cuts.append((int(over[-1]) + 1 if over.size else 0, hi))
+        hi = cuts[-1][0]
+    return cuts[::-1]
+
+
 def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     """Fill constrained gaps so each path ends at its anchor; one
     ControlSolution per gap, in order.
@@ -310,35 +298,39 @@ def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     from the gap start through the anchor. ``anchors[i]`` is a scalar for an
     AR, a vector for a VAR, and per output (or a scalar) for a regression.
     Controls act on the last m steps: all but the first p - 1 of an AR(p).
-    Gaps with the same m share one ``_lagrange`` solve, and a shared model's
-    blocks and Gram sums are built once and sliced (both prefix-stable), so
-    each gap gets the bits it would get alone. A regression is exact in
-    either mode. The first failing gap's error is raised.
+    The gaps are solved as one stack (``impute_stacks``), and each gets the
+    bits it would get alone. A regression is exact in either mode. The
+    first failing gap's error is raised.
     """
+    return impute_stacks(model, gaps, starts, anchors, mode)[0]
+
+
+def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> tuple[list, list]:
+    """``impute_gaps``, and the GapStacks it solved them in: one, unless
+    padding would more than double it (``_stacks``). A failing stack is
+    solved again gap by gap, so the first failing gap's error is raised."""
     _check_mode(mode)
     if not all(gap.constrained for gap in gaps):
         raise ValueError("gap has no anchor; use the open-gap prediction path")
     if not gaps:
-        return []
+        return [], []
     try:
         return _impute(model, gaps, starts, anchors, mode)
     except NumericalError:
         if len(gaps) == 1:
             raise
         for i in range(len(gaps)):
-            impute_gaps(model[i] if isinstance(model, list) else model, gaps[i : i + 1],
-                        starts[i : i + 1], anchors[i : i + 1], mode)
+            impute_stacks(model[i] if isinstance(model, list) else model, gaps[i : i + 1],
+                          starts[i : i + 1], anchors[i : i + 1], mode)
         raise
 
 
-def _impute(model, gaps, starts, anchors, mode: str) -> list:
-    """``impute_gaps``, one control count at a time."""
+def _impute(model, gaps, starts, anchors, mode: str) -> tuple[list, list]:
+    """``impute_stacks`` without the gap-by-gap rerun."""
     shared = not isinstance(model, list)
     first = model if shared else model[0]
-    ar, regression = isinstance(first, ArModel), isinstance(first, RegModel)
     # an AR(p)'s first p - 1 gap values follow the uncorrected recursion
-    lag = first.p - 1 if ar else 0
-    scalar = ar or (regression and np.ndim(anchors[0]) == 0)
+    lag = first.p - 1 if isinstance(first, ArModel) else 0
     starts, targets = _inputs(first, gaps, starts, anchors)
     counts = np.array([gap.anchor_index - gap.gap_start + 1 - lag for gap in gaps])
     if counts.min() < 1:
@@ -346,85 +338,107 @@ def _impute(model, gaps, starts, anchors, mode: str) -> list:
             f"unreachable terminal constraint: order {lag + 1} leaves no control step "
             f"in a gap of length {gaps[int(np.argmax(counts < 1))].length}"
         )
-    if shared:
-        table = _blocks([model], int(counts.max()))[0]
-        grams = _gram_sums(table)
-
-    solutions = [None] * len(gaps)
-    # not np.unique, whose first call imports numpy.ma (half a megabyte)
-    for m in sorted(set(counts.tolist())):
-        batch = np.flatnonzero(counts == m).tolist()
-        g, members = len(batch), [gaps[i] for i in batch]
-        mine = model if shared else [model[i] for i in batch]
-        seeds = np.array([starts[i] for i in batch])
-        if shared:
-            blocks, gram = table[:m], grams[m - 1]
-        else:
-            blocks = _blocks(mine, m)
-            gram = _gram_sums(blocks)[:, -1]
-        if ar:
-            # one impulse response for a shared model, one per gap otherwise
-            impulse = blocks[..., 0, 0].reshape(-1, m)
-            if mode == "paper":
-                printed = np.array([gamma_weights(each, m) for each in ([model] if shared else mine)])
-                blocks = printed.reshape(blocks.shape)
-                gram = _gram_sums(blocks)[..., -1, :, :]
-            elif (np.abs(impulse) > WEIGHT_OVERFLOW_LIMIT).any():
-                for row in impulse:
-                    _checked_weights(row)
-
-        # a regression reads its start as covariate rows
-        predicted = predict_forward(mine, seeds, m + lag, covariates=seeds)
-        delta = (targets[batch] - predicted[:, -1]).reshape(g, -1)
-        if regression and not np.isfinite(delta).all():
-            # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
-            raise _fill_overflow(members[int(np.isfinite(delta).all(axis=1).argmin())])
-        lam, controls = _lagrange(blocks, gram, delta)
-        if regression:
-            values = predicted + np.cumsum(controls, axis=1)
-        else:
-            values = predict_forward(mine, seeds, m + lag, controls=controls[..., 0] if ar else controls)
-
-        notes = [{"correction_rule": "uniform"} if regression else {} for _ in batch]
-        if mode == "paper" and ar:
-            for row in impulse:
-                _checked_weights(row)
-            differences = np.broadcast_to(np.abs(printed - impulse).max(axis=1), g)
-            for note, difference in zip(notes, differences.tolist()):
-                note["max_weight_difference"] = difference
-        multipliers = lam
-        if scalar:
-            controls, multipliers = controls[..., 0], lam[:, 0].tolist()
-            if regression:
-                values, predicted = values[..., 0], predicted[..., 0]
-        solved = _solutions(members, [gap.gap_start + lag for gap in members], controls, multipliers,
-                            values, predicted, targets[batch], "exact" if regression else mode, notes)
-        if mode == "paper" and not (ar or regression):
-            # after the fills' overflow check, so that an overflowing fill
-            # fails with the same message in both modes
-            for note, difference in zip(notes, _step_norm_differences(blocks, delta, controls)):
-                note["max_step_norm_difference"] = difference
-        for i, solution in zip(batch, solved):
+    # an AR, or a regression of one output given scalar anchors
+    scalar = isinstance(first, ArModel) or np.ndim(anchors[0]) == 0
+    order = np.argsort(counts, kind="stable")
+    solutions, stacks = [None] * len(gaps), []
+    for lo, hi in _stacks(counts[order]):
+        index = order[lo:hi].tolist()
+        mine = starts[index] if isinstance(starts, np.ndarray) else [starts[i] for i in index]
+        solved, stack = _stack(model if shared else [model[i] for i in index], [gaps[i] for i in index],
+                               mine, targets[index], counts[index], lag, mode, scalar)
+        for i, solution in zip(index, solved):
             solutions[i] = solution
-    return solutions
+        stacks.append(stack._replace(index=index))
+    return solutions, stacks
 
 
-def _step_norm_differences(blocks: np.ndarray, delta: np.ndarray, controls: np.ndarray) -> list:
-    """Paper-mode diagnostics of a batch of VAR gaps, under the (m, k, k) or
-    (g, m, k, k) powers of A in ``blocks``: per gap, the largest difference
-    between the printed norm formula for step j, ||delta|| / sum_i
-    ||1^T A^i||^2 * (the sum of the entries of A^(m-1-j)), and ||u_j||."""
-    column_sum_square = np.cumsum(np.sum(blocks.sum(axis=-2) ** 2, axis=-1), axis=-1)[..., -1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        length, peak = row_norms(delta), np.abs(delta).max(axis=1)
-        # the squares of an offset beyond ~1e154 overflow before its length does
-        length = np.where(np.isfinite(length), length, peak * row_norms(delta / peak[:, None]))
-        scale = length / column_sum_square
-        exact = np.linalg.norm(controls, axis=-1)
-    if not (np.isfinite(scale).all() and np.isfinite(exact).all()):
-        raise _norm_overflow()
-    formula = scale[:, None] * blocks.sum(axis=(-2, -1))[..., ::-1]
-    return np.abs(formula - exact).max(axis=1).tolist()
+def _stack(model, gaps, starts, targets, counts, lag: int, mode: str, scalar) -> tuple[list, GapStack]:
+    """``_impute`` of one stack sorted by control count m: one table of
+    blocks and prefix-stable Gram sums, read at each gap's own m; one
+    forecast roll and one corrected roll, a VAR's to the longest m with
+    each gap's controls zero past its own, an AR's each path to its own
+    end; and one ``_lagrange`` solve. What rounds differently at another
+    length runs per run of equal m, on slices of the stack: the products
+    with the blocks, the objectives and a regression's forecast."""
+    shared = not isinstance(model, list)
+    models = [model] if shared else model
+    ar, regression = isinstance(models[0], ArModel), isinstance(models[0], RegModel)
+    g, longest, runs = len(gaps), int(counts[-1]), equal_runs(counts)
+    # one table to the longest count for a shared model, one per gap otherwise
+    lengths = [longest] if shared else counts.tolist()
+    blocks = _blocks(models, lengths)
+    if ar:
+        impulse = blocks[..., 0, 0]
+        if mode == "paper":
+            printed = np.zeros(impulse.shape)
+            for row, each, n in zip(printed, models, lengths):
+                row[:n] = gamma_weights(each, n)
+            blocks = printed[..., None, None]
+        elif (np.abs(impulse) > WEIGHT_OVERFLOW_LIMIT).any():
+            for row in impulse:
+                checked_weights(row)
+    gram = _gram_sums(blocks)[0 if shared else np.arange(g), counts - 1]
+    full = _full(blocks, counts)
+
+    steps = (counts + lag).tolist() if ar else longest
+    if regression:
+        # a matmul over a gap's covariate rows, whose bits depend on the row count
+        predicted = np.zeros((g, longest, targets.shape[1]))
+        for lo, hi, m in runs:
+            rows = np.array(starts[lo:hi])
+            mine = model if shared else model[lo:hi]
+            predicted[lo:hi, :m] = predict_forward(mine, rows, m, covariates=rows)
+    else:
+        predicted = predict_forward(model, starts, steps)
+    delta = (targets - predicted[np.arange(g), counts + lag - 1].reshape(targets.shape)).reshape(g, -1)
+    if regression and not np.isfinite(delta).all():
+        # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
+        raise _fill_overflow(gaps[int(np.isfinite(delta).all(axis=1).argmin())])
+    # each gap's own values, one gap after another: a padded stack is dropped once it is read
+    forecasts = predicted[np.arange(predicted.shape[1]) < (counts + lag)[:, None]]
+    lam = _lagrange(gram, delta, full)
+    controls = np.zeros((g, longest, delta.shape[1]))
+    for lo, hi, m in runs:
+        part = blocks if shared else blocks[lo:hi]
+        controls[lo:hi, :m] = _controls(lam[lo:hi], np.flip(part[:, :m], axis=1), full[lo:hi])
+    if regression:
+        values = predicted + np.cumsum(controls, axis=1)
+    else:
+        values = predict_forward(model, starts, steps, controls=controls[..., 0] if ar else controls)
+    del predicted
+    controls = controls[np.arange(longest) < counts[:, None]]
+    positions = np.arange(values.shape[1])
+    fill = positions < (counts + lag - 1)[:, None]
+    imputed, ends = values[fill], values[np.arange(g), counts + lag - 1]
+    indices = (np.array([gap.gap_start for gap in gaps])[:, None] + positions)[fill]
+    del values
+
+    notes = [{"correction_rule": "uniform"} if regression else {} for _ in gaps]
+    if mode == "paper" and ar:
+        for row in impulse:
+            checked_weights(row)
+        for lo, hi, m in runs:
+            rows = slice(None) if shared else slice(lo, hi)
+            differences = np.abs(printed[rows, :m] - impulse[rows, :m]).max(axis=1)
+            for note, difference in zip(notes[lo:hi], np.broadcast_to(differences, hi - lo).tolist()):
+                note["max_weight_difference"] = difference
+    multipliers = lam
+    if scalar:
+        controls, multipliers = controls[..., 0], lam[:, 0].tolist()
+        if regression:
+            imputed, ends, forecasts = imputed[..., 0], ends[..., 0], forecasts[..., 0]
+    solved = _solutions(gaps, counts, lag, controls, multipliers, imputed, ends, forecasts, targets,
+                        "exact" if regression else mode, notes)
+    if mode == "paper" and not (ar or regression):
+        # after the fills' overflow check, so that an overflowing fill
+        # fails with the same message in both modes
+        for lo, hi, m in runs:
+            part, u = blocks[0] if shared else blocks[lo:hi], controls[counts[:lo].sum() :][: (hi - lo) * m]
+            for note, difference in zip(notes[lo:hi], step_norm_differences(
+                    part[..., :m, :, :], delta[lo:hi], u.reshape(hi - lo, m, -1))):
+                note["max_step_norm_difference"] = difference
+    return solved, GapStack(None, counts, controls, delta, imputed, indices)
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:

@@ -281,41 +281,48 @@ def _first_control(steps: int, controls: int) -> int:
     return steps - controls
 
 
-def roll_ar(lags, intercepts, seeds, steps: int, controls=None) -> np.ndarray:
-    """The autoregressive recursion of a stack of paths, ``steps`` steps on;
-    one row per path. This is the one AR recursion kernel.
+def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
+    """The autoregressive recursion of a stack of paths, ``steps`` steps on,
+    or steps[i] for path i given a list; one row per path, zero past its own
+    steps. This is the one AR recursion kernel.
 
     Path i starts from the chronological Python floats ``seeds[i]`` (at least
     as many as ``lags[i]`` has coefficients; fewer is a ValueError) and rolls
     x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2 x_{n-2}) + ..., summed
     left to right on Python floats, which every Python version rounds alike
-    (``sum`` of floats is compensated from 3.12). Row i of ``controls``, if
-    given, is added on the path's last steps. Each path pairs its
-    coefficients once with their lags' offsets from the path's end and rolls
-    its uncontrolled steps, then its controlled ones, with no per-step
-    branch. Python floats overflow silently to inf where numpy scalars would
-    warn.
+    (``sum`` of floats is compensated from 3.12). Row i of the (g, n)
+    ``controls``, if given, is added from step max(steps) - n of every path
+    until its end. Each path pairs its coefficients once with their lags'
+    offsets from the path's end and rolls its uncontrolled steps, then its
+    controlled ones, with no per-step branch. Python floats overflow
+    silently to inf where numpy scalars would warn.
     """
+    counts = steps if isinstance(steps, list) else [steps] * len(seeds)
+    width = max(counts, default=0)
+    first = _first_control(width, len(controls[0]) if controls else 0)
     rows = []
-    for i, (a, b, hist, u) in enumerate(
-            zip(lags, intercepts, seeds, controls or [()] * len(seeds))):
+    for i, (a, b, hist, u, count) in enumerate(
+            zip(lags, intercepts, seeds, controls or [()] * len(seeds), counts)):
         if len(hist) < len(a):
             raise ValueError(f"path {i} has {len(hist)} seeds for its order {len(a)}")
         path = list(hist)
         push = path.append
         terms = tuple(zip(a, range(-1, -len(a) - 1, -1)))  # (a_j, offset of x_{n-j})
-        for _ in range(_first_control(steps, len(u))):
+        for _ in range(first if first < count else count):
             s = 0.0
             for aj, j in terms:
                 s += aj * path[j]
             push(b + s)
-        for ut in u:
+        for ut in u if count == width else u[: max(count - first, 0)]:
             s = 0.0
             for aj, j in terms:
                 s += aj * path[j]
             push(b + s + ut)
-        rows.append(path[len(hist) :])
-    return np.array(rows, dtype=float).reshape(len(rows), steps)
+        row = path[len(hist) :]
+        if count < width:
+            row += [0.0] * (width - count)
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
@@ -330,10 +337,12 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
     controls (g, steps') give a (g, steps) AR result, seeds (g, k) and controls
     (g, steps', k) a (g, steps, k) VAR result, and covariates (g, rows, c) a
     (g, steps, k) regression result. The paths share one model or take a list
-    of one per path; a single path is a stack of one. An explosive model, or a
-    regression on huge covariates, lets the path overflow silently to inf.
+    of one per path; a single path is a stack of one. A stack of AR paths may
+    take a list of one count per path in ``steps``: each stops at its own
+    (see ``roll_ar``). An explosive model, or a regression on huge covariates,
+    lets the path overflow silently to inf.
     """
-    if steps < 0:
+    if (min(steps, default=0) if isinstance(steps, list) else steps) < 0:
         raise ValueError("steps must be >= 0")
     listed = isinstance(model, list)
     first = model[0] if listed and model else model
@@ -364,7 +373,6 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         if paths.shape[1] < order:
             raise DataError(f"need {order} seed values, got {paths.shape[1]}")
         u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1)
-        _first_control(steps, 0 if u is None else u.shape[1])
         # each path reads its model's trailing p seeds
         heads = [row[len(row) - m.p :] for row, m in zip(paths.tolist(), models)]
         out = roll_ar([m.a for m in models], [m.b for m in models], heads, steps,

@@ -40,6 +40,23 @@ def row_norms(rows) -> np.ndarray:
         return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
+def equal_runs(counts: np.ndarray) -> list:
+    """(lo, hi, m) of each run of equal values m in the sorted ``counts``."""
+    if counts[0] == counts[-1]:
+        return [(0, len(counts), int(counts[0]))]
+    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def split_runs(rows: np.ndarray, widths: np.ndarray, runs: list) -> list:
+    """Each run's (n, width, ...) view of ``rows``, which hold ``widths[i]``
+    rows for item i, one item after another; ``runs`` are ``equal_runs`` of
+    the items."""
+    bounds = [0, *np.cumsum(widths).tolist()]
+    return [rows[bounds[lo] : bounds[hi]].reshape((hi - lo, int(widths[lo])) + rows.shape[1:])
+            for lo, hi, _ in runs]
+
+
 def mat_pow_table(matrix, kmax: int) -> np.ndarray:
     """Return the (kmax + 1, k, k) stack I, A, A^2, ..., A^kmax; a (g, k, k) stack
     of matrices gives (g, kmax + 1, k, k), each table with the bits it has alone.

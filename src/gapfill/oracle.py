@@ -11,18 +11,22 @@ so m steps take O(log m) stacked products; each power has the same bits
 whatever the number of steps, so a longer table's last m steps are a shorter
 one. The verifier imports nothing from the solver, so no code is shared with
 the weight recurrences being checked. Problems come in stacks, one target per
-row, so the stationarity solve and the check are array operations.
+row, each with its own control count: a stack shares one power table to its
+longest count, takes one SPD solve, and only forms its Gram matrices, its
+attained endpoints and its summed squares per run of equal counts, whose
+bits would change at another length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .fitting import ArModel, RegModel, VarModel
-from .linalg import row_norms, solve_spd
+from .linalg import equal_runs, row_norms, solve_spd, split_runs
 from .series import Series
 
 # A stationarity solution whose constraint residual exceeds this (relative)
@@ -41,11 +45,14 @@ class ConstrainedProblem:
     ``target`` as a (g, k) stack of g problems, one per row, that are solved
     and certified together: one offset is a stack of one. A sequence of
     scalars becomes 1x1 matrices. The problems share the steps, or, given as
-    a (g, m, k, k) array, problem j has its own steps[j].
+    a (g, m, k, k) array, problem j has its own steps[j]. ``counts``, if
+    given, is a non-decreasing control count per problem: problem j then has
+    only the last counts[j] of its steps.
     """
 
     steps: np.ndarray
     target: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         try:
@@ -60,25 +67,45 @@ class ConstrainedProblem:
             raise ValueError("problem needs at least one control step")
         if c.shape[-2] != c.shape[-1]:
             raise ValueError(f"constraint step must be square, got shape {c.shape[-2:]}")
-        k = c.shape[-1]
+        k, m = c.shape[-1], c.shape[-3]
         t = np.atleast_2d(np.asarray(self.target, dtype=float))
         if t.shape[-1:] != (k,) or t.ndim > 2:
             raise ValueError(f"target must have {k} components, got shape {t.shape}")
         if c.ndim == 4 and t.shape != (len(c), k):
             raise ValueError(f"{len(c)} stacks of steps need a ({len(c)}, {k}) target, "
                              f"got shape {t.shape}")
+        counts = np.full(len(t), m) if self.counts is None else np.asarray(self.counts)
+        if (counts.shape != t.shape[:1] or counts[0] < 1 or counts[-1] > m
+                or (counts[1:] < counts[:-1]).any()):
+            raise ValueError(f"counts must be one per target, non-decreasing and in 1..{m}")
         object.__setattr__(self, "steps", c)
         object.__setattr__(self, "target", t)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def dim(self) -> int:
         return self.steps.shape[-1]
 
+    @cached_property
+    def runs(self) -> list:
+        """Per run of equal counts m, its rows (a slice) and their last m
+        steps: (m, k, k) if shared, (n, m, k, k) if per target."""
+        m, steps = self.steps.shape[-3], self.steps
+        return [(slice(lo, hi), (steps[lo:hi] if steps.ndim == 4 else steps)[..., m - count :, :, :])
+                for lo, hi, count in equal_runs(self.counts)]
+
+    def split(self, rows: np.ndarray) -> list:
+        """Each run's (n, m, k) view of ``rows``, one row per step, target
+        after target."""
+        return split_runs(rows.reshape(len(rows), -1), self.counts, equal_runs(self.counts))
+
 
 @dataclass(frozen=True)
 class OracleResult:
     """The stationary points of a problem's stacked targets: every field has
-    a leading axis with one entry per target."""
+    a leading axis with one entry per target, but ``controls``, which holds
+    one row per step, target after target, is (g, m, k) only when every
+    target has m steps."""
 
     controls: np.ndarray
     objective: np.ndarray
@@ -107,40 +134,42 @@ class BatchVerdict:
         return all(verdict.passed for verdict in self.verdicts)
 
 
-def _misses(steps: np.ndarray, controls: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """How far the (g, m, k) stacked controls land from their (g, k) targets,
-    under shared (m, k, k) or per-target (g, m, k, k) ``steps``:
-    the length of sum_i C_i u_i - target, one per row. The sum runs strictly
-    in step order (pairwise summation would change the last bits and so the
-    reported certificate margins). Huge controls overflow quietly to inf or
-    nan, which no tolerance passes."""
+def _landings(problem: ConstrainedProblem, controls) -> tuple[np.ndarray, np.ndarray]:
+    """How far stacked controls, the (n, m, k) controls of each run of equal
+    counts in turn, land from their targets (the length of sum_i C_i u_i -
+    target) and their summed squares, one per target: the landing sums
+    strictly in step order, and the squares pairwise over the run's length
+    (else the last bits, and so the reported certificate margins, would
+    change). Huge controls overflow quietly to inf or nan, which no
+    tolerance passes."""
+    attained, squares = np.empty(problem.target.shape), np.empty(len(problem.target))
     with np.errstate(over="ignore", invalid="ignore"):
-        attained = np.cumsum(np.matmul(steps, controls[..., None])[..., 0], axis=1)[:, -1]
-        return row_norms(attained - targets)
+        for (rows, steps), u in zip(problem.runs, controls):
+            attained[rows] = np.cumsum(np.matmul(steps, u[..., None])[..., 0], axis=1)[:, -1]
+            squares[rows] = (u * u).reshape(len(u), -1).sum(axis=1)
+        return row_norms(attained - problem.target), squares
 
 
-def _sum_squares(controls: np.ndarray) -> np.ndarray:
-    """The summed squared controls of each of the (g, m, k) stacked problems;
-    huge controls overflow quietly to inf."""
+def _stationary(problem: ConstrainedProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stationary controls, one row per step, target after target, and
+    multipliers (g, k) of the stacked targets, and per target whether it
+    and its Gram matrix are finite: one Gram matrix per run of equal counts
+    (per target for per-target steps), and one solve of the finite ones.
+    A target that is not finite, or a Gram matrix that overflows, quietly
+    leaves the target's controls and multipliers nan."""
+    targets = problem.target
+    grams = np.empty(targets.shape + targets.shape[-1:])
+    controls = np.empty((int(problem.counts.sum()), problem.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        return (controls * controls).reshape(len(controls), -1).sum(axis=1)
-
-
-def _stationary(steps: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stationary controls (g, m, k) and multipliers (g, k) for (g, k)
-    stacked targets, and per target whether it and its Gram matrix are
-    finite: one Gram matrix for shared (m, k, k) ``steps``, one per target
-    for (g, m, k, k) ``steps``, and one solve of the finite ones. A target
-    that is not finite, or a Gram matrix that overflows, quietly leaves the
-    target's controls and multipliers nan."""
-    c_t = np.swapaxes(steps, -2, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.cumsum(np.matmul(steps, c_t), axis=-3)[..., -1, :, :]
-        finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(targets).all(axis=1)
+        for rows, steps in problem.runs:
+            grams[rows] = np.cumsum(np.matmul(steps, np.swapaxes(steps, -2, -1)), axis=-3)[..., -1, :, :]
+        finite = np.isfinite(grams).all(axis=(-2, -1)) & np.isfinite(targets).all(axis=1)
         lam = np.full(targets.shape, np.nan)
         if finite.any():
-            lam[finite] = solve_spd(gram[finite] if gram.ndim == 3 else gram, targets[finite]).x
-        return np.matmul(c_t, lam[:, None, :, None])[..., 0], lam, finite
+            lam[finite] = solve_spd(grams[finite], targets[finite]).x
+        for (rows, steps), u in zip(problem.runs, problem.split(controls)):
+            u[...] = np.matmul(np.swapaxes(steps, -2, -1), lam[rows, None, :, None])[..., 0]
+    return controls, lam, finite
 
 
 def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
@@ -154,13 +183,13 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     matrix overflows, which gets an objective of inf. The stacked targets
     are solved in one call, each with the bits it would get alone.
     """
-    targets = problem.target
-    controls, lam, solvable = _stationary(problem.steps, targets)
-    residual = _misses(problem.steps, controls, targets)
-    size = row_norms(targets)
+    controls, lam, solvable = _stationary(problem)
+    runs = problem.split(controls)
+    residual, squares = _landings(problem, runs)
+    size = row_norms(problem.target)
     return OracleResult(
-        controls=controls,
-        objective=np.where(solvable, _sum_squares(controls), np.inf),
+        controls=runs[0] if len(runs) == 1 else controls,
+        objective=np.where(solvable, squares, np.inf),
         constraint_residual=residual,
         feasible=np.isfinite(size) & (residual <= FEASIBILITY_TOLERANCE * (1.0 + size)),
         multiplier=lam,
@@ -205,7 +234,7 @@ def _descending_powers(f: np.ndarray, steps: int) -> np.ndarray:
     return table[::-1]
 
 
-def build_problem(model, steps: int, target) -> ConstrainedProblem:
+def build_problem(model, steps, target) -> ConstrainedProblem:
     """Assemble the terminal constraint for ``steps`` chronological controls.
 
     A control i steps before the anchor moves the endpoint by E^T F^i E, with
@@ -214,19 +243,23 @@ def build_problem(model, steps: int, target) -> ConstrainedProblem:
     otherwise. The powers come from ``_descending_powers``, so the steps of
     a shorter problem are the last ones of a longer problem's, bit for bit.
     Explosive models overflow silently to inf. ``target`` is a (g, k) stack
-    of offsets for g gaps of this length, or one offset. ``model`` is the
+    of offsets, or one offset, and ``steps`` one control count for them all
+    or a non-decreasing count per row: one power table to the largest count
+    serves every row (see ``ConstrainedProblem.counts``). ``model`` is the
     model of every gap, or a list with one model per row of ``target``, all
     of one kind and size; the steps are then (g, m, k, k), each gap's the
     bits of its problem alone.
     """
-    if steps < 1:
+    counts = None if np.ndim(steps) == 0 else np.asarray(steps)
+    longest = int(steps if counts is None else counts.max(initial=0))
+    if longest < 1:
         raise ValueError("steps must be >= 1")
     per_target = isinstance(model, list)
     f = np.stack([_transition_matrix(m) for m in model]) if per_target else _transition_matrix(model)
     k = 1 if isinstance(model[0] if per_target else model, ArModel) else f.shape[-1]
     # per-target powers come step first; the gap axis moves to the front
-    powers = np.moveaxis(_descending_powers(f, steps), 0, -3)
-    return ConstrainedProblem(powers[..., :k, :k], target)
+    powers = np.moveaxis(_descending_powers(f, longest), 0, -3)
+    return ConstrainedProblem(powers[..., :k, :k], target, counts)
 
 
 def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
@@ -236,23 +269,23 @@ def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
     oracle optimum, both to CERTIFY_TOLERANCE relative; an optimum that
     overflows certifies nothing. ``solutions`` holds one solution (anything
     with chronological ``controls``) per target of ``problem``, in target
-    order, and each gets a Verdict.
+    order, or is an array of their controls, one row per step, one target
+    after another; each gets a Verdict.
     """
-    solutions = list(solutions)
-    targets = problem.target
-    if len(solutions) != len(targets):
-        raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
-    steps = problem.steps.shape[-3]
-    for s in solutions:
-        if len(s.controls) != steps:
-            raise ValueError(
-                f"control count {len(s.controls)} does not match the problem's {steps} steps"
-            )
-    u = np.array([s.controls for s in solutions], dtype=float)
-    if u.ndim == 2:
-        u = u[:, :, None]
+    targets, counts = problem.target, problem.counts
+    if not isinstance(solutions, np.ndarray):
+        solutions = list(solutions)
+        if len(solutions) != len(targets):
+            raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
+        for s, count in zip(solutions, counts.tolist()):
+            if len(s.controls) != count:
+                raise ValueError(
+                    f"control count {len(s.controls)} does not match the problem's {count} steps"
+                )
+        solutions = np.concatenate([np.reshape(s.controls, (len(s.controls), -1)) for s in solutions])
     oracle = kkt_solve(problem)
-    best, values, misses = oracle.objective, _sum_squares(u), _misses(problem.steps, u, targets)
+    misses, values = _landings(problem, problem.split(solutions))
+    best = oracle.objective
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.abs(values - best)
         passed = (oracle.feasible & np.isfinite(best)

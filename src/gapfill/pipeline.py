@@ -16,7 +16,7 @@ from .control import (
     impute_gap_ar,  # not called here; bench/tracing.py still wraps this name
     impute_gap_regression,  # not called here; bench/tracing.py still wraps this name
     impute_gap_var,  # not called here; bench/tracing.py still wraps this name
-    impute_gaps,
+    impute_stacks,
 )
 from .errors import DataError, NumericalError
 from .fitting import (
@@ -204,31 +204,33 @@ def _open_gap_solution(options: ImputeOptions, model, segment, start) -> Control
 
 
 def _solve_gaps(options: ImputeOptions, model, segments, reads_fill, working: np.ndarray,
-                covariates) -> list:
-    """Solve ``segments`` in order, writing each fill into ``working``.
-    ``model`` is one model, or per gap a model or its failed refit's error.
+                covariates) -> tuple[list, list]:
+    """Solve ``segments`` in order, writing each fill into ``working``; the
+    solutions, and the GapStacks of the constrained ones, indexed by
+    position in ``segments``. ``model`` is one model, or per gap a model or
+    its failed refit's error.
 
-    Constrained gaps go to ``impute_gaps`` in runs; a gap whose seed rows
-    read a fill (``reads_fill``) starts a new run. A failing gap model or
-    start is raised once the run before it is solved. Open gaps are forecast.
+    Constrained gaps go to ``impute_stacks`` in runs; a gap whose seed rows
+    read a fill (``reads_fill``) starts a new run. Each stack's fills are
+    written with one fancy-indexed assignment. A failing gap model or start
+    is raised once the run before it is solved. Open gaps are forecast.
     """
     per_gap = isinstance(model, list)
     # an autoregression, and a regression of one output, have scalar anchors
     scalar = options.model_kind != "var" and working.shape[1] == 1
-    solutions, run = [], []
-
-    def fill(segment, solution):
-        working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
-        solutions.append(solution)
+    solutions, stacks, run = [], [], []
 
     def solve_run():
         if run:
             gaps, models, starts = map(list, zip(*run))
             anchors = [float(gap.anchor_value[0]) if scalar else gap.anchor_value for gap in gaps]
-            solved = impute_gaps(models if per_gap else model, gaps, starts, anchors, options.mode)
+            solved, solved_stacks = impute_stacks(models if per_gap else model, gaps, starts, anchors,
+                                                  options.mode)
             run.clear()
-            for gap, solution in zip(gaps, solved):
-                fill(gap, solution)
+            for stack in solved_stacks:
+                working[stack.indices - 1] = stack.imputed.reshape(len(stack.indices), -1)
+                stacks.append(stack._replace(index=[len(solutions) + i for i in stack.index]))
+            solutions.extend(solved)
 
     models = model if per_gap else [model] * len(segments)
     for segment, gap_model, seeded in zip(segments, models, reads_fill):
@@ -244,37 +246,31 @@ def _solve_gaps(options: ImputeOptions, model, segments, reads_fill, working: np
         if segment.constrained:
             run.append((segment, gap_model, start))
         else:
-            fill(segment, _open_gap_solution(options, gap_model, segment, start))
+            solution = _open_gap_solution(options, gap_model, segment, start)
+            working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
+            solutions.append(solution)
     solve_run()
-    return solutions
+    return solutions, stacks
 
 
-def _certify_batch(options: ImputeOptions, model, batch, solutions) -> list:
-    """Run the independent verifier on ``batch``; one verdict or None per
-    gap, in gap order.
+def _certify_batch(options: ImputeOptions, model, stacks, count: int) -> list:
+    """Run the independent verifier on the solver's ``stacks`` of ``count``
+    gaps; one verdict or None per gap, in gap order.
 
     ``model`` is the model of every gap, or a list with one model per gap.
-    Gaps with the same number of controls share one stacked problem and one
-    ``certify`` call, each with its own constraint steps when the models
-    differ. Open gaps have no constraint to check, and scalar paper-mode
-    values are not optimal by construction, so they carry diagnostics
-    instead of a certificate.
+    Each stack is one problem and one ``certify`` call: the solver's
+    controls and anchor offsets, sorted by control count, against one power
+    table per model to the stack's longest count. Open gaps have no
+    constraint to check, and scalar paper-mode values are not optimal by
+    construction, so they carry diagnostics instead of a certificate.
     """
-    verdicts = [None] * len(batch)
+    verdicts = [None] * count
     if options.model_kind == "ar" and options.mode == "paper":
         return verdicts
-    by_steps = {}
-    for i, solution in enumerate(solutions):
-        if solution.constrained:
-            by_steps.setdefault(len(solution.control_indices), []).append(i)
-    for steps, members in by_steps.items():
-        # each anchor's offset from its forecast, one row per gap
-        anchors = np.array([batch[i].anchor_value for i in members])
-        forecasts = np.array([solutions[i].predicted[-1] for i in members])
-        offsets = anchors - forecasts.reshape(anchors.shape)
-        models = [model[i] for i in members] if isinstance(model, list) else model
-        result = certify([solutions[i] for i in members], build_problem(models, steps, offsets))
-        for i, verdict in zip(members, result.verdicts):
+    for stack in stacks:
+        models = [model[i] for i in stack.index] if isinstance(model, list) else model
+        result = certify(stack.controls, build_problem(models, stack.counts, stack.offsets))
+        for i, verdict in zip(stack.index, result.verdicts):
             verdicts[i] = verdict
     return verdicts
 
@@ -288,9 +284,9 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     rank deficient. The model is fitted once on the observed prefix unless
     ``refit_per_gap`` is set, in which case one sweep (``_refit_models``)
     gives each gap its own model. Either way the gaps are solved by
-    ``_solve_gaps`` and certified together by control count (see
-    ``_certify_batch``). The report is per gap, in gap order, and a failing
-    run raises the first failing gap's error.
+    ``_solve_gaps`` and certified stack by stack (see ``_certify_batch``).
+    The report is per gap, in gap order, and a failing run raises the first
+    failing gap's error.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
@@ -313,8 +309,8 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     reads_fill = (missing_before[[segment.gap_start - 1 for segment in segments]] >
                   missing_before[[segment.seed_indices[0] - 1 for segment in segments]]).tolist()
     working = series.data.copy()
-    solutions = _solve_gaps(options, models, segments, reads_fill, working, covariates)
-    verdicts = _certify_batch(options, models, segments, solutions)
+    solutions, stacks = _solve_gaps(options, models, segments, reads_fill, working, covariates)
+    verdicts = _certify_batch(options, models, stacks, len(segments))
 
     refits = models if options.refit_per_gap else [None] * len(segments)
     for segment, solution, verdict, refit_model, seeded in zip(segments, solutions, verdicts, refits,
@@ -356,11 +352,11 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     series, model = random_instance(seed, limits)
     options = ImputeOptions(model_kind=limits.kind, order=model.p if limits.kind == "ar" else 1)
     _, (segment,) = detect_gaps(series, options.order)
-    (solution,) = _solve_gaps(options, model, [segment], [False], series.data.copy(), None)
+    (solution,), (stack,) = _solve_gaps(options, model, [segment], [False], series.data.copy(), None)
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
-        solution = solution._replace(controls=bad)
-    (verdict,) = _certify_batch(options, model, [segment], [solution])
+        solution, stack = solution._replace(controls=bad), stack._replace(controls=bad)
+    (verdict,) = _certify_batch(options, model, [stack], 1)
     return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=segment,
                             solution=solution, verdict=verdict)

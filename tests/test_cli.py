@@ -357,6 +357,20 @@ def _explosive_var_gap_csv(path, gap: int):
     return str(path)
 
 
+def _explosive_var_gaps_csv(path):
+    """``_explosive_var_gap_csv`` with a 60-step gap, then a row of 1e307, a
+    2-step gap and an anchor at that gap's fitted forecast: solved beside the
+    60-step gap, the short gap's forecast overflows past its own steps."""
+    _explosive_var_gap_csv(path, 60)
+    rows = path.read_text().splitlines()
+    model = fit_var1(np.array([[float(v) for v in row.split(",")] for row in rows[1:31]]))
+    seed = np.array([1e307, 1.0])
+    anchor = predict_forward(model, seed, 3)[-1]
+    rows += ["1e+307,1.0", "NA,NA", "NA,NA", f"{float(anchor[0])!r},{float(anchor[1])!r}"]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 def _normal_csv(path, scales, gaps):
     """40 rows of standard normals, column j times ``scales[j]``, with the
     (start, length) ``gaps`` blanked (0-based data rows)."""
@@ -617,6 +631,18 @@ class TestErrorContract:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ill-conditioned control problem")
+
+    def test_ill_conditioned_var_gap_beside_an_overflowing_short_gap(self, tmp_path):
+        # the two gaps are solved as one stack, in which the short gap's
+        # forecast overflows quietly past its own steps; the 60-step gap
+        # still gives the error
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gapfill.cli", "impute",
+             _explosive_var_gaps_csv(tmp_path / "explosive.csv"), "--model", "var"],
+            capture_output=True, text=True, env=_cli_env())
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: ill-conditioned control problem")
 
     def test_overflowing_anchor_offset_is_not_certified(self, capsys, tmp_path):
         # the target norm overflows to inf, which no longer admits any residual

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,11 +14,13 @@ from gapfill.control import (
     impute_gap_regression,
     impute_gap_var,
     impute_gaps,
+    impute_stacks,
     solve_controls,
 )
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
 from gapfill.linalg import mat_pow_table
+from gapfill.pipeline import ImputeOptions, _certify_batch
 from gapfill.series import GapSegment, Series, detect_gaps
 
 
@@ -530,8 +533,11 @@ class TestStackedSolutions:
     @staticmethod
     def solve(gaps, controls, paths, targets):
         g = len(gaps)
-        return _solutions(gaps, [gap.gap_start for gap in gaps], controls, [None] * g, paths,
-                          paths, targets, "exact", [{}] * g)
+        counts = np.array([gap.anchor_index + 1 - gap.gap_start for gap in gaps])
+        # the controls, fills and forecasts are one row per step, one gap after another
+        rows = lambda values: values.reshape((-1,) + values.shape[2:])
+        return _solutions(gaps, counts, 0, rows(controls), [None] * g, rows(paths[:, :-1]), paths[:, -1],
+                          rows(paths), targets, "exact", [{}] * g)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), count=st.integers(1, 6),
@@ -576,15 +582,17 @@ def closed_gap(start: int, length: int, order: int = 1) -> GapSegment:
 
 
 @st.composite
-def gap_stacks(draw):
+def gap_stacks(draw, gaps=(1, 6), longest=None):
     """Gaps under one model, or one model per gap, with their starts and
     anchors: AR(1-3), VAR of dimension 1-3 or a regression of 1-2 outputs
-    on 2 covariates, in exact or paper mode."""
+    on 2 covariates, in exact or paper mode. ``gaps`` bounds their number;
+    their lengths run from p - 1 (at least 1) to ``longest``, or p + 4."""
     kind = draw(st.sampled_from(["ar", "var", "regression"]))
     mode = draw(st.sampled_from(["exact", "paper"]))
     order = draw(st.integers(1, 3)) if kind == "ar" else 1
     dim = {"ar": 1, "var": draw(st.integers(1, 3)), "regression": draw(st.integers(1, 2))}[kind]
-    lengths = draw(st.lists(st.integers(max(1, order - 1), order + 4), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(max(1, order - 1), longest or order + 4),
+                            min_size=gaps[0], max_size=gaps[1]))
     per_gap = draw(st.booleans())
     # a one-output regression takes a scalar anchor, or a vector of one entry
     scalar = kind == "ar" or (kind == "regression" and dim == 1 and draw(st.booleans()))
@@ -606,7 +614,8 @@ def gap_stacks(draw):
 
 
 class TestImputeGaps:
-    """Gaps solved together, by control count, get the bits each gets alone."""
+    """Gaps solved together, as one stack sorted by control count, get the
+    bits each gets alone."""
 
     @staticmethod
     def bits(solution):
@@ -626,6 +635,90 @@ class TestImputeGaps:
             assert solution.control_indices == alone.control_indices
             assert solution.diagnostics == alone.diagnostics
             assert solution.mode == alone.mode
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(run=gap_stacks(gaps=(2, 12), longest=15))
+    def test_one_stack_gives_each_gap_its_solution_and_verdict_alone(self, run):
+        models, gaps, starts, anchors, mode = run
+        first = models[0] if isinstance(models, list) else models
+        kind = {ArModel: "ar", VarModel: "var", RegModel: "regression"}[type(first)]
+        options = ImputeOptions(model_kind=kind, order=first.p if kind == "ar" else 1, mode=mode)
+        solved, stacks = impute_stacks(models, gaps, starts, anchors, mode)
+        assert len(stacks) == 1
+        verdicts = _certify_batch(options, models, stacks, len(gaps))
+        for i, (solution, verdict) in enumerate(zip(solved, verdicts)):
+            model = models[i] if isinstance(models, list) else models
+            (alone,), alone_stacks = impute_stacks(model, gaps[i : i + 1], starts[i : i + 1],
+                                                   anchors[i : i + 1], options.mode)
+            assert self.bits(solution) == self.bits(alone)
+            assert solution.diagnostics == alone.diagnostics
+            (alone_verdict,) = _certify_batch(options, model, alone_stacks, 1)
+            assert (verdict is None) == (options.model_kind == "ar" and options.mode == "paper")
+            if verdict is not None:
+                assert verdict.passed == alone_verdict.passed
+                assert np.array(verdict[1:]).tobytes() == np.array(alone_verdict[1:]).tobytes()
+
+    def test_diagonal_and_full_models_in_one_stack(self):
+        # a diagonal A is solved by division, whose offset of 1e160 has no
+        # residual norm to check, and a full A by one SPD solve: in one run
+        # of one count each gap is solved as it is alone
+        diagonal = VarModel(A=[[2.0, 0.0], [0.0, 0.5]], b=[0.0, 0.0])
+        full = VarModel(A=[[0.5, 0.2], [-0.1, 0.4]], b=[0.1, -0.2])
+        gaps = [closed_gap(2, 24), closed_gap(40, 24)]
+        starts = [np.array([1.0, 2.0])] * 2
+        anchors = [np.array([1e160, 3.0]), np.array([3.0, -1.0])]
+        solved = impute_gaps([diagonal, full], gaps, starts, anchors)
+        for model, gap, start, anchor, solution in zip([diagonal, full], gaps, starts, anchors, solved):
+            (alone,) = impute_gaps(model, [gap], [start], [anchor])
+            assert self.bits(solution) == self.bits(alone)
+
+    def test_padding_is_bounded(self):
+        # padding thirty 1-step gaps to a 1000-step one would take 31 000
+        # steps for 1030; the long gap's stack takes five of them, as
+        # 6 x 1000 <= 2 x 1005 + PAD_SLACK, and the rest are a stack of their own
+        model = VarModel(A=[[0.5, 0.2], [-0.1, 0.4]], b=[0.1, -0.2])
+        gaps = [closed_gap(10 + 5 * i, 1) for i in range(30)] + [closed_gap(200, 1000)]
+        starts = [np.array([1.0, 2.0])] * len(gaps)
+        anchors = [np.array([3.0, -1.0])] * len(gaps)
+        solved, stacks = impute_stacks(model, gaps, starts, anchors)
+        assert [len(stack.index) for stack in stacks] == [25, 6]
+        for i in (0, 24, 25, 30):
+            (alone,) = impute_gaps(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1])
+            assert self.bits(solved[i]) == self.bits(alone)
+
+    def test_padded_tail_stays_quiet(self):
+        # A grows x1 by 1.5 a step: rolled on past its own 3 steps, the short
+        # gap's forecast from 1e307 overflows at step 8 of the 20-step gap's
+        # stack; its anchor is its forecast, so it needs no control
+        model = VarModel(A=[[1.5, 0.33], [0.0, 0.49]], b=[0.1, -0.2])
+        short, long = closed_gap(10, 2), closed_gap(40, 20)
+        seeds = [np.array([1e307, 1.0]), np.array([1.0, 10.0])]
+        anchors = [predict_forward(model, seeds[0], 3)[-1], np.array([4.0, 5.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (alone,) = impute_gaps(model, [short], seeds[:1], anchors[:1])
+            together, _ = impute_gaps(model, [short, long], seeds, anchors)
+        assert np.isfinite(alone.imputed).all()
+        assert self.bits(together) == self.bits(alone)
+
+    @pytest.mark.parametrize("order, message", [
+        ((0, 1, 2), "norm overflow:"),
+        ((0, 2, 1), "forecast overflow:"),
+    ])
+    def test_first_failing_gap_beside_the_longest_gap_s_forecast_overflow(self, order, message):
+        # the stack fails on the longest gap's forecast before any fill is
+        # checked; rerun gap by gap, the leftmost failing gap gives the error
+        model = VarModel(A=[[1.5, 0.33], [0.0, 0.49]], b=[0.0, 0.0])
+        cases = [
+            (closed_gap(10, 2), np.array([1.0, 1.0]), np.array([2.0, 1.0])),
+            # an offset of 1e200 has no finite length
+            (closed_gap(30, 2), np.array([1.0, 1.0]), np.array([1e200, 1.0])),
+            # 1.5 * 1.5 * 1e308 overflows on the second step
+            (closed_gap(50, 6), np.array([1e308, 1.0]), np.array([1.0, 1.0])),
+        ]
+        gaps, seeds, anchors = (list(column) for column in zip(*[cases[i] for i in order]))
+        with pytest.raises(NumericalError, match=message):
+            impute_gaps(model, gaps, seeds, anchors)
 
     @pytest.mark.parametrize("per_gap", [False, True])
     def test_overflow_is_checked_on_each_gap_s_own_steps(self, per_gap):

@@ -142,6 +142,38 @@ class TestKktSolve:
                 assert stacked.constraint_residual[i] == alone.constraint_residual[0]
                 assert stacked.feasible[i] == alone.feasible[0]
 
+    def test_per_model_stacks_are_solved_as_if_alone(self):
+        # one model per target, of one count or of ascending counts: each
+        # target gets the bits of its problem alone, its sum of squares too
+        rng = np.random.default_rng(109)
+        for _ in range(60):
+            g, order = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            if rng.uniform() < 0.5:
+                models = [ArModel(a=rng.uniform(-0.9, 0.9, order), b=0.0) for _ in range(g)]
+            else:
+                models = [VarModel(A=rng.uniform(-0.9, 0.9, (order + 1, order + 1)), b=np.zeros(order + 1))
+                          for _ in range(g)]
+            ragged = rng.uniform() < 0.5
+            counts = np.sort(rng.integers(1, 21, g)) if ragged else np.full(g, int(rng.integers(1, 21)))
+            k = 1 if isinstance(models[0], ArModel) else order + 1
+            targets = rng.uniform(-2, 2, (g, k))
+            problem = build_problem(models, counts, targets)
+            stacked = kkt_solve(problem)
+            rows = np.reshape(stacked.controls, (-1, k))  # one row per step, target after target
+            controls = rng.uniform(-1, 1, rows.shape)
+            verdicts = certify(controls, problem).verdicts
+            start = 0
+            for i, count in enumerate(counts.tolist()):
+                alone_problem = build_problem(models[i], count, targets[i])
+                alone = kkt_solve(alone_problem)
+                assert rows[start : start + count].tobytes() == alone.controls[0].tobytes()
+                assert stacked.multiplier[i].tobytes() == alone.multiplier[0].tobytes()
+                assert stacked.objective[i] == alone.objective[0]
+                assert stacked.constraint_residual[i] == alone.constraint_residual[0]
+                mine = SimpleNamespace(controls=controls[start : start + count])
+                assert verdicts[i] == certify([mine], alone_problem).verdicts[0]
+                start += count
+
     def test_overflowing_gram_is_quiet_and_infeasible(self):
         # the kicks reach ~1e300 within 30 steps, so their Gram sum overflows
         problem = build_problem(ArModel(a=(1e10, -1e10), b=0.0), 60, 1.0)

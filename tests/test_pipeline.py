@@ -558,6 +558,15 @@ def solve_alone(options, model, segment, working, covariates=None):
     return impute_gap_regression(model, segment, seed, anchor)
 
 
+def certify_alone(options, model, segment, solution):
+    """Reference: the verdict of one solved gap certified by itself, or None
+    for an open gap or a paper-mode autoregression."""
+    if not solution.constrained or (options.model_kind == "ar" and options.mode == "paper"):
+        return None
+    offset = segment.anchor_value - np.reshape(solution.predicted[-1], -1)
+    return certify([solution], build_problem(model, len(solution.control_indices), offset)).verdicts[0]
+
+
 def refit_per_gap_loop(series, options, covariates=None):
     """Reference: the refit run as a left-to-right loop in which each gap
     gets a full refit (``refit_before``), its rank note, its solve and its
@@ -577,7 +586,7 @@ def refit_per_gap_loop(series, options, covariates=None):
                                     refit_before(options, series, covariates, segment.gap_start))
         solution = solve_alone(options, model, segment, working, covariates)
         working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
-        (verdict,) = pipeline._certify_batch(options, model, [segment], [solution])
+        verdict = certify_alone(options, model, segment, solution)
         if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"

@@ -63,9 +63,10 @@ def test_refit_sweep_is_timed_as_least_squares(tracing):
     assert tracing.layer_metrics(spans)["linalg.lstsq_calls"] == 2
 
 
-def test_refit_ar_rolls_once_per_length_batch(tracing):
-    # six AR(2) refit gaps of three lengths make three batches by control
-    # count; each batch rolls its forecast and its corrected fill in one call
+def test_refit_ar_rolls_once_per_run(tracing):
+    # six AR(2) refit gaps of three lengths are solved as one stack, which
+    # rolls every forecast in one call and every corrected fill in another,
+    # each path to its own length
     rng = np.random.default_rng(5)
     x = [0.0, 0.0]
     for _ in range(118):
@@ -78,7 +79,7 @@ def test_refit_ar_rolls_once_per_length_batch(tracing):
         tracer.call(impute_series, Series.from_values(values),
                     ImputeOptions(order=2, refit_per_gap=True))
     (spans,) = tracer.runs
-    assert [span[0] for span in spans].count("fitting.predict") == 2 * 3
+    assert [span[0] for span in spans].count("fitting.predict") == 2
     assert tracing.layer_metrics(spans)["fitting.predict_s"] > 0
 
 
@@ -100,23 +101,25 @@ def _refit_var_spans(tracing):
     return [span[0] for span in spans], result
 
 
-def test_refit_var_rolls_once_per_length_batch(tracing):
-    # the six gaps make three batches; each batch rolls its forecast and its
-    # corrected fill in one stacked call
+def test_refit_var_rolls_once_per_run(tracing):
+    # the six gaps of three lengths are one stack, which rolls every
+    # forecast, and every corrected fill, in one stacked call to the longest
     names, result = _refit_var_spans(tracing)
-    assert names.count("fitting.predict") == 2 * 3
+    assert names.count("fitting.predict") == 2
     assert all(gap["oracle"]["certified"] for gap in result.report.gaps)
 
 
-def test_refit_var_builds_powers_once_per_length_batch(tracing):
-    # each batch builds the power tables of its gaps' models in one call
+def test_refit_var_builds_powers_once_per_run(tracing):
+    # the stack builds the power tables of all its gaps' models in one call
     names, _ = _refit_var_spans(tracing)
-    assert names.count("linalg.pow") == 3
+    assert names.count("linalg.pow") == 1
 
 
 def test_refit_regression_predicts_once_per_length_batch(tracing):
-    # six regression refit gaps of three lengths make three batches; each
-    # batch predicts its gaps from one stack of covariate rows
+    # six regression refit gaps of three lengths are one stack, but a
+    # regression's forecast is a matmul over a gap's covariate rows, whose
+    # bits depend on the row count: each length predicts its gaps from one
+    # stack of covariate rows
     rng = np.random.default_rng(7)
     x = rng.standard_normal((120, 2)).cumsum(axis=0)
     y = x @ np.array([1.5, -0.5]) + 2.0 + 0.1 * rng.standard_normal(120)
