@@ -11,10 +11,11 @@ gate for changes that must not move any output:
 
 The matrix is the three benchmark workloads (their inputs generated, read
 only, by ``bench/workloads.py``) at seeds 1-3, each with its own options,
-with ``--mode paper`` and with ``--refit-per-gap``, and ``data/phosphate.csv``
-as a VAR (exact and paper mode) and as an AR(2) of column c1, with and
-without ``--refit-per-gap``. The CLI runs in this process, on the ``gapfill``
-that ``import`` finds.
+with ``--mode paper`` and with ``--refit-per-gap``; refit_ar's seed-1 input
+spelled four more ways, so that every way ``parse_csv`` reads a block runs
+(see ``SPELLINGS``); and ``data/phosphate.csv`` as a VAR (exact and paper
+mode) and as an AR(2) of column c1, with and without ``--refit-per-gap``.
+The CLI runs in this process, on the ``gapfill`` that ``import`` finds.
 
 Usage: python scripts/same_bytes.py [--size full|tiny]
 """
@@ -33,6 +34,19 @@ import warnings
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 VARIANTS = {"default": (), "paper": ("--mode", "paper"), "refit": ("--refit-per-gap",)}
+# name -> (the spelling of one line of comma-separated text, given its row
+# number, 0 for the header; the options that read it)
+SPELLINGS = {
+    # a row-number column before the cells, each separated by a tab: the byte scan
+    "tab": (lambda i, line: "\t".join([str(i) if i else "t", *line.split(",")]),
+            ("--delimiter", "tab", "--columns", "x")),
+    # every cell padded with a space: each block is split whole and its cells stripped
+    "padded": (lambda i, line: ",".join(f" {cell} " for cell in line.split(",")), ()),
+    # a column of non-ASCII text beside the values: each block is split whole
+    "non-ascii": (lambda i, line: line + (",note" if i == 0 else ",é"), ("--columns", "x")),
+    # the header's cells quoted: csv.reader reads the whole text
+    "quoted": (lambda i, line: ",".join(f'"{cell}"' for cell in line.split(",")) if i == 0 else line, ()),
+}
 PHOSPHATE = {
     "var": ("--model", "var"),
     "var-paper": ("--model", "var", "--mode", "paper"),
@@ -53,6 +67,11 @@ def matrix(size: str, work: pathlib.Path):
             path.write_text(generate(workload, size, seed))
             for variant, options in VARIANTS.items():
                 yield f"{name} seed={seed} {variant}", path, workload.extra_args + options
+    text = generate(WORKLOADS["refit_ar"], size, 1)
+    for spelling, (spell, options) in SPELLINGS.items():
+        path = work / f"refit_ar-1-{spelling}.csv"
+        path.write_text("".join(spell(i, line) + "\n" for i, line in enumerate(text.splitlines())))
+        yield f"refit_ar seed=1 {spelling}", path, WORKLOADS["refit_ar"].extra_args + options
     for variant, options in PHOSPHATE.items():
         yield f"phosphate {variant}", ROOT / "data" / "phosphate.csv", options
 

@@ -1,8 +1,8 @@
 """Small dense linear-algebra layer used by fitting, the control solves, and the verifier.
 
 Everything operates on plain float64 numpy arrays. Inputs are validated and
-copied, outputs are freshly allocated, and the factorizations are LAPACK's,
-so repeated runs produce identical bits on one platform.
+never written to, outputs are freshly allocated, and the factorizations are
+LAPACK's, so repeated runs produce identical bits on one platform.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def solve_spd(matrix, rhs) -> SpdSolution:
     is acceptable.
     """
     per_row = np.ndim(matrix) == 3
-    g = np.array(matrix, dtype=float) if per_row else as_matrix(matrix)
+    g = np.asarray(matrix, dtype=float) if per_row else as_matrix(matrix)
     n = g.shape[-1]
     if g.shape[-2] != n:
         raise ValueError(f"expected a square matrix, got {g.shape[-2]}x{n}")
@@ -115,9 +115,8 @@ def solve_spd(matrix, rhs) -> SpdSolution:
             f"{g.shape} and {b.shape}"
         )
     # array methods: np.max and np.all add a Python dispatch layer on each call
-    scale = np.abs(g).max(axis=(-2, -1))
-    if (np.abs(g - np.swapaxes(g, -2, -1)).max(axis=(-2, -1))
-            > SYMMETRY_TOLERANCE * np.maximum(scale, 1.0)).any():
+    scale, skew = np.abs(g).max(axis=(-2, -1)), g - np.swapaxes(g, -2, -1)
+    if (np.abs(skew, out=skew).max(axis=(-2, -1)) > SYMMETRY_TOLERANCE * np.maximum(scale, 1.0)).any():
         raise ValueError("matrix is not symmetric")
     try:
         np.linalg.cholesky(g)

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import not_
 from typing import NamedTuple, Sequence
 
@@ -177,14 +177,15 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
 
     Rows are read BLOCK at a time, and each block's value columns are
     converted before the next is read, so the cells of all rows never exist
-    at once. Plain text (no quote, carriage return or NUL, and no line over
-    the csv field limit) is one row per line, and a block is split in one
-    pass; other text is read with ``csv.reader``. Errors keep the order of a
-    whole-text parse: no header, no data rows, the first ragged row, the
-    column selection, then the first bad cell.
+    at once. Plain text (an ASCII delimiter, no quote, carriage return or
+    NUL, and no line over the csv field limit) is one row per line, and one
+    byte scan of each block finds its cells (see ``_scanned_blocks``); other
+    text is read with ``csv.reader``. Errors keep the order of a whole-text
+    parse: no header, no data rows, the first ragged row, the column
+    selection, then the first bad cell.
     """
     render = _line_writer(delimiter)  # a delimiter csv cannot take fails here
-    plain = '"' not in text and "\r" not in text and "\0" not in text
+    plain = '"' not in text and "\r" not in text and "\0" not in text and delimiter.isascii()
     if plain:
         # no cell can be quoted: each line is one row, as csv.writer writes it
         lines = text.split("\n") if text else []
@@ -201,21 +202,24 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
     header, ncol = tuple(rows[0]), len(rows[0])
     if not header:
         raise DataError("blank header row: the first line has no column names")
-    blocks = _split_blocks(lines, delimiter, ncol) if plain else _reader_blocks(reader, lines, render, ncol)
+    blocks = _scanned_blocks(lines, delimiter, ncol) if plain else _reader_blocks(reader, lines, render, ncol)
     absent = frozenset(("", *na_markers))
     try:
         cols, pending = _select_columns(header, value_columns), None
     except DataError as exc:
         cols, pending = None, exc
+    split = (lambda block: delimiter.join(block).split(delimiter)) if plain else (lambda cells: cells)
     parts, count = [], 0
-    for cells in blocks:
+    for n, block, scan in blocks:
         if pending is None:
             try:
-                parts.append(_convert_columns(cells, ncol, cols, absent))
+                # a block that the scan cannot take is split whole
+                parts.append(scan and _complete_rows(block, scan, delimiter, ncol, cols, absent)
+                             or _convert_columns(split(block), ncol, cols, absent))
             except ValueError:
                 # a ragged row further on still comes first
-                pending = _bad_cell(cells, ncol, cols, header, absent, count + 1)
-        count += len(cells) // ncol
+                pending = _bad_cell(split(block), ncol, cols, header, absent, count + 1)
+        count += n
     if count == 0:
         raise DataError("no data rows")
     if pending is not None:
@@ -227,22 +231,58 @@ def parse_csv(text: str, na_markers: Sequence[str] = DEFAULT_NA_MARKERS,
                   value_columns=cols, delimiter=delimiter)
 
 
-def _split_blocks(lines: list, delimiter: str, ncol: int):
-    """The cells of ``lines[1:]``, BLOCK rows at a time and row after row,
-    each block split in one pass; a blank line is one fully-empty row."""
+def _scanned_blocks(lines: list, delimiter: str, ncol: int):
+    """(row count, lines, scan) of ``lines[1:]``, BLOCK rows at a time; a blank line
+    is one fully-empty row. ``scan`` is a block's bytes and each cell's (ncol,
+    rows) start and width, or None when a byte other than the delimiter and
+    line feeds is not printable ASCII, which ``str.strip`` might remove."""
     for start in range(1, len(lines), BLOCK):
         block = lines[start:start + BLOCK]
-        if set(map(str.count, block, repeat(delimiter))) != {ncol - 1}:
-            for i, line in enumerate(block, start=start):
-                if line and line.count(delimiter) != ncol - 1:
-                    raise DataError(f"ragged row {i}: expected {ncol} cells, got {line.count(delimiter) + 1}")
+        if ncol > 1 and "" in block:
             block = [line or delimiter * (ncol - 1) for line in block]
-        yield delimiter.join(block).split(delimiter)
+        buf = np.frombuffer("\n".join(block + [""]).encode(), dtype=np.uint8)
+        ends = np.flatnonzero((buf == ord(delimiter)) | (buf == 10))
+        # cells per line: the count of delimiters and line feeds up to each line feed
+        counts = np.diff(np.flatnonzero(buf[ends] == 10), prepend=-1)
+        if (counts != ncol).any():
+            i = int(np.argmax(counts != ncol))
+            raise DataError(f"ragged row {start + i}: expected {ncol} cells, got {counts[i]}")
+        odd = (buf - 0x21) > 0x7e - 0x21  # not printable ASCII: uint8 wraps below 0x21
+        odd[ends] = False
+        starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, ncol)
+        yield len(block), block, None if odd.any() else (buf, starts.T, (ends.reshape(-1, ncol) - starts).T)
+
+
+def _complete_rows(block: list, scan, delimiter: str, ncol: int, cols, absent) -> tuple | None:
+    """``_convert_columns`` of a scanned block, whose cells need no strip: a
+    cell is missing when its bytes are those of a marker in ``absent``, and
+    only the complete rows are split and converted. None when a row is
+    partly missing, for the caller to check its present cells."""
+    buf, starts, widths = scan
+    starts, widths = starts[list(cols)], widths[list(cols)]
+    gone = np.zeros(widths.shape, dtype=bool)
+    for marker in [m.encode() for m in absent if m.isascii()]:  # a scanned cell is ASCII
+        hit = widths == len(marker)
+        for k, byte in enumerate(marker):
+            hit[hit] = buf[starts[hit] + k] == byte
+        gone |= hit
+    missing = gone.any(axis=0)
+    if (gone.all(axis=0) != missing).any():
+        return None
+    data = np.empty(widths.shape[::-1])
+    kept = list(compress(block, (~missing).tolist()))
+    cells = delimiter.join(kept).split(delimiter) if kept else []
+    # one numpy conversion, which parses each cell as float() does
+    values = np.array([cells[c::ncol] for c in cols], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite cell")
+    data[~missing] = values.T
+    return data, missing
 
 
 def _reader_blocks(reader, lines: list, render, ncol: int):
-    """``_split_blocks`` for text that needs ``csv.reader``; appends each
-    row's line, as ``render`` writes it, to ``lines``."""
+    """``_scanned_blocks`` for text that needs ``csv.reader``, with the cells
+    for lines; appends each row's line, as ``render`` writes it, to ``lines``."""
     count = 0
     while block := _read_rows(reader, BLOCK):
         lines += map(render, block)
@@ -254,7 +294,7 @@ def _reader_blocks(reader, lines: list, render, ncol: int):
             # a blank line comes back as a zero-cell row; read it as one fully-empty row
             block = [row or ("",) * ncol for row in block]
         count += len(block)
-        yield list(chain.from_iterable(block))
+        yield len(block), list(chain.from_iterable(block)), None
 
 
 def _read_rows(reader, count: int) -> list:

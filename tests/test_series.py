@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import pathlib
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,9 @@ from gapfill.series import (
     parse_csv,
     write_csv,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def make_series(values):
@@ -153,23 +158,39 @@ def assert_columns_match_cell_loop(text, cells, selected, delimiter=","):
     assert got.missing.tolist() == want[1].tolist()
 
 
+# markers that share prefixes with each other and with numbers, and one that is not ASCII
+SCAN_MARKERS = [DEFAULT_NA_MARKERS, ("N", "NA", "NaN", "-", "1"), ("-9", "-99", "NA"), ("NA", "é")]
+
+
 @st.composite
 def plain_texts(draw):
     """Unquoted text, one row per line, whose parse must not depend on how it is
     read: blank lines, padded markers, columns that are not values and ragged
     rows, and in some texts one cell that holds NUL or is at or over a field
-    limit of 64; with its delimiter and a row-block size."""
+    limit of 64; with its delimiter, missing-value markers and a row-block
+    size. About half the texts have no whitespace in their cells, so that
+    their blocks take the byte scan, with all-missing and partly missing rows."""
     ncol = draw(st.integers(1, 3))
     header = [f"c{j}" for j in range(ncol)]
     value_columns = draw(st.permutations(header))[:draw(st.integers(1, ncol))]
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
-    value_cell = st.sampled_from(["1", "-2.5", " 3 ", "0.5", "7", "1e-7", "4", "-0", "NA", " NA ", "",
-                                  "+", "NaN", "nan", "x", "1e400"])
-    free_cell = st.sampled_from(["a", " ", "", "NA", "é"])
+    delimiter = draw(st.sampled_from([",", ";", "\t", "§"]))
+    if draw(st.booleans()):
+        markers = draw(st.sampled_from(SCAN_MARKERS))
+        value_cell = st.sampled_from(["1", "12", "-1", "-12", "-9", "-99", "-999", "2.5", "N", "NA", "NaN",
+                                      "-", "", "+"] * 2 + ["NAN", "x", "1e400", "é"])
+        free_cell = st.sampled_from(["a", "", "NA", "1"])
+        gone_cell = st.sampled_from(["", *markers])
+    else:
+        markers = DEFAULT_NA_MARKERS
+        value_cell = st.sampled_from(["1", "-2.5", " 3 ", "0.5", "7", "1e-7", "4", "-0", "NA", " NA ", "",
+                                      "+", "NaN", "nan", "x", "1e400"])
+        free_cell = st.sampled_from(["a", " ", "", "NA", "é"])
+        gone_cell = st.sampled_from(["", " ", " NA ", "NaN ", " +"])
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "ragged"]))
-        cells = [draw(value_cell if name in value_columns else free_cell) for name in header]
+        kind = draw(st.sampled_from(["row"] * 8 + ["gone"] * 4 + ["blank", "ragged"]))
+        cells = [draw(gone_cell if kind == "gone" and name in value_columns else
+                      value_cell if name in value_columns else free_cell) for name in header]
         if kind == "ragged":
             cells = cells[:-1] if ncol > 1 and draw(st.booleans()) else cells + ["1"]
         rows.append([] if kind == "blank" else cells)
@@ -179,7 +200,7 @@ def plain_texts(draw):
         row[draw(st.integers(0, len(row) - 1))] = special
     lines = [delimiter.join(header)] + [delimiter.join(row) for row in rows]
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-    return text, value_columns, delimiter, draw(st.integers(1, 4))
+    return text, value_columns, delimiter, markers, draw(st.integers(1, 4))
 
 
 def parsed_or_error(text, **kwargs):
@@ -208,16 +229,44 @@ class TestParseCsv:
     @given(case=plain_texts())
     def test_split_lines_read_as_csv_reader_reads_them(self, case):
         # quoting one header cell sends the same rows through csv.reader
-        text, value_columns, delimiter, block = case
+        text, value_columns, delimiter, markers, block = case
         quoted = '"c0"' + text[2:]
         limit = csv.field_size_limit(64)
         try:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(series_module, "BLOCK", block)
-                kwargs = {"value_columns": value_columns, "delimiter": delimiter}
+                kwargs = {"value_columns": value_columns, "delimiter": delimiter, "na_markers": markers}
                 assert parsed_or_error(text, **kwargs) == parsed_or_error(quoted, **kwargs)
         finally:
             csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_workload_rows_take_the_byte_scan(self, delimiter, monkeypatch):
+        # no block of many_gaps_var's input is split whole, and of its rows
+        # only the complete ones are split into cells
+        sys.path.insert(0, str(ROOT / "bench"))
+        try:
+            from workloads import WORKLOADS, generate
+        finally:
+            sys.path.remove(str(ROOT / "bench"))
+        text = generate(WORKLOADS["many_gaps_var"], "tiny", 1).replace(",", delimiter)
+        want = parsed_or_error('"x1"' + text[2:], delimiter=delimiter)
+        joined = []
+
+        class Spy(str):
+            def join(self, lines):
+                lines = list(lines)
+                joined.extend(lines)
+                return str.join(self, lines)
+
+        def split_whole(*args):
+            raise AssertionError("a block was split whole")
+
+        monkeypatch.setattr(series_module, "_convert_columns", split_whole)
+        assert parsed_or_error(text, delimiter=Spy(delimiter)) == want
+        gone = delimiter.join(["NA"] * 3)
+        assert gone in text.splitlines() and joined
+        assert gone not in joined and len(joined) == (~np.asarray(want[1])).sum()
 
     def test_scalar_column_with_empty_cell(self):
         s = parse_csv("value\n1.5\n\n2.5\n")
