@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .fitting import ArModel, RegModel, VarModel, predict_forward
 from .linalg import equal_runs, mat_pow_table, row_norms, solve_spd, split_runs
+from .series import Gaps
 from .weights import (
     WEIGHT_OVERFLOW_LIMIT,
     checked_weights,
@@ -73,9 +74,9 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
 
 
-def _fill_overflow(gap) -> NumericalError:
+def _fill_overflow(start: int) -> NumericalError:
     return NumericalError(
-        f"fill overflow in the gap at index {gap.gap_start}: the filled values, the summed "
+        f"fill overflow in the gap at index {start}: the filled values, the summed "
         f"squared controls or the terminal residual are not finite (magnitudes beyond ~1e154 "
         f"overflow when squared)"
     )
@@ -189,63 +190,54 @@ def _controls(lam: np.ndarray, steps: np.ndarray, full: np.ndarray) -> np.ndarra
             if full.any() else product)
 
 
-def _solutions(gaps, counts, lag, controls, multipliers, imputed, ends, forecasts, targets,
-               mode: str, diagnostics) -> list:
-    """The ControlSolutions of a stack of fills sorted by control count.
-
-    Gap i has ``counts[i]`` ``controls``, which act from ``lag`` steps after
-    its start, ``imputed`` values (its corrected path before the anchor),
-    and ``forecasts`` (its uncorrected path through the anchor), each one
-    row per step, one gap after another; a solution holds views of them.
-    ``ends`` holds each corrected path's value at the anchor. The miss of a
-    (g,) ``targets`` row is its magnitude, of a (g, k) row its norm; the
-    objective is the sum of squared controls, taken per run of equal counts
-    so that each has the bits of that fill alone. The stack is checked at
-    once for overflow, which raises NumericalError for the first such gap.
+def _summaries(starts, counts, lag, controls, imputed, ends, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The objectives and terminal residuals of a stack of fills sorted by
+    control count, gap i from 1-based ``starts[i]`` with ``counts[i]``
+    ``controls`` from ``lag`` steps after it, and ``imputed`` values before
+    its anchor, one row per step; ``ends`` are the values at the anchors.
+    The miss of a (g,) ``targets`` row is its magnitude, of a (g, k) row its
+    norm; an objective, the summed squared controls, is taken per run of
+    equal counts, so each has the bits of its fill alone. The first gap
+    that overflows raises NumericalError.
     """
-    # each path runs from the gap start through the anchor
-    g, runs, lengths = len(gaps), equal_runs(counts), counts + lag
-    us, paths = split_runs(controls, counts, runs), split_runs(imputed, lengths - 1, runs)
+    g, runs = len(counts), equal_runs(counts)
     objectives = np.empty(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        for (lo, hi, _), u in zip(runs, us):
+        for (lo, hi, _), u in zip(runs, split_runs(controls, counts, runs)):
             u = u.reshape(hi - lo, -1)
             objectives[lo:hi] = np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
         miss = ends.reshape(targets.shape) - targets
         residuals = np.abs(miss) if miss.ndim == 1 else row_norms(miss)
     finite = np.isfinite(objectives) & np.isfinite(residuals) & np.isfinite(ends.reshape(g, -1)).all(axis=1)
-    finite &= np.concatenate([np.isfinite(path.reshape(len(path), -1)).all(axis=1) for path in paths])
+    finite &= np.concatenate([np.isfinite(path.reshape(len(path), -1)).all(axis=1)
+                              for path in split_runs(imputed, counts + lag - 1, runs)])
     if not finite.all():
-        raise _fill_overflow(gaps[int(finite.argmin())])
-    residuals, objectives, solutions = residuals.tolist(), objectives.tolist(), []
-    for (lo, hi, _), u, path, forecast in zip(runs, us, paths, split_runs(forecasts, lengths, runs)):
-        n = hi - lo
-        indices = [range(gap.gap_start + lag, gap.anchor_index + 1) for gap in gaps[lo:hi]]
-        solutions += map(ControlSolution, indices, u, multipliers[lo:hi], path, forecast, residuals[lo:hi],
-                         objectives[lo:hi], [mode] * n, [True] * n, diagnostics[lo:hi])
-    return solutions
+        raise _fill_overflow(int(starts[int(finite.argmin())]))
+    return objectives, residuals
 
 
-def _inputs(model, gaps, starts, anchors):
-    """``starts`` and ``anchors`` as the solver reads them, checked; the
-    anchors are (g,) for an AR and (g, k) otherwise."""
+def _inputs(model, lengths, starts, anchors):
+    """``starts`` and ``anchors`` of gaps of ``lengths`` as the solver reads
+    them, checked; the anchors are (g,) for an AR and (g, k) otherwise."""
     if isinstance(model, ArModel):
+        targets = np.asarray(anchors, dtype=float).reshape(len(lengths), -1)[:, 0]
+        if isinstance(starts, np.ndarray) and starts.ndim == 2:
+            return starts, targets
         # at least p values each; the trailing ones of a common width stack
         seeds = [np.asarray(s, dtype=float).ravel() for s in starts]
         width = min(map(len, seeds))
-        return (np.array([s[len(s) - width :] for s in seeds]),
-                np.array([np.atleast_1d(np.asarray(a, dtype=float))[0] for a in anchors]))
+        return np.array([s[len(s) - width :] for s in seeds]), targets
     if isinstance(model, RegModel):
         k, seeds = model.n_outputs, [np.column_stack([x]) for x in starts]  # 1-D: one column
-        for gap, x in zip(gaps, seeds):
-            if len(x) != gap.length + 1:
-                raise ValueError(f"need {gap.length + 1} covariate rows (gap start through anchor), "
+        for length, x in zip(lengths.tolist(), seeds):
+            if len(x) != length + 1:
+                raise ValueError(f"need {length + 1} covariate rows (gap start through anchor), "
                                  f"got {len(x)}")
         targets = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a in anchors])
     else:
         k = model.dim
         # checked once for the stack, but worded for one gap, as impute_gap_var reports
-        seeds = np.asarray(starts, dtype=float).reshape(len(gaps), -1)
+        seeds = np.asarray(starts, dtype=float).reshape(len(lengths), -1)
         if seeds.shape[1] != k:
             raise DataError(f"seed must have {k} components, got shape {seeds.shape[1:]}")
         targets = np.asarray(anchors, dtype=float)
@@ -259,18 +251,51 @@ def _inputs(model, gaps, starts, anchors):
 
 
 class GapStack(NamedTuple):
-    """Gaps solved as one stack, sorted by control count: gap ``index[i]``
-    of the call, with ``counts[i]`` chronological controls and its anchor's
-    (g, k) ``offsets`` from the forecast. ``controls`` and ``imputed`` (the
-    filled values at the 1-based ``indices``) hold one row per step, one
-    gap after another."""
+    """Gaps solved as one stack, sorted by control count, as columns: gap
+    ``index[i]`` of the call starts at row ``starts[i]`` and has
+    ``counts[i]`` controls from ``lag`` steps after it, an anchor offset
+    from the forecast, a multiplier ((g,) for scalar anchors, else (g, k)),
+    an objective, a residual and an entry of each ``diagnostics`` column.
+    ``controls``, ``imputed`` (the fill at the 1-based ``indices``) and
+    ``forecasts`` (each path through the anchor) hold one row per step."""
 
-    index: list
+    index: np.ndarray
+    starts: np.ndarray
     counts: np.ndarray
+    lag: int
+    mode: str
     controls: np.ndarray
     offsets: np.ndarray
     imputed: np.ndarray
     indices: np.ndarray
+    forecasts: np.ndarray
+    multipliers: np.ndarray
+    objectives: np.ndarray
+    residuals: np.ndarray
+    diagnostics: dict
+
+
+def stack_solutions(stacks, count: int) -> list:
+    """The ControlSolutions of the ``count`` gaps of ``stacks``, in gap
+    order, holding views of the stacks' rows."""
+    solutions = [None] * count
+    for stack in stacks:
+        runs, lengths, index = equal_runs(stack.counts), stack.counts + stack.lag, stack.index.tolist()
+        multipliers = stack.multipliers.tolist() if stack.multipliers.ndim == 1 else stack.multipliers
+        notes = [dict(zip(stack.diagnostics, values))
+                 for values in zip(*[column.tolist() for column in stack.diagnostics.values()])]
+        indices = list(map(range, (stack.starts + stack.lag).tolist(), (stack.starts + lengths).tolist()))
+        residuals, objectives = stack.residuals.tolist(), stack.objectives.tolist()
+        for (lo, hi, _), u, path, forecast in zip(runs, split_runs(stack.controls, stack.counts, runs),
+                                                  split_runs(stack.imputed, lengths - 1, runs),
+                                                  split_runs(stack.forecasts, lengths, runs)):
+            n = hi - lo
+            solved = map(ControlSolution, indices[lo:hi], u, multipliers[lo:hi], path, forecast,
+                         residuals[lo:hi], objectives[lo:hi], [stack.mode] * n, [True] * n,
+                         notes[lo:hi] or [{} for _ in range(n)])
+            for i, solution in zip(index[lo:hi], solved):
+                solutions[i] = solution
+    return solutions
 
 
 def _stacks(counts: np.ndarray) -> list:
@@ -293,78 +318,86 @@ def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     ControlSolution per gap, in order.
 
     ``model`` is one model, or a list with one per gap, of one kind.
-    ``gaps[i]`` is rolled from ``starts[i]``: at least p values before it for
-    an AR(p), the row before it for a VAR, or a regression's covariate rows
-    from the gap start through the anchor. ``anchors[i]`` is a scalar for an
-    AR, a vector for a VAR, and per output (or a scalar) for a regression.
+    ``gaps`` are GapSegments, or a Gaps of constrained gaps. ``gaps[i]`` is
+    rolled from ``starts[i]``: at least p values before it for an AR(p),
+    the row before it for a VAR, or a regression's covariate rows from the
+    gap start through the anchor. ``anchors[i]`` is a scalar for an AR, a
+    vector for a VAR, and per output (or a scalar) for a regression.
     Controls act on the last m steps: all but the first p - 1 of an AR(p).
     The gaps are solved as one stack (``impute_stacks``), and each gets the
     bits it would get alone. A regression is exact in either mode. The
     first failing gap's error is raised.
     """
-    return impute_stacks(model, gaps, starts, anchors, mode)[0]
+    return stack_solutions(impute_stacks(model, gaps, starts, anchors, mode), len(gaps))
 
 
-def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> tuple[list, list]:
-    """``impute_gaps``, and the GapStacks it solved them in: one, unless
+def _edges(gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based starts and anchor indices of constrained ``gaps``: a Gaps, or GapSegments."""
+    if isinstance(gaps, Gaps) and len(gaps.anchor_values) == len(gaps):
+        return gaps.starts, gaps.ends + 1
+    if isinstance(gaps, Gaps) or not all(gap.constrained for gap in gaps):
+        raise ValueError("gap has no anchor; use the open-gap prediction path")
+    return np.array([gap.gap_start for gap in gaps], int), np.array([gap.anchor_index for gap in gaps], int)
+
+
+def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
+    """The GapStacks that ``impute_gaps`` solves the gaps in: one, unless
     padding would more than double it (``_stacks``). A failing stack is
     solved again gap by gap, so the first failing gap's error is raised."""
     _check_mode(mode)
-    if not all(gap.constrained for gap in gaps):
-        raise ValueError("gap has no anchor; use the open-gap prediction path")
-    if not gaps:
-        return [], []
+    firsts, anchor_indices = _edges(gaps)
+    if not len(firsts):
+        return []
     try:
-        return _impute(model, gaps, starts, anchors, mode)
+        return _impute(model, firsts, anchor_indices, starts, anchors, mode)
     except NumericalError:
-        if len(gaps) == 1:
+        if len(firsts) == 1:
             raise
-        for i in range(len(gaps)):
+        for i in range(len(firsts)):
             impute_stacks(model[i] if isinstance(model, list) else model, gaps[i : i + 1],
                           starts[i : i + 1], anchors[i : i + 1], mode)
         raise
 
 
-def _impute(model, gaps, starts, anchors, mode: str) -> tuple[list, list]:
-    """``impute_stacks`` without the gap-by-gap rerun."""
+def _impute(model, firsts, anchor_indices, starts, anchors, mode: str) -> list:
+    """``impute_stacks`` of the gaps from 1-based ``firsts`` through
+    ``anchor_indices``, without the gap-by-gap rerun."""
     shared = not isinstance(model, list)
     first = model if shared else model[0]
     # an AR(p)'s first p - 1 gap values follow the uncorrected recursion
     lag = first.p - 1 if isinstance(first, ArModel) else 0
-    starts, targets = _inputs(first, gaps, starts, anchors)
-    counts = np.array([gap.anchor_index - gap.gap_start + 1 - lag for gap in gaps])
+    starts, targets = _inputs(first, anchor_indices - firsts, starts, anchors)
+    counts = anchor_indices - firsts + 1 - lag
     if counts.min() < 1:
         raise NumericalError(
             f"unreachable terminal constraint: order {lag + 1} leaves no control step "
-            f"in a gap of length {gaps[int(np.argmax(counts < 1))].length}"
+            f"in a gap of length {(anchor_indices - firsts)[int(np.argmax(counts < 1))]}"
         )
     # an AR, or a regression of one output given scalar anchors
     scalar = isinstance(first, ArModel) or np.ndim(anchors[0]) == 0
     order = np.argsort(counts, kind="stable")
-    solutions, stacks = [None] * len(gaps), []
+    stacks = []
     for lo, hi in _stacks(counts[order]):
-        index = order[lo:hi].tolist()
+        index = order[lo:hi]
         mine = starts[index] if isinstance(starts, np.ndarray) else [starts[i] for i in index]
-        solved, stack = _stack(model if shared else [model[i] for i in index], [gaps[i] for i in index],
-                               mine, targets[index], counts[index], lag, mode, scalar)
-        for i, solution in zip(index, solved):
-            solutions[i] = solution
-        stacks.append(stack._replace(index=index))
-    return solutions, stacks
+        stacks.append(_stack(model if shared else [model[i] for i in index], firsts[index], mine,
+                             targets[index], counts[index], lag, mode, scalar)._replace(index=index))
+    return stacks
 
 
-def _stack(model, gaps, starts, targets, counts, lag: int, mode: str, scalar) -> tuple[list, GapStack]:
-    """``_impute`` of one stack sorted by control count m: one table of
-    blocks and prefix-stable Gram sums, read at each gap's own m; one
-    forecast roll and one corrected roll, a VAR's to the longest m with
-    each gap's controls zero past its own, an AR's each path to its own
-    end; and one ``_lagrange`` solve. What rounds differently at another
-    length runs per run of equal m, on slices of the stack: the products
-    with the blocks, the objectives and a regression's forecast."""
+def _stack(model, firsts, starts, targets, counts, lag: int, mode: str, scalar) -> GapStack:
+    """``_impute`` of one stack sorted by control count m, of gaps from the
+    1-based ``firsts``: one table of blocks and prefix-stable Gram sums,
+    read at each gap's own m; one forecast roll and one corrected roll, a
+    VAR's to the longest m with each gap's controls zero past its own, an
+    AR's each path to its own end; and one ``_lagrange`` solve. What rounds
+    differently at another length runs per run of equal m, on slices of
+    the stack: the products with the blocks, the objectives and a
+    regression's forecast. The GapStack's index is left None."""
     shared = not isinstance(model, list)
     models = [model] if shared else model
     ar, regression = isinstance(models[0], ArModel), isinstance(models[0], RegModel)
-    g, longest, runs = len(gaps), int(counts[-1]), equal_runs(counts)
+    g, longest, runs = len(firsts), int(counts[-1]), equal_runs(counts)
     # one table to the longest count for a shared model, one per gap otherwise
     lengths = [longest] if shared else counts.tolist()
     blocks = _blocks(models, lengths)
@@ -394,7 +427,7 @@ def _stack(model, gaps, starts, targets, counts, lag: int, mode: str, scalar) ->
     delta = (targets - predicted[np.arange(g), counts + lag - 1].reshape(targets.shape)).reshape(g, -1)
     if regression and not np.isfinite(delta).all():
         # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
-        raise _fill_overflow(gaps[int(np.isfinite(delta).all(axis=1).argmin())])
+        raise _fill_overflow(int(firsts[int(np.isfinite(delta).all(axis=1).argmin())]))
     # each gap's own values, one gap after another: a padded stack is dropped once it is read
     forecasts = predicted[np.arange(predicted.shape[1]) < (counts + lag)[:, None]]
     lam = _lagrange(gram, delta, full)
@@ -411,34 +444,33 @@ def _stack(model, gaps, starts, targets, counts, lag: int, mode: str, scalar) ->
     positions = np.arange(values.shape[1])
     fill = positions < (counts + lag - 1)[:, None]
     imputed, ends = values[fill], values[np.arange(g), counts + lag - 1]
-    indices = (np.array([gap.gap_start for gap in gaps])[:, None] + positions)[fill]
+    indices = (firsts[:, None] + positions)[fill]
     del values
 
-    notes = [{"correction_rule": "uniform"} if regression else {} for _ in gaps]
+    diagnostics = {"correction_rule": np.full(g, "uniform")} if regression else {}
     if mode == "paper" and ar:
         for row in impulse:
             checked_weights(row)
+        differences = diagnostics["max_weight_difference"] = np.empty(g)
         for lo, hi, m in runs:
             rows = slice(None) if shared else slice(lo, hi)
-            differences = np.abs(printed[rows, :m] - impulse[rows, :m]).max(axis=1)
-            for note, difference in zip(notes[lo:hi], np.broadcast_to(differences, hi - lo).tolist()):
-                note["max_weight_difference"] = difference
+            differences[lo:hi] = np.abs(printed[rows, :m] - impulse[rows, :m]).max(axis=1)
     multipliers = lam
     if scalar:
-        controls, multipliers = controls[..., 0], lam[:, 0].tolist()
+        controls, multipliers = controls[..., 0], lam[:, 0]
         if regression:
             imputed, ends, forecasts = imputed[..., 0], ends[..., 0], forecasts[..., 0]
-    solved = _solutions(gaps, counts, lag, controls, multipliers, imputed, ends, forecasts, targets,
-                        "exact" if regression else mode, notes)
+    objectives, residuals = _summaries(firsts, counts, lag, controls, imputed, ends, targets)
     if mode == "paper" and not (ar or regression):
         # after the fills' overflow check, so that an overflowing fill
         # fails with the same message in both modes
+        differences = diagnostics["max_step_norm_difference"] = np.empty(g)
         for lo, hi, m in runs:
             part, u = blocks[0] if shared else blocks[lo:hi], controls[counts[:lo].sum() :][: (hi - lo) * m]
-            for note, difference in zip(notes[lo:hi], step_norm_differences(
-                    part[..., :m, :, :], delta[lo:hi], u.reshape(hi - lo, m, -1))):
-                note["max_step_norm_difference"] = difference
-    return solved, GapStack(None, counts, controls, delta, imputed, indices)
+            differences[lo:hi] = step_norm_differences(part[..., :m, :, :], delta[lo:hi],
+                                                       u.reshape(hi - lo, m, -1))
+    return GapStack(None, firsts, counts, lag, "exact" if regression else mode, controls, delta, imputed,
+                    indices, forecasts, multipliers, objectives, residuals, diagnostics)
 
 
 def impute_gap_ar(model: ArModel, gap, seeds, anchor: float, mode: str = "exact") -> ControlSolution:

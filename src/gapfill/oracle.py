@@ -19,6 +19,7 @@ bits would change at another length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -122,16 +123,28 @@ class Verdict(NamedTuple):
     objective_oracle: float
 
 
-@dataclass(frozen=True)
-class BatchVerdict:
-    """The verdicts of gaps certified together, in order."""
+@dataclass(frozen=True, eq=False)
+class BatchVerdict(Sequence):
+    """The verdicts of gaps certified together, in order, held as
+    ``columns``: one array per Verdict field, one entry per gap. Indexing
+    or iterating gives Verdicts, which ``verdicts`` builds on first access."""
 
-    verdicts: tuple[Verdict, ...]
+    columns: tuple
+
+    @cached_property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        return tuple(map(Verdict._make, zip(*(column.tolist() for column in self.columns))))
 
     @property
     def passed(self) -> bool:
         """True only when every gap passed."""
-        return all(verdict.passed for verdict in self.verdicts)
+        return bool(self.columns[0].all())
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return self.verdicts[i]
 
 
 def _landings(problem: ConstrainedProblem, controls) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +304,7 @@ def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
         passed = (oracle.feasible & np.isfinite(best)
                   & (gaps <= CERTIFY_TOLERANCE * (1.0 + np.abs(best)))
                   & (misses <= CERTIFY_TOLERANCE * (1.0 + row_norms(targets))))
-    return BatchVerdict(tuple(map(Verdict._make, zip(
-        passed.tolist(), gaps.tolist(), misses.tolist(), values.tolist(), best.tolist()))))
+    return BatchVerdict((passed, gaps, misses, values, best))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .control import (
     impute_gap_regression,  # not called here; bench/tracing.py still wraps this name
     impute_gap_var,  # not called here; bench/tracing.py still wraps this name
     impute_stacks,
+    stack_solutions,
 )
 from .errors import DataError, NumericalError
 from .fitting import (
@@ -31,8 +32,13 @@ from .fitting import (
     fit_var_pairs,  # not called here; bench/tracing.py still wraps this name
     predict_forward,
 )
-from .oracle import InstanceLimits, Verdict, build_problem, certify, random_instance
-from .report import ImputationReport, describe_model, gap_entry
+from .oracle import BatchVerdict, InstanceLimits, Verdict, build_problem, certify, random_instance
+from .report import (
+    ImputationReport,
+    describe_model,
+    gap_entry,  # not called here; bench/tracing.py still wraps this name
+    gap_records,
+)
 from .series import Series, detect_gaps, write_csv
 
 MODEL_KINDS = ("ar", "var", "regression")
@@ -122,10 +128,11 @@ def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
     return fit_regression(series.data[:n], _covariate_rows(covariates, np.arange(n)))
 
 
-def _refit_models(options: ImputeOptions, series: Series, covariates, segments) -> list:
-    """Per gap, in order, the model refitted on every fully-observed equation
-    window strictly before it, or the DataError or NumericalError that this
-    refit raises, for the caller to raise in that gap's turn.
+def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np.ndarray) -> list:
+    """Per gap, in order, the model refitted on every fully-observed
+    equation window strictly before its 1-based start in ``starts``, or the
+    DataError or NumericalError that this refit raises, for the caller to
+    raise in that gap's turn.
 
     Only original observations are used; values imputed for earlier gaps
     never enter a fit. The equations before a gap are a leading run of the
@@ -139,8 +146,7 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, segments) 
     for j in range(1, lags + 1):
         usable &= observed[lags - j : len(observed) - j]
     rows = np.flatnonzero(usable) + lags
-    starts = [segment.gap_start for segment in segments]
-    counts = np.searchsorted(rows, np.array(starts) - 1).tolist()
+    counts = np.searchsorted(rows, starts - 1).tolist()
     data = series.data
     limit = len(rows)
     if options.model_kind == "ar":
@@ -160,26 +166,25 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, segments) 
         DataError(f"no observed fit window before the gap at index {start}") if c == 0
         else _missing_covariate(int(rows[limit]) + 1) if c > limit
         else next(fits)
-        for start, c in zip(starts, counts)
+        for start, c in zip(starts.tolist(), counts)
     ]
 
 
-def _start(options: ImputeOptions, segment, working: np.ndarray, covariates):
-    """What ``segment`` is rolled from: an autoregression's last p values
-    before it, a VAR's last row, or a regression's covariate rows from the
-    gap start through the anchor (or the gap end), all of them observed."""
-    start = segment.gap_start - 1
+def _starts(options: ImputeOptions, gaps, working: np.ndarray, covariates, lasts: np.ndarray):
+    """What each of ``gaps`` is rolled from: an autoregression's last p
+    values, or a VAR's last row, before it (one fancy index of ``working``),
+    or a regression's covariate rows from its start through ``lasts``."""
+    before = gaps.starts - 1
     if options.model_kind == "ar":
-        return working[start - options.order : start, 0]
+        return working[before[:, None] - options.order + np.arange(options.order), 0]
     if options.model_kind == "var":
-        return working[start - 1]
-    last = segment.anchor_index if segment.constrained else segment.gap_end
-    return _covariate_rows(covariates, np.arange(start, last))
+        return working[before - 1]
+    return [covariates.data[a:b] for a, b in zip(before.tolist(), lasts.tolist())]
 
 
 def _open_gap_solution(options: ImputeOptions, model, segment, start) -> ControlSolution:
-    """Plain forecast for a gap with no anchor, from its ``_start``; no
-    controls, marked unconstrained."""
+    """Plain forecast for a gap with no anchor, from its ``_starts`` entry;
+    no controls, marked unconstrained."""
     # a regression reads its start as covariate rows, an autoregression as seeds
     predicted = predict_forward(model, start, segment.length, covariates=start)
     if options.model_kind == "regression" and model.n_outputs == 1:
@@ -203,76 +208,74 @@ def _open_gap_solution(options: ImputeOptions, model, segment, start) -> Control
     )
 
 
-def _solve_gaps(options: ImputeOptions, model, segments, reads_fill, working: np.ndarray,
-                covariates) -> tuple[list, list]:
-    """Solve ``segments`` in order, writing each fill into ``working``; the
-    solutions, and the GapStacks of the constrained ones, indexed by
-    position in ``segments``. ``model`` is one model, or per gap a model or
-    its failed refit's error.
+def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, working: np.ndarray,
+                covariates) -> tuple[list, ControlSolution | None]:
+    """Solve ``gaps`` (a Gaps) in order, writing each fill into ``working``;
+    the GapStacks of the constrained ones, indexed by position in ``gaps``,
+    and an open last gap's solution or None. ``model`` is one model, or per
+    gap a model or its failed refit's error.
 
     Constrained gaps go to ``impute_stacks`` in runs; a gap whose seed rows
-    read a fill (``reads_fill``) starts a new run. Each stack's fills are
-    written with one fancy-indexed assignment. A failing gap model or start
-    is raised once the run before it is solved. Open gaps are forecast.
+    read a fill (``reads_fill``) starts a new run, whose starts are read
+    once the fills before it are written. The first gap whose model failed
+    or whose covariates are not all observed raises once the runs before it
+    are solved. An open gap is forecast.
     """
     per_gap = isinstance(model, list)
     # an autoregression, and a regression of one output, have scalar anchors
     scalar = options.model_kind != "var" and working.shape[1] == 1
-    solutions, stacks, run = [], [], []
-
-    def solve_run():
-        if run:
-            gaps, models, starts = map(list, zip(*run))
-            anchors = [float(gap.anchor_value[0]) if scalar else gap.anchor_value for gap in gaps]
-            solved, solved_stacks = impute_stacks(models if per_gap else model, gaps, starts, anchors,
-                                                  options.mode)
-            run.clear()
-            for stack in solved_stacks:
-                working[stack.indices - 1] = stack.imputed.reshape(len(stack.indices), -1)
-                stacks.append(stack._replace(index=[len(solutions) + i for i in stack.index]))
-            solutions.extend(solved)
-
-    models = model if per_gap else [model] * len(segments)
-    for segment, gap_model, seeded in zip(segments, models, reads_fill):
-        if seeded or not segment.constrained:
-            solve_run()
-        try:
-            if isinstance(gap_model, Exception):
-                raise gap_model
-            start = _start(options, segment, working, covariates)
-        except (DataError, NumericalError):
-            solve_run()
-            raise
-        if segment.constrained:
-            run.append((segment, gap_model, start))
-        else:
-            solution = _open_gap_solution(options, gap_model, segment, start)
-            working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
-            solutions.append(solution)
-    solve_run()
-    return solutions, stacks
+    closed = len(gaps.anchor_values)
+    lasts = gaps.ends + (np.arange(len(gaps)) < closed)
+    # the first gap whose refit failed, or whose covariate rows are not all observed
+    failed = [isinstance(each, Exception) for each in model] if per_gap else []
+    first = failed.index(True) if True in failed else len(gaps)
+    if options.model_kind == "regression":
+        absent = np.concatenate(([0], np.cumsum(covariates.missing)))
+        first = min(first, int(np.argmax(np.append(absent[lasts] > absent[gaps.starts - 1], True))))
+    stacks, stop = [], min(first, closed)
+    cuts = [0, *np.flatnonzero(reads_fill[1:stop]) + 1, stop] if stop else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        run = gaps[lo:hi]
+        anchors = run.anchor_values[:, 0] if scalar else run.anchor_values
+        for stack in impute_stacks(model[lo:hi] if per_gap else model, run,
+                                   _starts(options, run, working, covariates, lasts[lo:hi]), anchors,
+                                   options.mode):
+            working[stack.indices - 1] = stack.imputed.reshape(len(stack.indices), -1)
+            stacks.append(stack._replace(index=stack.index + lo))
+    if first < len(gaps):
+        if per_gap and failed[first]:
+            raise model[first]
+        # the first unobserved covariate row from the gap start on
+        start = int(gaps.starts[first])
+        raise _missing_covariate(start + int(covariates.missing[start - 1 :].argmax()))
+    if closed == len(gaps):
+        return stacks, None
+    segment, gap_model = gaps[closed], model[closed] if per_gap else model
+    start = _starts(options, gaps[closed:], working, covariates, lasts[closed:])[0]
+    solution = _open_gap_solution(options, gap_model, segment, start)
+    working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
+    return stacks, solution
 
 
-def _certify_batch(options: ImputeOptions, model, stacks, count: int) -> list:
-    """Run the independent verifier on the solver's ``stacks`` of ``count``
-    gaps; one verdict or None per gap, in gap order.
+def _certify_batch(options: ImputeOptions, model, stacks, count: int):
+    """Run the independent verifier on the solver's ``stacks`` of the first
+    ``count`` gaps: one BatchVerdict of them in gap order, or per gap None.
 
     ``model`` is the model of every gap, or a list with one model per gap.
     Each stack is one problem and one ``certify`` call: the solver's
     controls and anchor offsets, sorted by control count, against one power
-    table per model to the stack's longest count. Open gaps have no
-    constraint to check, and scalar paper-mode values are not optimal by
-    construction, so they carry diagnostics instead of a certificate.
+    table per model to the stack's longest count. Scalar paper-mode values
+    are not optimal by construction, so they carry diagnostics instead of a
+    certificate.
     """
-    verdicts = [None] * count
-    if options.model_kind == "ar" and options.mode == "paper":
-        return verdicts
-    for stack in stacks:
-        models = [model[i] for i in stack.index] if isinstance(model, list) else model
-        result = certify(stack.controls, build_problem(models, stack.counts, stack.offsets))
-        for i, verdict in zip(stack.index, result.verdicts):
-            verdicts[i] = verdict
-    return verdicts
+    if options.model_kind == "ar" and options.mode == "paper" or not stacks:
+        return [None] * count
+    results = [certify(stack.controls, build_problem(
+        [model[i] for i in stack.index] if isinstance(model, list) else model, stack.counts, stack.offsets))
+        for stack in stacks]
+    order = np.argsort(np.concatenate([stack.index for stack in stacks]))
+    return BatchVerdict(tuple(np.concatenate(column)[order]
+                              for column in zip(*(result.columns for result in results))))
 
 
 def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
@@ -285,15 +288,15 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     ``refit_per_gap`` is set, in which case one sweep (``_refit_models``)
     gives each gap its own model. Either way the gaps are solved by
     ``_solve_gaps`` and certified stack by stack (see ``_certify_batch``).
-    The report is per gap, in gap order, and a failing run raises the first
-    failing gap's error.
+    The report holds the gaps as columns, in gap order (``gap_records``),
+    and a failing run raises the first failing gap's error.
     """
     _validate_options(options, series, covariates)
     segmentation_order = options.order if options.model_kind == "ar" else 1
-    prefix_length, segments = detect_gaps(series, segmentation_order, options.allow_open_gap)
+    prefix_length, gaps = detect_gaps(series, segmentation_order, options.allow_open_gap)
 
     report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
-    if not segments:
+    if not gaps:
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, filled=series.data, report=report)
 
@@ -303,30 +306,29 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     models = prefix_model
     if options.refit_per_gap:
         report.notes.append("refit per gap: each gap uses every fully-observed window before it")
-        models = _refit_models(options, series, covariates, segments)
+        models = _refit_models(options, series, covariates, gaps.starts)
     # whether each gap's seed rows hold a missing row, and so read an earlier fill
     missing_before = np.concatenate(([0], np.cumsum(series.missing)))
-    reads_fill = (missing_before[[segment.gap_start - 1 for segment in segments]] >
-                  missing_before[[segment.seed_indices[0] - 1 for segment in segments]]).tolist()
+    reads_fill = missing_before[gaps.starts - 1] > missing_before[gaps.starts - 1 - gaps.order]
     working = series.data.copy()
-    solutions, stacks = _solve_gaps(options, models, segments, reads_fill, working, covariates)
-    verdicts = _certify_batch(options, models, stacks, len(segments))
+    stacks, opened = _solve_gaps(options, models, gaps, reads_fill, working, covariates)
+    verdicts = _certify_batch(options, models, stacks, len(gaps.anchor_values))
 
-    refits = models if options.refit_per_gap else [None] * len(segments)
-    for segment, solution, verdict, refit_model, seeded in zip(segments, solutions, verdicts, refits,
-                                                                reads_fill):
-        if refit_model is not None:
-            _note_rank(report.notes, f"refit before the gap at index {segment.gap_start}", refit_model)
-        if seeded:
-            report.notes.append(
-                f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
-            )
-        report.gaps.append(gap_entry(segment, solution, verdict, refit_model))
-        if not solution.constrained:
-            report.notes.append(
-                f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
-                f"(no anchor); values are the uncorrected forecast"
-            )
+    refits = models if options.refit_per_gap else None
+    noted = reads_fill | [model.rank_deficient for model in refits] if refits else reads_fill
+    for i in np.flatnonzero(noted).tolist():
+        start = int(gaps.starts[i])
+        if refits:
+            _note_rank(report.notes, f"refit before the gap at index {start}", refits[i])
+        if reads_fill[i]:
+            report.notes.append(f"gap at index {start} seeds from values imputed for an earlier gap")
+    report.gap_columns = gap_records(gaps, stacks, None if isinstance(verdicts, list) else verdicts, refits,
+                                     opened)
+    if opened is not None:
+        report.notes.append(
+            f"gap at indices {gaps.starts[-1]}..{gaps.ends[-1]} is unconstrained "
+            f"(no anchor); values are the uncorrected forecast"
+        )
     working.setflags(write=False)
     return ImputeResult(series=series, filled=working, report=report)
 
@@ -351,12 +353,13 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     """
     series, model = random_instance(seed, limits)
     options = ImputeOptions(model_kind=limits.kind, order=model.p if limits.kind == "ar" else 1)
-    _, (segment,) = detect_gaps(series, options.order)
-    (solution,), (stack,) = _solve_gaps(options, model, [segment], [False], series.data.copy(), None)
+    _, gaps = detect_gaps(series, options.order)
+    (stack,), _ = _solve_gaps(options, model, gaps, np.zeros(1, dtype=bool), series.data.copy(), None)
+    (solution,) = stack_solutions([stack], 1)
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
         solution, stack = solution._replace(controls=bad), stack._replace(controls=bad)
     (verdict,) = _certify_batch(options, model, [stack], 1)
-    return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=segment,
+    return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=gaps[0],
                             solution=solution, verdict=verdict)

@@ -55,14 +55,15 @@ def json_pieces(value):
 def _render(value, newline: str, templates: dict):
     # ``newline`` is a line break plus the indent of the line that closes
     # ``value``; ``templates`` holds the run's compiled templates by shape
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple, Records)) and value:
         inner = newline + "  "
         separator = "," + inner
-        for start in range(0, len(value), CHUNK):
-            chunk = value[start : start + CHUNK]
+        chunks = value.chunks() if type(value) is Records else (
+            value[start : start + CHUNK] for start in range(0, len(value), CHUNK))
+        for i, chunk in enumerate(chunks):
             template, texts = _column(chunk, inner, templates)
             text = separator.join([template] * len(chunk)) % tuple(chain.from_iterable(texts or ()))
-            yield (separator if start else "[" + inner) + text
+            yield (separator if i else "[" + inner) + text
         yield newline + "]"
     elif isinstance(value, dict) and value:
         # walked, not templated: such a dict may hold a long list (the gaps)
@@ -145,22 +146,22 @@ def _dict_template(newline: str, keys, members: list, templates: dict) -> str:
     return templates[key]
 
 
-def _columns(records, newline: str, templates: dict):
-    """The template that every one of the same-keyed dicts ``records`` has at
-    ``newline``, and per record the texts of its ``%s`` slots, in order (None
-    when it has none).
+def _columns(keys, columns, newline: str, templates: dict):
+    """The template that every one of the dicts held as ``columns`` under
+    ``keys`` has at ``newline``, and per dict the texts of its ``%s``
+    slots, in order (None when it has none).
 
-    Each key's values are one column (``_column``).
+    Each column is rendered as one (``_column``).
     """
     inner = newline + "  "
-    members, columns = [], []
-    for column in zip(*map(dict.values, records)):
+    members, slots = [], []
+    for column in columns:
         member, texts = _column(column, inner, templates)
         members.append(member)
         if texts is not None:
-            columns.append(texts)
-    texts = map(chain.from_iterable, zip(*columns)) if columns else None
-    return _dict_template(newline, records[0], members, templates), texts
+            slots.append(texts)
+    texts = map(chain.from_iterable, zip(*slots)) if slots else None
+    return _dict_template(newline, keys, members, templates), texts
 
 
 def _column(column, newline: str, templates: dict):
@@ -169,10 +170,20 @@ def _column(column, newline: str, templates: dict):
 
     A column of one literal or of empty containers is written into the
     template. Plain numbers, float arrays of one shape (one ``np.array``),
-    lists of numbers of one length and same-keyed dicts fill the slots of
-    one template. Any other column is one slot per value, the value rendered
+    lists of numbers of one length, same-keyed dicts and a Records fill the
+    slots of one template, as does a numeric array column, whose rows are
+    its values. Any other column is one slot per value, the value rendered
     alone.
     """
+    if type(column) is Records:
+        return _columns(column.keys, column.columns, newline, templates) if column.keys else ("{}", None)
+    if type(column) is np.ndarray:
+        if column.dtype.kind not in "if":
+            return _column(column.tolist(), newline, templates)
+        flat = column.ravel().tolist()
+        if column.ndim == 1:
+            return "%s", zip(_reprs(flat))
+        return _numbers_template(newline, column.shape[1:], templates), _rows(flat, column.shape[1:])
     kinds = {*map(type, column)}
     if kinds <= _NUMBER_TYPES:
         return "%s", zip(_reprs(column))
@@ -181,12 +192,11 @@ def _column(column, newline: str, templates: dict):
             or kind in (dict, list, tuple) and not any(column)):
         return _shape(column[0], newline, [], templates), None
     if kind is dict and len({*map(tuple, column)}) == 1:
-        return _columns(column, newline, templates)
+        return _columns(column[0], zip(*map(dict.values, column)), newline, templates)
     if kind is np.ndarray and len(specs := {*map(attrgetter("dtype", "shape"), column)}) == 1:
         ((dtype, shape),) = specs
         if dtype == np.float64 and shape and 0 not in shape:
-            flat = np.array(column).ravel().tolist()
-            return _numbers_template(newline, shape, templates), _rows(flat, shape)
+            return _column(np.array(column), newline, templates)
     if kind in (list, tuple) and len({*map(len, column)}) == 1:
         flat, shape = list(chain.from_iterable(column)), (len(column[0]),)
         if {*map(type, flat)} <= _NUMBER_TYPES:
@@ -260,25 +270,74 @@ def describe_model(model) -> dict:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
+class Records:
+    """``count`` same-keyed dicts held as columns, then the dicts of
+    ``tail``: ``columns[j]`` holds each dict's value of ``keys[j]``, as a
+    list, a Records, or a numpy array of numbers or strs with one row per
+    dict. It renders as the list of its dicts (``tolist``)."""
+
+    def __init__(self, keys: tuple, columns: list, count: int, tail: list = ()):
+        self.keys, self.columns, self.count, self.tail = keys, columns, count, list(tail)
+
+    def __len__(self) -> int:
+        return self.count + len(self.tail)
+
+    def __getitem__(self, rows: slice) -> "Records":
+        return Records(self.keys, [column[rows] for column in self.columns], len(range(self.count)[rows]))
+
+    def chunks(self):
+        """The dicts CHUNK at a time: Records of the columns, then the tail."""
+        for start in range(0, self.count, CHUNK):
+            yield self[start : start + CHUNK]
+        if self.tail:
+            yield self.tail
+
+    def tolist(self) -> list:
+        """The dicts. A float array column of two or more dimensions gives
+        its rows as arrays, as ``gap_entry`` does; any other array, and a
+        Records, gives its ``tolist()``."""
+        columns = []
+        for column in self.columns:
+            rows = type(column) is np.ndarray and column.ndim > 1 and column.dtype.kind == "f"
+            columns.append(column if type(column) is list or rows else column.tolist())
+        rows = zip(*columns) if columns else [()] * self.count
+        return [dict(zip(self.keys, row)) for row in rows] + self.tail
+
+
+GAP_KEYS = ("start", "end", "anchor_index", "anchor_value", "seed_indices", "constrained", "mode",
+            "multiplier", "control_indices", "terminal_residual", "objective", "oracle", "diagnostics")
+ORACLE_KEYS = ("certified", "objective_gap", "constraint_residual")
+
+
 @dataclass
 class ImputationReport:
     """Everything a run decided: the fit, and per gap its multiplier and
-    checks (``gap_entry``), from which its controls follow."""
+    checks (``gap_entry``), from which its controls follow. A report of
+    ``impute_series`` renders ``gap_columns`` (``gap_records``) until
+    ``gaps``, the list of entries, is first read and built from them."""
 
     mode: str
     prefix_length: int
     model: dict | None = None
-    gaps: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    gap_columns: Records | None = field(default=None, repr=False, compare=False)
+    _gaps: list | None = field(default=None, init=False, repr=False)
+
+    @property
+    def gaps(self) -> list:
+        if self._gaps is None:
+            self._gaps = [] if self.gap_columns is None else self.gap_columns.tolist()
+        return self._gaps
 
     def to_dict(self) -> dict:
+        gaps = self.gaps if self._gaps is not None or self.gap_columns is None else self.gap_columns
         return {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
             "prefix_length": self.prefix_length,
             "model": self.model,
-            "gap_count": len(self.gaps),
-            "gaps": self.gaps,
+            "gap_count": len(gaps),
+            "gaps": gaps,
             "notes": self.notes,
         }
 
@@ -295,27 +354,38 @@ def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
     model the controls (see the README's "Report schema").
     """
     seeds, controlled = segment.seed_indices, solution.control_indices
-    entry = {
-        "start": segment.gap_start,
-        "end": segment.gap_end,
-        "anchor_index": segment.anchor_index,
-        "anchor_value": segment.anchor_value,
-        "seed_indices": [seeds[0], seeds[-1]],
-        "constrained": solution.constrained,
-        "mode": solution.mode,
-        "multiplier": solution.multiplier,
-        "control_indices": [controlled[0], controlled[-1]],
-        "terminal_residual": solution.terminal_residual,
-        "objective": solution.objective,
-        "oracle": None,
-        "diagnostics": solution.diagnostics,
-    }
-    if verdict is not None:
-        entry["oracle"] = {
-            "certified": verdict.passed,
-            "objective_gap": verdict.objective_gap,
-            "constraint_residual": verdict.constraint_residual,
-        }
+    entry = dict(zip(GAP_KEYS, (
+        segment.gap_start, segment.gap_end, segment.anchor_index, segment.anchor_value, [seeds[0], seeds[-1]],
+        solution.constrained, solution.mode, solution.multiplier, [controlled[0], controlled[-1]],
+        solution.terminal_residual, solution.objective,
+        None if verdict is None else dict(zip(ORACLE_KEYS, verdict[:3])), solution.diagnostics)))
     if refit_model is not None:
         entry["refit_model"] = describe_model(refit_model)
     return entry
+
+
+def gap_records(gaps, stacks, verdicts, refit_models, opened) -> Records:
+    """The ``gap_entry`` dicts of a run's ``gaps`` (a Gaps) as columns, in
+    gap order: the constrained gaps from the solver's ``stacks`` (GapStacks),
+    their BatchVerdict ``verdicts`` (or None) and ``refit_models`` (one per
+    gap, or None), then the entry of an open last gap solved as ``opened``.
+    """
+    count = len(gaps.anchor_values)
+    keys = GAP_KEYS if refit_models is None else GAP_KEYS + ("refit_model",)
+    tail = () if opened is None else [gap_entry(gaps[count], opened, None, refit_models and refit_models[-1])]
+    if not stacks:
+        return Records(keys, [], 0, tail)
+    order = np.argsort(np.concatenate([stack.index for stack in stacks]))
+    solved = {name: np.concatenate([getattr(stack, name) for stack in stacks])[order]
+              for name in ("multipliers", "residuals", "objectives")}
+    diagnostics = {key: np.concatenate([stack.diagnostics[key] for stack in stacks])[order]
+                   for key in stacks[0].diagnostics}
+    starts, ends, lag = gaps.starts[:count], gaps.ends[:count], stacks[0].lag
+    oracle = [None] * count if verdicts is None else Records(ORACLE_KEYS, list(verdicts.columns[:3]), count)
+    columns = [starts, ends, ends + 1, gaps.anchor_values, np.stack([starts - gaps.order, starts - 1], 1),
+               [True] * count, [stacks[0].mode] * count, solved["multipliers"],
+               np.stack([starts + lag, ends + 1], 1), solved["residuals"], solved["objectives"], oracle,
+               Records(tuple(diagnostics), list(diagnostics.values()), count)]
+    if refit_models is not None:
+        columns.append(list(map(describe_model, refit_models[:count])))
+    return Records(keys, columns, count, tail)

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import not_
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,13 +242,16 @@ def _scanned_blocks(lines: list, delimiter: str, ncol: int):
         if ncol > 1 and "" in block:
             block = [line or delimiter * (ncol - 1) for line in block]
         buf = np.frombuffer("\n".join(block + [""]).encode(), dtype=np.uint8)
-        ends = np.flatnonzero((buf == ord(delimiter)) | (buf == 10))
+        cuts = buf == ord(delimiter)
+        cuts |= buf == 10
+        ends = np.flatnonzero(cuts)
         # cells per line: the count of delimiters and line feeds up to each line feed
         counts = np.diff(np.flatnonzero(buf[ends] == 10), prepend=-1)
         if (counts != ncol).any():
             i = int(np.argmax(counts != ncol))
             raise DataError(f"ragged row {start + i}: expected {ncol} cells, got {counts[i]}")
-        odd = (buf - 0x21) > 0x7e - 0x21  # not printable ASCII: uint8 wraps below 0x21
+        odd = np.less(buf, 0x21, out=cuts)  # not printable ASCII, in the cuts' memory
+        odd |= buf > 0x7e
         odd[ends] = False
         starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, ncol)
         yield len(block), block, None if odd.any() else (buf, starts.T, (ends.reshape(-1, ncol) - starts).T)
@@ -365,45 +369,63 @@ def _bad_cell(cells: list, ncol: int, cols, header, absent, first: int) -> DataE
                 )
 
 
-def detect_gaps(series: Series, order: int = 1,
-                allow_open_gap: bool = False) -> tuple[int, list[GapSegment]]:
+class Gaps(Sequence):
+    """The gaps of a series as columns, left to right: 1-based ``starts``
+    and ``ends``, the seed window width ``order``, and the ``anchor_values``
+    rows of the constrained gaps, which are all but an open last gap. Each
+    gap's anchor index is its end + 1. Indexing or iterating makes the
+    gaps' GapSegments; a slice is a Gaps.
+    """
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray, order: int, anchor_values: np.ndarray):
+        self.starts, self.ends, self.order, self.anchor_values = starts, ends, order, anchor_values
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Gaps(self.starts[i], self.ends[i], self.order, self.anchor_values[i])
+        i = range(len(self))[i]
+        start, end = int(self.starts[i]), int(self.ends[i])
+        constrained = i < len(self.anchor_values)
+        return GapSegment(start, end, tuple(range(start - self.order, start)),
+                          end + 1 if constrained else None, self.anchor_values[i] if constrained else None)
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+def detect_gaps(series: Series, order: int = 1, allow_open_gap: bool = False) -> tuple[int, Gaps]:
     """Segment the series into an observed prefix and maximal gaps.
 
-    Returns ``(prefix_length, segments)`` where ``prefix_length`` is the number
-    of observed positions before the first gap and segments are ordered left to
-    right. Each gap needs ``order`` seed positions before it and, unless
-    ``allow_open_gap`` is set, one observed anchor right after it.
+    Returns ``(prefix_length, gaps)`` where ``prefix_length`` is the number
+    of observed positions before the first gap and ``gaps`` (a Gaps) holds
+    them left to right, read off the run edges of the mask. Each gap needs
+    ``order`` seed positions before it and, unless ``allow_open_gap`` is
+    set, one observed anchor right after it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     n = len(series)
     # +1 where a run of missing rows starts, -1 just past where it ends
     edges = np.diff(series.missing.astype(np.int8), prepend=0, append=0)
-    runs = zip((np.flatnonzero(edges == 1) + 1).tolist(), np.flatnonzero(edges == -1).tolist())
-
-    segments = []
-    for gap_start, gap_end in runs:
-        if gap_start == 1:
-            raise DataError("gap has no seed window: the series begins with a missing value")
-        if gap_start - order < 1:
-            raise DataError(
-                f"gap at index {gap_start} needs {order} seed values "
-                f"but only {gap_start - 1} positions precede it"
-            )
-        if gap_end == n:
-            if not allow_open_gap:
-                raise DataError(
-                    f"gap at indices {gap_start}..{gap_end} has no anchor: the series ends "
-                    f"inside the gap (enable open-gap mode to fill it without a terminal value)"
-                )
-            anchor_index = None
-            anchor_value = None
-        else:
-            anchor_index = gap_end + 1
-            anchor_value = series.data[gap_end]
-        segments.append(GapSegment(gap_start, gap_end, tuple(range(gap_start - order, gap_start)),
-                                   anchor_index, anchor_value))
-    return series.prefix_length, segments
+    starts, ends = np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1)
+    # later gaps have more rows before them, and only the last can reach the end
+    if len(starts) and starts[0] == 1:
+        raise DataError("gap has no seed window: the series begins with a missing value")
+    if len(starts) and starts[0] - order < 1:
+        raise DataError(
+            f"gap at index {starts[0]} needs {order} seed values "
+            f"but only {starts[0] - 1} positions precede it"
+        )
+    closed = len(ends) - int(len(ends) > 0 and ends[-1] == n)
+    if closed < len(ends) and not allow_open_gap:
+        raise DataError(
+            f"gap at indices {starts[-1]}..{ends[-1]} has no anchor: the series ends "
+            f"inside the gap (enable open-gap mode to fill it without a terminal value)"
+        )
+    return series.prefix_length, Gaps(starts, ends, order, series.data[ends[:closed]])
 
 
 def write_csv(series: Series, filled, precision: int = 6) -> str:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.control import (
-    _solutions,
+    GapStack,
+    _summaries,
     gamma_weights,
     impulse_weights,
     impute_gap_ar,
@@ -16,6 +17,7 @@ from gapfill.control import (
     impute_gaps,
     impute_stacks,
     solve_controls,
+    stack_solutions,
 )
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
@@ -533,11 +535,15 @@ class TestStackedSolutions:
     @staticmethod
     def solve(gaps, controls, paths, targets):
         g = len(gaps)
+        starts = np.array([gap.gap_start for gap in gaps])
         counts = np.array([gap.anchor_index + 1 - gap.gap_start for gap in gaps])
         # the controls, fills and forecasts are one row per step, one gap after another
         rows = lambda values: values.reshape((-1,) + values.shape[2:])
-        return _solutions(gaps, counts, 0, rows(controls), [None] * g, rows(paths[:, :-1]), paths[:, -1],
-                          rows(paths), targets, "exact", [{}] * g)
+        objectives, residuals = _summaries(starts, counts, 0, rows(controls), rows(paths[:, :-1]),
+                                           paths[:, -1], targets)
+        return stack_solutions([GapStack(np.arange(g), starts, counts, 0, "exact", rows(controls), None,
+                                         rows(paths[:, :-1]), None, rows(paths), np.zeros(g), objectives,
+                                         residuals, {})], g)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), count=st.integers(1, 6),
@@ -643,13 +649,15 @@ class TestImputeGaps:
         first = models[0] if isinstance(models, list) else models
         kind = {ArModel: "ar", VarModel: "var", RegModel: "regression"}[type(first)]
         options = ImputeOptions(model_kind=kind, order=first.p if kind == "ar" else 1, mode=mode)
-        solved, stacks = impute_stacks(models, gaps, starts, anchors, mode)
+        stacks = impute_stacks(models, gaps, starts, anchors, mode)
+        solved = stack_solutions(stacks, len(gaps))
         assert len(stacks) == 1
         verdicts = _certify_batch(options, models, stacks, len(gaps))
         for i, (solution, verdict) in enumerate(zip(solved, verdicts)):
             model = models[i] if isinstance(models, list) else models
-            (alone,), alone_stacks = impute_stacks(model, gaps[i : i + 1], starts[i : i + 1],
-                                                   anchors[i : i + 1], options.mode)
+            alone_stacks = impute_stacks(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1],
+                                         options.mode)
+            (alone,) = stack_solutions(alone_stacks, 1)
             assert self.bits(solution) == self.bits(alone)
             assert solution.diagnostics == alone.diagnostics
             (alone_verdict,) = _certify_batch(options, model, alone_stacks, 1)
@@ -680,7 +688,8 @@ class TestImputeGaps:
         gaps = [closed_gap(10 + 5 * i, 1) for i in range(30)] + [closed_gap(200, 1000)]
         starts = [np.array([1.0, 2.0])] * len(gaps)
         anchors = [np.array([3.0, -1.0])] * len(gaps)
-        solved, stacks = impute_stacks(model, gaps, starts, anchors)
+        stacks = impute_stacks(model, gaps, starts, anchors)
+        solved = stack_solutions(stacks, len(gaps))
         assert [len(stack.index) for stack in stacks] == [25, 6]
         for i in (0, 24, 25, 30):
             (alone,) = impute_gaps(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1])

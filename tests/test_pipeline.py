@@ -1,6 +1,8 @@
+import contextlib
 import json
+import pathlib
+import sys
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfill import fitting, pipeline
+from gapfill import control, fitting, oracle, pipeline
+from gapfill import report as report_module
+from gapfill import series as series_module
 from gapfill.control import (
     gamma_weights,
     impulse_weights,
     impute_gap_ar,
     impute_gap_regression,
     impute_gap_var,
+    stack_solutions,
 )
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
@@ -26,8 +31,31 @@ from gapfill.fitting import (
 from gapfill.linalg import RANK_TOLERANCE, mat_pow_table
 from gapfill.oracle import build_problem, certify
 from gapfill.pipeline import ImputeOptions, impute_series
-from gapfill.report import ImputationReport, describe_model, gap_entry
+from gapfill.report import ImputationReport, describe_model, gap_entry, json_pieces, render_json
 from gapfill.series import Series, detect_gaps, parse_csv
+
+
+@contextlib.contextmanager
+def recording(record):
+    """Call ``record(segment, solution)`` for each gap that ``impute_series``
+    solves, in gap order: the ControlSolutions of each run's GapStacks and
+    an open gap's forecast."""
+    solve_run, forecast = pipeline.impute_stacks, pipeline._open_gap_solution
+
+    def stacks(model, gaps, *rest):
+        solved = solve_run(model, gaps, *rest)
+        for segment, solution in zip(gaps, stack_solutions(solved, len(gaps))):
+            record(segment, solution)
+        return solved
+
+    def opened(options, model, segment, start):
+        solution = forecast(options, model, segment, start)
+        record(segment, solution)
+        return solution
+
+    with mock.patch.object(pipeline, "impute_stacks", stacks), \
+            mock.patch.object(pipeline, "_open_gap_solution", opened):
+        yield
 
 
 def scalar_series(values):
@@ -75,11 +103,7 @@ class TestScalarPipeline:
         series = parse_csv("v\n1\n2\n3\n4\n5\nNA\nNA\n8\n")
         solved = []
 
-        def recording(segment, solution, *rest):
-            solved.append(solution)
-            return gap_entry(segment, solution, *rest)
-
-        with mock.patch.object(pipeline, "gap_entry", recording):
+        with recording(lambda segment, solution: solved.append(solution)):
             result = impute_series(series)
         parsed = json.loads(result.report.to_json())
         (entry,) = parsed["gaps"]
@@ -380,8 +404,7 @@ class TestRefitEquations:
             cov_series = Series.from_values(covariates)
             starts = list(range(order + 1, n + 1))
             calls.clear()
-            models = pipeline._refit_models(options, series, cov_series,
-                                            [SimpleNamespace(gap_start=g) for g in starts])
+            models = pipeline._refit_models(options, series, cov_series, np.array(starts))
             (inputs, targets, _), = calls
             for gap_start, model in zip(starts, models):
                 expected = refit_equations_by_row_loop(kind, order, values, covariates, gap_start)
@@ -516,8 +539,7 @@ class TestSweepAgainstFullRefit:
     @given(case=refit_windows())
     def test_same_models_as_full_refit(self, case):
         options, series, covariates, starts = case
-        models = pipeline._refit_models(options, series, covariates,
-                                        [SimpleNamespace(gap_start=g) for g in starts])
+        models = pipeline._refit_models(options, series, covariates, np.array(starts))
         assert len(models) == len(starts)
         for gap_start, got in zip(starts, models):
             try:
@@ -770,11 +792,7 @@ class TestSchemaFourGivesSchemaOne:
         options = replace(options, refit_per_gap=refit)
         solved = []
 
-        def recording(segment, solution, *rest):
-            solved.append((segment, solution))
-            return gap_entry(segment, solution, *rest)
-
-        with mock.patch.object(pipeline, "gap_entry", recording):
+        with recording(lambda segment, solution: solved.append((segment, solution))):
             try:
                 result = impute_series(series, options, covariates)
             except (DataError, NumericalError):
@@ -832,6 +850,56 @@ class TestSchemaFourGivesSchemaOne:
         assert result.filled[series.missing].tobytes() == np.array(list(imputed.values())).tobytes()
 
 
+def workload_input(name: str, size: str, seed: int) -> str:
+    """A benchmark workload's input, as ``bench/workloads.py`` (only read here) generates it."""
+    bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import WORKLOADS, generate
+    finally:
+        sys.path.remove(bench)
+    return generate(WORKLOADS[name], size, seed)
+
+
+class TestGapColumns:
+    """A run carries its gaps as columns from detection to the rendered
+    report, which equals the render of the per-gap entries built from them."""
+
+    def test_workload_builds_no_per_gap_objects(self, monkeypatch):
+        series = parse_csv(workload_input("many_gaps_var", "tiny", 1))
+        options = ImputeOptions(model_kind="var")
+        built = impute_series(series, options).report
+        assert len(built.gaps) == 20
+        want = render_json(built.to_dict())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-gap object was built")
+
+        for owner, name in ((pipeline, "gap_entry"), (report_module, "gap_entry"),
+                            (control, "ControlSolution"), (series_module, "GapSegment"), (oracle.Verdict, "_make")):
+            monkeypatch.setattr(owner, name, refuse)
+        report = impute_series(series, options).report
+        assert "".join(json_pieces(report.to_dict())) == want
+        assert report._gaps is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
+    def test_columns_render_as_the_built_entries(self, run, refit):
+        series, options, covariates = run
+        options = replace(options, refit_per_gap=refit)
+        try:
+            report = impute_series(series, options, covariates).report
+        except (DataError, NumericalError):
+            return
+        text, tree = report.to_json(), report.to_dict()
+        tree["gaps"] = report.gaps
+        assert text == json.dumps(tree, indent=2, default=np.ndarray.tolist) + "\n"
+        if refit:
+            # the numbers differ in the rounding of the refit coefficients
+            assert_close_trees(report.gaps, refit_per_gap_loop(series, options, covariates).report.gaps,
+                               rel=None)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, phosphate_text):
         series = parse_csv(phosphate_text)
@@ -878,7 +946,10 @@ def assert_close_trees(got, want, path="report", rel=1e-12):
     """Same structure and non-float leaves; floats within rel (1 + |want|),
     or of any value when ``rel`` is None."""
     assert type(got) is type(want), path
-    if isinstance(want, dict):
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), path
+        assert_close_trees(got.tolist(), want.tolist(), path, rel)
+    elif isinstance(want, dict):
         assert list(got) == list(want), path
         for key in want:
             assert_close_trees(got[key], want[key], f"{path}.{key}", rel)
