@@ -1,4 +1,5 @@
-"""Gates on the batched solve and certification of the benchmark workloads.
+"""Gates on benchmark runs of the workloads: the batched solve and
+certification, the long AR gaps and the peak memory.
 
 Each check reads files that the benchmark and the CLI wrote, prints one
 line ("ok: ..." or the problems found) and exits 1 when a gate fails:
@@ -14,7 +15,15 @@ line ("ok: ..." or the problems found) and exits 1 when a gate fails:
     refit BENCH_JSON
         a traced ``bench/run.py`` run of refit_ar passed its output check,
         certified every gap with at most 2 SPD solves, accounted for all of
-        its time and traced its AR rolls as ``fitting.predict``.
+        its time and traced its AR rolls as ``fitting.predict``;
+    long BENCH_JSON
+        a ``bench/run.py`` run of long_gap_ar passed its output check and
+        certified both of its 600-step gaps;
+    peaks VAR_BENCH_JSON AR_BENCH_JSON
+        ``bench/run.py`` runs of many_gaps_var and long_gap_ar passed their
+        output checks, and the first run's peak_rss_mb is at most PEAK_SPREAD_MB
+        above the second's: both write their texts in bounded pieces, so the
+        ~1.5 MB of many_gaps_var's CSV and report do not raise its peak.
 
 The inputs are made as CI makes them, for example:
 
@@ -30,16 +39,28 @@ import sys
 
 REPORT_BYTES = 1_000_000
 SPD_CALLS = 2
+PEAK_SPREAD_MB = 5.0
 
 
-def _metrics(path: str) -> tuple[dict, list]:
-    """A benchmark result's metric values, and the problems of its output check."""
+def _result(path: str) -> tuple[dict, list]:
+    """A benchmark result's metric values, and the problem of its output check."""
     with open(path) as handle:
         result = json.load(handle)
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
-    problems = [] if result["correct"] is True else ["the run's output check failed"]
+    return metrics, [] if result["correct"] is True else ["the run's output check failed"]
+
+
+def _certified(path: str) -> tuple[dict, list]:
+    """``_result``, and the problem of a gap left uncertified."""
+    metrics, problems = _result(path)
     if metrics["oracle.certified_frac"] != 1.0:
         problems.append(f"oracle.certified_frac is {metrics['oracle.certified_frac']}, expected 1.0")
+    return metrics, problems
+
+
+def _metrics(path: str) -> tuple[dict, list]:
+    """``_certified``, and the problem of more than SPD_CALLS SPD solves."""
+    metrics, problems = _certified(path)
     if metrics["linalg.spd_calls"] > SPD_CALLS:
         problems.append(f"linalg.spd_calls is {metrics['linalg.spd_calls']}, expected at most {SPD_CALLS}")
     return metrics, problems
@@ -79,7 +100,21 @@ def refit(bench_path: str) -> tuple[list, str]:
     return problems, f"ok: {metrics['linalg.spd_calls']} SPD solves, all gaps certified, rolls traced"
 
 
-CHECKS = {"paper": paper, "shared": shared, "refit": refit}
+def long(bench_path: str) -> tuple[list, str]:
+    return _certified(bench_path)[1], "ok: both long gaps certified"
+
+
+def peaks(var_path: str, ar_path: str) -> tuple[list, str]:
+    runs = [(path, *_result(path)) for path in (var_path, ar_path)]
+    problems = [f"{path} run's output check failed" for path, _, failed in runs if failed]
+    high, low = (metrics["peak_rss_mb"] for _, metrics, _ in runs)
+    if high - low > PEAK_SPREAD_MB:
+        problems.append(f"many_gaps_var peaks at {high:.1f} MB, over {PEAK_SPREAD_MB:.0f} MB above "
+                        f"long_gap_ar's {low:.1f} MB")
+    return problems, f"ok: peaks {high:.1f} and {low:.1f} MB"
+
+
+CHECKS = {"paper": paper, "shared": shared, "refit": refit, "long": long, "peaks": peaks}
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 from .errors import DataError, NumericalError
@@ -259,9 +260,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _same_destination(output_path: str, report_path: str) -> bool:
-    if "-" in (output_path, report_path):
-        return output_path == report_path
-    return os.path.realpath(output_path) == os.path.realpath(report_path)
+    """Whether the two name one file ("-" is stdout): by file identity where
+    both exist, else by path. A terminal or the null device loses nothing."""
+    paths = (output_path, report_path)
+    if output_path == report_path:
+        return True
+    try:
+        stats = [os.fstat(sys.stdout.fileno()) if path == "-" else os.stat(path) for path in paths]
+    except (AttributeError, OSError, ValueError):
+        return "-" not in paths and os.path.realpath(output_path) == os.path.realpath(report_path)
+    return os.path.samestat(*stats) and not stat.S_ISCHR(stats[0].st_mode)
 
 
 def _usage_problem(args: argparse.Namespace) -> str | None:

@@ -45,8 +45,9 @@ def json_pieces(value):
     (``_column``): one ``%`` template that every item has, filled with the
     texts of each item's slots. Dicts with one key order (the gaps' records)
     are cut into one column per key, so the numbers of a column cost one
-    ``map(repr)``, and only the values that do not share their column's
-    shape are rendered alone (``_shape``).
+    ``map(repr)``. A value that does not share its column's shape, and
+    each scalar field of the report, is rendered by ``json.dumps``
+    (``_alone``).
     """
     yield from _render(value, "\n", {})
     yield "\n"
@@ -75,63 +76,17 @@ def _render(value, newline: str, templates: dict):
             separator = "," + inner
         yield newline + "}"
     else:
-        yield _alone(value, newline, templates)
+        yield _alone(value, newline)
 
 
-def _alone(value, newline: str, templates: dict) -> str:
-    """The text of ``value`` rendered at ``newline`` (``_shape`` filled)."""
-    numbers = []
-    return _fill(_shape(value, newline, numbers, templates), numbers)
-
-
-def _shape(value, newline: str, numbers: list, templates: dict) -> str:
-    """The ``%`` template of ``value`` rendered at ``newline``, with a ``%s``
-    for each plain int and float, which are appended to ``numbers`` in order.
-
-    The template is compiled once per shape: for a dict its keys and the
-    shapes of its values; for a list of numbers or a float array, its
-    dimensions. Anything else is its rendered text, as ``json`` renders it
-    (an int or float subclass by its base's repr).
-    """
-    kind = type(value)
-    if kind is float or kind is int:
-        numbers.append(value)
-        return "%s"
-    if kind is str:
-        return encode_basestring_ascii(value).replace("%", "%%")
-    if kind is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
-    if kind is dict and value:
-        inner = newline + "  "
-        members = []
-        for item in value.values():
-            kind = type(item)
-            if kind is float or kind is int:
-                numbers.append(item)
-                members.append("%s")
-            else:
-                members.append(_shape(item, inner, numbers, templates))
-        return _dict_template(newline, value, members, templates)
-    if kind is np.ndarray:
-        if value.dtype == np.float64 and value.ndim and value.size:
-            numbers += value.ravel().tolist()
-            return _numbers_template(newline, value.shape, templates)
+def _alone(value, newline: str) -> str:
+    """The text of ``value`` rendered at ``newline``, as ``json`` renders it
+    (a numpy array as its ``tolist()``)."""
+    if type(value) is np.ndarray:
         value = value.tolist()
-        kind = type(value)
-    if (kind is list or kind is tuple) and value and set(map(type, value)) <= _NUMBER_TYPES:
-        numbers += value
-        return _numbers_template(newline, (len(value),), templates)
-    if isinstance(value, (list, tuple, dict)) and value:
-        literal = "".join(_render(value, newline, templates))
-    elif isinstance(value, (list, tuple, dict)):
-        literal = "{}" if isinstance(value, dict) else "[]"
-    elif isinstance(value, int):
-        literal = int.__repr__(value)
-    elif isinstance(value, float):
-        literal = _spell_nonfinite(float.__repr__(value))
-    else:
-        literal = json.dumps(value)
-    return literal.replace("%", "%%")
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2, default=np.ndarray.tolist).replace("\n", newline)
+    return json.dumps(value)
 
 
 def _dict_template(newline: str, keys, members: list, templates: dict) -> str:
@@ -188,9 +143,14 @@ def _column(column, newline: str, templates: dict):
     if kinds <= _NUMBER_TYPES:
         return "%s", zip(_reprs(column))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if (kind in _LITERAL_TYPES and len({*column}) == 1
-            or kind in (dict, list, tuple) and not any(column)):
-        return _shape(column[0], newline, [], templates), None
+    if kind in (dict, list, tuple) and not any(column):
+        return "{}" if kind is dict else "[]", None
+    if kind in _LITERAL_TYPES and len({*column}) == 1:
+        # met once per chunk, so its text is kept for the run
+        key = (kind, column[0])
+        if key not in templates:
+            templates[key] = _alone(column[0], newline).replace("%", "%%")
+        return templates[key], None
     if kind is dict and len({*map(tuple, column)}) == 1:
         return _columns(column[0], zip(*map(dict.values, column)), newline, templates)
     if kind is np.ndarray and len(specs := {*map(attrgetter("dtype", "shape"), column)}) == 1:
@@ -201,7 +161,7 @@ def _column(column, newline: str, templates: dict):
         flat, shape = list(chain.from_iterable(column)), (len(column[0]),)
         if {*map(type, flat)} <= _NUMBER_TYPES:
             return _numbers_template(newline, shape, templates), _rows(flat, shape)
-    return "%s", [(_alone(value, newline, templates),) for value in column]
+    return "%s", [(_alone(value, newline),) for value in column]
 
 
 def _rows(numbers: list, shape: tuple):
@@ -218,11 +178,6 @@ def _numbers_template(newline: str, shape: tuple, templates: dict) -> str:
         item = _numbers_template(inner, shape[1:], templates) if len(shape) > 1 else "%s"
         templates[key] = "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
     return templates[key]
-
-
-def _fill(template: str, numbers: list) -> str:
-    """``template`` filled with the texts of ``numbers``."""
-    return template % tuple(_reprs(numbers)) if numbers else template % ()
 
 
 def _reprs(numbers) -> list:

@@ -943,12 +943,15 @@ class TestUsage:
         ("same.csv", "link.csv"),
         ("-", "-"),
         (None, "-"),
-    ], ids=["equal", "dotted", "symlink", "both-stdout", "default-output"])
+        ("kept.csv", "hard.csv"),
+    ], ids=["equal", "dotted", "symlink", "both-stdout", "default-output", "hard-link"])
     def test_output_and_report_may_not_share_a_destination(self, capsys, tmp_path, monkeypatch,
                                                             output, report):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+        (tmp_path / "kept.csv").write_text("kept\n")
+        os.link(tmp_path / "kept.csv", tmp_path / "hard.csv")
         # the input does not exist: the check comes before any input is read
         argv = ["impute", "missing.csv", "--report", report]
         if output is not None:
@@ -956,6 +959,28 @@ class TestUsage:
         assert run(capsys, *argv) == (
             2, "", "error: --output and --report name the same destination\n")
         assert not (tmp_path / "same.csv").exists()
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("argv", [
+        ["--report", "/dev/stdout"],
+        ["--output", "/dev/stdout", "--report", "-"],
+    ], ids=["report-to-stdout", "output-to-stdout"])
+    def test_stdout_named_by_path_is_the_same_destination(self, tmp_path, linear_csv, argv):
+        # with stdout a file, writing the report to it would truncate the CSV
+        out = tmp_path / "out"
+        with open(out, "w") as handle:
+            done = subprocess.run([sys.executable, "-m", "gapfill.cli", "impute", linear_csv, *argv],
+                                  stdout=handle, stderr=subprocess.PIPE, text=True, env=_cli_env())
+        assert (done.returncode, done.stderr) == (
+            2, "error: --output and --report name the same destination\n")
+        assert out.read_text() == ""
+
+    def test_null_device_may_take_both(self, linear_csv):
+        argv = ["impute", linear_csv, "--report", os.devnull]
+        done = subprocess.run([sys.executable, "-m", "gapfill.cli", *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=_cli_env())
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 def _fresh(argv):

@@ -216,6 +216,9 @@ class TestFitVar1:
         m = fit_var1([1.0, 2.0, 3.0, 4.0])
         assert m.dim == 1
         assert m.A[0, 0] == pytest.approx(1.0, abs=1e-9)
+        # 1-D pair rows are one-component rows too
+        paired = fit_var_pairs([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+        assert (paired.A.tobytes(), paired.b.tobytes()) == (m.A.tobytes(), m.b.tobytes())
 
     def test_pairs_entry_point_matches(self):
         rng = np.random.default_rng(31)
@@ -234,6 +237,11 @@ class TestFitRegression:
         m = fit_regression(y, x)
         assert np.allclose(m.A, [[1.5, -0.5]], rtol=0, atol=1e-9)
         assert m.b[0] == pytest.approx(3.0, abs=1e-9)
+        # a 1-D covariate is one covariate column
+        single = fit_regression(2.0 * x[:, 0] - 1.0, x[:, 0])
+        assert single.n_covariates == 1
+        assert np.allclose(single.A, [[2.0]], rtol=0, atol=1e-9)
+        assert single.b[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_multi_output(self):
         rng = np.random.default_rng(41)

@@ -2,7 +2,6 @@ import enum
 import json
 import math
 import random
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.pipeline import ImputeOptions, impute_series
-from gapfill.report import CHUNK, _fill, _shape, render_json
+from gapfill.report import CHUNK, render_json
 from gapfill.series import Series, parse_csv
 
 
@@ -29,35 +28,6 @@ def jsonable_by_element(value):
     if isinstance(value, (list, tuple)):
         return [jsonable_by_element(v) for v in value]
     return value
-
-
-def render_by_record_walk(value) -> str:
-    """Reference: the renderer that shaped each item of a list on its own
-    (``_shape``) and filled a chunk's numbers at once, before lists were
-    rendered a column at a time."""
-    def walk(value, newline, templates):
-        if isinstance(value, (list, tuple)) and value:
-            inner = newline + "  "
-            separator = "," + inner
-            for start in range(0, len(value), CHUNK):
-                numbers = []
-                template = separator.join([_shape(item, inner, numbers, templates)
-                                           for item in value[start : start + CHUNK]])
-                yield (separator if start else "[" + inner) + _fill(template, numbers)
-            yield newline + "]"
-        elif isinstance(value, dict) and value:
-            inner = newline + "  "
-            separator = "{" + inner
-            for key, item in value.items():
-                yield separator + encode_basestring_ascii(key) + ": "
-                yield from walk(item, inner, templates)
-                separator = "," + inner
-            yield newline + "}"
-        else:
-            numbers = []
-            yield _fill(_shape(value, newline, numbers, templates), numbers)
-
-    return "".join(walk(value, "\n", {})) + "\n"
 
 
 rng = np.random.default_rng(17)
@@ -151,7 +121,6 @@ def test_record_columns_match_json_dumps(records):
     tree = {"gaps": records, "gap_count": len(records)}
     want = json.dumps(jsonable_by_element(tree), indent=2) + "\n"
     assert render_json(tree) == want
-    assert render_by_record_walk(tree) == want
 
 
 @pytest.mark.parametrize("value", [

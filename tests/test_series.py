@@ -308,6 +308,8 @@ class TestParseCsv:
     def test_unknown_column(self):
         with pytest.raises(DataError, match="unknown column"):
             parse_csv("a,b\n1,2\n", value_columns=["c"])
+        with pytest.raises(DataError, match="^no value columns selected$"):
+            parse_csv("a,b\n1,2\n", value_columns=[])
 
     def test_ragged_row(self):
         with pytest.raises(DataError, match="ragged row 2"):
@@ -616,6 +618,8 @@ class TestSeriesConstruction:
         assert s.dim == 2
         assert s.missing_indices == (2,)
         assert s.header == ("v1", "v2")
+        named = Series.from_values([np.array([1.0, 2.0]), None], column_names=["x", "y"])
+        assert named.header == ("x", "y")
 
     def test_from_values_requires_observation(self):
         with pytest.raises(DataError, match="no observed values"):
