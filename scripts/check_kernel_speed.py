@@ -11,6 +11,13 @@ found) and exits 1 when a gate fails:
         (``tests/test_fitting.py``) on a 2-path, 1200-step AR(3) stack with
         1198 controls: the same bits in at most AR_BOUND of the loop's time
         (0.45-0.55 measured);
+    refit
+        ``fitting.roll_ar`` against the same loop run once per step count
+        on a 200-path AR(2) stack of 1-7 steps each with 6 controls, the
+        shape of a ``--refit-per-gap`` run's corrected fills: the same bits
+        in at most REFIT_BOUND of the loop's time (0.11-0.16 measured with
+        all its paths stepped together, 0.97-1.34 when rolled path by
+        path);
     powers
         ``oracle.build_problem``'s doubling table against the
         one-product-per-step loop (``tests/test_oracle.py``) on a 1200-step
@@ -18,7 +25,7 @@ found) and exits 1 when a gate fails:
         rtol 1e-12, in at most POWERS_BOUND of the loop's time (0.06
         measured).
 
-Usage: PYTHONPATH=src python scripts/check_kernel_speed.py ar|powers
+Usage: PYTHONPATH=src python scripts/check_kernel_speed.py ar|refit|powers
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AR_BOUND = 0.8
+REFIT_BOUND = 0.4
 POWERS_BOUND = 0.25
 ROUNDS = 20
 
@@ -65,6 +73,30 @@ def ar() -> tuple[list, str]:
     return problems, f"ok: same bits, {ratio:.2f} of the reference loop's time"
 
 
+def refit() -> tuple[list, str]:
+    import numpy as np
+    from test_fitting import roll_each_by_reversed_zip
+
+    from gapfill.fitting import roll_ar
+
+    rng = np.random.default_rng(23)
+    lags = np.column_stack([rng.uniform(-1, 1, 200), rng.uniform(-0.5, 0.5, 200)])
+    intercepts, seeds = rng.uniform(-1, 1, 200), rng.uniform(-3, 3, (200, 2))
+    counts, controls = rng.integers(1, 8, 200).tolist(), rng.standard_normal((200, 6))
+    # the kernel takes the arrays a Models holds, the loop Python floats
+    kernel = (lags, intercepts, seeds, counts, controls)
+    loop = (lags.tolist(), intercepts.tolist(), seeds.tolist(), counts, controls.tolist())
+    best = _best({"kernel": lambda: roll_ar(*kernel), "loop": lambda: roll_each_by_reversed_zip(*loop)})
+    ratio = best["kernel"] / best["loop"]
+    problems = []
+    if roll_ar(*kernel).tobytes() != roll_each_by_reversed_zip(*loop).tobytes():
+        problems.append("roll_ar's bits differ from the reference loop")
+    if ratio > REFIT_BOUND:
+        problems.append(f"roll_ar takes {ratio:.2f} of the reference loop's time, "
+                        f"expected at most {REFIT_BOUND}")
+    return problems, f"ok: same bits, {ratio:.2f} of the reference loop's time"
+
+
 def powers() -> tuple[list, str]:
     from test_oracle import assert_powers_close, descending_powers_by_product
 
@@ -89,7 +121,7 @@ def powers() -> tuple[list, str]:
     return problems, f"ok: agree to rtol 1e-12, {ratio:.2f} of the reference loop's time"
 
 
-CHECKS = {"ar": ar, "powers": powers}
+CHECKS = {"ar": ar, "refit": refit, "powers": powers}
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fitting import ArModel, RegModel, VarModel, predict_forward
+from .fitting import ArModel, Models, RegModel, VarModel, predict_forward
 from .linalg import equal_runs, mat_pow_table, row_norms, solve_spd, split_runs
 from .series import Gaps
 from .weights import (
@@ -82,17 +82,18 @@ def _fill_overflow(start: int) -> NumericalError:
     )
 
 
-def _blocks(models: list, counts: list) -> np.ndarray:
-    """The (g, M, k, k) blocks C F^j B, j < M = max(counts), of each of
-    ``models``, built in one call, unchecked for overflow and prefix-stable:
-    an AR's impulse response (to its own count, zero past it), a VAR's
-    powers of A, or a regression's identities (F = I)."""
-    if isinstance(models[0], ArModel):
-        return impulse_response(models, counts)[:, :, None, None]
-    if isinstance(models[0], VarModel):
-        return mat_pow_table(np.array([each.A for each in models]), max(counts) - 1)
-    k = models[0].n_outputs
-    return np.broadcast_to(np.eye(k), (len(models), max(counts), k, k))
+def _blocks(model, kind: type, counts: list) -> np.ndarray:
+    """The (g, M, k, k) blocks C F^j B, j < M = max(counts), of each model
+    of a Models of ``kind``, or (1, M, k, k) of one model, built in one
+    call, unchecked for overflow and prefix-stable: an AR's impulse response
+    (to its own count, zero past it), a VAR's powers of A, or a regression's
+    identities (F = I)."""
+    if kind is ArModel:
+        return impulse_response(model, counts)[:, :, None, None]
+    if kind is VarModel:
+        return mat_pow_table(np.reshape(model.A, (-1, model.dim, model.dim)), max(counts) - 1)
+    k = model.n_outputs
+    return np.broadcast_to(np.eye(k), (len(counts), max(counts), k, k))
 
 
 def _gram_sums(blocks: np.ndarray) -> np.ndarray:
@@ -216,10 +217,11 @@ def _summaries(starts, counts, lag, controls, imputed, ends, targets) -> tuple[n
     return objectives, residuals
 
 
-def _inputs(model, lengths, starts, anchors):
+def _inputs(model, kind: type, lengths, starts, anchors):
     """``starts`` and ``anchors`` of gaps of ``lengths`` as the solver reads
-    them, checked; the anchors are (g,) for an AR and (g, k) otherwise."""
-    if isinstance(model, ArModel):
+    them, checked, for a model or a Models of ``kind``; the anchors are (g,)
+    for an AR and (g, k) otherwise."""
+    if kind is ArModel:
         targets = np.asarray(anchors, dtype=float).reshape(len(lengths), -1)[:, 0]
         if isinstance(starts, np.ndarray) and starts.ndim == 2:
             return starts, targets
@@ -227,7 +229,7 @@ def _inputs(model, lengths, starts, anchors):
         seeds = [np.asarray(s, dtype=float).ravel() for s in starts]
         width = min(map(len, seeds))
         return np.array([s[len(s) - width :] for s in seeds]), targets
-    if isinstance(model, RegModel):
+    if kind is RegModel:
         k, seeds = model.n_outputs, [np.column_stack([x]) for x in starts]  # 1-D: one column
         for length, x in zip(lengths.tolist(), seeds):
             if len(x) != length + 1:
@@ -317,7 +319,8 @@ def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     """Fill constrained gaps so each path ends at its anchor; one
     ControlSolution per gap, in order.
 
-    ``model`` is one model, or a list with one per gap, of one kind.
+    ``model`` is one model, or a Models (or a list) with one per gap, of
+    one kind and size.
     ``gaps`` are GapSegments, or a Gaps of constrained gaps. ``gaps[i]`` is
     rolled from ``starts[i]``: at least p values before it for an AR(p),
     the row before it for a VAR, or a regression's covariate rows from the
@@ -348,13 +351,15 @@ def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
     firsts, anchor_indices = _edges(gaps)
     if not len(firsts):
         return []
+    if isinstance(model, list):
+        model = Models.of(model)
     try:
         return _impute(model, firsts, anchor_indices, starts, anchors, mode)
     except NumericalError:
         if len(firsts) == 1:
             raise
         for i in range(len(firsts)):
-            impute_stacks(model[i] if isinstance(model, list) else model, gaps[i : i + 1],
+            impute_stacks(model[i] if isinstance(model, Models) else model, gaps[i : i + 1],
                           starts[i : i + 1], anchors[i : i + 1], mode)
         raise
 
@@ -362,11 +367,11 @@ def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
 def _impute(model, firsts, anchor_indices, starts, anchors, mode: str) -> list:
     """``impute_stacks`` of the gaps from 1-based ``firsts`` through
     ``anchor_indices``, without the gap-by-gap rerun."""
-    shared = not isinstance(model, list)
-    first = model if shared else model[0]
+    shared = not isinstance(model, Models)
+    kind = type(model) if shared else model.kind
     # an AR(p)'s first p - 1 gap values follow the uncorrected recursion
-    lag = first.p - 1 if isinstance(first, ArModel) else 0
-    starts, targets = _inputs(first, anchor_indices - firsts, starts, anchors)
+    lag = model.p - 1 if kind is ArModel else 0
+    starts, targets = _inputs(model, kind, anchor_indices - firsts, starts, anchors)
     counts = anchor_indices - firsts + 1 - lag
     if counts.min() < 1:
         raise NumericalError(
@@ -374,18 +379,18 @@ def _impute(model, firsts, anchor_indices, starts, anchors, mode: str) -> list:
             f"in a gap of length {(anchor_indices - firsts)[int(np.argmax(counts < 1))]}"
         )
     # an AR, or a regression of one output given scalar anchors
-    scalar = isinstance(first, ArModel) or np.ndim(anchors[0]) == 0
+    scalar = kind is ArModel or np.ndim(anchors[0]) == 0
     order = np.argsort(counts, kind="stable")
     stacks = []
     for lo, hi in _stacks(counts[order]):
         index = order[lo:hi]
         mine = starts[index] if isinstance(starts, np.ndarray) else [starts[i] for i in index]
-        stacks.append(_stack(model if shared else [model[i] for i in index], firsts[index], mine,
+        stacks.append(_stack(model if shared else model[index], kind, firsts[index], mine,
                              targets[index], counts[index], lag, mode, scalar)._replace(index=index))
     return stacks
 
 
-def _stack(model, firsts, starts, targets, counts, lag: int, mode: str, scalar) -> GapStack:
+def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: str, scalar) -> GapStack:
     """``_impute`` of one stack sorted by control count m, of gaps from the
     1-based ``firsts``: one table of blocks and prefix-stable Gram sums,
     read at each gap's own m; one forecast roll and one corrected roll, a
@@ -394,18 +399,17 @@ def _stack(model, firsts, starts, targets, counts, lag: int, mode: str, scalar) 
     differently at another length runs per run of equal m, on slices of
     the stack: the products with the blocks, the objectives and a
     regression's forecast. The GapStack's index is left None."""
-    shared = not isinstance(model, list)
-    models = [model] if shared else model
-    ar, regression = isinstance(models[0], ArModel), isinstance(models[0], RegModel)
+    shared = not isinstance(model, Models)
+    ar, regression = kind is ArModel, kind is RegModel
     g, longest, runs = len(firsts), int(counts[-1]), equal_runs(counts)
     # one table to the longest count for a shared model, one per gap otherwise
     lengths = [longest] if shared else counts.tolist()
-    blocks = _blocks(models, lengths)
+    blocks = _blocks(model, kind, lengths)
     if ar:
         impulse = blocks[..., 0, 0]
         if mode == "paper":
             printed = np.zeros(impulse.shape)
-            for row, each, n in zip(printed, models, lengths):
+            for row, each, n in zip(printed, [model] if shared else model, lengths):
                 row[:n] = gamma_weights(each, n)
             blocks = printed[..., None, None]
         elif (np.abs(impulse) > WEIGHT_OVERFLOW_LIMIT).any():

@@ -2,122 +2,13 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .linalg import least_squares
-
-
-def _frozen_array(obj, name: str, value, shape=None) -> None:
-    arr = np.array(value, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
-
-
-class _Fitted:
-    """Rank bookkeeping of a fitted model.
-
-    ``rank`` is the rank of the least-squares design the model was fitted
-    on, None for a model given directly. Each model names its design in
-    ``design`` and counts its columns, intercept included, in
-    ``design_columns``.
-    """
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.rank is not None and self.rank < self.design_columns
-
-
-@dataclass(frozen=True)
-class ArModel(_Fitted):
-    """Scalar autoregression x_n = a_1 x_{n-1} + ... + a_p x_{n-p} + b."""
-
-    a: tuple[float, ...]
-    b: float
-    rank: int | None = None
-    design = "autoregression"
-
-    def __post_init__(self):
-        coeffs = tuple(float(v) for v in self.a)
-        if not coeffs:
-            raise ValueError("order must be >= 1")
-        if not all(math.isfinite(v) for v in coeffs):
-            raise ValueError("lag coefficients must be finite")
-        if not math.isfinite(self.b):
-            raise ValueError("intercept must be finite")
-        object.__setattr__(self, "a", coeffs)
-        object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def p(self) -> int:
-        return len(self.a)
-
-    @property
-    def design_columns(self) -> int:
-        return self.p + 1
-
-
-@dataclass(frozen=True)
-class VarModel(_Fitted):
-    """First-order vector autoregression x_n = A x_{n-1} + b."""
-
-    A: np.ndarray
-    b: np.ndarray
-    rank: int | None = None
-    design = "vector autoregression"
-
-    def __post_init__(self):
-        # column-major, as every fit returns it, so that a model rebuilt from
-        # its description computes with the bits of the fitted one
-        a = np.array(self.A, dtype=float, order="F")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {a.shape}")
-        _frozen_array(self, "A", a)
-        _frozen_array(self, "b", self.b, shape=(a.shape[0],))
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def design_columns(self) -> int:
-        return self.dim + 1
-
-
-@dataclass(frozen=True)
-class RegModel(_Fitted):
-    """Pointwise regression y_n = A x_n + b on covariate rows x_n."""
-
-    A: np.ndarray
-    b: np.ndarray
-    rank: int | None = None
-    design = "regression"
-
-    def __post_init__(self):
-        a = np.array(self.A, dtype=float, order="F")  # column-major, as for VarModel
-        if a.ndim != 2:
-            raise ValueError(f"coefficient matrix must be 2-D, got shape {a.shape}")
-        _frozen_array(self, "A", a)
-        _frozen_array(self, "b", self.b, shape=(a.shape[0],))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def design_columns(self) -> int:
-        return self.n_covariates + 1
+from .models import ArModel, Models, RegModel, VarModel
 
 
 # Per design: how many equations its fit needs beyond its input columns, and
@@ -143,22 +34,14 @@ def _overflow(design: type) -> NumericalError:
     )
 
 
-def _model(design: type, coeffs: np.ndarray, rank: int):
-    """The ``design`` model with ``coeffs``: one row per input column, the
-    intercept last."""
-    if design is ArModel:
-        return ArModel(a=coeffs[:-1].tolist(), b=float(coeffs[-1]), rank=rank)
-    return design(A=coeffs[:-1].T, b=coeffs[-1], rank=rank)
-
-
-def fit_sweep(design: type, inputs, targets, counts) -> list:
+def fit_sweep(design: type, inputs, targets, counts) -> Models:
     """Fit ``design`` (ArModel, VarModel or RegModel) by least squares of
     ``targets`` on ``[inputs, 1]``, on every leading run of equations in one
     pass; this is the one fit path.
 
-    Entry i is the model fitted on the first ``counts[i]`` rows of
-    ``inputs`` and ``targets``, or the DataError or NumericalError that this
-    fit raises, returned so the caller can raise it in its turn. ``counts``
+    Model i of the Models is fitted on the first ``counts[i]`` rows of
+    ``inputs`` and ``targets``, or holds the DataError or NumericalError
+    that this fit raises, for the caller to raise in its turn. ``counts``
     must not decrease. The coefficients come from one ``least_squares``
     sweep, whose first entry has the bits of a fit of that count alone: a
     one-off fit (``fit_ar_lagged``, ``fit_var_pairs``, ``fit_regression``
@@ -168,27 +51,30 @@ def fit_sweep(design: type, inputs, targets, counts) -> list:
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     n, k = x.shape
+    counts = counts.tolist() if isinstance(counts, np.ndarray) else list(counts)
     finite = np.isfinite(np.column_stack([x, y])).all(axis=1)
     # a count past the first non-finite row reaches it
     clean = n if finite.all() else int(finite.argmin())
-    results = [
-        DataError("fit window contains non-finite values") if c > clean else _too_short(design, c, k)
-        for c in counts
-    ]
-    fitted = [i for i, error in enumerate(results) if error is None]
-    if fitted:
-        last = counts[fitted[-1]]
-        coeffs, ranks = least_squares(np.column_stack([x[:last], np.ones(last)]), y[:last],
-                                      [counts[i] for i in fitted])
-        overflowed = ~np.isfinite(coeffs.reshape(len(coeffs), -1)).all(axis=1)
-        for i, c, rank, bad in zip(fitted, coeffs, ranks.tolist(), overflowed.tolist()):
-            results[i] = _overflow(design) if bad else _model(design, c, rank)
-    return results
+    # the counts too short for the design lead, and those past ``clean`` trail
+    lo, hi = bisect_left(counts, k + _WINDOW[design][0]), bisect_right(counts, clean)
+    coeffs, ranks = np.zeros((len(counts), k + 1) + y.shape[1:]), np.zeros(len(counts), dtype=int)
+    if lo < hi:
+        last = counts[hi - 1]
+        coeffs[lo:hi], ranks[lo:hi] = least_squares(np.column_stack([x[:last], np.ones(last)]), y[:last],
+                                                    counts[lo:hi])
+    models = Models(design, coeffs, ranks)
+    for i in range(min(lo, hi)):
+        models[i] = _too_short(design, counts[i], k)
+    for i in range(hi, len(counts)):
+        models[i] = DataError("fit window contains non-finite values")
+    for i in np.flatnonzero(~np.isfinite(coeffs.reshape(len(coeffs), -1)).all(axis=1)).tolist():
+        models[i] = _overflow(design)
+    return models
 
 
 def _fit_one(design: type, inputs: np.ndarray, targets: np.ndarray):
     """The ``design`` model fitted on all rows, or the error its fit raises."""
-    (model,) = fit_sweep(design, inputs, targets, [len(inputs)])
+    model = fit_sweep(design, inputs, targets, [len(inputs)])[0]
     if isinstance(model, Exception):
         raise model
     return model
@@ -281,28 +167,50 @@ def _first_control(steps: int, controls: int) -> int:
     return steps - controls
 
 
+# A stack of at least this many AR paths of one order rolls all its paths
+# at once, one numpy operation per lag and step; a smaller one rolls path
+# by path on Python floats, which costs less below it (measured at widths
+# from 6 to 600 steps).
+STACKED_PATHS = 16
+
+
+def _floats(values):
+    """``values`` as Python floats, if a numpy array."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
     """The autoregressive recursion of a stack of paths, ``steps`` steps on,
     or steps[i] for path i given a list; one row per path, zero past its own
     steps. This is the one AR recursion kernel.
 
-    Path i starts from the chronological Python floats ``seeds[i]`` (at least
-    as many as ``lags[i]`` has coefficients; fewer is a ValueError) and rolls
+    Path i starts from the chronological seeds ``seeds[i]`` (at least as
+    many as ``lags[i]`` has coefficients; fewer is a ValueError) and rolls
     x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2 x_{n-2}) + ..., summed
-    left to right on Python floats, which every Python version rounds alike
-    (``sum`` of floats is compensated from 3.12). Row i of the (g, n)
-    ``controls``, if given, is added from step max(steps) - n of every path
-    until its end. Each path pairs its coefficients once with their lags'
-    offsets from the path's end and rolls its uncontrolled steps, then its
-    controlled ones, with no per-step branch. Python floats overflow
-    silently to inf where numpy scalars would warn.
+    left to right, which every Python version rounds alike (``sum`` of
+    floats is compensated from 3.12). Row i of the (g, n) ``controls``, if
+    given, is added from step max(steps) - n of every path until its end.
+    The inputs are sequences or numpy arrays of one row per path. A stack
+    of STACKED_PATHS or more paths of one order steps all its paths
+    together, one numpy multiply and add per lag over the column of every
+    path's values, then b + sum and + u_t; any other stack rolls path by
+    path on Python floats, each path pairing its coefficients once with
+    their lags' offsets from its end and rolling its uncontrolled steps,
+    then its controlled ones, with no per-step branch. Both make the same
+    IEEE operations in the same order, so a path has the same bits either
+    way. An explosive path overflows silently to inf.
     """
     counts = steps if isinstance(steps, list) else [steps] * len(seeds)
     width = max(counts, default=0)
-    first = _first_control(width, len(controls[0]) if controls else 0)
+    first = _first_control(width, len(controls[0]) if controls is not None and len(controls) else 0)
+    if len(seeds) >= STACKED_PATHS:
+        orders = {lags.shape[1]} if isinstance(lags, np.ndarray) else {*map(len, lags)}
+        if len(orders) == 1 and 0 not in orders:
+            return _roll_stacked(lags, intercepts, seeds, counts, width, first, controls, orders.pop())
     rows = []
     for i, (a, b, hist, u, count) in enumerate(
-            zip(lags, intercepts, seeds, controls or [()] * len(seeds), counts)):
+            zip(_floats(lags), _floats(intercepts), _floats(seeds), _floats(controls) or [()] * len(seeds),
+                counts)):
         if len(hist) < len(a):
             raise ValueError(f"path {i} has {len(hist)} seeds for its order {len(a)}")
         path = list(hist)
@@ -323,6 +231,36 @@ def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
             row += [0.0] * (width - count)
         rows.append(row)
     return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def _roll_stacked(lags, intercepts, seeds, counts: list, width: int, first: int, controls,
+                  p: int) -> np.ndarray:
+    """``roll_ar`` of a stack of paths of order ``p``, all paths a step at a
+    time: x holds one row per step, with every path's value in a column."""
+    g = len(seeds)
+    lengths = [seeds.shape[1]] * g if isinstance(seeds, np.ndarray) else [*map(len, seeds)]
+    if min(lengths) < p:
+        i = next(i for i, n in enumerate(lengths) if n < p)
+        raise ValueError(f"path {i} has {lengths[i]} seeds for its order {p}")
+    x = np.empty((p + width, g))
+    x[:p] = np.array(seeds[:, seeds.shape[1] - p :] if isinstance(seeds, np.ndarray)
+                     else [hist[len(hist) - p :] for hist in seeds], dtype=float).T
+    a = np.array(lags, dtype=float).T.copy()  # row j: every path's a_{j+1}
+    b = np.asarray(intercepts, dtype=float)
+    u = None if first == width else np.asarray(controls, dtype=float).reshape(g, -1).T
+    s, term = np.empty(g), np.empty(g)
+    with np.errstate(all="ignore"):
+        for t in range(p, p + width):
+            np.add(0.0, np.multiply(a[0], x[t - 1], out=s), out=s)
+            for j in range(1, p):
+                s += np.multiply(a[j], x[t - 1 - j], out=term)
+            np.add(b, s, out=x[t])
+            if t - p >= first:
+                x[t] += u[t - p - first]
+    rows = x[p:].T
+    if min(counts, default=width) < width:
+        rows[np.arange(width) >= np.array(counts)[:, None]] = 0.0
+    return np.ascontiguousarray(rows)
 
 
 def predict_forward(model, seeds, steps: int, covariates=None, controls=None) -> np.ndarray:
@@ -346,7 +284,7 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         raise ValueError("steps must be >= 0")
     listed = isinstance(model, list)
     first = model[0] if listed and model else model
-    kind = ArModel if listed and not model else type(first)
+    kind = model.kind if isinstance(model, Models) else ArModel if listed and not model else type(first)
     kinds = {ArModel: "autoregression", VarModel: "VAR", RegModel: "regression"}
     if kind not in kinds:
         raise TypeError(f"unknown model type {type(first).__name__}")
@@ -362,29 +300,34 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         given = np.asarray(seeds, dtype=float)
         stacked = given.ndim == 2
         paths = given if stacked else given.reshape(1, -1)
-    models = model if listed else [model] * len(paths)
-    # a shared model fits every path; only a list is checked path by path
-    if listed and (len(models) != len(paths) or not all(
-            isinstance(m, kind) and (kind is ArModel or m.A.shape == first.A.shape) for m in models)):
-        raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a list of one per path")
+    # a shared model fits every path; a list of one kind and size is taken
+    # as its columns (an empty one as an AR stack of no paths)
+    size = (lambda m: m.p) if kind is ArModel else (lambda m: m.A.shape)
+    if listed and all(isinstance(m, kind) and size(m) == size(first) for m in model):
+        model = Models.of(model) if model else Models(ArModel, np.zeros((0, 1)), None)
+    per_path = isinstance(model, Models)
+    if listed and not per_path or per_path and len(model) != len(paths):
+        raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a list of one per path "
+                         f"of one size")
 
     if kind is ArModel:
-        order = max([m.p for m in models], default=0)
-        if paths.shape[1] < order:
-            raise DataError(f"need {order} seed values, got {paths.shape[1]}")
+        if paths.shape[1] < model.p:
+            raise DataError(f"need {model.p} seed values, got {paths.shape[1]}")
         u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1)
-        # each path reads its model's trailing p seeds
-        heads = [row[len(row) - m.p :] for row, m in zip(paths.tolist(), models)]
-        out = roll_ar([m.a for m in models], [m.b for m in models], heads, steps,
-                      None if u is None else u.tolist())
+        # each path reads its trailing p seeds
+        heads = paths[:, paths.shape[1] - model.p :]
+        if per_path:
+            out = roll_ar(model.a, model.b, heads, steps, u)
+        else:
+            out = roll_ar([model.a] * len(paths), [model.b] * len(paths), heads, steps, u)
         return out if stacked else out[0]
 
     # one stacked matmul per step of a VAR, one for a regression; each path's
     # A.T row-major as in its (column-major) model, for the bits of it alone
-    coeffs = np.array([m.A.T for m in model]) if listed else first.A.T[None]
-    b = np.array([m.b for m in model]) if listed else first.b[None]
+    coeffs = np.ascontiguousarray(model.coeffs[:, :-1]) if per_path else model.A.T[None]
+    b = model.b if per_path else model.b[None]
     if kind is VarModel:
-        k = first.dim
+        k = model.dim
         if paths.shape[1:] != (k,):
             raise DataError(f"seed must have {k} components, got shape {given.shape}")
         u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1, k)
@@ -404,9 +347,9 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         raise DataError(
             f"missing covariate row: got {paths.shape[1]} rows for {steps} prediction steps"
         )
-    if paths.shape[2] != first.n_covariates:
+    if paths.shape[2] != model.n_covariates:
         raise DataError(
-            f"covariate rows have {paths.shape[2]} columns, model expects {first.n_covariates}"
+            f"covariate rows have {paths.shape[2]} columns, model expects {model.n_covariates}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.matmul(paths[:, :steps], coeffs) + b[:, None]

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fitting import ArModel, RegModel, VarModel
+from .models import ArModel, Models, RegModel, VarModel
 from .linalg import equal_runs, row_norms, solve_spd, split_runs
 from .series import Series
 
@@ -213,16 +213,20 @@ def _transition_matrix(model) -> np.ndarray:
     """The model's one-step state transition F, with the control entering on
     the first coordinates: the companion matrix of an AR(p) (first row ``a``,
     ones on the subdiagonal), ``A`` of a VAR(1), and the identity for a
-    regression, whose outputs carry no dynamics."""
-    if isinstance(model, ArModel):
-        f = np.eye(model.p, k=-1)
-        f[0] = model.a
+    regression, whose outputs carry no dynamics. A Models gives the (g, p, p)
+    stack of its models' matrices, each with the bits of the model's own."""
+    stacked = isinstance(model, Models)
+    kind, lead = (model.kind, (len(model),)) if stacked else (type(model), ())
+    if kind is ArModel:
+        f = np.zeros(lead + (model.p, model.p))
+        f[..., 1:, :-1] = np.eye(model.p - 1)
+        f[..., 0, :] = model.a
         return f
-    if isinstance(model, VarModel):
-        return model.A
-    if isinstance(model, RegModel):
-        return np.eye(model.n_outputs)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    if kind is VarModel:
+        return np.ascontiguousarray(model.A) if stacked else model.A
+    if kind is RegModel:
+        return np.tile(np.eye(model.n_outputs), lead + (1, 1))
+    raise TypeError(f"unknown model type {kind.__name__}")
 
 
 def _descending_powers(f: np.ndarray, steps: int) -> np.ndarray:
@@ -259,17 +263,18 @@ def build_problem(model, steps, target) -> ConstrainedProblem:
     of offsets, or one offset, and ``steps`` one control count for them all
     or a non-decreasing count per row: one power table to the largest count
     serves every row (see ``ConstrainedProblem.counts``). ``model`` is the
-    model of every gap, or a list with one model per row of ``target``, all
-    of one kind and size; the steps are then (g, m, k, k), each gap's the
-    bits of its problem alone.
+    model of every gap, or a Models (or a list) with one model per row of
+    ``target``, all of one kind and size; the steps are then (g, m, k, k),
+    each gap's the bits of its problem alone.
     """
     counts = None if np.ndim(steps) == 0 else np.asarray(steps)
     longest = int(steps if counts is None else counts.max(initial=0))
     if longest < 1:
         raise ValueError("steps must be >= 1")
-    per_target = isinstance(model, list)
-    f = np.stack([_transition_matrix(m) for m in model]) if per_target else _transition_matrix(model)
-    k = 1 if isinstance(model[0] if per_target else model, ArModel) else f.shape[-1]
+    if isinstance(model, list):
+        model = Models.of(model)
+    f = _transition_matrix(model)
+    k = 1 if (model.kind if isinstance(model, Models) else type(model)) is ArModel else f.shape[-1]
     # per-target powers come step first; the gap axis moves to the front
     powers = np.moveaxis(_descending_powers(f, longest), 0, -3)
     return ConstrainedProblem(powers[..., :k, :k], target, counts)

@@ -22,6 +22,7 @@ from .control import (
 from .errors import DataError, NumericalError
 from .fitting import (
     ArModel,
+    Models,
     RegModel,
     VarModel,
     fit_ar_lagged,  # not called here; bench/tracing.py still wraps this name
@@ -128,11 +129,11 @@ def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
     return fit_regression(series.data[:n], _covariate_rows(covariates, np.arange(n)))
 
 
-def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np.ndarray) -> list:
+def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np.ndarray) -> Models:
     """Per gap, in order, the model refitted on every fully-observed
     equation window strictly before its 1-based start in ``starts``, or the
     DataError or NumericalError that this refit raises, for the caller to
-    raise in that gap's turn.
+    raise in that gap's turn: a Models.
 
     Only original observations are used; values imputed for earlier gaps
     never enter a fit. The equations before a gap are a leading run of the
@@ -146,7 +147,7 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np
     for j in range(1, lags + 1):
         usable &= observed[lags - j : len(observed) - j]
     rows = np.flatnonzero(usable) + lags
-    counts = np.searchsorted(rows, starts - 1).tolist()
+    counts = np.searchsorted(rows, starts - 1)
     data = series.data
     limit = len(rows)
     if options.model_kind == "ar":
@@ -161,13 +162,14 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np
             # a window that reaches the first unobserved covariate fails
             limit = int(absent.argmax())
         design, inputs, targets = RegModel, covariates.data[rows[:limit]], data[rows[:limit]]
-    fits = iter(fit_sweep(design, inputs, targets, [c for c in counts if 0 < c <= limit]))
-    return [
-        DataError(f"no observed fit window before the gap at index {start}") if c == 0
-        else _missing_covariate(int(rows[limit]) + 1) if c > limit
-        else next(fits)
-        for start, c in zip(starts.tolist(), counts)
-    ]
+    fits = fit_sweep(design, inputs, targets, counts)
+    # the gaps with no equation before them lead, and those whose window
+    # reaches an unobserved covariate trail
+    for i in range(int(np.searchsorted(counts, 0, side="right"))):
+        fits[i] = DataError(f"no observed fit window before the gap at index {starts[i]}")
+    for i in range(int(np.searchsorted(counts, limit, side="right")), len(counts)):
+        fits[i] = _missing_covariate(int(rows[limit]) + 1)
+    return fits
 
 
 def _starts(options: ImputeOptions, gaps, working: np.ndarray, covariates, lasts: np.ndarray):
@@ -212,8 +214,8 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
                 covariates) -> tuple[list, ControlSolution | None]:
     """Solve ``gaps`` (a Gaps) in order, writing each fill into ``working``;
     the GapStacks of the constrained ones, indexed by position in ``gaps``,
-    and an open last gap's solution or None. ``model`` is one model, or per
-    gap a model or its failed refit's error.
+    and an open last gap's solution or None. ``model`` is one model, or a
+    Models with per gap a model or its failed refit's error.
 
     Constrained gaps go to ``impute_stacks`` in runs; a gap whose seed rows
     read a fill (``reads_fill``) starts a new run, whose starts are read
@@ -221,14 +223,14 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
     or whose covariates are not all observed raises once the runs before it
     are solved. An open gap is forecast.
     """
-    per_gap = isinstance(model, list)
+    per_gap = isinstance(model, Models)
     # an autoregression, and a regression of one output, have scalar anchors
     scalar = options.model_kind != "var" and working.shape[1] == 1
     closed = len(gaps.anchor_values)
     lasts = gaps.ends + (np.arange(len(gaps)) < closed)
     # the first gap whose refit failed, or whose covariate rows are not all observed
-    failed = [isinstance(each, Exception) for each in model] if per_gap else []
-    first = failed.index(True) if True in failed else len(gaps)
+    failed = model.failed if per_gap else np.zeros(len(gaps), dtype=bool)
+    first = int(np.append(failed, True).argmax())
     if options.model_kind == "regression":
         absent = np.concatenate(([0], np.cumsum(covariates.missing)))
         first = min(first, int(np.argmax(np.append(absent[lasts] > absent[gaps.starts - 1], True))))
@@ -243,7 +245,7 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
             working[stack.indices - 1] = stack.imputed.reshape(len(stack.indices), -1)
             stacks.append(stack._replace(index=stack.index + lo))
     if first < len(gaps):
-        if per_gap and failed[first]:
+        if failed[first]:
             raise model[first]
         # the first unobserved covariate row from the gap start on
         start = int(gaps.starts[first])
@@ -261,7 +263,8 @@ def _certify_batch(options: ImputeOptions, model, stacks, count: int):
     """Run the independent verifier on the solver's ``stacks`` of the first
     ``count`` gaps: one BatchVerdict of them in gap order, or per gap None.
 
-    ``model`` is the model of every gap, or a list with one model per gap.
+    ``model`` is the model of every gap, or a Models (or a list) with one
+    per gap.
     Each stack is one problem and one ``certify`` call: the solver's
     controls and anchor offsets, sorted by control count, against one power
     table per model to the stack's longest count. Scalar paper-mode values
@@ -270,8 +273,10 @@ def _certify_batch(options: ImputeOptions, model, stacks, count: int):
     """
     if options.model_kind == "ar" and options.mode == "paper" or not stacks:
         return [None] * count
+    if isinstance(model, list):
+        model = Models.of(model)
     results = [certify(stack.controls, build_problem(
-        [model[i] for i in stack.index] if isinstance(model, list) else model, stack.counts, stack.offsets))
+        model[stack.index] if isinstance(model, Models) else model, stack.counts, stack.offsets))
         for stack in stacks]
     order = np.argsort(np.concatenate([stack.index for stack in stacks]))
     return BatchVerdict(tuple(np.concatenate(column)[order]
@@ -315,10 +320,10 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     verdicts = _certify_batch(options, models, stacks, len(gaps.anchor_values))
 
     refits = models if options.refit_per_gap else None
-    noted = reads_fill | [model.rank_deficient for model in refits] if refits else reads_fill
-    for i in np.flatnonzero(noted).tolist():
+    deficient = refits.rank_deficient if refits else np.zeros(len(gaps), dtype=bool)
+    for i in np.flatnonzero(reads_fill | deficient).tolist():
         start = int(gaps.starts[i])
-        if refits:
+        if deficient[i]:
             _note_rank(report.notes, f"refit before the gap at index {start}", refits[i])
         if reads_fill[i]:
             report.notes.append(f"gap at index {start} seeds from values imputed for an earlier gap")

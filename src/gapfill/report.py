@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .fitting import ArModel, RegModel, VarModel
+from .models import ArModel, RegModel, VarModel
 
 SCHEMA_VERSION = 4
 
@@ -225,6 +225,22 @@ def describe_model(model) -> dict:
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
+def describe_models(models) -> "Records":
+    """``describe_model`` of each model of the Models ``models``, as columns."""
+    n, kind = len(models), models.kind
+    if kind is ArModel:
+        keys = ("kind", "order", "lag_coefficients", "intercept")
+        # lists of floats, as each description holds them
+        columns = [["ar"] * n, [models.p] * n, models.a.tolist(), models.b]
+    elif kind is VarModel:
+        keys = ("kind", "order", "dimension", "matrix", "intercept")
+        columns = [["var"] * n, [1] * n, [models.dim] * n, models.A, models.b]
+    else:
+        keys = ("kind", "outputs", "covariates", "matrix", "intercept")
+        columns = [["regression"] * n, [models.n_outputs] * n, [models.n_covariates] * n, models.A, models.b]
+    return Records(keys + ("rank_deficient",), columns + [models.rank_deficient], n)
+
+
 class Records:
     """``count`` same-keyed dicts held as columns, then the dicts of
     ``tail``: ``columns[j]`` holds each dict's value of ``keys[j]``, as a
@@ -322,8 +338,9 @@ def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
 def gap_records(gaps, stacks, verdicts, refit_models, opened) -> Records:
     """The ``gap_entry`` dicts of a run's ``gaps`` (a Gaps) as columns, in
     gap order: the constrained gaps from the solver's ``stacks`` (GapStacks),
-    their BatchVerdict ``verdicts`` (or None) and ``refit_models`` (one per
-    gap, or None), then the entry of an open last gap solved as ``opened``.
+    their BatchVerdict ``verdicts`` (or None) and ``refit_models`` (a
+    Models with one per gap, or None), then the entry of an open last gap
+    solved as ``opened``.
     """
     count = len(gaps.anchor_values)
     keys = GAP_KEYS if refit_models is None else GAP_KEYS + ("refit_model",)
@@ -342,5 +359,5 @@ def gap_records(gaps, stacks, verdicts, refit_models, opened) -> Records:
                np.stack([starts + lag, ends + 1], 1), solved["residuals"], solved["objectives"], oracle,
                Records(tuple(diagnostics), list(diagnostics.values()), count)]
     if refit_models is not None:
-        columns.append(list(map(describe_model, refit_models[:count])))
+        columns.append(describe_models(refit_models[:count]))
     return Records(keys, columns, count, tail)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .fitting import ArModel, roll_ar
+from .fitting import ArModel, Models, roll_ar
 from .linalg import row_norms
 
 # Weight recurrences abort once any entry passes this magnitude; squared sums
@@ -28,15 +28,17 @@ def _check_magnitude(value: float, step: int, what: str) -> None:
         )
 
 
-def impulse_response(models: list, lengths: list) -> np.ndarray:
-    """The unchecked ``impulse_weights`` of each of ``models`` to its own of
-    ``lengths``, (g, max(lengths)) and zero past each: an explosive
-    recursion overflows silently to inf. The weights are ``roll_ar`` paths
-    with a zero intercept from the seeds 0, ..., 0, 1, so they carry the
-    bits of ``predict_forward``'s recursion."""
-    seeds = [[0.0] * (m.p - 1) + [1.0] for m in models]
-    rolled = roll_ar([m.a for m in models], [0.0] * len(models), seeds, [n - 1 for n in lengths])
-    return np.column_stack([np.ones(len(models)), rolled])
+def impulse_response(model, lengths: list) -> np.ndarray:
+    """The unchecked ``impulse_weights`` of an AR model, or of each model of
+    a Models, to its own of ``lengths``, (g, max(lengths)) and zero past
+    each: an explosive recursion overflows silently to inf. The weights are
+    ``roll_ar`` paths with a zero intercept from the seeds 0, ..., 0, 1, so
+    they carry the bits of ``predict_forward``'s recursion."""
+    g, lags = len(lengths), model.a if isinstance(model, Models) else [model.a]
+    seeds = np.zeros((g, model.p))
+    seeds[:, -1] = 1.0
+    rolled = roll_ar(lags, np.zeros(g), seeds, [n - 1 for n in lengths])
+    return np.column_stack([np.ones(g), rolled])
 
 
 def checked_weights(w: np.ndarray) -> np.ndarray:
@@ -57,7 +59,7 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return checked_weights(impulse_response([model], [length])[0])
+    return checked_weights(impulse_response(model, [length])[0])
 
 
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill.control import impulse_weights
+from gapfill import fitting
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
@@ -39,6 +40,21 @@ def roll_ar_by_reversed_zip(lags, intercepts, seeds, steps, controls=None):
             path.append(x)
         rows.append(path[len(hist) :])
     return np.array(rows, dtype=float).reshape(len(rows), steps)
+
+
+def roll_each_by_reversed_zip(lags, intercepts, seeds, counts, controls=None):
+    """Reference for a stack of paths with a step count each: the paths of
+    each count rolled by ``roll_ar_by_reversed_zip``, each with the controls
+    it reads (those from step max(counts) - n on), zero past its count."""
+    width = max(counts, default=0)
+    first = width - (len(controls[0]) if controls is not None and len(controls) else 0)
+    rows = np.zeros((len(counts), width))
+    for count in sorted(set(counts)):
+        mine = [i for i, c in enumerate(counts) if c == count]
+        u = None if controls is None else [controls[i][: max(count - first, 0)] for i in mine]
+        rows[mine, :count] = roll_ar_by_reversed_zip([lags[i] for i in mine], [intercepts[i] for i in mine],
+                                                     [seeds[i] for i in mine], count, u)
+    return rows
 
 
 def normal_equation_coeffs(design, target):
@@ -453,6 +469,55 @@ class TestRollAr:
             assert got.shape == (paths, steps)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, steps, u).tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_stacks_of_up_to_40_paths_match_the_reversed_zip_loop(self, data):
+        # 16 or more paths of one order step all together (STACKED_PATHS);
+        # mixed orders, or fewer paths, roll path by path
+        paths = data.draw(st.one_of(st.sampled_from([15, 16, 17]), st.integers(1, 40)))
+        counts = data.draw(st.lists(st.integers(0, 12), min_size=paths, max_size=paths))
+        width = max(counts)
+        controlled = data.draw(st.integers(0, width))
+        order = data.draw(st.integers(1, 4))
+        mixed = data.draw(st.booleans())
+        orders = [order] * paths
+        if mixed:
+            orders = data.draw(st.lists(st.integers(1, 4), min_size=paths, max_size=paths))
+        extra = data.draw(st.integers(0, 3))
+        # plain values, or with -0.0 and subnormals among them, or with some that overflow too
+        drawn = data.draw(st.sampled_from([st.floats(-1.5, 1.5), ROLL_VALUES.filter(lambda v: abs(v) < 1e300),
+                                           ROLL_VALUES]))
+        size = 2 * sum(orders) + paths * (1 + extra + controlled)
+        values = iter(data.draw(st.lists(drawn, min_size=size, max_size=size)))
+        lags = [tuple(next(values) for _ in range(p)) for p in orders]
+        intercepts = [next(values) for _ in range(paths)]
+        seeds = [[next(values) for _ in range(p + extra)] for p in orders]
+        controls = [[next(values) for _ in range(controlled)] for _ in range(paths)]
+        expected = roll_each_by_reversed_zip(lags, intercepts, seeds, counts, controls)
+        plain = roll_each_by_reversed_zip(lags, intercepts, seeds, counts)
+        arrays = not mixed and data.draw(st.booleans())
+        if arrays:
+            lags, intercepts, seeds = np.array(lags), np.array(intercepts), np.array(seeds)
+            controls = np.array(controls).reshape(paths, controlled)
+        for u, want in ((None, plain), (controls, expected)):
+            got = roll_ar(lags, intercepts, seeds, counts, u)
+            assert got.shape == (paths, width)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("paths, orders, stacked", [
+        (15, [2] * 15, False), (16, [2] * 16, True), (17, [3] * 17, True), (16, [2] * 15 + [1], False),
+    ])
+    def test_stacks_of_16_paths_of_one_order_step_together(self, monkeypatch, paths, orders, stacked):
+        calls = []
+        roll_stacked = fitting._roll_stacked
+        monkeypatch.setattr(fitting, "_roll_stacked", lambda *args: calls.append(1) or roll_stacked(*args))
+        lags = [tuple(0.5 / j for j in range(1, p + 1)) for p in orders]
+        seeds = [[1.0, -2.0, 3.0]] * paths
+        got = roll_ar(lags, [0.25] * paths, seeds, list(range(paths)), [[1.0, -1.0]] * paths)
+        assert len(calls) == stacked
+        want = roll_ar_by_reversed_zip(lags, [0.25] * paths, seeds, paths - 1, [[1.0, -1.0]] * paths)
+        assert got[-1].tobytes() == want[-1].tobytes()
+
     def test_long_ar3_stack_matches_the_reversed_zip_loop(self):
         rng = np.random.default_rng(19)
         lags = [(0.6, -0.25, 0.3), (1.1, -0.5, 0.2)]
@@ -482,6 +547,17 @@ class TestRollAr:
         intercepts = [-0.0, -5e-324]
         seeds = [[-0.0, -5e-324], [2.0**-1060, -0.0, -0.0]]
         for u in (None, [[-0.0] * 3, [-5e-324, -0.0, 5e-324]]):
+            got = roll_ar(lags, intercepts, seeds, 6, u)
+            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_signed_zeros_keep_their_bits_in_a_stack(self, order):
+        # 16 paths of one order step together; each sum starts from 0.0, and
+        # 0.0 + -0.0 is +0.0, which an intercept or control of -0.0 keeps
+        lags = [(-0.0,) * order, (5e-324,) * order, (-0.0, 0.5)[:order], (2.0**-1070,) * order] * 4
+        intercepts = [-0.0, -5e-324, -0.0, 0.0] * 4
+        seeds = [[1.0, 1.0], [-0.0, -5e-324], [1.0, -0.0], [2.0**-1060, -0.0]] * 4
+        for u in (None, [[-0.0, 5e-324, -0.0]] * 16):
             got = roll_ar(lags, intercepts, seeds, 6, u)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
 

@@ -392,6 +392,27 @@ class TestPowerTable:
         for model, got in zip(models, stacked):
             assert got.tobytes() == build_problem(model, steps, targets[0]).steps.tobytes()
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_sixteen_or_more_ar_models_build_as_if_alone(self, order):
+        # the companion matrices of a list of AR models are built as one
+        # (g, p, p) stack; each target's steps, and its stationary point,
+        # have the bits of its own one-model problem
+        rng = np.random.default_rng(order)
+        for g in (16, 17, 40):
+            models = [ArModel(a=tuple(rng.uniform(-1.4, 1.4, order)), b=rng.uniform(-1, 1)) for _ in range(g)]
+            counts = np.sort(rng.integers(1, 60, g))
+            targets = rng.uniform(-2, 2, (g, 1))
+            problem = build_problem(models, counts, targets)
+            stacked = kkt_solve(problem)
+            start = 0
+            for i, count in enumerate(counts.tolist()):
+                alone_problem = build_problem(models[i], count, targets[i])
+                alone = kkt_solve(alone_problem)
+                assert problem.steps[i, counts[-1] - count :].tobytes() == alone_problem.steps.tobytes()
+                assert stacked.controls[start : start + count].tobytes() == alone.controls[0].tobytes()
+                assert stacked.multiplier[i].tobytes() == alone.multiplier[0].tobytes()
+                start += count
+
 
 class TestCertify:
     def make_solved_instance(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapfill import control, fitting, oracle, pipeline
+from gapfill import models as models_module
 from gapfill import report as report_module
 from gapfill import series as series_module
 from gapfill.control import (
@@ -375,7 +376,7 @@ def refit_before(options, series, covariates, gap_start):
         coeffs = coeffs / (scale if targets.ndim == 1 else scale[:, None])
     if not np.isfinite(coeffs).all():
         raise fitting._overflow(design)
-    return fitting._model(design, coeffs, int(rank))
+    return models_module._model(design, coeffs, int(rank))
 
 
 class TestRefitEquations:
@@ -881,6 +882,32 @@ class TestGapColumns:
         report = impute_series(series, options).report
         assert "".join(json_pieces(report.to_dict())) == want
         assert report._gaps is None
+
+    def test_refit_run_builds_no_model_per_gap(self, monkeypatch):
+        # a refit run carries its models as columns from the sweep to the
+        # report: the ArModels built and the models described are as many
+        # at 40 gaps as at 20 (the prefix fit's)
+        def refit_run(gaps):
+            rng = np.random.default_rng(gaps)
+            x = [0.0, 0.0]
+            for _ in range(40 + 10 * gaps):
+                x.append(0.5 * x[-1] - 0.2 * x[-2] + 1.0 + rng.standard_normal())
+            for t in range(40, len(x) - 10, 10):
+                x[t : t + 1 + t % 3] = [None] * (1 + t % 3)
+            built, described = [], []
+            post_init, describe = ArModel.__post_init__, report_module.describe_model
+            monkeypatch.setattr(ArModel, "__post_init__", lambda model: built.append(1) or post_init(model))
+            for owner in (pipeline, report_module):
+                monkeypatch.setattr(owner, "describe_model",
+                                    lambda model: described.append(1) or describe(model))
+            result = impute_series(scalar_series(x), ImputeOptions(order=2, refit_per_gap=True))
+            entries = json.loads(result.report.to_json())["gaps"]
+            monkeypatch.undo()
+            assert len(entries) == gaps
+            assert all(entry["oracle"]["certified"] for entry in entries)
+            return len(built), len(described)
+
+        assert refit_run(40) == refit_run(20)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
