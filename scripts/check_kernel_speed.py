@@ -9,8 +9,8 @@ found) and exits 1 when a gate fails:
     ar
         ``fitting.roll_ar`` against the per-step reversed-zip loop
         (``tests/test_fitting.py``) on a 2-path, 1200-step AR(3) stack with
-        1198 controls: the same bits in at most AR_BOUND of the loop's time
-        (0.45-0.55 measured);
+        1198 controls, the kernel given arrays and the loop lists: the same
+        bits in at most AR_BOUND of the loop's time (0.45-0.55 measured);
     refit
         ``fitting.roll_ar`` against the same loop run once per step count
         on a 200-path AR(2) stack of 1-7 steps each with 6 controls, the
@@ -54,18 +54,21 @@ def _best(sides: dict) -> dict:
 
 
 def ar() -> tuple[list, str]:
+    import numpy as np
     from test_fitting import roll_ar_by_reversed_zip
 
     from gapfill.fitting import roll_ar
 
     rng = random.Random(19)
-    args = ([(0.6, -0.25, 0.3), (1.1, -0.5, 0.2)], [0.4, -1.3],
+    loop = ([(0.6, -0.25, 0.3), (1.1, -0.5, 0.2)], [0.4, -1.3],
             [[rng.uniform(-3, 3) for _ in range(3)] for _ in range(2)], 1200,
             [[rng.gauss(0, 1) for _ in range(1198)] for _ in range(2)])
-    best = _best({"kernel": lambda: roll_ar(*args), "loop": lambda: roll_ar_by_reversed_zip(*args)})
+    # the kernel takes arrays, as a Models holds them, the loop Python floats
+    kernel = tuple(np.array(arg) if isinstance(arg, list) else arg for arg in loop)
+    best = _best({"kernel": lambda: roll_ar(*kernel), "loop": lambda: roll_ar_by_reversed_zip(*loop)})
     ratio = best["kernel"] / best["loop"]
     problems = []
-    if roll_ar(*args).tobytes() != roll_ar_by_reversed_zip(*args).tobytes():
+    if roll_ar(*kernel).tobytes() != roll_ar_by_reversed_zip(*loop).tobytes():
         problems.append("roll_ar's bits differ from the reference loop")
     if ratio > AR_BOUND:
         problems.append(f"roll_ar takes {ratio:.2f} of the reference loop's time, "

@@ -13,8 +13,10 @@ The matrix is the three benchmark workloads (their inputs generated, read
 only, by ``bench/workloads.py``) at seeds 1-3, each with its own options,
 with ``--mode paper`` and with ``--refit-per-gap``; refit_ar's seed-1 input
 spelled four more ways, so that every way ``parse_csv`` reads a block runs
-(see ``SPELLINGS``); and ``data/phosphate.csv`` as a VAR (exact and paper
-mode) and as an AR(2) of column c1, with and without ``--refit-per-gap``.
+(see ``SPELLINGS``), and read five more ways, as a regression and with an
+open trailing gap (see ``VARIATIONS``); and ``data/phosphate.csv`` as a VAR
+(exact and paper mode) and as an AR(2) of column c1, with and without
+``--refit-per-gap``.
 The CLI runs in this process, on the ``gapfill`` that ``import`` finds.
 
 Usage: python scripts/same_bytes.py [--size full|tiny]
@@ -47,6 +49,17 @@ SPELLINGS = {
     # the header's cells quoted: csv.reader reads the whole text
     "quoted": (lambda i, line: ",".join(f'"{cell}"' for cell in line.split(",")) if i == 0 else line, ()),
 }
+REGRESSION = ("--model", "regression", "--columns", "x", "--covariates", "t")
+OPEN_AR2 = ("--model", "ar", "--order", "2", "--refit-per-gap", "--allow-open-gap")
+# name -> (whether each row gains its row number as a covariate column t
+# before its cell; how many trailing NA rows the text gains; the options)
+VARIATIONS = {
+    "regression": (True, 0, REGRESSION),
+    "regression-refit": (True, 0, REGRESSION + ("--refit-per-gap",)),
+    "open-gap": (False, 3, OPEN_AR2),
+    "open-gap-paper": (False, 3, OPEN_AR2 + ("--mode", "paper")),
+    "open-gap-regression": (True, 3, REGRESSION + ("--allow-open-gap",)),
+}
 PHOSPHATE = {
     "var": ("--model", "var"),
     "var-paper": ("--model", "var", "--mode", "paper"),
@@ -72,6 +85,13 @@ def matrix(size: str, work: pathlib.Path):
         path = work / f"refit_ar-1-{spelling}.csv"
         path.write_text("".join(spell(i, line) + "\n" for i, line in enumerate(text.splitlines())))
         yield f"refit_ar seed=1 {spelling}", path, WORKLOADS["refit_ar"].extra_args + options
+    for variation, (numbered, trailing, options) in VARIATIONS.items():
+        rows = text.splitlines() + ["NA"] * trailing
+        if numbered:
+            rows = [f"{i},{line}" if i else f"t,{line}" for i, line in enumerate(rows)]
+        path = work / f"refit_ar-1-{variation}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        yield f"refit_ar seed=1 {variation}", path, options
     for variant, options in PHOSPHATE.items():
         yield f"phosphate {variant}", ROOT / "data" / "phosphate.csv", options
 

@@ -30,12 +30,12 @@ from .fitting import ArModel, Models, RegModel, VarModel, predict_forward
 from .linalg import equal_runs, mat_pow_table, row_norms, solve_spd, split_runs
 from .series import Gaps
 from .weights import (
-    WEIGHT_OVERFLOW_LIMIT,
     checked_weights,
-    gamma_weights,
+    gamma_weights,  # not called here; one of this module's public names
     impulse_response,
     impulse_weights,  # not called here; one of this module's public names
     norm_overflow,
+    printed_weights,
     step_norm_differences,
 )
 
@@ -319,8 +319,8 @@ def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     """Fill constrained gaps so each path ends at its anchor; one
     ControlSolution per gap, in order.
 
-    ``model`` is one model, or a Models (or a list) with one per gap, of
-    one kind and size.
+    ``model`` is one model, or a Models with one per gap (``Models.of``
+    stacks a list).
     ``gaps`` are GapSegments, or a Gaps of constrained gaps. ``gaps[i]`` is
     rolled from ``starts[i]``: at least p values before it for an AR(p),
     the row before it for a VAR, or a regression's covariate rows from the
@@ -351,8 +351,6 @@ def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
     firsts, anchor_indices = _edges(gaps)
     if not len(firsts):
         return []
-    if isinstance(model, list):
-        model = Models.of(model)
     try:
         return _impute(model, firsts, anchor_indices, starts, anchors, mode)
     except NumericalError:
@@ -408,13 +406,10 @@ def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: s
     if ar:
         impulse = blocks[..., 0, 0]
         if mode == "paper":
-            printed = np.zeros(impulse.shape)
-            for row, each, n in zip(printed, [model] if shared else model, lengths):
-                row[:n] = gamma_weights(each, n)
+            printed = printed_weights(model, lengths)
             blocks = printed[..., None, None]
-        elif (np.abs(impulse) > WEIGHT_OVERFLOW_LIMIT).any():
-            for row in impulse:
-                checked_weights(row)
+        else:
+            checked_weights(impulse)
     gram = _gram_sums(blocks)[0 if shared else np.arange(g), counts - 1]
     full = _full(blocks, counts)
 
@@ -453,8 +448,7 @@ def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: s
 
     diagnostics = {"correction_rule": np.full(g, "uniform")} if regression else {}
     if mode == "paper" and ar:
-        for row in impulse:
-            checked_weights(row)
+        checked_weights(impulse)
         differences = diagnostics["max_weight_difference"] = np.empty(g)
         for lo, hi, m in runs:
             rows = slice(None) if shared else slice(lo, hi)

@@ -174,48 +174,39 @@ def _first_control(steps: int, controls: int) -> int:
 STACKED_PATHS = 16
 
 
-def _floats(values):
-    """``values`` as Python floats, if a numpy array."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
-
-
 def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
-    """The autoregressive recursion of a stack of paths, ``steps`` steps on,
-    or steps[i] for path i given a list; one row per path, zero past its own
-    steps. This is the one AR recursion kernel.
+    """The autoregressive recursion of a stack of g paths, ``steps`` steps
+    on, or steps[i] for path i given a list; one row per path, zero past its
+    own steps. This is the one AR recursion kernel.
 
-    Path i starts from the chronological seeds ``seeds[i]`` (at least as
-    many as ``lags[i]`` has coefficients; fewer is a ValueError) and rolls
-    x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2 x_{n-2}) + ..., summed
-    left to right, which every Python version rounds alike (``sum`` of
-    floats is compensated from 3.12). Row i of the (g, n) ``controls``, if
-    given, is added from step max(steps) - n of every path until its end.
-    The inputs are sequences or numpy arrays of one row per path. A stack
-    of STACKED_PATHS or more paths of one order steps all its paths
-    together, one numpy multiply and add per lag over the column of every
-    path's values, then b + sum and + u_t; any other stack rolls path by
-    path on Python floats, each path pairing its coefficients once with
+    Path i starts from row i of the chronological (g, w) ``seeds``, at
+    least as many as the order p of the (g, p) ``lags`` (fewer is a
+    ValueError), and rolls x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2
+    x_{n-2}) + ..., summed left to right, which every Python version rounds
+    alike (``sum`` of floats is compensated from 3.12). Row i of the (g, m)
+    ``controls``, if given, is added from step max(steps) - m of every path
+    until its end. A stack of STACKED_PATHS or more paths steps all its
+    paths together, one numpy multiply and add per lag over the column of
+    every path's values, then b + sum and + u_t; a smaller one rolls path
+    by path on Python floats, each path pairing its coefficients once with
     their lags' offsets from its end and rolling its uncontrolled steps,
     then its controlled ones, with no per-step branch. Both make the same
     IEEE operations in the same order, so a path has the same bits either
     way. An explosive path overflows silently to inf.
     """
-    counts = steps if isinstance(steps, list) else [steps] * len(seeds)
+    (g, p), n = lags.shape, seeds.shape[1]
+    if n < p:
+        raise ValueError(f"{n} seeds for order {p}")
+    counts = steps if isinstance(steps, list) else [steps] * g
     width = max(counts, default=0)
-    first = _first_control(width, len(controls[0]) if controls is not None and len(controls) else 0)
-    if len(seeds) >= STACKED_PATHS:
-        orders = {lags.shape[1]} if isinstance(lags, np.ndarray) else {*map(len, lags)}
-        if len(orders) == 1 and 0 not in orders:
-            return _roll_stacked(lags, intercepts, seeds, counts, width, first, controls, orders.pop())
+    first = _first_control(width, 0 if controls is None else controls.shape[1])
+    if g >= STACKED_PATHS:
+        return _roll_stacked(lags, intercepts, seeds, counts, width, first, controls)
     rows = []
-    for i, (a, b, hist, u, count) in enumerate(
-            zip(_floats(lags), _floats(intercepts), _floats(seeds), _floats(controls) or [()] * len(seeds),
-                counts)):
-        if len(hist) < len(a):
-            raise ValueError(f"path {i} has {len(hist)} seeds for its order {len(a)}")
-        path = list(hist)
+    for a, b, path, u, count in zip(lags.tolist(), intercepts.tolist(), seeds.tolist(),
+                                    [()] * g if controls is None else controls.tolist(), counts):
         push = path.append
-        terms = tuple(zip(a, range(-1, -len(a) - 1, -1)))  # (a_j, offset of x_{n-j})
+        terms = tuple(zip(a, range(-1, -p - 1, -1)))  # (a_j, offset of x_{n-j})
         for _ in range(first if first < count else count):
             s = 0.0
             for aj, j in terms:
@@ -226,35 +217,28 @@ def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
             for aj, j in terms:
                 s += aj * path[j]
             push(b + s + ut)
-        row = path[len(hist) :]
+        row = path[n:]
         if count < width:
             row += [0.0] * (width - count)
         rows.append(row)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+    return np.array(rows, dtype=float).reshape(g, width)
 
 
-def _roll_stacked(lags, intercepts, seeds, counts: list, width: int, first: int, controls,
-                  p: int) -> np.ndarray:
-    """``roll_ar`` of a stack of paths of order ``p``, all paths a step at a
-    time: x holds one row per step, with every path's value in a column."""
-    g = len(seeds)
-    lengths = [seeds.shape[1]] * g if isinstance(seeds, np.ndarray) else [*map(len, seeds)]
-    if min(lengths) < p:
-        i = next(i for i, n in enumerate(lengths) if n < p)
-        raise ValueError(f"path {i} has {lengths[i]} seeds for its order {p}")
+def _roll_stacked(lags, intercepts, seeds, counts: list, width: int, first: int, controls) -> np.ndarray:
+    """``roll_ar`` of a stack of paths, all paths a step at a time: x holds
+    one row per step, with every path's value in a column."""
+    g, p = lags.shape
     x = np.empty((p + width, g))
-    x[:p] = np.array(seeds[:, seeds.shape[1] - p :] if isinstance(seeds, np.ndarray)
-                     else [hist[len(hist) - p :] for hist in seeds], dtype=float).T
-    a = np.array(lags, dtype=float).T.copy()  # row j: every path's a_{j+1}
-    b = np.asarray(intercepts, dtype=float)
-    u = None if first == width else np.asarray(controls, dtype=float).reshape(g, -1).T
+    x[:p] = seeds[:, seeds.shape[1] - p :].T
+    a = lags.T.copy()  # row j: every path's a_{j+1}
+    u = None if first == width else controls.T
     s, term = np.empty(g), np.empty(g)
     with np.errstate(all="ignore"):
         for t in range(p, p + width):
             np.add(0.0, np.multiply(a[0], x[t - 1], out=s), out=s)
             for j in range(1, p):
                 s += np.multiply(a[j], x[t - 1 - j], out=term)
-            np.add(b, s, out=x[t])
+            np.add(intercepts, s, out=x[t])
             if t - p >= first:
                 x[t] += u[t - p - first]
     rows = x[p:].T
@@ -274,20 +258,19 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
     call, each path bit for bit the one it would get alone: seeds (g, n) and
     controls (g, steps') give a (g, steps) AR result, seeds (g, k) and controls
     (g, steps', k) a (g, steps, k) VAR result, and covariates (g, rows, c) a
-    (g, steps, k) regression result. The paths share one model or take a list
-    of one per path; a single path is a stack of one. A stack of AR paths may
-    take a list of one count per path in ``steps``: each stops at its own
-    (see ``roll_ar``). An explosive model, or a regression on huge covariates,
-    lets the path overflow silently to inf.
+    (g, steps, k) regression result. The paths share one model or take a
+    Models of one per path; a single path is a stack of one. A stack of AR
+    paths may take a list of one count per path in ``steps``: each stops at
+    its own (see ``roll_ar``). An explosive model, or a regression on huge
+    covariates, lets the path overflow silently to inf.
     """
     if (min(steps, default=0) if isinstance(steps, list) else steps) < 0:
         raise ValueError("steps must be >= 0")
-    listed = isinstance(model, list)
-    first = model[0] if listed and model else model
-    kind = model.kind if isinstance(model, Models) else ArModel if listed and not model else type(first)
+    per_path = isinstance(model, Models)
+    kind = model.kind if per_path else type(model)
     kinds = {ArModel: "autoregression", VarModel: "VAR", RegModel: "regression"}
     if kind not in kinds:
-        raise TypeError(f"unknown model type {type(first).__name__}")
+        raise TypeError(f"unknown model type {kind.__name__}")
     if kind is RegModel:
         if controls is not None:
             raise ValueError("regression predictions take no controls")
@@ -300,15 +283,8 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         given = np.asarray(seeds, dtype=float)
         stacked = given.ndim == 2
         paths = given if stacked else given.reshape(1, -1)
-    # a shared model fits every path; a list of one kind and size is taken
-    # as its columns (an empty one as an AR stack of no paths)
-    size = (lambda m: m.p) if kind is ArModel else (lambda m: m.A.shape)
-    if listed and all(isinstance(m, kind) and size(m) == size(first) for m in model):
-        model = Models.of(model) if model else Models(ArModel, np.zeros((0, 1)), None)
-    per_path = isinstance(model, Models)
-    if listed and not per_path or per_path and len(model) != len(paths):
-        raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a list of one per path "
-                         f"of one size")
+    if per_path and len(model) != len(paths):
+        raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a Models of one per path")
 
     if kind is ArModel:
         if paths.shape[1] < model.p:
@@ -316,10 +292,9 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         u = None if controls is None else np.asarray(controls, dtype=float).reshape(len(paths), -1)
         # each path reads its trailing p seeds
         heads = paths[:, paths.shape[1] - model.p :]
-        if per_path:
-            out = roll_ar(model.a, model.b, heads, steps, u)
-        else:
-            out = roll_ar([model.a] * len(paths), [model.b] * len(paths), heads, steps, u)
+        g = len(paths)
+        lags, b = (model.a, model.b) if per_path else (np.tile(model.a, (g, 1)), np.full(g, model.b))
+        out = roll_ar(lags, b, heads, steps, u)
         return out if stacked else out[0]
 
     # one stacked matmul per step of a VAR, one for a regression; each path's

@@ -263,16 +263,14 @@ def build_problem(model, steps, target) -> ConstrainedProblem:
     of offsets, or one offset, and ``steps`` one control count for them all
     or a non-decreasing count per row: one power table to the largest count
     serves every row (see ``ConstrainedProblem.counts``). ``model`` is the
-    model of every gap, or a Models (or a list) with one model per row of
-    ``target``, all of one kind and size; the steps are then (g, m, k, k),
-    each gap's the bits of its problem alone.
+    model of every gap, or a Models with one model per row of ``target``;
+    the steps are then (g, m, k, k), each gap's the bits of its problem
+    alone.
     """
     counts = None if np.ndim(steps) == 0 else np.asarray(steps)
     longest = int(steps if counts is None else counts.max(initial=0))
     if longest < 1:
         raise ValueError("steps must be >= 1")
-    if isinstance(model, list):
-        model = Models.of(model)
     f = _transition_matrix(model)
     k = 1 if (model.kind if isinstance(model, Models) else type(model)) is ArModel else f.shape[-1]
     # per-target powers come step first; the gap axis moves to the front
@@ -280,29 +278,25 @@ def build_problem(model, steps, target) -> ConstrainedProblem:
     return ConstrainedProblem(powers[..., :k, :k], target, counts)
 
 
-def certify(solutions, problem: ConstrainedProblem) -> BatchVerdict:
-    """Check control solutions against the independent stationarity solve.
+def certify(controls, problem: ConstrainedProblem) -> BatchVerdict:
+    """Check controls against the independent stationarity solve.
 
-    A solution passes when it is feasible and its objective matches the
+    ``controls`` holds the chronological controls of every target of
+    ``problem``, one row per step, one target after another: as many rows
+    as ``problem.counts`` sums to, each of the problem's dimension (a
+    ValueError otherwise). A target's
+    controls pass when they are feasible and their objective matches the
     oracle optimum, both to CERTIFY_TOLERANCE relative; an optimum that
-    overflows certifies nothing. ``solutions`` holds one solution (anything
-    with chronological ``controls``) per target of ``problem``, in target
-    order, or is an array of their controls, one row per step, one target
-    after another; each gets a Verdict.
+    overflows certifies nothing. Each target gets a Verdict.
     """
-    targets, counts = problem.target, problem.counts
-    if not isinstance(solutions, np.ndarray):
-        solutions = list(solutions)
-        if len(solutions) != len(targets):
-            raise ValueError(f"{len(solutions)} solutions for {len(targets)} targets")
-        for s, count in zip(solutions, counts.tolist()):
-            if len(s.controls) != count:
-                raise ValueError(
-                    f"control count {len(s.controls)} does not match the problem's {count} steps"
-                )
-        solutions = np.concatenate([np.reshape(s.controls, (len(s.controls), -1)) for s in solutions])
+    targets, total = problem.target, int(problem.counts.sum())
+    if len(controls) != total:
+        raise ValueError(f"{len(controls)} control rows for the {total} steps of the problem's targets")
+    if np.size(controls) != total * problem.dim:
+        raise ValueError(f"controls of shape {np.shape(controls)} for {total} steps of {problem.dim} "
+                         f"components")
     oracle = kkt_solve(problem)
-    misses, values = _landings(problem, problem.split(solutions))
+    misses, values = _landings(problem, problem.split(controls))
     best = oracle.objective
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.abs(values - best)

@@ -259,12 +259,11 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
     return stacks, solution
 
 
-def _certify_batch(options: ImputeOptions, model, stacks, count: int):
-    """Run the independent verifier on the solver's ``stacks`` of the first
-    ``count`` gaps: one BatchVerdict of them in gap order, or per gap None.
+def _certify_batch(options: ImputeOptions, model, stacks):
+    """Run the independent verifier on the solver's ``stacks``: one
+    BatchVerdict of their gaps in gap order, or None when there is none.
 
-    ``model`` is the model of every gap, or a Models (or a list) with one
-    per gap.
+    ``model`` is the model of every gap, or a Models with one per gap.
     Each stack is one problem and one ``certify`` call: the solver's
     controls and anchor offsets, sorted by control count, against one power
     table per model to the stack's longest count. Scalar paper-mode values
@@ -272,9 +271,7 @@ def _certify_batch(options: ImputeOptions, model, stacks, count: int):
     certificate.
     """
     if options.model_kind == "ar" and options.mode == "paper" or not stacks:
-        return [None] * count
-    if isinstance(model, list):
-        model = Models.of(model)
+        return None
     results = [certify(stack.controls, build_problem(
         model[stack.index] if isinstance(model, Models) else model, stack.counts, stack.offsets))
         for stack in stacks]
@@ -317,7 +314,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     reads_fill = missing_before[gaps.starts - 1] > missing_before[gaps.starts - 1 - gaps.order]
     working = series.data.copy()
     stacks, opened = _solve_gaps(options, models, gaps, reads_fill, working, covariates)
-    verdicts = _certify_batch(options, models, stacks, len(gaps.anchor_values))
+    verdicts = _certify_batch(options, models, stacks)
 
     refits = models if options.refit_per_gap else None
     deficient = refits.rank_deficient if refits else np.zeros(len(gaps), dtype=bool)
@@ -327,8 +324,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
             _note_rank(report.notes, f"refit before the gap at index {start}", refits[i])
         if reads_fill[i]:
             report.notes.append(f"gap at index {start} seeds from values imputed for an earlier gap")
-    report.gap_columns = gap_records(gaps, stacks, None if isinstance(verdicts, list) else verdicts, refits,
-                                     opened)
+    report.gap_columns = gap_records(gaps, stacks, verdicts, refits, opened)
     if opened is not None:
         report.notes.append(
             f"gap at indices {gaps.starts[-1]}..{gaps.ends[-1]} is unconstrained "
@@ -365,6 +361,6 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
         solution, stack = solution._replace(controls=bad), stack._replace(controls=bad)
-    (verdict,) = _certify_batch(options, model, [stack], 1)
+    (verdict,) = _certify_batch(options, model, [stack])
     return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=gaps[0],
                             solution=solution, verdict=verdict)

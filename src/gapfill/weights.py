@@ -2,8 +2,9 @@
 
 ``impulse_weights`` is an AR's impulse response, the blocks C F^j B with
 which the solver (``gapfill.control``) builds its controls. ``paper`` mode
-compares the exact solve with the printed formulas: ``gamma_weights``, the
-printed AR weight recurrence, and ``step_norm_differences``, how far the
+compares the exact solve with the printed formulas: ``printed_weights``,
+the printed AR weight recurrence of a stack of models (``gamma_weights`` of
+one), and ``step_norm_differences``, how far the
 printed per-step norm formula of a VAR strays from its controls' norms.
 """
 
@@ -20,31 +21,28 @@ from .linalg import row_norms
 WEIGHT_OVERFLOW_LIMIT = 1e150
 
 
-def _check_magnitude(value: float, step: int, what: str) -> None:
-    if abs(value) > WEIGHT_OVERFLOW_LIMIT:
-        raise NumericalError(
-            f"{what} overflow at step {step}: magnitude exceeds 1e150 "
-            f"(explosive coefficients over a long horizon)"
-        )
-
-
 def impulse_response(model, lengths: list) -> np.ndarray:
     """The unchecked ``impulse_weights`` of an AR model, or of each model of
     a Models, to its own of ``lengths``, (g, max(lengths)) and zero past
     each: an explosive recursion overflows silently to inf. The weights are
     ``roll_ar`` paths with a zero intercept from the seeds 0, ..., 0, 1, so
     they carry the bits of ``predict_forward``'s recursion."""
-    g, lags = len(lengths), model.a if isinstance(model, Models) else [model.a]
+    g, lags = len(lengths), model.a if isinstance(model, Models) else np.array([model.a])
     seeds = np.zeros((g, model.p))
     seeds[:, -1] = 1.0
     rolled = roll_ar(lags, np.zeros(g), seeds, [n - 1 for n in lengths])
     return np.column_stack([np.ones(g), rolled])
 
 
-def checked_weights(w: np.ndarray) -> np.ndarray:
+def checked_weights(w: np.ndarray, what: str = "impulse weight") -> np.ndarray:
+    """``w``, a row of weights or a stack of rows, unless an entry passes
+    1e150: the first such, row by row, raises NumericalError at its step."""
     beyond = np.flatnonzero(np.abs(w) > WEIGHT_OVERFLOW_LIMIT)
     if beyond.size:
-        _check_magnitude(w[beyond[0]], int(beyond[0]), "impulse weight")
+        raise NumericalError(
+            f"{what} overflow at step {int(beyond[0]) % w.shape[-1]}: magnitude exceeds 1e150 "
+            f"(explosive coefficients over a long horizon)"
+        )
     return w
 
 
@@ -62,6 +60,42 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     return checked_weights(impulse_response(model, [length])[0])
 
 
+def printed_weights(model, lengths: list) -> np.ndarray:
+    """The ``gamma_weights`` of an AR model, or of each model of a Models, to
+    its own of ``lengths``: (g, max(lengths)), zero past each, from one
+    recurrence over the (g, p) coefficients. The first row with a weight
+    past 1e150 within its length raises NumericalError at that step.
+
+    Each step sums the p running components of every row at once (a
+    row-wise ``sum`` of the (g, p) components, in the order of one row's
+    own); order 1 is one cumulative product. Each row has the bits of its
+    model alone.
+    """
+    a = model.a if isinstance(model, Models) else np.array([model.a])
+    (g, p), counts = a.shape, np.asarray(lengths)
+    w = np.ones((g, int(counts.max())))
+    with np.errstate(all="ignore"):
+        if p == 1:
+            # plain powers: each weight is a_1 times the one before
+            w[:, 1:] = a
+            w = np.multiply.accumulate(w, axis=1)
+        else:
+            # at step n, component k <= n is a_k times the weight k steps
+            # back; component n + 1 < p is its unit entry, and the rest 0
+            alpha = np.zeros((g, p))
+            for n in range(1, min(p, w.shape[1])):
+                np.multiply(a[:, :n], w[:, :n][:, ::-1], out=alpha[:, :n])
+                alpha[:, n] = 1.0
+                w[:, n] = alpha.sum(axis=1)
+            feed = alpha[:, -1]  # from step p on, the highest lag's unit feed
+            for n in range(p, w.shape[1]):
+                np.multiply(a, w[:, n - p : n][:, ::-1], out=alpha)
+                feed += 1.0
+                w[:, n] = alpha.sum(axis=1)
+    w[np.arange(w.shape[1]) >= counts[:, None]] = 0.0
+    return checked_weights(w, "weight")
+
+
 def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     """Printed-recurrence weights used by ``paper`` mode, most recent step first.
 
@@ -75,28 +109,7 @@ def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    p = model.p
-    if p == 1:
-        g = np.empty(length)
-        g[0] = 1.0
-        for j in range(1, length):
-            g[j] = model.a[0] * g[j - 1]
-            _check_magnitude(g[j], j, "weight")
-        return g
-
-    alpha = np.zeros((length, p))
-    gamma = np.empty(length)
-    for k in range(1, p + 1):
-        if k - 1 < length:
-            alpha[k - 1, k - 1] = 1.0
-    gamma[0] = alpha[0].sum()
-    for n in range(1, length):
-        for k in range(1, p + 1):
-            if n >= k:
-                alpha[n, k - 1] = model.a[k - 1] * gamma[n - k] + (1.0 if k == p else 0.0)
-        gamma[n] = alpha[n].sum()
-        _check_magnitude(gamma[n], n, "weight")
-    return gamma
+    return printed_weights(model, [length])[0]
 
 
 def norm_overflow() -> NumericalError:

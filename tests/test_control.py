@@ -20,10 +20,11 @@ from gapfill.control import (
     stack_solutions,
 )
 from gapfill.errors import DataError, NumericalError
-from gapfill.fitting import ArModel, RegModel, VarModel, predict_forward
+from gapfill.fitting import ArModel, Models, RegModel, VarModel, predict_forward
 from gapfill.linalg import mat_pow_table
 from gapfill.pipeline import ImputeOptions, _certify_batch
 from gapfill.series import GapSegment, Series, detect_gaps
+from gapfill.weights import printed_weights
 
 
 def single_gap(values, order=1):
@@ -46,6 +47,35 @@ def numpy_scalar_impulse_weights(model: ArModel, length: int) -> np.ndarray:
             total += model.a[i - 1] * w[j - i]
         w[j] = total
     return w
+
+
+def gamma_weights_by_loop(model: ArModel, length: int) -> np.ndarray:
+    """Reference for the printed recurrence: one model's p components as the
+    rows of a table, filled step by step and summed per step with numpy;
+    NumericalError at the first weight past 1e150."""
+    p, a = model.p, model.a
+    gamma = np.empty(length)
+    gamma[0] = 1.0
+    alpha = np.zeros((length, p))
+    for k in range(min(p, length)):
+        alpha[k, k] = 1.0
+    for n in range(1, length):
+        if p == 1:
+            gamma[n] = a[0] * gamma[n - 1]
+        else:
+            for k in range(1, min(n, p) + 1):
+                alpha[n, k - 1] = a[k - 1] * gamma[n - k] + (1.0 if k == p else 0.0)
+            gamma[n] = alpha[n].sum()
+        if abs(gamma[n]) > 1e150:
+            raise NumericalError(f"weight overflow at step {n}:")
+    return gamma
+
+
+# coefficients of the printed recurrence: moderate, or -0.0, subnormal or huge
+PRINTED_COEFFS = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300]),
+)
 
 
 def loop_fill_ar(model: ArModel, seeds, controls, total: int) -> np.ndarray:
@@ -208,6 +238,37 @@ class TestGammaWeights:
     def test_overflow_guard(self):
         with pytest.raises(NumericalError, match="overflow"):
             gamma_weights(ArModel(a=(9.0, 9.0), b=0.0), 200)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_stack_rows_are_each_model_s_weights(self, data):
+        # one recurrence over a stack gives each row the bits of its model's
+        # own weights, zero past its length, or the first failing row's error
+        order, g = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 20))
+        models = [ArModel(a=tuple(data.draw(st.lists(PRINTED_COEFFS, min_size=order, max_size=order))),
+                          b=0.0) for _ in range(g)]
+        lengths = data.draw(st.lists(st.integers(1, 30), min_size=g, max_size=g))
+        expected, error = np.zeros((g, max(lengths))), None
+        for row, model, n in zip(expected, models, lengths):
+            try:
+                row[:n] = gamma_weights_by_loop(model, n)
+            except NumericalError as failure:
+                error = str(failure)
+                break
+
+        def bits_or_error(weights, model, n):
+            try:
+                return weights(model, n).tobytes()
+            except NumericalError as failure:
+                return str(failure).split(":")[0]
+
+        for model, n in zip(models, lengths):
+            assert bits_or_error(gamma_weights, model, n) == bits_or_error(gamma_weights_by_loop, model, n)
+        if error is None:
+            assert printed_weights(Models.of(models), lengths).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(NumericalError, match=error):
+                printed_weights(Models.of(models), lengths)
 
 
 class TestSolveControlsScalar:
@@ -611,7 +672,7 @@ def gap_stacks(draw, gaps=(1, 6), longest=None):
             return VarModel(A=rng.uniform(-0.9, 0.9, (dim, dim)), b=rng.uniform(-1, 1, dim))
         return RegModel(A=rng.uniform(-2, 2, (dim, 2)), b=rng.uniform(-1, 1, dim))
 
-    models = [model() for _ in lengths] if per_gap else model()
+    models = Models.of([model() for _ in lengths]) if per_gap else model()
     gaps = [closed_gap(10 + 20 * i, length, order) for i, length in enumerate(lengths)]
     starts = [rng.uniform(-5, 5, order) if kind == "ar" else rng.uniform(-5, 5, dim) if kind == "var"
               else rng.uniform(-5, 5, (length + 1, 2)) for length in lengths]
@@ -635,7 +696,7 @@ class TestImputeGaps:
         models, gaps, starts, anchors, mode = stack
         solved = impute_gaps(models, gaps, starts, anchors, mode)
         for i, solution in enumerate(solved):
-            model = models[i] if isinstance(models, list) else models
+            model = models[i] if isinstance(models, Models) else models
             (alone,) = impute_gaps(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1], mode)
             assert self.bits(solution) == self.bits(alone)
             assert solution.control_indices == alone.control_indices
@@ -646,25 +707,32 @@ class TestImputeGaps:
     @given(run=gap_stacks(gaps=(2, 12), longest=15))
     def test_one_stack_gives_each_gap_its_solution_and_verdict_alone(self, run):
         models, gaps, starts, anchors, mode = run
-        first = models[0] if isinstance(models, list) else models
+        first = models[0] if isinstance(models, Models) else models
         kind = {ArModel: "ar", VarModel: "var", RegModel: "regression"}[type(first)]
         options = ImputeOptions(model_kind=kind, order=first.p if kind == "ar" else 1, mode=mode)
         stacks = impute_stacks(models, gaps, starts, anchors, mode)
         solved = stack_solutions(stacks, len(gaps))
         assert len(stacks) == 1
-        verdicts = _certify_batch(options, models, stacks, len(gaps))
-        for i, (solution, verdict) in enumerate(zip(solved, verdicts)):
-            model = models[i] if isinstance(models, list) else models
+        verdicts = _certify_batch(options, models, stacks)
+        assert (verdicts is None) == (options.model_kind == "ar" and options.mode == "paper")
+        for i, solution in enumerate(solved):
+            model = models[i] if isinstance(models, Models) else models
             alone_stacks = impute_stacks(model, gaps[i : i + 1], starts[i : i + 1], anchors[i : i + 1],
                                          options.mode)
             (alone,) = stack_solutions(alone_stacks, 1)
             assert self.bits(solution) == self.bits(alone)
             assert solution.diagnostics == alone.diagnostics
-            (alone_verdict,) = _certify_batch(options, model, alone_stacks, 1)
-            assert (verdict is None) == (options.model_kind == "ar" and options.mode == "paper")
-            if verdict is not None:
+            if verdicts is not None:
+                verdict, (alone_verdict,) = verdicts[i], _certify_batch(options, model, alone_stacks)
                 assert verdict.passed == alone_verdict.passed
                 assert np.array(verdict[1:]).tobytes() == np.array(alone_verdict[1:]).tobytes()
+
+    def test_no_gaps_give_no_solutions(self):
+        assert impute_gaps(ArModel(a=(0.5,), b=0.0), [], [], []) == []
+
+    def test_unknown_mode_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown mode 'printed'; expected one of exact, paper"):
+            impute_gaps(ArModel(a=(0.5,), b=0.0), [closed_gap(2, 3)], [[1.0]], [2.0], mode="printed")
 
     def test_diagonal_and_full_models_in_one_stack(self):
         # a diagonal A is solved by division, whose offset of 1e160 has no
@@ -675,7 +743,7 @@ class TestImputeGaps:
         gaps = [closed_gap(2, 24), closed_gap(40, 24)]
         starts = [np.array([1.0, 2.0])] * 2
         anchors = [np.array([1e160, 3.0]), np.array([3.0, -1.0])]
-        solved = impute_gaps([diagonal, full], gaps, starts, anchors)
+        solved = impute_gaps(Models.of([diagonal, full]), gaps, starts, anchors)
         for model, gap, start, anchor, solution in zip([diagonal, full], gaps, starts, anchors, solved):
             (alone,) = impute_gaps(model, [gap], [start], [anchor])
             assert self.bits(solution) == self.bits(alone)
@@ -737,12 +805,12 @@ class TestImputeGaps:
         short, middle, long = (closed_gap(start, length) for start, length in
                                ((10, 4), (30, 100), (140, 400)))
         (alone,) = impute_gaps(model, [short], [[1.0]], [2.0])
-        models = [model, model] if per_gap else model
+        models = Models.of([model, model]) if per_gap else model
         beside, _ = impute_gaps(models, [short, middle], [[1.0], [1.0]], [2.0, 2.0])
         assert self.bits(beside) == self.bits(alone)
         for gaps in ([short, long], [long, short]):
             with pytest.raises(NumericalError, match="impulse weight overflow at step 315:"):
-                impute_gaps([model, model] if per_gap else model, gaps, [[1.0], [1.0]], [2.0, 2.0])
+                impute_gaps(models, gaps, [[1.0], [1.0]], [2.0, 2.0])
 
     @pytest.mark.parametrize("per_gap", [False, True])
     def test_first_failing_gap_gives_the_error(self, per_gap):
@@ -753,7 +821,7 @@ class TestImputeGaps:
         for gaps, message in (([unreachable, explosive], "unreachable terminal constraint"),
                               ([explosive, unreachable], "impulse weight overflow")):
             with pytest.raises(NumericalError, match=message):
-                impute_gaps([model, model] if per_gap else model, gaps, seeds, [0.0, 0.0])
+                impute_gaps(Models.of([model, model]) if per_gap else model, gaps, seeds, [0.0, 0.0])
 
 
 class TestStepNormDifference:
@@ -765,7 +833,7 @@ class TestStepNormDifference:
     def check(models, gaps, starts, anchors):
         solved = impute_gaps(models, gaps, starts, anchors, "paper")
         for i, solution in enumerate(solved):
-            model = models[i] if isinstance(models, list) else models
+            model = models[i] if isinstance(models, Models) else models
             difference = largest_step_norm_difference(model, solution, anchors[i])
             assert solution.diagnostics == {"max_step_norm_difference": difference}
 
@@ -786,7 +854,7 @@ class TestStepNormDifference:
                 a = np.diag(np.diag(a)) if diagonal else a
             return VarModel(A=a, b=rng.uniform(-1, 1, dim))
 
-        models = [model() for _ in lengths] if per_gap else model()
+        models = Models.of([model() for _ in lengths]) if per_gap else model()
         gaps = [closed_gap(10 + 40 * i, int(length)) for i, length in enumerate(lengths)]
         starts = [rng.uniform(-5, 5, dim) for _ in lengths]
         anchors = [rng.uniform(-5, 5, dim) for _ in lengths]
@@ -805,7 +873,7 @@ class TestStepNormDifference:
         model = VarModel(A=a, b=[0.0] * len(seed))
         gaps = [closed_gap(2, 24), closed_gap(40, 24)]
         anchors = [np.array(anchor), np.ones(len(seed))]
-        self.check([model, model] if per_gap else model, gaps, [seed, seed], anchors)
+        self.check(Models.of([model, model]) if per_gap else model, gaps, [seed, seed], anchors)
 
 
 class TestImputeGapRegression:

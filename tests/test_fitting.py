@@ -10,6 +10,7 @@ from gapfill import fitting
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import (
     ArModel,
+    Models,
     RegModel,
     VarModel,
     fit_ar_lagged,
@@ -89,6 +90,14 @@ class TestModels:
         m = RegModel(A=[[1.0, 2.0, 3.0]], b=[0.5])
         assert m.n_outputs == 1
         assert m.n_covariates == 3
+
+    def test_models_given_directly_are_not_rank_deficient(self):
+        # given models have no rank; the fitted models of a Models do
+        given = Models.of([ArModel(a=(0.5, 0.2), b=1.0), ArModel(a=(1.0, 1.0), b=0.0)])
+        assert given.ranks is None
+        assert given.rank_deficient.tolist() == [False, False]
+        fitted = Models.of([ArModel(a=(0.5,), b=0.0, rank=1), ArModel(a=(0.5,), b=0.0, rank=2)])
+        assert fitted.rank_deficient.tolist() == [True, False]
 
 
 class TestFitArScalar:
@@ -356,8 +365,8 @@ class TestPredictForward:
                   for i in range(paths)]
         seeds = rng.uniform(-5, 5, (paths, dim))
         controls = rng.standard_normal((paths, min(controlled, steps), dim))
-        plain = predict_forward(models, seeds, steps)
-        steered = predict_forward(models, seeds, steps, controls=controls)
+        plain = predict_forward(Models.of(models), seeds, steps)
+        steered = predict_forward(Models.of(models), seeds, steps, controls=controls)
         assert plain.shape == steered.shape == (paths, steps, dim)
         for i in range(paths):
             assert plain[i].tobytes() == predict_forward(models[i], seeds[i], steps).tobytes()
@@ -379,7 +388,8 @@ class TestPredictForward:
         if shared:
             models = models[:1] * paths
         covariates = rng.uniform(-5, 5, (paths, steps + extra, inputs))
-        stacked = predict_forward(models[0] if shared else models, None, steps, covariates=covariates)
+        stacked = predict_forward(models[0] if shared else Models.of(models), None, steps,
+                                  covariates=covariates)
         assert stacked.shape == (paths, steps, outputs)
         for i in range(paths):
             alone = predict_forward(models[i], None, steps, covariates=covariates[i])
@@ -388,16 +398,16 @@ class TestPredictForward:
     def test_stacked_regression_models_must_match_the_paths(self):
         model = RegModel(A=[[2.0]], b=[1.0])
         with pytest.raises(ValueError, match="3 paths need one regression"):
-            predict_forward([model, model], None, 2, covariates=np.ones((3, 2, 1)))
-        with pytest.raises(ValueError, match="2 paths need one regression"):
-            predict_forward([model, RegModel(A=[[1.0, 2.0]], b=[0.0])], None, 2,
-                            covariates=np.ones((2, 2, 1)))
+            predict_forward(Models.of([model, model]), None, 2, covariates=np.ones((3, 2, 1)))
         with pytest.raises(DataError, match="missing covariate row: got 1 rows for 2"):
             predict_forward(model, None, 2, covariates=np.ones((4, 1, 1)))
 
     def test_unknown_model_is_type_error(self):
         with pytest.raises(TypeError, match="unknown model type str"):
             predict_forward("ar", [1.0], 2)
+        # a list of models is stacked by Models.of first
+        with pytest.raises(TypeError, match="unknown model type list"):
+            predict_forward([ArModel(a=(0.5,), b=0.0)], [[1.0]], 2)
 
     def test_lag_sum_runs_left_to_right_on_every_python(self):
         # 2.15 + 0.13 - 0.3 rounds to 1.9799999999999998 left to right, while
@@ -414,7 +424,7 @@ class TestPredictForward:
         models = [ArModel(a=rng.uniform(-1.2, 1.2, order), b=rng.uniform(-1, 1)) for _ in range(paths)]
         if shared:
             models = models[:1] * paths
-        model = models[0] if shared else models
+        model = models[0] if shared else Models.of(models)
         seeds = rng.uniform(-5, 5, (paths, order + 2))
         controls = rng.standard_normal((paths, min(controlled, steps)))
         plain = predict_forward(model, seeds, steps)
@@ -428,14 +438,10 @@ class TestPredictForward:
     def test_stacked_ar_models_must_match_the_paths(self):
         model = ArModel(a=(0.5,), b=0.0)
         with pytest.raises(ValueError, match="3 paths need one autoregression"):
-            predict_forward([model, model], np.ones((3, 1)), 2)
+            predict_forward(Models.of([model, model]), np.ones((3, 1)), 2)
         var = VarModel(A=[[0.5]], b=[0.0])
-        with pytest.raises(ValueError, match="2 paths need one autoregression"):
-            predict_forward([model, var], np.ones((2, 1)), 2)
-        with pytest.raises(ValueError, match="2 paths need one VAR"):
-            predict_forward([var, model], np.ones((2, 1)), 2)
         with pytest.raises(ValueError, match="3 paths need one VAR"):
-            predict_forward([var, var], np.ones((3, 1)), 2)
+            predict_forward(Models.of([var, var]), np.ones((3, 1)), 2)
 
     def test_controls_rejected_when_they_cannot_apply(self):
         with pytest.raises(ValueError, match="controls"):
@@ -451,6 +457,21 @@ ROLL_VALUES = st.one_of(
 )
 
 
+def arrays(lags, intercepts, seeds, controls=None):
+    """The lists a test draws as the arrays ``roll_ar`` takes: (g, p) lags,
+    (g,) intercepts, (g, w) seeds and (g, m) controls (None stays None)."""
+    g = len(seeds)
+    return (np.array(lags, dtype=float).reshape(g, -1), np.array(intercepts, dtype=float),
+            np.array(seeds, dtype=float).reshape(g, -1),
+            None if controls is None else np.array(controls, dtype=float).reshape(g, -1))
+
+
+def roll(lags, intercepts, seeds, steps, controls=None):
+    """``roll_ar`` of the lists a test draws, as arrays."""
+    a, b, x, u = arrays(lags, intercepts, seeds, controls)
+    return roll_ar(a, b, x, steps, u)
+
+
 class TestRollAr:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(data=st.data())
@@ -458,54 +479,46 @@ class TestRollAr:
         paths = data.draw(st.integers(1, 6))
         steps = data.draw(st.integers(0, 40))
         controlled = data.draw(st.integers(0, steps))
-        orders = data.draw(st.lists(st.integers(1, 8), min_size=paths, max_size=paths))
-        lags = [tuple(data.draw(st.lists(ROLL_VALUES, min_size=p, max_size=p))) for p in orders]
+        p = data.draw(st.integers(1, 8))
+        width = data.draw(st.integers(p, p + 3))
+        lags = [tuple(data.draw(st.lists(ROLL_VALUES, min_size=p, max_size=p))) for _ in range(paths)]
         intercepts = data.draw(st.lists(ROLL_VALUES, min_size=paths, max_size=paths))
-        seeds = [data.draw(st.lists(ROLL_VALUES, min_size=p, max_size=p + 3)) for p in orders]
+        seeds = [data.draw(st.lists(ROLL_VALUES, min_size=width, max_size=width)) for _ in range(paths)]
         controls = data.draw(st.lists(st.lists(ROLL_VALUES, min_size=controlled, max_size=controlled),
                                       min_size=paths, max_size=paths))
         for u in (None, controls):
-            got = roll_ar(lags, intercepts, seeds, steps, u)
+            got = roll(lags, intercepts, seeds, steps, u)
             assert got.shape == (paths, steps)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, steps, u).tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(data=st.data())
     def test_stacks_of_up_to_40_paths_match_the_reversed_zip_loop(self, data):
-        # 16 or more paths of one order step all together (STACKED_PATHS);
-        # mixed orders, or fewer paths, roll path by path
+        # 16 or more paths step all together (STACKED_PATHS); fewer roll path by path
         paths = data.draw(st.one_of(st.sampled_from([15, 16, 17]), st.integers(1, 40)))
         counts = data.draw(st.lists(st.integers(0, 12), min_size=paths, max_size=paths))
         width = max(counts)
         controlled = data.draw(st.integers(0, width))
         order = data.draw(st.integers(1, 4))
-        mixed = data.draw(st.booleans())
-        orders = [order] * paths
-        if mixed:
-            orders = data.draw(st.lists(st.integers(1, 4), min_size=paths, max_size=paths))
         extra = data.draw(st.integers(0, 3))
         # plain values, or with -0.0 and subnormals among them, or with some that overflow too
         drawn = data.draw(st.sampled_from([st.floats(-1.5, 1.5), ROLL_VALUES.filter(lambda v: abs(v) < 1e300),
                                            ROLL_VALUES]))
-        size = 2 * sum(orders) + paths * (1 + extra + controlled)
+        size = paths * (2 * order + 1 + extra + controlled)
         values = iter(data.draw(st.lists(drawn, min_size=size, max_size=size)))
-        lags = [tuple(next(values) for _ in range(p)) for p in orders]
+        lags = [tuple(next(values) for _ in range(order)) for _ in range(paths)]
         intercepts = [next(values) for _ in range(paths)]
-        seeds = [[next(values) for _ in range(p + extra)] for p in orders]
+        seeds = [[next(values) for _ in range(order + extra)] for _ in range(paths)]
         controls = [[next(values) for _ in range(controlled)] for _ in range(paths)]
         expected = roll_each_by_reversed_zip(lags, intercepts, seeds, counts, controls)
         plain = roll_each_by_reversed_zip(lags, intercepts, seeds, counts)
-        arrays = not mixed and data.draw(st.booleans())
-        if arrays:
-            lags, intercepts, seeds = np.array(lags), np.array(intercepts), np.array(seeds)
-            controls = np.array(controls).reshape(paths, controlled)
         for u, want in ((None, plain), (controls, expected)):
-            got = roll_ar(lags, intercepts, seeds, counts, u)
+            got = roll(lags, intercepts, seeds, counts, u)
             assert got.shape == (paths, width)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("paths, orders, stacked", [
-        (15, [2] * 15, False), (16, [2] * 16, True), (17, [3] * 17, True), (16, [2] * 15 + [1], False),
+        (15, [2] * 15, False), (16, [2] * 16, True), (17, [3] * 17, True),
     ])
     def test_stacks_of_16_paths_of_one_order_step_together(self, monkeypatch, paths, orders, stacked):
         calls = []
@@ -513,7 +526,7 @@ class TestRollAr:
         monkeypatch.setattr(fitting, "_roll_stacked", lambda *args: calls.append(1) or roll_stacked(*args))
         lags = [tuple(0.5 / j for j in range(1, p + 1)) for p in orders]
         seeds = [[1.0, -2.0, 3.0]] * paths
-        got = roll_ar(lags, [0.25] * paths, seeds, list(range(paths)), [[1.0, -1.0]] * paths)
+        got = roll(lags, [0.25] * paths, seeds, list(range(paths)), [[1.0, -1.0]] * paths)
         assert len(calls) == stacked
         want = roll_ar_by_reversed_zip(lags, [0.25] * paths, seeds, paths - 1, [[1.0, -1.0]] * paths)
         assert got[-1].tobytes() == want[-1].tobytes()
@@ -525,7 +538,7 @@ class TestRollAr:
         seeds = rng.uniform(-3, 3, (2, 3)).tolist()
         controls = rng.standard_normal((2, 598)).tolist()
         for u in (None, controls):
-            got = roll_ar(lags, intercepts, seeds, 600, u)
+            got = roll(lags, intercepts, seeds, 600, u)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 600, u).tobytes()
 
     def test_impulse_weights_match_the_reversed_zip_loop(self):
@@ -535,20 +548,24 @@ class TestRollAr:
         assert impulse_weights(ArModel(a=a, b=0.5), 600).tobytes() == expected.tobytes()
 
     def test_explosive_paths_overflow_to_inf_then_nan_alike(self):
-        lags = [(1e10, -1e10), (3.0,)]
-        seeds = [[1.0, 2.0], [1e300]]
-        got = roll_ar(lags, [0.0, 1.0], seeds, 40, [[1.0] * 5, [-1e308] * 5])
-        assert np.isinf(got).any() and np.isnan(got).any()
-        expected = roll_ar_by_reversed_zip(lags, [0.0, 1.0], seeds, 40, [[1.0] * 5, [-1e308] * 5])
-        assert got.tobytes() == expected.tobytes()
+        controls = [[1.0] * 5, [-1e308] * 5]
+        # the order-2 stack reaches nan, the order-1 one only inf
+        for lags, seeds, nan in (([(1e10, -1e10), (3.0, 0.0)], [[1.0, 2.0], [0.0, 1e300]], True),
+                                 ([(1e10,), (3.0,)], [[2.0], [1e300]], False)):
+            got = roll(lags, [0.0, 1.0], seeds, 40, controls)
+            assert np.isinf(got).any() and np.isnan(got).any() == nan
+            expected = roll_ar_by_reversed_zip(lags, [0.0, 1.0], seeds, 40, controls)
+            assert got.tobytes() == expected.tobytes()
 
     def test_signed_zeros_and_subnormals_keep_their_bits(self):
-        lags = [(-0.0, 5e-324), (5e-324, -0.0, 2.0**-1070)]
-        intercepts = [-0.0, -5e-324]
-        seeds = [[-0.0, -5e-324], [2.0**-1060, -0.0, -0.0]]
-        for u in (None, [[-0.0] * 3, [-5e-324, -0.0, 5e-324]]):
-            got = roll_ar(lags, intercepts, seeds, 6, u)
-            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
+        for lags, intercepts, seeds, controls in (
+                ([(-0.0, 5e-324), (5e-324, -0.0)], [-0.0, -5e-324], [[-0.0, -5e-324], [2.0**-1060, -0.0]],
+                 [[-0.0] * 3, [-5e-324, -0.0, 5e-324]]),
+                ([(5e-324, -0.0, 2.0**-1070)], [-5e-324], [[2.0**-1060, -0.0, -0.0]],
+                 [[-5e-324, -0.0, 5e-324]])):
+            for u in (None, controls):
+                got = roll(lags, intercepts, seeds, 6, u)
+                assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_signed_zeros_keep_their_bits_in_a_stack(self, order):
@@ -558,15 +575,15 @@ class TestRollAr:
         intercepts = [-0.0, -5e-324, -0.0, 0.0] * 4
         seeds = [[1.0, 1.0], [-0.0, -5e-324], [1.0, -0.0], [2.0**-1060, -0.0]] * 4
         for u in (None, [[-0.0, 5e-324, -0.0]] * 16):
-            got = roll_ar(lags, intercepts, seeds, 6, u)
+            got = roll(lags, intercepts, seeds, 6, u)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
 
-    def test_too_few_seeds_names_the_path(self):
-        with pytest.raises(ValueError, match="path 1 has 1 seeds for its order 2"):
-            roll_ar([(0.5,), (0.5, 0.2)], [0.0, 0.0], [[1.0], [1.0]], 3)
-        with pytest.raises(ValueError, match="path 0 has 0 seeds for its order 1"):
-            roll_ar([(0.5,)], [0.0], [[]], 0)
+    def test_too_few_seeds_is_value_error(self):
+        with pytest.raises(ValueError, match="1 seeds for order 2"):
+            roll([(0.5, 0.2), (0.5, 0.2)], [0.0, 0.0], [[1.0], [1.0]], 3)
+        with pytest.raises(ValueError, match="0 seeds for order 1"):
+            roll([(0.5,)], [0.0], [[]], 0)
 
     def test_more_controls_than_steps_is_value_error(self):
         with pytest.raises(ValueError, match="3 controls for 2 steps"):
-            roll_ar([(0.5,)], [0.0], [[1.0]], 2, [[1.0, 2.0, 3.0]])
+            roll([(0.5,)], [0.0], [[1.0]], 2, [[1.0, 2.0, 3.0]])

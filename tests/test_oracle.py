@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from gapfill import oracle as oracle_module
 from gapfill.control import impute_gap_ar, impute_gap_var
-from gapfill.fitting import ArModel, RegModel, VarModel
+from gapfill.fitting import ArModel, Models, RegModel, VarModel
 from gapfill.oracle import (
     ConstrainedProblem,
     InstanceLimits,
@@ -157,7 +156,7 @@ class TestKktSolve:
             counts = np.sort(rng.integers(1, 21, g)) if ragged else np.full(g, int(rng.integers(1, 21)))
             k = 1 if isinstance(models[0], ArModel) else order + 1
             targets = rng.uniform(-2, 2, (g, k))
-            problem = build_problem(models, counts, targets)
+            problem = build_problem(Models.of(models), counts, targets)
             stacked = kkt_solve(problem)
             rows = np.reshape(stacked.controls, (-1, k))  # one row per step, target after target
             controls = rng.uniform(-1, 1, rows.shape)
@@ -170,8 +169,7 @@ class TestKktSolve:
                 assert stacked.multiplier[i].tobytes() == alone.multiplier[0].tobytes()
                 assert stacked.objective[i] == alone.objective[0]
                 assert stacked.constraint_residual[i] == alone.constraint_residual[0]
-                mine = SimpleNamespace(controls=controls[start : start + count])
-                assert verdicts[i] == certify([mine], alone_problem).verdicts[0]
+                assert verdicts[i] == certify(controls[start : start + count], alone_problem).verdicts[0]
                 start += count
 
     def test_overflowing_gram_is_quiet_and_infeasible(self):
@@ -180,7 +178,7 @@ class TestKktSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = kkt_solve(problem)
-            verdict = certify([SimpleNamespace(controls=np.zeros(60))], problem).verdicts[0]
+            verdict = certify(np.zeros(60), problem).verdicts[0]
         assert not result.feasible[0]
         assert result.objective[0] == np.inf
         assert not verdict.passed
@@ -206,7 +204,7 @@ class TestKktSolve:
         targets = [[1.0], [2.0], [-1.0], [0.5]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stacked = kkt_solve(build_problem(models, 60, targets))
+            stacked = kkt_solve(build_problem(Models.of(models), 60, targets))
         assert stacked.feasible.tolist() == [False, True, False, True]
         assert stacked.objective[[0, 2]].tolist() == [np.inf, np.inf]
         for i in (1, 3):
@@ -387,14 +385,14 @@ class TestPowerTable:
             k = min(size + 1, 3)
             models = [VarModel(A=rng.uniform(-1.4, 1.4, (k, k)), b=np.zeros(k)) for _ in range(count)]
         targets = np.ones((len(models), k))
-        stacked = build_problem(models, steps, targets).steps
+        stacked = build_problem(Models.of(models), steps, targets).steps
         assert stacked.shape == (len(models), steps, k, k)
         for model, got in zip(models, stacked):
             assert got.tobytes() == build_problem(model, steps, targets[0]).steps.tobytes()
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_sixteen_or_more_ar_models_build_as_if_alone(self, order):
-        # the companion matrices of a list of AR models are built as one
+        # the companion matrices of a Models of AR models are built as one
         # (g, p, p) stack; each target's steps, and its stationary point,
         # have the bits of its own one-model problem
         rng = np.random.default_rng(order)
@@ -402,7 +400,7 @@ class TestPowerTable:
             models = [ArModel(a=tuple(rng.uniform(-1.4, 1.4, order)), b=rng.uniform(-1, 1)) for _ in range(g)]
             counts = np.sort(rng.integers(1, 60, g))
             targets = rng.uniform(-2, 2, (g, 1))
-            problem = build_problem(models, counts, targets)
+            problem = build_problem(Models.of(models), counts, targets)
             stacked = kkt_solve(problem)
             start = 0
             for i, count in enumerate(counts.tolist()):
@@ -428,7 +426,7 @@ class TestCertify:
 
     def test_passes_on_true_solution(self):
         solution, problem = self.make_solved_instance()
-        verdict = certify([solution], problem).verdicts[0]
+        verdict = certify(solution.controls, problem).verdicts[0]
         assert verdict.passed
         assert verdict.objective_gap <= 1e-9 * (1 + abs(verdict.objective_oracle))
         assert verdict.constraint_residual <= 1e-9 * (1 + np.linalg.norm(problem.target))
@@ -437,22 +435,19 @@ class TestCertify:
         solution, problem = self.make_solved_instance()
         bad = np.array(solution.controls)
         bad[0] += 0.01
-        perturbed = solution._replace(controls=bad)
-        verdict = certify([perturbed], problem).verdicts[0]
+        verdict = certify(bad, problem).verdicts[0]
         assert not verdict.passed
 
     def test_fails_on_cheaper_infeasible_controls(self):
         # all-zero controls undercut the optimum but break the constraint
         solution, problem = self.make_solved_instance()
-        cheat = solution._replace(controls=np.zeros_like(solution.controls))
-        verdict = certify([cheat], problem).verdicts[0]
+        verdict = certify(np.zeros_like(solution.controls), problem).verdicts[0]
         assert not verdict.passed
         assert verdict.constraint_residual > 1.0
 
     def test_overflowing_target_norm_certifies_nothing(self):
         problem = ConstrainedProblem(steps=np.ones(100), target=1e155)
-        optimum = SimpleNamespace(controls=kkt_solve(problem).controls[0])
-        verdict = certify([optimum], problem).verdicts[0]
+        verdict = certify(kkt_solve(problem).controls[0], problem).verdicts[0]
         assert verdict.objective_gap == 0.0
         assert not verdict.passed
 
@@ -461,14 +456,13 @@ class TestCertify:
         problem = ConstrainedProblem(np.ones(3), bad)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdict = certify([SimpleNamespace(controls=np.zeros(3))], problem).verdicts[0]
+            verdict = certify(np.zeros(3), problem).verdicts[0]
         assert verdict.objective_oracle == np.inf
         assert not verdict.passed
 
     def test_overflowing_solution_is_quiet_and_fails(self):
         # 10 * 1e308 overflows in the attained sum, and 1e308 squared in the objective
-        solution = SimpleNamespace(controls=np.array([1e308]))
-        verdict = certify([solution], ConstrainedProblem([[[10.0]]], [[1.0]])).verdicts[0]
+        verdict = certify(np.array([1e308]), ConstrainedProblem([[[10.0]]], [[1.0]])).verdicts[0]
         assert verdict.constraint_residual == np.inf
         assert verdict.objective_solution == np.inf
         assert not verdict.passed
@@ -478,15 +472,14 @@ class TestCertify:
         solved = kkt_solve(problem)
         monkeypatch.setattr(oracle_module, "kkt_solve",
                             lambda _: dataclasses.replace(solved, objective=np.array([np.inf])))
-        verdict = certify([solution], problem).verdicts[0]
+        verdict = certify(solution.controls, problem).verdicts[0]
         assert verdict.objective_oracle == np.inf
         assert not verdict.passed
 
     def test_control_count_mismatch(self):
         solution, problem = self.make_solved_instance()
-        short = solution._replace(controls=np.array(solution.controls[:-1]))
-        with pytest.raises(ValueError, match="control count"):
-            certify([short], problem)
+        with pytest.raises(ValueError, match="2 control rows for the 3 steps"):
+            certify(solution.controls[:-1], problem)
 
     def test_stacked_verdicts_match_one_at_a_time(self):
         rng = np.random.default_rng(107)
@@ -502,8 +495,8 @@ class TestCertify:
         bad[0] += 0.01
         solutions[1] = solutions[1]._replace(controls=bad)
         offsets = [gap.anchor_value - s.predicted[-1] for gap, s in zip(gaps, solutions)]
-        batch = certify(solutions, build_problem(model, 3, offsets))
-        alone = tuple(certify([s], build_problem(model, 3, offset)).verdicts[0]
+        batch = certify(np.concatenate([s.controls for s in solutions]), build_problem(model, 3, offsets))
+        alone = tuple(certify(s.controls, build_problem(model, 3, offset)).verdicts[0]
                       for s, offset in zip(solutions, offsets))
         assert batch.verdicts == alone
         assert [v.passed for v in batch.verdicts] == [True, False, True]
@@ -515,7 +508,7 @@ class TestCertify:
         series = Series.from_values([16.0, None, None, 0.0])
         _, (segment,) = detect_gaps(series, 1)
         solution, problem = self.make_solved_instance()
-        verdict = certify([solution], problem).verdicts[0]
+        verdict = certify(solution.controls, problem).verdicts[0]
         for record, field, value in ((segment, "gap_start", 3), (solution, "objective", -1.0),
                                      (verdict, "passed", not verdict.passed)):
             before = tuple(record)
@@ -560,10 +553,11 @@ class TestCertify:
             solutions.append(solution)
             offsets.append(np.atleast_1d(anchor - solution.predicted[-1]))
         steps = len(solutions[0].control_indices)
-        problem = build_problem(models, steps, offsets)
+        problem = build_problem(Models.of(models), steps, offsets)
         assert problem.steps.shape[:2] == (gaps, steps)
-        batch = certify(solutions, problem)
-        alone = [certify([s], build_problem(model, steps, offset)).verdicts[0]
+        controls = np.concatenate([s.controls for s in solutions])
+        batch = certify(controls, problem)
+        alone = [certify(s.controls, build_problem(model, steps, offset)).verdicts[0]
                  for model, s, offset in zip(models, solutions, offsets)]
         for got, want in zip(batch.verdicts, alone):
             assert np.array(tuple(got)).tobytes() == np.array(tuple(want)).tobytes()
@@ -572,17 +566,25 @@ class TestCertify:
             # the shared form keeps its one (m, k, k) stack and the same certificates
             common = build_problem(models[0], steps, offsets)
             assert common.steps.ndim == 3
-            assert certify(solutions, common).verdicts == batch.verdicts
+            assert certify(controls, common).verdicts == batch.verdicts
 
     def test_per_model_steps_need_one_target_each(self):
         with pytest.raises(ValueError, match=r"need a \(2, 1\) target"):
             ConstrainedProblem(steps=np.ones((2, 3, 1, 1)), target=[1.0])
 
     def test_stacked_solution_count_checked(self):
-        solution, problem = self.make_solved_instance()
-        stacked = build_problem(ArModel(a=(0.5,), b=0.0), 3, np.vstack([problem.target] * 2))
-        with pytest.raises(ValueError, match="1 solutions for 2 targets"):
-            certify([solution], stacked)
+        # one row per step of every target: counts [2, 3] take exactly 5 rows
+        stacked = build_problem(ArModel(a=(0.5,), b=0.0), [2, 3], [[1.0], [2.0]])
+        assert len(certify(kkt_solve(stacked).controls, stacked)) == 2
+        for rows in (4, 6, 7):
+            with pytest.raises(ValueError, match=f"{rows} control rows for the 5 steps"):
+                certify(np.zeros(rows), stacked)
+        # and each row has the problem's dimension
+        var = build_problem(VarModel(A=[[0.5, 0.1], [0.0, 0.3]], b=[0.0, 0.0]), 3, [[1.0, 2.0]])
+        assert len(certify(kkt_solve(var).controls[0], var)) == 1
+        for shape in ((3,), (3, 1), (3, 3)):
+            with pytest.raises(ValueError, match=r"controls of shape \(3.*\) for 3 steps of 2 components"):
+                certify(np.zeros(shape), var)
 
 
 class TestRandomInstance:

@@ -212,6 +212,27 @@ class TestScalarPipeline:
             plain.report.model["lag_coefficients"]
         )
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect 10: under an explosive fit the fill is a ~3.5e20 forecast plus a "
+        "correction of the same size, so rounding leaves a miss of ~3e5 that the oracle's "
+        "offset-relative bound passes; ROADMAP direction 6 (a path solve that never forms "
+        "the forecast, and a landing check in the data's scale) removes this marker"))
+    def test_certified_fill_lands_in_the_data_s_scale(self):
+        # x_t = 1.03 x_{t-1} + 0.01 e_t for 600 rows, then 1000 missing rows
+        # before the anchor 2.0: today the gap is certified with a terminal
+        # residual of 281 956 and a last fill of -273 742
+        rng = np.random.default_rng(1)
+        x = [1.0]
+        for _ in range(599):
+            x.append(1.03 * x[-1] + 0.01 * rng.standard_normal())
+        result = impute_series(scalar_series(x + [None] * 1000 + [2.0, 2.1, 1.9]))
+        for entry in json.loads(result.report.to_json())["gaps"]:
+            if entry["oracle"] and entry["oracle"]["certified"]:
+                first, last = entry["seed_indices"]
+                seeds = result.filled[first - 1 : last]
+                scale = 1.0 + float(np.max(np.abs(entry["anchor_value"]))) + float(np.max(np.abs(seeds)))
+                assert entry["terminal_residual"] <= 1e-6 * scale
+
 
 @pytest.mark.parametrize("options, covariate_rows, message", [
     (ImputeOptions(model_kind="arma"), None, "unknown model 'arma'; expected one of ar, var, regression"),
@@ -587,7 +608,8 @@ def certify_alone(options, model, segment, solution):
     if not solution.constrained or (options.model_kind == "ar" and options.mode == "paper"):
         return None
     offset = segment.anchor_value - np.reshape(solution.predicted[-1], -1)
-    return certify([solution], build_problem(model, len(solution.control_indices), offset)).verdicts[0]
+    problem = build_problem(model, len(solution.control_indices), offset)
+    return certify(solution.controls, problem).verdicts[0]
 
 
 def refit_per_gap_loop(series, options, covariates=None):
@@ -883,10 +905,12 @@ class TestGapColumns:
         assert "".join(json_pieces(report.to_dict())) == want
         assert report._gaps is None
 
-    def test_refit_run_builds_no_model_per_gap(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_refit_run_builds_no_model_per_gap(self, monkeypatch, mode):
         # a refit run carries its models as columns from the sweep to the
-        # report: the ArModels built and the models described are as many
-        # at 40 gaps as at 20 (the prefix fit's)
+        # report, and paper mode's printed weights are one stacked
+        # recurrence: the ArModels built and the models described are as
+        # many at 40 gaps as at 20 (the prefix fit's)
         def refit_run(gaps):
             rng = np.random.default_rng(gaps)
             x = [0.0, 0.0]
@@ -900,11 +924,13 @@ class TestGapColumns:
             for owner in (pipeline, report_module):
                 monkeypatch.setattr(owner, "describe_model",
                                     lambda model: described.append(1) or describe(model))
-            result = impute_series(scalar_series(x), ImputeOptions(order=2, refit_per_gap=True))
+            result = impute_series(scalar_series(x), ImputeOptions(order=2, mode=mode, refit_per_gap=True))
             entries = json.loads(result.report.to_json())["gaps"]
             monkeypatch.undo()
             assert len(entries) == gaps
-            assert all(entry["oracle"]["certified"] for entry in entries)
+            # a paper-mode AR fill is not optimal by construction, so it carries no certificate
+            assert all(entry["oracle"]["certified"] if mode == "exact" else entry["oracle"] is None
+                       for entry in entries)
             return len(built), len(described)
 
         assert refit_run(40) == refit_run(20)
@@ -956,8 +982,8 @@ def per_gap_loop(series, options):
         solution = solve_alone(options, model, segment, working)
         if solution.constrained and not (ar and options.mode == "paper"):
             delta = np.atleast_1d(segment.anchor_value) - np.atleast_1d(solution.predicted[-1])
-            verdict = certify([solution], build_problem(model, len(solution.control_indices),
-                                                        delta)).verdicts[0]
+            verdict = certify(solution.controls, build_problem(model, len(solution.control_indices),
+                                                               delta)).verdicts[0]
         report.gaps.append(gap_entry(segment, solution, verdict))
         filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
         working[start : segment.gap_end] = filled

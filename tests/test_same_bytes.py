@@ -25,12 +25,14 @@ def same_bytes():
 def test_one_line_per_run_of_the_matrix(same_bytes):
     lines = same_bytes.lines("tiny")
     # three workloads x seeds 1-3 x three option sets, four spellings of one
-    # input, and four phosphate runs
-    assert len(lines) == 3 * 3 * 3 + 4 + 4
+    # input, five more ways to read it, and four phosphate runs
+    assert len(lines) == 3 * 3 * 3 + 4 + 5 + 4
     labels = [line.rsplit(" ", 2)[0] for line in lines]
     assert len(set(labels)) == len(labels)
     assert "many_gaps_var seed=2 paper" in labels and "phosphate ar2-refit" in labels
     assert "refit_ar seed=1 non-ascii" in labels
+    for variation in ("regression", "regression-refit", "open-gap", "open-gap-paper", "open-gap-regression"):
+        assert f"refit_ar seed=1 {variation}" in labels
     for line in lines:
         assert re.fullmatch(r"[\w=.\- ]+ exit=0 [0-9a-f]{64}", line), line
 
