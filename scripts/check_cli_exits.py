@@ -9,9 +9,10 @@ fails:
         3 with one stderr line, and no traceback or "Exception ignored" from
         the interpreter's exit flush;
     overflow CODE STDERR REPORT
-        a run, under ``-W error::RuntimeWarning``, of a gap whose anchor
-        offset has a norm that overflows exited 0 with an empty stderr, and
-        its report leaves the first gap uncertified.
+        a run, under ``-W error::RuntimeWarning``, of a gap that cannot be
+        certified (its anchor offset has a norm that overflows, or its fill
+        misses the anchor in the data's scale) exited 0 with an empty
+        stderr, and its report leaves the first gap uncertified.
 
 The runs are made as CI makes them, for example:
 

@@ -359,6 +359,8 @@ def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
         for i in range(len(firsts)):
             impute_stacks(model[i] if isinstance(model, Models) else model, gaps[i : i + 1],
                           starts[i : i + 1], anchors[i : i + 1], mode)
+        # not reached by any input: each gap of a stack has the bits it has
+        # alone, so some gap alone has raised; kept so no error is lost
         raise
 
 
@@ -423,7 +425,8 @@ def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: s
             predicted[lo:hi, :m] = predict_forward(mine, rows, m, covariates=rows)
     else:
         predicted = predict_forward(model, starts, steps)
-    delta = (targets - predicted[np.arange(g), counts + lag - 1].reshape(targets.shape)).reshape(g, -1)
+    with np.errstate(over="ignore"):  # an offset that overflows is raised below or by _lagrange
+        delta = (targets - predicted[np.arange(g), counts + lag - 1].reshape(targets.shape)).reshape(g, -1)
     if regression and not np.isfinite(delta).all():
         # a regression forecasts pointwise, so an overflowed forecast is an overflowed fill
         raise _fill_overflow(int(firsts[int(np.isfinite(delta).all(axis=1).argmin())]))

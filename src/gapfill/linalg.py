@@ -186,9 +186,14 @@ def least_squares(design, targets, counts) -> LeastSquaresFit:
             f"counts must be nonempty, must not decrease and must lie in {columns}..{len(x)}"
         )
     augmented = np.column_stack([x[: cuts[-1]], y[: cuts[-1]]])
-    # max-abs rather than the 2-norm, which overflows for entries near 1e308;
-    # a non-finite entry makes every later scale of its column non-finite
-    peaks = np.maximum.accumulate(np.abs(augmented), axis=0)[np.array(cuts) - 1]
+    # max-abs rather than the 2-norm, which overflows for entries near 1e308,
+    # of each block of rows between distinct cuts, then running over the
+    # blocks; a non-finite entry makes every later scale of its column non-finite
+    ends = np.unique(cuts)
+    heads = np.concatenate(([0], ends[:-1]))
+    block_peaks = np.maximum(np.abs(np.maximum.reduceat(augmented, heads)),
+                             np.abs(np.minimum.reduceat(augmented, heads)))
+    peaks = np.maximum.accumulate(block_peaks, axis=0)[np.searchsorted(ends, cuts)]
     if not np.isfinite(peaks[-1]).all():
         raise ValueError("least squares inputs must be finite")
     scales = np.where(peaks == 0.0, 1.0, peaks)
@@ -197,8 +202,11 @@ def least_squares(design, targets, counts) -> LeastSquaresFit:
     before = np.vstack([np.zeros(peaks.shape[1]), peaks[:-1]])
     ratios = np.divide(before, peaks, out=np.ones_like(peaks), where=before > 0.0)
     rescaled = (ratios != 1.0).any(axis=1).tolist()
-    # each row scaled as of the first cut that holds it
-    rows = augmented / scales[np.searchsorted(cuts, np.arange(cuts[-1]), side="right")]
+    # each row scaled in place as of the first cut that holds it, one
+    # division per run of cuts that share a scale
+    changed = (np.flatnonzero((scales[1:] != scales[:-1]).any(axis=1)) + 1).tolist()
+    for lo, hi in zip([0, *changed], [*changed, len(cuts)]):
+        augmented[cuts[lo - 1] if lo else 0 : cuts[hi - 1]] /= scales[lo]
     width = augmented.shape[1]
     upper = np.triu(np.ones((width, width)))
     blocks = np.empty((len(cuts), columns, width))
@@ -208,7 +216,7 @@ def least_squares(design, targets, counts) -> LeastSquaresFit:
             if rescaled[i]:
                 r = r * ratios[i]
             # mode "raw" holds R in the upper triangle of its transposed first result
-            h = np.linalg.qr(np.concatenate((r, rows[done:c])), mode="raw")[0].T
+            h = np.linalg.qr(np.concatenate((r, augmented[done:c])), mode="raw")[0].T
             r = h[:width] * upper[: len(h)]
             done = c
         blocks[i] = r[:columns]

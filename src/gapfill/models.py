@@ -143,7 +143,10 @@ class Models(Sequence):
     @classmethod
     def of(cls, models: list) -> "Models":
         """The list ``models``, all of one class and size, as columns."""
-        kind, ranks = type(models[0]), [m.rank for m in models]
+        kind = type(models[0])
+        if kind not in (ArModel, VarModel, RegModel):
+            raise TypeError(f"unknown model type {kind.__name__}")
+        ranks = [m.rank for m in models]
         if kind is ArModel:
             coeffs = np.array([(*m.a, m.b) for m in models])
         else:

@@ -33,7 +33,15 @@ from .fitting import (
     fit_var_pairs,  # not called here; bench/tracing.py still wraps this name
     predict_forward,
 )
-from .oracle import BatchVerdict, InstanceLimits, Verdict, build_problem, certify, random_instance
+from .oracle import (
+    CERTIFY_TOLERANCE,
+    BatchVerdict,
+    InstanceLimits,
+    Verdict,
+    build_problem,
+    certify,
+    random_instance,
+)
 from .report import (
     ImputationReport,
     describe_model,
@@ -102,14 +110,11 @@ def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
     return covariates.data[rows]
 
 
-def _note_rank(notes: list, context: str, model):
-    """Return ``model``, first noting in ``notes`` when its fit was rank deficient."""
-    if model.rank_deficient:
-        notes.append(
-            f"{context}: rank-deficient {model.design} design (rank {model.rank} of "
-            f"{model.design_columns}); minimum-norm coefficients returned"
-        )
-    return model
+def _note_rank(notes: list, context: str, models: Models) -> None:
+    """Note in ``notes`` when the one model of ``models`` was fitted on a rank-deficient design."""
+    if models.rank_deficient[0]:
+        notes.append(f"{context}: rank-deficient {models.kind.design} design (rank {models.ranks[0]} of "
+                     f"{models.coeffs.shape[1]}); minimum-norm coefficients returned")
 
 
 def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
@@ -252,23 +257,41 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
         raise _missing_covariate(start + int(covariates.missing[start - 1 :].argmax()))
     if closed == len(gaps):
         return stacks, None
-    segment, gap_model = gaps[closed], model[closed] if per_gap else model
-    start = _starts(options, gaps[closed:], working, covariates, lasts[closed:])[0]
-    solution = _open_gap_solution(options, gap_model, segment, start)
+    segment, start = gaps[closed], _starts(options, gaps[closed:], working, covariates, lasts[closed:])[0]
+    solution = _open_gap_solution(options, model[closed:] if per_gap else model, segment, start)
     working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
     return stacks, solution
 
 
-def _certify_batch(options: ImputeOptions, model, stacks):
+def _landed(gaps, stacks, working: np.ndarray) -> np.ndarray:
+    """Per constrained gap of ``gaps``, whether the solver's ``stacks`` fill
+    it onto its anchor in the data's own scale: a terminal residual of at
+    most CERTIFY_TOLERANCE (1 + the largest magnitude of the anchor + that
+    of the seed rows as filled in ``working``). A scale that overflows
+    passes."""
+    closed = len(gaps.anchor_values)
+    residuals = np.zeros(closed)
+    for stack in stacks:
+        residuals[stack.index] = stack.residuals
+    seeds = working[gaps.starts[:closed, None] - 1 - gaps.order + np.arange(gaps.order)]
+    with np.errstate(over="ignore"):
+        scales = 1.0 + np.abs(gaps.anchor_values).max(axis=1) + np.abs(seeds).max(axis=(1, 2))
+    return residuals <= CERTIFY_TOLERANCE * scales
+
+
+def _certify_batch(options: ImputeOptions, model, stacks, landed: np.ndarray):
     """Run the independent verifier on the solver's ``stacks``: one
     BatchVerdict of their gaps in gap order, or None when there is none.
 
     ``model`` is the model of every gap, or a Models with one per gap.
     Each stack is one problem and one ``certify`` call: the solver's
     controls and anchor offsets, sorted by control count, against one power
-    table per model to the stack's longest count. Scalar paper-mode values
-    are not optimal by construction, so they carry diagnostics instead of a
-    certificate.
+    table per model to the stack's longest count. A gap passes only if it
+    also ``landed`` (one per gap, in gap order; see ``_landed``): the
+    oracle checks the controls, not the fill, which rounding can move far
+    off the anchor when the forecast dwarfs the data. Scalar paper-mode
+    values are not optimal by construction, so they carry diagnostics
+    instead of a certificate.
     """
     if options.model_kind == "ar" and options.mode == "paper" or not stacks:
         return None
@@ -276,8 +299,8 @@ def _certify_batch(options: ImputeOptions, model, stacks):
         model[stack.index] if isinstance(model, Models) else model, stack.counts, stack.offsets))
         for stack in stacks]
     order = np.argsort(np.concatenate([stack.index for stack in stacks]))
-    return BatchVerdict(tuple(np.concatenate(column)[order]
-                              for column in zip(*(result.columns for result in results))))
+    passed, *rest = (np.concatenate(column)[order] for column in zip(*(result.columns for result in results)))
+    return BatchVerdict((passed & landed, *rest))
 
 
 def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
@@ -302,7 +325,8 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, filled=series.data, report=report)
 
-    prefix_model = _note_rank(report.notes, "prefix fit", fit_prefix(series, options, covariates))
+    prefix_model = fit_prefix(series, options, covariates)
+    _note_rank(report.notes, "prefix fit", Models.of([prefix_model]))
     report.model = describe_model(prefix_model)
 
     models = prefix_model
@@ -314,16 +338,24 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     reads_fill = missing_before[gaps.starts - 1] > missing_before[gaps.starts - 1 - gaps.order]
     working = series.data.copy()
     stacks, opened = _solve_gaps(options, models, gaps, reads_fill, working, covariates)
-    verdicts = _certify_batch(options, models, stacks)
+    landed = _landed(gaps, stacks, working)
+    verdicts = _certify_batch(options, models, stacks, landed)
 
     refits = models if options.refit_per_gap else None
     deficient = refits.rank_deficient if refits else np.zeros(len(gaps), dtype=bool)
-    for i in np.flatnonzero(reads_fill | deficient).tolist():
+    # the certified gaps whose fill misses its anchor in the data's scale
+    missed = np.zeros(len(gaps), dtype=bool)
+    if verdicts is not None:
+        missed[: len(landed)] = ~landed
+    for i in np.flatnonzero(reads_fill | deficient | missed).tolist():
         start = int(gaps.starts[i])
         if deficient[i]:
-            _note_rank(report.notes, f"refit before the gap at index {start}", refits[i])
+            _note_rank(report.notes, f"refit before the gap at index {start}", refits[i : i + 1])
         if reads_fill[i]:
             report.notes.append(f"gap at index {start} seeds from values imputed for an earlier gap")
+        if missed[i]:
+            report.notes.append(f"gap at index {start} is not certified: its terminal residual exceeds "
+                                f"{CERTIFY_TOLERANCE:g} x (1 + max |anchor| + max |seed|)")
     report.gap_columns = gap_records(gaps, stacks, verdicts, refits, opened)
     if opened is not None:
         report.notes.append(
@@ -355,12 +387,13 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     series, model = random_instance(seed, limits)
     options = ImputeOptions(model_kind=limits.kind, order=model.p if limits.kind == "ar" else 1)
     _, gaps = detect_gaps(series, options.order)
-    (stack,), _ = _solve_gaps(options, model, gaps, np.zeros(1, dtype=bool), series.data.copy(), None)
+    working = series.data.copy()
+    (stack,), _ = _solve_gaps(options, model, gaps, np.zeros(1, dtype=bool), working, None)
     (solution,) = stack_solutions([stack], 1)
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
         solution, stack = solution._replace(controls=bad), stack._replace(controls=bad)
-    (verdict,) = _certify_batch(options, model, [stack])
+    (verdict,) = _certify_batch(options, model, [stack], _landed(gaps, [stack], working))
     return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=gaps[0],
                             solution=solution, verdict=verdict)

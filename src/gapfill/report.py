@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .models import ArModel, RegModel, VarModel
+from .models import ArModel, Models, VarModel
 
 SCHEMA_VERSION = 4
 
@@ -195,38 +195,14 @@ def _spell_nonfinite(numbers: str) -> str:
 
 
 def describe_model(model) -> dict:
-    """Full-precision JSON description of a fitted model."""
-    if isinstance(model, ArModel):
-        return {
-            "kind": "ar",
-            "order": model.p,
-            "lag_coefficients": list(model.a),
-            "intercept": model.b,
-            "rank_deficient": model.rank_deficient,
-        }
-    if isinstance(model, VarModel):
-        return {
-            "kind": "var",
-            "order": 1,
-            "dimension": model.dim,
-            "matrix": model.A,
-            "intercept": model.b,
-            "rank_deficient": model.rank_deficient,
-        }
-    if isinstance(model, RegModel):
-        return {
-            "kind": "regression",
-            "outputs": model.n_outputs,
-            "covariates": model.n_covariates,
-            "matrix": model.A,
-            "intercept": model.b,
-            "rank_deficient": model.rank_deficient,
-        }
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    """Full-precision JSON description of a fitted model: the one row of
+    ``describe_models`` of a stack of it."""
+    return describe_models(Models.of([model])).tolist()[0]
 
 
 def describe_models(models) -> "Records":
-    """``describe_model`` of each model of the Models ``models``, as columns."""
+    """The description of each model of the Models ``models``, as columns:
+    the one writer of the model schema."""
     n, kind = len(models), models.kind
     if kind is ArModel:
         keys = ("kind", "order", "lag_coefficients", "intercept")
@@ -344,7 +320,9 @@ def gap_records(gaps, stacks, verdicts, refit_models, opened) -> Records:
     """
     count = len(gaps.anchor_values)
     keys = GAP_KEYS if refit_models is None else GAP_KEYS + ("refit_model",)
-    tail = () if opened is None else [gap_entry(gaps[count], opened, None, refit_models and refit_models[-1])]
+    tail = [] if opened is None else [gap_entry(gaps[count], opened)]
+    if tail and refit_models is not None:
+        tail[0]["refit_model"] = describe_models(refit_models[count:]).tolist()[0]
     if not stacks:
         return Records(keys, [], 0, tail)
     order = np.argsort(np.concatenate([stack.index for stack in stacks]))

@@ -644,6 +644,16 @@ class TestErrorContract:
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("error: ill-conditioned control problem")
 
+    def test_anchor_offset_that_overflows_is_one_line(self, capsys, tmp_path):
+        # the forecast 1.5e308 and the anchor -1.5e308 are finite, their
+        # difference is not: a numerical error, with no RuntimeWarning line
+        path = tmp_path / "huge.csv"
+        path.write_text("a\n1.5e308\n-1.5e308\n1.5e308\n-1.5e308\n1.5e308\nNA\n-1.5e308\n")
+        code, out, err = run(capsys, "impute", str(path))
+        assert (code, out) == (4, "")
+        assert err == ("error: forecast overflow: the offset to the anchor is not finite (explosive "
+                       "coefficients or huge values over a long horizon)\n")
+
     def test_overflowing_anchor_offset_is_not_certified(self, capsys, tmp_path):
         # the target norm overflows to inf, which no longer admits any residual
         report_path = tmp_path / "report.json"

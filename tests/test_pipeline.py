@@ -212,26 +212,43 @@ class TestScalarPipeline:
             plain.report.model["lag_coefficients"]
         )
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect 10: under an explosive fit the fill is a ~3.5e20 forecast plus a "
-        "correction of the same size, so rounding leaves a miss of ~3e5 that the oracle's "
-        "offset-relative bound passes; ROADMAP direction 6 (a path solve that never forms "
-        "the forecast, and a landing check in the data's scale) removes this marker"))
-    def test_certified_fill_lands_in_the_data_s_scale(self):
-        # x_t = 1.03 x_{t-1} + 0.01 e_t for 600 rows, then 1000 missing rows
-        # before the anchor 2.0: today the gap is certified with a terminal
-        # residual of 281 956 and a last fill of -273 742
+    @staticmethod
+    def explosive_run():
+        """x_t = 1.03 x_{t-1} + 0.01 e_t for 600 rows, then 1000 missing rows
+        before the anchor 2.0: the fill is a ~3.5e20 forecast plus a
+        correction of the same size, so rounding leaves a terminal residual
+        of 281 956 and a last fill of -273 742, which the oracle's
+        offset-relative bound passes."""
         rng = np.random.default_rng(1)
         x = [1.0]
         for _ in range(599):
             x.append(1.03 * x[-1] + 0.01 * rng.standard_normal())
-        result = impute_series(scalar_series(x + [None] * 1000 + [2.0, 2.1, 1.9]))
+        return impute_series(scalar_series(x + [None] * 1000 + [2.0, 2.1, 1.9]))
+
+    def test_certified_fill_lands_in_the_data_s_scale(self):
+        result = self.explosive_run()
         for entry in json.loads(result.report.to_json())["gaps"]:
             if entry["oracle"] and entry["oracle"]["certified"]:
                 first, last = entry["seed_indices"]
                 seeds = result.filled[first - 1 : last]
                 scale = 1.0 + float(np.max(np.abs(entry["anchor_value"]))) + float(np.max(np.abs(seeds)))
                 assert entry["terminal_residual"] <= 1e-6 * scale
+
+    def test_fill_that_misses_in_the_data_s_scale_is_uncertified_with_one_note(self):
+        result = self.explosive_run()
+        (entry,) = result.report.gaps
+        assert entry["terminal_residual"] > 1e5
+        assert entry["oracle"]["certified"] is False
+        assert result.report.notes == [
+            "gap at index 601 is not certified: its terminal residual exceeds "
+            "1e-09 x (1 + max |anchor| + max |seed|)"]
+
+    def test_landing_scale_that_overflows_passes(self):
+        # seeds near the largest float: 1 + |anchor| + |seed| overflows, and
+        # the check passes without a warning (warnings fail the suite)
+        result = impute_series(scalar_series([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.5e308, None, 1.5e308]))
+        (entry,) = result.report.gaps
+        assert entry["oracle"]["certified"] is True and result.report.notes == []
 
 
 @pytest.mark.parametrize("options, covariate_rows, message", [
@@ -602,14 +619,62 @@ def solve_alone(options, model, segment, working, covariates=None):
     return impute_gap_regression(model, segment, seed, anchor)
 
 
-def certify_alone(options, model, segment, solution):
+def describe_by_kind(model) -> dict:
+    """Reference: the model's report description, built per model kind."""
+    if isinstance(model, ArModel):
+        return {
+            "kind": "ar",
+            "order": model.p,
+            "lag_coefficients": list(model.a),
+            "intercept": model.b,
+            "rank_deficient": model.rank_deficient,
+        }
+    if isinstance(model, VarModel):
+        return {
+            "kind": "var",
+            "order": 1,
+            "dimension": model.dim,
+            "matrix": model.A,
+            "intercept": model.b,
+            "rank_deficient": model.rank_deficient,
+        }
+    return {
+        "kind": "regression",
+        "outputs": model.n_outputs,
+        "covariates": model.n_covariates,
+        "matrix": model.A,
+        "intercept": model.b,
+        "rank_deficient": model.rank_deficient,
+    }
+
+
+def note_rank(notes, context, model):
+    """Reference: ``model``, first noting in ``notes`` when its fit was rank deficient."""
+    if model.rank_deficient:
+        notes.append(f"{context}: rank-deficient {model.design} design (rank {model.rank} of "
+                     f"{model.design_columns}); minimum-norm coefficients returned")
+    return model
+
+
+def certify_alone(options, model, segment, solution, working, notes):
     """Reference: the verdict of one solved gap certified by itself, or None
-    for an open gap or a paper-mode autoregression."""
+    for an open gap or a paper-mode autoregression. It passes only if the
+    fill also lands within 1e-9 (1 + max |anchor| + max |seed rows as
+    filled in ``working``) of its anchor, an overflowing scale passing;
+    a gap that does not gets a note in ``notes``."""
     if not solution.constrained or (options.model_kind == "ar" and options.mode == "paper"):
         return None
     offset = segment.anchor_value - np.reshape(solution.predicted[-1], -1)
     problem = build_problem(model, len(solution.control_indices), offset)
-    return certify(solution.controls, problem).verdicts[0]
+    verdict = certify(solution.controls, problem).verdicts[0]
+    first, last = segment.seed_indices[0], segment.seed_indices[-1]
+    seeds = [abs(v) for row in working[first - 1 : last].tolist() for v in row]
+    scale = 1.0 + max(abs(v) for v in segment.anchor_value.tolist()) + max(seeds)
+    if solution.terminal_residual <= 1e-9 * scale:
+        return verdict
+    notes.append(f"gap at index {segment.gap_start} is not certified: its terminal residual exceeds "
+                 f"1e-09 x (1 + max |anchor| + max |seed|)")
+    return verdict._replace(passed=False)
 
 
 def refit_per_gap_loop(series, options, covariates=None):
@@ -623,20 +688,20 @@ def refit_per_gap_loop(series, options, covariates=None):
         report.notes.append("0 gaps: output mirrors the input")
         return pipeline.ImputeResult(series=series, filled=series.data, report=report)
     prefix_model = pipeline.fit_prefix(series, options, covariates)
-    report.model = describe_model(pipeline._note_rank(report.notes, "prefix fit", prefix_model))
+    report.model = describe_by_kind(note_rank(report.notes, "prefix fit", prefix_model))
     report.notes.append("refit per gap: each gap uses every fully-observed window before it")
     working = series.data.copy()
     for segment in segments:
-        model = pipeline._note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
-                                    refit_before(options, series, covariates, segment.gap_start))
+        model = note_rank(report.notes, f"refit before the gap at index {segment.gap_start}",
+                          refit_before(options, series, covariates, segment.gap_start))
         solution = solve_alone(options, model, segment, working, covariates)
         working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
-        verdict = certify_alone(options, model, segment, solution)
         if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
-        report.gaps.append(gap_entry(segment, solution, verdict, model))
+        verdict = certify_alone(options, model, segment, solution, working, report.notes)
+        report.gaps.append(gap_entry(segment, solution, verdict) | {"refit_model": describe_by_kind(model)})
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "
@@ -935,6 +1000,25 @@ class TestGapColumns:
 
         assert refit_run(40) == refit_run(20)
 
+    @pytest.mark.parametrize("gaps", [20, 40])
+    def test_rank_deficient_refit_run_with_an_open_gap_builds_one_model(self, monkeypatch, gaps):
+        # every refit of a constant AR(2) series is rank deficient, and the
+        # last gap is open: its rank notes and the open gap's forecast and
+        # description read the refits' columns, so the only ArModel built is
+        # the prefix fit's
+        x = [1.5] * 40 + [None, 1.5, 1.5, 1.5] * (gaps - 1) + [None]
+        built = []
+        post_init = ArModel.__post_init__
+        monkeypatch.setattr(ArModel, "__post_init__", lambda model: built.append(1) or post_init(model))
+        options = ImputeOptions(order=2, refit_per_gap=True, allow_open_gap=True)
+        report = impute_series(scalar_series(x), options).report
+        monkeypatch.undo()
+        entries = json.loads(report.to_json())["gaps"]
+        assert len(entries) == gaps and entries[-1]["oracle"] is None
+        assert entries[-1]["refit_model"]["rank_deficient"]
+        assert sum(note.startswith("refit before the gap") for note in report.notes) == gaps
+        assert len(built) == 1
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
     def test_columns_render_as_the_built_entries(self, run, refit):
@@ -953,6 +1037,36 @@ class TestGapColumns:
                                rel=None)
 
 
+def described_models():
+    """AR, VAR and regression models: fitted at full rank, fitted on a
+    rank-deficient design, and given directly."""
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.standard_normal((30, 2)), axis=0)
+    covariates = np.column_stack([rng.standard_normal(30), np.ones(30)])
+    return [
+        fitting.fit_ar_scalar(walk[:, 0], 2),
+        fitting.fit_ar_scalar(np.full(9, 4.0), 2),
+        ArModel(a=(0.5, -0.25), b=1.0),
+        fitting.fit_var1(walk),
+        fitting.fit_var1(np.ones((6, 2))),
+        VarModel(A=[[0.5, 0.1], [-0.2, 0.3]], b=[1.0, -1.0]),
+        fitting.fit_regression(walk, covariates[:, :1]),
+        fitting.fit_regression(walk, covariates),
+        RegModel(A=[[1.5, -0.5]], b=[0.25]),
+    ]
+
+
+@pytest.mark.parametrize("model", described_models(), ids=[
+    f"{kind}-{how}" for kind in ("ar", "var", "regression") for how in ("fitted", "rank-deficient", "given")])
+def test_describe_model_is_the_per_kind_description(model):
+    # the one schema writer, describe_models, gives each model the
+    # description the per-kind builder gives, in value, type and text
+    got, want = describe_model(model), describe_by_kind(model)
+    assert got["rank_deficient"] is (model.rank is not None and model.rank < model.design_columns)
+    assert_close_trees(got, want, rel=0.0)
+    assert render_json(got) == json.dumps(want, indent=2, default=np.ndarray.tolist) + "\n"
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, phosphate_text):
         series = parse_csv(phosphate_text)
@@ -969,24 +1083,19 @@ def per_gap_loop(series, options):
     ar = options.model_kind == "ar"
     prefix_length, segments = detect_gaps(series, options.order if ar else 1, options.allow_open_gap)
     report = ImputationReport(mode=options.mode, prefix_length=prefix_length)
-    model = pipeline._note_rank(report.notes, "prefix fit", pipeline.fit_prefix(series, options))
-    report.model = describe_model(model)
+    model = note_rank(report.notes, "prefix fit", pipeline.fit_prefix(series, options))
+    report.model = describe_by_kind(model)
     working = series.data.copy()
     for segment in segments:
         if series.missing[segment.seed_indices[0] - 1 : segment.gap_start - 1].any():
             report.notes.append(
                 f"gap at index {segment.gap_start} seeds from values imputed for an earlier gap"
             )
-        start = segment.gap_start - 1
-        verdict = None
         solution = solve_alone(options, model, segment, working)
-        if solution.constrained and not (ar and options.mode == "paper"):
-            delta = np.atleast_1d(segment.anchor_value) - np.atleast_1d(solution.predicted[-1])
-            verdict = certify(solution.controls, build_problem(model, len(solution.control_indices),
-                                                               delta)).verdicts[0]
+        verdict = certify_alone(options, model, segment, solution, working, report.notes)
         report.gaps.append(gap_entry(segment, solution, verdict))
         filled = np.asarray(solution.imputed, dtype=float).reshape(segment.length, series.dim)
-        working[start : segment.gap_end] = filled
+        working[segment.gap_start - 1 : segment.gap_end] = filled
         if not solution.constrained:
             report.notes.append(
                 f"gap at indices {segment.gap_start}..{segment.gap_end} is unconstrained "

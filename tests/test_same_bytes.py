@@ -25,14 +25,17 @@ def same_bytes():
 def test_one_line_per_run_of_the_matrix(same_bytes):
     lines = same_bytes.lines("tiny")
     # three workloads x seeds 1-3 x three option sets, four spellings of one
-    # input, five more ways to read it, and four phosphate runs
-    assert len(lines) == 3 * 3 * 3 + 4 + 5 + 4
+    # input, six more ways to read it, four phosphate runs and four fit runs
+    assert len(lines) == 3 * 3 * 3 + 4 + 6 + 4 + 4
     labels = [line.rsplit(" ", 2)[0] for line in lines]
     assert len(set(labels)) == len(labels)
     assert "many_gaps_var seed=2 paper" in labels and "phosphate ar2-refit" in labels
     assert "refit_ar seed=1 non-ascii" in labels
-    for variation in ("regression", "regression-refit", "open-gap", "open-gap-paper", "open-gap-regression"):
+    for variation in ("regression", "regression-refit", "open-gap", "open-gap-paper", "open-gap-regression",
+                      "constant-prefix-open-gap"):
         assert f"refit_ar seed=1 {variation}" in labels
+    for fit in ("long_gap_ar seed=1", "many_gaps_var seed=1", "refit_ar seed=1 regression", "phosphate var"):
+        assert f"fit {fit}" in labels
     for line in lines:
         assert re.fullmatch(r"[\w=.\- ]+ exit=0 [0-9a-f]{64}", line), line
 
