@@ -103,13 +103,14 @@ def refit() -> tuple[list, str]:
 def powers() -> tuple[list, str]:
     from test_oracle import assert_powers_close, descending_powers_by_product
 
-    from gapfill.fitting import ArModel
+    from gapfill.fitting import ArModel, Models
     from gapfill.oracle import _transition_matrix, build_problem
 
     model = ArModel(a=(0.6, -0.25, 0.3), b=0.0)
     sides = {
         "doubling": lambda: build_problem(model, 1200, 1.0).steps,
-        "by_product": lambda: descending_powers_by_product(_transition_matrix(model), 1200)[:, :1, :1],
+        "by_product": lambda: descending_powers_by_product(_transition_matrix(Models.of([model]))[0],
+                                                           1200)[:, :1, :1],
     }
     best = _best(sides)
     ratio = best["doubling"] / best["by_product"]

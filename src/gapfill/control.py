@@ -26,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .fitting import ArModel, Models, RegModel, VarModel, predict_forward
+from .fitting import ArModel, RegModel, VarModel, predict_forward
 from .linalg import equal_runs, mat_pow_table, row_norms, solve_spd, split_runs
+from .models import as_models
 from .series import Gaps
 from .weights import (
     checked_weights,
@@ -82,17 +83,17 @@ def _fill_overflow(start: int) -> NumericalError:
     )
 
 
-def _blocks(model, kind: type, counts: list) -> np.ndarray:
+def _blocks(models, counts: list) -> np.ndarray:
     """The (g, M, k, k) blocks C F^j B, j < M = max(counts), of each model
-    of a Models of ``kind``, or (1, M, k, k) of one model, built in one
-    call, unchecked for overflow and prefix-stable: an AR's impulse response
-    (to its own count, zero past it), a VAR's powers of A, or a regression's
+    of the Models ``models``, one per entry of ``counts``, built in one call,
+    unchecked for overflow and prefix-stable: an AR's impulse response (to
+    its own count, zero past it), a VAR's powers of A, or a regression's
     identities (F = I)."""
-    if kind is ArModel:
-        return impulse_response(model, counts)[:, :, None, None]
-    if kind is VarModel:
-        return mat_pow_table(np.reshape(model.A, (-1, model.dim, model.dim)), max(counts) - 1)
-    k = model.n_outputs
+    if models.kind is ArModel:
+        return impulse_response(models, counts)[:, :, None, None]
+    if models.kind is VarModel:
+        return mat_pow_table(models.A, max(counts) - 1)
+    k = models.n_outputs
     return np.broadcast_to(np.eye(k), (len(counts), max(counts), k, k))
 
 
@@ -217,11 +218,11 @@ def _summaries(starts, counts, lag, controls, imputed, ends, targets) -> tuple[n
     return objectives, residuals
 
 
-def _inputs(model, kind: type, lengths, starts, anchors):
+def _inputs(models, lengths, starts, anchors):
     """``starts`` and ``anchors`` of gaps of ``lengths`` as the solver reads
-    them, checked, for a model or a Models of ``kind``; the anchors are (g,)
-    for an AR and (g, k) otherwise."""
-    if kind is ArModel:
+    them, checked, for the Models ``models``; the anchors are (g,) for an
+    AR and (g, k) otherwise."""
+    if models.kind is ArModel:
         targets = np.asarray(anchors, dtype=float).reshape(len(lengths), -1)[:, 0]
         if isinstance(starts, np.ndarray) and starts.ndim == 2:
             return starts, targets
@@ -229,15 +230,15 @@ def _inputs(model, kind: type, lengths, starts, anchors):
         seeds = [np.asarray(s, dtype=float).ravel() for s in starts]
         width = min(map(len, seeds))
         return np.array([s[len(s) - width :] for s in seeds]), targets
-    if kind is RegModel:
-        k, seeds = model.n_outputs, [np.column_stack([x]) for x in starts]  # 1-D: one column
+    if models.kind is RegModel:
+        k, seeds = models.n_outputs, [np.column_stack([x]) for x in starts]  # 1-D: one column
         for length, x in zip(lengths.tolist(), seeds):
             if len(x) != length + 1:
                 raise ValueError(f"need {length + 1} covariate rows (gap start through anchor), "
                                  f"got {len(x)}")
         targets = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a in anchors])
     else:
-        k = model.dim
+        k = models.dim
         # checked once for the stack, but worded for one gap, as impute_gap_var reports
         seeds = np.asarray(starts, dtype=float).reshape(len(lengths), -1)
         if seeds.shape[1] != k:
@@ -319,8 +320,8 @@ def impute_gaps(model, gaps, starts, anchors, mode: str = "exact") -> list:
     """Fill constrained gaps so each path ends at its anchor; one
     ControlSolution per gap, in order.
 
-    ``model`` is one model, or a Models with one per gap (``Models.of``
-    stacks a list).
+    ``model`` is the model of every gap (or a Models of one), or a Models
+    with one per gap (``Models.of`` stacks a list).
     ``gaps`` are GapSegments, or a Gaps of constrained gaps. ``gaps[i]`` is
     rolled from ``starts[i]``: at least p values before it for an AR(p),
     the row before it for a VAR, or a regression's covariate rows from the
@@ -351,27 +352,26 @@ def impute_stacks(model, gaps, starts, anchors, mode: str = "exact") -> list:
     firsts, anchor_indices = _edges(gaps)
     if not len(firsts):
         return []
+    models = as_models(model)
     try:
-        return _impute(model, firsts, anchor_indices, starts, anchors, mode)
+        return _impute(models, firsts, anchor_indices, starts, anchors, mode)
     except NumericalError:
         if len(firsts) == 1:
             raise
         for i in range(len(firsts)):
-            impute_stacks(model[i] if isinstance(model, Models) else model, gaps[i : i + 1],
-                          starts[i : i + 1], anchors[i : i + 1], mode)
+            impute_stacks(models.at(slice(i, i + 1)), gaps[i : i + 1], starts[i : i + 1],
+                          anchors[i : i + 1], mode)
         # not reached by any input: each gap of a stack has the bits it has
         # alone, so some gap alone has raised; kept so no error is lost
         raise
 
 
-def _impute(model, firsts, anchor_indices, starts, anchors, mode: str) -> list:
+def _impute(models, firsts, anchor_indices, starts, anchors, mode: str) -> list:
     """``impute_stacks`` of the gaps from 1-based ``firsts`` through
-    ``anchor_indices``, without the gap-by-gap rerun."""
-    shared = not isinstance(model, Models)
-    kind = type(model) if shared else model.kind
+    ``anchor_indices`` by ``models``, without the gap-by-gap rerun."""
     # an AR(p)'s first p - 1 gap values follow the uncorrected recursion
-    lag = model.p - 1 if kind is ArModel else 0
-    starts, targets = _inputs(model, kind, anchor_indices - firsts, starts, anchors)
+    lag = models.p - 1 if models.kind is ArModel else 0
+    starts, targets = _inputs(models, anchor_indices - firsts, starts, anchors)
     counts = anchor_indices - firsts + 1 - lag
     if counts.min() < 1:
         raise NumericalError(
@@ -379,36 +379,37 @@ def _impute(model, firsts, anchor_indices, starts, anchors, mode: str) -> list:
             f"in a gap of length {(anchor_indices - firsts)[int(np.argmax(counts < 1))]}"
         )
     # an AR, or a regression of one output given scalar anchors
-    scalar = kind is ArModel or np.ndim(anchors[0]) == 0
+    scalar = models.kind is ArModel or np.ndim(anchors[0]) == 0
     order = np.argsort(counts, kind="stable")
     stacks = []
     for lo, hi in _stacks(counts[order]):
         index = order[lo:hi]
         mine = starts[index] if isinstance(starts, np.ndarray) else [starts[i] for i in index]
-        stacks.append(_stack(model if shared else model[index], kind, firsts[index], mine,
-                             targets[index], counts[index], lag, mode, scalar)._replace(index=index))
+        stacks.append(_stack(models.at(index), firsts[index], mine, targets[index], counts[index], lag,
+                             mode, scalar)._replace(index=index))
     return stacks
 
 
-def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: str, scalar) -> GapStack:
+def _stack(models, firsts, starts, targets, counts, lag: int, mode: str, scalar) -> GapStack:
     """``_impute`` of one stack sorted by control count m, of gaps from the
-    1-based ``firsts``: one table of blocks and prefix-stable Gram sums,
-    read at each gap's own m; one forecast roll and one corrected roll, a
-    VAR's to the longest m with each gap's controls zero past its own, an
-    AR's each path to its own end; and one ``_lagrange`` solve. What rounds
-    differently at another length runs per run of equal m, on slices of
-    the stack: the products with the blocks, the objectives and a
-    regression's forecast. The GapStack's index is left None."""
-    shared = not isinstance(model, Models)
-    ar, regression = kind is ArModel, kind is RegModel
+    1-based ``firsts``, by a Models of one model or of one per gap: one
+    table of blocks and prefix-stable Gram sums, read at each gap's own m;
+    one forecast roll and one corrected roll, a VAR's to the longest m with
+    each gap's controls zero past its own, an AR's each path to its own
+    end; and one ``_lagrange`` solve. What rounds differently at another
+    length runs per run of equal m, on slices of the stack: the products
+    with the blocks, the objectives and a regression's forecast. The
+    GapStack's index is left None."""
+    shared = len(models) == 1
+    ar, regression = models.kind is ArModel, models.kind is RegModel
     g, longest, runs = len(firsts), int(counts[-1]), equal_runs(counts)
     # one table to the longest count for a shared model, one per gap otherwise
     lengths = [longest] if shared else counts.tolist()
-    blocks = _blocks(model, kind, lengths)
+    blocks = _blocks(models, lengths)
     if ar:
         impulse = blocks[..., 0, 0]
         if mode == "paper":
-            printed = printed_weights(model, lengths)
+            printed = printed_weights(models, lengths)
             blocks = printed[..., None, None]
         else:
             checked_weights(impulse)
@@ -421,10 +422,9 @@ def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: s
         predicted = np.zeros((g, longest, targets.shape[1]))
         for lo, hi, m in runs:
             rows = np.array(starts[lo:hi])
-            mine = model if shared else model[lo:hi]
-            predicted[lo:hi, :m] = predict_forward(mine, rows, m, covariates=rows)
+            predicted[lo:hi, :m] = predict_forward(models.at(slice(lo, hi)), rows, m, covariates=rows)
     else:
-        predicted = predict_forward(model, starts, steps)
+        predicted = predict_forward(models, starts, steps)
     with np.errstate(over="ignore"):  # an offset that overflows is raised below or by _lagrange
         delta = (targets - predicted[np.arange(g), counts + lag - 1].reshape(targets.shape)).reshape(g, -1)
     if regression and not np.isfinite(delta).all():
@@ -440,7 +440,7 @@ def _stack(model, kind: type, firsts, starts, targets, counts, lag: int, mode: s
     if regression:
         values = predicted + np.cumsum(controls, axis=1)
     else:
-        values = predict_forward(model, starts, steps, controls=controls[..., 0] if ar else controls)
+        values = predict_forward(models, starts, steps, controls=controls[..., 0] if ar else controls)
     del predicted
     controls = controls[np.arange(longest) < counts[:, None]]
     positions = np.arange(values.shape[1])

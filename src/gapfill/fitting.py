@@ -8,24 +8,28 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .linalg import least_squares
-from .models import ArModel, Models, RegModel, VarModel
+from .models import ArModel, Models, RegModel, VarModel, as_models
 
 
 # Per design: how many equations its fit needs beyond its input columns, and
-# how the too-short message counts them.
+# how the too-short message counts its equations, or the rows of one run.
 _WINDOW = {
-    ArModel: (1, "{n} equations for order {k}"),
-    VarModel: (1, "{n} consecutive pairs of dimension {k}"),
-    RegModel: (2, "{n} rows with {k} covariates"),
+    ArModel: (1, "{n} equations for order {k}", "{n} values for order {k}"),
+    VarModel: (1, "{n} consecutive pairs of dimension {k}", "{n} vectors of dimension {k}"),
+    RegModel: (2, "{n} rows with {k} covariates", "{n} rows with {k} covariates"),
 }
 
 
-def _too_short(design: type, n: int, k: int) -> DataError | None:
-    """The error of fitting ``design`` on ``n`` equations of ``k`` inputs, or None."""
-    extra, counted = _WINDOW[design]
-    if n >= k + extra:
+def too_short(design: type, n: int, k: int, lags: int | None = None) -> DataError | None:
+    """The error of fitting ``design`` on ``n`` equations of ``k`` inputs,
+    or None; given ``lags``, ``n`` counts the rows of one contiguous
+    observed run, whose first ``lags`` rows only feed the lags."""
+    extra, equations, rows = _WINDOW[design]
+    need = k + extra + (lags or 0)
+    if n >= need:
         return None
-    return DataError(f"fit window too short: {counted.format(n=n, k=k)} (need at least {k + extra})")
+    counted = equations if lags is None else rows
+    return DataError(f"fit window too short: {counted.format(n=n, k=k)} (need at least {need})")
 
 
 def _overflow(design: type) -> NumericalError:
@@ -64,7 +68,7 @@ def fit_sweep(design: type, inputs, targets, counts) -> Models:
                                                     counts[lo:hi])
     models = Models(design, coeffs, ranks)
     for i in range(min(lo, hi)):
-        models[i] = _too_short(design, counts[i], k)
+        models[i] = too_short(design, counts[i], k)
     for i in range(hi, len(counts)):
         models[i] = DataError("fit window contains non-finite values")
     for i in np.flatnonzero(~np.isfinite(coeffs.reshape(len(coeffs), -1)).all(axis=1)).tolist():
@@ -107,10 +111,9 @@ def fit_ar_scalar(window, order: int) -> ArModel:
     if p < 1:
         raise DataError("order must be >= 1")
     n0 = w.size
-    if n0 - p < p + 1:
-        raise DataError(
-            f"fit window too short: {n0} values for order {p} (need at least {2 * p + 1})"
-        )
+    short = too_short(ArModel, n0, p, lags=p)
+    if short is not None:
+        raise short
     lags = np.column_stack([w[p - 1 - j : n0 - 1 - j] for j in range(p)])
     return fit_ar_lagged(lags, w[p:])
 
@@ -137,11 +140,9 @@ def fit_var1(window) -> VarModel:
     w = np.asarray(window, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    n0, k = w.shape
-    if n0 < k + 2:
-        raise DataError(
-            f"fit window too short: {n0} vectors of dimension {k} (need at least {k + 2})"
-        )
+    short = too_short(VarModel, *w.shape, lags=1)
+    if short is not None:
+        raise short
     return fit_var_pairs(w[:-1], w[1:])
 
 
@@ -258,19 +259,17 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
     call, each path bit for bit the one it would get alone: seeds (g, n) and
     controls (g, steps') give a (g, steps) AR result, seeds (g, k) and controls
     (g, steps', k) a (g, steps, k) VAR result, and covariates (g, rows, c) a
-    (g, steps, k) regression result. The paths share one model or take a
-    Models of one per path; a single path is a stack of one. A stack of AR
-    paths may take a list of one count per path in ``steps``: each stops at
-    its own (see ``roll_ar``). An explosive model, or a regression on huge
-    covariates, lets the path overflow silently to inf.
+    (g, steps, k) regression result. The paths share one model (or a Models
+    of one) or take a Models of one per path; a single path is a stack of
+    one. A stack of AR paths may take a list of one count per path in
+    ``steps``: each stops at its own (see ``roll_ar``). An explosive model,
+    or a regression on huge covariates, lets the path overflow silently to
+    inf.
     """
     if (min(steps, default=0) if isinstance(steps, list) else steps) < 0:
         raise ValueError("steps must be >= 0")
-    per_path = isinstance(model, Models)
-    kind = model.kind if per_path else type(model)
-    kinds = {ArModel: "autoregression", VarModel: "VAR", RegModel: "regression"}
-    if kind not in kinds:
-        raise TypeError(f"unknown model type {kind.__name__}")
+    model = as_models(model)
+    kind = model.kind
     if kind is RegModel:
         if controls is not None:
             raise ValueError("regression predictions take no controls")
@@ -283,7 +282,8 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         given = np.asarray(seeds, dtype=float)
         stacked = given.ndim == 2
         paths = given if stacked else given.reshape(1, -1)
-    if per_path and len(model) != len(paths):
+    if len(model) not in (1, len(paths)):
+        kinds = {ArModel: "autoregression", VarModel: "VAR", RegModel: "regression"}
         raise ValueError(f"{len(paths)} paths need one {kinds[kind]}, or a Models of one per path")
 
     if kind is ArModel:
@@ -293,14 +293,12 @@ def predict_forward(model, seeds, steps: int, covariates=None, controls=None) ->
         # each path reads its trailing p seeds
         heads = paths[:, paths.shape[1] - model.p :]
         g = len(paths)
-        lags, b = (model.a, model.b) if per_path else (np.tile(model.a, (g, 1)), np.full(g, model.b))
-        out = roll_ar(lags, b, heads, steps, u)
+        out = roll_ar(np.broadcast_to(model.a, (g, model.p)), np.broadcast_to(model.b, g), heads, steps, u)
         return out if stacked else out[0]
 
     # one stacked matmul per step of a VAR, one for a regression; each path's
     # A.T row-major as in its (column-major) model, for the bits of it alone
-    coeffs = np.ascontiguousarray(model.coeffs[:, :-1]) if per_path else model.A.T[None]
-    b = model.b if per_path else model.b[None]
+    coeffs, b = np.ascontiguousarray(model.coeffs[:, :-1]), model.b
     if kind is VarModel:
         k = model.dim
         if paths.shape[1:] != (k,):

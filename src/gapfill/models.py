@@ -154,6 +154,10 @@ class Models(Sequence):
             coeffs = np.concatenate([[m.A.T for m in models], intercepts], axis=1)
         return cls(kind, coeffs, None if None in ranks else np.array(ranks))
 
+    def at(self, rows) -> "Models":
+        """The models of ``rows``, one per row; a Models of one serves every row."""
+        return self if len(self) == 1 else self[rows]
+
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -210,3 +214,9 @@ class Models(Sequence):
     @property
     def n_outputs(self) -> int:
         return self.coeffs.shape[-1]
+
+
+def as_models(model) -> Models:
+    """``model`` as a Models: a Models as it is, and one model as a Models
+    of one, which serves every gap or path, as numpy broadcasts a row."""
+    return model if isinstance(model, Models) else Models.of([model])

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import ArModel, Models, RegModel, VarModel
+from .models import ArModel, VarModel, as_models
 from .linalg import equal_runs, row_norms, solve_spd, split_runs
 from .series import Series
 
@@ -209,24 +209,20 @@ def kkt_solve(problem: ConstrainedProblem) -> OracleResult:
     )
 
 
-def _transition_matrix(model) -> np.ndarray:
-    """The model's one-step state transition F, with the control entering on
-    the first coordinates: the companion matrix of an AR(p) (first row ``a``,
-    ones on the subdiagonal), ``A`` of a VAR(1), and the identity for a
-    regression, whose outputs carry no dynamics. A Models gives the (g, p, p)
-    stack of its models' matrices, each with the bits of the model's own."""
-    stacked = isinstance(model, Models)
-    kind, lead = (model.kind, (len(model),)) if stacked else (type(model), ())
-    if kind is ArModel:
-        f = np.zeros(lead + (model.p, model.p))
-        f[..., 1:, :-1] = np.eye(model.p - 1)
-        f[..., 0, :] = model.a
+def _transition_matrix(models) -> np.ndarray:
+    """The (g, p, p) one-step state transitions F of the Models ``models``,
+    with the control entering on the first coordinates: the companion
+    matrix of an AR(p) (first row ``a``, ones on the subdiagonal), ``A`` of
+    a VAR(1), and the identity for a regression, whose outputs carry no
+    dynamics. Each matrix has the bits of its model's own."""
+    if models.kind is ArModel:
+        f = np.zeros((len(models), models.p, models.p))
+        f[:, 1:, :-1] = np.eye(models.p - 1)
+        f[:, 0, :] = models.a
         return f
-    if kind is VarModel:
-        return np.ascontiguousarray(model.A) if stacked else model.A
-    if kind is RegModel:
-        return np.tile(np.eye(model.n_outputs), lead + (1, 1))
-    raise TypeError(f"unknown model type {kind.__name__}")
+    if models.kind is VarModel:
+        return np.ascontiguousarray(models.A)
+    return np.tile(np.eye(models.n_outputs), (len(models), 1, 1))
 
 
 def _descending_powers(f: np.ndarray, steps: int) -> np.ndarray:
@@ -263,18 +259,19 @@ def build_problem(model, steps, target) -> ConstrainedProblem:
     of offsets, or one offset, and ``steps`` one control count for them all
     or a non-decreasing count per row: one power table to the largest count
     serves every row (see ``ConstrainedProblem.counts``). ``model`` is the
-    model of every gap, or a Models with one model per row of ``target``;
-    the steps are then (g, m, k, k), each gap's the bits of its problem
-    alone.
+    model of every gap (or a Models of one), or a Models with one model per
+    row of ``target``; the steps are then (g, m, k, k), each gap's the bits
+    of its problem alone.
     """
     counts = None if np.ndim(steps) == 0 else np.asarray(steps)
     longest = int(steps if counts is None else counts.max(initial=0))
     if longest < 1:
         raise ValueError("steps must be >= 1")
-    f = _transition_matrix(model)
-    k = 1 if (model.kind if isinstance(model, Models) else type(model)) is ArModel else f.shape[-1]
-    # per-target powers come step first; the gap axis moves to the front
-    powers = np.moveaxis(_descending_powers(f, longest), 0, -3)
+    models = as_models(model)
+    f = _transition_matrix(models)
+    k = 1 if models.kind is ArModel else f.shape[-1]
+    # per-target powers come step first; the gap axis moves to the front, and one model's has none
+    powers = np.moveaxis(_descending_powers(f[0] if len(models) == 1 else f, longest), 0, -3)
     return ConstrainedProblem(powers[..., :k, :k], target, counts)
 
 

@@ -26,12 +26,13 @@ from .fitting import (
     RegModel,
     VarModel,
     fit_ar_lagged,  # not called here; bench/tracing.py still wraps this name
-    fit_ar_scalar,
-    fit_regression,
+    fit_ar_scalar,  # not called here; bench/tracing.py still wraps this name
+    fit_regression,  # not called here; bench/tracing.py still wraps this name
     fit_sweep,
-    fit_var1,
+    fit_var1,  # not called here; bench/tracing.py still wraps this name
     fit_var_pairs,  # not called here; bench/tracing.py still wraps this name
     predict_forward,
+    too_short,
 )
 from .oracle import (
     CERTIFY_TOLERANCE,
@@ -44,7 +45,7 @@ from .oracle import (
 )
 from .report import (
     ImputationReport,
-    describe_model,
+    describe_models,
     gap_entry,  # not called here; bench/tracing.py still wraps this name
     gap_records,
 )
@@ -102,14 +103,6 @@ def _missing_covariate(index: int) -> DataError:
     return DataError(f"missing covariate at index {index} (covariates must be observed wherever used)")
 
 
-def _covariate_rows(covariates: Series, rows: np.ndarray) -> np.ndarray:
-    """The covariates at the 0-based ``rows``, every one of which must be observed."""
-    absent = covariates.missing[rows]
-    if absent.any():
-        raise _missing_covariate(int(rows[absent.argmax()]) + 1)
-    return covariates.data[rows]
-
-
 def _note_rank(notes: list, context: str, models: Models) -> None:
     """Note in ``notes`` when the one model of ``models`` was fitted on a rank-deficient design."""
     if models.rank_deficient[0]:
@@ -119,7 +112,8 @@ def _note_rank(notes: list, context: str, models: Models) -> None:
 
 def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
                covariates: Series | None = None):
-    """Fit the model on the observed run before the first missing position.
+    """Fit the model on the observed run before the first missing position:
+    the prefix fit of an ``impute`` run (row 0 of its ``_fit_models``).
 
     Only that run is read, so a trailing gap needs no anchor here.
     """
@@ -127,31 +121,29 @@ def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
     n = series.prefix_length
     if n == 0:
         raise DataError("no observed prefix: the series begins with a missing value")
-    if options.model_kind == "ar":
-        return fit_ar_scalar(series.data[:n, 0], options.order)
-    if options.model_kind == "var":
-        return fit_var1(series.data[:n])
-    return fit_regression(series.data[:n], _covariate_rows(covariates, np.arange(n)))
+    model = _fit_models(options, series, covariates, np.array([n + 1]))[0]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
-def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np.ndarray) -> Models:
-    """Per gap, in order, the model refitted on every fully-observed
-    equation window strictly before its 1-based start in ``starts``, or the
-    DataError or NumericalError that this refit raises, for the caller to
-    raise in that gap's turn: a Models.
-
-    Only original observations are used; values imputed for earlier gaps
-    never enter a fit. The equations before a gap are a leading run of the
-    series' usable equations, so one ``fit_sweep`` over them gives every
-    refit.
+def _fit_models(options: ImputeOptions, series: Series, covariates, starts: np.ndarray) -> Models:
+    """Per gap, in order, the model fitted on every fully-observed equation
+    window strictly before its 1-based start in ``starts``, or the
+    DataError or NumericalError that this fit raises, for the caller to
+    raise in that gap's turn: a Models. The one fit path of a run; the
+    first gap's window is the observed prefix, so row 0 is the prefix fit,
+    and a prefix too short is counted in values, as ``fit_ar_scalar`` and
+    ``fit_var1`` count it. Only observed rows before the last start are
+    read. The equations before a gap are a leading run of the usable
+    equations, so one ``fit_sweep`` over them gives every model.
     """
     lags = {"ar": options.order, "var": 1, "regression": 0}[options.model_kind]
-    # the equation whose target is row t needs rows t - lags .. t observed
-    observed = ~series.missing
-    usable = observed[lags:].copy()
-    for j in range(1, lags + 1):
-        usable &= observed[lags - j : len(observed) - j]
-    rows = np.flatnonzero(usable) + lags
+    # the equation whose target is row t needs rows t - lags .. t observed:
+    # as many missing rows before t + 1 as before t - lags
+    missing = np.concatenate(([0], np.cumsum(series.missing[: starts[-1] - 1])))
+    targets_at = np.arange(lags, len(missing) - 1)
+    rows = targets_at[missing[targets_at + 1] == missing[targets_at - lags]]
     counts = np.searchsorted(rows, starts - 1)
     data = series.data
     limit = len(rows)
@@ -168,10 +160,14 @@ def _refit_models(options: ImputeOptions, series: Series, covariates, starts: np
             limit = int(absent.argmax())
         design, inputs, targets = RegModel, covariates.data[rows[:limit]], data[rows[:limit]]
     fits = fit_sweep(design, inputs, targets, counts)
-    # the gaps with no equation before them lead, and those whose window
-    # reaches an unobserved covariate trail
+    # the gaps with no equation before them, and those within the observed
+    # prefix, lead, and those whose window reaches an unobserved covariate trail
     for i in range(int(np.searchsorted(counts, 0, side="right"))):
         fits[i] = DataError(f"no observed fit window before the gap at index {starts[i]}")
+    for i in range(int(np.searchsorted(starts, series.prefix_length + 1, side="right"))):
+        short = too_short(design, int(starts[i]) - 1, inputs.shape[1], lags)
+        if short is not None:
+            fits[i] = short
     for i in range(int(np.searchsorted(counts, limit, side="right")), len(counts)):
         fits[i] = _missing_covariate(int(rows[limit]) + 1)
     return fits
@@ -215,12 +211,12 @@ def _open_gap_solution(options: ImputeOptions, model, segment, start) -> Control
     )
 
 
-def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, working: np.ndarray,
+def _solve_gaps(options: ImputeOptions, models: Models, gaps, reads_fill: np.ndarray, working: np.ndarray,
                 covariates) -> tuple[list, ControlSolution | None]:
     """Solve ``gaps`` (a Gaps) in order, writing each fill into ``working``;
     the GapStacks of the constrained ones, indexed by position in ``gaps``,
-    and an open last gap's solution or None. ``model`` is one model, or a
-    Models with per gap a model or its failed refit's error.
+    and an open last gap's solution or None. ``models`` holds per gap a
+    model or its failed fit's error, or one for every gap (see ``Models.at``).
 
     Constrained gaps go to ``impute_stacks`` in runs; a gap whose seed rows
     read a fill (``reads_fill``) starts a new run, whose starts are read
@@ -228,13 +224,12 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
     or whose covariates are not all observed raises once the runs before it
     are solved. An open gap is forecast.
     """
-    per_gap = isinstance(model, Models)
     # an autoregression, and a regression of one output, have scalar anchors
     scalar = options.model_kind != "var" and working.shape[1] == 1
     closed = len(gaps.anchor_values)
     lasts = gaps.ends + (np.arange(len(gaps)) < closed)
     # the first gap whose refit failed, or whose covariate rows are not all observed
-    failed = model.failed if per_gap else np.zeros(len(gaps), dtype=bool)
+    failed = np.broadcast_to(models.failed, len(gaps))
     first = int(np.append(failed, True).argmax())
     if options.model_kind == "regression":
         absent = np.concatenate(([0], np.cumsum(covariates.missing)))
@@ -244,21 +239,21 @@ def _solve_gaps(options: ImputeOptions, model, gaps, reads_fill: np.ndarray, wor
     for lo, hi in zip(cuts, cuts[1:]):
         run = gaps[lo:hi]
         anchors = run.anchor_values[:, 0] if scalar else run.anchor_values
-        for stack in impute_stacks(model[lo:hi] if per_gap else model, run,
+        for stack in impute_stacks(models.at(slice(lo, hi)), run,
                                    _starts(options, run, working, covariates, lasts[lo:hi]), anchors,
                                    options.mode):
             working[stack.indices - 1] = stack.imputed.reshape(len(stack.indices), -1)
             stacks.append(stack._replace(index=stack.index + lo))
     if first < len(gaps):
         if failed[first]:
-            raise model[first]
+            raise models[first]
         # the first unobserved covariate row from the gap start on
         start = int(gaps.starts[first])
         raise _missing_covariate(start + int(covariates.missing[start - 1 :].argmax()))
     if closed == len(gaps):
         return stacks, None
     segment, start = gaps[closed], _starts(options, gaps[closed:], working, covariates, lasts[closed:])[0]
-    solution = _open_gap_solution(options, model[closed:] if per_gap else model, segment, start)
+    solution = _open_gap_solution(options, models.at(slice(closed, None)), segment, start)
     working[segment.gap_start - 1 : segment.gap_end] = solution.imputed.reshape(segment.length, -1)
     return stacks, solution
 
@@ -279,11 +274,11 @@ def _landed(gaps, stacks, working: np.ndarray) -> np.ndarray:
     return residuals <= CERTIFY_TOLERANCE * scales
 
 
-def _certify_batch(options: ImputeOptions, model, stacks, landed: np.ndarray):
+def _certify_batch(options: ImputeOptions, models: Models, stacks, landed: np.ndarray):
     """Run the independent verifier on the solver's ``stacks``: one
     BatchVerdict of their gaps in gap order, or None when there is none.
 
-    ``model`` is the model of every gap, or a Models with one per gap.
+    ``models`` holds one model per gap, or one for every gap.
     Each stack is one problem and one ``certify`` call: the solver's
     controls and anchor offsets, sorted by control count, against one power
     table per model to the stack's longest count. A gap passes only if it
@@ -295,9 +290,8 @@ def _certify_batch(options: ImputeOptions, model, stacks, landed: np.ndarray):
     """
     if options.model_kind == "ar" and options.mode == "paper" or not stacks:
         return None
-    results = [certify(stack.controls, build_problem(
-        model[stack.index] if isinstance(model, Models) else model, stack.counts, stack.offsets))
-        for stack in stacks]
+    results = [certify(stack.controls, build_problem(models.at(stack.index), stack.counts, stack.offsets))
+               for stack in stacks]
     order = np.argsort(np.concatenate([stack.index for stack in stacks]))
     passed, *rest = (np.concatenate(column)[order] for column in zip(*(result.columns for result in results)))
     return BatchVerdict((passed & landed, *rest))
@@ -309,10 +303,11 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
 
     Gaps are filled left to right, so a gap may seed from values imputed for
     an earlier gap; the report notes when that happens, and when a fit is
-    rank deficient. The model is fitted once on the observed prefix unless
-    ``refit_per_gap`` is set, in which case one sweep (``_refit_models``)
-    gives each gap its own model. Either way the gaps are solved by
-    ``_solve_gaps`` and certified stack by stack (see ``_certify_batch``).
+    rank deficient. One sweep (``_fit_models``) fits the observed prefix,
+    whose model serves every gap, or with ``refit_per_gap`` gives each gap
+    its own model, the first of which is the prefix fit. Either way the
+    gaps are solved by ``_solve_gaps``, which raises a failed fit in its
+    gap's turn, and certified stack by stack (see ``_certify_batch``).
     The report holds the gaps as columns, in gap order (``gap_records``),
     and a failing run raises the first failing gap's error.
     """
@@ -325,14 +320,7 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
         report.notes.append("0 gaps: output mirrors the input")
         return ImputeResult(series=series, filled=series.data, report=report)
 
-    prefix_model = fit_prefix(series, options, covariates)
-    _note_rank(report.notes, "prefix fit", Models.of([prefix_model]))
-    report.model = describe_model(prefix_model)
-
-    models = prefix_model
-    if options.refit_per_gap:
-        report.notes.append("refit per gap: each gap uses every fully-observed window before it")
-        models = _refit_models(options, series, covariates, gaps.starts)
+    models = _fit_models(options, series, covariates, gaps.starts[: None if options.refit_per_gap else 1])
     # whether each gap's seed rows hold a missing row, and so read an earlier fill
     missing_before = np.concatenate(([0], np.cumsum(series.missing)))
     reads_fill = missing_before[gaps.starts - 1] > missing_before[gaps.starts - 1 - gaps.order]
@@ -341,7 +329,11 @@ def impute_series(series: Series, options: ImputeOptions = ImputeOptions(),
     landed = _landed(gaps, stacks, working)
     verdicts = _certify_batch(options, models, stacks, landed)
 
+    _note_rank(report.notes, "prefix fit", models[:1])
+    report.model = describe_models(models[:1]).tolist()[0]
     refits = models if options.refit_per_gap else None
+    if options.refit_per_gap:
+        report.notes.append("refit per gap: each gap uses every fully-observed window before it")
     deficient = refits.rank_deficient if refits else np.zeros(len(gaps), dtype=bool)
     # the certified gaps whose fill misses its anchor in the data's scale
     missed = np.zeros(len(gaps), dtype=bool)
@@ -388,12 +380,13 @@ def verify_instance(seed: int, limits: InstanceLimits = InstanceLimits(),
     options = ImputeOptions(model_kind=limits.kind, order=model.p if limits.kind == "ar" else 1)
     _, gaps = detect_gaps(series, options.order)
     working = series.data.copy()
-    (stack,), _ = _solve_gaps(options, model, gaps, np.zeros(1, dtype=bool), working, None)
+    models = Models.of([model])
+    (stack,), _ = _solve_gaps(options, models, gaps, np.zeros(1, dtype=bool), working, None)
     (solution,) = stack_solutions([stack], 1)
     if inject_fault:
         bad = np.array(solution.controls, dtype=float)
         bad[0] = bad[0] + 0.5
         solution, stack = solution._replace(controls=bad), stack._replace(controls=bad)
-    (verdict,) = _certify_batch(options, model, [stack], _landed(gaps, [stack], working))
+    (verdict,) = _certify_batch(options, models, [stack], _landed(gaps, [stack], working))
     return VerifiedInstance(seed=seed, kind=limits.kind, model=model, segment=gaps[0],
                             solution=solution, verdict=verdict)

@@ -292,7 +292,7 @@ class ImputationReport:
         return render_json(self.to_dict())
 
 
-def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
+def gap_entry(segment, solution, verdict=None) -> dict:
     """Assemble the report entry for one gap from its pieces.
 
     Index runs are written as ``[first, last]``. The forecast, the fill and
@@ -301,14 +301,11 @@ def gap_entry(segment, solution, verdict=None, refit_model=None) -> dict:
     model the controls (see the README's "Report schema").
     """
     seeds, controlled = segment.seed_indices, solution.control_indices
-    entry = dict(zip(GAP_KEYS, (
+    return dict(zip(GAP_KEYS, (
         segment.gap_start, segment.gap_end, segment.anchor_index, segment.anchor_value, [seeds[0], seeds[-1]],
         solution.constrained, solution.mode, solution.multiplier, [controlled[0], controlled[-1]],
         solution.terminal_residual, solution.objective,
         None if verdict is None else dict(zip(ORACLE_KEYS, verdict[:3])), solution.diagnostics)))
-    if refit_model is not None:
-        entry["refit_model"] = describe_model(refit_model)
-    return entry
 
 
 def gap_records(gaps, stacks, verdicts, refit_models, opened) -> Records:

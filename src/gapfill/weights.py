@@ -13,24 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .fitting import ArModel, Models, roll_ar
+from .fitting import ArModel, roll_ar
 from .linalg import row_norms
+from .models import as_models
 
 # Weight recurrences abort once any entry passes this magnitude; squared sums
 # would otherwise overflow float64.
 WEIGHT_OVERFLOW_LIMIT = 1e150
 
 
-def impulse_response(model, lengths: list) -> np.ndarray:
-    """The unchecked ``impulse_weights`` of an AR model, or of each model of
-    a Models, to its own of ``lengths``, (g, max(lengths)) and zero past
+def impulse_response(models, lengths: list) -> np.ndarray:
+    """The unchecked ``impulse_weights`` of each AR model of the Models
+    ``models`` to its own of ``lengths``, (g, max(lengths)) and zero past
     each: an explosive recursion overflows silently to inf. The weights are
     ``roll_ar`` paths with a zero intercept from the seeds 0, ..., 0, 1, so
     they carry the bits of ``predict_forward``'s recursion."""
-    g, lags = len(lengths), model.a if isinstance(model, Models) else np.array([model.a])
-    seeds = np.zeros((g, model.p))
+    g = len(lengths)
+    seeds = np.zeros((g, models.p))
     seeds[:, -1] = 1.0
-    rolled = roll_ar(lags, np.zeros(g), seeds, [n - 1 for n in lengths])
+    rolled = roll_ar(models.a, np.zeros(g), seeds, [n - 1 for n in lengths])
     return np.column_stack([np.ones(g), rolled])
 
 
@@ -57,11 +58,11 @@ def impulse_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return checked_weights(impulse_response(model, [length])[0])
+    return checked_weights(impulse_response(as_models(model), [length])[0])
 
 
-def printed_weights(model, lengths: list) -> np.ndarray:
-    """The ``gamma_weights`` of an AR model, or of each model of a Models, to
+def printed_weights(models, lengths: list) -> np.ndarray:
+    """The ``gamma_weights`` of each AR model of the Models ``models`` to
     its own of ``lengths``: (g, max(lengths)), zero past each, from one
     recurrence over the (g, p) coefficients. The first row with a weight
     past 1e150 within its length raises NumericalError at that step.
@@ -71,8 +72,7 @@ def printed_weights(model, lengths: list) -> np.ndarray:
     own); order 1 is one cumulative product. Each row has the bits of its
     model alone.
     """
-    a = model.a if isinstance(model, Models) else np.array([model.a])
-    (g, p), counts = a.shape, np.asarray(lengths)
+    (g, p), a, counts = models.a.shape, models.a, np.asarray(lengths)
     w = np.ones((g, int(counts.max())))
     with np.errstate(all="ignore"):
         if p == 1:
@@ -109,7 +109,7 @@ def gamma_weights(model: ArModel, length: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return printed_weights(model, [length])[0]
+    return printed_weights(as_models(model), [length])[0]
 
 
 def norm_overflow() -> NumericalError:

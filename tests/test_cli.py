@@ -813,6 +813,36 @@ class TestFitCommand:
         assert model["fit_rows"] == 10
 
 
+REGRESSION_ARGS = ("--model", "regression", "--columns", "y", "--covariates", "t")
+# name -> (an input whose observed prefix is too short for its fit, or reads
+# a missing covariate; the options; the one stderr line of every command
+# that fits it)
+PREFIX_ERRORS = {
+    "ar2": ("x\n1\n2\n3\nNA\n4\n5\n", ("--order", "2"),
+            "fit window too short: 3 values for order 2 (need at least 5)"),
+    "ar1": ("x\n1\nNA\n4\n5\n", (), "fit window too short: 1 values for order 1 (need at least 3)"),
+    "var": ("a,b\n1,2\n2,3\n3,5\nNA,NA\n5,6\n", ("--model", "var"),
+            "fit window too short: 3 vectors of dimension 2 (need at least 4)"),
+    "regression": ("y,t\n1,1\n2,2\nNA,3\n4,4\n", REGRESSION_ARGS,
+                   "fit window too short: 2 rows with 1 covariates (need at least 3)"),
+    "missing-covariate": ("y,t\n1,1\n2,2\n3,NA\n4,4\n5,5\nNA,6\n7,7\n", REGRESSION_ARGS,
+                          "missing covariate at index 3 (covariates must be observed wherever used)"),
+}
+
+
+@pytest.mark.parametrize("command", [("impute",), ("impute", "--refit-per-gap"), ("fit",)],
+                         ids=["impute", "refit", "fit"])
+@pytest.mark.parametrize("name", PREFIX_ERRORS)
+def test_prefix_fit_errors_keep_their_words(capsys, tmp_path, name, command):
+    # the prefix fit is worded by the run of rows it reads, whichever
+    # command fits it
+    text, options, message = PREFIX_ERRORS[name]
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:], *options)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 class TestCoeffsCommand:
     def test_order_one_columns_agree(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--coefficients", "0.5", "--length", "4")

@@ -21,6 +21,7 @@ from gapfill.control import (
 )
 from gapfill.errors import DataError, NumericalError
 from gapfill.fitting import ArModel, Models, RegModel, VarModel, predict_forward
+from gapfill.models import as_models
 from gapfill.linalg import mat_pow_table
 from gapfill.pipeline import ImputeOptions, _certify_batch
 from gapfill.series import GapSegment, Series, detect_gaps
@@ -714,7 +715,7 @@ class TestImputeGaps:
         solved = stack_solutions(stacks, len(gaps))
         assert len(stacks) == 1
         # the landing check is the pipeline's, on the filled series; every gap passes it here
-        verdicts = _certify_batch(options, models, stacks, np.ones(len(gaps), dtype=bool))
+        verdicts = _certify_batch(options, as_models(models), stacks, np.ones(len(gaps), dtype=bool))
         assert (verdicts is None) == (options.model_kind == "ar" and options.mode == "paper")
         for i, solution in enumerate(solved):
             model = models[i] if isinstance(models, Models) else models
@@ -724,7 +725,8 @@ class TestImputeGaps:
             assert self.bits(solution) == self.bits(alone)
             assert solution.diagnostics == alone.diagnostics
             if verdicts is not None:
-                (alone_verdict,) = _certify_batch(options, model, alone_stacks, np.ones(1, dtype=bool))
+                (alone_verdict,) = _certify_batch(options, as_models(model), alone_stacks,
+                                                  np.ones(1, dtype=bool))
                 verdict = verdicts[i]
                 assert verdict.passed == alone_verdict.passed
                 assert np.array(verdict[1:]).tobytes() == np.array(alone_verdict[1:]).tobytes()

@@ -350,7 +350,7 @@ class TestPowerTable:
     @example(model=VarModel(A=np.random.default_rng(663).uniform(-2.5, 2.5, (3, 3)), b=np.zeros(3)),
              steps=642)
     def test_matches_one_product_per_step(self, model, steps):
-        f = oracle_module._transition_matrix(model)
+        (f,) = oracle_module._transition_matrix(Models.of([model]))
         got = oracle_module._descending_powers(f, steps)
         want = descending_powers_by_product(f, steps)
         clear = np.abs(want).max(axis=(-2, -1)) < 1e300
@@ -386,8 +386,9 @@ class TestPowerTable:
             models = [VarModel(A=rng.uniform(-1.4, 1.4, (k, k)), b=np.zeros(k)) for _ in range(count)]
         targets = np.ones((len(models), k))
         stacked = build_problem(Models.of(models), steps, targets).steps
-        assert stacked.shape == (len(models), steps, k, k)
-        for model, got in zip(models, stacked):
+        # a Models of one is the model of every target, whose steps it shares
+        assert stacked.shape == (len(models), steps, k, k)[len(models) == 1 :]
+        for model, got in zip(models, stacked.reshape(len(models), steps, k, k)):
             assert got.tobytes() == build_problem(model, steps, targets[0]).steps.tobytes()
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -554,7 +555,8 @@ class TestCertify:
             offsets.append(np.atleast_1d(anchor - solution.predicted[-1]))
         steps = len(solutions[0].control_indices)
         problem = build_problem(Models.of(models), steps, offsets)
-        assert problem.steps.shape[:2] == (gaps, steps)
+        # a Models of one is the model of every target, whose steps it shares
+        assert problem.steps.shape[:-2] == (gaps, steps)[gaps == 1 :]
         controls = np.concatenate([s.controls for s in solutions])
         batch = certify(controls, problem)
         alone = [certify(s.controls, build_problem(model, steps, offset)).verdicts[0]

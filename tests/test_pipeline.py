@@ -27,6 +27,9 @@ from gapfill.fitting import (
     ArModel,
     RegModel,
     VarModel,
+    fit_ar_scalar,
+    fit_regression,
+    fit_var1,
     predict_forward,
 )
 from gapfill.linalg import RANK_TOLERANCE, mat_pow_table
@@ -391,7 +394,36 @@ def window_equations(options, series, covariates, gap_start):
         return np.column_stack([x[rows - 1 - j] for j in range(lags)]), x[rows]
     if options.model_kind == "var":
         return data[rows - 1], data[rows]
-    return pipeline._covariate_rows(covariates, rows), data[rows]
+    return covariate_rows(covariates, rows), data[rows]
+
+
+def covariate_rows(covariates, rows):
+    """Reference: the covariates at the 0-based ``rows``, every one of which must be observed."""
+    absent = covariates.missing[rows]
+    if absent.any():
+        raise DataError(f"missing covariate at index {int(rows[absent.argmax()]) + 1} "
+                        f"(covariates must be observed wherever used)")
+    return covariates.data[rows]
+
+
+def prefix_window_error(options, series, covariates, gap_start):
+    """Reference: for a gap whose window lies in the observed prefix, the
+    error that the one-off fitter of its kind raises on that run of rows,
+    or None."""
+    n = gap_start - 1
+    if n > series.prefix_length:
+        return None
+    window = series.data[:n]
+    try:
+        if options.model_kind == "ar":
+            fit_ar_scalar(window[:, 0], options.order)
+        elif options.model_kind == "var":
+            fit_var1(window)
+        else:
+            fit_regression(window, covariate_rows(covariates, np.arange(n)))
+    except (DataError, NumericalError) as exc:
+        return exc
+    return None
 
 
 def refit_before(options, series, covariates, gap_start):
@@ -399,11 +431,15 @@ def refit_before(options, series, covariates, gap_start):
     per gap (the full refit that one sweep replaces), independent of the QR
     sweep: numpy's ``lstsq`` (LAPACK gelsd) on max-abs-scaled ``[inputs, 1]``
     at the kernel's ``RANK_TOLERANCE`` cutoff, with the fitters' window and
-    overflow errors."""
+    overflow errors; a window of the observed prefix fails as the one-off
+    fitters fail on it."""
     design = {"ar": ArModel, "var": VarModel, "regression": RegModel}[options.model_kind]
+    error = prefix_window_error(options, series, covariates, gap_start)
+    if error is not None:
+        raise error
     inputs, targets = window_equations(options, series, covariates, gap_start)
     assert inputs.ndim == 2 and len(inputs) == len(targets)
-    short = fitting._too_short(design, *inputs.shape)
+    short = fitting.too_short(design, *inputs.shape)
     if short is not None:
         raise short
     x = np.column_stack([inputs, np.ones(len(inputs))])
@@ -443,9 +479,13 @@ class TestRefitEquations:
             cov_series = Series.from_values(covariates)
             starts = list(range(order + 1, n + 1))
             calls.clear()
-            models = pipeline._refit_models(options, series, cov_series, np.array(starts))
+            models = pipeline._fit_models(options, series, cov_series, np.array(starts))
             (inputs, targets, _), = calls
             for gap_start, model in zip(starts, models):
+                short = prefix_window_error(options, series, cov_series, gap_start)
+                if short is not None:
+                    assert type(model) is type(short) and str(model) == str(short)
+                    continue
                 expected = refit_equations_by_row_loop(kind, order, values, covariates, gap_start)
                 if expected is None or isinstance(expected, str):
                     message = expected or "no observed fit window"
@@ -507,6 +547,22 @@ class TestPrefixFitIsFirstRefit:
         # the report writes each float in full precision, so equal JSON is equal bits
         assert report["gaps"][0]["refit_model"] == report["model"]
         assert report["gaps"][1]["refit_model"] != report["model"]
+
+
+@pytest.mark.parametrize("refit", [False, True], ids=["default", "refit"])
+def test_a_run_makes_one_least_squares_call(monkeypatch, refit):
+    # the prefix fit is row 0 of the one sweep that fits the run, so a
+    # refit run does not fit the prefix a second time
+    calls, least_squares = [], fitting.least_squares
+    monkeypatch.setattr(fitting, "least_squares", lambda *args: calls.append(1) or least_squares(*args))
+    rng = np.random.default_rng(3)
+    x = [0.0, 0.0]
+    for _ in range(78):
+        x.append(0.5 * x[-1] - 0.2 * x[-2] + 1.0 + rng.standard_normal())
+    values = [None if t in (30, 31, 50, 60) else v for t, v in enumerate(x)]
+    result = impute_series(scalar_series(values), ImputeOptions(order=2, refit_per_gap=refit))
+    assert len(result.report.gaps) == 3
+    assert len(calls) == 1
 
 
 def coefficient_rows(model) -> np.ndarray:
@@ -578,7 +634,7 @@ class TestSweepAgainstFullRefit:
     @given(case=refit_windows())
     def test_same_models_as_full_refit(self, case):
         options, series, covariates, starts = case
-        models = pipeline._refit_models(options, series, covariates, np.array(starts))
+        models = pipeline._fit_models(options, series, covariates, np.array(starts))
         assert len(models) == len(starts)
         for gap_start, got in zip(starts, models):
             try:
@@ -608,7 +664,7 @@ def solve_alone(options, model, segment, working, covariates=None):
         seed = working[start - 1]
     else:
         last = segment.anchor_index if segment.constrained else segment.gap_end
-        seed = pipeline._covariate_rows(covariates, np.arange(start, last))
+        seed = covariate_rows(covariates, np.arange(start, last))
     if not segment.constrained:
         return pipeline._open_gap_solution(options, model, segment, seed)
     if options.model_kind == "ar":
@@ -974,8 +1030,8 @@ class TestGapColumns:
     def test_refit_run_builds_no_model_per_gap(self, monkeypatch, mode):
         # a refit run carries its models as columns from the sweep to the
         # report, and paper mode's printed weights are one stacked
-        # recurrence: the ArModels built and the models described are as
-        # many at 40 gaps as at 20 (the prefix fit's)
+        # recurrence: the ArModels built and the descriptions written are
+        # as many at 40 gaps as at 20
         def refit_run(gaps):
             rng = np.random.default_rng(gaps)
             x = [0.0, 0.0]
@@ -984,11 +1040,11 @@ class TestGapColumns:
             for t in range(40, len(x) - 10, 10):
                 x[t : t + 1 + t % 3] = [None] * (1 + t % 3)
             built, described = [], []
-            post_init, describe = ArModel.__post_init__, report_module.describe_model
+            post_init, describe = ArModel.__post_init__, report_module.describe_models
             monkeypatch.setattr(ArModel, "__post_init__", lambda model: built.append(1) or post_init(model))
             for owner in (pipeline, report_module):
-                monkeypatch.setattr(owner, "describe_model",
-                                    lambda model: described.append(1) or describe(model))
+                monkeypatch.setattr(owner, "describe_models",
+                                    lambda models: described.append(1) or describe(models))
             result = impute_series(scalar_series(x), ImputeOptions(order=2, mode=mode, refit_per_gap=True))
             entries = json.loads(result.report.to_json())["gaps"]
             monkeypatch.undo()
@@ -1004,8 +1060,8 @@ class TestGapColumns:
     def test_rank_deficient_refit_run_with_an_open_gap_builds_one_model(self, monkeypatch, gaps):
         # every refit of a constant AR(2) series is rank deficient, and the
         # last gap is open: its rank notes and the open gap's forecast and
-        # description read the refits' columns, so the only ArModel built is
-        # the prefix fit's
+        # description read the refits' columns, and the prefix fit is their
+        # row 0, so no ArModel is built
         x = [1.5] * 40 + [None, 1.5, 1.5, 1.5] * (gaps - 1) + [None]
         built = []
         post_init = ArModel.__post_init__
@@ -1017,7 +1073,7 @@ class TestGapColumns:
         assert len(entries) == gaps and entries[-1]["oracle"] is None
         assert entries[-1]["refit_model"]["rank_deficient"]
         assert sum(note.startswith("refit before the gap") for note in report.notes) == gaps
-        assert len(built) == 1
+        assert len(built) == 0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(run=refit_runs(missing_covariates=False), refit=st.booleans())
