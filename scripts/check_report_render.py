@@ -7,7 +7,8 @@ shape. On each benchmark workload's seed-1 input (generated read only by
 ``--refit-per-gap``, the rendered text must equal ``json.dumps`` of the
 report's tree, first with the gap columns and then with the per-gap entries
 that ``report.gaps`` builds from them. The render time against
-``json.dumps`` (best of 5 each) is printed for information only.
+``json.dumps`` (best of 5 each, timed by ``check_speed._best``) is printed
+for information only.
 
 Prints one line per run, then one line ("ok: ..." or the problems found),
 and exits 1 when a report differs:
@@ -20,7 +21,8 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
-import time
+
+from check_speed import _best
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = {"long_gap_ar": {"order": 3}, "many_gaps_var": {"model_kind": "var"}, "refit_ar": {"order": 2}}
@@ -46,12 +48,7 @@ def main() -> int:
             # the gap columns, as the tree holds them until report.gaps is read
             tree = report.to_dict()
             sides = {"render": report.to_json, "json.dumps": lambda: dumps(tree)}
-            best = dict.fromkeys(sides, float("inf"))
-            for _ in range(5):
-                for side, call in sides.items():
-                    start = time.perf_counter()
-                    call()
-                    best[side] = min(best[side], time.perf_counter() - start)
+            best = _best(sides, 5)
             text = sides["render"]()
             if text != sides["json.dumps"]():
                 problems.append(f"{name} {variant}: the report differs from json.dumps")

@@ -283,21 +283,18 @@ def stack_solutions(stacks, count: int) -> list:
     order, holding views of the stacks' rows."""
     solutions = [None] * count
     for stack in stacks:
-        runs, lengths, index = equal_runs(stack.counts), stack.counts + stack.lag, stack.index.tolist()
+        lengths, g = stack.counts + stack.lag, len(stack.index)
         multipliers = stack.multipliers.tolist() if stack.multipliers.ndim == 1 else stack.multipliers
         notes = [dict(zip(stack.diagnostics, values))
                  for values in zip(*[column.tolist() for column in stack.diagnostics.values()])]
-        indices = list(map(range, (stack.starts + stack.lag).tolist(), (stack.starts + lengths).tolist()))
-        residuals, objectives = stack.residuals.tolist(), stack.objectives.tolist()
-        for (lo, hi, _), u, path, forecast in zip(runs, split_runs(stack.controls, stack.counts, runs),
-                                                  split_runs(stack.imputed, lengths - 1, runs),
-                                                  split_runs(stack.forecasts, lengths, runs)):
-            n = hi - lo
-            solved = map(ControlSolution, indices[lo:hi], u, multipliers[lo:hi], path, forecast,
-                         residuals[lo:hi], objectives[lo:hi], [stack.mode] * n, [True] * n,
-                         notes[lo:hi] or [{} for _ in range(n)])
-            for i, solution in zip(index[lo:hi], solved):
-                solutions[i] = solution
+        indices = map(range, (stack.starts + stack.lag).tolist(), (stack.starts + lengths).tolist())
+        controls, imputed, forecasts = (np.split(rows, np.cumsum(widths)[:-1]) for rows, widths in (
+            (stack.controls, stack.counts), (stack.imputed, lengths - 1), (stack.forecasts, lengths)))
+        solved = map(ControlSolution, indices, controls, multipliers, imputed, forecasts,
+                     stack.residuals.tolist(), stack.objectives.tolist(), [stack.mode] * g, [True] * g,
+                     notes or [{} for _ in range(g)])
+        for i, solution in zip(stack.index.tolist(), solved):
+            solutions[i] = solution
     return solutions
 
 
@@ -452,10 +449,8 @@ def _stack(models, firsts, starts, targets, counts, lag: int, mode: str, scalar)
     diagnostics = {"correction_rule": np.full(g, "uniform")} if regression else {}
     if mode == "paper" and ar:
         checked_weights(impulse)
-        differences = diagnostics["max_weight_difference"] = np.empty(g)
-        for lo, hi, m in runs:
-            rows = slice(None) if shared else slice(lo, hi)
-            differences[lo:hi] = np.abs(printed[rows, :m] - impulse[rows, :m]).max(axis=1)
+        running = np.maximum.accumulate(np.abs(printed - impulse), axis=1)  # read at each gap's m
+        diagnostics["max_weight_difference"] = running[0 if shared else np.arange(g), counts - 1]
     multipliers = lam
     if scalar:
         controls, multipliers = controls[..., 0], lam[:, 0]

@@ -1146,3 +1146,28 @@ class TestClosedStdout:
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (3, b"error: cannot write -: Broken pipe\n")
+
+    def test_in_process_closed_pipe_points_stdout_at_devnull(self, capsys, tmp_path):
+        # stdout writes to a pipe whose read end is closed, so the first write fails
+        path = tmp_path / "long.csv"
+        path.write_text("v\n" + "".join("NA\n" if t % 50 == 25 else f"{t % 17}.5\n"
+                                        for t in range(100_000)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = main(["impute", str(path)])
+            # so the exit flush cannot fail again
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        assert (code, capsys.readouterr().err) == (3, "error: cannot write -: Broken pipe\n")
+
+    def test_in_process_closed_stdout_without_a_descriptor(self, capsys, linear_csv):
+        class Closed(io.TextIOBase):
+            """A closed stdout that has no descriptor to point at devnull."""
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(Closed()):
+            code = main(["impute", linear_csv])
+        assert (code, capsys.readouterr().err) == (3, "error: cannot write -: Broken pipe\n")
