@@ -170,9 +170,10 @@ def _first_control(steps: int, controls: int) -> int:
 
 # A stack of at least this many AR paths of one order rolls all its paths
 # at once, one numpy operation per lag and step; a smaller one rolls path
-# by path on Python floats, which costs less below it (measured at widths
-# from 6 to 600 steps).
-STACKED_PATHS = 16
+# by path through its order's kernel. Per path is cheaper below about 18
+# AR(2) paths of 6 steps and 32 of 60 or 600 steps; 24 costs a narrow stack
+# microseconds and saves a wide one milliseconds.
+STACKED_PATHS = 24
 
 
 def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
@@ -181,21 +182,25 @@ def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
     own steps. This is the one AR recursion kernel.
 
     Path i starts from row i of the chronological (g, w) ``seeds``, at
-    least as many as the order p of the (g, p) ``lags`` (fewer is a
-    ValueError), and rolls x = intercepts[i] + ((0.0 + a_1 x_{n-1}) + a_2
-    x_{n-2}) + ..., summed left to right, which every Python version rounds
-    alike (``sum`` of floats is compensated from 3.12). Row i of the (g, m)
-    ``controls``, if given, is added from step max(steps) - m of every path
-    until its end. A stack of STACKED_PATHS or more paths steps all its
-    paths together, one numpy multiply and add per lag over the column of
-    every path's values, then b + sum and + u_t; a smaller one rolls path
-    by path on Python floats, each path pairing its coefficients once with
-    their lags' offsets from its end and rolling its uncontrolled steps,
-    then its controlled ones, with no per-step branch. Both make the same
-    IEEE operations in the same order, so a path has the same bits either
-    way. An explosive path overflows silently to inf.
+    least as many as the order p >= 1 of the (g, p) ``lags`` (fewer, or
+    p = 0, is a ValueError), and rolls x = intercepts[i] + ((0.0 + a_1
+    x_{n-1}) + a_2 x_{n-2}) + ..., summed left to right, which every Python
+    version rounds alike (``sum`` of floats is compensated from 3.12). Row
+    i of the (g, m) ``controls``, if given, is added from step max(steps) -
+    m of every path until its end. A stack of STACKED_PATHS or more paths
+    steps all its paths together, one numpy multiply and add per lag over
+    the column of every path's values, then b + sum and + u_t. A smaller
+    one rolls path by path on Python floats through the straight-line
+    kernel of its order (``_ar_kernel``, generated on first use): the p
+    lags are locals, each step is one statement per lag and one tuple
+    assignment that shifts the lags, and its uncontrolled steps, then its
+    controlled ones, run as two loops with no per-step branch. Both make
+    the same IEEE operations in the same order, so a path has the same bits
+    either way. An explosive path overflows silently to inf.
     """
     (g, p), n = lags.shape, seeds.shape[1]
+    if p < 1:
+        raise ValueError("order must be >= 1")
     if n < p:
         raise ValueError(f"{n} seeds for order {p}")
     counts = steps if isinstance(steps, list) else [steps] * g
@@ -203,26 +208,52 @@ def roll_ar(lags, intercepts, seeds, steps, controls=None) -> np.ndarray:
     first = _first_control(width, 0 if controls is None else controls.shape[1])
     if g >= STACKED_PATHS:
         return _roll_stacked(lags, intercepts, seeds, counts, width, first, controls)
+    kernel = _ar_kernel(p)
     rows = []
-    for a, b, path, u, count in zip(lags.tolist(), intercepts.tolist(), seeds.tolist(),
+    for a, b, seed, u, count in zip(lags.tolist(), intercepts.tolist(), seeds[:, n - p :].tolist(),
                                     [()] * g if controls is None else controls.tolist(), counts):
-        push = path.append
-        terms = tuple(zip(a, range(-1, -p - 1, -1)))  # (a_j, offset of x_{n-j})
-        for _ in range(first if first < count else count):
-            s = 0.0
-            for aj, j in terms:
-                s += aj * path[j]
-            push(b + s)
-        for ut in u if count == width else u[: max(count - first, 0)]:
-            s = 0.0
-            for aj, j in terms:
-                s += aj * path[j]
-            push(b + s + ut)
-        row = path[n:]
+        row = kernel(a, b, seed, first if first < count else count,
+                     u if count == width else u[: max(count - first, 0)])
         if count < width:
             row += [0.0] * (width - count)
         rows.append(row)
     return np.array(rows, dtype=float).reshape(g, width)
+
+
+# order p -> the straight-line path kernel of that order, built on first use
+_AR_KERNELS: dict = {}
+
+
+def _ar_kernel(p: int):
+    """The kernel that rolls one AR(p) path: ``kernel(a, b, seed, k, u)``
+    is the list of its k uncontrolled steps, then one controlled step per
+    value of ``u``, from the p chronological ``seed`` values. The lags are
+    the locals x1 (the latest) to xp; a step sums them one statement per
+    lag, in ``roll_ar``'s order, and one tuple assignment shifts them. The
+    source is made from the integer p alone."""
+    kernel = _AR_KERNELS.get(p)
+    if kernel is None:
+        a, x = [f"a{j}" for j in range(1, p + 1)], [f"x{j}" for j in range(1, p + 1)]
+        sums = ["s = 0.0 + a1 * x1", *(f"s += {aj} * {xj}" for aj, xj in zip(a[1:], x[1:]))]
+
+        def step(value: str) -> list:
+            shift = f"{', '.join(x)} = {', '.join([value, *x[:-1]])}"
+            return [f"        {line}" for line in [*sums, shift, "push(x1)"]]
+
+        source = "\n".join([
+            "def kernel(a, b, seed, k, u):",
+            f"    [{', '.join(a)}] = a",
+            f"    [{', '.join(reversed(x))}] = seed",
+            "    out = []",
+            "    push = out.append",
+            "    for _ in range(k):", *step("b + s"),
+            "    for ut in u:", *step("b + s + ut"),
+            "    return out",
+        ])
+        namespace = {}
+        exec(compile(source, f"<roll_ar order {p}>", "exec"), namespace)
+        kernel = _AR_KERNELS[p] = namespace["kernel"]
+    return kernel
 
 
 def _roll_stacked(lags, intercepts, seeds, counts: list, width: int, first: int, controls) -> np.ndarray:

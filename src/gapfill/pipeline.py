@@ -121,6 +121,12 @@ def fit_prefix(series: Series, options: ImputeOptions = ImputeOptions(),
     n = series.prefix_length
     if n == 0:
         raise DataError("no observed prefix: the series begins with a missing value")
+    if options.model_kind == "ar":
+        # row 0's error, found before any array or loop is sized by the order
+        # (an impute run's order is bounded by detect_gaps' seed check)
+        short = too_short(ArModel, n, options.order, lags=options.order)
+        if short is not None:
+            raise short
     model = _fit_models(options, series, covariates, np.array([n + 1]))[0]
     if isinstance(model, Exception):
         raise model

@@ -414,7 +414,8 @@ def detect_gaps(series: Series, order: int = 1, allow_open_gap: bool = False) ->
     # later gaps have more rows before them, and only the last can reach the end
     if len(starts) and starts[0] == 1:
         raise DataError("gap has no seed window: the series begins with a missing value")
-    if len(starts) and starts[0] - order < 1:
+    # a Python int, which no order overflows
+    if len(starts) and int(starts[0]) - order < 1:
         raise DataError(
             f"gap at index {starts[0]} needs {order} seed values "
             f"but only {starts[0] - 1} positions precede it"

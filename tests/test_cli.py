@@ -5,8 +5,10 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -338,6 +340,28 @@ def _growing_csv(path, columns: int, growth: float, gap: int, scale: float = 1.0
     rows += [",".join(["NA"] * columns)] * gap + [",".join(["1.0"] * columns)]
     path.write_text("\n".join(rows) + "\n")
     return str(path)
+
+
+def _huge_order_input(tmp_path, rows: int) -> str:
+    """``rows`` rows of a stable AR(3) with noise: 3000 rows with the rows
+    1201-1800 (1-based) missing, or 300 rows with no gap."""
+    rng = np.random.default_rng(3)
+    x = [0.0, 0.0, 0.0]
+    while len(x) < rows:
+        x.append(0.5 * x[-1] - 0.2 * x[-2] + 0.1 * x[-3] + rng.standard_normal())
+    missing = range(1200, 1800) if rows == 3000 else ()
+    path = tmp_path / "ar.csv"
+    path.write_text("x\n" + "".join("NA\n" if t in missing else f"{v!r}\n" for t, v in enumerate(x)))
+    return str(path)
+
+
+def _huge_order_message(command: str, order: int, rows: int) -> str:
+    """The one error of ``command`` at ``order`` on ``_huge_order_input``'s
+    input of ``rows`` rows: the words a small order too large gets."""
+    if command == "fit":
+        window = 1200 if rows == 3000 else 300
+        return f"fit window too short: {window} values for order {order} (need at least {2 * order + 1})"
+    return f"gap at index 1201 needs {order} seed values but only 1200 positions precede it"
 
 
 def _explosive_var_gap_csv(path, gap: int):
@@ -743,6 +767,40 @@ class TestErrorContract:
         code, out, err = run(capsys, "impute", str(path), "--model", "regression", *given)
         assert (code, out) == (3, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, order, rows", [
+        (("impute",), 10**22 - 1, 3000), (("impute", "--refit-per-gap"), 10**22 - 1, 3000),
+        (("impute", "--allow-open-gap"), 10**22 - 1, 3000), (("fit",), 10**20 - 1, 3000),
+        (("fit",), 2**63, 300),
+    ])
+    def test_huge_order_is_data_error(self, capsys, tmp_path, command, order, rows):
+        # orders past int64, compared as Python ints: 3000 rows hold a
+        # 600-row gap after 1200 observed rows, 300 rows no gap
+        path = _huge_order_input(tmp_path, rows)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command[0], path, *command[1:], "--order", str(order))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"error: {_huge_order_message(command[0], order, rows)}\n")
+
+    @pytest.mark.parametrize("command", ["impute", "fit"])
+    def test_huge_order_sizes_nothing(self, tmp_path, command):
+        # an order within int64 that sized an array or a loop before the
+        # prefix check would allocate without bound: a fresh process under a
+        # 1 GiB address-space limit fails then, rather than the host
+        limit, order = 1 << 30, 10**12
+        done = subprocess.run(
+            [sys.executable, "-m", "gapfill.cli", command, _huge_order_input(tmp_path, 3000), "--order", str(order)],
+            capture_output=True, text=True, timeout=30, env=_cli_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", f"error: {_huge_order_message(command, order, 3000)}\n")
+
+    def test_order_300_refit_per_gap_fills(self, capsys, tmp_path):
+        # one 600-step path rolls through the order-300 kernel
+        path = _huge_order_input(tmp_path, 3000)
+        code, out, err = run(capsys, "impute", path, "--order", "300", "--refit-per-gap")
+        assert (code, err) == (0, "")
+        assert "NA" not in out and out.count("\n") == 3001
 
     @pytest.mark.parametrize("flag", ["--output", "--report"])
     def test_unwritable_output_is_data_error(self, capsys, tmp_path, linear_csv, flag):
@@ -1171,3 +1229,12 @@ class TestClosedStdout:
         with contextlib.redirect_stdout(Closed()):
             code = main(["impute", linear_csv])
         assert (code, capsys.readouterr().err) == (3, "error: cannot write -: Broken pipe\n")
+
+
+def test_import_builds_no_ar_kernel():
+    # each order's AR kernel is generated on its first roll, so a fresh
+    # import of the CLI compiles none
+    done = subprocess.run(
+        [sys.executable, "-c", "import gapfill.cli, gapfill.fitting as f; print(len(f._AR_KERNELS))"],
+        capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")

@@ -494,8 +494,8 @@ class TestRollAr:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(data=st.data())
     def test_stacks_of_up_to_40_paths_match_the_reversed_zip_loop(self, data):
-        # 16 or more paths step all together (STACKED_PATHS); fewer roll path by path
-        paths = data.draw(st.one_of(st.sampled_from([15, 16, 17]), st.integers(1, 40)))
+        # 24 or more paths step all together (STACKED_PATHS); fewer roll path by path
+        paths = data.draw(st.one_of(st.sampled_from([23, 24, 25]), st.integers(1, 40)))
         counts = data.draw(st.lists(st.integers(0, 12), min_size=paths, max_size=paths))
         width = max(counts)
         controlled = data.draw(st.integers(0, width))
@@ -518,9 +518,9 @@ class TestRollAr:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("paths, orders, stacked", [
-        (15, [2] * 15, False), (16, [2] * 16, True), (17, [3] * 17, True),
+        (23, [2] * 23, False), (24, [2] * 24, True), (25, [3] * 25, True),
     ])
-    def test_stacks_of_16_paths_of_one_order_step_together(self, monkeypatch, paths, orders, stacked):
+    def test_stacks_of_24_paths_of_one_order_step_together(self, monkeypatch, paths, orders, stacked):
         calls = []
         roll_stacked = fitting._roll_stacked
         monkeypatch.setattr(fitting, "_roll_stacked", lambda *args: calls.append(1) or roll_stacked(*args))
@@ -569,12 +569,12 @@ class TestRollAr:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_signed_zeros_keep_their_bits_in_a_stack(self, order):
-        # 16 paths of one order step together; each sum starts from 0.0, and
+        # 24 paths of one order step together; each sum starts from 0.0, and
         # 0.0 + -0.0 is +0.0, which an intercept or control of -0.0 keeps
-        lags = [(-0.0,) * order, (5e-324,) * order, (-0.0, 0.5)[:order], (2.0**-1070,) * order] * 4
-        intercepts = [-0.0, -5e-324, -0.0, 0.0] * 4
-        seeds = [[1.0, 1.0], [-0.0, -5e-324], [1.0, -0.0], [2.0**-1060, -0.0]] * 4
-        for u in (None, [[-0.0, 5e-324, -0.0]] * 16):
+        lags = [(-0.0,) * order, (5e-324,) * order, (-0.0, 0.5)[:order], (2.0**-1070,) * order] * 6
+        intercepts = [-0.0, -5e-324, -0.0, 0.0] * 6
+        seeds = [[1.0, 1.0], [-0.0, -5e-324], [1.0, -0.0], [2.0**-1060, -0.0]] * 6
+        for u in (None, [[-0.0, 5e-324, -0.0]] * 24):
             got = roll(lags, intercepts, seeds, 6, u)
             assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 6, u).tobytes()
 
@@ -583,7 +583,23 @@ class TestRollAr:
             roll([(0.5, 0.2), (0.5, 0.2)], [0.0, 0.0], [[1.0], [1.0]], 3)
         with pytest.raises(ValueError, match="0 seeds for order 1"):
             roll([(0.5,)], [0.0], [[]], 0)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            roll([()], [0.0], [[1.0]], 3)
 
     def test_more_controls_than_steps_is_value_error(self):
         with pytest.raises(ValueError, match="3 controls for 2 steps"):
             roll([(0.5,)], [0.0], [[1.0]], 2, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("order", [300, 3000])
+    def test_large_orders_match_the_reversed_zip_loop(self, order):
+        # one statement per lag: a single expression of that many terms
+        # would not compile
+        rng = np.random.default_rng(order)
+        lags = (rng.uniform(-1, 1, (2, order)) / order).tolist()
+        intercepts = rng.uniform(-1, 1, 2).tolist()
+        seeds = rng.uniform(-3, 3, (2, order + 2)).tolist()
+        controls = rng.standard_normal((2, 3)).tolist()
+        for u in (None, controls):
+            got = roll(lags, intercepts, seeds, 5, u)
+            assert got.tobytes() == roll_ar_by_reversed_zip(lags, intercepts, seeds, 5, u).tobytes()
+        assert order in fitting._AR_KERNELS
