@@ -17,7 +17,7 @@ and exits 1 when its gate fails:
         ``fitting.roll_ar`` against the same loop run once per step count
         on a 200-path AR(2) stack of 1-7 steps each with 6 controls, the
         shape of a ``--refit-per-gap`` run's corrected fills: the same bits
-        in at most REFIT_BOUND of the loop's time (0.10-0.15 measured with
+        in at most REFIT_BOUND of the loop's time (0.09-0.15 measured with
         all its paths stepped together, 0.62-0.65 when rolled path by path);
     powers
         ``oracle.build_problem``'s doubling table against the
